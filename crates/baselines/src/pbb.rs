@@ -84,11 +84,15 @@ pub struct PbbOutcome {
     pub truncated: bool,
 }
 
-#[derive(Debug, Clone)]
+/// Widest topology [`pbb`] accepts: occupancy is a `u128` bitmask and
+/// placements store node indices as `u8`.
+pub(crate) const MAX_NODES: usize = 128;
+
+#[derive(Debug)]
 struct SearchNode {
-    /// `placement[i]` hosts core `order[i]`.
-    placement: Vec<NodeId>,
-    /// Occupied nodes as a bitmask (topologies here are ≤ 128 nodes).
+    /// `placement[i]` is the index of the node hosting core `order[i]`.
+    placement: Vec<u8>,
+    /// Occupied nodes as a bitmask.
     occupied: u128,
     /// Exact cost of placed-pair communication.
     partial_cost: f64,
@@ -97,12 +101,18 @@ struct SearchNode {
 }
 
 /// Min-heap adapter: BinaryHeap is a max-heap, so reverse the ordering.
+///
+/// The order is strict over live entries: ties on the bound fall to the
+/// prefix length, then to the placement itself, and the search tree
+/// generates each placement prefix exactly once. Queue truncation relies
+/// on this — the set of best entries it keeps, and so every later pop,
+/// does not depend on how the heap happens to be laid out.
 #[derive(Debug)]
 struct HeapNode(SearchNode);
 
 impl PartialEq for HeapNode {
     fn eq(&self, other: &Self) -> bool {
-        self.0.lower_bound == other.0.lower_bound
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for HeapNode {}
@@ -125,14 +135,20 @@ impl PartialOrd for HeapNode {
 
 /// Runs the partial branch-and-bound mapper.
 ///
+/// The search allocates nothing per expansion: placement buffers cycle
+/// through a free list, bound terms read a hop table built once per call,
+/// and queue overflow keeps the best half by selection, not by sorting.
+///
 /// # Panics
 ///
 /// Panics if the topology has more than 128 nodes (the occupancy bitmask
-/// width; all paper-scale experiments are ≤ 81 nodes).
+/// width; all paper-scale experiments are ≤ 81 nodes), or if it is a
+/// disconnected custom topology.
 pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
     let cores = problem.cores();
     let topology = problem.topology();
-    assert!(topology.node_count() <= 128, "PBB occupancy mask supports up to 128 nodes");
+    let n = topology.node_count();
+    assert!(n <= MAX_NODES, "PBB occupancy mask supports up to {MAX_NODES} nodes");
 
     // Core order: decreasing total communication demand.
     let mut order: Vec<CoreId> = cores.cores().collect();
@@ -169,11 +185,23 @@ pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
         }
     }
 
+    // hops[t * n + p] = hop_distance(t, p): target first, placed node
+    // second, since custom topologies need not be symmetric.
+    let hops: Vec<f64> = topology
+        .nodes()
+        .flat_map(|t| topology.nodes().map(move |p| topology.hop_distance(t, p) as f64))
+        .collect();
+
+    // Free list of placement buffers: every entry that leaves the queue
+    // hands its buffer back, so steady-state children allocate nothing.
+    let mut pool: Vec<Vec<u8>> = Vec::new();
     let mut heap: BinaryHeap<HeapNode> = BinaryHeap::new();
     // Root expansions with symmetry breaking.
     for node in first_core_candidates(problem) {
+        let mut placement = Vec::with_capacity(levels);
+        placement.push(node.index() as u8);
         heap.push(HeapNode(SearchNode {
-            placement: vec![node],
+            placement,
             occupied: 1u128 << node.index(),
             partial_cost: 0.0,
             lower_bound: remaining_weight[1],
@@ -191,6 +219,7 @@ pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
         }
         if let Some((best_cost, _)) = &best {
             if node.lower_bound >= *best_cost {
+                pool.push(node.placement);
                 continue; // prune: cannot beat the incumbent
             }
         }
@@ -199,7 +228,8 @@ pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
 
         if level == levels {
             // Complete placement: accept if bandwidth-feasible.
-            let mapping = to_mapping(&order, &node.placement, topology.node_count());
+            let mapping = to_mapping(&order, &node.placement, n);
+            pool.push(node.placement);
             let feasible = routing::route_min_paths(problem, &mapping)
                 .map(|(_, loads)| loads.within_capacity(topology))
                 .unwrap_or(false);
@@ -213,13 +243,13 @@ pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
         }
 
         // Expand: place core `order[level]` on every free node.
-        for target in topology.nodes() {
-            if node.occupied & (1u128 << target.index()) != 0 {
+        for (target, row) in hops.chunks_exact(n).enumerate() {
+            if node.occupied & (1u128 << target) != 0 {
                 continue;
             }
             let mut delta = 0.0;
             for &(lj, comm) in &earlier[level] {
-                delta += comm * topology.hop_distance(target, node.placement[lj]) as f64;
+                delta += comm * row[usize::from(node.placement[lj])];
             }
             let partial_cost = node.partial_cost + delta;
             let lower_bound = partial_cost + remaining_weight[level + 1];
@@ -228,23 +258,29 @@ pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
                     continue;
                 }
             }
-            let mut placement = node.placement.clone();
-            placement.push(target);
+            let mut placement = pool.pop().unwrap_or_else(|| Vec::with_capacity(levels));
+            placement.clear();
+            placement.extend_from_slice(&node.placement);
+            placement.push(target as u8);
             heap.push(HeapNode(SearchNode {
                 placement,
-                occupied: node.occupied | (1u128 << target.index()),
+                occupied: node.occupied | (1u128 << target),
                 partial_cost,
                 lower_bound,
             }));
         }
+        pool.push(node.placement);
 
-        // Partial search: drop the worst entries when the queue overflows.
+        // Partial search: keep the best half when the queue overflows.
         if heap.len() > options.max_queue {
             truncated = true;
-            let mut entries: Vec<HeapNode> = heap.drain().collect();
-            entries.sort_by(|a, b| b.cmp(a)); // best first (Ord is reversed)
-            entries.truncate(options.max_queue / 2);
-            heap.extend(entries);
+            let keep = options.max_queue / 2;
+            let mut entries = std::mem::take(&mut heap).into_vec();
+            if keep > 0 {
+                entries.select_nth_unstable_by(keep - 1, |a, b| b.cmp(a)); // best first
+            }
+            pool.extend(entries.drain(keep..).map(|HeapNode(dropped)| dropped.placement));
+            heap = BinaryHeap::from(entries);
         }
     }
 
@@ -295,10 +331,10 @@ fn first_core_candidates(problem: &MappingProblem) -> Vec<NodeId> {
     }
 }
 
-fn to_mapping(order: &[CoreId], placement: &[NodeId], node_count: usize) -> Mapping {
+fn to_mapping(order: &[CoreId], placement: &[u8], node_count: usize) -> Mapping {
     let mut mapping = Mapping::new(node_count);
     for (&core, &node) in order.iter().zip(placement) {
-        mapping.place(core, node);
+        mapping.place(core, NodeId::new(usize::from(node)));
     }
     mapping
 }

@@ -6,6 +6,7 @@
 use nmap::search::{constructive_outcome_of, core_registry, MapOutcome, Mapper, Registry};
 use nmap::{EvalContext, Result};
 
+use crate::pbb::MAX_NODES;
 use crate::{gmap, pbb, pmap, PbbOptions};
 
 /// The PMAP two-phase baseline (registry name `pmap`).
@@ -77,6 +78,12 @@ impl Mapper for PbbMapper {
 
     fn map(&self, ctx: &mut EvalContext<'_>) -> Result<MapOutcome> {
         self.options.check().map_err(nmap::MapError::InvalidOptions)?;
+        let nodes = ctx.problem().topology().node_count();
+        if nodes > MAX_NODES {
+            return Err(nmap::MapError::InvalidOptions(format!(
+                "pbb supports at most {MAX_NODES} nodes, topology has {nodes}"
+            )));
+        }
         let out = pbb(ctx.problem(), &self.options);
         ctx.probe().counter("search.pbb_expansions").add(out.expansions as u64);
         Ok(MapOutcome {

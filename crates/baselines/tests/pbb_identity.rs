@@ -1,0 +1,391 @@
+//! Differential oracle for the PBB search kernel.
+//!
+//! `oracle::pbb` is the straightforward implementation the production
+//! kernel replaced: placements as `Vec<NodeId>` cloned per child, every
+//! bound term through `Topology::hop_distance`, and queue overflow handled
+//! by a full sort. The production [`noc_baselines::pbb`] must return a
+//! field-by-field identical [`PbbOutcome`] — mapping, cost bits,
+//! feasibility, expansion count and truncation flag — on paper apps,
+//! random graphs, every topology family, queue bounds that overflow on
+//! nearly every expansion, exhausted expansion budgets and
+//! capacity-tight problems.
+
+use nmap::MappingProblem;
+use noc_apps::App;
+use noc_baselines::{pbb, PbbOptions, PbbOutcome};
+use noc_graph::{CoreGraph, NodeId, RandomGraphConfig, Topology};
+
+mod oracle {
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    use nmap::{routing, Mapping, MappingProblem};
+    use noc_baselines::{PbbOptions, PbbOutcome};
+    use noc_graph::{CoreId, NodeId, TopologyKind};
+
+    #[derive(Debug, Clone)]
+    struct SearchNode {
+        /// `placement[i]` hosts core `order[i]`.
+        placement: Vec<NodeId>,
+        /// Occupied nodes as a bitmask (topologies here are ≤ 128 nodes).
+        occupied: u128,
+        /// Exact cost of placed-pair communication.
+        partial_cost: f64,
+        /// `partial_cost` + admissible remainder bound.
+        lower_bound: f64,
+    }
+
+    /// Min-heap adapter: BinaryHeap is a max-heap, so reverse the ordering.
+    #[derive(Debug)]
+    struct HeapNode(SearchNode);
+
+    impl PartialEq for HeapNode {
+        fn eq(&self, other: &Self) -> bool {
+            self.0.lower_bound == other.0.lower_bound
+        }
+    }
+    impl Eq for HeapNode {}
+    impl Ord for HeapNode {
+        fn cmp(&self, other: &Self) -> Ordering {
+            other
+                .0
+                .lower_bound
+                .partial_cmp(&self.0.lower_bound)
+                .expect("bounds are finite")
+                .then_with(|| other.0.placement.len().cmp(&self.0.placement.len()))
+                .then_with(|| other.0.placement.cmp(&self.0.placement))
+        }
+    }
+    impl PartialOrd for HeapNode {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// Runs the partial branch-and-bound mapper.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology has more than 128 nodes (the occupancy bitmask
+    /// width; all paper-scale experiments are ≤ 81 nodes).
+    pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
+        let cores = problem.cores();
+        let topology = problem.topology();
+        assert!(topology.node_count() <= 128, "PBB occupancy mask supports up to 128 nodes");
+
+        // Core order: decreasing total communication demand.
+        let mut order: Vec<CoreId> = cores.cores().collect();
+        order.sort_by(|&a, &b| cores.total_comm(b).cmp(&cores.total_comm(a)).then(a.cmp(&b)));
+        let position: Vec<usize> = {
+            let mut pos = vec![0usize; order.len()];
+            for (i, &c) in order.iter().enumerate() {
+                pos[c.index()] = i;
+            }
+            pos
+        };
+
+        // remaining_weight[l] = total weight of edges NOT fully placed once the
+        // first `l` cores of `order` are down: edge (a, b) completes at level
+        // max(pos[a], pos[b]) + 1.
+        let levels = order.len();
+        let mut remaining_weight = vec![0.0f64; levels + 1];
+        for (_, e) in cores.edges() {
+            let done_at = position[e.src.index()].max(position[e.dst.index()]) + 1;
+            for level_weight in remaining_weight.iter_mut().take(done_at) {
+                *level_weight += e.bandwidth.to_f64();
+            }
+        }
+
+        // Adjacency of each core to earlier-ordered cores, with weights.
+        // earlier[l] = list of (level index < l, undirected comm weight).
+        let mut earlier: Vec<Vec<(usize, f64)>> = vec![Vec::new(); levels];
+        for (li, &c) in order.iter().enumerate() {
+            for (lj, &w) in order.iter().enumerate().take(li) {
+                let comm = cores.comm_between(c, w);
+                if comm > noc_units::Mbps::ZERO {
+                    earlier[li].push((lj, comm.to_f64()));
+                }
+            }
+        }
+
+        let mut heap: BinaryHeap<HeapNode> = BinaryHeap::new();
+        // Root expansions with symmetry breaking.
+        for node in first_core_candidates(problem) {
+            heap.push(HeapNode(SearchNode {
+                placement: vec![node],
+                occupied: 1u128 << node.index(),
+                partial_cost: 0.0,
+                lower_bound: remaining_weight[1],
+            }));
+        }
+
+        let mut best: Option<(f64, Mapping)> = None;
+        let mut expansions = 0usize;
+        let mut truncated = false;
+
+        while let Some(HeapNode(node)) = heap.pop() {
+            if expansions >= options.max_expansions {
+                truncated = true;
+                break;
+            }
+            if let Some((best_cost, _)) = &best {
+                if node.lower_bound >= *best_cost {
+                    continue; // prune: cannot beat the incumbent
+                }
+            }
+            expansions += 1;
+            let level = node.placement.len();
+
+            if level == levels {
+                // Complete placement: accept if bandwidth-feasible.
+                let mapping = to_mapping(&order, &node.placement, topology.node_count());
+                let feasible = routing::route_min_paths(problem, &mapping)
+                    .map(|(_, loads)| loads.within_capacity(topology))
+                    .unwrap_or(false);
+                if feasible {
+                    let cost = node.partial_cost;
+                    if best.as_ref().is_none_or(|(c, _)| cost < *c) {
+                        best = Some((cost, mapping));
+                    }
+                }
+                continue;
+            }
+
+            // Expand: place core `order[level]` on every free node.
+            for target in topology.nodes() {
+                if node.occupied & (1u128 << target.index()) != 0 {
+                    continue;
+                }
+                let mut delta = 0.0;
+                for &(lj, comm) in &earlier[level] {
+                    delta += comm * topology.hop_distance(target, node.placement[lj]) as f64;
+                }
+                let partial_cost = node.partial_cost + delta;
+                let lower_bound = partial_cost + remaining_weight[level + 1];
+                if let Some((best_cost, _)) = &best {
+                    if lower_bound >= *best_cost {
+                        continue;
+                    }
+                }
+                let mut placement = node.placement.clone();
+                placement.push(target);
+                heap.push(HeapNode(SearchNode {
+                    placement,
+                    occupied: node.occupied | (1u128 << target.index()),
+                    partial_cost,
+                    lower_bound,
+                }));
+            }
+
+            // Partial search: drop the worst entries when the queue overflows.
+            if heap.len() > options.max_queue {
+                truncated = true;
+                let mut entries: Vec<HeapNode> = heap.drain().collect();
+                entries.sort_by(|a, b| b.cmp(a)); // best first (Ord is reversed)
+                entries.truncate(options.max_queue / 2);
+                heap.extend(entries);
+            }
+        }
+
+        let (mapping, feasible) = match best {
+            Some((_, mapping)) => {
+                let feasible = routing::route_min_paths(problem, &mapping)
+                    .map(|(_, loads)| loads.within_capacity(topology))
+                    .unwrap_or(false);
+                (mapping, feasible)
+            }
+            None => {
+                // Budget expired with no completion: fall back to the greedy
+                // constructive placement so callers always get a mapping.
+                let mapping = nmap::initialize(problem);
+                let feasible = routing::route_min_paths(problem, &mapping)
+                    .map(|(_, loads)| loads.within_capacity(topology))
+                    .unwrap_or(false);
+                truncated = true;
+                (mapping, feasible)
+            }
+        };
+
+        PbbOutcome {
+            comm_cost: problem.comm_cost(&mapping),
+            mapping,
+            feasible,
+            expansions,
+            truncated,
+        }
+    }
+
+    /// Candidate nodes for the first core: one orthant of the mesh — per axis
+    /// `coord ≤ ⌈extent/2⌉`, and for adjacent equal-extent axis pairs
+    /// additionally `coord[i+1] ≤ coord[i]` (on 2-D meshes: x ≤ ⌈w/2⌉,
+    /// y ≤ ⌈h/2⌉ and, on square meshes, y ≤ x) — which breaks the grid's
+    /// reflection/rotation symmetry group. On wrapping grids and custom
+    /// topologies, all nodes.
+    fn first_core_candidates(problem: &MappingProblem) -> Vec<NodeId> {
+        let topology = problem.topology();
+        match topology.kind() {
+            TopologyKind::Grid(grid) if grid.is_mesh() => topology
+                .nodes()
+                .filter(|&n| {
+                    let c = topology.grid_coords(n);
+                    let axes = grid.axes();
+                    let low_orthant =
+                        axes.iter().zip(c).all(|(axis, &coord)| coord <= (axis.extent - 1) / 2);
+                    let symmetry_broken = (1..axes.len())
+                        .all(|i| axes[i - 1].extent != axes[i].extent || c[i] <= c[i - 1]);
+                    low_orthant && symmetry_broken
+                })
+                .collect(),
+            _ => topology.nodes().collect(),
+        }
+    }
+
+    fn to_mapping(order: &[CoreId], placement: &[NodeId], node_count: usize) -> Mapping {
+        let mut mapping = Mapping::new(node_count);
+        for (&core, &node) in order.iter().zip(placement) {
+            mapping.place(core, node);
+        }
+        mapping
+    }
+}
+
+/// Budgets exercised on every problem: queue bounds that overflow on
+/// nearly every expansion (1 empties the queue, 2 and 3 keep one entry),
+/// a moderate bound, and an expansion budget that runs out mid-search.
+const BUDGETS: [PbbOptions; 6] = [
+    PbbOptions { max_queue: 1, max_expansions: 2_000 },
+    PbbOptions { max_queue: 2, max_expansions: 2_000 },
+    PbbOptions { max_queue: 3, max_expansions: 2_000 },
+    PbbOptions { max_queue: 64, max_expansions: 2_000 },
+    PbbOptions { max_queue: 400, max_expansions: 3_000 },
+    PbbOptions { max_queue: 5_000, max_expansions: 150 },
+];
+
+fn assert_identical(problem: &MappingProblem, options: &PbbOptions, what: &str) -> PbbOutcome {
+    let expected = oracle::pbb(problem, options);
+    let got = pbb(problem, options);
+    let at = format!("{what} q{}e{}", options.max_queue, options.max_expansions);
+    assert_eq!(got.mapping, expected.mapping, "mapping diverged: {at}");
+    assert_eq!(
+        got.comm_cost.to_f64().to_bits(),
+        expected.comm_cost.to_f64().to_bits(),
+        "comm_cost diverged: {at}"
+    );
+    assert_eq!(got.feasible, expected.feasible, "feasible diverged: {at}");
+    assert_eq!(got.expansions, expected.expansions, "expansions diverged: {at}");
+    assert_eq!(got.truncated, expected.truncated, "truncated diverged: {at}");
+    got
+}
+
+fn random_graph(cores: usize, seed: u64) -> CoreGraph {
+    RandomGraphConfig { cores, ..Default::default() }.generate(seed)
+}
+
+fn fitted_mesh(cores: usize, capacity: f64) -> Topology {
+    let (w, h) = Topology::fit_mesh_dims(cores);
+    Topology::mesh(w, h, capacity)
+}
+
+#[test]
+fn paper_apps_match_the_oracle() {
+    for app in App::all() {
+        let (w, h) = app.mesh_dims();
+        let problem = MappingProblem::new(app.core_graph(), Topology::mesh(w, h, 1e9)).unwrap();
+        for options in BUDGETS {
+            assert_identical(&problem, &options, app.name());
+        }
+    }
+}
+
+#[test]
+fn random_graphs_9_to_40_cores_match_the_oracle() {
+    for (cores, seed) in [(9, 1), (12, 2), (16, 3), (20, 4), (25, 5), (31, 6), (36, 7), (40, 8)] {
+        let problem =
+            MappingProblem::new(random_graph(cores, seed), fitted_mesh(cores, 1e9)).unwrap();
+        for options in BUDGETS {
+            assert_identical(&problem, &options, &format!("random {cores} cores seed {seed}"));
+        }
+    }
+}
+
+#[test]
+fn torus_and_3d_mesh_match_the_oracle() {
+    let topologies = [
+        ("torus 4x4", Topology::torus(4, 4, 1e9)),
+        ("torus 5x3", Topology::torus(5, 3, 1e9)),
+        ("mesh 3x3x2", Topology::mesh_nd(&[3, 3, 2], 1e9).unwrap()),
+        ("mesh 4x4x2", Topology::mesh_nd(&[4, 4, 2], 1e9).unwrap()),
+    ];
+    for (name, topology) in topologies {
+        for seed in [11, 12] {
+            let cores = topology.node_count() - 2;
+            let problem = MappingProblem::new(random_graph(cores, seed), topology.clone()).unwrap();
+            for options in BUDGETS {
+                assert_identical(&problem, &options, &format!("{name} seed {seed}"));
+            }
+        }
+    }
+}
+
+/// A one-way ring with a few two-way chords: `hop_distance(a, b)` differs
+/// from `hop_distance(b, a)` for most pairs, so a hop table indexed the
+/// wrong way round would move the bounds.
+fn asymmetric_ring(nodes: usize) -> Topology {
+    let mut links: Vec<(NodeId, NodeId, f64)> =
+        (0..nodes).map(|i| (NodeId::new(i), NodeId::new((i + 1) % nodes), 1e9)).collect();
+    for (a, b) in [(0, nodes / 2), (nodes / 4, 3 * nodes / 4)] {
+        links.push((NodeId::new(a), NodeId::new(b), 1e9));
+        links.push((NodeId::new(b), NodeId::new(a), 1e9));
+    }
+    Topology::custom(nodes, links).unwrap()
+}
+
+#[test]
+fn asymmetric_custom_topology_matches_the_oracle() {
+    let topology = asymmetric_ring(12);
+    let (a, b) = (NodeId::new(1), NodeId::new(4));
+    assert_ne!(topology.hop_distance(a, b), topology.hop_distance(b, a), "ring must be asymmetric");
+    for seed in [21, 22, 23] {
+        let problem = MappingProblem::new(random_graph(10, seed), topology.clone()).unwrap();
+        for options in BUDGETS {
+            assert_identical(&problem, &options, &format!("asymmetric ring seed {seed}"));
+        }
+    }
+}
+
+#[test]
+fn capacity_tight_problems_match_the_oracle() {
+    // Capacities near the heaviest flow: many complete placements overload
+    // a link and are rejected, so the accepted incumbent differs from the
+    // one the search keeps with unlimited capacity.
+    let mut rejected_some = false;
+    for (cores, seed) in [(9, 31), (12, 32), (16, 33)] {
+        let graph = random_graph(cores, seed);
+        let heaviest = graph.edges().map(|(_, e)| e.bandwidth.to_f64()).fold(0.0, f64::max);
+        let loose = MappingProblem::new(graph.clone(), fitted_mesh(cores, 1e9)).unwrap();
+        for factor in [1.0, 1.3, 1.8] {
+            let tight =
+                MappingProblem::new(graph.clone(), fitted_mesh(cores, heaviest * factor)).unwrap();
+            for options in BUDGETS {
+                let got =
+                    assert_identical(&tight, &options, &format!("tight x{factor} {cores} cores"));
+                let unconstrained = pbb(&loose, &options);
+                rejected_some |= !got.feasible || got.mapping != unconstrained.mapping;
+            }
+        }
+    }
+    assert!(rejected_some, "no capacity-tight case rejected a completion");
+}
+
+#[test]
+fn default_budget_matches_the_oracle() {
+    for (cores, seed) in [(12, 41), (16, 42)] {
+        let problem =
+            MappingProblem::new(random_graph(cores, seed), fitted_mesh(cores, 1e9)).unwrap();
+        assert_identical(
+            &problem,
+            &PbbOptions::default(),
+            &format!("default budget {cores} cores"),
+        );
+    }
+}

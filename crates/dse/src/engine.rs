@@ -916,6 +916,28 @@ mod tests {
     }
 
     #[test]
+    fn pbb_on_a_topology_wider_than_its_mask_is_an_error_record() {
+        let scenario = Scenario {
+            label: "PIP".into(),
+            app: AppSpec::Bundled(App::Pip),
+            seed: 0,
+            topology: TopologySpec::Mesh { dims: vec![12, 12] },
+            capacity: mbps(1_000.0),
+            mapper: MapperSpec::Pbb(noc_baselines::PbbOptions::default()),
+            routing: RoutingSpec::MinPath,
+            simulate: None,
+        };
+        let records = run_scenarios(std::slice::from_ref(&scenario), 2);
+        assert_eq!(records.len(), 1);
+        assert!(!records[0].is_ok());
+        assert!(
+            records[0].error.contains("pbb supports at most 128 nodes, topology has 144"),
+            "error: {}",
+            records[0].error
+        );
+    }
+
+    #[test]
     fn mcf_routing_reports_split_loads() {
         let scenario = Scenario {
             label: "DSP".into(),

@@ -39,11 +39,11 @@ pub struct Table2Config {
 }
 
 impl Default for Table2Config {
-    /// The PBB budget is scaled to the paper's setting: PBB "ran for few
-    /// minutes" on 2004-era hardware, which corresponds to a few seconds
-    /// of today's compute — about 50 000 expansions with a 5 000-entry
-    /// queue. (With today's full default budget PBB narrows the gap; see
-    /// EXPERIMENTS.md for both readings.)
+    /// The PBB budget stands in for the paper's setting, where PBB "ran
+    /// for few minutes": 50 000 expansions with a 5 000-entry queue. The
+    /// budget is counted in expansions, not time, so the table does not
+    /// depend on the machine. (With today's full default budget PBB
+    /// narrows the gap; see EXPERIMENTS.md for both readings.)
     fn default() -> Self {
         Self {
             sizes: vec![25, 35, 45, 55, 65],
