@@ -59,7 +59,7 @@ use nmap::{PathScope, SinglePathOptions};
 use noc_apps::App;
 use noc_baselines::PbbOptions;
 use noc_graph::RandomGraphConfig;
-use noc_sim::LoopKind;
+use noc_sim::{LoopKind, MAX_BURST_PACKETS};
 
 use noc_units::Mbps;
 
@@ -452,6 +452,12 @@ fn parse_simulate_field(
                     "burst needs packets ≥ 1 and a finite intensity ≥ 1".into(),
                 ));
             }
+            if packets > MAX_BURST_PACKETS {
+                return Err(syntax(
+                    line_no,
+                    format!("burst packets must be at most {MAX_BURST_PACKETS}, got {packets}"),
+                ));
+            }
             block.burst_packets = packets;
             block.burst_intensity = intensity;
         }
@@ -828,6 +834,22 @@ simulate {
         assert_eq!(empty.simulate, Some(SimulateSpec::default()));
         assert_eq!(parse_spec(&empty.to_string()).unwrap(), empty);
         assert!(empty.scenarios().scenarios()[0].simulate.is_some());
+    }
+
+    #[test]
+    fn oversized_burst_length_is_a_line_numbered_error() {
+        // Accepting it once panicked the traffic sources' 8x burst cap
+        // with a multiply overflow (debug) or wrapped it (release).
+        let bad = "app pip\nsimulate {\n  measure 100\n  burst 600000000 2\n}\n";
+        match parse_spec(bad) {
+            Err(SpecError::Syntax { line: 4, message }) => {
+                assert!(message.contains("at most 536870911"), "{message}")
+            }
+            other => panic!("expected a line-4 syntax error, got {other:?}"),
+        }
+        let ok = format!("app pip\nsimulate {{\n  burst {MAX_BURST_PACKETS} 2\n}}\n");
+        let spec = parse_spec(&ok).expect("the largest burst length parses");
+        assert_eq!(spec.simulate.unwrap().burst_packets, MAX_BURST_PACKETS);
     }
 
     #[test]

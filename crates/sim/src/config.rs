@@ -2,6 +2,10 @@
 
 use noc_units::Mbps;
 
+/// Largest accepted [`SimConfig::burst_packets`]: the traffic sources cap
+/// a burst at eight times its mean length, which must fit in a `u32`.
+pub const MAX_BURST_PACKETS: u32 = u32::MAX / 8;
+
 /// Parameters of the simulated NoC and measurement window.
 ///
 /// Defaults follow the paper's DSP design (Table 3): 64-byte packets,
@@ -85,6 +89,9 @@ impl SimConfig {
         }
         if self.burst_packets == 0 {
             return Err("burst length must be non-zero".into());
+        }
+        if self.burst_packets > MAX_BURST_PACKETS {
+            return Err(format!("burst length must be at most {MAX_BURST_PACKETS} packets"));
         }
         if !(self.burst_intensity >= 1.0 && self.burst_intensity.is_finite()) {
             return Err("burst intensity must be >= 1".into());
@@ -179,6 +186,18 @@ mod tests {
             let c = SimConfig { burst_intensity: bad, ..Default::default() };
             assert!(c.check().is_err(), "intensity {bad} accepted");
         }
+    }
+
+    #[test]
+    fn oversized_burst_length_rejected() {
+        // `burst 600000000 2` once overflowed the sources' 8x burst cap.
+        for bad in [MAX_BURST_PACKETS + 1, 600_000_000, u32::MAX] {
+            let c = SimConfig { burst_packets: bad, ..Default::default() };
+            let err = c.check().unwrap_err();
+            assert!(err.contains("burst length must be at most"), "{bad}: {err}");
+        }
+        let c = SimConfig { burst_packets: MAX_BURST_PACKETS, ..Default::default() };
+        assert!(c.check().is_ok());
     }
 
     #[test]

@@ -18,10 +18,12 @@
 //! * **link bandwidth** modeled by flit serialization: a link running at
 //!   `B` MB/s with `f`-byte flits forwards at most one flit every `f/B`
 //!   nanoseconds (token-bucket accounting at 1 GHz).
-//! * **source routing** — packets carry their path, which is how the
-//!   mapping algorithms' routing tables (single-path or split) are
-//!   injected into the network; split flows distribute packets over their
-//!   paths by deficit-weighted round-robin.
+//! * **source routing** — each (flow, path) pair's route is fixed when the
+//!   simulator is built, and every flit follows the route of the
+//!   injection queue it entered by; this is how the mapping algorithms'
+//!   routing tables (single-path or split) are injected into the network.
+//!   Split flows distribute packets over their paths by deficit-weighted
+//!   round-robin.
 //! * **bursty traffic generators** — on/off sources reproducing "as the
 //!   traffic is bursty in nature, we have contention even when bandwidth
 //!   constraints are satisfied".
@@ -57,8 +59,7 @@ mod router;
 mod stats;
 mod traffic;
 
-pub use config::SimConfig;
+pub use config::{SimConfig, MAX_BURST_PACKETS};
 pub use network::{LoopKind, SimReport, Simulator};
-pub use packet::{FlitKind, Packet};
 pub use stats::LatencyStats;
 pub use traffic::{FlowSpec, WeightedPath};

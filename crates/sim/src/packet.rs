@@ -1,33 +1,16 @@
-//! Packets and flits.
+//! Packets in flight.
 
-use noc_graph::LinkId;
-
-/// Position of a flit within its packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlitKind {
-    /// First flit; carries the route and allocates channels.
-    Head,
-    /// Intermediate payload flit.
-    Body,
-    /// Last flit; releases allocated channels. Single-flit packets are
-    /// represented as a Head followed by a zero-payload Tail — the model
-    /// always has ≥ 2 flits per packet (header + payload).
-    Tail,
-}
-
-/// A packet in flight. Flits are not materialized individually: the packet
-/// tracks how many have been sent/received at each traversal point, which
-/// is equivalent for a FIFO wormhole network and far cheaper.
+/// A packet in flight. Flits are not materialized individually: each
+/// buffered flit is a [`FlitRef`](crate::router::FlitRef) pointing back
+/// at its packet's slab slot, which is equivalent for a FIFO wormhole
+/// network and far cheaper. The route lives in the simulator's static
+/// route table and every packet has
+/// [`SimConfig::flits_per_packet`](crate::SimConfig::flits_per_packet)
+/// flits, so the packet itself keeps only what latency accounting needs.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Packet {
-    /// Globally unique id (injection order).
-    pub id: u64,
+pub(crate) struct Packet {
     /// Index of the generating flow.
     pub flow: usize,
-    /// Total flits (head + payload).
-    pub flits: usize,
-    /// Source-routed path: links to traverse, in order.
-    pub path: Vec<LinkId>,
     /// Cycle at which the packet was generated (enqueued at the source NI).
     pub generated_at: u64,
     /// Cycle at which the head flit left the source NI and entered the
@@ -35,65 +18,4 @@ pub struct Packet {
     pub injected_at: Option<u64>,
     /// True if the packet was generated inside the measurement window.
     pub measured: bool,
-}
-
-impl Packet {
-    /// Kind of the `index`-th flit (0-based).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index ≥ flits`.
-    pub fn flit_kind(&self, index: usize) -> FlitKind {
-        assert!(index < self.flits, "flit index out of range");
-        if index == 0 {
-            FlitKind::Head
-        } else if index + 1 == self.flits {
-            FlitKind::Tail
-        } else {
-            FlitKind::Body
-        }
-    }
-
-    /// Number of hops the packet will traverse.
-    pub fn hops(&self) -> usize {
-        self.path.len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn packet(flits: usize) -> Packet {
-        Packet {
-            id: 0,
-            flow: 0,
-            flits,
-            path: vec![],
-            generated_at: 0,
-            injected_at: None,
-            measured: true,
-        }
-    }
-
-    #[test]
-    fn flit_kinds() {
-        let p = packet(3);
-        assert_eq!(p.flit_kind(0), FlitKind::Head);
-        assert_eq!(p.flit_kind(1), FlitKind::Body);
-        assert_eq!(p.flit_kind(2), FlitKind::Tail);
-    }
-
-    #[test]
-    fn two_flit_packet_has_no_body() {
-        let p = packet(2);
-        assert_eq!(p.flit_kind(0), FlitKind::Head);
-        assert_eq!(p.flit_kind(1), FlitKind::Tail);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_flit_panics() {
-        let _ = packet(2).flit_kind(2);
-    }
 }

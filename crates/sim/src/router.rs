@@ -1,37 +1,22 @@
-//! Router-side plumbing: flit buffers, ports and wormhole channel state.
+//! Router-side plumbing: flit buffers and wormhole channel state.
 
 use std::collections::VecDeque;
 
-use noc_graph::LinkId;
-
-/// A flit sitting in a buffer. Flits reference their packet by slab index;
+/// A flit sitting in a buffer. Flits reference their packet by slab index
+/// and their route by position in the simulator's static route table;
 /// payload is never materialized.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct FlitRef {
     /// Slab index of the owning packet.
-    pub packet: usize,
+    pub packet: u32,
     /// 0-based flit position within the packet.
     pub flit: u32,
-    /// Number of links the flit has already traversed (0 = still at the
-    /// source NI). `path[hop]` is the next link to take.
-    pub hop: u32,
+    /// Route-table position of the next output the flit takes: a link
+    /// index, or the ejection sentinel once the flit sits at its
+    /// destination. Crossing a link advances it by one.
+    pub route: u32,
     /// Cycle the flit entered this buffer.
     pub arrived: u64,
-}
-
-/// An input port of a router: either the downstream end of a link or one
-/// of the local injection queues.
-///
-/// The network interface is connection-oriented (as in ×pipes): each
-/// (flow, path) pair owns a private injection queue, so a packet waiting
-/// for a busy path never blocks packets of other flows — or of the same
-/// split flow bound for a different path — behind it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum InputId {
-    /// Flits arriving over a physical link.
-    Link(LinkId),
-    /// Flits injected by the local NI, from the numbered injection queue.
-    Inject(usize),
 }
 
 /// A FIFO flit buffer with bounded capacity (credit pool). The injection
@@ -77,7 +62,7 @@ impl Buffer {
 
     /// Removes every flit of `packet` (deadlock-recovery drop). Returns the
     /// number of flits removed.
-    pub fn purge_packet(&mut self, packet: usize) -> usize {
+    pub fn purge_packet(&mut self, packet: u32) -> usize {
         let before = self.fifo.len();
         self.fifo.retain(|f| f.packet != packet);
         before - self.fifo.len()
@@ -91,26 +76,26 @@ impl Buffer {
 
 /// Wormhole allocation state of one output channel (a link's upstream end
 /// or a node's ejection port): which input owns it and for which packet.
+/// Inputs are dense input ids (link buffers first, then the injection
+/// queues; see `Simulator`).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub(crate) struct ChannelState {
-    /// Current owner, if a packet holds the channel.
-    pub owner: Option<(InputId, usize)>,
+    /// Current owner `(input, packet slab index)`, if a packet holds the
+    /// channel.
+    pub owner: Option<(u32, u32)>,
     /// Round-robin pointer over the upstream node's input list.
-    pub rr_next: usize,
+    pub rr_next: u32,
 }
 
 impl ChannelState {
     /// True if `input` may send `packet` through this channel right now
     /// (diagnostics; exercised by unit tests).
     #[cfg_attr(not(test), allow(dead_code))]
-    pub fn admits(&self, input: InputId, packet: usize) -> bool {
-        match self.owner {
-            Some((i, p)) => i == input && p == packet,
-            None => false,
-        }
+    pub fn admits(&self, input: u32, packet: u32) -> bool {
+        self.owner == Some((input, packet))
     }
 
-    pub fn allocate(&mut self, input: InputId, packet: usize) {
+    pub fn allocate(&mut self, input: u32, packet: u32) {
         debug_assert!(self.owner.is_none(), "channel already allocated");
         self.owner = Some((input, packet));
     }
@@ -124,8 +109,8 @@ impl ChannelState {
 mod tests {
     use super::*;
 
-    fn flit(packet: usize, flit: u32) -> FlitRef {
-        FlitRef { packet, flit, hop: 0, arrived: 0 }
+    fn flit(packet: u32, flit: u32) -> FlitRef {
+        FlitRef { packet, flit, route: 0, arrived: 0 }
     }
 
     #[test]
@@ -155,14 +140,14 @@ mod tests {
     #[test]
     fn channel_allocation_lifecycle() {
         let mut ch = ChannelState::default();
-        assert!(!ch.admits(InputId::Inject(0), 5));
-        ch.allocate(InputId::Inject(0), 5);
-        assert!(ch.admits(InputId::Inject(0), 5));
-        assert!(!ch.admits(InputId::Inject(0), 6));
-        assert!(!ch.admits(InputId::Inject(1), 5));
-        assert!(!ch.admits(InputId::Link(LinkId::new(0)), 5));
+        assert!(!ch.admits(3, 5));
+        ch.allocate(3, 5);
+        assert!(ch.admits(3, 5));
+        assert!(!ch.admits(3, 6));
+        assert!(!ch.admits(4, 5));
+        assert!(!ch.admits(0, 5));
         ch.release();
-        assert!(!ch.admits(InputId::Inject(0), 5));
+        assert!(!ch.admits(3, 5));
     }
 
     #[test]
@@ -170,7 +155,7 @@ mod tests {
     #[cfg(debug_assertions)]
     fn double_allocation_panics_in_debug() {
         let mut ch = ChannelState::default();
-        ch.allocate(InputId::Inject(0), 1);
-        ch.allocate(InputId::Inject(0), 2);
+        ch.allocate(0, 1);
+        ch.allocate(0, 2);
     }
 }
