@@ -1,7 +1,6 @@
 //! Wormhole-simulator benchmarks: cycles/second on the DSP design (the
 //! cost of the Figure 5(c) sweep), the full-scan vs active-set cycle
-//! loops, the event/tick-queue loop against the cycle-stepped oracle,
-//! and the sequential vs pooled engine-backed Figure 5(c) sweep.
+//! loops, and the sequential vs pooled engine-backed Figure 5(c) sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -49,8 +48,9 @@ fn bench_simulator(c: &mut Criterion) {
 /// The cycle-loop comparison on the Figure 5(c) workload: the original
 /// full scan (every router and link visited every cycle) against the
 /// active-set loop (idle routers/links skipped, token accrual replayed
-/// lazily). Both produce bit-identical reports — asserted by the
-/// `noc-sim` unit tests — so any gap here is pure overhead removed.
+/// lazily, empty-network stretches jumped). Both produce bit-identical
+/// reports — asserted by the `noc-sim` identity suites — so any gap here
+/// is pure overhead removed.
 fn bench_loop_kinds(c: &mut Criterion) {
     let design = design_dsp();
     let topology = Topology::mesh(3, 2, 1_400.0);
@@ -70,43 +70,6 @@ fn bench_loop_kinds(c: &mut Criterion) {
                 black_box(sim.run())
             })
         });
-    }
-    group.finish();
-}
-
-/// The event/tick-queue loop against the cycle-stepped active-set oracle
-/// across the Figure 5(c) bandwidth range. The win grows toward the
-/// high-bandwidth (low-load) end of the sweep: when links drain fast, the
-/// network spends most cycles idle and the tick queue skips them
-/// wholesale, where even the active-set loop must still step cycle by
-/// cycle. All three loops are bit-identical (the `event_queue_identity`
-/// suite), so the gap is pure idle-time removed.
-fn bench_event_queue(c: &mut Criterion) {
-    let design = design_dsp();
-    let config = bench_config();
-    let total_cycles = config.warmup_cycles + config.measure_cycles + config.drain_cycles;
-
-    let mut group = c.benchmark_group("simulator_event_queue");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(total_cycles));
-    // 1100 MB/s = near saturation (the sweep's left edge), 1800 MB/s =
-    // the low-load right edge where idle-time skipping pays most.
-    for bandwidth in [1_100.0, 1_800.0] {
-        let topology = Topology::mesh(3, 2, bandwidth);
-        for (name, kind) in
-            [("active_set", LoopKind::ActiveSet), ("event_queue", LoopKind::EventQueue)]
-        {
-            let id = BenchmarkId::new(name, format!("{bandwidth}mbps"));
-            group.bench_with_input(id, &kind, |b, &kind| {
-                b.iter(|| {
-                    let flows =
-                        flows_from_tables(&design.problem, &design.mapping, &design.split_tables);
-                    let mut sim = Simulator::new(&topology, flows, config.clone());
-                    sim.set_loop_kind(kind);
-                    black_box(sim.run())
-                })
-            });
-        }
     }
     group.finish();
 }
@@ -140,5 +103,5 @@ fn bench_fig5c_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_simulator, bench_loop_kinds, bench_event_queue, bench_fig5c_sweep);
+criterion_group!(benches, bench_simulator, bench_loop_kinds, bench_fig5c_sweep);
 criterion_main!(benches);

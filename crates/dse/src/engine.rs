@@ -455,7 +455,7 @@ pub fn run_scenario(scenario: &Scenario) -> RunRecord {
 
 /// [`run_scenario`] with instrumentation attached: the probe is threaded
 /// into the mapper's [`EvalContext`] (evaluation/delta-gate counters,
-/// search trajectory events) and the simulator (cycle and wake-up
+/// search trajectory events) and the simulator (executed/skipped-cycle
 /// counters), the per-stage wall times land in the `dse.stage.*_us`
 /// histograms, and one `dse.scenario` event records the run. The record
 /// itself is byte-identical to an unprobed run. Stage memoization is

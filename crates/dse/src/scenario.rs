@@ -240,10 +240,10 @@ pub struct SimulateSpec {
     /// Simulation seed component; the per-scenario traffic seed mixes this
     /// with the scenario seed (see [`SimulateSpec::sim_seed`]).
     pub seed: u64,
-    /// Which simulator main loop the engine runs. All loop kinds produce
+    /// Which simulator main loop the engine runs. Both loop kinds produce
     /// bit-identical reports (pinned by the sim crate's identity suites);
-    /// selecting the cycle-stepped oracle here lets sweeps cross-check the
-    /// default event-queue loop end to end.
+    /// selecting the full-scan oracle here lets sweeps cross-check the
+    /// default active-set loop end to end.
     pub loop_kind: LoopKind,
 }
 

@@ -93,19 +93,21 @@ pub fn set_fingerprint(scenarios: &[Scenario]) -> u64 {
 
 /// Canonical one-line spelling of a scenario: the display label, the full
 /// route-stage cache key (which spells out app, seed, topology, capacity,
-/// mapper and routing), and the simulate parameters.
+/// mapper and routing), and the simulate parameters that shape the
+/// records. The simulator loop kind is left out: every loop produces
+/// bit-identical records, so a checkpoint written under one resumes
+/// under the other.
 fn descriptor(s: &Scenario) -> String {
     let sim = match &s.simulate {
         None => "none".to_string(),
         Some(sp) => format!(
-            "w{}m{}d{}b{}i{}s{}l{:?}",
+            "w{}m{}d{}b{}i{}s{}",
             sp.warmup_cycles,
             sp.measure_cycles,
             sp.drain_cycles,
             sp.burst_packets,
             sp.burst_intensity,
-            sp.seed,
-            sp.loop_kind
+            sp.seed
         ),
     };
     format!("{}|{}|{}", s.label, route_key(s, s.simulate.is_some()), sim)
@@ -295,7 +297,8 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{MapperSpec, RoutingSpec, ScenarioSet, TopologySpec};
+    use crate::scenario::{MapperSpec, RoutingSpec, ScenarioSet, SimulateSpec, TopologySpec};
+    use crate::LoopKind;
     use noc_apps::App;
 
     fn tiny_set(root_seed: u64) -> ScenarioSet {
@@ -363,6 +366,32 @@ mod tests {
             set_fingerprint(a.scenarios()),
             set_fingerprint(&a.scenarios()[..a.len() - 1]),
             "a truncated set is a different sweep"
+        );
+        // The simulator loop kind changes no record byte, so a sweep
+        // checkpointed under one loop resumes under the other; the
+        // simulate windows do shape the records.
+        let simulated = |loop_kind, drain_cycles| {
+            let scenarios: Vec<Scenario> = a
+                .scenarios()
+                .iter()
+                .cloned()
+                .map(|mut s| {
+                    s.simulate =
+                        Some(SimulateSpec { loop_kind, drain_cycles, ..SimulateSpec::default() });
+                    s
+                })
+                .collect();
+            set_fingerprint(&scenarios)
+        };
+        assert_eq!(
+            simulated(LoopKind::ActiveSet, 500),
+            simulated(LoopKind::FullScan, 500),
+            "the loop kind must not move the fingerprint"
+        );
+        assert_ne!(
+            simulated(LoopKind::ActiveSet, 500),
+            simulated(LoopKind::ActiveSet, 600),
+            "the drain window must move the fingerprint"
         );
     }
 

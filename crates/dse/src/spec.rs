@@ -23,7 +23,7 @@
 //!   drain 30000              # drain window after measurement
 //!   burst 8 3                # mean burst packets, peak-to-mean ratio
 //!   seed 0                   # traffic-seed component
-//!   loop event-queue         # event-queue|hybrid|active-set|full-scan
+//!   loop active-set          # active-set|full-scan
 //! }
 //! ```
 //!
@@ -467,15 +467,7 @@ fn parse_simulate_field(
                 [one] => *one,
                 _ => return Err(syntax(line_no, "`loop` takes exactly one value".into())),
             };
-            block.loop_kind = parse_loop_kind(name).ok_or_else(|| {
-                syntax(
-                    line_no,
-                    format!(
-                        "unknown loop kind `{name}` \
-                         (expected event-queue/hybrid/active-set/full-scan)"
-                    ),
-                )
-            })?;
+            block.loop_kind = parse_loop_kind(name).map_err(|message| syntax(line_no, message))?;
         }
         other => {
             return Err(syntax(
@@ -648,24 +640,33 @@ fn parse_parameterized_mapper(name: &str) -> Option<MapperSpec> {
     }
 }
 
-fn parse_loop_kind(name: &str) -> Option<LoopKind> {
-    Some(match name {
-        "event-queue" => LoopKind::EventQueue,
-        "hybrid" => LoopKind::Hybrid,
-        "active-set" => LoopKind::ActiveSet,
-        "full-scan" => LoopKind::FullScan,
-        _ => return None,
-    })
+/// Keyword of every simulator loop kind, the default first: the one
+/// spelling table behind the `.dse` `loop` field and `nmap_dse --loop`.
+pub const LOOP_KINDS: [(&str, LoopKind); 2] =
+    [("active-set", LoopKind::ActiveSet), ("full-scan", LoopKind::FullScan)];
+
+/// Parses a simulator loop-kind keyword (see [`LOOP_KINDS`]).
+///
+/// # Errors
+///
+/// An unknown keyword, with the accepted ones listed.
+pub fn parse_loop_kind(name: &str) -> Result<LoopKind, String> {
+    match LOOP_KINDS.iter().find(|(keyword, _)| *keyword == name) {
+        Some(&(_, kind)) => Ok(kind),
+        None => {
+            let expected: Vec<&str> = LOOP_KINDS.iter().map(|&(keyword, _)| keyword).collect();
+            Err(format!("unknown loop kind `{name}` (expected {})", expected.join("/")))
+        }
+    }
 }
 
 /// Spec keyword of a simulator loop kind (inverse of [`parse_loop_kind`]).
 fn loop_kind_keyword(kind: LoopKind) -> &'static str {
-    match kind {
-        LoopKind::EventQueue => "event-queue",
-        LoopKind::Hybrid => "hybrid",
-        LoopKind::ActiveSet => "active-set",
-        LoopKind::FullScan => "full-scan",
-    }
+    LOOP_KINDS
+        .iter()
+        .find(|&&(_, k)| k == kind)
+        .map(|&(keyword, _)| keyword)
+        .expect("every loop kind has a keyword")
 }
 
 fn parse_routing(name: &str) -> Option<RoutingSpec> {
@@ -706,7 +707,7 @@ simulate {
   drain 2000
   burst 4 2.5
   seed 3
-  loop active-set
+  loop full-scan
 }
 ";
 
@@ -743,7 +744,7 @@ simulate {
                 burst_packets: 4,
                 burst_intensity: 2.5,
                 seed: 3,
-                loop_kind: LoopKind::ActiveSet,
+                loop_kind: LoopKind::FullScan,
             })
         );
         // 4 app entries + 1 extra random instance = 5 app axis entries;
@@ -878,19 +879,26 @@ simulate {
     }
 
     #[test]
-    fn loop_kinds_parse_and_default_to_event_queue() {
+    fn loop_kinds_parse_and_default_to_active_set() {
         let default = parse_spec("app pip\nsimulate {\n}\n").unwrap();
-        assert_eq!(default.simulate.unwrap().loop_kind, LoopKind::EventQueue);
-        for (name, kind) in [
-            ("event-queue", LoopKind::EventQueue),
-            ("hybrid", LoopKind::Hybrid),
-            ("active-set", LoopKind::ActiveSet),
-            ("full-scan", LoopKind::FullScan),
-        ] {
+        assert_eq!(default.simulate.unwrap().loop_kind, LoopKind::ActiveSet);
+        assert_eq!(LOOP_KINDS[0].1, LoopKind::default(), "the default is listed first");
+        for (name, kind) in LOOP_KINDS {
             let spec = parse_spec(&format!("app pip\nsimulate {{\nloop {name}\n}}\n")).unwrap();
             assert_eq!(spec.simulate.as_ref().unwrap().loop_kind, kind, "{name}");
             // Every kind survives the canonical Display -> parse round trip.
             assert_eq!(parse_spec(&spec.to_string()).unwrap(), spec);
+        }
+        // The retired event-driven loops are unknown kinds now.
+        for retired in ["event-queue", "hybrid"] {
+            let text = format!("app pip\nsimulate {{\nloop {retired}\n}}\n");
+            match parse_spec(&text) {
+                Err(SpecError::Syntax { line: 3, message }) => assert_eq!(
+                    message,
+                    format!("unknown loop kind `{retired}` (expected active-set/full-scan)")
+                ),
+                other => panic!("`loop {retired}` should be a syntax error, got {other:?}"),
+            }
         }
     }
 

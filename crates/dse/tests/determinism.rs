@@ -108,32 +108,30 @@ fn sim_enabled_sweep_is_byte_identical_across_thread_counts() {
     assert_eq!(again.write_jsonl(false), jsonl);
 }
 
-/// The event-queue loop through the whole engine pipeline: sim-backed
-/// sweeps under the default event-queue loop stay byte-identical across
-/// thread counts, and every loop kind produces the *same bytes* as the
-/// cycle-stepped oracles — the sim crate's bit-identity guarantee
-/// surviving map → route → simulate → serialize end to end.
+/// The default active-set loop through the whole engine pipeline:
+/// sim-backed sweeps stay byte-identical across thread counts and produce
+/// the *same bytes* as the full-scan oracle — the sim crate's
+/// bit-identity guarantee surviving map → route → simulate → serialize
+/// end to end.
 #[test]
 fn sim_sweep_is_loop_kind_invariant_at_every_thread_count() {
     let oracle = SweepReport::new(run_scenarios(sim_set_with(LoopKind::FullScan).scenarios(), 1));
     let jsonl = oracle.write_jsonl(false);
     let csv = oracle.write_csv(false);
 
-    for kind in [LoopKind::ActiveSet, LoopKind::EventQueue, LoopKind::Hybrid] {
-        let set = sim_set_with(kind);
-        for threads in [1usize, 2, 8] {
-            let report = SweepReport::new(run_scenarios(set.scenarios(), threads));
-            assert_eq!(
-                report.write_jsonl(false),
-                jsonl,
-                "JSONL diverged from the full-scan oracle at {kind:?}, threads={threads}"
-            );
-            assert_eq!(
-                report.write_csv(false),
-                csv,
-                "CSV diverged from the full-scan oracle at {kind:?}, threads={threads}"
-            );
-        }
+    let set = sim_set_with(LoopKind::ActiveSet);
+    for threads in [1usize, 2, 8] {
+        let report = SweepReport::new(run_scenarios(set.scenarios(), threads));
+        assert_eq!(
+            report.write_jsonl(false),
+            jsonl,
+            "active-set JSONL diverged from the full-scan oracle at threads={threads}"
+        );
+        assert_eq!(
+            report.write_csv(false),
+            csv,
+            "active-set CSV diverged from the full-scan oracle at threads={threads}"
+        );
     }
 }
 

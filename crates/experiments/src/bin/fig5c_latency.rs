@@ -1,9 +1,9 @@
 //! Regenerates Figure 5(c): average packet latency vs link bandwidth for
 //! the DSP filter NoC, single-path vs split-traffic routing.
 //!
-//! `--profile <path>` dumps the instrumentation profile (simulator cycle
-//! and wake-up counters) as JSON lines; needs the `probe` cargo feature
-//! for non-empty output.
+//! `--profile <path>` dumps the instrumentation profile (simulator
+//! executed/skipped-cycle counters) as JSON lines; needs the `probe` cargo
+//! feature for non-empty output.
 
 use std::process::ExitCode;
 

@@ -17,8 +17,7 @@
 //!                                   sparse cold solver and the warm-started
 //!                                   chain; write the snapshot as JSON
 //! options:  --loop <kind>           simulator loop for --fig5c/--mesh3d:
-//!                                   event-queue (default) | hybrid |
-//!                                   active-set | full-scan
+//!                                   active-set (default) | full-scan
 //!           --threads N             worker threads (default: all cores)
 //!           --jsonl <path>          write records as JSON lines
 //!           --csv <path>            write records as CSV
@@ -53,6 +52,7 @@
 
 use std::process::ExitCode;
 
+use noc_dse::spec::parse_loop_kind;
 use noc_dse::{
     parse_spec, run_scenarios_cached, run_sweep_probed, run_sweep_sharded_with, EngineOptions,
     LoopKind, StageCache, SweepConfig, SweepReport,
@@ -91,7 +91,7 @@ struct Args {
     /// `--fig5c --smoke` / `--mesh3d --smoke`: reduced cycle counts.
     reduced: bool,
     /// `--loop`: simulator main loop for the simulation-backed studies
-    /// (`None` keeps each study's default, the event-queue loop).
+    /// (`None` keeps each study's default, the active-set loop).
     loop_kind: Option<LoopKind>,
     spec_path: Option<String>,
     threads: usize,
@@ -165,18 +165,7 @@ fn parse_args() -> Result<Option<Args>, String> {
             }
             "--loop" => {
                 let text = raw.next().ok_or("--loop needs a kind")?;
-                loop_kind = Some(match text.as_str() {
-                    "event-queue" => LoopKind::EventQueue,
-                    "hybrid" => LoopKind::Hybrid,
-                    "active-set" => LoopKind::ActiveSet,
-                    "full-scan" => LoopKind::FullScan,
-                    other => {
-                        return Err(format!(
-                            "unknown loop kind `{other}` \
-                             (expected event-queue/hybrid/active-set/full-scan)"
-                        ))
-                    }
-                });
+                loop_kind = Some(parse_loop_kind(&text)?);
             }
             "--threads" => {
                 let text = raw.next().ok_or("--threads needs a count")?;

@@ -103,9 +103,9 @@ pub fn fig5c_via_engine(config: &Fig5cConfig, threads: usize) -> Vec<Fig5cPoint>
 }
 
 /// [`fig5c_via_engine`] with instrumentation attached: the probe is
-/// threaded into each point's simulator (cycle and wake-up counters) and
-/// into the worker pool (per-worker utilization). The probe observes
-/// only — the points are byte-identical to an unprobed run.
+/// threaded into each point's simulator (executed/skipped-cycle
+/// counters) and into the worker pool (per-worker utilization). The probe
+/// observes only — the points are byte-identical to an unprobed run.
 pub fn fig5c_via_engine_probed(
     config: &Fig5cConfig,
     threads: usize,

@@ -60,7 +60,7 @@ pub struct Fig5cConfig {
     pub bandwidths_mbps: Vec<f64>,
     /// Simulator settings.
     pub sim: SimConfig,
-    /// Which simulator main loop runs the sweep. All kinds are
+    /// Which simulator main loop runs the sweep. Both kinds are
     /// bit-identical (pinned by the sim crate's identity suites); the
     /// choice only affects wall time, which is what the EXPERIMENTS.md
     /// timing rows compare.
@@ -207,8 +207,8 @@ pub fn run(config: &Fig5cConfig) -> Vec<Fig5cPoint> {
 }
 
 /// [`run`] with instrumentation attached: every point's simulator gets
-/// the probe (cycle and wake-up counters). The probe observes only — the
-/// points are byte-identical to an unprobed run.
+/// the probe (executed/skipped-cycle counters). The probe observes
+/// only — the points are byte-identical to an unprobed run.
 pub fn run_probed(config: &Fig5cConfig, probe: &noc_probe::Probe) -> Vec<Fig5cPoint> {
     let design = design_dsp();
     config

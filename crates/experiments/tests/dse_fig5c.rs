@@ -1,9 +1,9 @@
 //! The engine-backed Figure 5(c) sweep must reproduce the sequential
 //! harness exactly: same DSP design, same simulator seeds, same points —
 //! at any worker count. This is the simulation counterpart of the
-//! `dse_table2` mutual check. Since PR 6 the sweep also cross-checks the
-//! simulator loops: the event-queue default and the cycle-stepped oracle
-//! must produce identical Figure 5(c) points.
+//! `dse_table2` mutual check. The sweep also cross-checks the simulator
+//! loops: the active-set default and the full-scan oracle must produce
+//! identical Figure 5(c) points.
 
 use noc_experiments::dse_bridge::{fig5c_smoke_config, fig5c_via_engine};
 use noc_experiments::fig5c::{self, Fig5cConfig};
@@ -27,12 +27,10 @@ fn engine_fig5c_matches_sequential_harness_at_1_and_4_threads() {
 fn fig5c_points_are_identical_under_every_loop_kind() {
     // The figure the paper plots must not depend on which simulator main
     // loop produced it: diff the whole sweep (sequential harness *and*
-    // engine pool) across the event-queue loop and both retained oracles.
+    // engine pool) between the default loop and the full-scan oracle.
     let with_kind = |loop_kind| Fig5cConfig { loop_kind, ..fig5c_smoke_config() };
     let oracle = fig5c::run(&with_kind(LoopKind::FullScan));
-    for kind in [LoopKind::ActiveSet, LoopKind::EventQueue] {
-        let config = with_kind(kind);
-        assert_eq!(fig5c::run(&config), oracle, "sequential {kind:?} diverged");
-        assert_eq!(fig5c_via_engine(&config, 4), oracle, "engine {kind:?} diverged");
-    }
+    let config = with_kind(LoopKind::ActiveSet);
+    assert_eq!(fig5c::run(&config), oracle, "sequential active-set diverged");
+    assert_eq!(fig5c_via_engine(&config, 4), oracle, "engine active-set diverged");
 }

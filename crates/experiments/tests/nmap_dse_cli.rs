@@ -152,10 +152,16 @@ fn bench_json_writes_a_snapshot() {
 }
 
 #[test]
-fn hybrid_loop_is_accepted_and_bad_loops_are_not() {
-    let out = nmap_dse(&["--fig5c", "--smoke", "--loop", "hybrid", "--threads", "2"]);
+fn active_set_loop_is_accepted_and_retired_loops_are_not() {
+    let out = nmap_dse(&["--fig5c", "--smoke", "--loop", "active-set", "--threads", "2"]);
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let out = nmap_dse(&["--fig5c", "--loop", "warp-speed"]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("hybrid"), "usage should list hybrid");
+    for bad in ["warp-speed", "event-queue", "hybrid"] {
+        let out = nmap_dse(&["--fig5c", "--loop", bad]);
+        assert_eq!(out.status.code(), Some(1), "--loop {bad}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown loop kind `{bad}` (expected active-set/full-scan)")),
+            "--loop {bad} should list the accepted kinds: {stderr}"
+        );
+    }
 }

@@ -52,7 +52,6 @@
 #![warn(missing_docs)]
 
 mod config;
-mod event;
 mod network;
 mod packet;
 mod router;

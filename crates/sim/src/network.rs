@@ -1,4 +1,4 @@
-//! The network simulator: one flit-level model, three main loops.
+//! The network simulator: one flit-level model, two main loops.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -7,75 +7,33 @@ use noc_graph::{LinkId, Topology};
 use noc_probe::{Counter, Probe};
 
 use crate::config::SimConfig;
-use crate::event::{Component, TickQueue};
 use crate::packet::Packet;
 use crate::router::{Buffer, ChannelState, FlitRef};
 use crate::stats::LatencyStats;
 use crate::traffic::{BurstSource, FlowSpec};
-use noc_units::{CycleFrac, Latency, Mbps};
+use noc_units::{Latency, Mbps};
 
 /// Cycles without any flit movement (while traffic is in flight) after
 /// which the oldest in-network packet is dropped to break a deadlock.
 const STALL_THRESHOLD: u64 = 5_000;
 
-/// Run-relative cycles a [`LoopKind::Hybrid`] run must cover before its
-/// executed-cycle fraction is trusted as a density signal — short runs
-/// and start-up transients should not trigger the fall-back.
-const HYBRID_MIN_WINDOW: u64 = 4_096;
-
-/// Executed-cycle percentage above which [`LoopKind::Hybrid`] abandons
-/// the tick queue: when most cycles execute anyway, queue maintenance
-/// costs more than the handful of skips it buys.
-const HYBRID_DENSITY_PCT: u64 = 55;
-
-/// Iteration bound of the frozen-state serialization-token replay that
-/// predicts a blocked link's wake-up cycle. Crossing the one-flit
-/// threshold takes `⌈flit_bytes / rate⌉` accrual cycles (~40 for the
-/// slowest realistic links); if a degenerate rate has not crossed within
-/// the bound, the link is conservatively woken at the bound to re-predict
-/// from advanced state — progress is guaranteed either way.
-const TOKEN_REPLAY_BOUND: u64 = 10_000;
-
-/// `link_token_ready` cache sentinel: no valid prediction, recompute.
-const TOKEN_READY_UNKNOWN: u64 = u64::MAX;
-
-/// `link_token_ready` cache sentinel: the balance can never cross the
-/// threshold ([`Simulator::token_ready_cycle`] returned `None`).
-const TOKEN_READY_NEVER: u64 = u64::MAX - 1;
-
-/// Which main-loop implementation [`Simulator::run`] uses. All variants
-/// produce bit-identical [`SimReport`]s (pinned by the loop-agreement
-/// unit tests and the `event_queue_identity` differential suite); they
-/// differ only in how much idle work they skip.
+/// Which main-loop implementation [`Simulator::run`] uses. Both produce
+/// bit-identical [`SimReport`]s (pinned by the loop-agreement unit tests
+/// and the `loop_identity` differential suite); they differ only in how
+/// much idle work they skip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LoopKind {
     /// Visit every router and link every cycle (the original loop) —
-    /// kept as the reference implementation and benchmark baseline.
+    /// kept as the naive reference the identity suites diff against.
     FullScan,
-    /// Cycle-stepped, but visit only the ejection ports and links in the
-    /// active index set — those with a channel owner or a head flit bound
-    /// for them — replaying the skipped cycles' serialization-token
-    /// accrual lazily when a link is next visited. Retained as the
-    /// cycle-stepped oracle the event-queue loop is differentially tested
-    /// against.
-    ActiveSet,
-    /// Event-driven: a tick queue (`crate::event`, private) of
-    /// per-component (source, router, link, watchdog) next-active cycles
-    /// skips idle *time* rather than merely idle ports and links within a
-    /// cycle. Executed cycles run the exact [`LoopKind::ActiveSet`] scan,
-    /// so reports stay bit-identical while mostly-idle stretches —
-    /// low-load sweeps, long drain windows — collapse to their handful of
-    /// active cycles.
+    /// Visit only the ejection ports and links in the active index set —
+    /// those with a channel owner or a head flit bound for them —
+    /// replaying the skipped visits' serialization-token accrual lazily
+    /// when a link is next visited. While no buffer holds a flit, jump
+    /// straight to the next cycle that can change the network: the next
+    /// source fire, the watchdog deadline or the end of the run.
     #[default]
-    EventQueue,
-    /// Density-adaptive: starts event-driven and permanently falls back
-    /// to cycle-stepping once the run's executed-cycle fraction proves
-    /// the load dense (most cycles execute anyway, so queue maintenance
-    /// is pure overhead — the ~9% event-queue deficit on saturated
-    /// Fig. 5(c)-class loads). The switch happens at an executed-tick
-    /// boundary, where both regimes agree on the whole state, so reports
-    /// stay bit-identical to the other loop kinds.
-    Hybrid,
+    ActiveSet,
 }
 
 /// Measurement report returned by [`Simulator::run`].
@@ -150,22 +108,10 @@ impl SimReport {
 /// unless [`Simulator::set_probe`] attached a live probe, and strictly
 /// out-of-band either way — nothing in the simulation reads them, so
 /// reports stay byte-identical with probes on, off, or compiled out.
-///
-/// Wake-up counters tally scheduling *requests* by reason, before the
-/// tick queue's dedup (the interesting signal is how often each
-/// mechanism fires, not how many queue slots survive coalescing).
 #[derive(Debug, Clone, Default)]
 struct SimCounters {
     cycles_executed: Counter,
     cycles_skipped: Counter,
-    wake_source: Counter,
-    wake_eligibility: Counter,
-    wake_token_ready: Counter,
-    wake_backpressure: Counter,
-    wake_tail_release: Counter,
-    wake_watchdog: Counter,
-    sched_near: Counter,
-    sched_heap: Counter,
 }
 
 impl SimCounters {
@@ -173,14 +119,6 @@ impl SimCounters {
         Self {
             cycles_executed: probe.counter("sim.cycles_executed"),
             cycles_skipped: probe.counter("sim.cycles_skipped"),
-            wake_source: probe.counter("sim.wake_source"),
-            wake_eligibility: probe.counter("sim.wake_eligibility"),
-            wake_token_ready: probe.counter("sim.wake_token_ready"),
-            wake_backpressure: probe.counter("sim.wake_backpressure"),
-            wake_tail_release: probe.counter("sim.wake_tail_release"),
-            wake_watchdog: probe.counter("sim.wake_watchdog"),
-            sched_near: probe.counter("sim.sched_near"),
-            sched_heap: probe.counter("sim.sched_heap"),
         }
     }
 }
@@ -233,7 +171,6 @@ pub struct Simulator {
     node_count: usize,
     link_count: usize,
     link_src: Vec<usize>,
-    link_dst: Vec<usize>,
     link_rate: Vec<f64>, // bytes per cycle
     /// Input ids of each node in round-robin order (its link inputs in
     /// link order, then its injection queues): node `n` owns
@@ -246,8 +183,6 @@ pub struct Simulator {
     /// Route-table start of each injection queue's route, by queue index
     /// (input id minus `link_count`).
     queue_route: Vec<u32>,
-    /// Node each injection queue feeds, by queue index.
-    queue_node: Vec<usize>,
     /// Input id of each flow's first injection queue; path `p` of the
     /// flow uses the queue `p` places after it.
     flow_queue: Vec<u32>,
@@ -263,20 +198,8 @@ pub struct Simulator {
     /// Next cycle whose serialization-token accrual has *not* yet been
     /// applied to `link_tokens` (lazy replay for skipped idle links).
     link_token_due: Vec<u64>,
-    /// Memoized [`Self::token_ready_cycle`] per link: the absolute cycle
-    /// the balance next crosses the one-flit threshold, or a sentinel
-    /// ([`TOKEN_READY_UNKNOWN`], [`TOKEN_READY_NEVER`]). Accrual is
-    /// deterministic, so a prediction stays valid until a send perturbs
-    /// the balance; without the cache a token-blocked link would re-run
-    /// the fp-exact replay on every executed cycle of its wait.
-    link_token_ready: Vec<u64>,
     /// Wormhole channel state of every output, by output id.
     channels: Vec<ChannelState>,
-    /// Flits currently buffered at each node's inputs (link buffers at the
-    /// link's downstream node plus local injection queues). Gates the
-    /// tail-release wake-ups: a released channel can only be claimed by
-    /// a flit already buffered at its node.
-    node_flits: Vec<u32>,
     /// Active index set, by output id: the buffer fronts that are head
     /// flits bound for the output, plus one while a packet holds its
     /// channel. An output at zero can neither allocate its channel nor
@@ -288,11 +211,10 @@ pub struct Simulator {
     last_progress: u64,
 
     // Accounting.
-    /// Cycles the main loop actually ran the scan passes for — equal to
-    /// `cycle` under the cycle-stepped loops, typically far smaller under
-    /// [`LoopKind::EventQueue`]. Maintained unconditionally (it is one
-    /// add per executed cycle) so [`Self::executed_cycle_fraction`] works
-    /// without the `probe` feature.
+    /// Cycles the main loop actually ran the scan passes for: every cycle
+    /// under [`LoopKind::FullScan`], all but the fast-forwarded ones under
+    /// [`LoopKind::ActiveSet`]. Maintained unconditionally (it is one add
+    /// per executed cycle), so it needs no probe.
     executed_cycles: u64,
     counters: SimCounters,
     generated: u64,
@@ -336,14 +258,12 @@ impl Simulator {
         // whose route is flattened into the route table.
         let mut routes = Vec::new();
         let mut queue_route = Vec::new();
-        let mut queue_node = Vec::new();
         let mut flow_queue = Vec::with_capacity(flows.len());
         for flow in &flows {
             flow_queue.push(dense(link_count + queue_route.len()));
             for wp in &flow.paths {
                 inputs_of[flow.source.index()].push(dense(link_count + queue_route.len()));
                 queue_route.push(dense(routes.len()));
-                queue_node.push(flow.source.index());
                 routes.extend(wp.links.iter().map(|l| dense(l.index())));
                 routes.push(dense(link_count + flow.dest.index()));
             }
@@ -368,7 +288,6 @@ impl Simulator {
             node_count,
             link_count,
             link_src: topology.links().map(|(_, l)| l.src.index()).collect(),
-            link_dst: topology.links().map(|(_, l)| l.dst.index()).collect(),
             link_rate: topology
                 .links()
                 .map(|(_, l)| SimConfig::bytes_per_cycle(l.capacity))
@@ -377,7 +296,6 @@ impl Simulator {
             node_inputs: inputs_of.concat(),
             routes,
             queue_route,
-            queue_node,
             flow_queue,
             flits_per_packet: dense(config.flits_per_packet()),
             cycle: 0,
@@ -386,9 +304,7 @@ impl Simulator {
             buffers,
             link_tokens: vec![0.0; link_count],
             link_token_due: vec![0; link_count],
-            link_token_ready: vec![TOKEN_READY_UNKNOWN; link_count],
             channels: vec![ChannelState::default(); link_count + node_count],
-            node_flits: vec![0; node_count],
             out_busy: vec![0; link_count + node_count],
             out_active: vec![0; (link_count + node_count).div_ceil(64)],
             last_progress: 0,
@@ -408,10 +324,9 @@ impl Simulator {
     }
 
     /// Selects the main-loop implementation (default
-    /// [`LoopKind::EventQueue`]). All loops produce bit-identical reports;
-    /// [`LoopKind::FullScan`] exists as the reference baseline and
-    /// [`LoopKind::ActiveSet`] as the cycle-stepped oracle the identity
-    /// suites diff the event-queue loop against.
+    /// [`LoopKind::ActiveSet`]). Both loops produce bit-identical reports;
+    /// [`LoopKind::FullScan`] exists as the naive reference the identity
+    /// suites diff the default against.
     pub fn set_loop_kind(&mut self, kind: LoopKind) {
         self.loop_kind = kind;
     }
@@ -423,22 +338,11 @@ impl Simulator {
         self.counters = SimCounters::new(probe);
     }
 
-    /// Cycles whose scan passes actually ran (all of them under the
-    /// cycle-stepped loops; only provably-relevant ones under
-    /// [`LoopKind::EventQueue`]).
+    /// Cycles whose scan passes actually ran: all of them under
+    /// [`LoopKind::FullScan`], all but the cycles fast-forwarded over an
+    /// empty network under [`LoopKind::ActiveSet`].
     pub fn executed_cycles(&self) -> u64 {
         self.executed_cycles
-    }
-
-    /// Fraction of simulated cycles actually executed so far — the
-    /// workload-density signal [`LoopKind::Hybrid`] switches on: near
-    /// 1.0 the event queue is pure overhead, near 0.0 it is the whole
-    /// win. Returns zero before any cycle has been simulated.
-    pub fn executed_cycle_fraction(&self) -> CycleFrac {
-        if self.cycle == 0 {
-            return CycleFrac::ZERO;
-        }
-        CycleFrac::raw(self.executed_cycles as f64 / self.cycle as f64)
     }
 
     /// Runs warm-up, measurement and drain, returning the report.
@@ -448,12 +352,14 @@ impl Simulator {
         let generation_end = self.config.warmup_cycles + self.config.measure_cycles;
         let cycle_before = self.cycle;
         let executed_before = self.executed_cycles;
-        if matches!(self.loop_kind, LoopKind::EventQueue | LoopKind::Hybrid) {
-            self.run_event_queue(total, generation_end);
-        } else {
-            while self.cycle < total {
-                self.step(self.cycle < generation_end);
+        while self.cycle < total {
+            if self.loop_kind == LoopKind::ActiveSet && self.network_empty() {
+                self.cycle = self.fast_forward_target(total, generation_end);
+                if self.cycle == total {
+                    break;
+                }
             }
+            self.step(self.cycle < generation_end);
         }
         let executed = self.executed_cycles - executed_before;
         let window = self.cycle - cycle_before;
@@ -474,93 +380,45 @@ impl Simulator {
         }
     }
 
-    /// Advances the cycle-stepped simulation by one cycle. `generate`
-    /// gates the traffic sources (off during the drain window).
+    /// Advances the simulation by one cycle. `generate` gates the traffic
+    /// sources (off during the drain window).
     fn step(&mut self, generate: bool) {
         if generate {
-            self.generate_traffic(None);
+            self.generate_traffic();
         }
-        self.eject(None);
-        self.traverse_links(None);
+        self.eject();
+        self.traverse_links();
         self.watchdog();
         self.cycle += 1;
         self.executed_cycles += 1;
     }
 
-    /// The event-driven main loop: executes only the cycles the tick
-    /// queue proves *could* matter, running the exact active-set scan at
-    /// each. Between executed cycles the state is frozen — no source is
-    /// due, no flit's pipeline delay expires into an enabled move, no
-    /// serialization-token threshold is crossed and the watchdog deadline
-    /// is not reached — so skipping them is observationally identical to
-    /// stepping through them. The scan passes collect the time-triggered
-    /// wake-ups; every *state* change that can enable a move elsewhere
-    /// (a pop freeing buffer space, a buffer gaining a new front, a tail
-    /// releasing its channel, a packet entering an empty injection queue)
-    /// schedules a targeted wake-up at its own mutation site. Only a
-    /// watchdog purge — which rewrites fronts, channels and occupancy all
-    /// over the network at once — falls back to rescanning the next cycle
-    /// wholesale.
-    fn run_event_queue(&mut self, total: u64, generation_end: u64) {
-        let mut window_start = self.cycle;
-        let mut window_executed = self.executed_cycles;
-        let mut queue = TickQueue::new(self.node_count, self.link_count, self.sources.len());
-        queue.set_counters(self.counters.sched_near.clone(), self.counters.sched_heap.clone());
-        for (i, &fire) in self.source_due.iter().enumerate() {
-            if fire < generation_end {
-                self.counters.wake_source.inc();
-                queue.schedule(fire, Component::Source(i));
-            }
-        }
-        self.counters.wake_watchdog.inc();
-        queue.schedule(self.last_progress + STALL_THRESHOLD, Component::Watchdog);
-        let mut next = queue.pop_due(total);
-        while let Some(tick) = next {
-            self.cycle = tick;
-            self.executed_cycles += 1;
-            if tick < generation_end {
-                self.generate_traffic(Some(&mut queue));
-            }
-            self.eject(Some(&mut queue));
-            self.traverse_links(Some(&mut queue));
-            let purged = self.watchdog();
-            // The watchdog must fire at exactly `last_progress +
-            // STALL_THRESHOLD` like the per-cycle check would; it also
-            // bounds how far the loop can skip ahead, keeping every
-            // conservative wake-up within one stall window.
-            self.counters.wake_watchdog.inc();
-            queue.schedule(self.last_progress + STALL_THRESHOLD, Component::Watchdog);
-            if purged {
-                self.counters.wake_watchdog.inc();
-                queue.schedule(self.cycle + 1, Component::Watchdog);
-            }
-            // Hybrid density fall-back: once a long enough *recent*
-            // window shows most cycles executing anyway, the tick queue
-            // is pure overhead — finish the run cycle-stepped. A sparse
-            // window re-baselines instead (a busy start must not forfeit
-            // the idle tail), and the check only arms while sources
-            // generate: the drain goes idle and is the event queue's
-            // best case. The switch lands on an executed-tick boundary,
-            // where the event-driven and stepped regimes agree on the
-            // entire network state, so the report is unaffected.
-            if self.loop_kind == LoopKind::Hybrid && tick < generation_end {
-                let window = tick - window_start + 1;
-                if window >= HYBRID_MIN_WINDOW {
-                    let executed = self.executed_cycles - window_executed;
-                    if executed * 100 > window * HYBRID_DENSITY_PCT {
-                        self.cycle = tick + 1;
-                        while self.cycle < total {
-                            self.step(self.cycle < generation_end);
-                        }
-                        return;
-                    }
-                    window_start = tick + 1;
-                    window_executed = self.executed_cycles;
-                }
-            }
-            next = queue.pop_due(total);
-        }
-        self.cycle = total;
+    /// True when the active index set is empty, which is exactly when no
+    /// buffer holds a flit: a buffer front is either a head flit, counted
+    /// at its next output, or a later flit of a packet that holds the
+    /// channel its head took; and a held channel's tail is still buffered.
+    fn network_empty(&self) -> bool {
+        self.out_active.iter().all(|&word| word == 0)
+    }
+
+    /// The first cycle, from the current one on, at which an empty network
+    /// can change: the next source fire (while sources still generate),
+    /// the watchdog deadline (whose check resets `last_progress` on an
+    /// empty network) or the end of the run. Every cycle before it would
+    /// visit nothing, poll no source and leave the watchdog alone, so
+    /// jumping there is exact; the token accrual the skipped cycles would
+    /// have applied is replayed by [`Self::sync_link_tokens`] when each
+    /// link is next visited, as it is for any skipped visit.
+    fn fast_forward_target(&self, total: u64, generation_end: u64) -> u64 {
+        debug_assert!(
+            self.buffers.iter().all(Buffer::is_empty),
+            "fast-forward over a non-empty network at cycle {}",
+            self.cycle
+        );
+        let fire = if self.first_due < generation_end { self.first_due } else { total };
+        let target = fire.min(self.last_progress.saturating_add(STALL_THRESHOLD)).min(total);
+        debug_assert!(target >= self.cycle, "fast-forward into the past at cycle {}", self.cycle);
+        target
     }
 
     fn in_measurement_window(&self) -> bool {
@@ -568,16 +426,13 @@ impl Simulator {
             && self.cycle < self.config.warmup_cycles + self.config.measure_cycles
     }
 
-    /// Polls every due source for its packet. With a tick queue attached,
-    /// each fired source's next injection cycle is scheduled (sources that
-    /// are not due keep their already-pending wake-up, and skipping their
-    /// poll draws no randomness, so the RNG stream matches polling every
-    /// source every cycle).
-    fn generate_traffic(&mut self, mut sched: Option<&mut TickQueue>) {
+    /// Polls every due source for its packet. A source that is not due is
+    /// skipped: its poll would draw no randomness, so the RNG stream
+    /// matches polling every source every cycle.
+    fn generate_traffic(&mut self) {
         if self.cycle < self.first_due {
             return;
         }
-        let generation_end = self.config.warmup_cycles + self.config.measure_cycles;
         for i in 0..self.sources.len() {
             if self.cycle < self.source_due[i] {
                 continue;
@@ -598,34 +453,20 @@ impl Simulator {
             if measured {
                 self.measured_outstanding += 1;
             }
-            let queue = self.flow_queue[i] + dense(path_idx);
-            let route = self.queue_route[queue as usize - self.link_count];
-            let source = self.flows[i].source.index();
-            let was_empty = self.buffers[queue as usize].is_empty();
+            let queue = (self.flow_queue[i] + dense(path_idx)) as usize;
+            let route = self.queue_route[queue - self.link_count];
+            let was_empty = self.buffers[queue].is_empty();
             for flit in 0..self.flits_per_packet {
-                self.buffers[queue as usize].push(FlitRef {
+                self.buffers[queue].push(FlitRef {
                     packet: slot,
                     flit,
                     route,
                     arrived: self.cycle,
                 });
             }
-            self.node_flits[source] += self.flits_per_packet;
             if was_empty {
                 // The packet's head is the queue's new front.
                 self.mark_busy(self.route_output(route));
-            }
-            if let Some(q) = sched.as_deref_mut() {
-                if was_empty {
-                    // The queue gained a front: it is now a
-                    // forwarding/ejection candidate.
-                    self.schedule_front_wake(q, queue);
-                }
-                let fire = self.source_due[i];
-                if fire < generation_end {
-                    self.counters.wake_source.inc();
-                    q.schedule(fire, Component::Source(i));
-                }
             }
         }
         self.first_due = self.source_due.iter().copied().min().unwrap_or(u64::MAX);
@@ -641,21 +482,11 @@ impl Simulator {
         }
     }
 
-    /// Per-hop delay of a buffered flit: head flits pay the router
-    /// pipeline, body/tail flits stream.
-    fn flit_delay(&self, flit: &FlitRef) -> u64 {
-        if flit.flit == 0 {
-            self.config.router_pipeline_cycles
-        } else {
-            1
-        }
-    }
-
-    /// A flit may leave its buffer once its per-hop delay has elapsed.
-    /// `arrived + delay` is also the flit's *eligibility cycle* — the
-    /// event-queue loop's wake-up for moves blocked purely on this delay.
+    /// A flit may leave its buffer once its per-hop delay has elapsed:
+    /// head flits pay the router pipeline, body/tail flits stream.
     fn eligible(&self, flit: &FlitRef) -> bool {
-        flit.arrived + self.flit_delay(flit) <= self.cycle
+        let delay = if flit.flit == 0 { self.config.router_pipeline_cycles } else { 1 };
+        flit.arrived + delay <= self.cycle
     }
 
     /// Input ids of `node`, in round-robin order.
@@ -693,9 +524,9 @@ impl Simulator {
     /// [`LoopKind::FullScan`], else the next one in the active index set.
     /// An output outside the set has no channel owner and no head flit
     /// bound for it, so visiting it would be a no-op — the allocation
-    /// scan finds no winner and derives no retry — apart from the token
-    /// accrual a link visit replays, which `sync_link_tokens` replays
-    /// identically whenever the link is next visited.
+    /// scan finds no winner — apart from the token accrual a link visit
+    /// replays, which `sync_link_tokens` replays identically whenever the
+    /// link is next visited.
     fn next_visit(&self, from: usize, end: usize) -> Option<usize> {
         if self.loop_kind == LoopKind::FullScan {
             (from < end).then_some(from)
@@ -704,10 +535,33 @@ impl Simulator {
         }
     }
 
-    /// Gives output `out`'s channel to `packet` at `input`.
-    fn allocate(&mut self, out: usize, input: u32, packet: u32) {
-        self.channels[out].allocate(input, packet);
-        self.mark_busy(out);
+    /// Gives output `out`'s free channel to the first eligible head flit
+    /// bound for it among `node`'s input fronts, in round-robin order
+    /// from the input after the previous winner.
+    fn arbitrate(&mut self, out: usize, node: usize) {
+        let inputs = self.inputs(node);
+        let count = inputs.len();
+        let start = self.channels[out].rr_next as usize;
+        let winner =
+            (0..count).find_map(|off| {
+                let input = inputs[(start + off) % count];
+                let front = self.buffers[input as usize].front()?;
+                (front.flit == 0 && self.next_output(front) == out && self.eligible(front))
+                    .then_some((input, front.packet, off))
+            });
+        if let Some((input, packet, off)) = winner {
+            self.channels[out].allocate(input, packet);
+            self.channels[out].rr_next = dense((start + off + 1) % count);
+            self.mark_busy(out);
+        }
+    }
+
+    /// The input holding output `out`'s channel, if the owning packet's
+    /// next flit is that input's front and eligible to move.
+    fn ready_owner(&self, out: usize) -> Option<u32> {
+        let (input, packet) = self.channels[out].owner?;
+        let front = self.buffers[input as usize].front()?;
+        (front.packet == packet && self.eligible(front)).then_some(input)
     }
 
     /// Frees output `out`'s channel.
@@ -716,14 +570,13 @@ impl Simulator {
         self.unmark_busy(out);
     }
 
-    /// Pops the front flit of `input` at `node`, keeping the node's
-    /// occupancy and the active index set in step: the popped flit leaves
-    /// the set if it was a head, and a head exposed behind it joins.
-    fn pop_front(&mut self, input: u32, node: usize) -> FlitRef {
+    /// Pops the front flit of `input`, keeping the active index set in
+    /// step: the popped flit leaves the set if it was a head, and a head
+    /// exposed behind it joins.
+    fn pop_front(&mut self, input: u32) -> FlitRef {
         let buffer = &mut self.buffers[input as usize];
         let flit = buffer.pop().expect("front exists");
         let exposed = buffer.front().filter(|f| f.flit == 0).map(|f| f.route);
-        self.node_flits[node] -= 1;
         if flit.flit == 0 {
             self.unmark_busy(self.route_output(flit.route));
         }
@@ -733,86 +586,26 @@ impl Simulator {
         flit
     }
 
-    /// Ejection pass. With a tick queue attached, every move blocked
-    /// *purely on time* — an ejectable front whose per-hop delay has not
-    /// elapsed — schedules the node at its eligibility cycle; moves
-    /// blocked on state (channel held by another packet, front mid-packet
-    /// elsewhere) need no wake-up of their own, since the enabling state
-    /// change is itself a movement and every movement wakes exactly what
-    /// it could have enabled ([`Self::wake_after_pop`], the tail-release
-    /// wake below).
-    fn eject(&mut self, mut sched: Option<&mut TickQueue>) {
+    /// Ejection pass: each visited ejection port, if free, goes to an
+    /// eligible head flit bound for it, then ejects one flit of the
+    /// packet that holds it.
+    fn eject(&mut self) {
         self.debug_check_active_set();
         let end = self.link_count + self.node_count;
         let mut from = self.link_count;
         while let Some(out) = self.next_visit(from, end) {
             from = out + 1;
-            let node = out - self.link_count;
-            // Earliest future cycle a currently-blocked ejection at this
-            // node becomes eligible (`u64::MAX` = nothing time-blocked).
-            let mut retry = u64::MAX;
-            'node: {
-                // Allocate the ejection channel if free.
-                if self.channels[out].owner.is_none() {
-                    let inputs = self.inputs(node);
-                    let count = inputs.len();
-                    let start = self.channels[out].rr_next as usize;
-                    let mut winner = None;
-                    for off in 0..count {
-                        let input = inputs[(start + off) % count];
-                        let Some(front) = self.buffers[input as usize].front() else {
-                            continue;
-                        };
-                        if front.flit == 0 && self.next_output(front) == out {
-                            if self.eligible(front) {
-                                winner = Some((input, front.packet, off));
-                                break;
-                            }
-                            retry = retry.min(front.arrived + self.flit_delay(front));
-                        }
-                    }
-                    if let Some((input, packet, off)) = winner {
-                        self.allocate(out, input, packet);
-                        self.channels[out].rr_next = dense((start + off + 1) % count);
-                    }
-                }
-                // Move one flit through the allocated ejection channel.
-                let Some((input, packet)) = self.channels[out].owner else {
-                    break 'node;
-                };
-                let Some(&front) = self.buffers[input as usize].front() else {
-                    break 'node;
-                };
-                if front.packet != packet {
-                    break 'node;
-                }
-                if !self.eligible(&front) {
-                    retry = retry.min(front.arrived + self.flit_delay(&front));
-                    break 'node;
-                }
-                let was_full = !self.buffers[input as usize].has_space();
-                let flit = self.pop_front(input, node);
-                self.last_progress = self.cycle;
-                let is_tail = flit.flit + 1 == self.flits_per_packet;
-                if is_tail {
-                    self.release(out);
-                    self.complete_packet(packet);
-                }
-                if let Some(q) = sched.as_deref_mut() {
-                    self.wake_after_pop(q, input, was_full);
-                    if is_tail && self.node_flits[node] > 0 {
-                        // Ejection channel released: any other buffered
-                        // flit at this node may now be allocatable.
-                        self.counters.wake_tail_release.inc();
-                        q.schedule(self.cycle + 1, Component::Node(node));
-                    }
-                }
+            if self.channels[out].owner.is_none() {
+                self.arbitrate(out, out - self.link_count);
             }
-            if let Some(q) = sched.as_deref_mut() {
-                if retry != u64::MAX {
-                    self.counters.wake_eligibility.inc();
-                    q.schedule(retry, Component::Node(node));
-                }
+            let Some(input) = self.ready_owner(out) else {
+                continue;
+            };
+            let flit = self.pop_front(input);
+            self.last_progress = self.cycle;
+            if flit.flit + 1 == self.flits_per_packet {
+                self.release(out);
+                self.complete_packet(flit.packet);
             }
         }
     }
@@ -850,322 +643,72 @@ impl Simulator {
         }
     }
 
-    /// Link pass. With a tick queue attached, every forward blocked purely
-    /// on *time* — a candidate flit's per-hop delay or the link's
-    /// serialization-token threshold — schedules the link at the cycle the
-    /// blockage expires; forwards blocked on state (full downstream
-    /// buffer, channel held, front mid-packet elsewhere) are woken by the
-    /// enabling movement itself ([`Self::wake_after_pop`] and the
-    /// tail-release / new-downstream-front wakes in the forward below).
-    fn traverse_links(&mut self, mut sched: Option<&mut TickQueue>) {
+    /// Link pass: each visited link accrues serialization tokens; with a
+    /// flit's worth banked and room downstream, the link, if free, goes to
+    /// an eligible head flit bound for it, then forwards one flit of the
+    /// packet that holds it.
+    fn traverse_links(&mut self) {
         let flit_bytes = self.config.flit_bytes as f64;
         let mut from = 0;
         while let Some(link) = self.next_visit(from, self.link_count) {
             from = link + 1;
-            let upstream = self.link_src[link];
             // Serialization: accumulate tokens. The cap must exceed one
             // flit so the fractional remainder after a send carries over
             // (otherwise every rate between flit/3 and flit/2 bytes-per-
             // cycle would quantize to the same 3-cycle serialization);
             // two flits' worth bounds idle bursts to a single extra flit.
             self.sync_link_tokens(link);
-            let has_tokens = self.link_tokens[link] >= flit_bytes;
-            let has_space = self.buffers[link].has_space();
-            // Earliest future cycle a candidate flit's per-hop delay
-            // expires (`u64::MAX` = no candidate is time-blocked).
-            let mut elig_retry = u64::MAX;
-            'link: {
-                if !has_tokens || !has_space {
-                    // Token-starved with room downstream: find when the
-                    // current candidate (if any) could go, so the token
-                    // wake-up below can wait for *both* conditions. Only
-                    // worth deriving when no wake-up is already pending —
-                    // the pending one either fires into an enabled forward
-                    // or clears its slot for a fresh derivation here. A
-                    // full buffer, by contrast, frees only via a
-                    // downstream pop, and that pop wakes this link itself.
-                    if !has_tokens && has_space {
-                        if let Some(q) = sched.as_deref_mut() {
-                            if !q.has_pending(Component::Link(link)) {
-                                elig_retry = self.link_candidate_ready(link, upstream);
-                            }
-                        }
-                    }
-                    break 'link;
-                }
-
-                // Allocate the channel to a head flit if free.
-                if self.channels[link].owner.is_none() {
-                    let inputs = self.inputs(upstream);
-                    let count = inputs.len();
-                    let start = self.channels[link].rr_next as usize;
-                    let mut winner = None;
-                    for off in 0..count {
-                        let input = inputs[(start + off) % count];
-                        let Some(front) = self.buffers[input as usize].front() else {
-                            continue;
-                        };
-                        if front.flit == 0 && self.next_output(front) == link {
-                            if self.eligible(front) {
-                                winner = Some((input, front.packet, off));
-                                break;
-                            }
-                            elig_retry = elig_retry.min(front.arrived + self.flit_delay(front));
-                        }
-                    }
-                    if let Some((input, packet, off)) = winner {
-                        self.allocate(link, input, packet);
-                        self.channels[link].rr_next = dense((start + off + 1) % count);
-                    }
-                }
-
-                // Forward one flit of the owning packet.
-                let Some((input, packet)) = self.channels[link].owner else {
-                    break 'link;
-                };
-                let Some(&front) = self.buffers[input as usize].front() else {
-                    break 'link;
-                };
-                if front.packet != packet {
-                    break 'link;
-                }
-                if !self.eligible(&front) {
-                    elig_retry = elig_retry.min(front.arrived + self.flit_delay(&front));
-                    break 'link;
-                }
-                let was_full = !self.buffers[input as usize].has_space();
-                let flit = self.pop_front(input, upstream);
-                if input as usize >= self.link_count && flit.flit == 0 {
-                    let p = self.packets[flit.packet as usize].as_mut().expect("live packet");
-                    p.injected_at = Some(self.cycle);
-                }
-                self.link_tokens[link] -= flit_bytes;
-                self.link_token_ready[link] = TOKEN_READY_UNKNOWN;
-                self.last_progress = self.cycle;
-                if self.in_measurement_window() {
-                    self.link_flits[link] += 1;
-                }
-                let is_tail = flit.flit + 1 == self.flits_per_packet;
-                if is_tail {
-                    self.release(link);
-                }
-                let dst = self.link_dst[link];
-                let dst_was_empty = self.buffers[link].is_empty();
-                let route = flit.route + 1;
-                self.buffers[link].push(FlitRef {
-                    packet: flit.packet,
-                    flit: flit.flit,
-                    route,
-                    arrived: self.cycle,
-                });
-                self.node_flits[dst] += 1;
-                if dst_was_empty && flit.flit == 0 {
-                    self.mark_busy(self.route_output(route));
-                }
-                if let Some(q) = sched.as_deref_mut() {
-                    if was_full && (input as usize) < self.link_count {
-                        self.counters.wake_backpressure.inc();
-                        q.schedule(self.cycle + 1, Component::Link(input as usize));
-                    }
-                    match self.buffers[input as usize].front() {
-                        // Streaming continuation (the hot path): the new
-                        // front is the owning packet's next flit, bound
-                        // for this same link — whose tokens are already
-                        // synced, with the send's spend applied.
-                        Some(&nf) if !is_tail && nf.packet == packet => {
-                            let elig = (nf.arrived + self.flit_delay(&nf)).max(self.cycle + 1);
-                            if self.link_tokens[link] >= flit_bytes {
-                                self.counters.wake_eligibility.inc();
-                                q.schedule(elig, Component::Link(link));
-                            } else if let Some(t) = self.cached_token_ready(link, flit_bytes) {
-                                self.counters.wake_token_ready.inc();
-                                q.schedule(t.max(elig), Component::Link(link));
-                            }
-                        }
-                        Some(_) => self.schedule_front_wake(q, input),
-                        None => {}
-                    }
-                    if is_tail && self.node_flits[upstream] > 0 {
-                        // Channel released: another packet's head flit at
-                        // this node may now be allocatable onto the link.
-                        self.counters.wake_tail_release.inc();
-                        q.schedule(self.cycle + 1, Component::Link(link));
-                    }
-                    if dst_was_empty {
-                        // The forwarded flit is the new front downstream.
-                        self.schedule_front_wake(q, dense(link));
-                    }
-                }
+            if self.link_tokens[link] < flit_bytes || !self.buffers[link].has_space() {
+                continue;
             }
-            if let Some(q) = sched.as_deref_mut() {
-                // A token-starved link must wait for the later of the
-                // token crossing and the candidate's eligibility; with no
-                // time-blocked candidate at all there is nothing to wake
-                // for (a candidate appearing is a movement → cascade).
-                let retry = if has_tokens {
-                    elig_retry
-                } else if elig_retry == u64::MAX {
-                    u64::MAX
-                } else {
-                    match self.cached_token_ready(link, flit_bytes) {
-                        Some(t) => t.max(elig_retry),
-                        None => u64::MAX,
-                    }
-                };
-                if retry != u64::MAX {
-                    if has_tokens {
-                        self.counters.wake_eligibility.inc();
-                    } else {
-                        self.counters.wake_token_ready.inc();
-                    }
-                    q.schedule(retry, Component::Link(link));
-                }
+            if self.channels[link].owner.is_none() {
+                self.arbitrate(link, self.link_src[link]);
+            }
+            let Some(input) = self.ready_owner(link) else {
+                continue;
+            };
+            let flit = self.pop_front(input);
+            if input as usize >= self.link_count && flit.flit == 0 {
+                let p = self.packets[flit.packet as usize].as_mut().expect("live packet");
+                p.injected_at = Some(self.cycle);
+            }
+            self.link_tokens[link] -= flit_bytes;
+            self.last_progress = self.cycle;
+            if self.in_measurement_window() {
+                self.link_flits[link] += 1;
+            }
+            if flit.flit + 1 == self.flits_per_packet {
+                self.release(link);
+            }
+            let dst_was_empty = self.buffers[link].is_empty();
+            let route = flit.route + 1;
+            self.buffers[link].push(FlitRef {
+                packet: flit.packet,
+                flit: flit.flit,
+                route,
+                arrived: self.cycle,
+            });
+            if dst_was_empty && flit.flit == 0 {
+                self.mark_busy(self.route_output(route));
             }
         }
-    }
-
-    /// Wakes whatever a pop from the buffer `input` could have enabled:
-    /// the link feeding that buffer, if the pop freed its only space (a
-    /// space-blocked link frees *only* through such a pop), and the
-    /// buffer's new front, which just became a forwarding/ejection
-    /// candidate.
-    fn wake_after_pop(&mut self, q: &mut TickQueue, input: u32, was_full: bool) {
-        if was_full && (input as usize) < self.link_count {
-            self.counters.wake_backpressure.inc();
-            q.schedule(self.cycle + 1, Component::Link(input as usize));
-        }
-        self.schedule_front_wake(q, input);
-    }
-
-    /// Schedules the wake-up for the front of the buffer `input`, at the
-    /// earliest future cycle it could move: its pipeline
-    /// eligibility, pushed past the serialization-token crossing of the
-    /// link it wants (a flit bound for a starved link cannot move at
-    /// eligibility anyway). Conservative — channel or buffer-space
-    /// conflicts at that cycle re-arm through the scan's own retry logic
-    /// or the movement that resolves them. No wake is scheduled for an
-    /// empty buffer (a push will wake the new front) or when the tokens
-    /// can never cross (the oracle never moves that flit either; the
-    /// watchdog eventually purges it in both loops).
-    fn schedule_front_wake(&mut self, q: &mut TickQueue, input: u32) {
-        let Some(&front) = self.buffers[input as usize].front() else {
-            return;
-        };
-        let elig = (front.arrived + self.flit_delay(&front)).max(self.cycle + 1);
-        match self.next_output(&front) {
-            out if out >= self.link_count => {
-                self.counters.wake_eligibility.inc();
-                q.schedule(elig, Component::Node(out - self.link_count));
-            }
-            link => {
-                let flit_bytes = self.config.flit_bytes as f64;
-                self.sync_link_tokens(link);
-                let wake = if self.link_tokens[link] >= flit_bytes {
-                    self.counters.wake_eligibility.inc();
-                    elig
-                } else {
-                    match self.cached_token_ready(link, flit_bytes) {
-                        Some(t) => {
-                            self.counters.wake_token_ready.inc();
-                            t.max(elig)
-                        }
-                        None => return,
-                    }
-                };
-                q.schedule(wake, Component::Link(link));
-            }
-        }
-    }
-
-    /// Earliest cycle the link's current forwarding candidate — its
-    /// channel owner's front, or any allocatable head flit if the channel
-    /// is free — has its per-hop delay elapsed (`u64::MAX` = no candidate,
-    /// or the owner's flit is not at a buffer front yet). Pure frozen-state
-    /// prediction for the token-starved case; may be in the past when the
-    /// candidate is already eligible and only tokens are missing.
-    fn link_candidate_ready(&self, link: usize, upstream: usize) -> u64 {
-        match self.channels[link].owner {
-            Some((input, packet)) => match self.buffers[input as usize].front() {
-                Some(front) if front.packet == packet => front.arrived + self.flit_delay(front),
-                _ => u64::MAX,
-            },
-            None => {
-                let mut best = u64::MAX;
-                for &input in self.inputs(upstream) {
-                    if let Some(front) = self.buffers[input as usize].front() {
-                        if front.flit == 0 && self.next_output(front) == link {
-                            best = best.min(front.arrived + self.flit_delay(front));
-                        }
-                    }
-                }
-                best
-            }
-        }
-    }
-    /// First cycle after the current one at which `link`'s token balance
-    /// reaches one flit, replaying the *exact* capped additions
-    /// [`sync_link_tokens`] will perform (fp-identical — a closed-form
-    /// `k * rate` is not) on a local copy. `None` means the balance can
-    /// never cross: zero rate, or an fp fixed point below the threshold
-    /// (the cycle-stepped oracle would never cross either).
-    /// [`Self::token_ready_cycle`] through the per-link memo. A cached
-    /// prediction at or before the current cycle is recomputed: it came
-    /// from the conservative replay bound, and its wake-up has now
-    /// arrived with the threshold still uncrossed.
-    fn cached_token_ready(&mut self, link: usize, flit_bytes: f64) -> Option<u64> {
-        match self.link_token_ready[link] {
-            TOKEN_READY_NEVER => None,
-            t if t != TOKEN_READY_UNKNOWN && t > self.cycle => Some(t),
-            _ => {
-                // The prediction replays from the current balance, which
-                // must first absorb any accrual the link has not yet seen.
-                self.sync_link_tokens(link);
-                let computed = self.token_ready_cycle(link, flit_bytes);
-                self.link_token_ready[link] = computed.unwrap_or(TOKEN_READY_NEVER);
-                computed
-            }
-        }
-    }
-
-    fn token_ready_cycle(&self, link: usize, flit_bytes: f64) -> Option<u64> {
-        let cap = 2.0 * flit_bytes;
-        let rate = self.link_rate[link];
-        if rate <= 0.0 {
-            return None;
-        }
-        let mut tokens = self.link_tokens[link];
-        let mut t = self.cycle;
-        for _ in 0..TOKEN_REPLAY_BOUND {
-            t += 1;
-            let next = (tokens + rate).min(cap);
-            if next >= flit_bytes {
-                return Some(t);
-            }
-            if next == tokens {
-                return None; // fixed point below the threshold
-            }
-            tokens = next;
-        }
-        Some(t) // conservative wake-up; re-predict from advanced state
     }
 
     /// Deadlock recovery: if nothing has moved for [`STALL_THRESHOLD`]
     /// cycles while flits wait in *network* buffers, drop the oldest
     /// in-network packet. Source-queue-only stalls are legitimate idle
-    /// periods and are ignored. Returns whether a packet was purged — a
-    /// purge rewrites buffer fronts, channel owners and occupancy across
-    /// the whole network, so it recounts the active index set from
-    /// scratch, and the event-queue loop rescans the next cycle wholesale
-    /// instead of enumerating what it could have enabled.
-    fn watchdog(&mut self) -> bool {
+    /// periods and are ignored. A purge rewrites buffer fronts and channel
+    /// owners across the whole network, so it recounts the active index
+    /// set from scratch.
+    fn watchdog(&mut self) {
         if self.cycle - self.last_progress < STALL_THRESHOLD {
-            return false;
+            return;
         }
         let link_buffers = &self.buffers[..self.link_count];
         let network_busy = link_buffers.iter().any(|b| !b.is_empty());
         if !network_busy {
             self.last_progress = self.cycle;
-            return false;
+            return;
         }
         // Oldest packet with flits inside the network.
         let mut victim: Option<(u64, u32)> = None;
@@ -1179,12 +722,10 @@ impl Simulator {
         }
         let Some((_, slot)) = victim else {
             self.last_progress = self.cycle;
-            return false;
+            return;
         };
-        for input in 0..self.buffers.len() {
-            let purged = self.buffers[input].purge_packet(slot);
-            let node = self.input_node(input);
-            self.node_flits[node] -= dense(purged);
+        for buffer in &mut self.buffers {
+            buffer.purge_packet(slot);
         }
         for ch in &mut self.channels {
             if ch.owner.is_some_and(|(_, p)| p == slot) {
@@ -1205,7 +746,6 @@ impl Simulator {
             self.measured_outstanding -= 1;
         }
         self.last_progress = self.cycle;
-        true
     }
 
     /// The active-index-set counts recomputed from the buffers and
@@ -1241,15 +781,6 @@ impl Simulator {
                     self.cycle
                 );
             }
-        }
-    }
-
-    /// Node whose router the input `input` feeds.
-    fn input_node(&self, input: usize) -> usize {
-        if input < self.link_count {
-            self.link_dst[input]
-        } else {
-            self.queue_node[input - self.link_count]
         }
     }
 }
@@ -1449,17 +980,15 @@ mod tests {
         let _ = Simulator::new(&t, vec![flow], quick_config());
     }
 
-    /// Runs the same flow set under every main loop and asserts the
+    /// Runs the same flow set under both main loops and asserts the
     /// reports are bit-identical (PartialEq compares every f64 exactly).
     fn assert_loops_agree(t: &Topology, flows: Vec<FlowSpec>, config: SimConfig) -> SimReport {
         let mut full = Simulator::new(t, flows.clone(), config.clone());
         full.set_loop_kind(LoopKind::FullScan);
         let full_report = full.run();
-        for kind in [LoopKind::ActiveSet, LoopKind::EventQueue, LoopKind::Hybrid] {
-            let mut sim = Simulator::new(t, flows.clone(), config.clone());
-            sim.set_loop_kind(kind);
-            assert_eq!(sim.run(), full_report, "{kind:?} loop diverged from full scan");
-        }
+        let mut active = Simulator::new(t, flows, config);
+        active.set_loop_kind(LoopKind::ActiveSet);
+        assert_eq!(active.run(), full_report, "active-set loop diverged from full scan");
         full_report
     }
 
@@ -1498,7 +1027,7 @@ mod tests {
         // Oversubscription exercises backpressure and unfinished-packet
         // accounting: the run drops nothing, its unfinished packets alone
         // make it saturated. Watchdog drops are pinned by the cyclic
-        // deadlock case in `tests/event_queue_identity.rs`.
+        // deadlock case in `tests/loop_identity.rs`.
         let t = Topology::mesh(2, 1, 100.0);
         let flow = FlowSpec::single_path(
             NodeId::new(0),

@@ -169,10 +169,10 @@ impl BurstSource {
     }
 
     /// First cycle at which [`BurstSource::poll`] will return a packet
-    /// (`None` for silent zero-rate sources): the event-queue loop wakes
-    /// the source exactly then instead of polling it every cycle. The
-    /// cycle-stepped loops ignore this. `poll` fires at the first integer
-    /// cycle `c` with `c ≥ next_at`, hence the ceiling.
+    /// (`None` for silent zero-rate sources). The simulator polls the
+    /// source only from that cycle on, and an empty network fast-forwards
+    /// to the earliest one. `poll` fires at the first integer cycle `c`
+    /// with `c ≥ next_at`, hence the ceiling.
     pub fn next_fire_cycle(&self) -> Option<u64> {
         if !self.next_at.is_finite() {
             return None;
@@ -337,9 +337,10 @@ mod tests {
 
     #[test]
     fn next_fire_cycle_predicts_poll_exactly() {
-        // The event-queue loop relies on this equivalence: polling every
-        // cycle fires at exactly the predicted cycle, never earlier or
-        // later, and non-due polls draw no randomness.
+        // Due-only polling and the empty-network fast-forward rely on
+        // this equivalence: polling every cycle fires at exactly the
+        // predicted cycle, never earlier or later, and non-due polls draw
+        // no randomness.
         let config = SimConfig::default();
         let spec = spec(300.0, 1);
         let mut rng = ChaCha8Rng::seed_from_u64(9);

@@ -1,14 +1,15 @@
-//! Differential oracle harness for the event-driven simulator loop.
+//! Differential oracle harness for the simulator's main loop.
 //!
-//! The event/tick-queue loop ([`LoopKind::EventQueue`], the default) must
-//! be **bit-identical** to the cycle-stepped oracle loops retained for
-//! exactly this purpose ([`LoopKind::FullScan`], [`LoopKind::ActiveSet`]):
-//! every field of the [`SimReport`] — including every `f64`, compared
-//! exactly, never with a tolerance — has to match on every workload. This
-//! suite drives all three loops over the paper's six benchmark
-//! applications plus the DSP filter design, and over seeded random
-//! traffic, across warm-up/measure/drain window shapes from degenerate
-//! (zero warm-up, zero drain) to contended (saturating bandwidth).
+//! The default loop ([`LoopKind::ActiveSet`]: active index set plus the
+//! empty-network fast-forward) must be **bit-identical** to the naive
+//! reference loop ([`LoopKind::FullScan`]), retained for exactly this
+//! purpose: every field of the [`SimReport`] — including every `f64`,
+//! compared exactly, never with a tolerance — has to match on every
+//! workload. This suite drives both loops over the paper's six benchmark
+//! applications plus the DSP filter design, over seeded random traffic,
+//! a watchdog-dropping cyclic deadlock and a mostly idle run, across
+//! warm-up/measure/drain window shapes from degenerate (zero warm-up,
+//! zero drain) to contended (saturating bandwidth).
 //!
 //! Style follows the repo's oracle-retention convention (`nmap`'s
 //! `swap_delta_identity` and `dor_xy_equivalence` suites): the old
@@ -19,7 +20,8 @@
 //! Every case therefore also checks the oracle report against a pinned
 //! digest ([`PINNED`]) of its `Debug` rendering, captured before the flat
 //! hot-state rewrite (static route table, dense input ids, active index
-//! set). A legitimate model change must re-pin the table and say why.
+//! set; the idle case: before the empty-network fast-forward). A
+//! legitimate model change must re-pin the table and say why.
 
 use noc_apps::{dsp_filter, App};
 use noc_graph::{CoreGraph, NodeId, Topology};
@@ -54,7 +56,7 @@ fn xy_path(t: &Topology, from: NodeId, to: NodeId) -> Vec<noc_graph::LinkId> {
 /// edge's average bandwidth. The placement is deliberately naive — the
 /// identity suite tests the simulator, not the mapper, and a naive
 /// placement produces *more* link contention, which is exactly where the
-/// wake-up logic of the event loop can go wrong.
+/// active index set's bookkeeping can go wrong.
 fn app_flows(t: &Topology, graph: &CoreGraph) -> Vec<FlowSpec> {
     assert!(graph.core_count() <= t.node_count(), "app must fit the mesh");
     graph
@@ -83,27 +85,26 @@ fn assert_pinned(label: &str, report: &SimReport) {
     assert_eq!(digest(report), want, "{label}: report differs from the pinned digest");
 }
 
-/// Runs `flows` on `t` under every loop kind, asserts the reports are
+/// Runs `flows` on `t` under both loop kinds, asserts the reports are
 /// bit-identical and that the oracle report matches its pinned digest,
-/// and returns the oracle report.
+/// and returns the oracle report with the active-set simulator, whose
+/// executed-cycle count the idle case checks.
 fn assert_identical(
     t: &Topology,
     flows: &[FlowSpec],
     config: &SimConfig,
     label: &str,
-) -> SimReport {
+) -> (SimReport, Simulator) {
     let run = |kind: LoopKind| {
         let mut sim = Simulator::new(t, flows.to_vec(), config.clone());
         sim.set_loop_kind(kind);
-        sim.run()
+        (sim.run(), sim)
     };
-    let oracle = run(LoopKind::FullScan);
+    let (oracle, _) = run(LoopKind::FullScan);
     assert_pinned(label, &oracle);
-    for kind in [LoopKind::ActiveSet, LoopKind::EventQueue, LoopKind::Hybrid] {
-        let report = run(kind);
-        assert_eq!(report, oracle, "{label}: {kind:?} diverged from the full-scan oracle");
-    }
-    oracle
+    let (report, active) = run(LoopKind::ActiveSet);
+    assert_eq!(report, oracle, "{label}: active-set diverged from the full-scan oracle");
+    (oracle, active)
 }
 
 /// Window shapes the loops must agree on: the steady-state default-style
@@ -130,15 +131,15 @@ fn six_paper_apps_are_bit_identical_across_loops() {
         let graph = app.core_graph();
         let (w, h) = app.mesh_dims();
         // Two bandwidth regimes per app: comfortable (light contention)
-        // and tight (heavy blocking, the hard case for wake-up
-        // completeness). The tight capacity still clears each flow's own
-        // rate so the sources are not trivially saturated at injection.
+        // and tight (heavy blocking, the hard case for the active index
+        // set). The tight capacity still clears each flow's own rate so
+        // the sources are not trivially saturated at injection.
         let max_rate = graph.edges().map(|(_, e)| e.bandwidth.to_f64()).fold(0.0, f64::max);
         for capacity in [max_rate * 4.0, max_rate * 1.25] {
             let t = Topology::mesh(w, h, capacity);
             let flows = app_flows(&t, &graph);
             for (w, config) in window_configs(0xA0C0_FFEE ^ capacity.to_bits()).iter().enumerate() {
-                let report = assert_identical(
+                let (report, _) = assert_identical(
                     &t,
                     &flows,
                     config,
@@ -167,12 +168,10 @@ fn dsp_filter_design_is_bit_identical_across_loops() {
 }
 
 #[test]
-fn hybrid_switches_to_stepping_on_dense_loads() {
-    // A saturating DSP-filter load keeps nearly every cycle busy, so the
-    // hybrid loop must abandon the tick queue mid-run. After the switch
-    // it steps through cycles the event loop would have skipped (the
-    // drain tail especially), so it executes strictly more cycles —
-    // proving the fall-back fired — while the report stays bit-identical.
+fn dense_dsp_load_is_bit_identical_across_loops() {
+    // A saturating DSP-filter load keeps the network busy nearly every
+    // cycle, so the empty-network fast-forward rarely fires. The digest
+    // stays pinned under the label it was captured with.
     let graph = dsp_filter();
     let (w, h) = Topology::fit_mesh_dims(graph.core_count());
     let t = Topology::mesh(w, h, 550.0);
@@ -184,19 +183,7 @@ fn hybrid_switches_to_stepping_on_dense_loads() {
         seed: 7,
         ..SimConfig::default()
     };
-    let run = |kind: LoopKind| {
-        let mut sim = Simulator::new(&t, flows.clone(), config.clone());
-        sim.set_loop_kind(kind);
-        (sim.run(), sim.executed_cycles())
-    };
-    let (event_report, event_executed) = run(LoopKind::EventQueue);
-    let (hybrid_report, hybrid_executed) = run(LoopKind::Hybrid);
-    assert_eq!(hybrid_report, event_report, "hybrid diverged on the dense load");
-    assert_pinned("dsp @ 550 MB/s, hybrid fall-back", &event_report);
-    assert!(
-        hybrid_executed > event_executed,
-        "hybrid never fell back: executed {hybrid_executed} vs event-queue {event_executed}"
-    );
+    assert_identical(&t, &flows, &config, "dsp @ 550 MB/s, hybrid fall-back");
 }
 
 /// Tiny deterministic generator for the random-traffic leg (no RNG crate
@@ -295,14 +282,43 @@ fn cyclic_deadlock_drops_are_bit_identical_across_loops() {
         seed: 5,
         ..SimConfig::default()
     };
-    let report = assert_identical(&t, &flows, &config, "2x2 ring deadlock");
+    let (report, _) = assert_identical(&t, &flows, &config, "2x2 ring deadlock");
     assert!(report.dropped_packets > 0, "the ring never deadlocked");
 }
 
+#[test]
+fn idle_network_fast_forwards_bit_identically() {
+    // One 5 MB/s flow on 1 GB/s links sends four packets in 81,000
+    // cycles, so the network sits empty across some 16 watchdog
+    // deadlines. The active-set loop jumps over the empty stretches —
+    // stopping at every source fire and watchdog deadline — and must
+    // still match the full scan, which steps through every cycle.
+    let t = Topology::mesh(3, 3, 1_000.0);
+    let (from, to) = (NodeId::new(0), NodeId::new(2));
+    let flows = vec![FlowSpec::single_path(from, to, mbps(5.0), xy_path(&t, from, to))];
+    let config = SimConfig {
+        warmup_cycles: 1_000,
+        measure_cycles: 20_000,
+        drain_cycles: 60_000,
+        seed: 3,
+        ..SimConfig::default()
+    };
+    let (report, active) = assert_identical(&t, &flows, &config, "3x3 idle, 5 MB/s");
+    assert!(report.delivered_packets > 0, "the idle case must still move packets");
+    assert!(
+        active.executed_cycles() < report.cycles / 10,
+        "executed {} of {} cycles: the empty network was not fast-forwarded",
+        active.executed_cycles(),
+        report.cycles
+    );
+}
+
 /// FNV-1a-64 digests of each case's oracle report, captured before the
-/// flat hot-state rewrite of the simulator.
+/// flat hot-state rewrite of the simulator (the idle case: before the
+/// empty-network fast-forward).
 const PINNED: &[(&str, u64)] = &[
     ("2x2 ring deadlock", 0x1302_937f_5ebc_a4dc),
+    ("3x3 idle, 5 MB/s", 0x52c0_3677_b368_bc12),
     ("dsp @ 550 MB/s, window 0", 0x53a4_da64_ce81_9c3b),
     ("dsp @ 550 MB/s, window 1", 0x7505_1cc9_2e3d_4ff6),
     ("dsp @ 550 MB/s, window 2", 0x5f32_3ad8_e913_067e),

@@ -1,13 +1,13 @@
-//! Property-based differential tests for the event-queue loop: random
-//! topologies, burst configurations and bandwidth points must all produce
-//! reports bit-identical to the cycle-stepped oracle, and the loop must
-//! terminate at exactly the configured horizon.
+//! Property-based differential tests for the simulator's main loop:
+//! random topologies, burst configurations, bandwidth points and loads
+//! must all produce active-set reports bit-identical to the full-scan
+//! oracle, and both loops must terminate at exactly the configured
+//! horizon.
 //!
-//! No-past-scheduling is enforced structurally: `TickQueue::schedule`
-//! carries a `debug_assert` that a component is never scheduled before
-//! the first unexecuted cycle, and these tests run unoptimized — any
-//! wake-up computed in the past panics the property rather than silently
-//! re-executing history.
+//! The empty-network fast-forward carries debug assertions that it jumps
+//! only while every buffer is empty and never into the past, and these
+//! tests run unoptimized: a bad jump panics the property rather than
+//! silently skipping a cycle that mattered.
 
 use noc_graph::{NodeId, Topology};
 use noc_sim::{FlowSpec, LoopKind, SimConfig, Simulator};
@@ -51,12 +51,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random mesh + random flows + random burst shape + random link
-    /// bandwidth: the event-queue report equals the cycle-stepped oracle
-    /// field for field (delivered, latency sums, saturation, per-link
-    /// flit counts — everything `SimReport` carries), and both loops
-    /// terminate at the same configured horizon.
+    /// bandwidth: the active-set report equals the full-scan oracle field
+    /// for field (delivered, latency sums, saturation, per-link flit
+    /// counts — everything `SimReport` carries), and both loops terminate
+    /// at the same configured horizon.
     #[test]
-    fn event_queue_matches_oracle_on_random_workloads(
+    fn active_set_matches_oracle_on_random_workloads(
         (w, h) in (2usize..=4, 2usize..=4),
         pairs in prop::collection::vec((0usize..16, 0usize..16, 20.0..400.0f64), 1..6),
         bandwidth in 150.0..1_500.0f64,
@@ -88,22 +88,22 @@ proptest! {
             ..SimConfig::default()
         };
         let oracle = run_kind(&t, &flows, &config, LoopKind::FullScan);
-        let event = run_kind(&t, &flows, &config, LoopKind::EventQueue);
+        let active = run_kind(&t, &flows, &config, LoopKind::ActiveSet);
         // Termination at the exact horizon, not merely "eventually".
         prop_assert_eq!(oracle.cycles, warmup + measure + drain);
-        prop_assert_eq!(event.cycles, oracle.cycles);
+        prop_assert_eq!(active.cycles, oracle.cycles);
         // The headline statistics the paper plots...
-        prop_assert_eq!(event.delivered_packets, oracle.delivered_packets);
-        prop_assert!(event.avg_latency_cycles() == oracle.avg_latency_cycles());
-        prop_assert_eq!(event.saturated(), oracle.saturated());
+        prop_assert_eq!(active.delivered_packets, oracle.delivered_packets);
+        prop_assert!(active.avg_latency_cycles() == oracle.avg_latency_cycles());
+        prop_assert_eq!(active.saturated(), oracle.saturated());
         // ...and then every other field, exactly.
-        prop_assert_eq!(event, oracle);
+        prop_assert_eq!(active, oracle);
     }
 
-    /// An idle network (all sources silent) is the degenerate case for an
-    /// event loop: nothing is ever scheduled beyond the watchdog, and the
-    /// run must still cover the full horizon with an all-zero report
-    /// identical to the oracle's.
+    /// An idle network (all sources silent) is the degenerate case for the
+    /// fast-forward: it jumps from watchdog deadline to watchdog deadline,
+    /// and the run must still cover the full horizon with an all-zero
+    /// report identical to the oracle's.
     #[test]
     fn silent_network_terminates_and_matches(
         (w, h) in (2usize..=3, 2usize..=3),
@@ -123,10 +123,10 @@ proptest! {
             ..SimConfig::default()
         };
         let oracle = run_kind(&t, &flows, &config, LoopKind::FullScan);
-        let event = run_kind(&t, &flows, &config, LoopKind::EventQueue);
-        prop_assert_eq!(event.generated_packets, 0);
-        prop_assert_eq!(event.cycles, warmup + measure + drain);
-        prop_assert_eq!(event, oracle);
+        let active = run_kind(&t, &flows, &config, LoopKind::ActiveSet);
+        prop_assert_eq!(active.generated_packets, 0);
+        prop_assert_eq!(active.cycles, warmup + measure + drain);
+        prop_assert_eq!(active, oracle);
     }
 
     /// Deep saturation (offered load far above capacity) exercises the
@@ -157,8 +157,53 @@ proptest! {
             ..SimConfig::default()
         };
         let oracle = run_kind(&t, &flows, &config, LoopKind::FullScan);
-        let event = run_kind(&t, &flows, &config, LoopKind::EventQueue);
+        let active = run_kind(&t, &flows, &config, LoopKind::ActiveSet);
         prop_assert!(oracle.saturated(), "workload chosen to saturate");
-        prop_assert_eq!(event, oracle);
+        prop_assert_eq!(active, oracle);
+    }
+
+    /// Light load with a long drain: the network empties between packets
+    /// and stays empty through the drain, across several watchdog
+    /// deadlines, so the active-set loop fast-forwards — and must still
+    /// match the oracle, which steps through every cycle.
+    #[test]
+    fn light_load_fast_forwards_and_matches_oracle(
+        (w, h) in (2usize..=4, 2usize..=4),
+        pairs in prop::collection::vec((0usize..16, 0usize..16, 1.0..30.0f64), 1..4),
+        bandwidth in 150.0..1_500.0f64,
+        burst_packets in 1u32..=8,
+        (warmup, measure, drain) in (0u64..1_000, 1_000u64..8_000, 15_000u64..40_000),
+        seed in 0u64..100,
+    ) {
+        let t = Topology::mesh(w, h, bandwidth);
+        let n = t.node_count();
+        let flows: Vec<FlowSpec> = pairs
+            .into_iter()
+            .filter_map(|(a, b, rate)| {
+                let from = NodeId::new(a % n);
+                let to = NodeId::new(b % n);
+                (from != to).then(|| {
+                    FlowSpec::single_path(from, to, noc_units::mbps(rate), xy_path(&t, from, to))
+                })
+            })
+            .collect();
+        prop_assume!(!flows.is_empty());
+        let config = SimConfig {
+            warmup_cycles: warmup,
+            measure_cycles: measure,
+            drain_cycles: drain,
+            burst_packets,
+            seed,
+            ..SimConfig::default()
+        };
+        let oracle = run_kind(&t, &flows, &config, LoopKind::FullScan);
+        let mut sim = Simulator::new(&t, flows.clone(), config.clone());
+        sim.set_loop_kind(LoopKind::ActiveSet);
+        let active = sim.run();
+        prop_assert!(
+            sim.executed_cycles() < active.cycles,
+            "nothing fast-forwarded: executed {} of {}", sim.executed_cycles(), active.cycles
+        );
+        prop_assert_eq!(active, oracle);
     }
 }

@@ -454,9 +454,8 @@ impl Sum for Cycles {
     }
 }
 
-/// The fraction of wall cycles a simulator loop actually executed — the
-/// density signal the event queue exposes for hybrid-loop decisions.
-/// Finite, in `[0, 1]`.
+/// A fraction of simulated cycles, such as the share a simulator loop
+/// actually executed. Finite, in `[0, 1]`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CycleFrac(f64);
 
