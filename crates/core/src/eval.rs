@@ -32,7 +32,7 @@ use crate::{Commodity, MapError, Mapping, MappingProblem, Result};
 /// Telemetry handles for the search layer (see `crates/probe`): no-ops
 /// unless [`EvalContext::set_probe`] attached a live probe, and strictly
 /// out-of-band — nothing in the search reads them, so every mapper
-/// result is byte-identical with probes on, off, or compiled out.
+/// result is byte-identical with a live probe, a disabled one, or none.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SearchCounters {
     /// Full candidate evaluations ([`EvalContext::evaluate`] calls).

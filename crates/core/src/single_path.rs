@@ -145,8 +145,7 @@ pub fn map_single_path_with(
 
 /// [`map_single_path_with`] with an explicit descent [`SwapKernel`].
 /// Outcomes are bit-identical across kernels; this entry point exists for
-/// the equivalence tests and the `swap_delta` criterion benchmarks that
-/// pin and measure exactly that.
+/// the equivalence tests that pin exactly that.
 ///
 /// # Errors
 ///

@@ -2,10 +2,7 @@
 //! `dse.cache.{hit,miss,disk_hit}` counters must agree with the cache's
 //! own [`CacheStats`], prove the ≥2× map-stage sharing bar on a
 //! routing × bandwidth sweep, and stay deterministic across thread
-//! counts (misses = distinct computed keys, never racing workers). Needs
-//! the `probe` cargo feature: without it the counters compile to no-ops.
-
-#![cfg(feature = "probe")]
+//! counts (misses = distinct computed keys, never racing workers).
 
 use noc_dse::{
     run_scenarios_cached, run_sweep_sharded, MapperSpec, RoutingSpec, ScenarioSet, SimulateSpec,

@@ -122,7 +122,6 @@ fn warm_chain_reproduces_cold_tables_on_all_six_apps() {
     }
 }
 
-#[cfg(feature = "probe")]
 #[test]
 fn warm_lp_counters_report_pivot_work() {
     let scenarios = mcf_capacity_sweep();

@@ -2,8 +2,7 @@
 //! the DSP filter NoC, single-path vs split-traffic routing.
 //!
 //! `--profile <path>` dumps the instrumentation profile (simulator
-//! executed/skipped-cycle counters) as JSON lines; needs the `probe` cargo
-//! feature for non-empty output.
+//! executed/skipped-cycle counters) as JSON lines.
 
 use std::process::ExitCode;
 

@@ -9,9 +9,6 @@
 //! nmap_dse --mesh3d [--smoke]       2-D vs 3-D mapping cost/latency on the
 //!                                   bundled apps (--smoke: reduced cycles)
 //! nmap_dse --spec <file>            run a .dse sweep specification
-//! nmap_dse --bench-json <path>      time cold vs warm stage-cache sweeps
-//!                                   (fig5c + mesh3d rows) and write the
-//!                                   snapshot as JSON
 //! nmap_dse --bench-mcf <path>       time the MCF route stage of a capacity
 //!                                   sweep under the dense seed solver, the
 //!                                   sparse cold solver and the warm-started
@@ -24,8 +21,7 @@
 //!           --timing                include per-stage wall times in output
 //!           --profile <path>        write the instrumentation profile as JSON
 //!                                   lines (counters, histograms, run-log
-//!                                   events; needs the `probe` cargo feature
-//!                                   for non-empty output)
+//!                                   events), also when the run fails
 //!           --warm-lp               chain MCF route-stage LP bases across
 //!                                   the bandwidth axis (dual-simplex warm
 //!                                   starts; records stay byte-identical)
@@ -54,8 +50,8 @@ use std::process::ExitCode;
 
 use noc_dse::spec::parse_loop_kind;
 use noc_dse::{
-    parse_spec, run_scenarios_cached, run_sweep_probed, run_sweep_sharded_with, EngineOptions,
-    LoopKind, StageCache, SweepConfig, SweepReport,
+    parse_spec, run_sweep_probed, run_sweep_sharded_with, EngineOptions, LoopKind, SweepConfig,
+    SweepReport,
 };
 use noc_experiments::dse_bridge::{
     fig5c_smoke_config, fig5c_via_engine_probed, table2_rows_from_records, table2_scenario_set,
@@ -63,15 +59,15 @@ use noc_experiments::dse_bridge::{
 };
 use noc_experiments::fig5c::Fig5cConfig;
 use noc_experiments::mesh3d::{mesh3d_rows_from_records, mesh3d_spec};
+use noc_experiments::profile_cli::ProfileFlag;
 use noc_experiments::report::{fmt, TextTable};
 use noc_experiments::table2::Table2Config;
 use noc_probe::Probe;
 
 const USAGE: &str = "usage: nmap_dse (--smoke | --table2 | --torus-vs-mesh | --fig5c [--smoke] \
-| --mesh3d [--smoke] | --spec <file> | --bench-json <path> | --bench-mcf <path>) [--loop <kind>] \
-[--threads N] [--jsonl <path>] [--csv <path>] [--timing] [--profile <path>] [--warm-lp] \
-[--allow-failures] [--resume <dir>] [--cache-dir <dir>] [--cache-mem-cap N] [--shard-size N] \
-[--shard-budget N]";
+| --mesh3d [--smoke] | --spec <file> | --bench-mcf <path>) [--loop <kind>] [--threads N] \
+[--jsonl <path>] [--csv <path>] [--timing] [--profile <path>] [--warm-lp] [--allow-failures] \
+[--resume <dir>] [--cache-dir <dir>] [--cache-mem-cap N] [--shard-size N] [--shard-budget N]";
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Mode {
@@ -81,7 +77,6 @@ enum Mode {
     Fig5c,
     Mesh3d,
     Spec,
-    Bench,
     BenchMcf,
 }
 
@@ -109,8 +104,6 @@ struct Args {
     shard_size: usize,
     /// `--shard-budget`: stop after executing this many shards.
     shard_budget: Option<usize>,
-    /// `--bench-json`: output path of the cache benchmark snapshot.
-    bench_json: Option<String>,
     /// `--bench-mcf`: output path of the MCF warm-start benchmark snapshot.
     bench_mcf: Option<String>,
     /// `--warm-lp`: dual-simplex warm starts across the bandwidth axis.
@@ -147,7 +140,6 @@ fn parse_args() -> Result<Option<Args>, String> {
     let mut cache_dir = None;
     let mut shard_size = 0usize;
     let mut shard_budget = None;
-    let mut bench_json = None;
     let mut bench_mcf = None;
     let mut warm_lp = false;
     let mut cache_mem_cap = None;
@@ -190,10 +182,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                 let n: usize = text.parse().map_err(|_| format!("bad shard budget `{text}`"))?;
                 shard_budget = Some(n);
             }
-            "--bench-json" => {
-                modes.push(Mode::Bench);
-                bench_json = Some(raw.next().ok_or("--bench-json needs a path")?);
-            }
             "--bench-mcf" => {
                 modes.push(Mode::BenchMcf);
                 bench_mcf = Some(raw.next().ok_or("--bench-mcf needs a path")?);
@@ -218,7 +206,7 @@ fn parse_args() -> Result<Option<Args>, String> {
         [Mode::Mesh3d, Mode::Smoke] | [Mode::Smoke, Mode::Mesh3d] => (Mode::Mesh3d, true),
         _ => {
             return Err("choose exactly one of --smoke/--table2/--torus-vs-mesh/--fig5c\
-                             /--mesh3d/--spec/--bench-json/--bench-mcf"
+                             /--mesh3d/--spec/--bench-mcf"
                 .into())
         }
     };
@@ -257,7 +245,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         cache_dir,
         shard_size,
         shard_budget,
-        bench_json,
         bench_mcf,
         warm_lp,
         cache_mem_cap,
@@ -284,39 +271,19 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    // A live probe only when a profile was requested — otherwise the
-    // disabled handle, whose hooks are no-ops.
-    let probe = if args.profile.is_some() { Probe::new() } else { Probe::disabled() };
-    match run(&args, &probe) {
-        Ok(code) => match write_profile(&args, &probe) {
-            Ok(()) => code,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::from(1)
-            }
-        },
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::from(1)
-        }
+    let profile = ProfileFlag::new(args.profile.clone());
+    let mut code = run(&args, &profile.probe).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        ExitCode::from(1)
+    });
+    // Written after a failed run too: when the `--spec` failure gate
+    // fires, `--jsonl`/`--csv` are already out, and the profile's
+    // `dse.scenario` events say which scenarios failed.
+    if let Err(msg) = profile.write() {
+        eprintln!("error: {msg}");
+        code = ExitCode::from(1);
     }
-}
-
-/// Writes the accumulated instrumentation profile when `--profile` was
-/// given. Without the `probe` cargo feature the hooks compile to no-ops:
-/// the file is still written (empty) and a warning explains why.
-fn write_profile(args: &Args, probe: &Probe) -> Result<(), String> {
-    let Some(path) = &args.profile else { return Ok(()) };
-    if !Probe::compiled() {
-        eprintln!(
-            "warning: built without the `probe` feature — the profile is empty \
-(rebuild with --features probe)"
-        );
-    }
-    std::fs::write(path, probe.snapshot().to_jsonl())
-        .map_err(|e| format!("cannot write {path}: {e}"))?;
-    println!("wrote {path}");
-    Ok(())
+    code
 }
 
 fn run(args: &Args, probe: &Probe) -> Result<ExitCode, String> {
@@ -444,7 +411,6 @@ fn run(args: &Args, probe: &Probe) -> Result<ExitCode, String> {
             check_failures(&report, args)?;
             Ok(ExitCode::SUCCESS)
         }
-        Mode::Bench => bench(args),
         Mode::BenchMcf => bench_mcf(args),
     }
 }
@@ -553,91 +519,6 @@ fn sweep_sharded(
         );
         return Ok(ExitCode::from(3));
     }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// One row of the `--bench-json` snapshot.
-struct BenchRow {
-    name: &'static str,
-    scenarios: usize,
-    cold_ms: f64,
-    warm_ms: f64,
-    cold_map_misses: u64,
-    cold_map_hits: u64,
-    warm_hit_rate: f64,
-}
-
-/// `--bench-json`: times each study's sweep twice against one shared
-/// [`StageCache`] — cold (empty cache) and warm (fully primed) — and
-/// writes the wall times, speedup and hit rates as a JSON snapshot. The
-/// warm records are asserted byte-identical to the cold ones, so the
-/// speedup is never bought with a behavior change.
-fn bench(args: &Args) -> Result<ExitCode, String> {
-    use std::time::Instant;
-
-    let path = args.bench_json.as_deref().expect("set with --bench-json");
-    let fig5c_set = fig5c_bench_set();
-    let mesh3d_set = noc_experiments::mesh3d::mesh3d_set(true);
-    let search_set = search_bench_set();
-    let mut rows = Vec::new();
-    for (name, set) in
-        [("fig5c", &fig5c_set), ("mesh3d", &mesh3d_set), ("search-mappers", &search_set)]
-    {
-        let cache = StageCache::in_memory();
-        let probe = Probe::disabled();
-        let start = Instant::now();
-        let cold = run_scenarios_cached(set.scenarios(), args.threads, &probe, &cache);
-        let cold_ms = start.elapsed().as_secs_f64() * 1e3;
-        let cold_stats = cache.stats();
-
-        let start = Instant::now();
-        let warm = run_scenarios_cached(set.scenarios(), args.threads, &probe, &cache);
-        let warm_ms = start.elapsed().as_secs_f64() * 1e3;
-        let warm_stats = cache.stats();
-
-        let cold_report = SweepReport::new(cold);
-        let warm_report = SweepReport::new(warm);
-        if cold_report.write_jsonl(false) != warm_report.write_jsonl(false) {
-            return Err(format!("{name}: warm-cache records diverged from cold"));
-        }
-        let warm_lookups = (warm_stats.map_hits - cold_stats.map_hits)
-            + (warm_stats.route_hits - cold_stats.route_hits);
-        let total = 2 * set.len() as u64; // map + route lookups per scenario
-        rows.push(BenchRow {
-            name,
-            scenarios: set.len(),
-            cold_ms,
-            warm_ms,
-            cold_map_misses: cold_stats.map_misses,
-            cold_map_hits: cold_stats.map_hits,
-            warm_hit_rate: warm_lookups as f64 / total as f64,
-        });
-        println!(
-            "{name}: {} scenarios, cold {cold_ms:.1} ms, warm {warm_ms:.1} ms ({:.1}x)",
-            set.len(),
-            cold_ms / warm_ms.max(1e-9),
-        );
-    }
-    let mut out = String::from("{\n  \"bench\": \"dse_cache\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"scenarios\": {}, \"cold_ms\": {:.2}, \
-\"warm_ms\": {:.2}, \"speedup\": {:.2}, \"cold_map_misses\": {}, \
-\"cold_map_hits\": {}, \"warm_hit_rate\": {:.3}}}{}\n",
-            r.name,
-            r.scenarios,
-            r.cold_ms,
-            r.warm_ms,
-            r.cold_ms / r.warm_ms.max(1e-9),
-            r.cold_map_misses,
-            r.cold_map_hits,
-            r.warm_hit_rate,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).map_err(|e| format!("cannot write {path}: {e}"))?;
-    println!("wrote {path}");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -809,51 +690,6 @@ fn bench_mcf(args: &Args) -> Result<ExitCode, String> {
     std::fs::write(path, out).map_err(|e| format!("cannot write {path}: {e}"))?;
     println!("wrote {path}");
     Ok(ExitCode::SUCCESS)
-}
-
-/// The fig5c-class bench sweep: the DSP design mapped once per
-/// (mapper, topology) cell and simulated across the Figure 5(c)
-/// bandwidth axis under both cheap routings — the capacity-invariant
-/// mappers let the stage cache share each mapping across the whole
-/// routing × bandwidth product even on the cold pass.
-fn fig5c_bench_set() -> noc_dse::ScenarioSet {
-    noc_dse::ScenarioSet::builder()
-        .root_seed(5)
-        .dsp()
-        .mapper(noc_dse::MapperSpec::NmapInit)
-        .mapper(noc_dse::MapperSpec::Gmap)
-        .routing(noc_dse::RoutingSpec::MinPath)
-        .routing(noc_dse::RoutingSpec::Xy)
-        .simulate(noc_dse::SimulateSpec {
-            bandwidths_mbps: vec![
-                noc_units::mbps(1_000.0),
-                noc_units::mbps(1_200.0),
-                noc_units::mbps(1_400.0),
-                noc_units::mbps(1_600.0),
-            ],
-            warmup_cycles: 2_000,
-            measure_cycles: 20_000,
-            drain_cycles: 8_000,
-            ..Default::default()
-        })
-        .build()
-}
-
-/// The map-stage-dominated bench sweep: the sa/tabu search mappers on
-/// the bundled apps with no simulation stage. Here the map stage *is*
-/// the sweep, so the warm/cold ratio isolates what the cache saves when
-/// mapping work dominates (the fig5c/mesh3d rows are simulation-bound
-/// and re-run their sim stage warm or cold).
-fn search_bench_set() -> noc_dse::ScenarioSet {
-    noc_dse::ScenarioSet::builder()
-        .root_seed(5)
-        .capacity(900.0)
-        .all_apps()
-        .mapper(noc_dse::MapperSpec::Sa(Default::default()))
-        .mapper(noc_dse::MapperSpec::Tabu(Default::default()))
-        .routing(noc_dse::RoutingSpec::MinPath)
-        .routing(noc_dse::RoutingSpec::Xy)
-        .build()
 }
 
 /// The built-in CI health-check sweep: small apps, both grid families,

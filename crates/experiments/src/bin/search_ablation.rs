@@ -4,8 +4,7 @@
 //! `nmap::search` registry.
 //!
 //! `--profile <path>` dumps the instrumentation profile (search
-//! counters, `sa.sample`/`tabu.sample` trajectory events) as JSON lines;
-//! needs the `probe` cargo feature for non-empty output.
+//! counters, `sa.sample`/`tabu.sample` trajectory events) as JSON lines.
 
 use std::process::ExitCode;
 

@@ -2,11 +2,11 @@
 //!
 //! The single-study harnesses (`fig5c_latency`, `search_ablation`, …)
 //! take no arguments beyond an optional instrumentation-profile path;
-//! this module gives them one parser and one writer so the flag behaves
-//! identically everywhere: a live [`Probe`] only when a path was given,
-//! JSON-lines output via [`noc_probe::Profile::to_jsonl`], and a
-//! warning (plus an empty file) when the binary was built without the
-//! `probe` cargo feature.
+//! this module gives them one parser. Every binary with the flag,
+//! `nmap_dse` included, writes through [`ProfileFlag::write`], so the
+//! flag behaves identically everywhere: a live [`Probe`] only when a
+//! path was given, and JSON-lines output via
+//! [`noc_probe::Profile::to_jsonl`].
 
 use noc_probe::Probe;
 
@@ -20,6 +20,13 @@ pub struct ProfileFlag {
 }
 
 impl ProfileFlag {
+    /// A live probe when `path` is given; otherwise the disabled handle,
+    /// whose hooks are no-ops.
+    pub fn new(path: Option<String>) -> Self {
+        let probe = if path.is_some() { Probe::new() } else { Probe::disabled() };
+        Self { path, probe }
+    }
+
     /// Parses the process arguments, accepting only `--profile <path>`.
     ///
     /// # Errors
@@ -36,25 +43,16 @@ impl ProfileFlag {
                 other => return Err(format!("unexpected argument `{other}`\n{usage}")),
             }
         }
-        let probe = if path.is_some() { Probe::new() } else { Probe::disabled() };
-        Ok(Self { path, probe })
+        Ok(Self::new(path))
     }
 
-    /// Writes the accumulated profile when a path was given. Without the
-    /// `probe` cargo feature the hooks compile to no-ops: the file is
-    /// still written (empty) and a warning explains why.
+    /// Writes the accumulated profile when a path was given.
     ///
     /// # Errors
     ///
     /// A message when the file cannot be written.
     pub fn write(&self) -> Result<(), String> {
         let Some(path) = &self.path else { return Ok(()) };
-        if !Probe::compiled() {
-            eprintln!(
-                "warning: built without the `probe` feature — the profile is empty \
-(rebuild with --features probe)"
-            );
-        }
         std::fs::write(path, self.probe.snapshot().to_jsonl())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {path}");

@@ -1,7 +1,7 @@
-//! End-to-end tests for the `nmap_dse` binary's sharded sweep flags
-//! (PR 9): kill-and-resume must leave byte-identical outputs, the flag
-//! validity rules must reject misuse cleanly, and `--bench-json` must
-//! produce a parseable snapshot.
+//! End-to-end tests for the `nmap_dse` binary: kill-and-resume of a
+//! sharded sweep (PR 9) must leave byte-identical outputs, the flag
+//! validity rules must reject misuse cleanly, and `--profile` must write
+//! real data, also when the failure gate stops the run.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -133,22 +133,44 @@ fn mismatched_checkpoint_is_rejected() {
     assert!(stderr.contains("different sweep"), "stderr: {stderr}");
 }
 
+/// The value of counter `name` in a `--profile` JSONL file.
+fn profile_counter(profile: &str, name: &str) -> Option<u64> {
+    let prefix = format!("{{\"type\":\"counter\",\"name\":\"{name}\",\"value\":");
+    profile.lines().find_map(|line| line.strip_prefix(&prefix)?.strip_suffix('}')?.parse().ok())
+}
+
 #[test]
-fn bench_json_writes_a_snapshot() {
-    let scratch = ScratchDir::new("bench");
-    let path = scratch.path("bench.json");
-    let out = nmap_dse(&["--bench-json", &path, "--threads", "2"]);
+fn default_build_profile_carries_real_data() {
+    let scratch = ScratchDir::new("profile");
+    let path = scratch.path("profile.jsonl");
+    let out = nmap_dse(&["--fig5c", "--smoke", "--threads", "2", "--profile", &path]);
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let text = std::fs::read_to_string(&path).unwrap();
-    for needle in [
-        "\"bench\": \"dse_cache\"",
-        "\"name\": \"fig5c\"",
-        "\"name\": \"mesh3d\"",
-        "\"name\": \"search-mappers\"",
-        "\"warm_hit_rate\": 1.000",
-    ] {
-        assert!(text.contains(needle), "snapshot missing `{needle}`:\n{text}");
+    let profile = std::fs::read_to_string(&path).unwrap();
+    for name in ["sim.cycles_executed", "dse.tasks"] {
+        let value = profile_counter(&profile, name);
+        assert!(value.is_some_and(|v| v > 0), "{name} = {value:?} in:\n{profile}");
     }
+}
+
+#[test]
+fn profile_is_written_when_the_failure_gate_fires() {
+    let scratch = ScratchDir::new("failed_profile");
+    let spec = scratch.path("unfit.dse");
+    // Sixteen VOPD cores cannot be placed on four routers.
+    std::fs::write(&spec, "app vopd\ntopology mesh 2x2\nmapper nmap-init\nrouting min-path\n")
+        .unwrap();
+    let path = scratch.path("profile.jsonl");
+    let out = nmap_dse(&["--spec", &spec, "--profile", &path]);
+    assert_eq!(out.status.code(), Some(1), "the failure gate must fire");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("1 of 1 scenarios failed"), "stderr: {stderr}");
+    let profile = std::fs::read_to_string(&path).expect("profile written on the error path");
+    assert!(
+        profile
+            .lines()
+            .any(|l| l.contains("\"name\":\"dse.scenario\"") && l.contains("\"ok\":false")),
+        "no failed dse.scenario event in:\n{profile}"
+    );
 }
 
 #[test]

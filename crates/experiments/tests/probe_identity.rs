@@ -2,14 +2,10 @@
 //! output of the engine is **byte-identical** with a live probe, a
 //! disabled probe, and no probe at all — at 1, 2 and 8 worker threads.
 //!
-//! The suite runs identically in both feature configurations: with
-//! `--features probe` it proves the live instrumentation is strictly
-//! out-of-band; without it, that the feature-gated no-op stubs change
-//! nothing either (CI runs it both ways). The sweep covers all six
-//! bundled applications plus a simulated leg (tabu + wormhole stage), so
-//! the search counters, trajectory events and simulator counters are all
-//! exercised on the probed side; the Figure 5(c) engine sweep is
-//! compared point-for-point as well.
+//! The sweep covers all six bundled applications plus a simulated leg
+//! (tabu + wormhole stage), so the search counters, trajectory events
+//! and simulator counters are all exercised on the probed side; the
+//! Figure 5(c) engine sweep is compared point-for-point as well.
 
 use noc_dse::{
     run_sweep, run_sweep_probed, EngineOptions, MapperSpec, RoutingSpec, ScenarioSet, SimulateSpec,
@@ -84,12 +80,10 @@ fn assert_outputs_identical(set: &ScenarioSet, label: &str) {
             );
         }
 
-        // Sanity on the instrument itself: a live probe collects data
-        // exactly when the feature is compiled in.
-        assert_eq!(
+        // Sanity on the instrument itself: a live probe collects data.
+        assert!(
             !live_probe.snapshot().is_empty(),
-            Probe::compiled(),
-            "{label}: live profile presence must track the feature ({threads} threads)"
+            "{label}: a live probe must collect ({threads} threads)"
         );
         assert!(
             Probe::disabled().snapshot().is_empty(),
@@ -120,11 +114,9 @@ fn fig5c_points_are_identical_across_probe_states() {
     }
 }
 
-/// With the feature on, a profiled fig5c run must satisfy the cycle
-/// accounting: executed + skipped cycles sum to the same simulated window
-/// the full scan executes in full, and the engine's scenario probes tally
-/// real work.
-#[cfg(feature = "probe")]
+/// A profiled fig5c run must satisfy the cycle accounting: executed +
+/// skipped cycles sum to the same simulated window the full scan executes
+/// in full, and the engine's scenario probes tally real work.
 #[test]
 fn fig5c_profile_reports_consistent_windows_across_loop_kinds() {
     use noc_dse::LoopKind;

@@ -1,6 +1,5 @@
-//! Feature-on implementation: shared-nothing handles over atomics, a
-//! mutex-guarded histogram/event store, and name-sorted snapshots. The
-//! API mirrors [`crate::off`] exactly — keep the two in lockstep.
+//! The handles: shared-nothing counters and gauges over atomics, a
+//! mutex-guarded histogram/event store, and name-sorted snapshots.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -110,12 +109,6 @@ impl Probe {
     #[inline]
     pub fn disabled() -> Self {
         Probe { inner: None }
-    }
-
-    /// Whether the crate was built with the `probe` feature.
-    #[inline]
-    pub const fn compiled() -> bool {
-        true
     }
 
     /// True when this handle actually records.

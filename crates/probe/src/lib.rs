@@ -1,20 +1,13 @@
-//! Zero-cost-when-off instrumentation for the NMAP suite: counters,
-//! gauges, histograms, scoped stage timers and a JSONL event sink.
+//! Instrumentation for the NMAP suite: counters, gauges, histograms,
+//! scoped stage timers and a JSONL event sink.
 //!
-//! # Two switches, one API
+//! # One run-time switch
 //!
-//! Telemetry is controlled at two levels:
-//!
-//! * **Compile time** — the `probe` cargo feature. Without it (the
-//!   default) every handle in this crate is a zero-sized type and every
-//!   method an inlined empty body: instrumented call sites compile to
-//!   nothing, not even a branch. Consumer crates therefore depend on
-//!   `noc-probe` unconditionally and forward a `probe` feature of their
-//!   own — no `#[cfg]` at call sites.
-//! * **Run time** — the [`Probe`] handle. [`Probe::new`] creates a live
-//!   collector (when the feature is on); [`Probe::disabled`] (also the
-//!   [`Default`]) is inert in every build, so a library can thread a
-//!   probe through unconditionally and let the binary decide.
+//! A [`Probe`] handle is live or inert. [`Probe::new`] creates a live
+//! collector; [`Probe::disabled`] (also the [`Default`]) is inert, and
+//! so is every handle it hands out: each call costs one `Option` check.
+//! Libraries thread a probe through unconditionally and let the binary
+//! decide, so any binary can profile without a rebuild.
 //!
 //! # Out-of-band by construction
 //!
@@ -22,14 +15,14 @@
 //! algorithm could branch on (reads like [`Counter::get`] exist for tests
 //! and reporting, not for control flow). The workspace's differential
 //! suite pins the stronger property that all primary outputs are
-//! byte-identical with probes on, off, and compiled out.
+//! byte-identical with a live probe, a disabled probe and no probe.
 //!
 //! # Usage
 //!
 //! ```
 //! use noc_probe::{Probe, Value};
 //!
-//! let probe = Probe::new(); // live when built with `--features probe`
+//! let probe = Probe::new(); // live; `Probe::disabled()` records nothing
 //! let evals = probe.counter("search.evaluations");
 //! evals.inc();
 //! {
@@ -45,19 +38,10 @@
 //! Metric names are free-form; the workspace convention is
 //! `<subsystem>.<metric>[_<unit>]` (see DESIGN.md §16 for the catalog).
 
+mod handles;
 mod profile;
 
-#[cfg(not(feature = "probe"))]
-mod off;
-#[cfg(feature = "probe")]
-mod on;
-
-#[cfg(feature = "probe")]
-pub use on::{Counter, Gauge, Histogram, Probe, StageTimer};
-
-#[cfg(not(feature = "probe"))]
-pub use off::{Counter, Gauge, Histogram, Probe, StageTimer};
-
+pub use handles::{Counter, Gauge, Histogram, Probe, StageTimer};
 pub use profile::{CounterSnapshot, Event, GaugeSnapshot, HistogramSnapshot, Profile, Value};
 
 #[cfg(test)]
@@ -93,8 +77,10 @@ mod api_tests {
     }
 
     #[test]
-    fn compiled_reflects_the_feature() {
-        assert_eq!(Probe::compiled(), cfg!(feature = "probe"));
-        assert_eq!(Probe::new().is_enabled(), cfg!(feature = "probe"));
+    fn new_probe_is_live() {
+        let probe = Probe::new();
+        assert!(probe.is_enabled());
+        probe.counter("c").inc();
+        assert!(!probe.snapshot().is_empty());
     }
 }

@@ -1,9 +1,6 @@
 //! The snapshot model: what a [`Probe`](crate::Probe) has collected,
-//! detached from the live atomics, plus its JSONL encoding.
-//!
-//! Always compiled (with or without the `probe` feature) so signatures
-//! that mention these types exist in every build; without the feature a
-//! snapshot is simply always empty.
+//! detached from the live atomics, plus its JSONL encoding. A disabled
+//! probe's snapshot is always empty.
 
 use std::fmt::Write as _;
 

@@ -107,7 +107,8 @@ impl SimReport {
 /// Telemetry handles for the simulator (see `crates/probe`): no-ops
 /// unless [`Simulator::set_probe`] attached a live probe, and strictly
 /// out-of-band either way — nothing in the simulation reads them, so
-/// reports stay byte-identical with probes on, off, or compiled out.
+/// reports stay byte-identical with a live probe, a disabled one, or
+/// none.
 #[derive(Debug, Clone, Default)]
 struct SimCounters {
     cycles_executed: Counter,

@@ -9,11 +9,6 @@
 //! * the full scan executes every cycle;
 //! * the active-set loop fast-forwards over an empty network, so a mostly
 //!   idle run skips cycles.
-//!
-//! The whole suite needs the `probe` cargo feature: without it the
-//! counters compile to no-ops and there is nothing to assert.
-
-#![cfg(feature = "probe")]
 
 use noc_graph::{NodeId, Topology};
 use noc_probe::{Probe, Profile};

@@ -56,8 +56,8 @@ pub enum UnitError {
         /// The offending value.
         value: f64,
     },
-    /// The value fell outside the type's closed range (e.g. a
-    /// [`CycleFrac`] outside `[0, 1]`).
+    /// The value fell outside the type's closed range (e.g. a zero
+    /// [`Mbps::positive`] capacity).
     OutOfRange {
         /// Unit name.
         unit: &'static str,
@@ -454,62 +454,6 @@ impl Sum for Cycles {
     }
 }
 
-/// A fraction of simulated cycles, such as the share a simulator loop
-/// actually executed. Finite, in `[0, 1]`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CycleFrac(f64);
-
-impl CycleFrac {
-    /// The unit's display name.
-    pub const UNIT: &'static str = "fraction";
-    /// Zero density (no cycle executed).
-    pub const ZERO: Self = Self(0.0);
-    /// Full density (every cycle executed).
-    pub const ONE: Self = Self(1.0);
-
-    /// Checked constructor: rejects NaN/∞ and values outside `[0, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// [`UnitError::NotFinite`] or [`UnitError::OutOfRange`].
-    #[inline]
-    pub fn new(value: f64) -> Result<Self, UnitError> {
-        if !value.is_finite() {
-            return Err(UnitError::NotFinite { unit: Self::UNIT, value });
-        }
-        if !(0.0..=1.0).contains(&value) {
-            return Err(UnitError::OutOfRange { unit: Self::UNIT, value, min: 0.0, max: 1.0 });
-        }
-        Ok(Self(value + 0.0))
-    }
-
-    /// Trusted constructor (see the crate docs); `debug_assert!`s the
-    /// `[0, 1]` invariant.
-    #[inline]
-    pub fn raw(value: f64) -> Self {
-        debug_assert!(
-            value.is_finite() && (0.0..=1.0).contains(&value),
-            "cycle fraction must be in [0, 1], got {}",
-            value
-        );
-        Self(value + 0.0)
-    }
-
-    /// The raw value — the only numeric exit seam.
-    #[inline]
-    pub fn to_f64(self) -> f64 {
-        self.0
-    }
-}
-
-impl_total_order!(CycleFrac);
-
-impl fmt::Display for CycleFrac {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(&self.0, f)
-    }
-}
-
 /// A search evaluation score: either a feasible Equation-7 cost or the
 /// `+∞` infeasibility sentinel the paper's lazy-feasibility search
 /// compares against. Non-negative, never NaN, totally ordered — so
@@ -639,8 +583,6 @@ mod tests {
         assert!(Score::new(f64::INFINITY).is_ok(), "infeasible sentinel");
         assert!(Score::new(f64::NAN).is_err());
         assert!(Score::new(-1.0).is_err());
-        assert!(CycleFrac::new(1.5).is_err());
-        assert!(CycleFrac::new(-0.1).is_err());
         assert!(Mbps::positive(0.0).is_err());
         assert!(Mbps::positive(1.0).is_ok());
     }
@@ -729,8 +671,8 @@ mod tests {
         assert!(e.to_string().contains("MB/s"), "{e}");
         let e = Mbps::new(-2.0).unwrap_err();
         assert!(e.to_string().contains("non-negative"), "{e}");
-        let e = CycleFrac::new(2.0).unwrap_err();
-        assert!(e.to_string().contains("[0, 1]"), "{e}");
+        let e = Mbps::positive(0.0).unwrap_err();
+        assert!(e.to_string().contains("must be in ["), "{e}");
         let e = "x".parse::<Latency>().unwrap_err();
         assert!(e.to_string().contains("parse"), "{e}");
     }

@@ -67,7 +67,7 @@ pub fn lint_file(path: &str, content: &str) -> Vec<Violation> {
 /// solver (whose tableaux sit on every deterministic result path; its
 /// dimensionless `f64` API is opted out per file, keeping the
 /// hash-container and wall-clock rules in force). Consumers
-/// (experiments, baselines, bench, the vendored shims) and the probe
+/// (experiments, baselines, the vendored shims) and the probe
 /// crate (a timing seam by design) are out of scope.
 fn in_scope_for_api_rules(path: &str) -> bool {
     [
@@ -381,7 +381,7 @@ mod tests {
     fn out_of_scope_crates_are_ignored() {
         let src = "pub fn comm_cost(&self) -> f64;\nuse std::collections::HashMap;\n";
         assert!(lint_file("crates/experiments/src/fig3.rs", src).is_empty());
-        assert!(lint_file("crates/probe/src/on.rs", src).is_empty());
+        assert!(lint_file("crates/probe/src/lib.rs", src).is_empty());
         assert!(lint_file("vendor/rand/src/lib.rs", src).is_empty());
     }
 
