@@ -5,6 +5,13 @@
 // timing seam: every `Instant::now` here feeds `StageTimes`, which the
 // report writers exclude from deterministic output by default.
 //!
+//! Three entry points: [`run_scenarios`] runs a scenario list,
+//! [`pool_map`] fans out work the scenario pipeline cannot express, and
+//! [`run_sweep`] runs a whole [`ScenarioSet`] as ordered, optionally
+//! checkpointed shards. The first two take a [`RunContext`] (or a bare
+//! thread count); the third builds one per shard from its
+//! [`SweepConfig`].
+//!
 //! Determinism contract: a scenario's record depends only on the scenario
 //! itself (its seed is fixed at build time, never derived from worker
 //! identity), workers claim scenarios from a shared atomic cursor, and
@@ -37,22 +44,41 @@ use crate::scenario::{
 };
 use crate::shard::{Checkpoint, ShardPlan};
 
-/// Engine configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EngineOptions {
+/// What an engine call runs with besides its work list: the worker
+/// count, the instrumentation probe and the two stores a caller can
+/// share across calls. The default runs on every core with a disabled
+/// probe, a fresh in-memory stage cache and cold LP solves; a bare
+/// thread count converts into exactly that with its `threads` set, so
+/// `run_scenarios(set.scenarios(), 4)` and
+/// `run_scenarios(set.scenarios(), RunContext { threads: 4, ..Default::default() })`
+/// are the same call.
+#[derive(Debug, Clone, Default)]
+pub struct RunContext<'a> {
     /// Worker threads; `0` (the default) uses the machine's available
-    /// parallelism. The pool never spawns more workers than scenarios.
+    /// parallelism. The pool never spawns more workers than tasks.
     pub threads: usize,
-    /// Warm-start the MCF route stage's LP across a sweep's bandwidth
-    /// axis: scenarios sharing a [`cache::warm_lineage_key`] chain their
-    /// optimal simplex tableaux through [`solve_mcf_warm`]'s dual simplex
-    /// instead of cold two-phase solves. Off by default. Records are
-    /// byte-identical either way — a warm result is used only when
-    /// `noc-lp`'s uniqueness guard proves the optimum unique, every other
-    /// case falls back to the cold path — but the `lp.warm_start.*`
-    /// counters depend on which capacity point of a lineage solves first,
-    /// so they are interleaving-dependent above one thread.
-    pub warm_lp: bool,
+    /// Instrumentation, disabled by default. A live probe collects
+    /// stage-time histograms, per-worker utilization, search/simulator
+    /// counters and a per-scenario run log, strictly out-of-band: records
+    /// stay byte-identical (see `DESIGN.md` §16).
+    pub probe: Probe,
+    /// A caller-owned [`StageCache`], the seam for cross-call reuse (a
+    /// warm cache spanning several calls, or one with an on-disk tier).
+    /// `None` gives each call a fresh in-memory cache, so scenarios of
+    /// one call sharing a map or route stage (the routing × bandwidth
+    /// axes) still compute it exactly once. Cache keys capture every
+    /// input a stage reads, so a cached result equals the computed one.
+    pub cache: Option<&'a StageCache>,
+    /// Warm-start store for the MCF route stage (see [`WarmLpStore`]);
+    /// `None` keeps every LP solve cold. A store spanning several calls
+    /// chains bases across them.
+    pub warm: Option<&'a WarmLpStore>,
+}
+
+impl From<usize> for RunContext<'_> {
+    fn from(threads: usize) -> Self {
+        Self { threads, ..Self::default() }
+    }
 }
 
 /// Per-lineage warm-start slots for the MCF route stage, shared across a
@@ -97,101 +123,36 @@ impl WarmLpStore {
     }
 }
 
-/// Runs every scenario of `set` and aggregates the records into a
-/// [`SweepReport`] (records in scenario order).
-pub fn run_sweep(set: &ScenarioSet, options: &EngineOptions) -> SweepReport {
-    run_sweep_probed(set, options, &Probe::default())
-}
-
-/// [`run_sweep`] with instrumentation attached: stage-time histograms,
-/// worker utilization, per-scenario run-log events and a sweep-level
-/// `dse.sweep` summary event land in `probe`. The probe observes only —
-/// the returned report is byte-identical to an unprobed run.
-pub fn run_sweep_probed(set: &ScenarioSet, options: &EngineOptions, probe: &Probe) -> SweepReport {
-    let warm = options.warm_lp.then(WarmLpStore::default);
-    let records = run_scenarios_warm(
-        set.scenarios(),
-        options.threads,
-        probe,
-        &StageCache::in_memory(),
-        warm.as_ref(),
-    );
-    if probe.is_enabled() {
-        let failed = records.iter().filter(|r| !r.is_ok()).count();
-        let feasible = records.iter().filter(|r| r.feasible).count();
-        probe.emit(
-            "dse.sweep",
-            &[
-                ("scenarios", Value::from(records.len())),
-                ("failed", Value::from(failed)),
-                ("feasible", Value::from(feasible)),
-                ("threads", Value::from(options.threads)),
-            ],
-        );
-    }
-    SweepReport::new(records)
-}
-
-/// Runs `scenarios` on `threads` workers (`0` = available parallelism),
-/// returning records in scenario order. Scenario-level failures (app does
-/// not fit, unroutable, LP breakdown) become records with a non-empty
-/// `error` field; they never abort the sweep.
-pub fn run_scenarios(scenarios: &[Scenario], threads: usize) -> Vec<RunRecord> {
-    run_scenarios_probed(scenarios, threads, &Probe::default())
-}
-
-/// [`run_scenarios`] with instrumentation attached (see
-/// [`run_sweep_probed`] for what the probe collects). A fresh in-memory
-/// [`StageCache`] spans the call, so scenarios sharing a map or route
-/// stage (the routing × bandwidth axes) compute it exactly once.
-pub fn run_scenarios_probed(
-    scenarios: &[Scenario],
-    threads: usize,
-    probe: &Probe,
-) -> Vec<RunRecord> {
-    run_scenarios_cached(scenarios, threads, probe, &StageCache::in_memory())
-}
-
-/// [`run_scenarios_probed`] against a caller-owned [`StageCache`] — the
-/// seam for cross-sweep reuse (a warm cache spanning several calls, or
-/// one with an on-disk tier). Stage memoization preserves the byte-
-/// identical-output contract: cache keys capture every input a stage
-/// reads, so a cached result equals the computed one by construction.
-pub fn run_scenarios_cached(
-    scenarios: &[Scenario],
-    threads: usize,
-    probe: &Probe,
-    cache: &StageCache,
-) -> Vec<RunRecord> {
-    run_scenarios_warm(scenarios, threads, probe, cache, None)
-}
-
-/// [`run_scenarios_cached`] with an optional warm-start store for the MCF
-/// route stage (see [`WarmLpStore`]); `None` keeps every LP solve cold.
-/// Passing a store spanning several calls chains bases across them.
-pub fn run_scenarios_warm(
-    scenarios: &[Scenario],
-    threads: usize,
-    probe: &Probe,
-    cache: &StageCache,
-    warm: Option<&WarmLpStore>,
-) -> Vec<RunRecord> {
-    pool_map_probed(scenarios.len(), threads, probe, |i| {
-        run_scenario_warm(&scenarios[i], probe, cache, warm)
+/// Runs `scenarios` under `ctx` (a [`RunContext`] or a bare thread
+/// count), returning records in scenario order. Scenario-level failures
+/// (app does not fit, unroutable, LP breakdown) become records with a
+/// non-empty `error` field; they never abort the call. Cache lookups land
+/// in the `dse.cache.{hit,miss,disk_hit}` probe counters (plus per-stage
+/// `dse.cache.{map,route}_*` variants), LP pivot counts of warm-chained
+/// solves in `lp.pivots` / `lp.phase1_pivots`, and basis reuse in
+/// `lp.warm_start.hits` / `lp.warm_start.pivots_saved`.
+pub fn run_scenarios<'a>(scenarios: &[Scenario], ctx: impl Into<RunContext<'a>>) -> Vec<RunRecord> {
+    let ctx = ctx.into();
+    let fresh = StageCache::in_memory();
+    let cache = ctx.cache.unwrap_or(&fresh);
+    pool_map(scenarios.len(), ctx.clone(), |i| {
+        run_scenario(&scenarios[i], &ctx.probe, cache, ctx.warm)
     })
 }
 
-/// Default scenarios per shard for [`run_sweep_sharded`]: small enough
-/// that a kill loses little work, large enough that per-shard pool and
-/// checkpoint overhead stays negligible.
+/// Default scenarios per shard for a checkpointed [`run_sweep`]: small
+/// enough that a kill loses little work, large enough that per-shard pool
+/// and checkpoint overhead stays negligible.
 pub const DEFAULT_SHARD_SIZE: usize = 64;
 
-/// Configuration of a sharded, optionally checkpointed sweep.
+/// Configuration of a [`run_sweep`]: worker count, sharding, checkpoint,
+/// stage-cache tiers and warm LP starts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SweepConfig {
     /// Worker threads per shard; `0` uses available parallelism.
     pub threads: usize,
-    /// Scenarios per shard; `0` uses [`DEFAULT_SHARD_SIZE`].
+    /// Scenarios per shard; `0` uses [`DEFAULT_SHARD_SIZE`] for a
+    /// checkpointed sweep and one shard over every scenario otherwise.
     pub shard_size: usize,
     /// Checkpoint directory: completed shards persist here and are
     /// skipped on re-run (see [`crate::shard::Checkpoint`]). `None`
@@ -205,21 +166,28 @@ pub struct SweepConfig {
     /// count) and return with `completed = false` — the seam kill-and-
     /// resume tests and bounded-work runs use. `None` runs to the end.
     pub shard_budget: Option<usize>,
-    /// Warm-start the MCF route stage's LP across the bandwidth axis (see
-    /// [`EngineOptions::warm_lp`]); the warm store spans shards, so a
-    /// lineage's basis chain survives shard boundaries.
+    /// Warm-start the MCF route stage's LP across the bandwidth axis:
+    /// scenarios sharing a [`cache::warm_lineage_key`] chain their optimal
+    /// simplex tableaux through [`solve_mcf_warm`]'s dual simplex instead
+    /// of cold two-phase solves. The store spans shards, so a lineage's
+    /// basis chain survives shard boundaries. Records are byte-identical
+    /// either way — a warm result is used only when `noc-lp`'s uniqueness
+    /// guard proves the optimum unique, every other case falls back to
+    /// the cold path — but the `lp.warm_start.*` counters depend on which
+    /// capacity point of a lineage solves first, so they are
+    /// interleaving-dependent above one thread.
     pub warm_lp: bool,
     /// Byte budget for the stage cache's in-memory tiers (see
     /// [`StageCache::with_mem_cap`]); `None` is unbounded.
     pub cache_mem_cap: Option<usize>,
 }
 
-/// What a sharded sweep produced (see [`run_sweep_sharded`]).
+/// What a [`run_sweep`] produced.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ShardedOutcome {
+pub struct SweepOutcome {
     /// Records of every shard processed so far, in scenario order. For a
-    /// completed sweep this is the full report, byte-identical to
-    /// [`run_sweep`]'s on the default (timing-less) writers.
+    /// completed sweep this is the full report, byte-identical on the
+    /// default (timing-less) writers to [`run_scenarios`] over the set.
     pub report: SweepReport,
     /// False when a `shard_budget` stopped the sweep early.
     pub completed: bool,
@@ -235,36 +203,34 @@ pub struct ShardedOutcome {
 
 /// Runs `set` as ordered shards with stage memoization, optional
 /// checkpointed resume and an optional on-disk cache tier (see
-/// [`SweepConfig`]). Records merge in shard order = scenario order, so
-/// the deterministic output of a completed sweep is byte-identical to
-/// [`run_sweep`]'s at any thread count, cold or warm cache, straight
-/// through or killed-and-resumed.
+/// [`SweepConfig`]). `sink(shard, records)` is called once per shard in
+/// shard order — with restored records for checkpoint hits — so callers
+/// can emit JSONL incrementally instead of buffering the whole sweep (the
+/// full report is still returned). Records merge in shard order =
+/// scenario order, so the deterministic output of a completed sweep is
+/// byte-identical to [`run_scenarios`]'s at any thread count, cold or
+/// warm cache, straight through or killed-and-resumed.
+///
+/// A live `probe` also receives the `dse.shard.{run,restored}` and
+/// `dse.cache.evictions` counters and one `dse.sweep` summary event.
 ///
 /// # Errors
 ///
 /// Checkpoint/cache I/O failures and sweep-mismatch rejections (a
 /// checkpoint directory recorded for a different sweep). Scenario-level
 /// failures still become error records, never call-level errors.
-pub fn run_sweep_sharded(
-    set: &ScenarioSet,
-    config: &SweepConfig,
-    probe: &Probe,
-) -> Result<ShardedOutcome, String> {
-    run_sweep_sharded_with(set, config, probe, &mut |_, _| {})
-}
-
-/// [`run_sweep_sharded`] with a streaming sink: `sink(shard, records)`
-/// is called once per shard in shard order — with restored records for
-/// checkpoint hits — so callers can emit JSONL incrementally instead of
-/// buffering the whole sweep (the full report is still returned).
-pub fn run_sweep_sharded_with(
+pub fn run_sweep(
     set: &ScenarioSet,
     config: &SweepConfig,
     probe: &Probe,
     sink: &mut dyn FnMut(usize, &[RunRecord]),
-) -> Result<ShardedOutcome, String> {
+) -> Result<SweepOutcome, String> {
     let scenarios = set.scenarios();
-    let shard_size = if config.shard_size == 0 { DEFAULT_SHARD_SIZE } else { config.shard_size };
+    let shard_size = match (config.shard_size, &config.checkpoint_dir) {
+        (0, Some(_)) => DEFAULT_SHARD_SIZE,
+        (0, None) => scenarios.len(),
+        (size, _) => size,
+    };
     let plan = ShardPlan::new(scenarios.len(), shard_size);
     let cache = match &config.cache_dir {
         Some(dir) => StageCache::with_disk(dir)?,
@@ -276,10 +242,17 @@ pub fn run_sweep_sharded_with(
         Some(dir) => Some(Checkpoint::open(dir, scenarios, shard_size)?),
         None => None,
     };
+    let ctx = RunContext {
+        threads: config.threads,
+        probe: probe.clone(),
+        cache: Some(&cache),
+        warm: warm.as_ref(),
+    };
 
     let mut records: Vec<RunRecord> = Vec::with_capacity(scenarios.len());
     let mut shards_run = 0usize;
     let mut shards_restored = 0usize;
+    let mut workers = 0usize;
     let mut completed = true;
     for shard in 0..plan.shard_count() {
         if let Some(cp) = &checkpoint {
@@ -295,8 +268,8 @@ pub fn run_sweep_sharded_with(
             break;
         }
         let range = plan.range(shard);
-        let shard_records =
-            run_scenarios_warm(&scenarios[range], config.threads, probe, &cache, warm.as_ref());
+        workers = workers.max(effective_threads(config.threads, range.len()));
+        let shard_records = run_scenarios(&scenarios[range], ctx.clone());
         if let Some(cp) = &checkpoint {
             cp.store_shard(shard, &shard_records)?;
         }
@@ -309,10 +282,15 @@ pub fn run_sweep_sharded_with(
         probe.counter("dse.shard.run").add(shards_run as u64);
         probe.counter("dse.shard.restored").add(shards_restored as u64);
         probe.counter("dse.cache.evictions").add(cache.stats().evictions);
+        let failed = records.iter().filter(|r| !r.is_ok()).count();
+        let feasible = records.iter().filter(|r| r.feasible).count();
         probe.emit(
-            "dse.sweep_sharded",
+            "dse.sweep",
             &[
                 ("scenarios", Value::from(records.len())),
+                ("failed", Value::from(failed)),
+                ("feasible", Value::from(feasible)),
+                ("threads", Value::from(workers)),
                 ("shards_total", Value::from(plan.shard_count())),
                 ("shards_run", Value::from(shards_run)),
                 ("shards_restored", Value::from(shards_restored)),
@@ -320,7 +298,7 @@ pub fn run_sweep_sharded_with(
             ],
         );
     }
-    Ok(ShardedOutcome {
+    Ok(SweepOutcome {
         report: SweepReport::new(records),
         completed,
         shards_total: plan.shard_count(),
@@ -332,30 +310,24 @@ pub fn run_sweep_sharded_with(
 
 /// The engine's deterministic worker pool, exposed for harnesses that fan
 /// out work the scenario pipeline cannot express (e.g. the engine-backed
-/// Figure 5(c) sweep): runs `task(0..count)` on `threads` workers (`0` =
-/// available parallelism) and returns the results **in index order**.
+/// Figure 5(c) sweep): runs `task(0..count)` on `ctx.threads` workers
+/// (`0` = available parallelism) and returns the results **in index
+/// order**. `ctx` is a [`RunContext`] or a bare thread count; the pool
+/// reads only its `threads` and `probe`.
 ///
 /// The determinism contract is the caller's half of the engine's: `task`
 /// must be a pure function of its index (no shared mutable state, no
 /// worker-identity dependence). Under that contract the returned vector
 /// is identical for 1 or N threads — workers claim indices from a shared
 /// atomic cursor and write each result into its index's slot.
-pub fn pool_map<T, F>(count: usize, threads: usize, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    pool_map_probed(count, threads, &Probe::default(), task)
-}
-
-/// [`pool_map`] with per-worker utilization accounting attached: when
-/// `probe` is live, each worker's busy time (inside `task`) and wait
-/// time (claim overhead plus tail idle) land in the
+///
+/// When `ctx.probe` is live, each worker's busy time (inside `task`) and
+/// wait time (claim overhead plus tail idle) land in the
 /// `dse.worker_busy_us` / `dse.worker_wait_us` histograms, completed
 /// tasks in the `dse.tasks` counter, and one `dse.worker` event per
 /// worker records its share of the pool. The accounting is entirely
 /// out-of-band — results are identical to an unprobed run.
-pub fn pool_map_probed<T, F>(count: usize, threads: usize, probe: &Probe, task: F) -> Vec<T>
+pub fn pool_map<'a, T, F>(count: usize, ctx: impl Into<RunContext<'a>>, task: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -363,7 +335,9 @@ where
     if count == 0 {
         return Vec::new();
     }
-    let workers = effective_threads(threads, count);
+    let ctx = ctx.into();
+    let probe = &ctx.probe;
+    let workers = effective_threads(ctx.threads, count);
     let instrumented = probe.is_enabled();
     // Busy time accumulates per worker and is reported once at worker
     // exit, so the hot claim loop touches no shared probe state.
@@ -448,36 +422,14 @@ fn effective_threads(threads: usize, scenarios: usize) -> usize {
 
 /// Runs one scenario end to end: build → map → route → measure, plus the
 /// optional wormhole-simulation stage (the scenario's routing tables are
-/// loaded into the simulator as source routes).
-pub fn run_scenario(scenario: &Scenario) -> RunRecord {
-    run_scenario_probed(scenario, &Probe::default())
-}
-
-/// [`run_scenario`] with instrumentation attached: the probe is threaded
+/// loaded into the simulator as source routes). The probe is threaded
 /// into the mapper's [`EvalContext`] (evaluation/delta-gate counters,
 /// search trajectory events) and the simulator (executed/skipped-cycle
 /// counters), the per-stage wall times land in the `dse.stage.*_us`
-/// histograms, and one `dse.scenario` event records the run. The record
-/// itself is byte-identical to an unprobed run. Stage memoization is
-/// per-call here (a fresh cache each time); use [`run_scenario_cached`]
-/// to share stages across scenarios.
-pub fn run_scenario_probed(scenario: &Scenario, probe: &Probe) -> RunRecord {
-    run_scenario_cached(scenario, probe, &StageCache::in_memory())
-}
-
-/// [`run_scenario_probed`] against a caller-owned [`StageCache`]. Cache
-/// lookups land in the `dse.cache.{hit,miss,disk_hit}` counters (plus
-/// per-stage `dse.cache.{map,route}_*` variants) and their overhead in
-/// the `dse.stage.cache_us` histogram.
-pub fn run_scenario_cached(scenario: &Scenario, probe: &Probe, cache: &StageCache) -> RunRecord {
-    run_scenario_warm(scenario, probe, cache, None)
-}
-
-/// [`run_scenario_cached`] with an optional warm-start store (see
-/// [`WarmLpStore`]). LP pivot counts land in the `lp.pivots` /
-/// `lp.phase1_pivots` counters and basis reuse in `lp.warm_start.hits` /
-/// `lp.warm_start.pivots_saved`.
-pub fn run_scenario_warm(
+/// histograms (cache-lookup overhead in `dse.stage.cache_us`), and one
+/// `dse.scenario` event records the run. The record itself is
+/// byte-identical to an unprobed run.
+fn run_scenario(
     scenario: &Scenario,
     probe: &Probe,
     cache: &StageCache,
@@ -674,7 +626,7 @@ fn simulate(
 /// shares straight from the tables (zero-fraction placeholder routes are
 /// dropped — [`FlowSpec::split`] rejects non-positive weights). This is
 /// *the* bridge between the mapping layer and the simulator; the
-/// sequential Figure 5(c) harness routes through it too.
+/// Figure 5(c) sweep's pool tasks route through it too.
 pub fn flows_from_tables(
     problem: &MappingProblem,
     mapping: &Mapping,
@@ -871,6 +823,11 @@ mod tests {
             .collect()
     }
 
+    /// One scenario through the public entry point, single-threaded.
+    fn run_one(scenario: &Scenario) -> RunRecord {
+        run_scenarios(std::slice::from_ref(scenario), 1).remove(0)
+    }
+
     fn small_set() -> ScenarioSet {
         ScenarioSet::builder()
             .root_seed(3)
@@ -909,7 +866,7 @@ mod tests {
             routing: RoutingSpec::MinPath,
             simulate: None,
         };
-        let record = run_scenario(&scenario);
+        let record = run_one(&scenario);
         assert!(!record.is_ok());
         assert!(record.error.contains("16 cores"), "error: {}", record.error);
         assert!(!record.feasible);
@@ -949,7 +906,7 @@ mod tests {
             routing: RoutingSpec::McfQuadrant,
             simulate: None,
         };
-        let record = run_scenario(&scenario);
+        let record = run_one(&scenario);
         assert!(record.is_ok(), "error: {}", record.error);
         assert!(record.feasible);
         assert!(record.max_link_load > Mbps::ZERO);
@@ -969,7 +926,7 @@ mod tests {
             routing: RoutingSpec::McfAllPaths,
             simulate: None,
         };
-        let record = run_scenario(&scenario);
+        let record = run_one(&scenario);
         assert!(record.is_ok(), "error: {}", record.error);
         assert!(!record.feasible);
         assert!(record.max_link_load > mbps(100.0));
@@ -997,7 +954,7 @@ mod tests {
             routing: RoutingSpec::MinPath,
             simulate: Some(quick_sim()),
         };
-        let record = run_scenario(&scenario);
+        let record = run_one(&scenario);
         assert!(record.is_ok(), "error: {}", record.error);
         let sim = record.sim.as_ref().expect("simulate stage ran");
         assert!(sim.avg_latency_cycles.to_f64() > 0.0, "no packets measured");
@@ -1009,11 +966,11 @@ mod tests {
         assert!(!sim.saturated, "1.4 GB/s links must not saturate the DSP design");
 
         // Same scenario, same record — the sim stage is deterministic.
-        let again = run_scenario(&scenario);
+        let again = run_one(&scenario);
         assert_eq!(again.sim, record.sim);
 
         // Without the simulate stage the columns stay empty.
-        let bare = run_scenario(&Scenario { simulate: None, ..scenario });
+        let bare = run_one(&Scenario { simulate: None, ..scenario });
         assert!(bare.sim.is_none());
         assert_eq!(bare.comm_cost, record.comm_cost);
     }
@@ -1052,7 +1009,7 @@ mod tests {
             }),
             ..scenario
         };
-        let record = run_scenario(&unresolved);
+        let record = run_one(&unresolved);
         assert!(!record.is_ok());
         assert!(record.error.contains("unresolved bandwidth"), "error: {}", record.error);
     }
@@ -1071,7 +1028,7 @@ mod tests {
             routing: RoutingSpec::McfQuadrant,
             simulate: Some(quick_sim()),
         };
-        let record = run_scenario(&scenario);
+        let record = run_one(&scenario);
         assert!(record.is_ok(), "error: {}", record.error);
         assert!(record.sim.as_ref().expect("sim ran").avg_latency_cycles.to_f64() > 0.0);
     }
@@ -1079,7 +1036,11 @@ mod tests {
     #[test]
     fn run_sweep_aggregates_in_order() {
         let set = small_set();
-        let report = run_sweep(&set, &EngineOptions::default());
+        let outcome = run_sweep(&set, &SweepConfig::default(), &Probe::default(), &mut |_, _| {})
+            .expect("no checkpoint or disk tier to fail");
+        assert!(outcome.completed);
+        assert_eq!(outcome.shards_total, 1, "no checkpoint: one shard over every scenario");
+        let report = outcome.report;
         assert_eq!(report.records.len(), set.len());
         let labels: Vec<_> = report.records.iter().map(|r| r.scenario.clone()).collect();
         let expected: Vec<_> = set.scenarios().iter().map(|s| s.label.clone()).collect();

@@ -16,40 +16,43 @@
 //!   of them through the [`nmap::search::Mapper`] trait); routing
 //!   regimes cover load-balanced min-path, dimension-ordered XY and the
 //!   MCF splits.
-//! * [`run_sweep`] / [`run_scenarios`] — a deterministic `std::thread`
-//!   worker pool: scenarios carry their own seeds (derived from a root
-//!   seed at build time, never from worker identity) and records merge in
-//!   scenario order, so sweep output is byte-identical for 1 or N threads.
+//! * [`run_scenarios`] / [`pool_map`] / [`run_sweep`] — the three entry
+//!   points. A deterministic `std::thread` worker pool runs scenarios (or,
+//!   through [`pool_map`], any per-index task): scenarios carry their own
+//!   seeds (derived from a root seed at build time, never from worker
+//!   identity) and records merge in scenario order, so output is
+//!   byte-identical for 1 or N threads. [`run_sweep`] runs a whole
+//!   [`ScenarioSet`] under a [`SweepConfig`] as ordered shards.
+//! * [`RunContext`] — what an engine call runs with: the worker count, a
+//!   [`noc_probe::Probe`] (stage-time histograms, per-worker utilization,
+//!   search/simulator counters and a structured per-scenario run log, all
+//!   strictly out-of-band — records stay byte-identical; see `DESIGN.md`
+//!   §16), a caller-owned [`StageCache`] and a [`WarmLpStore`]. A bare
+//!   thread count converts into a default context.
 //! * [`RunRecord`] / [`SweepReport`] — the aggregation layer: JSON-lines
 //!   and CSV writers plus summary statistics (feasibility rate, cost
 //!   quantiles, per-stage wall time).
-//! * [`run_sweep_probed`] / [`run_scenarios_probed`] /
-//!   [`run_scenario_probed`] / [`pool_map_probed`] — the same engine
-//!   with a [`noc_probe::Probe`] attached: stage-time histograms,
-//!   per-worker utilization, search/simulator counters and a structured
-//!   per-scenario run log, all strictly out-of-band (records stay
-//!   byte-identical; see `DESIGN.md` §16).
-//! * [`StageCache`] / [`run_sweep_sharded`] — stage memoization and
-//!   sharded, checkpointed, resumable sweeps: a content-addressed cache
-//!   computes each shared map/route stage exactly once (optionally
-//!   persisted across runs), shards checkpoint to disk as they complete,
-//!   and an interrupted sweep resumes by replaying finished shards —
-//!   all without breaking the byte-identical-output contract (see
-//!   `DESIGN.md` §18). The in-memory tier takes an optional byte budget
-//!   (`--cache-mem-cap`) with LRU eviction.
-//! * [`WarmLpStore`] / [`run_scenarios_warm`] — dual-simplex warm starts
-//!   for MCF routing: scenarios that differ only in link capacity chain
-//!   their route-stage LP tableaux (`--warm-lp`), so each later
-//!   bandwidth point re-solves from its predecessor's snapshot in a few
-//!   dual pivots instead of a full two-phase solve. A uniqueness guard
-//!   keeps warm records byte-identical to cold ones (see `DESIGN.md`
-//!   §19).
+//! * [`StageCache`] / [`shard`] — stage memoization and sharded,
+//!   checkpointed, resumable sweeps: a content-addressed cache computes
+//!   each shared map/route stage exactly once (optionally persisted
+//!   across runs), shards checkpoint to disk as they complete, and an
+//!   interrupted sweep resumes by replaying finished shards — all without
+//!   breaking the byte-identical-output contract (see `DESIGN.md` §18).
+//!   The in-memory tier takes an optional byte budget (`--cache-mem-cap`)
+//!   with LRU eviction.
+//! * [`WarmLpStore`] — dual-simplex warm starts for MCF routing:
+//!   scenarios that differ only in link capacity chain their route-stage
+//!   LP tableaux (`--warm-lp`), so each later bandwidth point re-solves
+//!   from its predecessor's snapshot in a few dual pivots instead of a
+//!   full two-phase solve. A uniqueness guard keeps warm records
+//!   byte-identical to cold ones (see `DESIGN.md` §19).
 //!
 //! # Example
 //!
 //! ```
-//! use noc_dse::{run_sweep, EngineOptions, MapperSpec, RoutingSpec, ScenarioSet};
+//! use noc_dse::{run_scenarios, run_sweep, MapperSpec, RoutingSpec, ScenarioSet, SweepConfig};
 //! use noc_apps::App;
+//! use noc_probe::Probe;
 //!
 //! let set = ScenarioSet::builder()
 //!     .app(App::Pip)
@@ -58,10 +61,16 @@
 //!     .routing(RoutingSpec::MinPath)
 //!     .routing(RoutingSpec::Xy)
 //!     .build();
-//! let report = run_sweep(&set, &EngineOptions::default());
+//! let outcome = run_sweep(&set, &SweepConfig::default(), &Probe::disabled(), &mut |_, _| {})
+//!     .expect("no checkpoint or disk tier to fail");
+//! let report = outcome.report;
 //! assert_eq!(report.records.len(), 4);
 //! assert!(report.records.iter().all(|r| r.is_ok()));
 //! println!("{}", report.summary());
+//!
+//! // The same records from a plain scenario list on two workers.
+//! let records = run_scenarios(set.scenarios(), 2);
+//! assert_eq!(records.len(), 4);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -76,11 +85,8 @@ pub mod spec;
 
 pub use cache::{CacheStats, Lookup, StageCache};
 pub use engine::{
-    flows_from_tables, pool_map, pool_map_probed, run_scenario, run_scenario_cached,
-    run_scenario_probed, run_scenario_warm, run_scenarios, run_scenarios_cached,
-    run_scenarios_probed, run_scenarios_warm, run_sweep, run_sweep_probed, run_sweep_sharded,
-    run_sweep_sharded_with, EngineOptions, ShardedOutcome, SweepConfig, WarmLpStore,
-    DEFAULT_SHARD_SIZE,
+    flows_from_tables, pool_map, run_scenarios, run_sweep, RunContext, SweepConfig, SweepOutcome,
+    WarmLpStore, DEFAULT_SHARD_SIZE,
 };
 pub use noc_sim::LoopKind;
 pub use report::{parse_record_json, RunRecord, SimStats, StageTimes, SweepReport, SweepSummary};

@@ -5,11 +5,10 @@
 //! writers must produce the same bytes for `threads = 1, 2, 8`.
 
 use noc_dse::{
-    parse_spec, run_scenarios, run_scenarios_cached, LoopKind, MapperSpec, RoutingSpec,
-    ScenarioSet, SimulateSpec, StageCache, SweepReport, TopologySpec,
+    parse_spec, run_scenarios, LoopKind, MapperSpec, RoutingSpec, RunContext, ScenarioSet,
+    SimulateSpec, StageCache, SweepReport, TopologySpec,
 };
 use noc_graph::RandomGraphConfig;
-use noc_probe::Probe;
 
 /// A sweep wide enough that 8 workers genuinely interleave: 14 app
 /// entries × 2 topologies × 2 mappers × 2 routings = 112 scenarios.
@@ -219,11 +218,9 @@ fn stage_cache_shares_map_stages_without_changing_bytes() {
         // Cold cache: identical bytes, map stage runs once per distinct
         // (app, topology, mapper) cell regardless of worker count.
         let cache = StageCache::in_memory();
-        let report = SweepReport::new(run_scenarios_cached(
+        let report = SweepReport::new(run_scenarios(
             set.scenarios(),
-            threads,
-            &Probe::disabled(),
-            &cache,
+            RunContext { threads, cache: Some(&cache), ..Default::default() },
         ));
         assert_eq!(report.write_jsonl(false), jsonl, "cold JSONL diverged at threads={threads}");
         assert_eq!(report.write_csv(false), csv, "cold CSV diverged at threads={threads}");
@@ -234,11 +231,9 @@ fn stage_cache_shares_map_stages_without_changing_bytes() {
 
         // Warm re-run against the same cache: same bytes, zero new map
         // or route executions.
-        let warm = SweepReport::new(run_scenarios_cached(
+        let warm = SweepReport::new(run_scenarios(
             set.scenarios(),
-            threads,
-            &Probe::disabled(),
-            &cache,
+            RunContext { threads, cache: Some(&cache), ..Default::default() },
         ));
         assert_eq!(warm.write_jsonl(false), jsonl, "warm JSONL diverged at threads={threads}");
         assert_eq!(warm.write_csv(false), csv, "warm CSV diverged at threads={threads}");

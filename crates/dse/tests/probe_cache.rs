@@ -5,10 +5,10 @@
 //! counts (misses = distinct computed keys, never racing workers).
 
 use noc_dse::{
-    run_scenarios_cached, run_sweep_sharded, MapperSpec, RoutingSpec, ScenarioSet, SimulateSpec,
+    run_scenarios, run_sweep, MapperSpec, RoutingSpec, RunContext, ScenarioSet, SimulateSpec,
     StageCache, SweepConfig, SweepReport,
 };
-use noc_probe::{Probe, Profile};
+use noc_probe::{Probe, Profile, Value};
 
 fn counter(profile: &Profile, name: &str) -> u64 {
     profile.counter(name).unwrap_or(0)
@@ -47,8 +47,8 @@ fn cache_counters_prove_map_stage_sharing_at_every_thread_count() {
     for threads in [1usize, 2, 8] {
         let probe = Probe::new();
         let cache = StageCache::in_memory();
-        let report =
-            SweepReport::new(run_scenarios_cached(set.scenarios(), threads, &probe, &cache));
+        let ctx = RunContext { threads, probe: probe.clone(), cache: Some(&cache), warm: None };
+        let report = SweepReport::new(run_scenarios(set.scenarios(), ctx));
         let profile = probe.snapshot();
 
         // Probe counters and the cache's own stats must tell one story.
@@ -85,10 +85,23 @@ fn sharded_sweep_reports_shard_counters() {
     let set = shared_map_set();
     let probe = Probe::new();
     let config = SweepConfig { threads: 2, shard_size: 10, ..Default::default() };
-    let outcome = run_sweep_sharded(&set, &config, &probe).unwrap();
+    let outcome = run_sweep(&set, &config, &probe, &mut |_, _| {}).unwrap();
     assert!(outcome.completed);
     let profile = probe.snapshot();
     assert_eq!(counter(&profile, "dse.shard.run"), 3, "24 scenarios / shard size 10");
     assert_eq!(counter(&profile, "dse.shard.restored"), 0);
     assert_eq!(counter(&profile, "dse.cache.map_miss"), 4);
+    // One summary event for the whole sweep, carrying the shard tallies
+    // and the workers each shard's pool actually ran.
+    let events: Vec<_> = profile.events_named("dse.sweep").collect();
+    assert_eq!(events.len(), 1);
+    let field = |name: &str| {
+        events[0].fields.iter().find(|(key, _)| key == name).map(|(_, value)| value.clone())
+    };
+    assert_eq!(field("scenarios"), Some(Value::from(24usize)));
+    assert_eq!(field("threads"), Some(Value::from(2usize)));
+    assert_eq!(field("shards_total"), Some(Value::from(3usize)));
+    assert_eq!(field("shards_run"), Some(Value::from(3usize)));
+    assert_eq!(field("shards_restored"), Some(Value::from(0usize)));
+    assert_eq!(field("completed"), Some(Value::from(true)));
 }

@@ -5,7 +5,9 @@
 //! out of sync with the spec format or the engine dispatch again.
 
 use noc_baselines::standard_registry;
-use noc_dse::{parse_spec, run_scenario, AppSpec, MapperSpec, RoutingSpec, Scenario, TopologySpec};
+use noc_dse::{
+    parse_spec, run_scenarios, AppSpec, MapperSpec, RoutingSpec, Scenario, TopologySpec,
+};
 
 /// `mapper <name>` must parse for every registered name, and the parsed
 /// spec's Display name must be the registered name — the full
@@ -45,7 +47,7 @@ fn the_engine_runs_every_registered_mapper() {
             routing: RoutingSpec::MinPath,
             simulate: None,
         };
-        let record = run_scenario(&scenario);
+        let record = run_scenarios(std::slice::from_ref(&scenario), 1).remove(0);
         assert!(record.is_ok(), "mapper `{name}` failed: {}", record.error);
         assert_eq!(record.mapper, name);
         assert!(record.comm_cost > noc_units::HopMbps::ZERO, "mapper `{name}`");

@@ -5,8 +5,8 @@
 //! must actually skip the completed shards rather than redo them.
 
 use noc_dse::{
-    run_scenarios, run_sweep_sharded, run_sweep_sharded_with, MapperSpec, RoutingSpec, ScenarioSet,
-    SimulateSpec, SweepConfig, SweepReport, TopologySpec,
+    run_scenarios, run_sweep, MapperSpec, RoutingSpec, ScenarioSet, SimulateSpec, SweepConfig,
+    SweepReport, TopologySpec,
 };
 use noc_probe::Probe;
 
@@ -78,7 +78,7 @@ fn interrupted_sweep_resumes_byte_identically() {
         };
 
         // "Kill" the sweep after 3 of 7 shards.
-        let partial = run_sweep_sharded(&set, &config, &Probe::disabled()).unwrap();
+        let partial = run_sweep(&set, &config, &Probe::disabled(), &mut |_, _| {}).unwrap();
         assert!(!partial.completed, "budget must stop the sweep early");
         assert_eq!(partial.shards_total, 7);
         assert_eq!(partial.shards_run, 3);
@@ -86,10 +86,11 @@ fn interrupted_sweep_resumes_byte_identically() {
 
         // Resume: completed shards come back from the checkpoint, the
         // rest run, and the merged output matches the oracle exactly.
-        let resumed = run_sweep_sharded(
+        let resumed = run_sweep(
             &set,
             &SweepConfig { shard_budget: None, ..config },
             &Probe::disabled(),
+            &mut |_, _| {},
         )
         .unwrap();
         assert!(resumed.completed);
@@ -121,7 +122,7 @@ fn straight_through_sharded_sweep_matches_plain_engine() {
         shard_budget: None,
         ..Default::default()
     };
-    let outcome = run_sweep_sharded(&set, &config, &Probe::disabled()).unwrap();
+    let outcome = run_sweep(&set, &config, &Probe::disabled(), &mut |_, _| {}).unwrap();
     assert!(outcome.completed);
     assert_eq!(outcome.shards_run, outcome.shards_total);
     assert_eq!(outcome.report.write_jsonl(false), oracle.write_jsonl(false));
@@ -133,7 +134,7 @@ fn straight_through_sharded_sweep_matches_plain_engine() {
 
     // A second full run against the same checkpoint restores everything
     // and executes nothing.
-    let rerun = run_sweep_sharded(&set, &config, &Probe::disabled()).unwrap();
+    let rerun = run_sweep(&set, &config, &Probe::disabled(), &mut |_, _| {}).unwrap();
     assert!(rerun.completed);
     assert_eq!(rerun.shards_run, 0);
     assert_eq!(rerun.shards_restored, rerun.shards_total);
@@ -153,14 +154,14 @@ fn warm_disk_cache_reruns_are_byte_identical_and_skip_map_work() {
         shard_budget: None,
         ..Default::default()
     };
-    let cold = run_sweep_sharded(&set, &base, &Probe::disabled()).unwrap();
+    let cold = run_sweep(&set, &base, &Probe::disabled(), &mut |_, _| {}).unwrap();
     assert_eq!(cold.report.write_jsonl(false), oracle);
     assert_eq!(cold.cache.map_misses, 8);
     assert_eq!(cold.cache.map_disk_hits, 0);
 
     // Fresh engine call, same cache dir: every distinct map stage comes
     // off disk, none recompute, bytes unchanged.
-    let warm = run_sweep_sharded(&set, &base, &Probe::disabled()).unwrap();
+    let warm = run_sweep(&set, &base, &Probe::disabled(), &mut |_, _| {}).unwrap();
     assert_eq!(warm.report.write_jsonl(false), oracle, "warm-cache JSONL diverged");
     assert_eq!(warm.cache.map_misses, 0, "warm run recomputed a map stage");
     assert_eq!(warm.cache.map_disk_hits, 8);
@@ -182,10 +183,10 @@ fn streaming_sink_sees_every_shard_in_order() {
     // Interrupt at 4 shards, then resume while streaming: the sink must
     // see all 7 shards (4 restored + 3 executed) in order, and the
     // concatenation of its records is the whole sweep.
-    run_sweep_sharded(&set, &config, &Probe::disabled()).unwrap();
+    run_sweep(&set, &config, &Probe::disabled(), &mut |_, _| {}).unwrap();
     let mut shards = Vec::new();
     let mut streamed = String::new();
-    let outcome = run_sweep_sharded_with(
+    let outcome = run_sweep(
         &set,
         &SweepConfig { shard_budget: None, ..config },
         &Probe::disabled(),

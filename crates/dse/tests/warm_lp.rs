@@ -8,9 +8,8 @@ use nmap::mcf::{solve_mcf_for, solve_mcf_warm};
 use nmap::{McfKind, McfWarmState, PathScope};
 use noc_apps::App;
 use noc_dse::{
-    run_scenarios, run_scenarios_warm, run_sweep_sharded, AppSpec, MapperSpec, RoutingSpec,
-    RunRecord, Scenario, ScenarioSet, StageCache, StageTimes, SweepConfig, TopologySpec,
-    WarmLpStore,
+    run_scenarios, run_sweep, AppSpec, MapperSpec, RoutingSpec, RunContext, RunRecord, Scenario,
+    ScenarioSet, StageTimes, SweepConfig, TopologySpec, WarmLpStore,
 };
 use noc_probe::Probe;
 use noc_units::mbps;
@@ -57,12 +56,9 @@ fn warm_lp_records_match_cold_at_every_thread_count() {
     assert!(cold.iter().any(|r| !r.feasible), "sweep must reach binding capacities");
     for threads in [1usize, 2, 8] {
         let store = WarmLpStore::default();
-        let warm = run_scenarios_warm(
+        let warm = run_scenarios(
             &scenarios,
-            threads,
-            &Probe::default(),
-            &StageCache::in_memory(),
-            Some(&store),
+            RunContext { threads, warm: Some(&store), ..Default::default() },
         );
         assert_eq!(strip_times(&warm), strip_times(&cold), "threads={threads}");
     }
@@ -127,7 +123,8 @@ fn warm_lp_counters_report_pivot_work() {
     let scenarios = mcf_capacity_sweep();
     let probe = Probe::new();
     let store = WarmLpStore::default();
-    let _ = run_scenarios_warm(&scenarios, 1, &probe, &StageCache::in_memory(), Some(&store));
+    let ctx = RunContext { threads: 1, probe: probe.clone(), cache: None, warm: Some(&store) };
+    let _ = run_scenarios(&scenarios, ctx);
     let profile = probe.snapshot();
     let pivots = profile.counter("lp.pivots").unwrap_or(0);
     let phase1 = profile.counter("lp.phase1_pivots").unwrap_or(0);
@@ -153,13 +150,14 @@ fn cache_byte_budget_never_changes_records() {
         .routing(RoutingSpec::MinPath)
         .routing(RoutingSpec::McfQuadrant)
         .build();
-    let baseline = run_sweep_sharded(&set, &SweepConfig::default(), &Probe::default())
+    let baseline = run_sweep(&set, &SweepConfig::default(), &Probe::default(), &mut |_, _| {})
         .expect("unbounded sweep");
     let reference = baseline.report.write_jsonl(false);
     assert_eq!(baseline.cache.evictions, 0, "unbounded cache must not evict");
     for (cap, threads) in [(Some(0), 1), (Some(0), 2), (Some(600), 1), (Some(600), 8)] {
         let config = SweepConfig { threads, cache_mem_cap: cap, ..Default::default() };
-        let outcome = run_sweep_sharded(&set, &config, &Probe::default()).expect("capped sweep");
+        let outcome =
+            run_sweep(&set, &config, &Probe::default(), &mut |_, _| {}).expect("capped sweep");
         assert_eq!(outcome.report.write_jsonl(false), reference, "cap={cap:?} threads={threads}");
         if cap == Some(0) {
             assert!(outcome.cache.evictions > 0, "cap 0 must evict every entry");
@@ -182,7 +180,7 @@ fn warm_and_capped_sweep_matches_cold_unbounded_sharded_output() {
             cache_mem_cap: Some(4_096),
             ..Default::default()
         };
-        let outcome = run_sweep_sharded(&set, &config, &Probe::default()).expect("sweep");
+        let outcome = run_sweep(&set, &config, &Probe::default(), &mut |_, _| {}).expect("sweep");
         assert_eq!(strip_times(&outcome.report.records), strip_times(&cold), "threads={threads}");
     }
 }

@@ -1,12 +1,15 @@
 //! Regenerates Figure 5(c): average packet latency vs link bandwidth for
-//! the DSP filter NoC, single-path vs split-traffic routing.
+//! the DSP filter NoC, single-path vs split-traffic routing. The points
+//! fan out over the engine pool on every core.
 //!
 //! `--profile <path>` dumps the instrumentation profile (simulator
-//! executed/skipped-cycle counters) as JSON lines.
+//! executed/skipped-cycle counters, worker utilization) as JSON lines.
 
 use std::process::ExitCode;
 
-use noc_experiments::fig5c::{run_probed, Fig5cConfig};
+use noc_dse::RunContext;
+use noc_experiments::dse_bridge::fig5c_via_engine;
+use noc_experiments::fig5c::Fig5cConfig;
 use noc_experiments::profile_cli::ProfileFlag;
 use noc_experiments::report::{fmt, TextTable};
 
@@ -20,7 +23,8 @@ fn main() -> ExitCode {
     };
     println!("Figure 5(c) — avg packet latency (cycles) vs link bandwidth, DSP NoC");
     println!("(wormhole simulator, 64 B packets, 7-cycle switch delay, bursty sources)\n");
-    let points = run_probed(&Fig5cConfig::default(), &flag.probe);
+    let ctx = RunContext { probe: flag.probe.clone(), ..Default::default() };
+    let points = fig5c_via_engine(&Fig5cConfig::default(), ctx);
     let mut table = TextTable::new([
         "BW (GB/s)",
         "Minp (cy)",

@@ -26,35 +26,35 @@
 //!                                   the bandwidth axis (dual-simplex warm
 //!                                   starts; records stay byte-identical)
 //!           --allow-failures        (--spec only) exit 0 even when scenarios fail
-//! sharded sweeps (--spec only; any of these switches to the sharded engine):
+//! sharded sweeps (--spec only; any of these also prints shard and cache
+//! statistics):
 //!           --resume <dir>          checkpoint shards under <dir> and skip
-//!                                   shards already completed there; `--jsonl`
-//!                                   streams shard by shard
+//!                                   shards already completed there
 //!           --cache-dir <dir>       persist the map-stage cache under <dir>
 //!                                   for cross-run reuse
 //!           --cache-mem-cap N       in-memory stage-cache byte budget
 //!                                   (LRU eviction; default unbounded)
-//!           --shard-size N          scenarios per shard (default 64)
-//!           --shard-budget N        stop after executing N shards (exit 3;
-//!                                   rerun with --resume to continue)
+//!           --shard-size N          scenarios per shard (default: 64 with
+//!                                   --resume, else one shard)
+//!           --shard-budget N        (with --resume) stop after executing N
+//!                                   shards (exit 3; rerun to continue)
 //! ```
 //!
 //! `--table2` prints the same values as `table2_scaling` and `--fig5c`
-//! the same points as `fig5c_latency` (the sequential reference
-//! harnesses); the sweeps themselves fan out across the worker pool.
+//! the same points as `fig5c_latency`: both make the same engine calls.
 //! Exit code 1 on bad input or a sweep containing failed scenarios —
 //! pass `--allow-failures` for exploratory sweeps where does-not-fit
 //! records are data rather than errors.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use noc_dse::spec::parse_loop_kind;
 use noc_dse::{
-    parse_spec, run_sweep_probed, run_sweep_sharded_with, EngineOptions, LoopKind, SweepConfig,
-    SweepReport,
+    parse_spec, run_sweep, LoopKind, RunContext, ScenarioSet, SweepConfig, SweepOutcome,
 };
 use noc_experiments::dse_bridge::{
-    fig5c_smoke_config, fig5c_via_engine_probed, table2_rows_from_records, table2_scenario_set,
+    fig5c_smoke_config, fig5c_via_engine, table2_rows_from_records, table2_scenario_set,
     torus_vs_mesh_rows_from_records, torus_vs_mesh_set,
 };
 use noc_experiments::fig5c::Fig5cConfig;
@@ -113,8 +113,9 @@ struct Args {
 }
 
 impl Args {
-    /// Any sharded-engine option present? (Routes `--spec` through
-    /// [`run_sweep_sharded_with`] instead of the plain pool.)
+    /// Any sharding, checkpoint or cache option present? They are valid
+    /// with `--spec` only, and [`sweep`] reports shard and cache
+    /// statistics when one is given.
     fn sharded(&self) -> bool {
         self.resume.is_some()
             || self.cache_dir.is_some()
@@ -256,6 +257,13 @@ fn parse_args() -> Result<Option<Args>, String> {
                     are only valid with --spec"
             .into());
     }
+    if args.shard_budget.is_some() && args.resume.is_none() {
+        // A budget stop is only worth making when a rerun can pick up
+        // where it stopped; without a checkpoint it would start over.
+        return Err("--shard-budget needs --resume (without a checkpoint a stopped \
+                    sweep cannot continue)"
+            .into());
+    }
     Ok(Some(args))
 }
 
@@ -290,9 +298,9 @@ fn run(args: &Args, probe: &Probe) -> Result<ExitCode, String> {
     match args.mode {
         Mode::Table2 => {
             println!("Table 2 via noc-dse — PBB vs NMAP on random graphs (engine sweep)");
-            println!("(values identical to the sequential table2_scaling harness)\n");
+            println!("(values identical to the table2_scaling harness)\n");
             let config = Table2Config::default();
-            let report = sweep(&table2_scenario_set(&config), args, probe)?;
+            let report = sweep(&table2_scenario_set(&config), args, probe)?.report;
             let rows = table2_rows_from_records(&config, &report.records);
             let mut table = TextTable::new(["cores", "PBB", "NMAP", "ratio"]);
             for row in rows {
@@ -308,7 +316,7 @@ fn run(args: &Args, probe: &Probe) -> Result<ExitCode, String> {
         }
         Mode::TorusVsMesh => {
             println!("Torus vs mesh — NMAP cost with and without wrap links\n");
-            let report = sweep(&torus_vs_mesh_set(), args, probe)?;
+            let report = sweep(&torus_vs_mesh_set(), args, probe)?.report;
             let rows = torus_vs_mesh_rows_from_records(&report.records);
             let mut table = TextTable::new(["app", "mesh", "torus", "mesh/torus"]);
             for row in rows {
@@ -332,7 +340,7 @@ fn run(args: &Args, probe: &Probe) -> Result<ExitCode, String> {
             if let Some(kind) = args.loop_kind {
                 spec.simulate.as_mut().expect("mesh3d spec simulates").loop_kind = kind;
             }
-            let report = sweep(&spec.scenarios(), args, probe)?;
+            let report = sweep(&spec.scenarios(), args, probe)?.report;
             let rows = mesh3d_rows_from_records(&report.records);
             let mut table = TextTable::new([
                 "app", "cores", "cost 2D", "cost 3D", "2D/3D", "lat 2D", "lat 3D", "notes",
@@ -360,7 +368,9 @@ fn run(args: &Args, probe: &Probe) -> Result<ExitCode, String> {
             }
             println!("Figure 5(c) via noc-dse — avg packet latency vs link bandwidth, DSP NoC");
             println!("(values identical to the sequential fig5c_latency harness)\n");
-            let points = fig5c_via_engine_probed(&config, args.threads, probe);
+            let ctx =
+                RunContext { threads: args.threads, probe: probe.clone(), ..Default::default() };
+            let points = fig5c_via_engine(&config, ctx);
             let mut table = TextTable::new(["BW (GB/s)", "Minp (cy)", "Split (cy)", "notes"]);
             for p in &points {
                 let mut notes = String::new();
@@ -383,7 +393,7 @@ fn run(args: &Args, probe: &Probe) -> Result<ExitCode, String> {
         Mode::Smoke => {
             for (label, text) in [("smoke", SMOKE_SPEC), ("smoke-split", SMOKE_SPLIT_SPEC)] {
                 let spec = parse_spec(text).map_err(|e| format!("{label} spec: {e}"))?;
-                let report = sweep(&spec.scenarios(), args, probe)?;
+                let report = sweep(&spec.scenarios(), args, probe)?.report;
                 let failed: Vec<_> = report.records.iter().filter(|r| !r.is_ok()).collect();
                 if !failed.is_empty() {
                     return Err(format!(
@@ -404,70 +414,47 @@ fn run(args: &Args, probe: &Probe) -> Result<ExitCode, String> {
             // A successfully parsed spec always expands to at least one
             // scenario: parse_spec requires an app directive and the
             // builder default-fills every other axis.
-            if args.sharded() {
-                return sweep_sharded(&spec.scenarios(), args, probe);
+            let outcome = sweep(&spec.scenarios(), args, probe)?;
+            let failed = outcome.report.records.iter().filter(|r| !r.is_ok()).count();
+            if failed > 0 && !args.allow_failures {
+                return Err(format!(
+                    "{failed} of {} scenarios failed (use --allow-failures if \
+that is expected)",
+                    outcome.report.records.len()
+                ));
             }
-            let report = sweep(&spec.scenarios(), args, probe)?;
-            check_failures(&report, args)?;
+            if !outcome.completed {
+                println!(
+                    "stopped by --shard-budget after {} shards; rerun with --resume to continue",
+                    outcome.shards_run
+                );
+                return Ok(ExitCode::from(3));
+            }
             Ok(ExitCode::SUCCESS)
         }
         Mode::BenchMcf => bench_mcf(args),
     }
 }
 
-/// The `--spec` failure gate, shared by the plain and sharded paths.
-fn check_failures(report: &SweepReport, args: &Args) -> Result<(), String> {
-    let failed = report.records.iter().filter(|r| !r.is_ok()).count();
-    if failed > 0 && !args.allow_failures {
-        return Err(format!(
-            "{failed} of {} scenarios failed (use --allow-failures if \
-that is expected)",
-            report.records.len()
-        ));
-    }
-    Ok(())
-}
-
-/// Runs the sweep, writes requested outputs, prints the summary.
-fn sweep(set: &noc_dse::ScenarioSet, args: &Args, probe: &Probe) -> Result<SweepReport, String> {
-    println!("running {} scenarios...", set.len());
-    let options = EngineOptions { threads: args.threads, warm_lp: args.warm_lp };
-    let report = run_sweep_probed(set, &options, probe);
-    if let Some(path) = &args.jsonl {
-        std::fs::write(path, report.write_jsonl(args.timing))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    if let Some(path) = &args.csv {
-        std::fs::write(path, report.write_csv(args.timing))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    println!("{}", report.summary());
-    Ok(report)
-}
-
-/// The sharded `--spec` path: stage-cached, optionally checkpointed and
-/// budget-bounded (see DESIGN.md §18). `--jsonl` streams shard by shard
-/// — an interrupted run leaves a valid prefix on disk. Exit code 3 when
-/// a `--shard-budget` stopped the sweep before the last shard.
-fn sweep_sharded(
-    set: &noc_dse::ScenarioSet,
-    args: &Args,
-    probe: &Probe,
-) -> Result<ExitCode, String> {
+/// Runs `set` through the engine (see DESIGN.md §18), writes the
+/// requested outputs and prints the summary, plus a line of shard and
+/// cache statistics when a sharding, checkpoint or cache option is given.
+/// `--jsonl` streams shard by shard, so a run stopped by `--shard-budget`
+/// leaves a valid prefix on disk.
+fn sweep(set: &ScenarioSet, args: &Args, probe: &Probe) -> Result<SweepOutcome, String> {
     use std::io::Write;
 
     let config = SweepConfig {
         threads: args.threads,
         shard_size: args.shard_size,
-        checkpoint_dir: args.resume.as_ref().map(std::path::PathBuf::from),
-        cache_dir: args.cache_dir.as_ref().map(std::path::PathBuf::from),
+        checkpoint_dir: args.resume.as_ref().map(PathBuf::from),
+        cache_dir: args.cache_dir.as_ref().map(PathBuf::from),
         shard_budget: args.shard_budget,
         warm_lp: args.warm_lp,
         cache_mem_cap: args.cache_mem_cap,
     };
-    println!("running {} scenarios (sharded)...", set.len());
+    let sharded = args.sharded();
+    println!("running {} scenarios{}...", set.len(), if sharded { " (sharded)" } else { "" });
     let mut jsonl = match &args.jsonl {
         Some(path) => {
             let file =
@@ -476,7 +463,7 @@ fn sweep_sharded(
         }
         None => None,
     };
-    let outcome = run_sweep_sharded_with(set, &config, probe, &mut |_, records| {
+    let outcome = run_sweep(set, &config, probe, &mut |_, records| {
         if let Some((writer, _)) = &mut jsonl {
             for record in records {
                 // Stream errors surface at flush below; the sweep itself
@@ -498,28 +485,22 @@ fn sweep_sharded(
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {path}");
     }
-    let stats = &outcome.cache;
-    println!(
-        "shards: {} run, {} restored, {} total; map stages: {} computed, {} shared, {} from disk; \
-{} cache evictions",
-        outcome.shards_run,
-        outcome.shards_restored,
-        outcome.shards_total,
-        stats.map_misses,
-        stats.map_hits,
-        stats.map_disk_hits,
-        stats.evictions,
-    );
-    println!("{}", outcome.report.summary());
-    check_failures(&outcome.report, args)?;
-    if !outcome.completed {
+    if sharded {
+        let stats = &outcome.cache;
         println!(
-            "stopped by --shard-budget after {} shards; rerun with --resume to continue",
-            outcome.shards_run
+            "shards: {} run, {} restored, {} total; map stages: {} computed, {} shared, \
+{} from disk; {} cache evictions",
+            outcome.shards_run,
+            outcome.shards_restored,
+            outcome.shards_total,
+            stats.map_misses,
+            stats.map_hits,
+            stats.map_disk_hits,
+            stats.evictions,
         );
-        return Ok(ExitCode::from(3));
     }
-    Ok(ExitCode::SUCCESS)
+    println!("{}", outcome.report.summary());
+    Ok(outcome)
 }
 
 /// One row of the `--bench-mcf` snapshot: a routing scope timed under the

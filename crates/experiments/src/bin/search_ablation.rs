@@ -10,7 +10,7 @@ use std::process::ExitCode;
 
 use noc_experiments::profile_cli::ProfileFlag;
 use noc_experiments::report::{fmt, TextTable};
-use noc_experiments::search_ablation::{run_all_probed, run_strategies_probed};
+use noc_experiments::search_ablation::{run_all, run_strategies};
 
 fn main() -> ExitCode {
     let flag = match ProfileFlag::from_env("usage: search_ablation [--profile <path>]") {
@@ -22,7 +22,7 @@ fn main() -> ExitCode {
     };
     println!("NMAP search ablation — cost / evaluations / time per configuration\n");
     let mut table = TextTable::new(["app", "configuration", "cost", "evals", "time"]);
-    for point in run_all_probed(&flag.probe) {
+    for point in run_all(&flag.probe) {
         table.row([
             point.app.name().to_string(),
             point.config.to_string(),
@@ -37,7 +37,7 @@ fn main() -> ExitCode {
 
     println!("\nSearch strategies via the mapper registry — same swap-delta kernel\n");
     let mut table = TextTable::new(["app", "mapper", "cost", "evals", "time"]);
-    for point in run_strategies_probed(&flag.probe) {
+    for point in run_strategies(&flag.probe) {
         table.row([
             point.app.name().to_string(),
             point.mapper.to_string(),

@@ -1,27 +1,26 @@
-//! Paper experiments re-expressed as `noc-dse` scenario sweeps.
+//! The paper's engine-backed experiments: each study expressed once, as
+//! a `noc-dse` scenario set (or pool fan-out) plus a fold of its records.
+//! The study binaries (`table2_scaling`, `fig5c_latency`) and `nmap_dse`
+//! all run through these functions.
 //!
-//! The point-by-point harnesses in this crate (one module per figure or
-//! table) remain the reference implementations; this module shows the
-//! same studies flowing through the parallel engine. [`table2_via_engine`]
-//! reproduces [`crate::table2::run`] *exactly* — same graph seeds, same
-//! mapper budgets, same floating-point accumulation order — so the two
-//! paths are mutually checking (asserted by the `dse_table2` integration
-//! test). [`fig5c_via_engine`] does the same for the Figure 5(c)
+//! [`table2_via_engine`] runs Table 2 as a [`table2_scenario_set`] sweep
+//! folded by [`table2_rows_from_records`]; the `dse_table2` integration
+//! test pins its values. [`fig5c_via_engine`] runs the Figure 5(c)
 //! simulation sweep: the per-point wormhole runs fan out over the
-//! engine's deterministic [`noc_dse::pool_map`] and are asserted equal to the
-//! sequential [`crate::fig5c::run`] (the `dse_fig5c` integration test).
-//! [`torus_vs_mesh`] is a new engine-only study: how much of each
+//! engine's deterministic [`noc_dse::pool_map`], and the `dse_fig5c`
+//! integration test pins the points bit for bit at 1 and 4 threads.
+//! [`torus_vs_mesh`] is an engine-only study: how much of each
 //! application's communication cost the wrap-around links of a torus
 //! recover over a mesh of the same radix.
 
 use noc_dse::{
-    pool_map_probed, run_scenarios, MapperSpec, RoutingSpec, RunRecord, ScenarioSet, TopologySpec,
+    flows_from_tables, pool_map, run_scenarios, MapperSpec, RoutingSpec, RunContext, RunRecord,
+    ScenarioSet, TopologySpec,
 };
 use noc_graph::{RandomGraphConfig, Topology};
-use noc_probe::Probe;
 use noc_sim::Simulator;
 
-use crate::fig5c::{design_dsp, flows_from_tables, Fig5cConfig, Fig5cPoint};
+use crate::fig5c::{design_dsp, Fig5cConfig, Fig5cPoint};
 use crate::table2::{Table2Config, Table2Row};
 use crate::{GENEROUS_CAPACITY, UNLIMITED_CAPACITY};
 
@@ -42,8 +41,8 @@ pub fn table2_scenario_set(config: &Table2Config) -> ScenarioSet {
 }
 
 /// Folds the engine records of [`table2_scenario_set`] back into Table 2
-/// rows, accumulating costs in the same instance order (and therefore the
-/// same floating-point sums) as [`crate::table2::run`].
+/// rows: per size, the mean cost of each mapper over the instances,
+/// summed in instance order.
 ///
 /// # Panics
 ///
@@ -81,47 +80,44 @@ pub fn table2_rows_from_records(config: &Table2Config, records: &[RunRecord]) ->
         .collect()
 }
 
-/// Runs the Table 2 scaling study through the engine on `threads` workers
-/// (`0` = available parallelism). Values are identical to
-/// [`crate::table2::run`] with the same configuration.
-pub fn table2_via_engine(config: &Table2Config, threads: usize) -> Vec<Table2Row> {
+/// Runs the Table 2 scaling study through the engine under `ctx` (a
+/// [`RunContext`] or a bare thread count, `0` = available parallelism).
+/// The rows are identical at every thread count.
+pub fn table2_via_engine<'a>(
+    config: &Table2Config,
+    ctx: impl Into<RunContext<'a>>,
+) -> Vec<Table2Row> {
     let set = table2_scenario_set(config);
-    let records = run_scenarios(set.scenarios(), threads);
+    let records = run_scenarios(set.scenarios(), ctx);
     table2_rows_from_records(config, &records)
 }
 
 /// Runs the Figure 5(c) simulation sweep through the engine's
-/// deterministic worker pool on `threads` workers (`0` = available
-/// parallelism). The DSP design (placement + both routing-table sets) is
-/// built once, exactly as [`crate::fig5c::run`] does; each
+/// deterministic worker pool under `ctx` (a [`RunContext`] or a bare
+/// thread count, `0` = available parallelism). The DSP design
+/// (placement + both routing-table sets) is built once; each
 /// `(bandwidth, table-set)` wormhole simulation is an independent pool
 /// task whose seed comes from `config.sim` alone — so the points are
-/// identical to the sequential harness at every thread count (asserted by
-/// the `dse_fig5c` integration test).
-pub fn fig5c_via_engine(config: &Fig5cConfig, threads: usize) -> Vec<Fig5cPoint> {
-    fig5c_via_engine_probed(config, threads, &Probe::default())
-}
-
-/// [`fig5c_via_engine`] with instrumentation attached: the probe is
-/// threaded into each point's simulator (executed/skipped-cycle
-/// counters) and into the worker pool (per-worker utilization). The probe
-/// observes only — the points are byte-identical to an unprobed run.
-pub fn fig5c_via_engine_probed(
+/// identical at every thread count. A live `ctx.probe` reaches each
+/// point's simulator (executed/skipped-cycle counters) and the pool
+/// (per-worker utilization); it observes only, so the points are
+/// byte-identical to an unprobed run.
+pub fn fig5c_via_engine<'a>(
     config: &Fig5cConfig,
-    threads: usize,
-    probe: &Probe,
+    ctx: impl Into<RunContext<'a>>,
 ) -> Vec<Fig5cPoint> {
+    let ctx = ctx.into();
     let design = design_dsp();
     // Task order: [minpath(bw0), split(bw0), minpath(bw1), split(bw1), …].
     let tasks = config.bandwidths_mbps.len() * 2;
-    let runs = pool_map_probed(tasks, threads, probe, |i| {
+    let runs = pool_map(tasks, ctx.clone(), |i| {
         let bw = config.bandwidths_mbps[i / 2];
         let tables = if i % 2 == 0 { &design.minpath_tables } else { &design.split_tables };
         let topology = Topology::mesh(3, 2, bw);
         let flows = flows_from_tables(&design.problem, &design.mapping, tables);
         let mut sim = Simulator::new(&topology, flows, config.sim.clone());
         sim.set_loop_kind(config.loop_kind);
-        sim.set_probe(probe);
+        sim.set_probe(&ctx.probe);
         let report = sim.run();
         (
             report.avg_latency_cycles().to_f64(),

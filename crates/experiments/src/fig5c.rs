@@ -8,7 +8,9 @@
 //! path from the greedy router, split from per-commodity MCF sizing — are
 //! loaded into the wormhole simulator as source routes; bursty traffic
 //! generators replay the core graph's average rates; the link bandwidth is
-//! swept from 1.1 to 1.8 GB/s.
+//! swept from 1.1 to 1.8 GB/s. This module builds the design and holds
+//! the sweep's data types; the sweep itself runs through the engine pool
+//! in [`crate::dse_bridge::fig5c_via_engine`].
 //!
 //! **Split sizing semantics** (DESIGN.md §6): Table 3's "split BW" is the
 //! per-flow link provisioning — each commodity is split over just enough
@@ -27,7 +29,7 @@ use nmap::{
 };
 use noc_apps::dsp_filter;
 use noc_graph::{NodeId, Topology};
-use noc_sim::{FlowSpec, LoopKind, SimConfig, Simulator};
+use noc_sim::{LoopKind, SimConfig};
 
 use crate::GENEROUS_CAPACITY;
 
@@ -190,61 +192,6 @@ pub fn design_dsp() -> DspDesign {
     }
 }
 
-/// Converts commodities + routing tables into simulator flows (the shared
-/// mapping-layer → simulator bridge, re-exported here for the harnesses
-/// and benches that grew around this module).
-pub fn flows_from_tables(
-    problem: &MappingProblem,
-    mapping: &Mapping,
-    tables: &RoutingTables,
-) -> Vec<FlowSpec> {
-    noc_dse::flows_from_tables(problem, mapping, tables)
-}
-
-/// Runs the full sweep.
-pub fn run(config: &Fig5cConfig) -> Vec<Fig5cPoint> {
-    run_probed(config, &noc_probe::Probe::default())
-}
-
-/// [`run`] with instrumentation attached: every point's simulator gets
-/// the probe (executed/skipped-cycle counters). The probe observes
-/// only — the points are byte-identical to an unprobed run.
-pub fn run_probed(config: &Fig5cConfig, probe: &noc_probe::Probe) -> Vec<Fig5cPoint> {
-    let design = design_dsp();
-    config
-        .bandwidths_mbps
-        .iter()
-        .map(|&bw| {
-            let topology = Topology::mesh(3, 2, bw);
-            let run_one = |tables: &RoutingTables| {
-                let flows = flows_from_tables(&design.problem, &design.mapping, tables);
-                let mut sim = Simulator::new(&topology, flows, config.sim.clone());
-                sim.set_loop_kind(config.loop_kind);
-                sim.set_probe(probe);
-                let report = sim.run();
-                (
-                    report.avg_latency_cycles().to_f64(),
-                    report.avg_network_latency_cycles().to_f64(),
-                    report.saturated(),
-                )
-            };
-            let (minpath_latency, minpath_network_latency, minpath_saturated) =
-                run_one(&design.minpath_tables);
-            let (split_latency, split_network_latency, split_saturated) =
-                run_one(&design.split_tables);
-            Fig5cPoint {
-                bandwidth_mbps: bw,
-                minpath_latency,
-                split_latency,
-                minpath_network_latency,
-                split_network_latency,
-                minpath_saturated,
-                split_saturated,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,7 +241,8 @@ mod tests {
     #[test]
     fn flows_cover_all_commodities() {
         let design = design_dsp();
-        let flows = flows_from_tables(&design.problem, &design.mapping, &design.minpath_tables);
+        let flows =
+            noc_dse::flows_from_tables(&design.problem, &design.mapping, &design.minpath_tables);
         assert_eq!(flows.len(), 8); // the DSP graph's 8 edges
         let total: f64 = flows.iter().map(|f| f.rate_mbps.to_f64()).sum();
         assert_eq!(total, 2_400.0); // 6x200 + 2x600
@@ -314,7 +262,7 @@ mod tests {
             },
             ..Fig5cConfig::default()
         };
-        let points = run(&config);
+        let points = crate::dse_bridge::fig5c_via_engine(&config, 1);
         assert_eq!(points.len(), 1);
         let p = &points[0];
         assert!(p.minpath_latency > 0.0 && p.split_latency > 0.0);

@@ -1,22 +1,22 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
 //! Each module reproduces one artifact of Section 7 and returns plain data
-//! structs; the `src/bin/` binaries print them as text tables, and the
-//! `bench` crate reuses the same entry points so figure regeneration is
-//! benchmarkable. See `EXPERIMENTS.md` at the workspace root for
-//! paper-vs-measured records.
+//! structs; the `src/bin/` binaries print them as text tables. Table 2
+//! and Figure 5(c) run through the `noc-dse` engine ([`dse_bridge`]),
+//! which is also what the `perfbench` pipeline benchmark times. See
+//! `EXPERIMENTS.md` at the workspace root for paper-vs-measured records.
 //!
 //! | module | paper artifact |
 //! |--------|----------------|
 //! | [`fig3`] | Figure 3 — communication cost of PMAP/GMAP/PBB/NMAP on six video apps |
 //! | [`fig4`] | Figure 4 — minimum bandwidth needed by 7 algorithm/routing combinations |
 //! | [`table1`] | Table 1 — cost and bandwidth ratios vs. NMAP |
-//! | [`table2`] | Table 2 — PBB vs NMAP on random graphs (25–65 cores) |
-//! | [`fig5c`] | Figure 5(c) — packet latency vs link bandwidth, DSP NoC |
+//! | [`table2`] | Table 2 — PBB vs NMAP on random graphs (25–65 cores): configuration and rows |
+//! | [`fig5c`] | Figure 5(c) — packet latency vs link bandwidth, DSP NoC: the design and points |
 //! | [`table3`] | Table 3 — DSP NoC design parameters |
 //! | [`routing_ablation`] | §5 claim — heuristic routing vs LP bound |
 //! | [`topology_selection`] | §8 future work — fabric design-space exploration |
-//! | [`dse_bridge`] | Table 2 and a torus-vs-mesh study through the `noc-dse` engine |
+//! | [`dse_bridge`] | Table 2, Figure 5(c) and a torus-vs-mesh study through the `noc-dse` engine |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

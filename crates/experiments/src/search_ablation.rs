@@ -44,16 +44,12 @@ pub fn configurations() -> Vec<(&'static str, SinglePathOptions)> {
     ]
 }
 
-/// Runs every configuration on every video application.
-pub fn run_all() -> Vec<AblationPoint> {
-    run_all_probed(&Probe::default())
-}
-
-/// [`run_all`] with instrumentation attached: each configuration runs
-/// through a probed [`EvalContext`] (evaluation and delta-gate
-/// counters). Outcomes are identical to an unprobed run — a fresh
-/// context per configuration, exactly like [`nmap::map_single_path`].
-pub fn run_all_probed(probe: &Probe) -> Vec<AblationPoint> {
+/// Runs every configuration on every video application. Each
+/// configuration runs through a fresh [`EvalContext`], exactly like
+/// [`nmap::map_single_path`], with `probe` attached (evaluation and
+/// delta-gate counters); a live probe observes only, so outcomes are
+/// identical to a disabled one.
+pub fn run_all(probe: &Probe) -> Vec<AblationPoint> {
     let mut out = Vec::new();
     for app in App::all() {
         let problem = app_problem(app, GENEROUS_CAPACITY);
@@ -104,15 +100,10 @@ pub const STRATEGIES: [&str; 4] = ["nmap-paper", "nmap", "sa", "tabu"];
 /// gets a fresh [`EvalContext`] so every timed region pays its own
 /// quadrant-DAG cache builds — the time column compares strategies, not
 /// cache-warming order (outcomes are context-independent either way).
-pub fn run_strategies() -> Vec<StrategyPoint> {
-    run_strategies_probed(&Probe::default())
-}
-
-/// [`run_strategies`] with instrumentation attached: each strategy runs
-/// through a probed [`EvalContext`], so the search counters and the
-/// `sa.sample`/`tabu.sample` trajectory events land in the profile.
-/// Outcomes are identical to an unprobed run.
-pub fn run_strategies_probed(probe: &Probe) -> Vec<StrategyPoint> {
+/// With a live `probe` the search counters and the
+/// `sa.sample`/`tabu.sample` trajectory events land in the profile;
+/// outcomes are identical to a disabled one.
+pub fn run_strategies(probe: &Probe) -> Vec<StrategyPoint> {
     let registry = standard_registry();
     let mut out = Vec::new();
     for app in App::all() {
@@ -155,14 +146,14 @@ mod tests {
 
     #[test]
     fn strategy_sweep_covers_every_pair_and_stays_feasible() {
-        let points = run_strategies();
+        let points = run_strategies(&Probe::disabled());
         assert_eq!(points.len(), App::all().len() * STRATEGIES.len());
         for p in &points {
             assert!(p.feasible, "{:?}/{} infeasible at generous capacity", p.app, p.mapper);
             assert!(p.comm_cost > 0.0);
         }
         // Deterministic: the stochastic strategies are pinned by seed.
-        let again = run_strategies();
+        let again = run_strategies(&Probe::disabled());
         for (a, b) in points.iter().zip(&again) {
             assert_eq!(a.comm_cost, b.comm_cost, "{}/{:?}", a.mapper, a.app);
         }

@@ -6,13 +6,11 @@
 //! several instances are generated and the costs averaged, which smooths
 //! instance-to-instance noise without changing the trend the table shows:
 //! PBB's bounded search degrades as the tree widens, NMAP keeps winning
-//! by larger factors.
+//! by larger factors. The study runs through the engine in
+//! [`crate::dse_bridge::table2_via_engine`]; this module holds its
+//! configuration and row types.
 
-use nmap::{map_single_path, MappingProblem, SinglePathOptions};
-use noc_baselines::{pbb, PbbOptions};
-use noc_graph::{RandomGraphConfig, RandomGraphFamily, Topology};
-
-use crate::UNLIMITED_CAPACITY;
+use noc_baselines::PbbOptions;
 
 /// One row of Table 2.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,33 +51,6 @@ impl Default for Table2Config {
     }
 }
 
-/// Runs the sweep.
-pub fn run(config: &Table2Config) -> Vec<Table2Row> {
-    let family = RandomGraphFamily::new(RandomGraphConfig::default());
-    config
-        .sizes
-        .iter()
-        .map(|&cores| {
-            let mut pbb_sum = 0.0;
-            let mut nmap_sum = 0.0;
-            for instance in 0..config.instances {
-                let graph = family.graph(cores, instance);
-                let (w, h) = Topology::fit_mesh_dims(cores);
-                let problem = MappingProblem::new(graph, Topology::mesh(w, h, UNLIMITED_CAPACITY))
-                    .expect("generated graph fits");
-                pbb_sum += pbb(&problem, &config.pbb).comm_cost.to_f64();
-                nmap_sum += map_single_path(&problem, &SinglePathOptions::default())
-                    .expect("mesh routing succeeds")
-                    .comm_cost
-                    .to_f64();
-            }
-            let pbb_avg = pbb_sum / config.instances as f64;
-            let nmap_avg = nmap_sum / config.instances as f64;
-            Table2Row { cores, pbb: pbb_avg, nmap: nmap_avg, ratio: pbb_avg / nmap_avg }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,7 +64,7 @@ mod tests {
             instances: 1,
             pbb: PbbOptions { max_queue: 2_000, max_expansions: 20_000 },
         };
-        let rows = run(&config);
+        let rows = crate::dse_bridge::table2_via_engine(&config, 1);
         assert_eq!(rows.len(), 1);
         assert!(rows[0].ratio >= 1.0, "ratio {} — NMAP should win at scale", rows[0].ratio);
         assert!(rows[0].nmap > 0.0);

@@ -1,7 +1,8 @@
 //! End-to-end tests for the `nmap_dse` binary: kill-and-resume of a
 //! sharded sweep (PR 9) must leave byte-identical outputs, the flag
 //! validity rules must reject misuse cleanly, and `--profile` must write
-//! real data, also when the failure gate stops the run.
+//! real data, also when the failure gate stops the run, with one
+//! `dse.sweep` event that reports the workers the pool really used.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -119,6 +120,20 @@ fn sharded_flags_require_spec_mode() {
 }
 
 #[test]
+fn shard_budget_requires_resume() {
+    let scratch = ScratchDir::new("budget");
+    let spec = scratch.path("sweep.dse");
+    std::fs::write(&spec, SWEEP_SPEC).unwrap();
+    // Without a checkpoint a budget stop could never continue: a rerun
+    // would start again from shard 0.
+    let out = nmap_dse(&["--spec", &spec, "--shard-size", "5", "--shard-budget", "1"]);
+    assert_eq!(out.status.code(), Some(1), "stdout: {}", String::from_utf8_lossy(&out.stdout));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--shard-budget needs --resume"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "rejected at parse time, before any scenario ran");
+}
+
+#[test]
 fn mismatched_checkpoint_is_rejected() {
     let scratch = ScratchDir::new("mismatch");
     let spec = scratch.path("sweep.dse");
@@ -149,6 +164,37 @@ fn default_build_profile_carries_real_data() {
     for name in ["sim.cycles_executed", "dse.tasks"] {
         let value = profile_counter(&profile, name);
         assert!(value.is_some_and(|v| v > 0), "{name} = {value:?} in:\n{profile}");
+    }
+}
+
+#[test]
+fn sweep_event_reports_the_workers_the_pool_used() {
+    let scratch = ScratchDir::new("sweep_event");
+    let spec = scratch.path("three.dse");
+    // Three scenarios: two bundled apps and one random graph.
+    std::fs::write(&spec, "app pip dsp\nrandom 9 1\nmapper nmap-init\nrouting min-path\n").unwrap();
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    // `--threads 0` asks for every core and `--threads 8` for more workers
+    // than scenarios: the pool runs at most one worker per scenario.
+    for (threads, workers) in [("0", cores.min(3)), ("8", 3)] {
+        let path = scratch.path(&format!("profile-{threads}.jsonl"));
+        let out = nmap_dse(&["--spec", &spec, "--threads", threads, "--profile", &path]);
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let profile = std::fs::read_to_string(&path).unwrap();
+        let events: Vec<_> =
+            profile.lines().filter(|l| l.contains("\"name\":\"dse.sweep\"")).collect();
+        assert_eq!(events.len(), 1, "one dse.sweep event per sweep in:\n{profile}");
+        let event = events[0];
+        assert!(
+            event.contains(&format!(",\"threads\":{workers},")),
+            "--threads {threads}: {event}"
+        );
+        assert!(
+            event.ends_with(
+                ",\"shards_total\":1,\"shards_run\":1,\"shards_restored\":0,\"completed\":true}"
+            ),
+            "--threads {threads}: {event}"
+        );
     }
 }
 

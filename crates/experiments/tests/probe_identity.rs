@@ -1,6 +1,6 @@
 //! PR 7's hard invariant, pinned differentially: every JSONL/CSV/summary
-//! output of the engine is **byte-identical** with a live probe, a
-//! disabled probe, and no probe at all — at 1, 2 and 8 worker threads.
+//! output of the engine is **byte-identical** with a live probe and a
+//! disabled one — at 1, 2 and 8 worker threads.
 //!
 //! The sweep covers all six bundled applications plus a simulated leg
 //! (tabu + wormhole stage), so the search counters, trajectory events
@@ -8,10 +8,10 @@
 //! Figure 5(c) engine sweep is compared point-for-point as well.
 
 use noc_dse::{
-    run_sweep, run_sweep_probed, EngineOptions, MapperSpec, RoutingSpec, ScenarioSet, SimulateSpec,
-    StageTimes, SweepReport, TopologySpec,
+    run_sweep, MapperSpec, RoutingSpec, RunContext, ScenarioSet, SimulateSpec, StageTimes,
+    SweepConfig, SweepReport, TopologySpec,
 };
-use noc_experiments::dse_bridge::{fig5c_smoke_config, fig5c_via_engine, fig5c_via_engine_probed};
+use noc_experiments::dse_bridge::{fig5c_smoke_config, fig5c_via_engine};
 use noc_probe::Probe;
 
 /// All six bundled applications, two mappers (constructive + tabu, the
@@ -45,9 +45,13 @@ fn sim_set() -> ScenarioSet {
         .build()
 }
 
-/// The wall-clock stage times legitimately differ between runs; zero
-/// them so every remaining byte must match.
-fn strip_times(mut report: SweepReport) -> SweepReport {
+/// Runs `set` through the engine under `probe`, with the wall-clock
+/// stage times (which legitimately differ between runs) zeroed so every
+/// remaining byte must match.
+fn sweep(set: &ScenarioSet, threads: usize, probe: &Probe) -> SweepReport {
+    let config = SweepConfig { threads, ..Default::default() };
+    let mut report =
+        run_sweep(set, &config, probe, &mut |_, _| {}).expect("in-memory sweep").report;
     for r in &mut report.records {
         r.times = StageTimes::default();
     }
@@ -56,29 +60,25 @@ fn strip_times(mut report: SweepReport) -> SweepReport {
 
 fn assert_outputs_identical(set: &ScenarioSet, label: &str) {
     for threads in [1usize, 2, 8] {
-        let options = EngineOptions { threads, ..Default::default() };
-        let unprobed = strip_times(run_sweep(set, &options));
+        let disabled = sweep(set, threads, &Probe::disabled());
         let live_probe = Probe::new();
-        let live = strip_times(run_sweep_probed(set, &options, &live_probe));
-        let disabled = strip_times(run_sweep_probed(set, &options, &Probe::disabled()));
+        let live = sweep(set, threads, &live_probe);
 
-        for (probed, which) in [(&live, "live"), (&disabled, "disabled")] {
-            assert_eq!(
-                probed.write_jsonl(false),
-                unprobed.write_jsonl(false),
-                "{label}: JSONL diverged ({which} probe, {threads} threads)"
-            );
-            assert_eq!(
-                probed.write_csv(false),
-                unprobed.write_csv(false),
-                "{label}: CSV diverged ({which} probe, {threads} threads)"
-            );
-            assert_eq!(
-                probed.summary().to_string(),
-                unprobed.summary().to_string(),
-                "{label}: summary diverged ({which} probe, {threads} threads)"
-            );
-        }
+        assert_eq!(
+            live.write_jsonl(false),
+            disabled.write_jsonl(false),
+            "{label}: JSONL diverged ({threads} threads)"
+        );
+        assert_eq!(
+            live.write_csv(false),
+            disabled.write_csv(false),
+            "{label}: CSV diverged ({threads} threads)"
+        );
+        assert_eq!(
+            live.summary().to_string(),
+            disabled.summary().to_string(),
+            "{label}: summary diverged ({threads} threads)"
+        );
 
         // Sanity on the instrument itself: a live probe collects data.
         assert!(
@@ -106,11 +106,12 @@ fn simulated_sweep_outputs_are_byte_identical_across_probe_states() {
 fn fig5c_points_are_identical_across_probe_states() {
     let config = fig5c_smoke_config();
     for threads in [1usize, 2, 8] {
-        let unprobed = fig5c_via_engine(&config, threads);
-        let live = fig5c_via_engine_probed(&config, threads, &Probe::new());
-        let disabled = fig5c_via_engine_probed(&config, threads, &Probe::disabled());
-        assert_eq!(live, unprobed, "fig5c diverged with a live probe ({threads} threads)");
-        assert_eq!(disabled, unprobed, "fig5c diverged with a disabled probe ({threads} threads)");
+        let disabled = fig5c_via_engine(&config, threads);
+        let live = fig5c_via_engine(
+            &config,
+            RunContext { threads, probe: Probe::new(), ..Default::default() },
+        );
+        assert_eq!(live, disabled, "fig5c diverged with a live probe ({threads} threads)");
     }
 }
 
@@ -126,7 +127,10 @@ fn fig5c_profile_reports_consistent_windows_across_loop_kinds() {
         let mut config = fig5c_smoke_config();
         config.loop_kind = kind;
         let probe = Probe::new();
-        let _ = fig5c_via_engine_probed(&config, 2, &probe);
+        let _ = fig5c_via_engine(
+            &config,
+            RunContext { threads: 2, probe: probe.clone(), ..Default::default() },
+        );
         let profile = probe.snapshot();
         let executed = profile.counter("sim.cycles_executed").unwrap_or(0);
         let skipped = profile.counter("sim.cycles_skipped").unwrap_or(0);

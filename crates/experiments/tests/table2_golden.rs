@@ -1,9 +1,9 @@
 //! Golden pin of PBB's Table 2 numbers at the paper budget
 //! (`pbb[q5000e50000]`): seed 0's instances 0..3 of the 25- and 35-core
-//! random graphs on their fitted meshes. `dse_table2.rs` only checks that
-//! the engine and `table2.rs` agree with each other; this file pins the
-//! values themselves, so a change to the PBB search that moves any
-//! comm cost, expansion count or truncation flag fails here.
+//! random graphs on their fitted meshes. `dse_table2.rs` pins the
+//! engine's Table 2 rows on a reduced budget; this file pins PBB's own
+//! outcomes at the paper budget, so a change to the PBB search that moves
+//! any comm cost, expansion count or truncation flag fails here.
 
 use nmap::MappingProblem;
 use noc_baselines::pbb;

@@ -7,9 +7,10 @@
 //!
 //! Run with: `cargo run --release --example dsp_noc_sim`
 
+use nmap_suite::dse::flows_from_tables;
 use nmap_suite::graph::Topology;
 use nmap_suite::sim::{SimConfig, Simulator};
-use noc_experiments::fig5c::{design_dsp, flows_from_tables};
+use noc_experiments::fig5c::design_dsp;
 
 fn main() {
     let design = design_dsp();

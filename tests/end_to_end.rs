@@ -3,13 +3,14 @@
 
 use nmap_suite::apps::{self, App};
 use nmap_suite::baselines::{gmap, pbb, pmap, PbbOptions};
+use nmap_suite::dse::flows_from_tables;
 use nmap_suite::graph::Topology;
 use nmap_suite::nmap::{
     map_single_path, map_with_splitting, mcf::solve_mcf, routing, MappingProblem, McfKind,
     PathScope, SinglePathOptions, SplitOptions,
 };
 use nmap_suite::sim::{SimConfig, Simulator};
-use noc_experiments::fig5c::{design_dsp, flows_from_tables};
+use noc_experiments::fig5c::design_dsp;
 
 fn problem_for(app: App, capacity: f64) -> MappingProblem {
     let g = app.core_graph();

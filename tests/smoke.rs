@@ -35,9 +35,9 @@ fn reexported_paths_resolve() {
         .app(nmap_suite::apps::App::Pip)
         .mapper(nmap_suite::dse::MapperSpec::NmapInit)
         .build();
-    let report = nmap_suite::dse::run_sweep(&set, &nmap_suite::dse::EngineOptions::default());
-    assert_eq!(report.records.len(), 1);
-    assert!(report.records[0].is_ok());
+    let records = nmap_suite::dse::run_scenarios(set.scenarios(), 1);
+    assert_eq!(records.len(), 1);
+    assert!(records[0].is_ok());
 
     // nmap_suite::nmap -> nmap (the core crate)
     let _: fn(&MappingProblem) -> nmap_suite::nmap::Mapping = nmap_suite::nmap::initialize;
