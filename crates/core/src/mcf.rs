@@ -1,6 +1,7 @@
-//! Multi-commodity-flow formulations (Equations 5, 8, 9, 10).
+//! Multi-commodity-flow formulations (Equations 5, 8, 9, 10), solved by
+//! column generation over paths.
 //!
-//! Three linear programs over per-commodity link flows `x^k_{i,j} ≥ 0`:
+//! Three linear programs over per-commodity path flows `x_p ≥ 0`:
 //!
 //! * **MCF1** ([`McfKind::SlackMin`], Equation 8) — minimize the total
 //!   capacity-violation slack `Σ s_{i,j}`; a zero optimum proves the
@@ -11,17 +12,31 @@
 //!   capacity `λ` such that every link load is ≤ λ; this computes the
 //!   "minimum bandwidth needed" metric of the paper's Figure 4.
 //!
-//! Flow conservation (Equation 5) is imposed **per commodity** at every
-//! node (the split-traffic routing tables require per-commodity flows; see
-//! DESIGN.md §6 for the discussion of the paper's aggregated notation).
-//! Restricting a commodity's variables to its quadrant DAG
+//! Flow conservation (Equation 5) holds **per commodity** by construction:
+//! every column is a whole source→destination path, and one demand row per
+//! commodity makes its path flows sum to its value (the split-traffic
+//! routing tables require per-commodity flows; see DESIGN.md §6 for the
+//! discussion of the paper's aggregated notation). The master LP has one
+//! capacity row per link its columns touch plus one demand row per
+//! commodity. It starts from one minimum-hop path per commodity; each
+//! round re-solves it and adds, for every commodity, the path that is
+//! shortest under the capacity rows' dual prices when that path prices
+//! negative (Ford–Fulkerson 1958; Dantzig–Wolfe 1960). The final columns
+//! and their flows are the routing tables.
+//!
+//! Restricting a commodity's paths to its quadrant DAG
 //! ([`PathScope::Quadrant`]) yields the equal-hop-delay NMAPTM variant of
 //! Equation 10; [`PathScope::AllPaths`] is the unrestricted NMAPTA.
+//!
+//! The answer depends on the problem alone: commodities, rows and columns
+//! enter every master in a canonical order, so permuting the commodity
+//! slice returns an identical [`McfSolution`].
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, BinaryHeap};
 
 use noc_graph::{LinkId, NodeId, QuadrantDag, Topology};
-use noc_lp::{LinearProgram, Sense, SimplexOptions, SolveError, TableauSnapshot, VarId};
+use noc_lp::{Constraint, ConstraintSense, LinearProgram, Sense, SolveError, VarId};
 
 use crate::routing::{LinkLoads, RoutingTables, SplitRoute};
 use crate::{Commodity, MapError, Mapping, MappingProblem, Result};
@@ -61,31 +76,75 @@ pub struct McfSolution {
     pub objective: f64,
     /// Aggregate link loads of the optimal flow.
     pub link_loads: LinkLoads,
-    /// Per-commodity routing tables obtained by flow decomposition.
+    /// Per-commodity routing tables: the master's path columns that carry
+    /// flow, each with its share of the commodity.
     pub tables: RoutingTables,
 }
 
-/// Threshold below which a flow value is treated as zero when reading the
-/// LP solution back (link loads, per-commodity flows) and during flow
-/// decomposition (residual peeling in [`solve_mcf_for`]'s tables).
+/// Threshold below which a path flow is treated as zero when reading the
+/// master LP's solution back into link loads and routing tables.
 ///
 /// The value sits well above the simplex optimality tolerance (`1e-9`) so
-/// solver round-off never materializes as phantom flow, and well below any
-/// meaningful bandwidth (MB/s magnitudes in the paper's applications), so
-/// real traffic is never dropped. Note the **sparse pivot's** zero test in
-/// `noc-lp` is deliberately *not* this epsilon: it skips only exact `0.0`
-/// multipliers, because skipping small-but-nonzero entries would change
-/// the executed arithmetic and break bit-identity with the dense oracle
-/// (DESIGN.md §19).
+/// solver round-off never materializes as a phantom route, and well below
+/// any meaningful bandwidth (MB/s magnitudes in the paper's applications),
+/// so real traffic is never dropped.
 pub const FLOW_EPSILON: f64 = 1e-6;
+
+/// MCF1 slack (MB/s) at or below which a placement counts as
+/// bandwidth-feasible. It is the one feasibility threshold of the split
+/// path: [`McfKind::FlowMin`] runs MCF1 as its phase 1 and reports
+/// infeasibility exactly when the slack exceeds it, and
+/// [`crate::map_with_splitting`] classifies placements by it, so the two
+/// verdicts cannot disagree.
+pub const SLACK_EPSILON: f64 = 1e-6;
+
+/// Reduced cost below which a priced path enters the master: the simplex
+/// optimality tolerance, so column generation stops exactly where the
+/// master LP's own optimality test would.
+const PRICING_TOLERANCE: f64 = 1e-9;
+
+/// Work counters of one MCF solve, for probe reporting.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct McfSolveStats {
+    /// MCF programs solved: one, or two when [`McfKind::FlowMin`] ran
+    /// MCF1 first because the minimum-hop start overloads a link.
+    pub solves: usize,
+    /// Master LP solves, one per pricing round.
+    pub rounds: usize,
+    /// Path columns generated: the minimum-hop start plus every priced
+    /// path that entered a master.
+    pub columns: usize,
+    /// Simplex pivots over every master solve.
+    pub pivots: usize,
+    /// Phase-1 pivots (the demand rows are equalities, so every master
+    /// solve starts with a short phase 1).
+    pub phase1_pivots: usize,
+    /// Always false: retained with [`McfWarmState`] for callers of the
+    /// retired warm-start API.
+    pub warm_hit: bool,
+}
+
+impl McfSolveStats {
+    fn add_round(&mut self, stats: &noc_lp::SolveStats) {
+        self.rounds += 1;
+        self.pivots += stats.pivots;
+        self.phase1_pivots += stats.phase1_pivots;
+    }
+}
+
+/// Placeholder of the retired warm-start API: carries nothing, and
+/// [`solve_mcf_warm`] ignores it. A cold column-generation solve is
+/// faster than the dual-simplex restart it replaced and needs no chain.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct McfWarmState;
 
 /// Solves the chosen MCF program for `mapping`.
 ///
 /// # Errors
 ///
-/// * [`MapError::Lp`] wrapping [`SolveError::Infeasible`] — only possible
-///   for [`McfKind::FlowMin`] when the capacities cannot carry the traffic
-///   (MCF1 and min-max load are always feasible).
+/// * [`MapError::Lp`] wrapping [`SolveError::Infeasible`] — for
+///   [`McfKind::FlowMin`] when the MCF1 slack exceeds [`SLACK_EPSILON`],
+///   or for any kind when a commodity's endpoints are disconnected.
 /// * Other [`MapError::Lp`] variants on solver failure.
 ///
 /// # Panics
@@ -119,83 +178,52 @@ pub fn solve_mcf_for(
     kind: McfKind,
     scope: PathScope,
 ) -> Result<McfSolution> {
-    solve_mcf_inner(topology, commodities, kind, scope, None, None, false)
-        .map(|(solution, _, _)| solution)
+    solve_mcf_with_stats(topology, commodities, kind, scope).0
 }
 
-/// [`solve_mcf_for`] under explicit simplex options — the seam benches use
-/// to time the sparse pivot against its dense oracle
-/// ([`noc_lp::PivotMode::Dense`]) on identical MCF instances. Solutions
-/// are bit-identical across pivot modes; only the wall time differs.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_mcf`], plus
-/// [`SolveError::InvalidOptions`] when `options` fails validation.
-pub fn solve_mcf_for_with_options(
+/// [`solve_mcf_for`] plus its work counters, which are returned whether or
+/// not the solve succeeded.
+pub fn solve_mcf_with_stats(
     topology: &Topology,
     commodities: &[Commodity],
     kind: McfKind,
     scope: PathScope,
-    options: SimplexOptions,
-) -> Result<McfSolution> {
-    solve_mcf_inner(topology, commodities, kind, scope, None, Some(options), false)
-        .map(|(solution, _, _)| solution)
+) -> (Result<McfSolution>, McfSolveStats) {
+    let mut stats = McfSolveStats::default();
+    let instance = Instance::new(topology, commodities, scope);
+    let result = match kind {
+        McfKind::FlowMin => instance.flow_min(&mut stats).and_then(|outcome| match outcome {
+            FlowMin::Routed(optimum) => Ok(instance.solution(kind, &optimum)),
+            FlowMin::Overloaded(_) => Err(MapError::Lp(SolveError::Infeasible)),
+        }),
+        McfKind::SlackMin => instance.slack_min(&mut stats),
+        McfKind::MinMaxLoad => instance.min_max_load(&mut stats),
+    };
+    (result, stats)
 }
 
-/// Warm-start state carried across the bandwidth axis of a sweep: the
-/// final simplex tableau of the previous capacity point (a
-/// [`TableauSnapshot`]) plus enough fingerprint to refuse reuse across
-/// different formulations.
-///
-/// Produced and consumed by [`solve_mcf_warm`]. Reuse is only valid when
-/// the topology *structure* and commodity set are unchanged and only link
-/// capacities (constraint right-hand sides) moved; anything else reports a
-/// basis mismatch inside `noc-lp` and falls back to a cold solve. The
-/// snapshot restart rebuilds the RHS column from the stored basis inverse
-/// instead of refactorizing the basis, and the state is consumed — the
-/// tableau moves through the solve — so a warm hit costs only the RHS
-/// recompute plus a few dual pivots, with no tableau-sized copies.
-#[derive(Debug, Clone, PartialEq)]
-pub struct McfWarmState {
-    snapshot: TableauSnapshot,
-    kind: McfKind,
+/// The split routing of a placement: the MCF2 optimum when the capacities
+/// admit one, otherwise MCF1's least-violation routing (the returned
+/// [`McfSolution::kind`] says which). Equal to [`solve_mcf_for`] with
+/// [`McfKind::FlowMin`], falling back to [`McfKind::SlackMin`] on
+/// infeasibility, but the fallback reuses the MCF1 solve FlowMin already
+/// ran as its phase 1.
+pub fn solve_mcf_or_slack(
+    topology: &Topology,
+    commodities: &[Commodity],
     scope: PathScope,
-    /// Pivot count of the lineage's cold solve — the baseline for
-    /// pivots-saved estimates.
-    cold_pivots: usize,
+) -> (Result<McfSolution>, McfSolveStats) {
+    let mut stats = McfSolveStats::default();
+    let instance = Instance::new(topology, commodities, scope);
+    let result = instance.flow_min(&mut stats).map(|outcome| match outcome {
+        FlowMin::Routed(optimum) => instance.solution(McfKind::FlowMin, &optimum),
+        FlowMin::Overloaded(mcf1) => instance.solution(McfKind::SlackMin, &mcf1),
+    });
+    (result, stats)
 }
 
-impl McfWarmState {
-    /// Heap bytes held by the captured tableau — what carrying the state
-    /// across a sweep costs in memory.
-    pub fn memory_bytes(&self) -> usize {
-        self.snapshot.memory_bytes()
-    }
-}
-
-/// Pivot counters from one [`solve_mcf_warm`] call, for probe reporting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct McfSolveStats {
-    /// Simplex pivots of this solve (dual + cleanup pivots when warm).
-    pub pivots: usize,
-    /// Phase-1 pivots (zero when the solve was warm-started).
-    pub phase1_pivots: usize,
-    /// True when the previous basis was reused (no two-phase solve ran).
-    pub warm_hit: bool,
-    /// Estimated pivots avoided versus the lineage's cold solve: the cold
-    /// baseline minus this solve's total pivots (saturating at zero).
-    pub pivots_saved: usize,
-}
-
-/// [`solve_mcf_for`] with dual-simplex warm starting: when `previous` holds
-/// the tableau snapshot of a structurally identical instance (same topology
-/// wiring, commodities, `kind` and `scope`; only link capacities changed),
-/// the LP re-optimizes from that tableau instead of running a cold
-/// two-phase solve. The state is consumed — a sweep moves one tableau
-/// along the whole capacity axis without copying it. Any mismatch silently
-/// falls back to the cold path, so the result is always available;
-/// [`McfSolveStats::warm_hit`] reports which path ran.
+/// The retired warm-start entry point, now a cold [`solve_mcf_with_stats`]:
+/// `previous` is ignored and [`McfSolveStats::warm_hit`] is always false.
 ///
 /// # Errors
 ///
@@ -205,85 +233,10 @@ pub fn solve_mcf_warm(
     commodities: &[Commodity],
     kind: McfKind,
     scope: PathScope,
-    previous: Option<McfWarmState>,
+    _previous: Option<McfWarmState>,
 ) -> Result<(McfSolution, McfWarmState, McfSolveStats)> {
-    let (solution, state, stats) =
-        solve_mcf_inner(topology, commodities, kind, scope, previous, None, true)?;
-    Ok((solution, state.expect("capture was requested"), stats))
-}
-
-fn solve_mcf_inner(
-    topology: &Topology,
-    commodities: &[Commodity],
-    kind: McfKind,
-    scope: PathScope,
-    previous: Option<McfWarmState>,
-    options: Option<SimplexOptions>,
-    capture: bool,
-) -> Result<(McfSolution, Option<McfWarmState>, McfSolveStats)> {
-    let mut model = McfModel::build(topology, commodities, kind, scope);
-    if let Some(options) = options {
-        model.lp.set_options(options);
-    }
-    let reusable = previous.filter(|w| w.kind == kind && w.scope == scope);
-    // Any warm-path failure — snapshot mismatch, iteration limit, even an
-    // infeasibility verdict — falls back to the cold solve, so every
-    // returned value *and every error* comes from either the cold path or
-    // a uniqueness-guarded warm re-optimization. Sweeps with warm starting
-    // on and off therefore agree error-for-error, not just value-for-value.
-    // The state is consumed: a hit moves the tableau through the dual
-    // simplex without copying it, and any fallback recaptures from cold.
-    let warm = reusable.and_then(|w| {
-        let McfWarmState { snapshot, cold_pivots, .. } = w;
-        match model.lp.resolve_with_snapshot(snapshot) {
-            Ok(solved) => Some((solved, cold_pivots)),
-            Err(_) => None,
-        }
-    });
-    let (solution, snapshot, stats, cold_pivots) = match warm {
-        Some(((solution, snapshot, stats), cold_pivots)) => {
-            (solution, Some(snapshot), stats, cold_pivots)
-        }
-        None if capture => {
-            // Only the warm-chaining entry point pays for a snapshot
-            // capture; plain solves keep the cheaper basis-only path.
-            let (solution, snapshot, stats) =
-                model.lp.solve_with_snapshot().map_err(MapError::from)?;
-            let pivots = stats.pivots;
-            (solution, Some(snapshot), stats, pivots)
-        }
-        None => {
-            let (solution, _, stats) = model.lp.solve_with_basis().map_err(MapError::from)?;
-            let pivots = stats.pivots;
-            (solution, None, stats, pivots)
-        }
-    };
-    let mcf_stats = McfSolveStats {
-        pivots: stats.pivots,
-        phase1_pivots: stats.phase1_pivots,
-        warm_hit: stats.warm_start,
-        pivots_saved: if stats.warm_start {
-            cold_pivots.saturating_sub(stats.pivots + stats.refactor_pivots)
-        } else {
-            0
-        },
-    };
-    let next = snapshot.map(|snapshot| McfWarmState { snapshot, kind, scope, cold_pivots });
-
-    let mut link_loads = LinkLoads::zeros(topology.link_count());
-    let mut flows: Vec<BTreeMap<LinkId, f64>> = vec![BTreeMap::new(); commodities.len()];
-    for (k, vars) in model.flow_vars.iter().enumerate() {
-        for &(link, var) in vars {
-            let v = solution.value(var);
-            if v > FLOW_EPSILON {
-                link_loads.add(link, v);
-                flows[k].insert(link, v);
-            }
-        }
-    }
-
-    let tables = decompose_flows(topology, commodities, flows);
-    Ok((McfSolution { kind, objective: solution.objective, link_loads, tables }, next, mcf_stats))
+    let (result, stats) = solve_mcf_with_stats(topology, commodities, kind, scope);
+    result.map(|solution| (solution, McfWarmState, stats))
 }
 
 /// Checks whether a mapping admits a feasible split-traffic routing:
@@ -294,224 +247,404 @@ pub fn mcf1_slack(problem: &MappingProblem, mapping: &Mapping, scope: PathScope)
     Ok(solve_mcf(problem, mapping, McfKind::SlackMin, scope)?.objective)
 }
 
-/// The assembled LP plus the variable layout needed to read flows back.
-struct McfModel {
-    lp: LinearProgram,
-    /// Per commodity: `(link, variable)` pairs in scope.
-    flow_vars: Vec<Vec<(LinkId, VarId)>>,
-}
-
-impl McfModel {
-    fn build(
-        topology: &Topology,
-        commodities: &[Commodity],
-        kind: McfKind,
-        scope: PathScope,
-    ) -> Self {
-        let mut lp = LinearProgram::new(Sense::Minimize);
-        let flow_cost = match kind {
-            McfKind::FlowMin => 1.0,
-            McfKind::SlackMin | McfKind::MinMaxLoad => 0.0,
-        };
-
-        // Flow variables, restricted to each commodity's scope.
-        let mut flow_vars: Vec<Vec<(LinkId, VarId)>> = Vec::with_capacity(commodities.len());
-        for (k, c) in commodities.iter().enumerate() {
-            let mut vars = Vec::new();
-            if !c.value.is_zero() && c.source != c.dest {
-                let links: Vec<LinkId> = match scope {
-                    PathScope::AllPaths => topology.links().map(|(id, _)| id).collect(),
-                    PathScope::Quadrant => {
-                        QuadrantDag::new(topology, c.source, c.dest).links().to_vec()
-                    }
-                };
-                for link in links {
-                    let var = lp.add_variable(format!("x_{k}_{link}"), flow_cost);
-                    vars.push((link, var));
-                }
-            }
-            flow_vars.push(vars);
-        }
-
-        // Per-link variable lists for the capacity rows.
-        let mut per_link: Vec<Vec<VarId>> = vec![Vec::new(); topology.link_count()];
-        for vars in &flow_vars {
-            for &(link, var) in vars {
-                per_link[link.index()].push(var);
-            }
-        }
-
-        // Capacity constraints (Inequality 3 with the kind-specific twist).
-        match kind {
-            McfKind::SlackMin => {
-                for (id, link) in topology.links() {
-                    let vars = &per_link[id.index()];
-                    if vars.is_empty() {
-                        continue;
-                    }
-                    let slack = lp.add_variable(format!("s_{id}"), 1.0);
-                    let mut terms: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
-                    terms.push((slack, -1.0));
-                    lp.add_le(&terms, link.capacity.to_f64());
-                }
-            }
-            McfKind::FlowMin => {
-                for (id, link) in topology.links() {
-                    let vars = &per_link[id.index()];
-                    if vars.is_empty() {
-                        continue;
-                    }
-                    let terms: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
-                    lp.add_le(&terms, link.capacity.to_f64());
-                }
-            }
-            McfKind::MinMaxLoad => {
-                let lambda = lp.add_variable("lambda", 1.0);
-                for (id, _) in topology.links() {
-                    let vars = &per_link[id.index()];
-                    if vars.is_empty() {
-                        continue;
-                    }
-                    let mut terms: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
-                    terms.push((lambda, -1.0));
-                    lp.add_le(&terms, 0.0);
-                }
-            }
-        }
-
-        // Flow conservation (Equation 5), per commodity, per node.
-        // The destination row is the negative sum of the others, so it is
-        // dropped to keep the basis smaller.
-        for (k, c) in commodities.iter().enumerate() {
-            if flow_vars[k].is_empty() {
-                continue;
-            }
-            // node -> terms
-            let mut incident: BTreeMap<NodeId, Vec<(VarId, f64)>> = BTreeMap::new();
-            for &(link, var) in &flow_vars[k] {
-                let l = topology.link(link);
-                incident.entry(l.src).or_default().push((var, 1.0));
-                incident.entry(l.dst).or_default().push((var, -1.0));
-            }
-            for node in topology.nodes() {
-                if node == c.dest {
-                    continue;
-                }
-                let rhs = if node == c.source { c.value.to_f64() } else { 0.0 };
-                match incident.get(&node) {
-                    Some(terms) => lp.add_eq(terms, rhs),
-                    None => {
-                        debug_assert_eq!(rhs, 0.0, "source must touch scope links");
-                    }
-                }
-            }
-        }
-
-        Self { lp, flow_vars }
-    }
-}
-
-/// Decomposes per-commodity link flows into weighted paths (routing-table
-/// form). Standard flow decomposition: repeatedly walk from the source
-/// along positive-residual links to the destination, peel off the
-/// bottleneck. Residual cycles (possible in non-optimal or slack solutions)
-/// are discarded — they carry no source-to-destination traffic.
-fn decompose_flows(
-    topology: &Topology,
-    commodities: &[Commodity],
-    mut flows: Vec<BTreeMap<LinkId, f64>>,
-) -> RoutingTables {
-    // Tables are indexed by core-graph edge id, not by position in the
-    // (possibly subset) commodity list.
-    let table_len = commodities.iter().map(|c| c.edge.index() + 1).max().unwrap_or(0);
-    let mut routes: Vec<Vec<SplitRoute>> = vec![Vec::new(); table_len];
-    for (k, c) in commodities.iter().enumerate() {
-        if c.value.is_zero() || c.source == c.dest {
-            continue;
-        }
-        let slot = c.edge.index();
-        let residual = &mut flows[k];
-        let mut guard = 0usize;
-        while guard < 10_000 {
-            guard += 1;
-            let Some(path) = positive_path(topology, residual, c.source, c.dest) else {
-                break;
-            };
-            let bottleneck = path.iter().map(|l| residual[l]).fold(f64::INFINITY, f64::min);
-            debug_assert!(bottleneck > 0.0);
-            for l in &path {
-                let v = residual.get_mut(l).expect("path uses residual links");
-                *v -= bottleneck;
-                if *v <= FLOW_EPSILON {
-                    residual.remove(l);
-                }
-            }
-            routes[slot].push(SplitRoute { links: path, fraction: bottleneck / c.value.to_f64() });
-        }
-        // Normalize round-off so fractions sum to exactly 1 when they are
-        // already within tolerance of it.
-        let total: f64 = routes[slot].iter().map(|r| r.fraction).sum();
-        if total > 0.0 && (total - 1.0).abs() < 1e-3 {
-            for r in &mut routes[slot] {
-                r.fraction /= total;
-            }
-        }
-    }
-    RoutingTables::from_split_routes(routes)
-}
-
-/// Finds any source→dest path through links with positive residual flow
-/// (BFS, deterministic by link order). Returns the link list.
-fn positive_path(
-    topology: &Topology,
-    residual: &BTreeMap<LinkId, f64>,
-    source: NodeId,
-    dest: NodeId,
-) -> Option<Vec<LinkId>> {
-    let mut prev: Vec<Option<LinkId>> = vec![None; topology.node_count()];
-    let mut seen = vec![false; topology.node_count()];
-    seen[source.index()] = true;
-    let mut queue = std::collections::VecDeque::from([source]);
-    while let Some(n) = queue.pop_front() {
-        if n == dest {
-            let mut path = Vec::new();
-            let mut cursor = dest;
-            while cursor != source {
-                let link = prev[cursor.index()].expect("reached via a link");
-                path.push(link);
-                cursor = topology.link(link).src;
-            }
-            path.reverse();
-            return Some(path);
-        }
-        for (id, link) in topology.out_links(n) {
-            if !seen[link.dst.index()] && residual.get(&id).copied().unwrap_or(0.0) > FLOW_EPSILON {
-                seen[link.dst.index()] = true;
-                prev[link.dst.index()] = Some(id);
-                queue.push_back(link.dst);
-            }
-        }
-    }
-    None
-}
-
 /// Converts an LP infeasibility into a clearer error for FlowMin callers.
 pub(crate) fn is_infeasible(err: &MapError) -> bool {
     matches!(err, MapError::Lp(SolveError::Infeasible))
 }
 
+/// A path column: its links in travel order, keyed by `(hops, links)` so
+/// every master lists a commodity's paths shortest first, then by link
+/// ids.
+type Path = (usize, Vec<LinkId>);
+
+/// One commodity that carries traffic, with its path scope.
+struct Demand {
+    commodity: Commodity,
+    /// The quadrant DAG under [`PathScope::Quadrant`]; `None` = all links.
+    quadrant: Option<QuadrantDag>,
+}
+
+/// FlowMin's outcome: the MCF2 optimum, or — when the capacities cannot
+/// carry the traffic — the MCF1 optimum that proves it.
+enum FlowMin {
+    Routed(Optimum),
+    Overloaded(Optimum),
+}
+
+/// The capacity-row twist of each master (Inequality 3 per kind).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Master {
+    /// `Σ x_p - s_l ≤ c_l`, minimize `Σ s_l`.
+    Slack,
+    /// `Σ x_p ≤ c_l + relax_l`, minimize `Σ hops_p · x_p`.
+    Flow,
+    /// `Σ x_p - λ ≤ 0`, minimize `λ`.
+    MinMax,
+}
+
+/// An optimal master: the column pool and what the final LP said.
+struct Optimum {
+    pool: Vec<BTreeSet<Path>>,
+    /// Flow of every pool column, in pool order.
+    flows: Vec<f64>,
+    objective: f64,
+    /// Slack per link id (MCF1 only; empty otherwise).
+    slacks: Vec<f64>,
+}
+
+/// The problem every master of one solve shares.
+struct Instance<'a> {
+    topology: &'a Topology,
+    commodities: &'a [Commodity],
+    /// Commodities that carry traffic, in canonical order.
+    demands: Vec<Demand>,
+}
+
+impl<'a> Instance<'a> {
+    fn new(topology: &'a Topology, commodities: &'a [Commodity], scope: PathScope) -> Self {
+        let mut active: Vec<Commodity> = commodities
+            .iter()
+            .filter(|c| !c.value.is_zero() && c.source != c.dest)
+            .copied()
+            .collect();
+        active.sort_by(|a, b| {
+            (a.edge, a.source, a.dest)
+                .cmp(&(b.edge, b.source, b.dest))
+                .then(a.value.to_f64().total_cmp(&b.value.to_f64()))
+        });
+        let demands = active
+            .into_iter()
+            .map(|commodity| Demand {
+                commodity,
+                quadrant: (scope == PathScope::Quadrant)
+                    .then(|| QuadrantDag::new(topology, commodity.source, commodity.dest)),
+            })
+            .collect();
+        Self { topology, commodities, demands }
+    }
+
+    /// The minimum-hop start: one path per demand. Every MCF program
+    /// begins here, so this is where it counts as a solve.
+    fn start(&self, stats: &mut McfSolveStats) -> Result<Vec<BTreeSet<Path>>> {
+        stats.solves += 1;
+        let mut pricer = Pricer::new(self.topology);
+        let free = vec![0.0; self.topology.link_count()];
+        let pool: Vec<BTreeSet<Path>> = self
+            .demands
+            .iter()
+            .map(|d| {
+                let (_, path) = pricer
+                    .cheapest(self.topology, d, 0.0, &free)
+                    .ok_or(MapError::Lp(SolveError::Infeasible))?;
+                Ok(BTreeSet::from([path]))
+            })
+            .collect::<Result<_>>()?;
+        stats.columns += pool.len();
+        Ok(pool)
+    }
+
+    /// Whether routing every demand whole on the start's path stays
+    /// within every link capacity.
+    fn fits(&self, start: &[BTreeSet<Path>]) -> bool {
+        let mut loads = vec![0.0; self.topology.link_count()];
+        for (d, paths) in self.demands.iter().zip(start) {
+            for (_, links) in paths {
+                for link in links {
+                    loads[link.index()] += d.commodity.value.to_f64();
+                }
+            }
+        }
+        self.topology.links().all(|(id, link)| loads[id.index()] <= link.capacity.to_f64())
+    }
+
+    /// MCF2, run the paper's way: when the minimum-hop start overloads a
+    /// link, MCF1 runs first and decides feasibility against
+    /// [`SLACK_EPSILON`]; MCF2 then starts from MCF1's columns with each
+    /// capacity relaxed by its residual MCF1 slack, so a placement MCF1
+    /// calls feasible always routes.
+    fn flow_min(&self, stats: &mut McfSolveStats) -> Result<FlowMin> {
+        let start = self.start(stats)?;
+        let (pool, relax) = if self.fits(&start) {
+            (start, Vec::new())
+        } else {
+            let mcf1 = self.generate(Master::Slack, start, &[], stats)?;
+            if mcf1.objective > SLACK_EPSILON {
+                return Ok(FlowMin::Overloaded(mcf1));
+            }
+            stats.solves += 1;
+            (mcf1.pool, mcf1.slacks)
+        };
+        Ok(FlowMin::Routed(self.generate(Master::Flow, pool, &relax, stats)?))
+    }
+
+    fn slack_min(&self, stats: &mut McfSolveStats) -> Result<McfSolution> {
+        let start = self.start(stats)?;
+        let optimum = self.generate(Master::Slack, start, &[], stats)?;
+        Ok(self.solution(McfKind::SlackMin, &optimum))
+    }
+
+    fn min_max_load(&self, stats: &mut McfSolveStats) -> Result<McfSolution> {
+        let start = self.start(stats)?;
+        let optimum = self.generate(Master::MinMax, start, &[], stats)?;
+        Ok(self.solution(McfKind::MinMaxLoad, &optimum))
+    }
+
+    /// Column generation: solve the master over `pool`, price every demand
+    /// against its duals, add the paths that price negative, repeat until
+    /// none does. `relax` (per link id, or empty) raises the FlowMin
+    /// capacities.
+    fn generate(
+        &self,
+        master: Master,
+        mut pool: Vec<BTreeSet<Path>>,
+        relax: &[f64],
+        stats: &mut McfSolveStats,
+    ) -> Result<Optimum> {
+        let topology = self.topology;
+        let mut pricer = Pricer::new(topology);
+        let mut weights = vec![0.0; topology.link_count()];
+        let unit = if master == Master::Flow { 1.0 } else { 0.0 };
+        loop {
+            let built = self.build(master, &pool, relax);
+            let (solution, lp_stats) = built.lp.solve_with_stats().map_err(MapError::from)?;
+            stats.add_round(&lp_stats);
+            // A `≤` row's dual is non-positive; its negation is the link's
+            // price per unit of flow.
+            weights.fill(0.0);
+            for (row, &link) in built.rows.iter().enumerate() {
+                weights[link.index()] = (-solution.duals[row]).max(0.0);
+            }
+            let demand_duals = &solution.duals[built.rows.len()..];
+            let mut added = 0;
+            for ((d, paths), &dual) in self.demands.iter().zip(&mut pool).zip(demand_duals) {
+                if let Some((cost, path)) = pricer.cheapest(topology, d, unit, &weights) {
+                    if cost - dual < -PRICING_TOLERANCE && paths.insert(path) {
+                        added += 1;
+                    }
+                }
+            }
+            stats.columns += added;
+            if added == 0 {
+                let columns = built.columns;
+                let flows = solution.values[..columns].to_vec();
+                let mut slacks = Vec::new();
+                if master == Master::Slack {
+                    slacks = vec![0.0; topology.link_count()];
+                    for (row, &link) in built.rows.iter().enumerate() {
+                        slacks[link.index()] = solution.values[columns + row];
+                    }
+                }
+                return Ok(Optimum { pool, flows, objective: solution.objective, slacks });
+            }
+        }
+    }
+
+    /// Builds the master LP over `pool` in canonical order: path columns
+    /// (demand order, then shortest first), then the per-row slacks or λ;
+    /// capacity rows in link-id order over the links some column uses,
+    /// then one demand row per demand.
+    fn build(&self, master: Master, pool: &[BTreeSet<Path>], relax: &[f64]) -> Built {
+        let topology = self.topology;
+        let mut lp = LinearProgram::new(Sense::Minimize);
+        let mut per_link: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); topology.link_count()];
+        let mut demand_rows = Vec::with_capacity(self.demands.len());
+        for (d, paths) in self.demands.iter().zip(pool) {
+            let mut terms = Vec::with_capacity(paths.len());
+            for (hops, links) in paths {
+                let cost = if master == Master::Flow { *hops as f64 } else { 0.0 };
+                let var = lp.add_variable("", cost);
+                for link in links {
+                    per_link[link.index()].push((var, 1.0));
+                }
+                terms.push((var, 1.0));
+            }
+            demand_rows.push((terms, d.commodity.value.to_f64()));
+        }
+        let columns = lp.variable_count();
+        let rows: Vec<LinkId> = topology
+            .links()
+            .map(|(id, _)| id)
+            .filter(|id| !per_link[id.index()].is_empty())
+            .collect();
+        let lambda = (master == Master::MinMax).then(|| lp.add_variable("", 1.0));
+        for &link in &rows {
+            let mut terms = std::mem::take(&mut per_link[link.index()]);
+            let capacity = topology.link(link).capacity.to_f64();
+            let rhs = match master {
+                Master::Slack => {
+                    terms.push((lp.add_variable("", 1.0), -1.0));
+                    capacity
+                }
+                Master::Flow => capacity + relax.get(link.index()).copied().unwrap_or(0.0),
+                Master::MinMax => {
+                    terms.push((lambda.expect("min-max masters carry λ"), -1.0));
+                    0.0
+                }
+            };
+            lp.add_constraint(Constraint { terms, sense: ConstraintSense::Le, rhs });
+        }
+        for (terms, value) in demand_rows {
+            lp.add_constraint(Constraint { terms, sense: ConstraintSense::Eq, rhs: value });
+        }
+        Built { lp, rows, columns }
+    }
+
+    /// Link loads and routing tables of `pool` carrying `flows`.
+    fn routing(&self, pool: &[BTreeSet<Path>], flows: &[f64]) -> (LinkLoads, RoutingTables) {
+        let mut loads = LinkLoads::zeros(self.topology.link_count());
+        // Tables are indexed by core-graph edge id, not by position in the
+        // (possibly subset) commodity list.
+        let table_len = self.commodities.iter().map(|c| c.edge.index() + 1).max().unwrap_or(0);
+        let mut routes: Vec<Vec<SplitRoute>> = vec![Vec::new(); table_len];
+        let mut flow = flows.iter();
+        for (d, paths) in self.demands.iter().zip(pool) {
+            let carried: Vec<(&Vec<LinkId>, f64)> = paths
+                .iter()
+                .map(|(_, links)| (links, *flow.next().expect("one flow per column")))
+                .filter(|&(_, x)| x > FLOW_EPSILON)
+                .collect();
+            let total: f64 = carried.iter().map(|&(_, x)| x).sum();
+            let slot = &mut routes[d.commodity.edge.index()];
+            for (links, x) in carried {
+                for &link in links {
+                    loads.add(link, x);
+                }
+                slot.push(SplitRoute { links: links.clone(), fraction: x / total });
+            }
+        }
+        (loads, RoutingTables::from_split_routes(routes))
+    }
+
+    fn solution(&self, kind: McfKind, optimum: &Optimum) -> McfSolution {
+        let (link_loads, tables) = self.routing(&optimum.pool, &optimum.flows);
+        McfSolution { kind, objective: optimum.objective, link_loads, tables }
+    }
+}
+
+/// An assembled master LP and its row/column layout.
+struct Built {
+    lp: LinearProgram,
+    /// Link of each capacity row; the demand rows follow them.
+    rows: Vec<LinkId>,
+    /// Path columns; the slack or λ variables follow them.
+    columns: usize,
+}
+
+/// Shortest-path pricing: Dijkstra over a demand's scope, lexicographic
+/// in `(cost, hops)` so that among equally priced paths the shortest
+/// enters. Ties beyond that resolve deterministically (lowest node id
+/// settled first, links relaxed in adjacency order). The buffers are
+/// reused across demands and rounds.
+struct Pricer {
+    best: Vec<(f64, usize)>,
+    prev: Vec<Option<LinkId>>,
+    done: Vec<bool>,
+    heap: BinaryHeap<Entry>,
+}
+
+impl Pricer {
+    fn new(topology: &Topology) -> Self {
+        let n = topology.node_count();
+        Self {
+            best: vec![(0.0, 0); n],
+            prev: vec![None; n],
+            done: vec![false; n],
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    /// The cheapest `source → dest` path of `demand` when each link costs
+    /// `unit + weights[link]`, with its cost; `None` when the destination
+    /// is unreachable.
+    fn cheapest(
+        &mut self,
+        topology: &Topology,
+        demand: &Demand,
+        unit: f64,
+        weights: &[f64],
+    ) -> Option<(f64, Path)> {
+        let (source, dest) = (demand.commodity.source, demand.commodity.dest);
+        self.best.fill((f64::INFINITY, usize::MAX));
+        self.prev.fill(None);
+        self.done.fill(false);
+        self.heap.clear();
+        self.best[source.index()] = (0.0, 0);
+        self.heap.push(Entry { cost: 0.0, hops: 0, node: source });
+        while let Some(Entry { cost, hops, node }) = self.heap.pop() {
+            if std::mem::replace(&mut self.done[node.index()], true) {
+                continue;
+            }
+            if node == dest {
+                break;
+            }
+            for (id, link) in topology.out_links(node) {
+                if demand.quadrant.as_ref().is_some_and(|q| !q.contains(id)) {
+                    continue;
+                }
+                let candidate = (cost + unit + weights[id.index()], hops + 1);
+                if lexicographic(candidate, self.best[link.dst.index()]) == Ordering::Less {
+                    self.best[link.dst.index()] = candidate;
+                    self.prev[link.dst.index()] = Some(id);
+                    self.heap.push(Entry { cost: candidate.0, hops: candidate.1, node: link.dst });
+                }
+            }
+        }
+        let (cost, hops) = self.best[dest.index()];
+        if !cost.is_finite() {
+            return None;
+        }
+        let mut links = Vec::with_capacity(hops);
+        let mut at = dest;
+        while at != source {
+            let link = self.prev[at.index()].expect("settled nodes have a predecessor");
+            links.push(link);
+            at = topology.link(link).src;
+        }
+        links.reverse();
+        Some((cost, (hops, links)))
+    }
+}
+
+fn lexicographic(a: (f64, usize), b: (f64, usize)) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// Min-heap entry on `(cost, hops, node)`.
+#[derive(Debug, PartialEq)]
+struct Entry {
+    cost: f64,
+    hops: usize,
+    node: NodeId,
+}
+
+impl Eq for Entry {}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: `BinaryHeap` pops the greatest entry.
+        lexicographic((other.cost, other.hops), (self.cost, self.hops))
+            .then_with(|| other.node.cmp(&self.node))
+    }
+}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_graph::{CoreGraph, Topology};
+    use noc_graph::{CoreGraph, EdgeId, Topology};
+    use noc_units::Mbps;
 
-    /// One 300 MB/s flow between adjacent corners of a 2x2 mesh whose links
-    /// carry only 100 MB/s each: split routing is required (and sufficient:
-    /// two link-disjoint paths of 100+... wait, 2x2 offers exactly 2
-    /// disjoint paths between adjacent nodes: direct (1 hop) and around
-    /// (3 hops) — 200 MB/s total on link-disjoint routes, but link loads
-    /// can also share... direct 100 + around 100 = 200 < 300: infeasible;
-    /// with 150 MB/s links it becomes feasible (150 + 150).
+    /// One `value` MB/s flow between adjacent corners of a 2x2 mesh whose
+    /// links each carry `link_cap` MB/s. The pair has exactly two
+    /// link-disjoint paths: the direct link (1 hop) and the way around
+    /// (3 hops). So the flow fits exactly when `value ≤ 2 · link_cap`:
+    /// 300 MB/s is infeasible on 100 MB/s links (200 at most) and feasible
+    /// on 150 MB/s links (150 + 150).
     fn one_flow_problem(link_cap: f64, value: f64) -> (MappingProblem, Mapping) {
         let mut g = CoreGraph::new();
         let a = g.add_core("a");
@@ -682,20 +815,113 @@ mod tests {
         assert!(sol.link_loads.within_capacity(p.topology()));
         assert!((sol.objective - 200.0).abs() < 1e-4);
     }
+
+    /// Pins [`FLOW_EPSILON`] as the path-flow boundary: a column carrying
+    /// exactly the threshold is treated as zero, one above it routes.
+    #[test]
+    fn flow_epsilon_is_the_path_flow_boundary() {
+        let t = Topology::mesh(2, 2, 1e9);
+        let direct = t.find_link(NodeId::new(0), NodeId::new(1)).expect("adjacent link");
+        for (flow, routes) in [(2.0 * FLOW_EPSILON, 1), (FLOW_EPSILON, 0)] {
+            let commodities = [Commodity {
+                edge: EdgeId::new(0),
+                value: Mbps::new(flow).unwrap(),
+                source: NodeId::new(0),
+                dest: NodeId::new(1),
+            }];
+            let instance = Instance::new(&t, &commodities, PathScope::AllPaths);
+            let pool = vec![BTreeSet::from([(1, vec![direct])])];
+            let (loads, tables) = instance.routing(&pool, &[flow]);
+            assert_eq!(tables.routes_of(EdgeId::new(0)).len(), routes, "flow {flow}");
+            assert_eq!(loads.total() > 0.0, routes == 1, "flow {flow}");
+        }
+    }
+
+    /// Every bandwidth-feasibility verdict comes from [`SLACK_EPSILON`]:
+    /// demands whose MCF1 slack falls just above, just below and well
+    /// below it must route (or not) consistently in the split mapper and
+    /// in FlowMin. At 300.0000005 MB/s over two 150 MB/s paths the slack
+    /// is 5e-7, which the mapper calls feasible, so FlowMin must route it.
+    #[test]
+    fn one_threshold_decides_split_feasibility() {
+        for (value, feasible) in [(300.000005, false), (300.0000005, true), (300.00000005, true)] {
+            let (p, m) = one_flow_problem(150.0, value);
+            let slack = mcf1_slack(&p, &m, PathScope::AllPaths).unwrap();
+            assert_eq!(slack <= SLACK_EPSILON, feasible, "{value}: slack {slack}");
+            let flow = solve_mcf(&p, &m, McfKind::FlowMin, PathScope::AllPaths);
+            assert_eq!(flow.is_ok(), feasible, "{value}: {flow:?}");
+            let out = crate::map_with_splitting(&p, &crate::SplitOptions::default())
+                .unwrap_or_else(|e| panic!("{value}: {e}"));
+            assert_eq!(out.feasible, feasible, "{value}");
+            assert_eq!(out.total_flow.is_finite(), feasible, "{value}");
+        }
+    }
+
+    #[test]
+    fn flow_min_runs_mcf1_only_when_the_start_overloads() {
+        let (p, m) = one_flow_problem(1000.0, 300.0);
+        let commodities = p.commodities(&m);
+        let (loose, stats) =
+            solve_mcf_with_stats(p.topology(), &commodities, McfKind::FlowMin, PathScope::AllPaths);
+        assert!(loose.is_ok());
+        // One MCF2 master over the start path, proven optimal by one
+        // pricing round; its single pivot drives the demand's artificial
+        // out.
+        assert_eq!((stats.solves, stats.rounds, stats.columns), (1, 1, 1), "{stats:?}");
+        assert_eq!((stats.pivots, stats.phase1_pivots), (1, 1), "{stats:?}");
+        let (p, m) = one_flow_problem(150.0, 300.0);
+        let (tight, stats) = solve_mcf_with_stats(
+            p.topology(),
+            &p.commodities(&m),
+            McfKind::FlowMin,
+            PathScope::AllPaths,
+        );
+        assert!(tight.is_ok());
+        assert_eq!(stats.solves, 2, "MCF1 then MCF2: {stats:?}");
+        assert!(stats.rounds >= 2 && stats.pivots > 0 && stats.columns >= 2, "{stats:?}");
+        assert!(!stats.warm_hit);
+    }
+
+    #[test]
+    fn or_slack_returns_mcf1_when_flow_min_is_infeasible() {
+        for cap in [100.0, 150.0] {
+            let (p, m) = one_flow_problem(cap, 300.0);
+            let commodities = p.commodities(&m);
+            let (routed, _) = solve_mcf_or_slack(p.topology(), &commodities, PathScope::AllPaths);
+            let routed = routed.unwrap();
+            let expected = match solve_mcf_for(
+                p.topology(),
+                &commodities,
+                McfKind::FlowMin,
+                PathScope::AllPaths,
+            ) {
+                Ok(solution) => solution,
+                Err(_) => solve_mcf_for(
+                    p.topology(),
+                    &commodities,
+                    McfKind::SlackMin,
+                    PathScope::AllPaths,
+                )
+                .unwrap(),
+            };
+            assert_eq!(routed, expected, "cap {cap}");
+        }
+    }
 }
 
+/// The retired warm-start API survives as a thin cold wrapper; these
+/// tests pin that it returns exactly what [`solve_mcf_for`] returns and
+/// never claims a warm hit.
 #[cfg(test)]
 mod warm_start_tests {
-    use noc_graph::{EdgeId, RandomGraphConfig, Topology};
-    use noc_units::Mbps;
+    use noc_graph::{RandomGraphConfig, Topology};
 
     use super::*;
 
-    /// Warm and cold solves must agree on the *entire* solution — the
-    /// objective, the link loads and the decomposed per-commodity routing
-    /// tables — across a shrinking-capacity sweep, on seeded random
-    /// graphs. This is the identity contract that lets `--warm-lp` keep
-    /// sweep outputs byte-identical.
+    /// The wrapper and the plain solve must agree on the *entire*
+    /// solution — the objective, the link loads and the routing tables —
+    /// across a shrinking-capacity sweep, on seeded random graphs, with a
+    /// previous state threaded through as a sweep would.
     #[test]
     fn warm_and_cold_solves_are_identical_across_a_capacity_sweep() {
         for seed in [1u64, 7, 42] {
@@ -714,9 +940,7 @@ mod warm_start_tests {
                     match (cold, warmed) {
                         (Ok(c), Ok((w, next, stats))) => {
                             assert_eq!(c, w, "seed {seed} {kind:?} cap {cap}");
-                            if stats.warm_hit {
-                                assert_eq!(stats.phase1_pivots, 0, "warm solves skip phase 1");
-                            }
+                            assert!(!stats.warm_hit);
                             warm = Some(next);
                         }
                         (Err(ce), Err(we)) => {
@@ -756,10 +980,10 @@ mod warm_start_tests {
             &commodities,
             McfKind::SlackMin,
             PathScope::AllPaths,
-            Some(state.clone()),
+            Some(state),
         )
         .unwrap();
-        assert!(!cross_kind.warm_hit, "basis must not cross formulations");
+        assert!(!cross_kind.warm_hit, "state must not cross formulations");
         let (_, _, cross_scope) = solve_mcf_warm(
             problem.topology(),
             &commodities,
@@ -768,77 +992,7 @@ mod warm_start_tests {
             Some(state),
         )
         .unwrap();
-        assert!(!cross_scope.warm_hit, "basis must not cross path scopes");
-    }
-
-    /// In the capacity-binding regime a single flow over two unequal-length
-    /// paths has a *unique* optimal split, so the uniqueness guard admits
-    /// the warm answer and the dual simplex actually serves the sweep.
-    #[test]
-    fn warm_hits_in_binding_capacity_regimes() {
-        use noc_graph::CoreGraph;
-        let instance = |cap: f64| {
-            let mut g = CoreGraph::new();
-            let a = g.add_core("a");
-            let b = g.add_core("b");
-            g.add_comm(a, b, 300.0).unwrap();
-            let p = MappingProblem::new(g, Topology::mesh(2, 2, cap)).unwrap();
-            let mut m = Mapping::new(4);
-            m.place(a, NodeId::new(0));
-            m.place(b, NodeId::new(1));
-            (p, m)
-        };
-        let mut warm: Option<McfWarmState> = None;
-        let mut hits = 0usize;
-        for cap in [1000.0, 290.0, 250.0, 200.0, 160.0] {
-            let (p, m) = instance(cap);
-            let commodities = p.commodities(&m);
-            let cold =
-                solve_mcf_for(p.topology(), &commodities, McfKind::FlowMin, PathScope::AllPaths)
-                    .unwrap();
-            let (w, next, stats) = solve_mcf_warm(
-                p.topology(),
-                &commodities,
-                McfKind::FlowMin,
-                PathScope::AllPaths,
-                warm.take(),
-            )
-            .unwrap();
-            assert_eq!(cold, w, "cap {cap}");
-            if stats.warm_hit {
-                hits += 1;
-                assert_eq!(stats.phase1_pivots, 0);
-            }
-            warm = Some(next);
-        }
-        assert!(hits >= 2, "expected warm hits in the binding regime, got {hits}");
-    }
-
-    /// Pins [`FLOW_EPSILON`] as the decomposition boundary: residual flow
-    /// exactly at the threshold is treated as zero, flow above it routes.
-    #[test]
-    fn flow_epsilon_is_the_decomposition_boundary() {
-        let t = Topology::mesh(2, 2, 1e9);
-        let (direct, _) = t
-            .out_links(NodeId::new(0))
-            .find(|(_, l)| l.dst == NodeId::new(1))
-            .expect("adjacent link");
-        let commodity = |v: f64| Commodity {
-            edge: EdgeId::new(0),
-            value: Mbps::new(v).unwrap(),
-            source: NodeId::new(0),
-            dest: NodeId::new(1),
-        };
-        let above = 2.0 * FLOW_EPSILON;
-        let tables =
-            decompose_flows(&t, &[commodity(above)], vec![BTreeMap::from([(direct, above)])]);
-        assert_eq!(tables.routes_of(EdgeId::new(0)).len(), 1, "above the threshold must route");
-        let tables = decompose_flows(
-            &t,
-            &[commodity(FLOW_EPSILON)],
-            vec![BTreeMap::from([(direct, FLOW_EPSILON)])],
-        );
-        assert!(tables.routes_of(EdgeId::new(0)).is_empty(), "at the threshold is treated as zero");
+        assert!(!cross_scope.warm_hit, "state must not cross path scopes");
     }
 }
 
@@ -849,11 +1003,9 @@ mod determinism_tests {
     use super::*;
 
     /// Repeated solves of the same MCF instance must produce identical
-    /// solutions — objective, link loads *and* decomposed routing tables.
-    /// This is what the `BTreeMap` flow/incidence containers buy: with
-    /// hash maps the flow decomposition would visit links in unspecified
-    /// order and could emit the same flow split as differently-ordered
-    /// (or differently-tie-broken) route lists between runs.
+    /// solutions — objective, link loads *and* routing tables. The master
+    /// LPs are built in a canonical order and every container is ordered,
+    /// so nothing depends on allocation or hashing order.
     #[test]
     fn repeated_solves_are_identical() {
         let graph = RandomGraphConfig { cores: 12, ..Default::default() }.generate(5);
@@ -873,32 +1025,21 @@ mod determinism_tests {
 #[cfg(test)]
 mod failure_injection_tests {
     use super::*;
-    use noc_graph::{CoreGraph, Topology};
     use noc_lp::SolveError;
 
     /// LP failures other than infeasibility must propagate as
-    /// `MapError::Lp`, not be silently converted to `maxvalue`.
+    /// `MapError::Lp`, not be silently converted to `maxvalue` by the
+    /// split mapper's scoring.
     #[test]
     fn iteration_limit_propagates_from_split_mapper() {
-        // A problem large enough that a 1-pivot budget cannot solve it.
-        let mut g = CoreGraph::new();
-        let a = g.add_core("a");
-        let b = g.add_core("b");
-        let c = g.add_core("c");
-        g.add_comm(a, b, 100.0).unwrap();
-        g.add_comm(b, c, 100.0).unwrap();
-        let problem = MappingProblem::new(g, Topology::mesh(2, 2, 1e9)).unwrap();
-        let mapping = crate::initialize(&problem);
-
-        // Build the same MCF2 model by hand with a crippled pivot budget.
-        let commodities = problem.commodities(&mapping);
-        let model = McfModel::build(
-            problem.topology(),
-            &commodities,
-            McfKind::FlowMin,
-            PathScope::AllPaths,
-        );
-        let mut lp = model.lp;
+        // A two-path master for one 100 MB/s demand, with a pivot budget
+        // too small for its phase 1.
+        let mut lp = LinearProgram::new(Sense::Minimize);
+        let direct = lp.add_variable("direct", 1.0);
+        let around = lp.add_variable("around", 3.0);
+        lp.add_le(&[(direct, 1.0)], 60.0);
+        lp.add_le(&[(around, 1.0)], 60.0);
+        lp.add_eq(&[(direct, 1.0), (around, 1.0)], 100.0);
         lp.set_options(noc_lp::SimplexOptions { max_iterations: 1, ..Default::default() });
         assert_eq!(lp.solve().unwrap_err(), SolveError::IterationLimit);
         // And the conversion path used by the mappers:

@@ -20,7 +20,7 @@
 use noc_graph::NodeId;
 use noc_units::HopMbps;
 
-use crate::mcf::{solve_mcf, McfKind, McfSolution, PathScope};
+use crate::mcf::{solve_mcf, McfKind, McfSolution, PathScope, SLACK_EPSILON};
 use crate::routing::{LinkLoads, RoutingTables};
 use crate::{initialize, Mapping, MappingProblem, Result};
 
@@ -169,9 +169,6 @@ pub fn map_with_splitting(
         lp_solves,
     })
 }
-
-/// Slack below which a mapping counts as bandwidth-feasible (MB/s).
-const SLACK_EPSILON: f64 = 1e-6;
 
 fn mcf1(
     problem: &MappingProblem,

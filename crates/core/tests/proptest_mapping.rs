@@ -138,8 +138,8 @@ proptest! {
         );
     }
 
-    /// MCF decomposition: route fractions per commodity sum to 1 and the
-    /// reconstructed link loads match the LP's flow variables.
+    /// MCF routing tables: route fractions per commodity sum to 1 and the
+    /// link loads rebuilt from them match the LP's path flows.
     #[test]
     fn mcf_decomposition_is_consistent(cores in 2usize..7, seed in 0u64..30) {
         let problem = random_problem(cores, seed, 1e9);

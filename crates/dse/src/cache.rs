@@ -444,12 +444,11 @@ pub fn route_key(scenario: &Scenario, need_tables: bool) -> String {
     )
 }
 
-/// The warm-start lineage key: [`route_key`] minus the route-stage link
-/// capacity (`rcap`). Scenarios sharing a lineage differ *only* in the
-/// capacities their MCF program constrains on — exactly the family whose
-/// optimal bases chain through the dual simplex (`noc_lp::Basis` reuse),
-/// since the LP's structure (topology wiring, commodity set, objective)
-/// is pinned by every other key component.
+/// The lineage key: [`route_key`] minus the route-stage link capacity
+/// (`rcap`). Scenarios sharing a lineage differ *only* in the capacities
+/// their MCF program constrains on; the topology wiring, commodity set and
+/// objective are pinned by every other key component. It named the chains
+/// of the retired LP warm start and still groups capacity sweeps.
 pub fn warm_lineage_key(scenario: &Scenario, need_tables: bool) -> String {
     format!("{};routing={};tables={}", map_key(scenario), scenario.routing.name(), need_tables)
 }

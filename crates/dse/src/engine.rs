@@ -21,18 +21,15 @@
 //! [`StageTimes`] vary between runs, and the report writers exclude them
 //! by default.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use nmap::{
-    mcf::{solve_mcf, solve_mcf_warm},
-    routing, EvalContext, LinkLoads, MapError, Mapping, MappingProblem, McfKind, McfSolution,
-    McfWarmState, PathScope, RoutingTables,
+    mcf::solve_mcf_or_slack, routing, EvalContext, LinkLoads, Mapping, MappingProblem, PathScope,
+    RoutingTables,
 };
-use noc_lp::SolveError;
 use noc_probe::{Probe, Value};
 use noc_sim::{FlowSpec, SimReport, Simulator};
 use noc_units::Mbps;
@@ -45,10 +42,10 @@ use crate::scenario::{
 use crate::shard::{Checkpoint, ShardPlan};
 
 /// What an engine call runs with besides its work list: the worker
-/// count, the instrumentation probe and the two stores a caller can
+/// count, the instrumentation probe and the stage cache a caller can
 /// share across calls. The default runs on every core with a disabled
-/// probe, a fresh in-memory stage cache and cold LP solves; a bare
-/// thread count converts into exactly that with its `threads` set, so
+/// probe and a fresh in-memory stage cache; a bare thread count converts
+/// into exactly that with its `threads` set, so
 /// `run_scenarios(set.scenarios(), 4)` and
 /// `run_scenarios(set.scenarios(), RunContext { threads: 4, ..Default::default() })`
 /// are the same call.
@@ -69,10 +66,6 @@ pub struct RunContext<'a> {
     /// axes) still compute it exactly once. Cache keys capture every
     /// input a stage reads, so a cached result equals the computed one.
     pub cache: Option<&'a StageCache>,
-    /// Warm-start store for the MCF route stage (see [`WarmLpStore`]);
-    /// `None` keeps every LP solve cold. A store spanning several calls
-    /// chains bases across them.
-    pub warm: Option<&'a WarmLpStore>,
 }
 
 impl From<usize> for RunContext<'_> {
@@ -81,63 +74,19 @@ impl From<usize> for RunContext<'_> {
     }
 }
 
-/// Per-lineage warm-start slots for the MCF route stage, shared across a
-/// sweep. Keyed by [`cache::warm_lineage_key`]; each slot holds the last
-/// optimal [`McfWarmState`] per objective kind, and its lock is held
-/// across the LP solve so one lineage's capacity points chain their
-/// tableaux sequentially while distinct lineages solve in parallel.
-#[derive(Debug, Default)]
-pub struct WarmLpStore {
-    slots: Mutex<BTreeMap<String, Arc<Mutex<WarmSlot>>>>,
-}
-
-/// One lineage's warm state. FlowMin and SlackMin chains are kept apart:
-/// the engine's MCF fallback (FlowMin infeasible → SlackMin) would
-/// otherwise clobber the FlowMin lineage at the first infeasible point.
-#[derive(Debug, Default)]
-struct WarmSlot {
-    flow_min: WarmChain,
-    slack_min: WarmChain,
-}
-
-/// A consecutive-refusal budget per chain: when the uniqueness guard (or a
-/// basis mismatch) keeps refusing reuse, the instance's optima are
-/// structurally non-unique and further warm attempts are pointless (the
-/// O(1) snapshot refusal is cheap, but each point still re-captures state
-/// it will never use). After this many refusals in a row the chain stops
-/// attempting warm starts; one accepted reuse resets the count.
-const WARM_REFUSAL_LIMIT: u32 = 2;
-
-/// One objective kind's tableau chain plus its refusal strike count.
-#[derive(Debug, Default)]
-struct WarmChain {
-    state: Option<McfWarmState>,
-    refusals: u32,
-}
-
-impl WarmLpStore {
-    /// The lineage's slot, created on first use.
-    fn slot(&self, lineage: &str) -> Arc<Mutex<WarmSlot>> {
-        let mut slots = self.slots.lock().expect("warm slots not poisoned");
-        Arc::clone(slots.entry(lineage.to_string()).or_default())
-    }
-}
-
 /// Runs `scenarios` under `ctx` (a [`RunContext`] or a bare thread
 /// count), returning records in scenario order. Scenario-level failures
 /// (app does not fit, unroutable, LP breakdown) become records with a
 /// non-empty `error` field; they never abort the call. Cache lookups land
 /// in the `dse.cache.{hit,miss,disk_hit}` probe counters (plus per-stage
-/// `dse.cache.{map,route}_*` variants), LP pivot counts of warm-chained
-/// solves in `lp.pivots` / `lp.phase1_pivots`, and basis reuse in
-/// `lp.warm_start.hits` / `lp.warm_start.pivots_saved`.
+/// `dse.cache.{map,route}_*` variants), and every MCF route solve's work
+/// in `lp.solves`, `lp.pivots`, `lp.phase1_pivots`, `lp.cg.rounds` and
+/// `lp.cg.columns`.
 pub fn run_scenarios<'a>(scenarios: &[Scenario], ctx: impl Into<RunContext<'a>>) -> Vec<RunRecord> {
     let ctx = ctx.into();
     let fresh = StageCache::in_memory();
     let cache = ctx.cache.unwrap_or(&fresh);
-    pool_map(scenarios.len(), ctx.clone(), |i| {
-        run_scenario(&scenarios[i], &ctx.probe, cache, ctx.warm)
-    })
+    pool_map(scenarios.len(), ctx.clone(), |i| run_scenario(&scenarios[i], &ctx.probe, cache))
 }
 
 /// Default scenarios per shard for a checkpointed [`run_sweep`]: small
@@ -145,8 +94,8 @@ pub fn run_scenarios<'a>(scenarios: &[Scenario], ctx: impl Into<RunContext<'a>>)
 /// and checkpoint overhead stays negligible.
 pub const DEFAULT_SHARD_SIZE: usize = 64;
 
-/// Configuration of a [`run_sweep`]: worker count, sharding, checkpoint,
-/// stage-cache tiers and warm LP starts.
+/// Configuration of a [`run_sweep`]: worker count, sharding, checkpoint
+/// and stage-cache tiers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SweepConfig {
     /// Worker threads per shard; `0` uses available parallelism.
@@ -166,17 +115,6 @@ pub struct SweepConfig {
     /// count) and return with `completed = false` — the seam kill-and-
     /// resume tests and bounded-work runs use. `None` runs to the end.
     pub shard_budget: Option<usize>,
-    /// Warm-start the MCF route stage's LP across the bandwidth axis:
-    /// scenarios sharing a [`cache::warm_lineage_key`] chain their optimal
-    /// simplex tableaux through [`solve_mcf_warm`]'s dual simplex instead
-    /// of cold two-phase solves. The store spans shards, so a lineage's
-    /// basis chain survives shard boundaries. Records are byte-identical
-    /// either way — a warm result is used only when `noc-lp`'s uniqueness
-    /// guard proves the optimum unique, every other case falls back to
-    /// the cold path — but the `lp.warm_start.*` counters depend on which
-    /// capacity point of a lineage solves first, so they are
-    /// interleaving-dependent above one thread.
-    pub warm_lp: bool,
     /// Byte budget for the stage cache's in-memory tiers (see
     /// [`StageCache::with_mem_cap`]); `None` is unbounded.
     pub cache_mem_cap: Option<usize>,
@@ -237,17 +175,11 @@ pub fn run_sweep(
         None => StageCache::in_memory(),
     }
     .with_mem_cap(config.cache_mem_cap);
-    let warm = config.warm_lp.then(WarmLpStore::default);
     let checkpoint = match &config.checkpoint_dir {
         Some(dir) => Some(Checkpoint::open(dir, scenarios, shard_size)?),
         None => None,
     };
-    let ctx = RunContext {
-        threads: config.threads,
-        probe: probe.clone(),
-        cache: Some(&cache),
-        warm: warm.as_ref(),
-    };
+    let ctx = RunContext { threads: config.threads, probe: probe.clone(), cache: Some(&cache) };
 
     let mut records: Vec<RunRecord> = Vec::with_capacity(scenarios.len());
     let mut shards_run = 0usize;
@@ -429,13 +361,8 @@ fn effective_threads(threads: usize, scenarios: usize) -> usize {
 /// histograms (cache-lookup overhead in `dse.stage.cache_us`), and one
 /// `dse.scenario` event records the run. The record itself is
 /// byte-identical to an unprobed run.
-fn run_scenario(
-    scenario: &Scenario,
-    probe: &Probe,
-    cache: &StageCache,
-    warm: Option<&WarmLpStore>,
-) -> RunRecord {
-    let record = run_scenario_inner(scenario, probe, cache, warm);
+fn run_scenario(scenario: &Scenario, probe: &Probe, cache: &StageCache) -> RunRecord {
+    let record = run_scenario_inner(scenario, probe, cache);
     probe.histogram("dse.stage.build_us").record(record.times.build_us);
     probe.histogram("dse.stage.map_us").record(record.times.map_us);
     probe.histogram("dse.stage.route_us").record(record.times.route_us);
@@ -476,12 +403,7 @@ fn count_lookup(probe: &Probe, stage: &str, lookup: Lookup) {
     probe.counter(&format!("dse.cache.{stage}_{kind}")).add(1);
 }
 
-fn run_scenario_inner(
-    scenario: &Scenario,
-    probe: &Probe,
-    cache: &StageCache,
-    warm: Option<&WarmLpStore>,
-) -> RunRecord {
+fn run_scenario_inner(scenario: &Scenario, probe: &Probe, cache: &StageCache) -> RunRecord {
     let build_start = Instant::now();
     let (graph, topology) = scenario.parts();
     let cores = graph.core_count();
@@ -538,20 +460,13 @@ fn run_scenario_inner(
     };
 
     let need_tables = scenario.simulate.is_some();
-    // Only the MCF regimes solve an LP, so only they get a warm slot; the
-    // slot is resolved outside the cache closure (a route-stage hit never
-    // touches the warm store).
-    let warm_slot = warm
-        .filter(|_| matches!(scenario.routing, RoutingSpec::McfQuadrant | RoutingSpec::McfAllPaths))
-        .map(|store| store.slot(&cache::warm_lineage_key(scenario, need_tables)));
     let route_lookup_start = Instant::now();
     let mut route_us = 0u64;
     let (route_result, route_lookup) =
         cache.route_stage(&cache::route_key(scenario, need_tables), || {
             let compute_start = Instant::now();
-            let result =
-                route(&problem, &mapping, scenario.routing, need_tables, warm_slot.as_ref(), probe)
-                    .map_err(|e| e.to_string());
+            let result = route(&problem, &mapping, scenario.routing, need_tables, probe)
+                .map_err(|e| e.to_string());
             route_us = StageTimes::us(compute_start.elapsed());
             result
         });
@@ -696,8 +611,8 @@ fn run_mapper(
 /// when `need_tables` is set (the scenario simulates) — the routing
 /// tables the simulate stage loads as source routes. The single-path
 /// regimes skip the table construction (per-commodity path clones)
-/// otherwise; the MCF regimes get tables for free from flow decomposition
-/// and always return them.
+/// otherwise; the MCF regimes' tables are their path columns, so they
+/// always return them.
 ///
 /// For the MCF regimes the minimum-total-flow program (MCF2) provides the
 /// routing; when its capacities are infeasible, the always-feasible
@@ -708,7 +623,6 @@ fn route(
     mapping: &Mapping,
     routing: RoutingSpec,
     need_tables: bool,
-    warm: Option<&Arc<Mutex<WarmSlot>>>,
     probe: &Probe,
 ) -> nmap::Result<(Option<RoutingTables>, LinkLoads)> {
     match routing {
@@ -720,87 +634,31 @@ fn route(
             let (paths, loads) = routing::route_xy(problem, mapping)?;
             Ok((need_tables.then(|| RoutingTables::from_single_paths(&paths)), loads))
         }
-        RoutingSpec::McfQuadrant => mcf_routing(problem, mapping, PathScope::Quadrant, warm, probe),
-        RoutingSpec::McfAllPaths => mcf_routing(problem, mapping, PathScope::AllPaths, warm, probe),
+        RoutingSpec::McfQuadrant => mcf_routing(problem, mapping, PathScope::Quadrant, probe),
+        RoutingSpec::McfAllPaths => mcf_routing(problem, mapping, PathScope::AllPaths, probe),
     }
 }
 
+/// MCF2, or MCF1 when the capacities are infeasible (FlowMin's own MCF1
+/// phase is reused, not re-solved), recording the solve's work in the
+/// `lp.*` counters.
 fn mcf_routing(
     problem: &MappingProblem,
     mapping: &Mapping,
     scope: PathScope,
-    warm: Option<&Arc<Mutex<WarmSlot>>>,
     probe: &Probe,
 ) -> nmap::Result<(Option<RoutingTables>, LinkLoads)> {
-    let Some(slot) = warm else {
-        return match solve_mcf(problem, mapping, McfKind::FlowMin, scope) {
-            Ok(solution) => Ok((Some(solution.tables), solution.link_loads)),
-            Err(MapError::Lp(SolveError::Infeasible)) => {
-                let solution = solve_mcf(problem, mapping, McfKind::SlackMin, scope)?;
-                Ok((Some(solution.tables), solution.link_loads))
-            }
-            Err(e) => Err(e),
-        };
-    };
-    // The lineage lock is held across the solve: one lineage's capacity
-    // points chain their bases sequentially (whichever worker claims the
-    // next point inherits the freshest basis), distinct lineages solve in
-    // parallel.
-    let mut chain = slot.lock().expect("warm slot not poisoned");
-    match solve_mcf_chained(problem, mapping, McfKind::FlowMin, scope, &mut chain.flow_min, probe) {
-        Ok(solution) => Ok((Some(solution.tables), solution.link_loads)),
-        Err(MapError::Lp(SolveError::Infeasible)) => {
-            let solution = solve_mcf_chained(
-                problem,
-                mapping,
-                McfKind::SlackMin,
-                scope,
-                &mut chain.slack_min,
-                probe,
-            )?;
-            Ok((Some(solution.tables), solution.link_loads))
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// One warm-chained MCF solve: re-optimizes from the lineage's previous
-/// tableau snapshot when possible (and not struck out — see
-/// [`WARM_REFUSAL_LIMIT`]), stores the successor snapshot back into the
-/// chain, and records the LP counters (`lp.pivots`, `lp.phase1_pivots`,
-/// `lp.warm_start.{hits,pivots_saved}`). The state is moved into the
-/// solve (a warm hit carries the tableau through without copying it), so
-/// on error the chain is left empty and the next capacity point recaptures
-/// from a cold solve.
-fn solve_mcf_chained(
-    problem: &MappingProblem,
-    mapping: &Mapping,
-    kind: McfKind,
-    scope: PathScope,
-    chain: &mut WarmChain,
-    probe: &Probe,
-) -> nmap::Result<McfSolution> {
     let commodities = problem.commodities(mapping);
-    let attempt_warm = chain.refusals < WARM_REFUSAL_LIMIT;
-    let had_state = chain.state.is_some();
-    let previous = if attempt_warm { chain.state.take() } else { None };
-    let (solution, next, stats) =
-        solve_mcf_warm(problem.topology(), &commodities, kind, scope, previous)?;
-    if stats.warm_hit {
-        chain.refusals = 0;
-    } else if attempt_warm && had_state {
-        chain.refusals += 1;
-    }
-    chain.state = Some(next);
+    let (result, stats) = solve_mcf_or_slack(problem.topology(), &commodities, scope);
     if probe.is_enabled() {
+        probe.counter("lp.solves").add(stats.solves as u64);
         probe.counter("lp.pivots").add(stats.pivots as u64);
         probe.counter("lp.phase1_pivots").add(stats.phase1_pivots as u64);
-        if stats.warm_hit {
-            probe.counter("lp.warm_start.hits").add(1);
-            probe.counter("lp.warm_start.pivots_saved").add(stats.pivots_saved as u64);
-        }
+        probe.counter("lp.cg.rounds").add(stats.rounds as u64);
+        probe.counter("lp.cg.columns").add(stats.columns as u64);
     }
-    Ok(solution)
+    let solution = result?;
+    Ok((Some(solution.tables), solution.link_loads))
 }
 
 #[cfg(test)]

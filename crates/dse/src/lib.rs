@@ -27,8 +27,8 @@
 //!   [`noc_probe::Probe`] (stage-time histograms, per-worker utilization,
 //!   search/simulator counters and a structured per-scenario run log, all
 //!   strictly out-of-band — records stay byte-identical; see `DESIGN.md`
-//!   §16), a caller-owned [`StageCache`] and a [`WarmLpStore`]. A bare
-//!   thread count converts into a default context.
+//!   §16) and a caller-owned [`StageCache`]. A bare thread count converts
+//!   into a default context.
 //! * [`RunRecord`] / [`SweepReport`] — the aggregation layer: JSON-lines
 //!   and CSV writers plus summary statistics (feasibility rate, cost
 //!   quantiles, per-stage wall time).
@@ -40,12 +40,6 @@
 //!   breaking the byte-identical-output contract (see `DESIGN.md` §18).
 //!   The in-memory tier takes an optional byte budget (`--cache-mem-cap`)
 //!   with LRU eviction.
-//! * [`WarmLpStore`] — dual-simplex warm starts for MCF routing:
-//!   scenarios that differ only in link capacity chain their route-stage
-//!   LP tableaux (`--warm-lp`), so each later bandwidth point re-solves
-//!   from its predecessor's snapshot in a few dual pivots instead of a
-//!   full two-phase solve. A uniqueness guard keeps warm records
-//!   byte-identical to cold ones (see `DESIGN.md` §19).
 //!
 //! # Example
 //!
@@ -86,7 +80,7 @@ pub mod spec;
 pub use cache::{CacheStats, Lookup, StageCache};
 pub use engine::{
     flows_from_tables, pool_map, run_scenarios, run_sweep, RunContext, SweepConfig, SweepOutcome,
-    WarmLpStore, DEFAULT_SHARD_SIZE,
+    DEFAULT_SHARD_SIZE,
 };
 pub use noc_sim::LoopKind;
 pub use report::{parse_record_json, RunRecord, SimStats, StageTimes, SweepReport, SweepSummary};

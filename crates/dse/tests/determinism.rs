@@ -2,13 +2,19 @@
 //! matter how many worker threads produced it. Scenario seeds derive from
 //! the root seed at set-build time — never from worker identity — and
 //! records merge in scenario order, so the default-form (timing-free)
-//! writers must produce the same bytes for `threads = 1, 2, 8`.
+//! writers must produce the same bytes for `threads = 1, 2, 8`. The same
+//! holds for MCF-routed capacity sweeps, and for any cache byte budget or
+//! shard size.
 
+use noc_apps::App;
 use noc_dse::{
-    parse_spec, run_scenarios, LoopKind, MapperSpec, RoutingSpec, RunContext, ScenarioSet,
-    SimulateSpec, StageCache, SweepReport, TopologySpec,
+    parse_spec, run_scenarios, run_sweep, AppSpec, LoopKind, MapperSpec, RoutingSpec, RunContext,
+    RunRecord, Scenario, ScenarioSet, SimulateSpec, StageCache, StageTimes, SweepConfig,
+    SweepReport, TopologySpec,
 };
 use noc_graph::RandomGraphConfig;
+use noc_probe::Probe;
+use noc_units::mbps;
 
 /// A sweep wide enough that 8 workers genuinely interleave: 14 app
 /// entries × 2 topologies × 2 mappers × 2 routings = 112 scenarios.
@@ -271,4 +277,100 @@ routing min-path xy
     assert_eq!(s1.scenarios, s8.scenarios);
     assert_eq!(s1.feasible, s8.feasible);
     assert_eq!(s1.cost_median, s8.cost_median);
+}
+
+fn strip_times(records: &[RunRecord]) -> Vec<RunRecord> {
+    records
+        .iter()
+        .cloned()
+        .map(|mut r| {
+            r.times = StageTimes::default();
+            r
+        })
+        .collect()
+}
+
+/// An MCF-routed capacity sweep: 8 points per routing regime, all sharing
+/// one placement (NmapInit is capacity-invariant). Points span
+/// comfortably feasible down to infeasible, so both FlowMin and its MCF1
+/// fallback route records.
+fn mcf_capacity_sweep() -> Vec<Scenario> {
+    let caps = [1_600.0, 1_400.0, 1_200.0, 1_000.0, 800.0, 600.0, 400.0, 250.0];
+    let mut scenarios = Vec::new();
+    for routing in [RoutingSpec::McfQuadrant, RoutingSpec::McfAllPaths] {
+        for &cap in &caps {
+            scenarios.push(Scenario {
+                label: format!("DSP@{cap}"),
+                app: AppSpec::DspFilter,
+                seed: 0,
+                topology: TopologySpec::Mesh { dims: vec![3, 2] },
+                capacity: mbps(cap),
+                mapper: MapperSpec::NmapInit,
+                routing,
+                simulate: None,
+            });
+        }
+    }
+    scenarios
+}
+
+#[test]
+fn mcf_sweep_records_are_identical_at_every_thread_count() {
+    let scenarios = mcf_capacity_sweep();
+    let sequential = run_scenarios(&scenarios, 1);
+    assert!(sequential.iter().all(|r| r.is_ok()), "sweep must route cleanly");
+    assert!(sequential.iter().any(|r| !r.feasible), "sweep must reach binding capacities");
+    for threads in [2usize, 8] {
+        let pooled = run_scenarios(&scenarios, threads);
+        assert_eq!(strip_times(&pooled), strip_times(&sequential), "threads={threads}");
+    }
+}
+
+#[test]
+fn cache_byte_budget_never_changes_records() {
+    let set = ScenarioSet::builder()
+        .root_seed(11)
+        .app(App::Pip)
+        .dsp()
+        .mapper(MapperSpec::NmapInit)
+        .mapper(MapperSpec::Gmap)
+        .routing(RoutingSpec::MinPath)
+        .routing(RoutingSpec::McfQuadrant)
+        .build();
+    let baseline = run_sweep(&set, &SweepConfig::default(), &Probe::default(), &mut |_, _| {})
+        .expect("unbounded sweep");
+    let reference = baseline.report.write_jsonl(false);
+    assert_eq!(baseline.cache.evictions, 0, "unbounded cache must not evict");
+    for (cap, threads) in [(Some(0), 1), (Some(0), 2), (Some(600), 1), (Some(600), 8)] {
+        let config = SweepConfig { threads, cache_mem_cap: cap, ..Default::default() };
+        let outcome =
+            run_sweep(&set, &config, &Probe::default(), &mut |_, _| {}).expect("capped sweep");
+        assert_eq!(outcome.report.write_jsonl(false), reference, "cap={cap:?} threads={threads}");
+        if cap == Some(0) {
+            assert!(outcome.cache.evictions > 0, "cap 0 must evict every entry");
+        }
+    }
+}
+
+#[test]
+fn capped_sharded_sweep_matches_unbounded_output() {
+    // A byte budget plus sharding on an MCF sweep must still reproduce
+    // the plain engine byte-for-byte.
+    let scenarios = mcf_capacity_sweep();
+    let set = ScenarioSet::from_scenarios(scenarios.clone());
+    let reference = run_scenarios(&scenarios, 1);
+    for threads in [1usize, 2, 8] {
+        let config = SweepConfig {
+            threads,
+            shard_size: 5,
+            cache_mem_cap: Some(4_096),
+            ..Default::default()
+        };
+        let outcome = run_sweep(&set, &config, &Probe::default(), &mut |_, _| {}).expect("sweep");
+        assert_eq!(
+            strip_times(&outcome.report.records),
+            strip_times(&reference),
+            "threads={threads}"
+        );
+    }
 }

@@ -2,11 +2,12 @@
 //! `dse.cache.{hit,miss,disk_hit}` counters must agree with the cache's
 //! own [`CacheStats`], prove the ≥2× map-stage sharing bar on a
 //! routing × bandwidth sweep, and stay deterministic across thread
-//! counts (misses = distinct computed keys, never racing workers).
+//! counts (misses = distinct computed keys, never racing workers). Every
+//! MCF route solve also reports its LP work.
 
 use noc_dse::{
-    run_scenarios, run_sweep, MapperSpec, RoutingSpec, RunContext, ScenarioSet, SimulateSpec,
-    StageCache, SweepConfig, SweepReport,
+    run_scenarios, run_sweep, AppSpec, MapperSpec, RoutingSpec, RunContext, Scenario, ScenarioSet,
+    SimulateSpec, StageCache, SweepConfig, SweepReport, TopologySpec,
 };
 use noc_probe::{Probe, Profile, Value};
 
@@ -47,7 +48,7 @@ fn cache_counters_prove_map_stage_sharing_at_every_thread_count() {
     for threads in [1usize, 2, 8] {
         let probe = Probe::new();
         let cache = StageCache::in_memory();
-        let ctx = RunContext { threads, probe: probe.clone(), cache: Some(&cache), warm: None };
+        let ctx = RunContext { threads, probe: probe.clone(), cache: Some(&cache) };
         let report = SweepReport::new(run_scenarios(set.scenarios(), ctx));
         let profile = probe.snapshot();
 
@@ -104,4 +105,45 @@ fn sharded_sweep_reports_shard_counters() {
     assert_eq!(field("shards_run"), Some(Value::from(3usize)));
     assert_eq!(field("shards_restored"), Some(Value::from(0usize)));
     assert_eq!(field("completed"), Some(Value::from(true)));
+}
+
+#[test]
+fn mcf_route_solves_record_lp_counters() {
+    // 2 routing regimes × 4 capacities; the tight points overload the
+    // minimum-hop start, so FlowMin runs MCF1 first and pivots.
+    let mut scenarios = Vec::new();
+    for routing in [RoutingSpec::McfQuadrant, RoutingSpec::McfAllPaths] {
+        for cap in [1_600.0, 800.0, 400.0, 250.0] {
+            scenarios.push(Scenario {
+                label: format!("DSP@{cap}"),
+                app: AppSpec::DspFilter,
+                seed: 0,
+                topology: TopologySpec::Mesh { dims: vec![3, 2] },
+                capacity: noc_units::mbps(cap),
+                mapper: MapperSpec::NmapInit,
+                routing,
+                simulate: None,
+            });
+        }
+    }
+    let names = ["lp.solves", "lp.pivots", "lp.phase1_pivots", "lp.cg.rounds", "lp.cg.columns"];
+    let mut first: Option<Vec<u64>> = None;
+    for threads in [1usize, 4] {
+        let probe = Probe::new();
+        let ctx = RunContext { threads, probe: probe.clone(), ..Default::default() };
+        let records = run_scenarios(&scenarios, ctx);
+        assert!(records.iter().all(|r| r.is_ok()));
+        let profile = probe.snapshot();
+        let values: Vec<u64> = names.iter().map(|name| counter(&profile, name)).collect();
+        let [solves, pivots, phase1, rounds, columns] = values[..] else { unreachable!() };
+        assert!(solves >= scenarios.len() as u64, "one MCF program per route solve: {solves}");
+        assert!(rounds > 0 && pivots > 0 && phase1 > 0, "{values:?}");
+        assert!(pivots >= phase1);
+        assert!(columns >= solves, "every program keeps at least one path per demand");
+        // The LP work of a route solve depends on its inputs alone.
+        match &first {
+            Some(expected) => assert_eq!(&values, expected, "threads={threads}"),
+            None => first = Some(values),
+        }
+    }
 }

@@ -9,10 +9,6 @@
 //! nmap_dse --mesh3d [--smoke]       2-D vs 3-D mapping cost/latency on the
 //!                                   bundled apps (--smoke: reduced cycles)
 //! nmap_dse --spec <file>            run a .dse sweep specification
-//! nmap_dse --bench-mcf <path>       time the MCF route stage of a capacity
-//!                                   sweep under the dense seed solver, the
-//!                                   sparse cold solver and the warm-started
-//!                                   chain; write the snapshot as JSON
 //! options:  --loop <kind>           simulator loop for --fig5c/--mesh3d:
 //!                                   active-set (default) | full-scan
 //!           --threads N             worker threads (default: all cores)
@@ -22,9 +18,6 @@
 //!           --profile <path>        write the instrumentation profile as JSON
 //!                                   lines (counters, histograms, run-log
 //!                                   events), also when the run fails
-//!           --warm-lp               chain MCF route-stage LP bases across
-//!                                   the bandwidth axis (dual-simplex warm
-//!                                   starts; records stay byte-identical)
 //!           --allow-failures        (--spec only) exit 0 even when scenarios fail
 //! sharded sweeps (--spec only; any of these also prints shard and cache
 //! statistics):
@@ -65,8 +58,8 @@ use noc_experiments::table2::Table2Config;
 use noc_probe::Probe;
 
 const USAGE: &str = "usage: nmap_dse (--smoke | --table2 | --torus-vs-mesh | --fig5c [--smoke] \
-| --mesh3d [--smoke] | --spec <file> | --bench-mcf <path>) [--loop <kind>] [--threads N] \
-[--jsonl <path>] [--csv <path>] [--timing] [--profile <path>] [--warm-lp] [--allow-failures] \
+| --mesh3d [--smoke] | --spec <file>) [--loop <kind>] [--threads N] \
+[--jsonl <path>] [--csv <path>] [--timing] [--profile <path>] [--allow-failures] \
 [--resume <dir>] [--cache-dir <dir>] [--cache-mem-cap N] [--shard-size N] [--shard-budget N]";
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,7 +70,6 @@ enum Mode {
     Fig5c,
     Mesh3d,
     Spec,
-    BenchMcf,
 }
 
 #[derive(Debug)]
@@ -104,10 +96,6 @@ struct Args {
     shard_size: usize,
     /// `--shard-budget`: stop after executing this many shards.
     shard_budget: Option<usize>,
-    /// `--bench-mcf`: output path of the MCF warm-start benchmark snapshot.
-    bench_mcf: Option<String>,
-    /// `--warm-lp`: dual-simplex warm starts across the bandwidth axis.
-    warm_lp: bool,
     /// `--cache-mem-cap`: in-memory stage-cache byte budget.
     cache_mem_cap: Option<usize>,
 }
@@ -141,8 +129,6 @@ fn parse_args() -> Result<Option<Args>, String> {
     let mut cache_dir = None;
     let mut shard_size = 0usize;
     let mut shard_budget = None;
-    let mut bench_mcf = None;
-    let mut warm_lp = false;
     let mut cache_mem_cap = None;
 
     while let Some(arg) = raw.next() {
@@ -183,11 +169,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                 let n: usize = text.parse().map_err(|_| format!("bad shard budget `{text}`"))?;
                 shard_budget = Some(n);
             }
-            "--bench-mcf" => {
-                modes.push(Mode::BenchMcf);
-                bench_mcf = Some(raw.next().ok_or("--bench-mcf needs a path")?);
-            }
-            "--warm-lp" => warm_lp = true,
             "--cache-mem-cap" => {
                 let text = raw.next().ok_or("--cache-mem-cap needs a byte count")?;
                 let n: usize =
@@ -207,7 +188,7 @@ fn parse_args() -> Result<Option<Args>, String> {
         [Mode::Mesh3d, Mode::Smoke] | [Mode::Smoke, Mode::Mesh3d] => (Mode::Mesh3d, true),
         _ => {
             return Err("choose exactly one of --smoke/--table2/--torus-vs-mesh/--fig5c\
-                             /--mesh3d/--spec/--bench-mcf"
+                             /--mesh3d/--spec"
                 .into())
         }
     };
@@ -219,11 +200,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         // The built-in sweeps treat failed scenarios as bugs; only
         // user-authored specs can legitimately contain infeasible points.
         return Err("--allow-failures is only valid with --spec".into());
-    }
-    if warm_lp && mode != Mode::Spec {
-        // Warm starting only pays on user-authored MCF-routed bandwidth
-        // sweeps; the built-in studies pin their own engine options.
-        return Err("--warm-lp is only valid with --spec".into());
     }
     if mode == Mode::Fig5c && (jsonl.is_some() || csv.is_some() || timing) {
         // The fig5c sweep reports latency points, not scenario records.
@@ -246,8 +222,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         cache_dir,
         shard_size,
         shard_budget,
-        bench_mcf,
-        warm_lp,
         cache_mem_cap,
     };
     if args.sharded() && mode != Mode::Spec {
@@ -432,7 +406,6 @@ that is expected)",
             }
             Ok(ExitCode::SUCCESS)
         }
-        Mode::BenchMcf => bench_mcf(args),
     }
 }
 
@@ -450,7 +423,6 @@ fn sweep(set: &ScenarioSet, args: &Args, probe: &Probe) -> Result<SweepOutcome, 
         checkpoint_dir: args.resume.as_ref().map(PathBuf::from),
         cache_dir: args.cache_dir.as_ref().map(PathBuf::from),
         shard_budget: args.shard_budget,
-        warm_lp: args.warm_lp,
         cache_mem_cap: args.cache_mem_cap,
     };
     let sharded = args.sharded();
@@ -501,176 +473,6 @@ fn sweep(set: &ScenarioSet, args: &Args, probe: &Probe) -> Result<SweepOutcome, 
     }
     println!("{}", outcome.report.summary());
     Ok(outcome)
-}
-
-/// One row of the `--bench-mcf` snapshot: a routing scope timed under the
-/// three solver configurations across the whole capacity sweep.
-struct McfBenchRow {
-    name: &'static str,
-    instances: usize,
-    points: usize,
-    dense_ms: f64,
-    sparse_ms: f64,
-    warm_ms: f64,
-    warm_hits: usize,
-    pivots_saved: usize,
-}
-
-/// `--bench-mcf`: times the MCF route stage of a descending-capacity
-/// bandwidth sweep (≥8 points per scope, two instances) under three solver
-/// configurations on bit-identical LP instances — the seed's dense tableau
-/// (`PivotMode::Dense`), the sparse cold solver, and the dual-simplex
-/// warm-started chain — then writes the `mcf_warmstart` snapshot. Every
-/// solution is asserted identical across all three configurations before a
-/// single time is reported, so the speedups are never bought with a
-/// behavior change.
-///
-/// The capacity axis is anchored per (instance, scope) at the min-max-load
-/// optimum λ (the tightest uniform capacity the mapping can route under),
-/// so every point is feasible and the sweep tightens toward the binding
-/// regime where warm bases earn their keep.
-fn bench_mcf(args: &Args) -> Result<ExitCode, String> {
-    use std::time::Instant;
-
-    use nmap::mcf::{solve_mcf_for, solve_mcf_for_with_options, solve_mcf_warm};
-    use nmap::{McfKind, McfWarmState, PathScope};
-    use noc_graph::{RandomGraphConfig, Topology};
-    use noc_lp::{PivotMode, SimplexOptions};
-
-    /// Capacity points as multiples of the min-max-load optimum λ.
-    const CAP_FACTORS: [f64; 8] = [4.0, 3.0, 2.5, 2.0, 1.75, 1.5, 1.3, 1.15];
-    /// Timed repetitions per configuration (the snapshot reports totals).
-    const REPS: usize = 3;
-
-    let path = args.bench_mcf.as_deref().expect("set with --bench-mcf");
-    // Two chain instances (1-D meshes) of different sizes. Chains have
-    // unique routing optima at every capacity point, so the uniqueness
-    // guard admits the warm answer and the dual warm start lands hits
-    // across the whole sweep; the 32-core chain's larger tableaux also
-    // exercise the sparse pivot. 2-D meshes are deliberately absent: their
-    // equal-hop alternative paths make optima non-unique, so the guard
-    // refuses the chain and every point solves cold (see DESIGN.md §19).
-    let instances: Vec<(&str, noc_graph::CoreGraph, [usize; 2])> = vec![
-        ("chain-24", RandomGraphConfig { cores: 24, ..Default::default() }.generate(7), [24, 1]),
-        ("chain-32", RandomGraphConfig { cores: 32, ..Default::default() }.generate(7), [32, 1]),
-    ];
-    let dense_options =
-        SimplexOptions { pivot_mode: PivotMode::Dense, ..SimplexOptions::default() };
-    let mut rows = Vec::new();
-    for (name, scope) in [("mcf-quadrant", PathScope::Quadrant), ("mcf-all", PathScope::AllPaths)] {
-        let mut row = McfBenchRow {
-            name,
-            instances: instances.len(),
-            points: CAP_FACTORS.len(),
-            dense_ms: 0.0,
-            sparse_ms: 0.0,
-            warm_ms: 0.0,
-            warm_hits: 0,
-            pivots_saved: 0,
-        };
-        for (label, graph, [cols, rows_dim]) in &instances {
-            // The commodity set is capacity-invariant: derive it once from
-            // the loosest topology and reuse it at every sweep point.
-            let loose = Topology::mesh(*cols, *rows_dim, 1e9);
-            let problem = nmap::MappingProblem::new(graph.clone(), loose)
-                .map_err(|e| format!("{label}: {e}"))?;
-            let mapping = nmap::initialize(&problem);
-            let commodities = problem.commodities(&mapping);
-            let lambda =
-                solve_mcf_for(problem.topology(), &commodities, McfKind::MinMaxLoad, scope)
-                    .map_err(|e| format!("{label}: min-max load: {e}"))?
-                    .objective;
-            let caps: Vec<f64> = CAP_FACTORS.iter().map(|f| f * lambda).collect();
-            let sweep = |cap: f64| Topology::mesh(*cols, *rows_dim, cap);
-
-            for _ in 0..REPS {
-                let start = Instant::now();
-                let dense: Vec<_> = caps
-                    .iter()
-                    .map(|&cap| {
-                        solve_mcf_for_with_options(
-                            &sweep(cap),
-                            &commodities,
-                            McfKind::FlowMin,
-                            scope,
-                            dense_options,
-                        )
-                    })
-                    .collect();
-                row.dense_ms += start.elapsed().as_secs_f64() * 1e3;
-
-                let start = Instant::now();
-                let sparse: Vec<_> = caps
-                    .iter()
-                    .map(|&cap| solve_mcf_for(&sweep(cap), &commodities, McfKind::FlowMin, scope))
-                    .collect();
-                row.sparse_ms += start.elapsed().as_secs_f64() * 1e3;
-
-                let mut chain: Option<McfWarmState> = None;
-                let mut warm = Vec::with_capacity(caps.len());
-                let start = Instant::now();
-                for &cap in &caps {
-                    let (solution, next, stats) = solve_mcf_warm(
-                        &sweep(cap),
-                        &commodities,
-                        McfKind::FlowMin,
-                        scope,
-                        chain.take(),
-                    )
-                    .map_err(|e| format!("{label} {name} at {cap:.1}: {e}"))?;
-                    chain = Some(next);
-                    row.warm_hits += usize::from(stats.warm_hit);
-                    row.pivots_saved += stats.pivots_saved;
-                    warm.push(solution);
-                }
-                row.warm_ms += start.elapsed().as_secs_f64() * 1e3;
-
-                for (i, ((d, s), w)) in dense.iter().zip(&sparse).zip(&warm).enumerate() {
-                    let d = d.as_ref().map_err(|e| format!("{label} {name}: dense: {e}"))?;
-                    let s = s.as_ref().map_err(|e| format!("{label} {name}: sparse: {e}"))?;
-                    if d != s || s != w {
-                        return Err(format!(
-                            "{label} {name}: solver configurations diverged at point {i}"
-                        ));
-                    }
-                }
-            }
-        }
-        println!(
-            "{name}: dense {:.1} ms, sparse {:.1} ms ({:.1}x), warm {:.1} ms ({:.1}x, {} hits)",
-            row.dense_ms,
-            row.sparse_ms,
-            row.dense_ms / row.sparse_ms.max(1e-9),
-            row.warm_ms,
-            row.dense_ms / row.warm_ms.max(1e-9),
-            row.warm_hits,
-        );
-        rows.push(row);
-    }
-    let mut out = String::from("{\n  \"bench\": \"mcf_warmstart\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"instances\": {}, \"points\": {}, \
-\"dense_ms\": {:.2}, \"sparse_ms\": {:.2}, \"warm_ms\": {:.2}, \
-\"sparse_speedup\": {:.2}, \"warm_speedup\": {:.2}, \
-\"warm_hits\": {}, \"pivots_saved\": {}}}{}\n",
-            r.name,
-            r.instances,
-            r.points,
-            r.dense_ms,
-            r.sparse_ms,
-            r.warm_ms,
-            r.dense_ms / r.sparse_ms.max(1e-9),
-            r.dense_ms / r.warm_ms.max(1e-9),
-            r.warm_hits,
-            r.pivots_saved,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).map_err(|e| format!("cannot write {path}: {e}"))?;
-    println!("wrote {path}");
-    Ok(ExitCode::SUCCESS)
 }
 
 /// The built-in CI health-check sweep: small apps, both grid families,

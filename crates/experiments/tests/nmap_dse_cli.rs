@@ -2,7 +2,8 @@
 //! sharded sweep (PR 9) must leave byte-identical outputs, the flag
 //! validity rules must reject misuse cleanly, and `--profile` must write
 //! real data, also when the failure gate stops the run, with one
-//! `dse.sweep` event that reports the workers the pool really used.
+//! `dse.sweep` event that reports the workers the pool really used and
+//! the LP work of every MCF route solve.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -164,6 +165,39 @@ fn default_build_profile_carries_real_data() {
     for name in ["sim.cycles_executed", "dse.tasks"] {
         let value = profile_counter(&profile, name);
         assert!(value.is_some_and(|v| v > 0), "{name} = {value:?} in:\n{profile}");
+    }
+}
+
+#[test]
+fn mcf_spec_profile_carries_lp_counters() {
+    let scratch = ScratchDir::new("lp_profile");
+    let spec = scratch.path("mcf.dse");
+    // 400 MB/s links overload the DSP design's minimum-hop routing, so
+    // both scopes run MCF1 and pivot.
+    std::fs::write(
+        &spec,
+        "capacity 400\napp dsp\ntopology mesh 3x2\nmapper nmap-init\nrouting mcf-quadrant mcf-all\n",
+    )
+    .unwrap();
+    let path = scratch.path("profile.jsonl");
+    let out =
+        nmap_dse(&["--spec", &spec, "--threads", "2", "--profile", &path, "--allow-failures"]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let profile = std::fs::read_to_string(&path).unwrap();
+    for name in ["lp.solves", "lp.pivots", "lp.phase1_pivots", "lp.cg.rounds", "lp.cg.columns"] {
+        let value = profile_counter(&profile, name);
+        assert!(value.is_some_and(|v| v > 0), "{name} = {value:?} in:\n{profile}");
+    }
+    assert!(!profile.contains("lp.warm_start"), "retired counters in:\n{profile}");
+}
+
+#[test]
+fn retired_lp_flags_are_rejected() {
+    for flag in ["--warm-lp", "--bench-mcf"] {
+        let out = nmap_dse(&["--smoke", flag, "out.json"]);
+        assert_eq!(out.status.code(), Some(1), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unexpected argument `{flag}`")), "{flag}: {stderr}");
     }
 }
 

@@ -9,22 +9,20 @@
 //! * Build a model with [`LinearProgram`]: add variables (with their
 //!   objective coefficients) and constraints (`≤`, `=`, `≥`).
 //! * Call [`LinearProgram::solve`] to obtain a [`Solution`] or a
-//!   [`SolveError`] describing infeasibility/unboundedness.
+//!   [`SolveError`] describing infeasibility/unboundedness. The solution
+//!   carries the row duals (shadow prices) read off the final tableau,
+//!   which is what column-generation callers price new columns with;
+//!   [`LinearProgram::solve_with_stats`] adds the pivot counters.
 //! * For a family of programs that differ only in constraint right-hand
-//!   sides (e.g. a bandwidth sweep), call
-//!   [`LinearProgram::solve_with_basis`] once and
+//!   sides, call [`LinearProgram::solve_with_basis`] once and
 //!   [`LinearProgram::resolve_with_basis`] afterwards: the dual simplex
 //!   re-optimizes from the previous optimal [`Basis`] in a few pivots.
-//!   [`LinearProgram::solve_with_snapshot`] /
-//!   [`LinearProgram::resolve_with_snapshot`] trade memory for speed:
-//!   the captured [`TableauSnapshot`] keeps the whole eliminated tableau,
-//!   so the restart skips the refactorization a basis restart pays.
 //!
 //! Pivot updates are column-sparse by default ([`PivotMode::Sparse`]):
-//! eliminations skip entries whose multiplier is exactly zero, which on
-//! MCF tableaux (over 90% zeros) removes most of the arithmetic while
-//! leaving the executed operations — and therefore every result bit —
-//! identical to the dense oracle ([`PivotMode::Dense`]).
+//! on wide tableaux, eliminations skip entries whose multiplier is exactly
+//! zero, which on flow problems (mostly ±1 incidence entries) removes most
+//! of the arithmetic while leaving the executed operations — and therefore
+//! every result bit — identical to the dense oracle ([`PivotMode::Dense`]).
 //!
 //! Determinism: pivot selection uses Dantzig's rule with index tie-breaks
 //! and falls back to Bland's rule when stalling is detected, so the solver
@@ -59,5 +57,5 @@ mod revised;
 mod simplex;
 
 pub use problem::{Constraint, ConstraintSense, LinearProgram, Sense, Solution, VarId};
-pub use revised::{Basis, TableauSnapshot};
+pub use revised::Basis;
 pub use simplex::{PivotMode, SimplexOptions, SolveError, SolveStats};

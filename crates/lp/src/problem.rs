@@ -8,10 +8,8 @@
 use std::fmt;
 use std::ops::Index;
 
-use crate::revised::{resolve_from_snapshot, resolve_standard_form, Basis, TableauSnapshot};
-use crate::simplex::{
-    solve_standard_form_full, solve_standard_form_snapshot, SimplexOptions, SolveError, SolveStats,
-};
+use crate::revised::{resolve_standard_form, solve_standard_form_with_basis, Basis};
+use crate::simplex::{solve_standard_form, FullSolution, SimplexOptions, SolveError, SolveStats};
 
 /// Identifier of a decision variable within one [`LinearProgram`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -191,97 +189,59 @@ impl LinearProgram {
     /// * [`SolveError::InvalidOptions`] — a [`SimplexOptions`] field is out
     ///   of range.
     pub fn solve(&self) -> Result<Solution, SolveError> {
-        self.solve_with_basis().map(|(solution, _, _)| solution)
+        self.solve_with_stats().map(|(solution, _)| solution)
     }
 
-    /// Like [`LinearProgram::solve`], additionally returning the optimal
-    /// [`Basis`] (for warm-starting a related program via
-    /// [`LinearProgram::resolve_with_basis`]) and the [`SolveStats`] pivot
-    /// counters.
+    /// Like [`LinearProgram::solve`], additionally returning the
+    /// [`SolveStats`] pivot counters.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`LinearProgram::solve`].
+    pub fn solve_with_stats(&self) -> Result<(Solution, SolveStats), SolveError> {
+        let costs = self.minimization_costs();
+        let full = solve_standard_form(&costs, &self.constraints, self.options)?;
+        Ok((self.finish(full.values, full.duals), full.stats))
+    }
+
+    /// Like [`LinearProgram::solve_with_stats`], additionally returning the
+    /// optimal [`Basis`] for warm-starting a related program via
+    /// [`LinearProgram::resolve_with_basis`].
     ///
     /// # Errors
     ///
     /// Same as [`LinearProgram::solve`].
     pub fn solve_with_basis(&self) -> Result<(Solution, Basis, SolveStats), SolveError> {
         let costs = self.minimization_costs();
-        let full = solve_standard_form_full(&costs, &self.constraints, self.options)?;
-        Ok((self.finish(full.values), full.basis, full.stats))
+        let (full, basis) =
+            solve_standard_form_with_basis(&costs, &self.constraints, self.options)?;
+        Ok(self.finish_with_basis(full, basis))
     }
 
     /// Re-optimizes from `previous`, the optimal basis of a structurally
     /// identical program whose constraint right-hand sides may have
-    /// changed, using the dual simplex method. On a bandwidth sweep this
-    /// replaces a full two-phase solve with a few dual pivots.
+    /// changed, using the dual simplex method. On a parametric RHS sweep
+    /// this replaces a full two-phase solve with a few dual pivots.
     ///
     /// # Errors
     ///
     /// * [`SolveError::BasisMismatch`] — `previous` does not fit this
     ///   program (different shape/senses, an RHS sign flip that changes
-    ///   the slack layout, or a singular refactorization). Fall back to a
-    ///   cold [`LinearProgram::solve`].
+    ///   the slack layout, a singular refactorization, or a non-unique
+    ///   optimum). Fall back to a cold [`LinearProgram::solve`].
     /// * Otherwise as [`LinearProgram::solve`].
     pub fn resolve_with_basis(
         &self,
         previous: &Basis,
     ) -> Result<(Solution, Basis, SolveStats), SolveError> {
         let costs = self.minimization_costs();
-        let (values, basis, stats) =
+        let (full, basis) =
             resolve_standard_form(&costs, &self.constraints, self.options, previous)?;
-        Ok((self.finish(values), basis, stats))
+        Ok(self.finish_with_basis(full, basis))
     }
 
-    /// Like [`LinearProgram::solve_with_basis`], but capturing the final
-    /// simplex tableau as a [`TableauSnapshot`] instead of just the basic
-    /// column set. Re-optimizing from a snapshot
-    /// ([`LinearProgram::resolve_with_snapshot`]) skips the per-row
-    /// Gauss-Jordan refactorization a [`Basis`] restart pays, rebuilding
-    /// the RHS column from the stored basis inverse in `O(m²)`.
-    ///
-    /// The solution and pivot sequence are identical to
-    /// [`LinearProgram::solve`]; the capture only keeps tableau columns
-    /// alive that the plain solve is free to stop maintaining.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LinearProgram::solve`].
-    pub fn solve_with_snapshot(
-        &self,
-    ) -> Result<(Solution, TableauSnapshot, SolveStats), SolveError> {
-        let costs = self.minimization_costs();
-        let (full, snapshot) =
-            solve_standard_form_snapshot(&costs, &self.constraints, self.options)?;
-        Ok((self.finish(full.values), snapshot, full.stats))
-    }
-
-    /// Re-optimizes from `previous`, a [`TableauSnapshot`] of a
-    /// structurally identical program whose constraint right-hand sides
-    /// may have changed. Like [`LinearProgram::resolve_with_basis`] this
-    /// runs the dual simplex, but it starts from the stored eliminated
-    /// tableau: the refactorization — the dominant cost of a basis warm
-    /// start on large programs — is replaced by one dot product per row
-    /// against the snapshot's basis-inverse columns.
-    ///
-    /// The snapshot is consumed: its tableau is moved through the solve
-    /// and returned as the successor snapshot, so a sweep carries one
-    /// tableau along the whole capacity axis without copying it. Clone
-    /// the snapshot first if a restart point must be retained.
-    ///
-    /// # Errors
-    ///
-    /// * [`SolveError::BasisMismatch`] — `previous` does not fit this
-    ///   program (different shape/senses/objective coefficients, an RHS
-    ///   sign flip, or a snapshot captured at a non-unique optimum, which
-    ///   is refused in O(1)). Fall back to a cold
-    ///   [`LinearProgram::solve_with_snapshot`].
-    /// * Otherwise as [`LinearProgram::solve`].
-    pub fn resolve_with_snapshot(
-        &self,
-        previous: TableauSnapshot,
-    ) -> Result<(Solution, TableauSnapshot, SolveStats), SolveError> {
-        let costs = self.minimization_costs();
-        let (values, snapshot, stats) =
-            resolve_from_snapshot(&costs, &self.constraints, self.options, previous)?;
-        Ok((self.finish(values), snapshot, stats))
+    fn finish_with_basis(&self, full: FullSolution, basis: Basis) -> (Solution, Basis, SolveStats) {
+        (self.finish(full.values, full.duals), basis, full.stats)
     }
 
     /// Objective coefficients in the solver's native minimization sense.
@@ -293,10 +253,11 @@ impl LinearProgram {
         }
     }
 
-    /// Builds a [`Solution`] from raw structural values: computes the
-    /// objective in the original sense and snaps tiny negatives introduced
-    /// by elimination to zero.
-    fn finish(&self, mut values: Vec<f64>) -> Solution {
+    /// Builds a [`Solution`] from raw structural values and minimization
+    /// duals: computes the objective in the original sense, snaps tiny
+    /// negatives introduced by elimination to zero, and expresses the
+    /// duals in the original sense too.
+    fn finish(&self, mut values: Vec<f64>, mut duals: Vec<f64>) -> Solution {
         let mut objective = 0.0;
         for (value, cost) in values.iter().zip(&self.costs) {
             objective += value * cost;
@@ -306,7 +267,12 @@ impl LinearProgram {
                 *v = 0.0;
             }
         }
-        Solution { objective, values }
+        if self.sense == Sense::Maximize {
+            for y in &mut duals {
+                *y = if *y == 0.0 { 0.0 } else { -*y };
+            }
+        }
+        Solution { objective, values, duals }
     }
 }
 
@@ -319,6 +285,12 @@ pub struct Solution {
     pub objective: f64,
     /// Values of the decision variables, indexed by [`VarId`].
     pub values: Vec<f64>,
+    /// Row duals (shadow prices), one per constraint in insertion order:
+    /// the rate at which the optimal objective changes per unit increase
+    /// of that constraint's right-hand side, at the final basis. For a
+    /// minimization a binding `≤` row prices at or below zero and a
+    /// binding `≥` row at or above; a maximization mirrors the signs.
+    pub duals: Vec<f64>,
 }
 
 impl Index<VarId> for Solution {

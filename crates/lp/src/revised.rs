@@ -1,8 +1,8 @@
 //! Warm-started re-optimization from a previous optimal basis.
 //!
-//! A bandwidth sweep re-solves the *same* LP at every capacity point with
-//! only the constraint right-hand sides changed. The optimal basis of the
-//! previous solve is then dual-feasible for the new program: rebuilding the
+//! A parametric sweep re-solves the *same* LP at every point with only the
+//! constraint right-hand sides changed. The optimal basis of the previous
+//! solve is then dual-feasible for the new program: rebuilding the
 //! tableau, refactorizing that basis, and running the **dual simplex**
 //! method reaches the new optimum in a handful of pivots instead of a full
 //! two-phase solve.
@@ -18,19 +18,10 @@
 //! can fall back to a cold solve.
 
 use crate::problem::{Constraint, ConstraintSense};
-use crate::simplex::{effective_sense, SimplexOptions, SolveError, SolveStats, Tableau};
-
-/// Layout fingerprint of one constraint row as the cold solve built it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct RowLayout {
-    /// The sense the constraint was declared with.
-    pub(crate) sense: ConstraintSense,
-    /// Whether the row was negated because its RHS was negative.
-    pub(crate) flipped: bool,
-    /// Column of the row's slack/surplus variable, or `usize::MAX` if the
-    /// effective sense is an equality (no slack).
-    pub(crate) slack: usize,
-}
+use crate::simplex::{
+    build_tableau, extract, remove_row, solve_cold, FullSolution, RowLayout, SimplexOptions,
+    SolveError, Tableau,
+};
 
 /// An optimal simplex basis captured by
 /// [`crate::LinearProgram::solve_with_basis`], reusable to warm-start a
@@ -43,23 +34,21 @@ pub(crate) struct RowLayout {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Basis {
     /// Basic column per surviving constraint row.
-    pub(crate) columns: Vec<usize>,
+    columns: Vec<usize>,
     /// Original constraint index behind each surviving row (phase 1 may
     /// have dropped redundant rows).
-    pub(crate) kept_rows: Vec<usize>,
+    kept_rows: Vec<usize>,
     /// Structural variable count of the program that produced the basis.
-    pub(crate) variables: usize,
-    /// Number of slack/surplus columns in the layout.
-    pub(crate) slack_count: usize,
+    variables: usize,
     /// Per-original-constraint layout fingerprint.
-    pub(crate) layout: Vec<RowLayout>,
+    layout: Vec<RowLayout>,
     /// Whether the optimum this basis describes was provably unique (every
     /// nonbasic reduced cost strictly positive). Reduced costs do not
     /// depend on the RHS, so a basis recorded at a non-unique optimum
     /// would fail the warm path's uniqueness guard after paying for a full
     /// refactorization; recording the verdict lets
     /// [`crate::LinearProgram::resolve_with_basis`] refuse in O(1) instead.
-    pub(crate) unique: bool,
+    unique: bool,
 }
 
 impl Basis {
@@ -72,6 +61,18 @@ impl Basis {
     pub fn is_empty(&self) -> bool {
         self.columns.is_empty()
     }
+
+    /// Records the basis of the optimal tableau `t` of an `n`-variable
+    /// program laid out as `layout`.
+    fn capture(t: &Tableau, layout: Vec<RowLayout>, n: usize) -> Self {
+        Basis {
+            columns: t.basis.clone(),
+            kept_rows: t.origin.clone(),
+            variables: n,
+            layout,
+            unique: t.optimum_is_unique(t.options.tolerance),
+        }
+    }
 }
 
 /// Threshold below which a refactorization pivot counts as singular. This
@@ -79,107 +80,31 @@ impl Basis {
 /// phase 1 and is deliberately independent of the user tolerance.
 const SINGULAR_EPSILON: f64 = 1e-9;
 
-/// The final simplex tableau of an optimal solve, captured by
-/// [`crate::LinearProgram::solve_with_snapshot`] for RHS-only warm
-/// restarts via [`crate::LinearProgram::resolve_with_snapshot`].
-///
-/// Where a [`Basis`] records only the basic column *set* — forcing the
-/// warm path to rebuild the tableau and refactorize it with one
-/// Gauss-Jordan pivot per row — the snapshot keeps the eliminated tableau
-/// itself. Its slack and artificial columns are the columns of the basis
-/// inverse (each started life as a unit column), so an RHS-only change
-/// needs just one dot product per row to rebuild the RHS column before
-/// the dual simplex runs: `O(m²)` arithmetic in place of `m` full
-/// elimination passes.
-///
-/// The snapshot is opaque and validated before reuse exactly like a
-/// basis (shape, senses, RHS sign pattern), plus an objective-coefficient
-/// check: the stored reduced costs are only valid while the costs are
-/// unchanged. Snapshots taken at a non-unique optimum store no tableau
-/// data and are refused in O(1), mirroring [`Basis`]'s `unique` flag.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableauSnapshot {
-    /// Final tableau (constraint rows then objective row), full width
-    /// including artificial columns; empty when `unique` is false.
-    pub(crate) data: Vec<f64>,
-    pub(crate) rows: usize,
-    pub(crate) cols: usize,
-    /// Basic column per surviving constraint row.
-    pub(crate) basis_cols: Vec<usize>,
-    /// Original constraint index behind each surviving row.
-    pub(crate) kept_rows: Vec<usize>,
-    /// Structural variable count of the producing program.
-    pub(crate) variables: usize,
-    /// Number of slack/surplus columns in the layout.
-    pub(crate) slack_count: usize,
-    /// First artificial column.
-    pub(crate) artificial_start: usize,
-    /// Per-original-constraint layout fingerprint.
-    pub(crate) layout: Vec<RowLayout>,
-    /// Minimization-sense objective coefficients at capture time; the
-    /// stored reduced costs are valid only while these are unchanged.
-    pub(crate) costs: Vec<f64>,
-    /// Whether the captured optimum was provably unique (see [`Basis`]).
-    pub(crate) unique: bool,
-}
-
-impl TableauSnapshot {
-    /// Number of surviving constraint rows in the captured tableau.
-    pub fn len(&self) -> usize {
-        self.rows - 1
-    }
-
-    /// True for the snapshot of a program with no constraints.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether [`crate::LinearProgram::resolve_with_snapshot`] can reuse
-    /// this snapshot at all: captures at a non-unique optimum are refused
-    /// up front (and store no tableau data).
-    pub fn is_reusable(&self) -> bool {
-        self.unique
-    }
-
-    /// Heap bytes held by the captured tableau.
-    pub fn memory_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f64>()
-    }
-
-    /// The unit column each original constraint row started with: its
-    /// slack for an effective `≤` row, its artificial for `≥`/`=` rows
-    /// (artificials are assigned sequentially in row order, mirroring the
-    /// cold solve's layout pass). In the final tableau those columns hold
-    /// the basis-inverse entries the RHS recompute needs.
-    fn unit_columns(&self) -> Vec<usize> {
-        let mut next_artificial = self.artificial_start;
-        self.layout
-            .iter()
-            .map(|lay| match effective_sense(lay.sense, lay.flipped) {
-                ConstraintSense::Le => lay.slack,
-                ConstraintSense::Ge | ConstraintSense::Eq => {
-                    let col = next_artificial;
-                    next_artificial += 1;
-                    col
-                }
-            })
-            .collect()
-    }
+/// The two-phase solve of `min c·x`, additionally recording its optimal
+/// basis.
+pub(crate) fn solve_standard_form_with_basis(
+    costs: &[f64],
+    constraints: &[Constraint],
+    options: SimplexOptions,
+) -> Result<(FullSolution, Basis), SolveError> {
+    let n = costs.len();
+    let (t, layout) = solve_cold(costs, constraints, options)?;
+    let basis = Basis::capture(&t, layout, n);
+    Ok((extract(t, &basis.layout, n), basis))
 }
 
 /// Re-optimizes `min c·x` from `prev`, assuming only constraint RHS values
-/// changed since the basis was recorded. Returns the structural values,
-/// the (possibly updated) optimal basis, and solve statistics.
+/// changed since the basis was recorded. Returns the solution and the
+/// (possibly updated) optimal basis.
 pub(crate) fn resolve_standard_form(
     costs: &[f64],
     constraints: &[Constraint],
     options: SimplexOptions,
     prev: &Basis,
-) -> Result<(Vec<f64>, Basis, SolveStats), SolveError> {
+) -> Result<(FullSolution, Basis), SolveError> {
     options.validate()?;
     let n = costs.len();
-    let m = constraints.len();
-    if prev.variables != n || prev.layout.len() != m {
+    if prev.variables != n || prev.layout.len() != constraints.len() {
         return Err(SolveError::BasisMismatch);
     }
     // A basis recorded at a non-unique optimum would re-enter the same
@@ -191,58 +116,34 @@ pub(crate) fn resolve_standard_form(
     if !prev.unique {
         return Err(SolveError::BasisMismatch);
     }
-    // An RHS sign change flips the row and alters the slack/artificial
-    // layout the basis columns are numbered against.
-    for (c, lay) in constraints.iter().zip(&prev.layout) {
-        if c.sense != lay.sense || (c.rhs < 0.0) != lay.flipped {
-            return Err(SolveError::BasisMismatch);
-        }
+    // Lay the new program out exactly as a cold solve would. A sense or
+    // RHS-sign change alters the slack/artificial layout the basis columns
+    // are numbered against.
+    let (mut t, layout) = build_tableau(n, constraints, options);
+    if layout != prev.layout {
+        return Err(SolveError::BasisMismatch);
     }
-
-    // Rebuild the tableau over the surviving rows only, without artificial
-    // columns: a recorded optimal basis never contains artificials.
-    let artificial_start = n + prev.slack_count;
-    let cols = artificial_start + 1;
-    let rows = prev.kept_rows.len() + 1;
-    let mut t = Tableau {
-        rows,
-        cols,
-        data: vec![0.0; rows * cols],
-        basis: vec![usize::MAX; rows - 1],
-        origin: prev.kept_rows.clone(),
-        artificial_start,
-        options,
-        stats: SolveStats { warm_start: true, ..SolveStats::default() },
-        scratch_segments: Vec::new(),
-        scratch_values: Vec::new(),
-        freeze_artificials: false,
-    };
-    for (r, &orig) in prev.kept_rows.iter().enumerate() {
-        let c = &constraints[orig];
-        let lay = prev.layout[orig];
-        let sign = if lay.flipped { -1.0 } else { 1.0 };
-        for &(var, coeff) in &c.terms {
-            t.data[r * cols + var.0] += sign * coeff; // accumulate duplicates
-        }
-        let rhs_col = t.rhs_col();
-        t.set(r, rhs_col, sign * c.rhs);
-        if lay.slack != usize::MAX {
-            let slack_sign = match effective_sense(lay.sense, lay.flipped) {
-                ConstraintSense::Le => 1.0,
-                ConstraintSense::Ge => -1.0,
-                ConstraintSense::Eq => unreachable!("equalities carry no slack"),
-            };
-            t.set(r, lay.slack, slack_sign);
+    t.stats.warm_start = true;
+    // Keep only the rows the recorded solve kept.
+    let mut kept = vec![false; constraints.len()];
+    for &k in &prev.kept_rows {
+        kept[k] = true;
+    }
+    for r in (0..t.rows - 1).rev() {
+        if !kept[t.origin[r]] {
+            remove_row(&mut t, r);
         }
     }
 
     // Refactorize: turn every recorded basis column into a unit column via
     // Gauss-Jordan pivots. Row association is re-derived deterministically
     // (largest available magnitude, first row on ties); only the basic
-    // column *set* matters for correctness.
-    let mut assigned = vec![false; rows - 1];
+    // column *set* matters for correctness. A recorded optimal basis never
+    // contains artificials; their columns ride along as the basis inverse
+    // the duals are read from.
+    let mut assigned = vec![false; t.rows - 1];
     for &col in &prev.columns {
-        if col >= artificial_start {
+        if col >= t.artificial_start {
             return Err(SolveError::BasisMismatch);
         }
         let mut best: Option<usize> = None;
@@ -270,141 +171,25 @@ pub(crate) fn resolve_standard_form(
     // Express the objective over the refactorized basis. Reduced costs are
     // independent of the RHS, so the row is dual-feasible (up to roundoff).
     t.install_objective(costs);
-
-    let values = dual_reoptimize(&mut t, n, constraints)?;
+    dual_reoptimize(&mut t)?;
 
     let basis = Basis {
         columns: t.basis.clone(),
         kept_rows: t.origin.clone(),
         variables: n,
-        slack_count: prev.slack_count,
-        layout: prev.layout.clone(),
+        layout,
         unique: true, // dual_reoptimize's uniqueness guard just proved it
     };
-    let stats = std::mem::take(&mut t.stats);
-    Ok((values, basis, stats))
+    let solution = extract(t, &basis.layout, n);
+    check_dropped_rows(constraints, &basis.kept_rows, &solution.values, options.tolerance)?;
+    Ok((solution, basis))
 }
 
-/// Re-optimizes `min c·x` from `prev`, a captured [`TableauSnapshot`],
-/// assuming only constraint RHS values changed. Instead of refactorizing
-/// the basis (one Gauss-Jordan pass per row), the stored tableau's slack
-/// and artificial columns — the columns of the basis inverse — rebuild the
-/// RHS column with one dot product per row; the dual simplex then repairs
-/// primal feasibility as usual.
-///
-/// The snapshot is consumed: its tableau moves into the working state and
-/// back out into the returned successor snapshot, so a warm hit performs
-/// no tableau-sized allocation or copy at all. On error the snapshot is
-/// simply dropped — the fallback cold solve recaptures its own.
-pub(crate) fn resolve_from_snapshot(
-    costs: &[f64],
-    constraints: &[Constraint],
-    options: SimplexOptions,
-    prev: TableauSnapshot,
-) -> Result<(Vec<f64>, TableauSnapshot, SolveStats), SolveError> {
-    options.validate()?;
-    let n = costs.len();
-    let m = constraints.len();
-    if prev.variables != n || prev.layout.len() != m {
-        return Err(SolveError::BasisMismatch);
-    }
-    // O(1) refusal of snapshots taken at a non-unique optimum: the
-    // uniqueness guard below would reject them after all the work (reduced
-    // costs are RHS-independent), and they carry no tableau data.
-    if !prev.unique {
-        return Err(SolveError::BasisMismatch);
-    }
-    // The stored reduced costs are only valid for the capture-time
-    // objective; any cost change must fall back to a cold solve.
-    if prev.costs != costs {
-        return Err(SolveError::BasisMismatch);
-    }
-    // An RHS sign change flips the row and alters the slack/artificial
-    // layout the snapshot columns are numbered against.
-    for (c, lay) in constraints.iter().zip(&prev.layout) {
-        if c.sense != lay.sense || (c.rhs < 0.0) != lay.flipped {
-            return Err(SolveError::BasisMismatch);
-        }
-    }
-
-    let unit_cols = prev.unit_columns();
-    let mut t = Tableau {
-        rows: prev.rows,
-        cols: prev.cols,
-        data: prev.data,
-        basis: prev.basis_cols,
-        origin: prev.kept_rows,
-        artificial_start: prev.artificial_start,
-        options,
-        stats: SolveStats { warm_start: true, ..SolveStats::default() },
-        scratch_segments: Vec::new(),
-        scratch_values: Vec::new(),
-        // The artificial columns must stay live: they are basis-inverse
-        // columns the *next* capture (below) will need again.
-        freeze_artificials: false,
-    };
-
-    // Rebuild the RHS column: every tableau row (objective included) is a
-    // fixed linear combination of the original constraint rows, and the
-    // combination coefficients sit in the unit column each original row
-    // started with. `rhs[r] = Σ_j inv[r][j] · b'_j` over the original
-    // constraints j — including rows phase 1 later dropped as redundant,
-    // whose combinations may still contribute. The objective row's entry
-    // in those same columns is `-(c_B·inv)_j`, so the identical sum yields
-    // the new objective cell. The inner loop walks one tableau row in
-    // ascending column order (cache-friendly), and the per-row summation
-    // order is the fixed constraint order, so the result is deterministic.
-    let mut contributions: Vec<(usize, f64)> = Vec::with_capacity(m);
-    for (j, (c, lay)) in constraints.iter().zip(&prev.layout).enumerate() {
-        let sign = if lay.flipped { -1.0 } else { 1.0 };
-        let b = sign * c.rhs;
-        if b != 0.0 {
-            contributions.push((unit_cols[j], b));
-        }
-    }
-    let cols = t.cols;
-    let rhs_col = t.rhs_col();
-    for r in 0..t.rows {
-        let row = &mut t.data[r * cols..(r + 1) * cols];
-        let mut acc = 0.0;
-        for &(col, b) in &contributions {
-            acc += row[col] * b;
-        }
-        row[rhs_col] = acc;
-    }
-
-    let values = dual_reoptimize(&mut t, n, constraints)?;
-
-    let snapshot = TableauSnapshot {
-        data: std::mem::take(&mut t.data),
-        rows: t.rows,
-        cols: t.cols,
-        basis_cols: std::mem::take(&mut t.basis),
-        kept_rows: std::mem::take(&mut t.origin),
-        variables: n,
-        slack_count: prev.slack_count,
-        artificial_start: prev.artificial_start,
-        layout: prev.layout,
-        costs: prev.costs,
-        unique: true, // dual_reoptimize's uniqueness guard just proved it
-    };
-    let stats = std::mem::take(&mut t.stats);
-    Ok((values, snapshot, stats))
-}
-
-/// The shared tail of both warm paths: dual simplex from a dual-feasible
-/// tableau, primal cleanup, the uniqueness guard, value extraction, and
-/// the consistency recheck of constraint rows the cold solve dropped as
-/// redundant. Returns the structural values; the caller packages the
-/// basis/snapshot and stats.
-fn dual_reoptimize(
-    t: &mut Tableau,
-    n: usize,
-    constraints: &[Constraint],
-) -> Result<Vec<f64>, SolveError> {
+/// Dual simplex from a dual-feasible tableau, then primal cleanup and the
+/// uniqueness guard.
+fn dual_reoptimize(t: &mut Tableau) -> Result<(), SolveError> {
     let options = t.options;
     let tol = options.tolerance;
-    let m = constraints.len();
 
     // Dual simplex: repair primal feasibility while keeping dual
     // feasibility. Leaving row = most negative RHS (first row on ties);
@@ -461,47 +246,41 @@ fn dual_reoptimize(
     if !t.optimum_is_unique(tol) {
         return Err(SolveError::BasisMismatch);
     }
+    Ok(())
+}
 
-    // Extract structural values (normalizing negative zeros, as the cold
-    // path does).
-    let mut values = vec![0.0; n];
-    let rhs = t.rhs_col();
-    for r in 0..t.rows - 1 {
-        let b = t.basis[r];
-        if b < n {
-            let v = t.at(r, rhs);
-            values[b] = if v == 0.0 { 0.0 } else { v };
+/// Rows the cold solve dropped as redundant were consistent for the old
+/// RHS; verifies they still hold at `values`, otherwise the warm state is
+/// unusable.
+fn check_dropped_rows(
+    constraints: &[Constraint],
+    kept_rows: &[usize],
+    values: &[f64],
+    tol: f64,
+) -> Result<(), SolveError> {
+    if kept_rows.len() == constraints.len() {
+        return Ok(());
+    }
+    let mut kept = vec![false; constraints.len()];
+    for &k in kept_rows {
+        kept[k] = true;
+    }
+    let slack_tol = tol.max(1e-7);
+    for (i, c) in constraints.iter().enumerate() {
+        if kept[i] {
+            continue;
+        }
+        let lhs: f64 = c.terms.iter().map(|&(var, coeff)| coeff * values[var.index()]).sum();
+        let ok = match c.sense {
+            ConstraintSense::Le => lhs <= c.rhs + slack_tol,
+            ConstraintSense::Ge => lhs >= c.rhs - slack_tol,
+            ConstraintSense::Eq => (lhs - c.rhs).abs() <= slack_tol,
+        };
+        if !ok {
+            return Err(SolveError::BasisMismatch);
         }
     }
-
-    // Rows the cold solve dropped as redundant were consistent for the old
-    // RHS; verify they still hold, otherwise the warm state is unusable.
-    if t.origin.len() != m {
-        let mut kept = vec![false; m];
-        for &k in &t.origin {
-            kept[k] = true;
-        }
-        let slack_tol = tol.max(1e-7);
-        for (i, c) in constraints.iter().enumerate() {
-            if kept[i] {
-                continue;
-            }
-            let mut lhs = 0.0;
-            for &(var, coeff) in &c.terms {
-                lhs += coeff * values[var.0];
-            }
-            let ok = match c.sense {
-                ConstraintSense::Le => lhs <= c.rhs + slack_tol,
-                ConstraintSense::Ge => lhs >= c.rhs - slack_tol,
-                ConstraintSense::Eq => (lhs - c.rhs).abs() <= slack_tol,
-            };
-            if !ok {
-                return Err(SolveError::BasisMismatch);
-            }
-        }
-    }
-
-    Ok(values)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -540,6 +319,10 @@ mod tests {
             assert_eq!(warm.values.len(), reference.values.len());
             for (w, c) in warm.values.iter().zip(&reference.values) {
                 assert!((w - c).abs() < EPS, "cap {cap}: {w} vs {c}");
+            }
+            assert_eq!(warm.duals.len(), reference.duals.len());
+            for (w, c) in warm.duals.iter().zip(&reference.duals) {
+                assert!((w - c).abs() < EPS, "cap {cap}: dual {w} vs {c}");
             }
             basis = next;
         }
@@ -701,146 +484,6 @@ mod tests {
             let (_, basis, _) = warm_lp.solve_with_basis().unwrap();
             let lp = capacitated(cap);
             let (warm, _, _) = lp.resolve_with_basis(&basis).unwrap();
-            let mut dense = capacitated(cap);
-            dense
-                .set_options(SimplexOptions { pivot_mode: PivotMode::Dense, ..Default::default() });
-            let oracle = dense.solve().unwrap();
-            assert!((warm.objective - oracle.objective).abs() < EPS, "cap {cap}");
-        }
-    }
-
-    #[test]
-    fn snapshot_restart_tracks_rhs_changes() {
-        let (cold, mut snapshot, stats) = capacitated(10.0).solve_with_snapshot().unwrap();
-        assert!((cold.objective - 10.0).abs() < EPS);
-        assert!(!stats.warm_start);
-        assert!(snapshot.is_reusable());
-        for cap in [8.0, 6.0, 4.0, 2.0, 0.0] {
-            let lp = capacitated(cap);
-            let (warm, next, wstats) = lp.resolve_with_snapshot(snapshot).unwrap();
-            let reference = lp.solve().unwrap();
-            assert!(wstats.warm_start);
-            assert!(
-                (warm.objective - reference.objective).abs() < EPS,
-                "cap {cap}: warm {} vs cold {}",
-                warm.objective,
-                reference.objective
-            );
-            for (w, c) in warm.values.iter().zip(&reference.values) {
-                assert!((w - c).abs() < EPS, "cap {cap}: {w} vs {c}");
-            }
-            snapshot = next;
-        }
-    }
-
-    #[test]
-    fn snapshot_restart_with_unchanged_rhs_skips_all_simplex_work() {
-        let lp = capacitated(10.0);
-        let (_, snapshot, _) = lp.solve_with_snapshot().unwrap();
-        let (sol, _, stats) = lp.resolve_with_snapshot(snapshot).unwrap();
-        assert!((sol.objective - 10.0).abs() < EPS);
-        assert_eq!(stats.pivots, 0, "identical RHS should re-verify without pivoting");
-        // The whole point of storing the tableau: unlike the basis
-        // restart, no Gauss-Jordan refactorization runs at all.
-        assert_eq!(stats.refactor_pivots, 0);
-    }
-
-    #[test]
-    fn snapshot_shape_cost_and_sign_mismatches_are_refused() {
-        let (_, snapshot, _) = capacitated(10.0).solve_with_snapshot().unwrap();
-        // Different variable count.
-        let mut other = LinearProgram::new(Sense::Minimize);
-        let x = other.add_variable("x", 1.0);
-        other.add_ge(&[(x, 1.0)], 1.0);
-        assert_eq!(
-            other.resolve_with_snapshot(snapshot.clone()).unwrap_err(),
-            SolveError::BasisMismatch
-        );
-        // Same shape, different objective: the stored reduced costs are
-        // only valid for the capture-time cost vector.
-        let mut repriced = LinearProgram::new(Sense::Minimize);
-        let x = repriced.add_variable("x", 1.0);
-        let y = repriced.add_variable("y", 2.0);
-        repriced.add_ge(&[(x, 1.0), (y, 1.0)], 10.0);
-        repriced.add_le(&[(x, 1.0)], 10.0);
-        assert_eq!(
-            repriced.resolve_with_snapshot(snapshot.clone()).unwrap_err(),
-            SolveError::BasisMismatch
-        );
-        // Negative cap flips the row in standard form, renumbering the
-        // unit columns the RHS recompute reads.
-        assert_eq!(
-            capacitated(-1.0).resolve_with_snapshot(snapshot).unwrap_err(),
-            SolveError::BasisMismatch
-        );
-    }
-
-    #[test]
-    fn non_unique_capture_is_refused_in_constant_space() {
-        // min x + y s.t. x + y >= 4: a whole edge is optimal, so the
-        // capture must mark itself non-reusable and drop the tableau —
-        // the refusal costs O(1) and the snapshot holds no basis data.
-        let mut lp = LinearProgram::new(Sense::Minimize);
-        let x = lp.add_variable("x", 1.0);
-        let y = lp.add_variable("y", 1.0);
-        lp.add_ge(&[(x, 1.0), (y, 1.0)], 4.0);
-        let (_, snapshot, _) = lp.solve_with_snapshot().unwrap();
-        assert!(!snapshot.is_reusable());
-        assert!(snapshot.memory_bytes() < 1024, "refused capture must not hold the tableau");
-        assert_eq!(lp.resolve_with_snapshot(snapshot).unwrap_err(), SolveError::BasisMismatch);
-    }
-
-    #[test]
-    fn snapshot_infeasible_new_rhs_is_detected() {
-        let build = |cap: f64| {
-            let mut lp = LinearProgram::new(Sense::Minimize);
-            let x = lp.add_variable("x", 1.0);
-            lp.add_ge(&[(x, 1.0)], 5.0);
-            lp.add_le(&[(x, 1.0)], cap);
-            lp
-        };
-        let (_, snapshot, _) = build(10.0).solve_with_snapshot().unwrap();
-        assert_eq!(build(3.0).resolve_with_snapshot(snapshot).unwrap_err(), SolveError::Infeasible);
-    }
-
-    #[test]
-    fn snapshot_rhs_recompute_covers_phase1_dropped_rows() {
-        // Phase 1 drops one copy of the duplicated equality as redundant,
-        // but the dropped row's multipliers still live in the stored
-        // tableau: moving *both* right-hand sides together must restart
-        // cleanly, and moving them apart must not silently succeed.
-        let build = |first: f64, second: f64| {
-            let mut lp = LinearProgram::new(Sense::Minimize);
-            let x = lp.add_variable("x", 1.0);
-            let y = lp.add_variable("y", 2.0);
-            lp.add_eq(&[(x, 1.0), (y, 1.0)], first);
-            lp.add_eq(&[(x, 1.0), (y, 1.0)], second);
-            lp
-        };
-        let (_, snapshot, _) = build(4.0, 4.0).solve_with_snapshot().unwrap();
-        let consistent = build(5.0, 5.0);
-        match consistent.resolve_with_snapshot(snapshot.clone()) {
-            Ok((warm, _, _)) => {
-                let cold = consistent.solve().unwrap();
-                assert!((warm.objective - cold.objective).abs() < EPS);
-            }
-            Err(SolveError::BasisMismatch) => {} // guard fell back
-            Err(e) => panic!("unexpected {e:?}"),
-        }
-        let inconsistent = build(5.0, 7.0);
-        let got = inconsistent.resolve_with_snapshot(snapshot);
-        assert!(
-            matches!(got, Err(SolveError::BasisMismatch) | Err(SolveError::Infeasible)),
-            "unexpected {got:?}"
-        );
-    }
-
-    #[test]
-    fn snapshot_restart_matches_dense_oracle() {
-        for cap in [9.0, 7.0, 3.5, 1.0] {
-            let (_, snapshot, _) = capacitated(10.0).solve_with_snapshot().unwrap();
-            let lp = capacitated(cap);
-            let (warm, _, _) = lp.resolve_with_snapshot(snapshot).unwrap();
             let mut dense = capacitated(cap);
             dense
                 .set_options(SimplexOptions { pivot_mode: PivotMode::Dense, ..Default::default() });

@@ -24,7 +24,6 @@ use std::error::Error;
 use std::fmt;
 
 use crate::problem::{Constraint, ConstraintSense};
-use crate::revised::{Basis, RowLayout, TableauSnapshot};
 
 /// How pivot eliminations traverse the tableau.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -169,15 +168,9 @@ pub(crate) struct Tableau {
     /// Reusable `(start, len)` segment list of the scaled pivot row for
     /// [`PivotMode::Sparse`]; kept on the tableau so repeated pivots reuse
     /// one allocation.
-    pub(crate) scratch_segments: Vec<(usize, usize)>,
+    scratch_segments: Vec<(usize, usize)>,
     /// Reusable concatenated segment values matching `scratch_segments`.
-    pub(crate) scratch_values: Vec<f64>,
-    /// When set, sparse pivots stop updating the artificial column block
-    /// `artificial_start..cols-1`. Phase 2 never reads those columns
-    /// (artificials may not re-enter, so neither the entering scan nor the
-    /// ratio test touches them, and extraction only reads structural
-    /// columns and the RHS), so the stale values are unobservable.
-    pub(crate) freeze_artificials: bool,
+    scratch_values: Vec<f64>,
 }
 
 impl Tableau {
@@ -187,7 +180,7 @@ impl Tableau {
     }
 
     #[inline]
-    pub(crate) fn set(&mut self, r: usize, c: usize, v: f64) {
+    fn set(&mut self, r: usize, c: usize, v: f64) {
         self.data[r * self.cols + c] = v;
     }
 
@@ -228,16 +221,11 @@ impl Tableau {
                 // which extraction normalizes away — so the pivot trace and
                 // solution stay bit-identical while long runs amortize the
                 // per-segment bounds check and autovectorize.
-                //
-                // With `freeze_artificials` set, the artificial block is
-                // neither scaled nor eliminated — phase 2 never reads it.
                 let mut segments = std::mem::take(&mut self.scratch_segments);
                 let mut values = std::mem::take(&mut self.scratch_values);
                 segments.clear();
                 values.clear();
-                let scan_end =
-                    if self.freeze_artificials { self.artificial_start } else { cols - 1 };
-                for c in (0..scan_end).chain(cols - 1..cols) {
+                for c in 0..cols {
                     let v = self.data[start + c];
                     if v != 0.0 {
                         // Snap the pivot entry exactly to 1 to limit drift.
@@ -292,7 +280,7 @@ impl Tableau {
     pub(crate) fn optimum_is_unique(&self, tol: f64) -> bool {
         let obj = self.obj_row();
         let mut in_basis = vec![false; self.artificial_start];
-        for &b in &self.basis[..self.rows - 1] {
+        for &b in &self.basis {
             if b < self.artificial_start {
                 in_basis[b] = true;
             }
@@ -428,56 +416,54 @@ impl Tableau {
     }
 }
 
-/// Result of [`solve_standard_form_full`]: structural values plus the
-/// optimal basis and pivot counters.
+/// Result of [`solve_standard_form`]: structural values, row duals and
+/// pivot counters.
 pub(crate) struct FullSolution {
     pub(crate) values: Vec<f64>,
-    pub(crate) basis: Basis,
+    pub(crate) duals: Vec<f64>,
     pub(crate) stats: SolveStats,
 }
 
+/// Layout fingerprint of one constraint row as [`build_tableau`] laid it
+/// out. Two programs whose rows have equal layouts share every column
+/// index of the tableau, which is what lets a recorded basis be reused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RowLayout {
+    /// The sense the constraint was declared with.
+    pub(crate) sense: ConstraintSense,
+    /// Whether the row was negated because its RHS was negative.
+    pub(crate) flipped: bool,
+    /// The row's starting unit column: its slack for an effective `≤`,
+    /// its artificial otherwise.
+    pub(crate) unit: usize,
+}
+
 /// Solves `min c·x` subject to `constraints` and `x ≥ 0`, returning the
-/// structural values together with the optimal basis and solve statistics.
-pub(crate) fn solve_standard_form_full(
+/// structural values, the row duals and the solve statistics.
+pub(crate) fn solve_standard_form(
     costs: &[f64],
     constraints: &[Constraint],
     options: SimplexOptions,
 ) -> Result<FullSolution, SolveError> {
-    solve_standard_form_inner(costs, constraints, options, false).map(|(full, _)| full)
+    let (t, layout) = solve_cold(costs, constraints, options)?;
+    Ok(extract(t, &layout, costs.len()))
 }
 
-/// [`solve_standard_form_full`] that additionally captures the final
-/// tableau as a [`TableauSnapshot`] for RHS-only warm restarts. Capturing
-/// keeps the artificial columns live through phase 2 (they hold the basis
-/// inverse the snapshot needs), which every pivot mode computes the same
-/// observable cells for, so the solution and pivot trace are unchanged.
-pub(crate) fn solve_standard_form_snapshot(
-    costs: &[f64],
+/// Lays `constraints` out as the starting tableau: structural columns,
+/// then one slack/surplus per inequality, then one artificial per
+/// effective `≥`/`=` row, then the RHS. Rows with a negative RHS are
+/// stored negated. Every row starts with its unit column basic; the
+/// objective row is left zero.
+pub(crate) fn build_tableau(
+    n: usize,
     constraints: &[Constraint],
     options: SimplexOptions,
-) -> Result<(FullSolution, TableauSnapshot), SolveError> {
-    solve_standard_form_inner(costs, constraints, options, true)
-        .map(|(full, snapshot)| (full, snapshot.expect("capture was requested")))
-}
-
-fn solve_standard_form_inner(
-    costs: &[f64],
-    constraints: &[Constraint],
-    options: SimplexOptions,
-    capture: bool,
-) -> Result<(FullSolution, Option<TableauSnapshot>), SolveError> {
-    options.validate()?;
-    let n = costs.len();
+) -> (Tableau, Vec<RowLayout>) {
     let m = constraints.len();
-    let tol = options.tolerance;
-
-    // Column layout.
     let mut slack_count = 0usize;
     let mut artificial_count = 0usize;
     for c in constraints {
-        let rhs_negative = c.rhs < 0.0;
-        let sense = effective_sense(c.sense, rhs_negative);
-        match sense {
+        match effective_sense(c.sense, c.rhs < 0.0) {
             ConstraintSense::Le => slack_count += 1,
             ConstraintSense::Ge => {
                 slack_count += 1;
@@ -488,8 +474,7 @@ fn solve_standard_form_inner(
     }
     let slack_start = n;
     let artificial_start = n + slack_count;
-    let total_vars = n + slack_count + artificial_count;
-    let cols = total_vars + 1;
+    let cols = artificial_start + artificial_count + 1;
     let rows = m + 1;
 
     let mut t = Tableau {
@@ -503,10 +488,8 @@ fn solve_standard_form_inner(
         stats: SolveStats::default(),
         scratch_segments: Vec::new(),
         scratch_values: Vec::new(),
-        freeze_artificials: false,
     };
 
-    // Fill constraint rows, recording the per-row layout for warm restarts.
     let mut layout: Vec<RowLayout> = Vec::with_capacity(m);
     let mut next_slack = slack_start;
     let mut next_artificial = artificial_start;
@@ -518,42 +501,55 @@ fn solve_standard_form_inner(
             t.data[cell] += sign * coeff; // accumulate duplicate terms
         }
         t.set(r, t.rhs_col(), sign * c.rhs);
-        let mut slack = usize::MAX;
-        match effective_sense(c.sense, flip) {
+        let unit = match effective_sense(c.sense, flip) {
             ConstraintSense::Le => {
                 t.set(r, next_slack, 1.0);
-                t.basis[r] = next_slack;
-                slack = next_slack;
                 next_slack += 1;
+                next_slack - 1
             }
             ConstraintSense::Ge => {
                 t.set(r, next_slack, -1.0);
-                slack = next_slack;
                 next_slack += 1;
                 t.set(r, next_artificial, 1.0);
-                t.basis[r] = next_artificial;
                 next_artificial += 1;
+                next_artificial - 1
             }
             ConstraintSense::Eq => {
                 t.set(r, next_artificial, 1.0);
-                t.basis[r] = next_artificial;
                 next_artificial += 1;
+                next_artificial - 1
             }
-        }
-        layout.push(RowLayout { sense: c.sense, flipped: flip, slack });
+        };
+        t.basis[r] = unit;
+        layout.push(RowLayout { sense: c.sense, flipped: flip, unit });
     }
+    (t, layout)
+}
+
+/// The two-phase solve: returns the optimal tableau and its row layout.
+pub(crate) fn solve_cold(
+    costs: &[f64],
+    constraints: &[Constraint],
+    options: SimplexOptions,
+) -> Result<(Tableau, Vec<RowLayout>), SolveError> {
+    options.validate()?;
+    let tol = options.tolerance;
+    let (mut t, layout) = build_tableau(costs.len(), constraints, options);
+    let cols = t.cols;
+    let artificial_start = t.artificial_start;
+    let total_vars = cols - 1;
 
     let mut iterations = 0usize;
 
     // ---- Phase 1: minimize sum of artificials ----
-    if artificial_count > 0 {
+    if total_vars > artificial_start {
         let obj = t.obj_row();
         for a in artificial_start..total_vars {
             t.set(obj, a, 1.0);
         }
         // Zero out reduced costs of the basic artificials.
         let sparse = t.options.pivot_mode == PivotMode::Sparse;
-        for r in 0..m {
+        for r in 0..constraints.len() {
             if t.basis[r] >= artificial_start {
                 let row: Vec<f64> = t.data[r * cols..(r + 1) * cols].to_vec();
                 let orow = &mut t.data[obj * cols..(obj + 1) * cols];
@@ -597,57 +593,46 @@ fn solve_standard_form_inner(
     t.stats.phase1_pivots = t.stats.pivots;
 
     // ---- Phase 2: original objective ----
-    // Artificial columns are dead from here on (they may not re-enter and
-    // nothing below reads them), so sparse pivots stop maintaining them —
-    // unless a snapshot capture was requested: the artificial (and slack)
-    // columns of the final tableau are the rows of the basis inverse the
-    // snapshot's RHS recompute reads.
-    t.freeze_artificials = !capture && t.options.pivot_mode == PivotMode::Sparse;
     t.install_objective(costs);
     // Artificials may not re-enter.
     t.optimize(t.artificial_start, &mut iterations)?;
+    Ok((t, layout))
+}
 
-    // Extract structural solution, normalizing negative zeros so sparse and
-    // dense pivot modes return bit-identical values.
+/// Reads the `n` structural values and the row duals off an optimal
+/// tableau, normalizing negative zeros so sparse and dense pivot modes
+/// return bit-identical values.
+///
+/// `duals[i]` is `∂(min c·x)/∂b_i` at the final basis, read off the final
+/// objective row: every row starts with a unit column (its slack for an
+/// effective `≤`, its artificial otherwise) whose cost is zero, so that
+/// column's reduced cost is `-y_i` of the row as stored. Rows stored
+/// negated (negative right-hand side) flip the sign back. A redundant row
+/// phase 1 removed had its artificial basic, so that column is zero on
+/// every surviving row and the row's dual reads 0.
+pub(crate) fn extract(mut t: Tableau, layout: &[RowLayout], n: usize) -> FullSolution {
+    let normalize = |v: f64| if v == 0.0 { 0.0 } else { v };
     let mut values = vec![0.0; n];
     let rhs = t.rhs_col();
     for r in 0..t.rows - 1 {
         let b = t.basis[r];
         if b < n {
-            let v = t.at(r, rhs);
-            values[b] = if v == 0.0 { 0.0 } else { v };
+            values[b] = normalize(t.at(r, rhs));
         }
     }
-    let unique = t.optimum_is_unique(tol);
-    let snapshot = capture.then(|| TableauSnapshot {
-        // A non-unique optimum is refused by the warm path in O(1), so
-        // storing its tableau would only hold memory; keep the fingerprint
-        // and drop the data.
-        data: if unique { t.data.clone() } else { Vec::new() },
-        rows: t.rows,
-        cols: t.cols,
-        basis_cols: t.basis.clone(),
-        kept_rows: t.origin.clone(),
-        variables: n,
-        slack_count,
-        artificial_start,
-        layout: layout.clone(),
-        costs: costs.to_vec(),
-        unique,
-    });
-    let basis = Basis {
-        columns: t.basis.clone(),
-        kept_rows: t.origin.clone(),
-        variables: n,
-        slack_count,
-        layout,
-        unique,
-    };
+    let obj = t.obj_row();
+    let duals = layout
+        .iter()
+        .map(|lay| {
+            let sign = if lay.flipped { -1.0 } else { 1.0 };
+            normalize(-sign * t.at(obj, lay.unit))
+        })
+        .collect();
     let stats = std::mem::take(&mut t.stats);
-    Ok((FullSolution { values, basis, stats }, snapshot))
+    FullSolution { values, duals, stats }
 }
 
-pub(crate) fn effective_sense(sense: ConstraintSense, flipped: bool) -> ConstraintSense {
+fn effective_sense(sense: ConstraintSense, flipped: bool) -> ConstraintSense {
     if !flipped {
         return sense;
     }
@@ -658,8 +643,9 @@ pub(crate) fn effective_sense(sense: ConstraintSense, flipped: bool) -> Constrai
     }
 }
 
-/// Removes constraint row `r` from the tableau (redundant after phase 1).
-fn remove_row(t: &mut Tableau, r: usize) {
+/// Removes constraint row `r` from the tableau (redundant after phase 1,
+/// or not kept by a recorded basis).
+pub(crate) fn remove_row(t: &mut Tableau, r: usize) {
     let cols = t.cols;
     let start = r * cols;
     t.data.drain(start..start + cols);
@@ -881,14 +867,13 @@ mod tests {
             record_trace: true,
             ..Default::default()
         });
-        let (s_sol, s_basis, s_stats) = sparse.solve_with_basis().unwrap();
-        let (d_sol, d_basis, d_stats) = dense.solve_with_basis().unwrap();
+        let (s_sol, s_stats) = sparse.solve_with_stats().unwrap();
+        let (d_sol, d_stats) = dense.solve_with_stats().unwrap();
         assert_eq!(s_stats.trace, d_stats.trace, "pivot sequences differ");
-        assert_eq!(s_basis, d_basis);
         assert_eq!(s_sol.objective.to_bits(), d_sol.objective.to_bits());
-        let s_bits: Vec<u64> = s_sol.values.iter().map(|v| v.to_bits()).collect();
-        let d_bits: Vec<u64> = d_sol.values.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(s_bits, d_bits);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&s_sol.values), bits(&d_sol.values));
+        assert_eq!(bits(&s_sol.duals), bits(&d_sol.duals));
     }
 
     #[test]
@@ -923,11 +908,83 @@ mod tests {
     fn stats_count_pivots_and_phases() {
         let mut lp = mixed_example();
         lp.set_options(SimplexOptions::default());
-        let (_, _, stats) = lp.solve_with_basis().unwrap();
+        let (_, stats) = lp.solve_with_stats().unwrap();
         assert!(stats.pivots > 0);
         assert!(stats.phase1_pivots <= stats.pivots);
-        assert!(!stats.warm_start);
-        assert_eq!(stats.refactor_pivots, 0);
         assert!(stats.trace.is_empty(), "trace off by default");
+    }
+
+    /// Checks complementary slackness and dual feasibility of `sol`
+    /// against `lp`: the duals must price every column to a non-negative
+    /// reduced cost (zero on positive columns) and reproduce the optimum
+    /// as `y·b`.
+    fn assert_dual_certificate(lp: &LinearProgram, sol: &crate::Solution) {
+        let minimize = if lp.sense() == Sense::Minimize { 1.0 } else { -1.0 };
+        let mut reduced: Vec<f64> = lp.costs().iter().map(|c| minimize * c).collect();
+        let mut dual_objective = 0.0;
+        for (c, &y) in lp.constraints().iter().zip(&sol.duals) {
+            let y = minimize * y;
+            for &(var, coeff) in &c.terms {
+                reduced[var.index()] -= y * coeff;
+            }
+            dual_objective += y * c.rhs;
+            match c.sense {
+                ConstraintSense::Le => assert!(y <= EPS, "≤ row dual {y} must be ≤ 0"),
+                ConstraintSense::Ge => assert!(y >= -EPS, "≥ row dual {y} must be ≥ 0"),
+                ConstraintSense::Eq => {}
+            }
+        }
+        for (j, (&d, &x)) in reduced.iter().zip(&sol.values).enumerate() {
+            assert!(d >= -EPS, "column {j} prices negative: {d}");
+            assert!(x <= EPS || d.abs() <= EPS, "positive column {j} has reduced cost {d}");
+        }
+        assert!((minimize * sol.objective - dual_objective).abs() < EPS, "strong duality");
+    }
+
+    #[test]
+    fn duals_certify_the_optimum() {
+        // y = (-1, 0, -1) by hand for the crate example: x + y <= 4 binds
+        // with price 1, y <= 3 binds with price 1, x <= 2 is slack.
+        let mut lp = LinearProgram::new(Sense::Minimize);
+        let x = lp.add_variable("x", -1.0);
+        let y = lp.add_variable("y", -2.0);
+        lp.add_le(&[(x, 1.0), (y, 1.0)], 4.0);
+        lp.add_le(&[(x, 1.0)], 2.0);
+        lp.add_le(&[(y, 1.0)], 3.0);
+        let sol = lp.solve().unwrap();
+        for (got, want) in sol.duals.iter().zip([-1.0, 0.0, -1.0]) {
+            assert!((got - want).abs() < EPS, "duals {:?}", sol.duals);
+        }
+        assert_dual_certificate(&lp, &sol);
+        for mut lp in [mixed_example(), lp] {
+            assert_dual_certificate(&lp, &lp.solve().unwrap());
+            lp.set_options(SimplexOptions { pivot_mode: PivotMode::Dense, ..Default::default() });
+            assert_dual_certificate(&lp, &lp.solve().unwrap());
+        }
+    }
+
+    #[test]
+    fn duals_of_flipped_redundant_and_maximized_rows() {
+        // -x - y = -8 is stored negated; the duplicate x + y = 8 is removed
+        // as redundant after phase 1 and must price at zero.
+        let mut lp = LinearProgram::new(Sense::Minimize);
+        let x = lp.add_variable("x", 1.0);
+        let y = lp.add_variable("y", 3.0);
+        lp.add_eq(&[(x, -1.0), (y, -1.0)], -8.0);
+        lp.add_eq(&[(x, 1.0), (y, 1.0)], 8.0);
+        lp.add_le(&[(x, 1.0)], 5.0);
+        let sol = lp.solve().unwrap();
+        assert!((sol.objective - 14.0).abs() < EPS);
+        assert_dual_certificate(&lp, &sol);
+        // Shadow prices follow the program's own sense: raising the cap on
+        // x by one adds one unit of profit to this maximization.
+        let mut max = LinearProgram::new(Sense::Maximize);
+        let x = max.add_variable("x", 3.0);
+        let y = max.add_variable("y", 1.0);
+        max.add_le(&[(x, 1.0)], 2.0);
+        max.add_le(&[(x, 1.0), (y, 1.0)], 5.0);
+        let sol = max.solve().unwrap();
+        assert!((sol.objective - 9.0).abs() < EPS);
+        assert!((sol.duals[0] - 2.0).abs() < EPS && (sol.duals[1] - 1.0).abs() < EPS);
     }
 }

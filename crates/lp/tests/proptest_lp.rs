@@ -1,7 +1,7 @@
 //! Property-based tests for the simplex solver: solutions of randomly
 //! generated programs must be feasible and at least as good as a known
-//! feasible point, the sparse pivot must be bit-identical to its dense
-//! oracle, and snapshot warm restarts must agree with cold solves.
+//! feasible point, their row duals must certify optimality, and the
+//! sparse pivot must be bit-identical to its dense oracle.
 
 use noc_lp::{LinearProgram, PivotMode, Sense, SimplexOptions, SolveError, VarId};
 use proptest::prelude::*;
@@ -146,86 +146,43 @@ proptest! {
         let sparse = sparse_lp.solve().expect("feasible bounded LP must solve");
         let dense = dense_lp.solve().expect("feasible bounded LP must solve");
         prop_assert_eq!(sparse.values, dense.values, "pivot modes diverged");
+        prop_assert_eq!(sparse.duals, dense.duals, "duals diverged");
         prop_assert_eq!(sparse.objective.to_bits(), dense.objective.to_bits());
     }
 
-    /// Resolving from a captured tableau snapshot after loosening the
-    /// inequality right-hand sides must agree with a cold solve of the
-    /// perturbed program. A `BasisMismatch` refusal (non-unique optimum,
-    /// or a loosened row crossing zero and flipping its standard form) is
-    /// the documented fallback path and equally acceptable — what is
-    /// *never* acceptable is a warm "optimum" that a cold solve beats.
+    /// The row duals are an optimality certificate: they price every
+    /// column to a non-negative reduced cost, zero on every positive
+    /// column, carry the sign each row sense requires, and reproduce the
+    /// optimum as `y·b` (strong duality).
     #[test]
-    fn snapshot_resolve_agrees_with_cold_solve(
-        lp_data in random_lp(true),
-        delta in 0.0..3.0f64,
-    ) {
+    fn duals_certify_every_random_optimum(lp_data in random_lp(true)) {
         let (lp, _) = build(&lp_data);
-        let Ok((_, snapshot, _)) = lp.solve_with_snapshot() else { return Ok(()) };
-        // Loosen every inequality row; the known feasible point stays
-        // feasible, and equalities keep the perturbed program honest.
-        let perturbed_data = RandomLp {
-            constraints: lp_data
-                .constraints
-                .iter()
-                .map(|(coeffs, sense, rhs)| {
-                    let rhs = match sense {
-                        0 => rhs + delta,
-                        1 => rhs - delta,
-                        _ => *rhs,
-                    };
-                    (coeffs.clone(), *sense, rhs)
-                })
-                .collect(),
-            ..lp_data.clone()
-        };
-        let (perturbed, _) = build(&perturbed_data);
-        match perturbed.resolve_with_snapshot(snapshot) {
-            Ok((warm, _, stats)) => {
-                prop_assert!(stats.warm_start, "snapshot resolve must report warm");
-                check_feasible(&perturbed_data, &warm.values);
-                let cold = perturbed.solve().expect("loosened program stays feasible");
-                prop_assert!(
-                    (warm.objective - cold.objective).abs()
-                        <= 1e-6 * (1.0 + cold.objective.abs()),
-                    "warm optimum {} != cold optimum {}",
-                    warm.objective,
-                    cold.objective
-                );
+        let solution = lp.solve().expect("feasible bounded LP must solve");
+        prop_assert_eq!(solution.duals.len(), lp.constraint_count());
+        let mut reduced = lp.costs().to_vec();
+        let mut dual_objective = 0.0;
+        for (c, &y) in lp.constraints().iter().zip(&solution.duals) {
+            for &(var, coeff) in &c.terms {
+                reduced[var.index()] -= y * coeff;
             }
-            // Refusals fall back to a cold solve in every caller; solver
-            // verdicts (infeasible/unbounded) must then match cold.
-            Err(SolveError::BasisMismatch) => {}
-            Err(e) => {
-                let cold = perturbed.solve();
-                prop_assert!(cold.is_err(), "warm failed with {e:?} but cold solved");
-            }
+            dual_objective += y * c.rhs;
+            let signed_ok = match c.sense {
+                noc_lp::ConstraintSense::Le => y <= TOL,
+                noc_lp::ConstraintSense::Ge => y >= -TOL,
+                noc_lp::ConstraintSense::Eq => true,
+            };
+            prop_assert!(signed_ok, "dual {} has the wrong sign for {:?}", y, c.sense);
         }
-    }
-
-    /// Resolving a snapshot against the *unchanged* program is the
-    /// degenerate sweep step: it must succeed whenever the capture was
-    /// reusable and return the same optimum without any simplex work
-    /// beyond the RHS recompute.
-    #[test]
-    fn snapshot_resolve_is_idempotent_on_unchanged_rhs(lp_data in random_lp(true)) {
-        let (lp, _) = build(&lp_data);
-        let Ok((first, snapshot, _)) = lp.solve_with_snapshot() else { return Ok(()) };
-        if !snapshot.is_reusable() {
-            return Ok(());
+        for (j, (&d, &x)) in reduced.iter().zip(&solution.values).enumerate() {
+            prop_assert!(d >= -TOL, "column {} prices negative: {}", j, d);
+            prop_assert!(x <= TOL || d.abs() <= TOL, "positive column {} costs {}", j, d);
         }
-        let (warm, _, stats) = lp
-            .resolve_with_snapshot(snapshot)
-            .expect("reusable snapshot must resolve its own program");
-        prop_assert!(stats.warm_start);
         prop_assert!(
-            (warm.objective - first.objective).abs()
-                <= 1e-9 * (1.0 + first.objective.abs()),
-            "idempotent resolve moved the optimum: {} -> {}",
-            first.objective,
-            warm.objective
+            (solution.objective - dual_objective).abs() <= TOL * (1.0 + solution.objective.abs()),
+            "primal {} != dual {}",
+            solution.objective,
+            dual_objective
         );
-        check_feasible(&lp_data, &warm.values);
     }
 
     /// Scaling every cost by a positive constant scales the optimum and

@@ -429,11 +429,11 @@ mod tests {
 
     #[test]
     fn lp_modules_are_in_scope() {
-        // PR 10 moved the warm-start machinery into `noc-lp`; the solver
-        // feeds every routing result, so the determinism rules
-        // (hash-container, wall-clock) must cover it — pin that a scope
-        // refactor cannot drop the crate. Its `f64` API stays legal only
-        // through explicit per-file `allow-file(f64-api)` markers.
+        // The solver feeds every split routing result, so the
+        // determinism rules (hash-container, wall-clock) must cover it —
+        // pin that a scope refactor cannot drop the crate. Its `f64` API
+        // stays legal only through explicit per-file `allow-file(f64-api)`
+        // markers.
         for path in
             ["crates/lp/src/simplex.rs", "crates/lp/src/revised.rs", "crates/lp/src/problem.rs"]
         {
