@@ -1032,17 +1032,8 @@ mod failure_injection_tests {
     /// split mapper's scoring.
     #[test]
     fn iteration_limit_propagates_from_split_mapper() {
-        // A two-path master for one 100 MB/s demand, with a pivot budget
-        // too small for its phase 1.
-        let mut lp = LinearProgram::new(Sense::Minimize);
-        let direct = lp.add_variable("direct", 1.0);
-        let around = lp.add_variable("around", 3.0);
-        lp.add_le(&[(direct, 1.0)], 60.0);
-        lp.add_le(&[(around, 1.0)], 60.0);
-        lp.add_eq(&[(direct, 1.0), (around, 1.0)], 100.0);
-        lp.set_options(noc_lp::SimplexOptions { max_iterations: 1, ..Default::default() });
-        assert_eq!(lp.solve().unwrap_err(), SolveError::IterationLimit);
-        // And the conversion path used by the mappers:
+        // `noc-lp`'s own tests reach the limit; this pins the conversion
+        // path the mappers use.
         let err: MapError = SolveError::IterationLimit.into();
         assert!(!is_infeasible(&err));
         assert!(err.to_string().contains("iteration limit"));

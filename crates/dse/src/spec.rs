@@ -249,6 +249,7 @@ pub fn parse_spec(text: &str) -> Result<SweepSpec, SpecError> {
                 if !rest.is_empty() {
                     return Err(syntax(line_no, "`}` must stand alone".into()));
                 }
+                block.validate().map_err(|message| syntax(line_no, message))?;
                 spec.simulate = sim_block.take();
             } else {
                 parse_simulate_field(block, keyword, &rest, line_no)?;
@@ -288,6 +289,8 @@ pub fn parse_spec(text: &str) -> Result<SweepSpec, SpecError> {
                     ));
                 }
                 let cores: usize = parse_field(rest[0], line_no, "cores")?;
+                noc_graph::parse::check_node_count("`random` core count", cores)
+                    .map_err(|message| syntax(line_no, message))?;
                 let instances: u64 = parse_field(rest[1], line_no, "instances")?;
                 let mut config = RandomGraphConfig { cores, ..Default::default() };
                 if rest.len() >= 3 {
@@ -525,6 +528,8 @@ fn parse_dims(text: &str, line: usize) -> Result<Vec<usize>, SpecError> {
         }
         dims.push(extent);
     }
+    noc_graph::parse::check_node_count("grid node count", noc_graph::parse::grid_nodes(&dims))
+        .map_err(|message| syntax(line, message))?;
     Ok(dims)
 }
 
@@ -868,6 +873,9 @@ simulate {
             ("app pip\nsimulate {\nfrobnicate 1\n}\n", 3),
             ("app pip\nsimulate {\n} trailing\n", 3),
             ("app pip\nsimulate {\n}\nsimulate {\n}\n", 4), // duplicate
+            // A horizon that overflows `u64` fails at the closing `}`, not
+            // later in `SweepSpec::scenarios`.
+            ("app pip\nsimulate {\nmeasure 18446744073709551615\n}\n", 4),
         ] {
             match parse_spec(bad) {
                 Err(SpecError::Syntax { line: l, .. }) => {
@@ -978,6 +986,23 @@ simulate {
             parse_spec("topology mesh 4x4x1000\napp pip\n").unwrap_err(),
             SpecError::Syntax { line: 1, .. }
         ));
+        // Node cap (shared with the `.noc` parser): extents within their
+        // cap whose product is not, and oversized `random` graphs.
+        for (text, message) in [
+            ("topology mesh 512x512x512\napp pip\n", "grid node count 134217728"),
+            ("app pip\ntopology torus 512x512\n", "grid node count 262144"),
+            ("random 18446744073709551615 1\n", "`random` core count 18446744073709551615"),
+            ("random 65537 1\n", "`random` core count 65537"),
+        ] {
+            let line = if text.starts_with("app") { 2 } else { 1 };
+            match parse_spec(text) {
+                Err(SpecError::Syntax { line: l, message: m }) => {
+                    assert_eq!(l, line, "{text:?}");
+                    assert!(m.starts_with(message) && m.ends_with("the maximum 65536"), "{m}");
+                }
+                other => panic!("{text:?} should be a syntax error, got {other:?}"),
+            }
+        }
         assert!(matches!(
             parse_spec("capacity -5\napp pip\n").unwrap_err(),
             SpecError::Syntax { line: 1, .. }

@@ -24,6 +24,7 @@ use nmap::{
     MappingProblem, PathScope, SinglePathOptions, SplitOptions,
 };
 use noc_baselines::{gmap, pbb, pmap, PbbOptions};
+use noc_graph::parse::{check_node_count, MAX_GRID_EXTENT};
 use noc_graph::{mapping_dot, parse_core_graph, parse_topology, Topology};
 
 #[derive(Debug)]
@@ -122,8 +123,12 @@ fn parse_args() -> Result<Args, String> {
 
 fn parse_dims(text: &str) -> Result<(usize, usize), String> {
     let (w, h) = text.split_once('x').ok_or(format!("bad dimensions `{text}`, want WxH"))?;
-    let w = w.parse().map_err(|_| format!("bad width `{w}`"))?;
-    let h = h.parse().map_err(|_| format!("bad height `{h}`"))?;
+    let w: usize = w.parse().map_err(|_| format!("bad width `{w}`"))?;
+    let h: usize = h.parse().map_err(|_| format!("bad height `{h}`"))?;
+    if w == 0 || h == 0 || w.max(h) > MAX_GRID_EXTENT {
+        return Err(format!("bad dimensions `{text}`, want extents from 1 to {MAX_GRID_EXTENT}"));
+    }
+    check_node_count("grid node count", w * h)?;
     Ok((w, h))
 }
 
@@ -159,10 +164,14 @@ fn run(args: &Args) -> Result<bool, String> {
     let topology = match &args.topology {
         TopologyChoice::Fit => {
             let (w, h) = Topology::fit_mesh_dims(graph.core_count());
-            Topology::mesh(w, h, args.capacity)
+            Topology::mesh_nd(&[w, h], args.capacity).map_err(|e| e.to_string())?
         }
-        TopologyChoice::Mesh(w, h) => Topology::mesh(*w, *h, args.capacity),
-        TopologyChoice::Torus(w, h) => Topology::torus(*w, *h, args.capacity),
+        TopologyChoice::Mesh(w, h) => {
+            Topology::mesh_nd(&[*w, *h], args.capacity).map_err(|e| e.to_string())?
+        }
+        TopologyChoice::Torus(w, h) => {
+            Topology::torus_nd(&[*w, *h], args.capacity).map_err(|e| e.to_string())?
+        }
         TopologyChoice::File(path) => {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;

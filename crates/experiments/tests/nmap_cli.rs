@@ -79,6 +79,22 @@ fn unparsable_topology_file_fails_cleanly() {
 }
 
 #[test]
+fn oversized_topology_file_fails_cleanly() {
+    // Declarations beyond the node cap are input errors, reported before
+    // the topology is built.
+    let app = TempFile::with_content("small.app", "comm a b 10\n");
+    for (name, noc, needle) in [
+        ("custom.noc", "custom 18446744073709551615\n", "line 1: custom node count"),
+        ("link.noc", "custom 3\nlink 0 4294967296 3\n", "line 2: destination node 4294967296"),
+        ("mesh.noc", "mesh 512 512 512 1000\n", "line 1: grid node count 134217728 exceeds"),
+    ] {
+        let noc = TempFile::with_content(name, noc);
+        let out = nmap_cli(&[app.path(), "--noc", noc.path()]);
+        assert_clean_failure(&out, needle);
+    }
+}
+
+#[test]
 fn bad_flags_print_usage() {
     let out = nmap_cli(&["--mesh", "not-dims", "whatever.app"]);
     assert_clean_failure(&out, "bad dimensions");
@@ -86,6 +102,10 @@ fn bad_flags_print_usage() {
     assert_clean_failure(&out, "usage:");
     let out = nmap_cli(&["app.app", "--algorithm", "quantum"]);
     assert_clean_failure(&out, "unknown algorithm `quantum`");
+    let out = nmap_cli(&["app.app", "--mesh", "0x3"]);
+    assert_clean_failure(&out, "want extents from 1 to 512");
+    let out = nmap_cli(&["app.app", "--torus", "512x512"]);
+    assert_clean_failure(&out, "grid node count 262144 exceeds the maximum 65536");
 }
 
 #[test]

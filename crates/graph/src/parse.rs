@@ -29,7 +29,9 @@
 //! Exactly one of `mesh`/`torus`/`custom` must appear. `mesh`/`torus`
 //! take two to four extents (the final number is always the uniform
 //! link bandwidth); the rank cap keeps a stray trailing number on a
-//! legacy 2-D line from silently declaring a huge higher-rank grid.
+//! legacy 2-D line from silently declaring a huge higher-rank grid. No
+//! declaration may exceed [`MAX_NODES`] nodes, and no `link` endpoint may
+//! reach it, so a typo cannot ask for an allocation that aborts.
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -179,6 +181,27 @@ pub const MAX_GRID_RANK: usize = 4;
 /// silently building a grid with a bandwidth-sized axis.
 pub const MAX_GRID_EXTENT: usize = 512;
 
+/// Most nodes a topology declaration may ask for: a grid's extent
+/// product, a `custom` node count, or a `.dse` `random` core count. It is
+/// 128 times the largest grid this repository studies (8×8×8), and small
+/// enough that building the topology cannot exhaust memory.
+pub const MAX_NODES: usize = 1 << 16;
+
+/// Checks a declared node count against [`MAX_NODES`], returning the
+/// message of the violation; `what` names the count (e.g. `custom node
+/// count`).
+pub fn check_node_count(what: &str, nodes: usize) -> Result<(), String> {
+    if nodes > MAX_NODES {
+        return Err(format!("{what} {nodes} exceeds the maximum {MAX_NODES}"));
+    }
+    Ok(())
+}
+
+/// Node count of a grid with per-axis `dims`, saturating on overflow.
+pub fn grid_nodes(dims: &[usize]) -> usize {
+    dims.iter().fold(1, |nodes: usize, &extent| nodes.saturating_mul(extent))
+}
+
 /// Parses the topology format described in the [module docs](self).
 ///
 /// # Errors
@@ -249,6 +272,8 @@ pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
                     }
                     dims.push(extent);
                 }
+                check_node_count("grid node count", grid_nodes(&dims))
+                    .map_err(|message| ParseError::Syntax { line: line_no, message })?;
                 let bw_text = numbers[numbers.len() - 1];
                 let bw: f64 = bw_text.parse().map_err(|_| ParseError::Syntax {
                     line: line_no,
@@ -272,13 +297,15 @@ pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
                     });
                 }
                 let n = parse_num::<usize>(&mut parts, line_no, "node count")?;
+                check_node_count("custom node count", n)
+                    .map_err(|message| ParseError::Syntax { line: line_no, message })?;
                 decl = Some((line_no, Decl::Custom(n)));
             }
             "link" => {
-                let src = parse_num::<usize>(&mut parts, line_no, "source node")?;
-                let dst = parse_num::<usize>(&mut parts, line_no, "destination node")?;
+                let src = parse_node(&mut parts, line_no, "source node")?;
+                let dst = parse_node(&mut parts, line_no, "destination node")?;
                 let cap = parse_num::<f64>(&mut parts, line_no, "capacity")?;
-                links.push((line_no, NodeId::new(src), NodeId::new(dst), cap));
+                links.push((line_no, src, dst, cap));
             }
             other => {
                 return Err(ParseError::Syntax {
@@ -342,6 +369,22 @@ fn parse_num<T: std::str::FromStr>(
     let text = parts.next().ok_or_else(|| missing(line, what))?;
     text.parse()
         .map_err(|_| ParseError::Syntax { line, message: format!("invalid {what} `{text}`") })
+}
+
+/// Parses a `link` endpoint, rejecting indices no topology can have.
+fn parse_node(
+    parts: &mut std::str::SplitWhitespace<'_>,
+    line: usize,
+    what: &str,
+) -> Result<NodeId, ParseError> {
+    let index = parse_num::<usize>(parts, line, what)?;
+    if index >= MAX_NODES {
+        return Err(ParseError::Syntax {
+            line,
+            message: format!("{what} {index} is out of range (the maximum is {})", MAX_NODES - 1),
+        });
+    }
+    Ok(NodeId::new(index))
 }
 
 fn reject_links(links: &[(usize, NodeId, NodeId, f64)], kind: &str) -> Result<(), ParseError> {
@@ -466,6 +509,22 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("invalid link bandwidth"));
+        // Every extent passes its cap, but the product does not: rejected
+        // before any node is allocated.
+        for (text, nodes) in
+            [("mesh 512 512 512 1000\n", 134_217_728), ("# big\ntorus 512 256 100\n", 131_072)]
+        {
+            let line = text.lines().count();
+            assert_eq!(
+                parse_topology(text).unwrap_err(),
+                ParseError::Syntax {
+                    line,
+                    message: format!("grid node count {nodes} exceeds the maximum {MAX_NODES}")
+                }
+            );
+        }
+        // The cap itself is accepted.
+        assert_eq!(parse_topology("mesh 256 256 1000\n").unwrap().node_count(), MAX_NODES);
     }
 
     #[test]
@@ -492,6 +551,27 @@ mod tests {
     fn custom_topology_semantic_errors_carry_line() {
         let err = parse_topology("custom 2\nlink 0 9 10\n").unwrap_err();
         assert!(matches!(err, ParseError::Graph { line: 2, .. }));
+        // Node counts and endpoints beyond `MAX_NODES` are syntax errors
+        // on their own line, raised before anything is allocated or a
+        // `NodeId` is built.
+        for (text, line, needle) in [
+            ("custom 18446744073709551615\n", 1, "custom node count 18446744073709551615"),
+            ("custom 65537\n", 1, "custom node count 65537 exceeds the maximum 65536"),
+            ("custom 3\nlink 0 4294967296 3\n", 2, "destination node 4294967296 is out of range"),
+            ("link 65536 0 3\ncustom 3\n", 1, "source node 65536 is out of range"),
+        ] {
+            match parse_topology(text) {
+                Err(ParseError::Syntax { line: l, message }) => {
+                    assert_eq!(l, line, "{text:?}");
+                    assert!(message.contains(needle), "{text:?}: {message}");
+                }
+                other => panic!("{text:?} should be a syntax error, got {other:?}"),
+            }
+        }
+        // The largest endpoint passes the parser's cap and is then checked
+        // against the declared node count.
+        let err = parse_topology("custom 3\nlink 0 65535 3\n").unwrap_err();
+        assert!(matches!(err, ParseError::Graph { line: 2, source: GraphError::UnknownNode(_) }));
     }
 
     #[test]

@@ -13,16 +13,10 @@
 //!   carries the row duals (shadow prices) read off the final tableau,
 //!   which is what column-generation callers price new columns with;
 //!   [`LinearProgram::solve_with_stats`] adds the pivot counters.
-//! * For a family of programs that differ only in constraint right-hand
-//!   sides, call [`LinearProgram::solve_with_basis`] once and
-//!   [`LinearProgram::resolve_with_basis`] afterwards: the dual simplex
-//!   re-optimizes from the previous optimal [`Basis`] in a few pivots.
 //!
-//! Pivot updates are column-sparse by default ([`PivotMode::Sparse`]):
-//! on wide tableaux, eliminations skip entries whose multiplier is exactly
-//! zero, which on flow problems (mostly ±1 incidence entries) removes most
-//! of the arithmetic while leaving the executed operations — and therefore
-//! every result bit — identical to the dense oracle ([`PivotMode::Dense`]).
+//! There is one solve path and nothing to configure: every call is a cold
+//! two-phase solve with full-width pivots, a fixed tolerance of `1e-9`
+//! and a fixed budget of 200,000 pivots.
 //!
 //! Determinism: pivot selection uses Dantzig's rule with index tie-breaks
 //! and falls back to Bland's rule when stalling is detected, so the solver
@@ -53,9 +47,7 @@
 
 mod export;
 mod problem;
-mod revised;
 mod simplex;
 
 pub use problem::{Constraint, ConstraintSense, LinearProgram, Sense, Solution, VarId};
-pub use revised::Basis;
-pub use simplex::{PivotMode, SimplexOptions, SolveError, SolveStats};
+pub use simplex::{SolveError, SolveStats};

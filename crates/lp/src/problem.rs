@@ -8,8 +8,7 @@
 use std::fmt;
 use std::ops::Index;
 
-use crate::revised::{resolve_standard_form, solve_standard_form_with_basis, Basis};
-use crate::simplex::{solve_standard_form, FullSolution, SimplexOptions, SolveError, SolveStats};
+use crate::simplex::{solve_standard_form, SolveError, SolveStats, MAX_PIVOTS};
 
 /// Identifier of a decision variable within one [`LinearProgram`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -69,25 +68,12 @@ pub struct LinearProgram {
     names: Vec<String>,
     costs: Vec<f64>,
     constraints: Vec<Constraint>,
-    options: SimplexOptions,
 }
 
 impl LinearProgram {
     /// Creates an empty program with the given objective sense.
     pub fn new(sense: Sense) -> Self {
-        Self {
-            sense,
-            names: Vec::new(),
-            costs: Vec::new(),
-            constraints: Vec::new(),
-            options: SimplexOptions::default(),
-        }
-    }
-
-    /// Overrides the solver options (tolerances, iteration limit).
-    pub fn set_options(&mut self, options: SimplexOptions) -> &mut Self {
-        self.options = options;
-        self
+        Self { sense, names: Vec::new(), costs: Vec::new(), constraints: Vec::new() }
     }
 
     /// Adds a non-negative variable with objective coefficient `cost` and
@@ -184,10 +170,8 @@ impl LinearProgram {
     ///
     /// * [`SolveError::Infeasible`] — no point satisfies all constraints.
     /// * [`SolveError::Unbounded`] — the objective decreases without bound.
-    /// * [`SolveError::IterationLimit`] — the pivot budget was exhausted
-    ///   (raise it via [`SimplexOptions`]).
-    /// * [`SolveError::InvalidOptions`] — a [`SimplexOptions`] field is out
-    ///   of range.
+    /// * [`SolveError::IterationLimit`] — the fixed pivot budget (200,000
+    ///   pivots) was exhausted.
     pub fn solve(&self) -> Result<Solution, SolveError> {
         self.solve_with_stats().map(|(solution, _)| solution)
     }
@@ -200,48 +184,8 @@ impl LinearProgram {
     /// Same as [`LinearProgram::solve`].
     pub fn solve_with_stats(&self) -> Result<(Solution, SolveStats), SolveError> {
         let costs = self.minimization_costs();
-        let full = solve_standard_form(&costs, &self.constraints, self.options)?;
+        let full = solve_standard_form(&costs, &self.constraints, MAX_PIVOTS)?;
         Ok((self.finish(full.values, full.duals), full.stats))
-    }
-
-    /// Like [`LinearProgram::solve_with_stats`], additionally returning the
-    /// optimal [`Basis`] for warm-starting a related program via
-    /// [`LinearProgram::resolve_with_basis`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LinearProgram::solve`].
-    pub fn solve_with_basis(&self) -> Result<(Solution, Basis, SolveStats), SolveError> {
-        let costs = self.minimization_costs();
-        let (full, basis) =
-            solve_standard_form_with_basis(&costs, &self.constraints, self.options)?;
-        Ok(self.finish_with_basis(full, basis))
-    }
-
-    /// Re-optimizes from `previous`, the optimal basis of a structurally
-    /// identical program whose constraint right-hand sides may have
-    /// changed, using the dual simplex method. On a parametric RHS sweep
-    /// this replaces a full two-phase solve with a few dual pivots.
-    ///
-    /// # Errors
-    ///
-    /// * [`SolveError::BasisMismatch`] — `previous` does not fit this
-    ///   program (different shape/senses, an RHS sign flip that changes
-    ///   the slack layout, a singular refactorization, or a non-unique
-    ///   optimum). Fall back to a cold [`LinearProgram::solve`].
-    /// * Otherwise as [`LinearProgram::solve`].
-    pub fn resolve_with_basis(
-        &self,
-        previous: &Basis,
-    ) -> Result<(Solution, Basis, SolveStats), SolveError> {
-        let costs = self.minimization_costs();
-        let (full, basis) =
-            resolve_standard_form(&costs, &self.constraints, self.options, previous)?;
-        Ok(self.finish_with_basis(full, basis))
-    }
-
-    fn finish_with_basis(&self, full: FullSolution, basis: Basis) -> (Solution, Basis, SolveStats) {
-        (self.finish(full.values, full.duals), basis, full.stats)
     }
 
     /// Objective coefficients in the solver's native minimization sense.

@@ -1,90 +1,28 @@
 //! Two-phase primal simplex over a dense tableau.
-//
-// lint: allow-file(f64-api) — solver options and statistics expose raw
-// tolerances and objective reals; the unit-bearing wrappers live with
-// the MCF callers in `nmap`.
 //!
 //! Phase 1 minimizes the sum of artificial variables to find a basic
 //! feasible solution (or prove infeasibility); phase 2 optimizes the real
 //! objective. Entering variables follow Dantzig's rule until the objective
 //! stalls, then Bland's rule, which guarantees termination on degenerate
-//! problems.
-//!
-//! Pivot updates run in one of two modes ([`PivotMode`]): the default
-//! **sparse** mode skips row/column entries whose multiplier is exactly
-//! `0.0`, while the **dense** mode performs every multiply-subtract. The
-//! arithmetic the sparse mode does execute is identical in order and
-//! operands to the dense mode, so the two produce the same pivot sequence
-//! and bit-identical solutions; dense mode is retained as the differential
-//! oracle for tests. (The only representational difference skipping can
-//! introduce is the sign of an exact zero, which no comparison in the
-//! solver distinguishes and which is normalized out of returned values.)
+//! problems. Every pivot is a full-width Gauss-Jordan elimination.
 
 use std::error::Error;
 use std::fmt;
 
 use crate::problem::{Constraint, ConstraintSense};
 
-/// How pivot eliminations traverse the tableau.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PivotMode {
-    /// Skip entries whose multiplier is exactly `0.0` (the fast default).
-    #[default]
-    Sparse,
-    /// Touch every entry; the differential oracle for the sparse mode.
-    Dense,
-}
+/// Feasibility and optimality tolerance of the pivot rules.
+const TOLERANCE: f64 = 1e-9;
 
-/// Tunable solver parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimplexOptions {
-    /// Feasibility/optimality tolerance. Must be positive and finite.
-    pub tolerance: f64,
-    /// Hard cap on pivots across both phases. Must be positive.
-    pub max_iterations: usize,
-    /// Number of non-improving pivots before switching to Bland's rule.
-    /// Must be positive.
-    pub stall_threshold: usize,
-    /// Pivot elimination strategy (sparse by default).
-    pub pivot_mode: PivotMode,
-    /// Record the `(row, column)` pivot sequence in [`SolveStats::trace`].
-    /// Off by default; used by differential tests.
-    pub record_trace: bool,
-}
+/// Phase-1 threshold: the largest artificial sum that still counts as
+/// feasible, and the smallest entry that may pivot an artificial out.
+const PHASE1_EPSILON: f64 = 1e-7;
 
-impl Default for SimplexOptions {
-    fn default() -> Self {
-        Self {
-            tolerance: 1e-9,
-            max_iterations: 200_000,
-            stall_threshold: 256,
-            pivot_mode: PivotMode::Sparse,
-            record_trace: false,
-        }
-    }
-}
+/// Non-improving pivots before Dantzig's rule gives way to Bland's.
+const STALL_THRESHOLD: usize = 256;
 
-impl SimplexOptions {
-    /// Checks that every field is usable before a solve starts.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::InvalidOptions`] naming the offending field when
-    /// `tolerance` is not a positive finite number or either iteration
-    /// bound is zero.
-    pub fn validate(&self) -> Result<(), SolveError> {
-        if self.tolerance <= 0.0 || !self.tolerance.is_finite() {
-            return Err(SolveError::InvalidOptions("tolerance"));
-        }
-        if self.max_iterations == 0 {
-            return Err(SolveError::InvalidOptions("max_iterations"));
-        }
-        if self.stall_threshold == 0 {
-            return Err(SolveError::InvalidOptions("stall_threshold"));
-        }
-        Ok(())
-    }
-}
+/// Pivot budget of one solve across both phases.
+pub(crate) const MAX_PIVOTS: usize = 200_000;
 
 /// Failure modes of [`crate::LinearProgram::solve`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,12 +33,6 @@ pub enum SolveError {
     Unbounded,
     /// The pivot budget was exhausted before reaching an optimum.
     IterationLimit,
-    /// A [`SimplexOptions`] field is out of range; the payload names it.
-    InvalidOptions(&'static str),
-    /// A warm-start basis does not fit this program (shape, sense, or
-    /// RHS-sign change, or the recorded basis is singular here). Callers
-    /// should fall back to a cold [`crate::LinearProgram::solve`].
-    BasisMismatch,
 }
 
 impl fmt::Display for SolveError {
@@ -109,12 +41,6 @@ impl fmt::Display for SolveError {
             SolveError::Infeasible => write!(f, "linear program is infeasible"),
             SolveError::Unbounded => write!(f, "linear program is unbounded"),
             SolveError::IterationLimit => write!(f, "simplex iteration limit exceeded"),
-            SolveError::InvalidOptions(field) => {
-                write!(f, "invalid solver options: {field} must be positive and finite")
-            }
-            SolveError::BasisMismatch => {
-                write!(f, "warm-start basis does not match this program")
-            }
         }
     }
 }
@@ -122,60 +48,29 @@ impl fmt::Display for SolveError {
 impl Error for SolveError {}
 
 /// Pivot counters from one solve, for instrumentation and tests.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Simplex pivots performed (both phases for a cold solve; dual plus
-    /// cleanup pivots for a warm solve).
+    /// Simplex pivots performed in both phases.
     pub pivots: usize,
-    /// Pivots spent in phase 1, including driving artificials out
-    /// (always zero for a warm solve, which has no phase 1).
+    /// Pivots spent in phase 1, including driving artificials out.
     pub phase1_pivots: usize,
-    /// Gauss-Jordan pivots spent refactorizing a warm-start basis
-    /// (always zero for a cold solve).
-    pub refactor_pivots: usize,
-    /// True when the solve was warm-started from a previous basis.
-    pub warm_start: bool,
-    /// `(row, column)` of every pivot, recorded only when
-    /// [`SimplexOptions::record_trace`] is set.
-    pub trace: Vec<(usize, usize)>,
 }
-
-/// Longest run of zeros a sparse pivot folds into a contiguous elimination
-/// segment rather than starting a new one. Merged zeros cost one redundant
-/// `x -= factor * 0.0` each (what the dense oracle computes anyway), while
-/// every segment break costs a bounds check and breaks vectorization, so
-/// short gaps are cheaper to step over than to split on.
-const SEGMENT_GAP: usize = 2;
-
-/// Tableau width below which sparse mode runs the plain dense sweep
-/// instead of building segments: a narrow tableau stays cache-resident,
-/// where the branch-free vectorized sweep wins outright.
-const SEGMENT_MIN_COLS: usize = 1024;
 
 /// Dense simplex tableau. Rows `0..m` are constraints; the last row is the
 /// objective. Column layout: structural variables, then slacks/surpluses,
 /// then artificials, then the RHS.
-pub(crate) struct Tableau {
-    pub(crate) rows: usize,
-    pub(crate) cols: usize, // including rhs column
-    pub(crate) data: Vec<f64>,
-    pub(crate) basis: Vec<usize>,
-    /// Original constraint index behind each surviving row.
-    pub(crate) origin: Vec<usize>,
-    pub(crate) artificial_start: usize,
-    pub(crate) options: SimplexOptions,
-    pub(crate) stats: SolveStats,
-    /// Reusable `(start, len)` segment list of the scaled pivot row for
-    /// [`PivotMode::Sparse`]; kept on the tableau so repeated pivots reuse
-    /// one allocation.
-    scratch_segments: Vec<(usize, usize)>,
-    /// Reusable concatenated segment values matching `scratch_segments`.
-    scratch_values: Vec<f64>,
+struct Tableau {
+    rows: usize,
+    cols: usize, // including rhs column
+    data: Vec<f64>,
+    basis: Vec<usize>,
+    max_pivots: usize,
+    stats: SolveStats,
 }
 
 impl Tableau {
     #[inline]
-    pub(crate) fn at(&self, r: usize, c: usize) -> f64 {
+    fn at(&self, r: usize, c: usize) -> f64 {
         self.data[r * self.cols + c]
     }
 
@@ -185,161 +80,55 @@ impl Tableau {
     }
 
     #[inline]
-    pub(crate) fn rhs_col(&self) -> usize {
+    fn rhs_col(&self) -> usize {
         self.cols - 1
     }
 
-    pub(crate) fn obj_row(&self) -> usize {
+    fn obj_row(&self) -> usize {
         self.rows - 1
     }
 
-    /// Gauss-Jordan pivot on (`pivot_row`, `pivot_col`).
-    pub(crate) fn pivot(&mut self, pivot_row: usize, pivot_col: usize) {
+    /// Gauss-Jordan pivot on (`pivot_row`, `pivot_col`): scales the pivot
+    /// row, then sweeps every other row with a nonzero pivot-column entry.
+    fn pivot(&mut self, pivot_row: usize, pivot_col: usize) {
         let cols = self.cols;
         let start = pivot_row * cols;
-        let pivot_value = self.data[start + pivot_col];
-        debug_assert!(pivot_value.abs() > 0.0, "zero pivot");
-        let inv = 1.0 / pivot_value;
-        match self.options.pivot_mode {
-            PivotMode::Dense => self.dense_pivot(pivot_row, pivot_col, inv),
-            PivotMode::Sparse if cols < SEGMENT_MIN_COLS => {
-                // Small tableaux live in cache, where the fully vectorized
-                // dense sweep beats segment bookkeeping; it computes the
-                // same observable cells (see the segment-merge note below),
-                // so the pivot trace and solution are unchanged.
-                self.dense_pivot(pivot_row, pivot_col, inv);
-            }
-            PivotMode::Sparse => {
-                // Scale the pivot row and gather its nonzeros into
-                // contiguous segments in one pass; eliminations then run a
-                // vectorized slice update per segment instead of touching
-                // every column. Nonzeros separated by at most `SEGMENT_GAP`
-                // zeros merge into one segment: the extra `x -= factor*0.0`
-                // terms a merged gap adds are exactly what the dense oracle
-                // computes anyway — they can only flip the sign of an exact
-                // zero, which no comparison in the solver distinguishes and
-                // which extraction normalizes away — so the pivot trace and
-                // solution stay bit-identical while long runs amortize the
-                // per-segment bounds check and autovectorize.
-                let mut segments = std::mem::take(&mut self.scratch_segments);
-                let mut values = std::mem::take(&mut self.scratch_values);
-                segments.clear();
-                values.clear();
-                for c in 0..cols {
-                    let v = self.data[start + c];
-                    if v != 0.0 {
-                        // Snap the pivot entry exactly to 1 to limit drift.
-                        let scaled = if c == pivot_col { 1.0 } else { v * inv };
-                        self.data[start + c] = scaled;
-                        match segments.last_mut() {
-                            Some((s, len)) if c - (*s + *len) <= SEGMENT_GAP => {
-                                // Merge: carry the gap's zeros into the
-                                // segment so it stays contiguous.
-                                values.resize(values.len() + (c - (*s + *len)), 0.0);
-                                *len = c - *s + 1;
-                            }
-                            _ => segments.push((c, 1)),
-                        }
-                        values.push(scaled);
-                    }
-                }
-                for r in 0..self.rows {
-                    if r == pivot_row {
-                        continue;
-                    }
-                    let factor = self.data[r * cols + pivot_col];
-                    if factor == 0.0 {
-                        continue;
-                    }
-                    let row = &mut self.data[r * cols..(r + 1) * cols];
-                    let mut offset = 0usize;
-                    for &(s, len) in &segments {
-                        let source = &values[offset..offset + len];
-                        for (value, &p) in row[s..s + len].iter_mut().zip(source) {
-                            *value -= factor * p;
-                        }
-                        offset += len;
-                    }
-                    row[pivot_col] = 0.0;
-                }
-                self.scratch_segments = segments;
-                self.scratch_values = values;
-            }
-        }
-        self.basis[pivot_row] = pivot_col;
-        self.stats.pivots += 1;
-        if self.options.record_trace {
-            self.stats.trace.push((pivot_row, pivot_col));
-        }
-    }
-
-    /// True when the optimum the tableau currently expresses is provably
-    /// unique: every nonbasic non-artificial column has a strictly
-    /// positive reduced cost. A zero reduced cost means the optimal face
-    /// has dimension > 0 and another vertex attains the same objective.
-    pub(crate) fn optimum_is_unique(&self, tol: f64) -> bool {
-        let obj = self.obj_row();
-        let mut in_basis = vec![false; self.artificial_start];
-        for &b in &self.basis {
-            if b < self.artificial_start {
-                in_basis[b] = true;
-            }
-        }
-        (0..self.artificial_start).all(|c| in_basis[c] || self.at(obj, c) > tol)
-    }
-
-    /// Full-width Gauss-Jordan elimination: scale the pivot row by `inv`,
-    /// then sweep every other row with a nonzero pivot-column entry.
-    fn dense_pivot(&mut self, pivot_row: usize, pivot_col: usize, inv: f64) {
-        let cols = self.cols;
-        let start = pivot_row * cols;
-        for c in 0..cols {
-            self.data[start + c] *= inv;
+        let (before, rest) = self.data.split_at_mut(start);
+        let (pivot, after) = rest.split_at_mut(cols);
+        debug_assert!(pivot[pivot_col].abs() > 0.0, "zero pivot");
+        let inv = 1.0 / pivot[pivot_col];
+        for value in pivot.iter_mut() {
+            *value *= inv;
         }
         // Snap the pivot entry exactly to 1 to limit drift.
-        self.data[start + pivot_col] = 1.0;
-
-        let pivot_row_copy: Vec<f64> = self.data[start..start + cols].to_vec();
-        for r in 0..self.rows {
-            if r == pivot_row {
-                continue;
-            }
-            let factor = self.data[r * cols + pivot_col];
+        pivot[pivot_col] = 1.0;
+        for row in before.chunks_exact_mut(cols).chain(after.chunks_exact_mut(cols)) {
+            let factor = row[pivot_col];
             if factor == 0.0 {
                 continue;
             }
-            let row = &mut self.data[r * cols..(r + 1) * cols];
-            for (value, &p) in row.iter_mut().zip(&pivot_row_copy) {
+            for (value, &p) in row.iter_mut().zip(&*pivot) {
                 *value -= factor * p;
             }
             row[pivot_col] = 0.0;
         }
+        self.basis[pivot_row] = pivot_col;
+        self.stats.pivots += 1;
     }
 
-    /// Installs the phase-2 objective: zeroes the objective row, writes the
-    /// structural costs, and eliminates the reduced costs of every basic
-    /// variable so the row is expressed over the current basis.
-    pub(crate) fn install_objective(&mut self, costs: &[f64]) {
-        let obj = self.obj_row();
+    /// Installs an objective: zeroes the objective row, writes `costs`
+    /// (indexed by column), and eliminates the reduced costs of every
+    /// basic variable so the row is expressed over the current basis.
+    fn install_objective(&mut self, costs: &[f64]) {
         let cols = self.cols;
-        let n = costs.len();
-        for c in 0..cols {
-            self.set(obj, c, 0.0);
-        }
-        for (v, &cost) in costs.iter().enumerate() {
-            self.set(obj, v, cost);
-        }
-        let sparse = self.options.pivot_mode == PivotMode::Sparse;
-        for r in 0..self.rows - 1 {
-            let b = self.basis[r];
-            let cost = if b < n { costs[b] } else { 0.0 };
+        let obj = self.obj_row();
+        let (constraints, objective) = self.data.split_at_mut(obj * cols);
+        objective.fill(0.0);
+        objective[..costs.len()].copy_from_slice(costs);
+        for (row, &b) in constraints.chunks_exact(cols).zip(&self.basis) {
+            let cost = costs.get(b).copied().unwrap_or(0.0);
             if cost != 0.0 {
-                let row: Vec<f64> = self.data[r * cols..(r + 1) * cols].to_vec();
-                let orow = &mut self.data[obj * cols..(obj + 1) * cols];
-                for (o, &v) in orow.iter_mut().zip(&row) {
-                    if sparse && v == 0.0 {
-                        continue;
-                    }
+                for (o, &v) in objective.iter_mut().zip(row) {
                     *o -= cost * v;
                 }
             }
@@ -347,28 +136,23 @@ impl Tableau {
     }
 
     /// Runs simplex until optimality over columns `< allowed_cols`.
-    pub(crate) fn optimize(
-        &mut self,
-        allowed_cols: usize,
-        iterations: &mut usize,
-    ) -> Result<(), SolveError> {
-        let tol = self.options.tolerance;
+    fn optimize(&mut self, allowed_cols: usize, iterations: &mut usize) -> Result<(), SolveError> {
         let mut stall = 0usize;
         let mut last_objective = self.at(self.obj_row(), self.rhs_col());
         loop {
-            if *iterations >= self.options.max_iterations {
+            if *iterations >= self.max_pivots {
                 return Err(SolveError::IterationLimit);
             }
-            let bland = stall > self.options.stall_threshold;
+            let bland = stall > STALL_THRESHOLD;
             let obj = self.obj_row();
 
             // Entering column.
             let mut entering: Option<usize> = None;
-            let mut best = -tol;
+            let mut best = -TOLERANCE;
             for c in 0..allowed_cols {
                 let reduced = self.at(obj, c);
                 if bland {
-                    if reduced < -tol {
+                    if reduced < -TOLERANCE {
                         entering = Some(c);
                         break;
                     }
@@ -387,10 +171,10 @@ impl Tableau {
             let mut best_ratio = f64::INFINITY;
             for r in 0..self.rows - 1 {
                 let coeff = self.at(r, enter);
-                if coeff > tol {
+                if coeff > TOLERANCE {
                     let ratio = self.at(r, rhs_col) / coeff;
-                    let better = ratio < best_ratio - tol
-                        || (ratio < best_ratio + tol
+                    let better = ratio < best_ratio - TOLERANCE
+                        || (ratio < best_ratio + TOLERANCE
                             && leave.is_some_and(|l| self.basis[r] < self.basis[l]));
                     if leave.is_none() || better {
                         best_ratio = ratio;
@@ -406,13 +190,21 @@ impl Tableau {
             *iterations += 1;
 
             let objective = self.at(self.obj_row(), self.rhs_col());
-            if objective < last_objective - tol {
+            if objective < last_objective - TOLERANCE {
                 stall = 0;
                 last_objective = objective;
             } else {
                 stall += 1;
             }
         }
+    }
+
+    /// Removes constraint row `r` (redundant after phase 1).
+    fn remove_row(&mut self, r: usize) {
+        let start = r * self.cols;
+        self.data.drain(start..start + self.cols);
+        self.basis.remove(r);
+        self.rows -= 1;
     }
 }
 
@@ -424,148 +216,79 @@ pub(crate) struct FullSolution {
     pub(crate) stats: SolveStats,
 }
 
-/// Layout fingerprint of one constraint row as [`build_tableau`] laid it
-/// out. Two programs whose rows have equal layouts share every column
-/// index of the tableau, which is what lets a recorded basis be reused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct RowLayout {
-    /// The sense the constraint was declared with.
-    pub(crate) sense: ConstraintSense,
-    /// Whether the row was negated because its RHS was negative.
-    pub(crate) flipped: bool,
-    /// The row's starting unit column: its slack for an effective `≤`,
-    /// its artificial otherwise.
-    pub(crate) unit: usize,
-}
-
-/// Solves `min c·x` subject to `constraints` and `x ≥ 0`, returning the
-/// structural values, the row duals and the solve statistics.
+/// Solves `min c·x` subject to `constraints` and `x ≥ 0` within
+/// `max_pivots` simplex pivots, returning the structural values, the row
+/// duals and the solve statistics.
 pub(crate) fn solve_standard_form(
     costs: &[f64],
     constraints: &[Constraint],
-    options: SimplexOptions,
+    max_pivots: usize,
 ) -> Result<FullSolution, SolveError> {
-    let (t, layout) = solve_cold(costs, constraints, options)?;
-    Ok(extract(t, &layout, costs.len()))
-}
-
-/// Lays `constraints` out as the starting tableau: structural columns,
-/// then one slack/surplus per inequality, then one artificial per
-/// effective `≥`/`=` row, then the RHS. Rows with a negative RHS are
-/// stored negated. Every row starts with its unit column basic; the
-/// objective row is left zero.
-pub(crate) fn build_tableau(
-    n: usize,
-    constraints: &[Constraint],
-    options: SimplexOptions,
-) -> (Tableau, Vec<RowLayout>) {
+    // ---- Starting tableau ----
+    // Structural columns, then one slack/surplus per inequality, then one
+    // artificial per effective `≥`/`=` row, then the RHS. Rows with a
+    // negative RHS are stored negated. Every row starts with its unit
+    // column basic; the objective row is left zero.
+    let n = costs.len();
     let m = constraints.len();
-    let mut slack_count = 0usize;
-    let mut artificial_count = 0usize;
-    for c in constraints {
-        match effective_sense(c.sense, c.rhs < 0.0) {
-            ConstraintSense::Le => slack_count += 1,
-            ConstraintSense::Ge => {
-                slack_count += 1;
-                artificial_count += 1;
-            }
-            ConstraintSense::Eq => artificial_count += 1,
-        }
-    }
-    let slack_start = n;
+    let senses: Vec<(ConstraintSense, bool)> = constraints
+        .iter()
+        .map(|c| {
+            let flipped = c.rhs < 0.0;
+            (effective_sense(c.sense, flipped), flipped)
+        })
+        .collect();
+    let slack_count = senses.iter().filter(|(s, _)| *s != ConstraintSense::Eq).count();
+    let artificial_count = senses.iter().filter(|(s, _)| *s != ConstraintSense::Le).count();
     let artificial_start = n + slack_count;
-    let cols = artificial_start + artificial_count + 1;
-    let rows = m + 1;
-
+    let total_vars = artificial_start + artificial_count;
+    let cols = total_vars + 1;
     let mut t = Tableau {
-        rows,
+        rows: m + 1,
         cols,
-        data: vec![0.0; rows * cols],
+        data: vec![0.0; (m + 1) * cols],
         basis: vec![usize::MAX; m],
-        origin: (0..m).collect(),
-        artificial_start,
-        options,
+        max_pivots,
         stats: SolveStats::default(),
-        scratch_segments: Vec::new(),
-        scratch_values: Vec::new(),
     };
-
-    let mut layout: Vec<RowLayout> = Vec::with_capacity(m);
-    let mut next_slack = slack_start;
+    // Per constraint: its starting unit column (the slack of an effective
+    // `≤`, the artificial otherwise) and whether it was stored negated.
+    let mut units: Vec<(usize, bool)> = Vec::with_capacity(m);
+    let mut next_slack = n;
     let mut next_artificial = artificial_start;
-    for (r, c) in constraints.iter().enumerate() {
-        let flip = c.rhs < 0.0;
-        let sign = if flip { -1.0 } else { 1.0 };
+    for (r, (c, &(sense, flipped))) in constraints.iter().zip(&senses).enumerate() {
+        let sign = if flipped { -1.0 } else { 1.0 };
         for &(var, coeff) in &c.terms {
-            let cell = r * cols + var.0;
-            t.data[cell] += sign * coeff; // accumulate duplicate terms
+            t.data[r * cols + var.0] += sign * coeff; // accumulate duplicate terms
         }
         t.set(r, t.rhs_col(), sign * c.rhs);
-        let unit = match effective_sense(c.sense, flip) {
-            ConstraintSense::Le => {
-                t.set(r, next_slack, 1.0);
-                next_slack += 1;
-                next_slack - 1
-            }
-            ConstraintSense::Ge => {
-                t.set(r, next_slack, -1.0);
-                next_slack += 1;
-                t.set(r, next_artificial, 1.0);
-                next_artificial += 1;
-                next_artificial - 1
-            }
-            ConstraintSense::Eq => {
-                t.set(r, next_artificial, 1.0);
-                next_artificial += 1;
-                next_artificial - 1
-            }
+        if sense != ConstraintSense::Eq {
+            t.set(r, next_slack, if sense == ConstraintSense::Le { 1.0 } else { -1.0 });
+            next_slack += 1;
+        }
+        let unit = if sense == ConstraintSense::Le {
+            next_slack - 1
+        } else {
+            t.set(r, next_artificial, 1.0);
+            next_artificial += 1;
+            next_artificial - 1
         };
         t.basis[r] = unit;
-        layout.push(RowLayout { sense: c.sense, flipped: flip, unit });
+        units.push((unit, flipped));
     }
-    (t, layout)
-}
-
-/// The two-phase solve: returns the optimal tableau and its row layout.
-pub(crate) fn solve_cold(
-    costs: &[f64],
-    constraints: &[Constraint],
-    options: SimplexOptions,
-) -> Result<(Tableau, Vec<RowLayout>), SolveError> {
-    options.validate()?;
-    let tol = options.tolerance;
-    let (mut t, layout) = build_tableau(costs.len(), constraints, options);
-    let cols = t.cols;
-    let artificial_start = t.artificial_start;
-    let total_vars = cols - 1;
 
     let mut iterations = 0usize;
 
-    // ---- Phase 1: minimize sum of artificials ----
-    if total_vars > artificial_start {
-        let obj = t.obj_row();
-        for a in artificial_start..total_vars {
-            t.set(obj, a, 1.0);
-        }
-        // Zero out reduced costs of the basic artificials.
-        let sparse = t.options.pivot_mode == PivotMode::Sparse;
-        for r in 0..constraints.len() {
-            if t.basis[r] >= artificial_start {
-                let row: Vec<f64> = t.data[r * cols..(r + 1) * cols].to_vec();
-                let orow = &mut t.data[obj * cols..(obj + 1) * cols];
-                for (o, &v) in orow.iter_mut().zip(&row) {
-                    if sparse && v == 0.0 {
-                        continue;
-                    }
-                    *o -= v;
-                }
-            }
-        }
+    // ---- Phase 1: minimize the sum of artificials ----
+    if artificial_count > 0 {
+        let mut phase1_costs = vec![0.0; total_vars];
+        phase1_costs[artificial_start..].fill(1.0);
+        t.install_objective(&phase1_costs);
         t.optimize(total_vars, &mut iterations)?;
+        // The objective row stores -value after eliminations; the
+        // minimized sum of artificials is the negation of its RHS entry.
         let phase1 = -t.at(t.obj_row(), t.rhs_col());
-        // Objective row stores -value after eliminations; the minimized sum
-        // of artificials is the negation of the stored rhs entry.
-        if phase1.abs() > tol.max(1e-7) {
+        if phase1.abs() > PHASE1_EPSILON {
             return Err(SolveError::Infeasible);
         }
 
@@ -573,18 +296,13 @@ pub(crate) fn solve_cold(
         let mut r = 0usize;
         while r < t.rows - 1 {
             if t.basis[r] >= artificial_start {
-                let mut pivoted = false;
-                for c in 0..artificial_start {
-                    if t.at(r, c).abs() > 1e-7 {
-                        t.pivot(r, c);
-                        pivoted = true;
-                        break;
+                match (0..artificial_start).find(|&c| t.at(r, c).abs() > PHASE1_EPSILON) {
+                    Some(c) => t.pivot(r, c),
+                    None => {
+                        // Redundant row: remove it.
+                        t.remove_row(r);
+                        continue;
                     }
-                }
-                if !pivoted {
-                    // Redundant row: remove it.
-                    remove_row(&mut t, r);
-                    continue;
                 }
             }
             r += 1;
@@ -592,44 +310,34 @@ pub(crate) fn solve_cold(
     }
     t.stats.phase1_pivots = t.stats.pivots;
 
-    // ---- Phase 2: original objective ----
+    // ---- Phase 2: original objective; artificials may not re-enter ----
     t.install_objective(costs);
-    // Artificials may not re-enter.
-    t.optimize(t.artificial_start, &mut iterations)?;
-    Ok((t, layout))
-}
+    t.optimize(artificial_start, &mut iterations)?;
 
-/// Reads the `n` structural values and the row duals off an optimal
-/// tableau, normalizing negative zeros so sparse and dense pivot modes
-/// return bit-identical values.
-///
-/// `duals[i]` is `∂(min c·x)/∂b_i` at the final basis, read off the final
-/// objective row: every row starts with a unit column (its slack for an
-/// effective `≤`, its artificial otherwise) whose cost is zero, so that
-/// column's reduced cost is `-y_i` of the row as stored. Rows stored
-/// negated (negative right-hand side) flip the sign back. A redundant row
-/// phase 1 removed had its artificial basic, so that column is zero on
-/// every surviving row and the row's dual reads 0.
-pub(crate) fn extract(mut t: Tableau, layout: &[RowLayout], n: usize) -> FullSolution {
+    // ---- Read the optimum off the tableau, normalizing negative zeros ----
+    // `duals[i]` is `∂(min c·x)/∂b_i` at the final basis, read off the
+    // final objective row: row `i`'s starting unit column has cost zero,
+    // so that column's reduced cost is `-y_i` of the row as stored. Rows
+    // stored negated flip the sign back. A redundant row phase 1 removed
+    // had its artificial basic, so that column is zero on every surviving
+    // row and the row's dual reads 0.
     let normalize = |v: f64| if v == 0.0 { 0.0 } else { v };
     let mut values = vec![0.0; n];
-    let rhs = t.rhs_col();
     for r in 0..t.rows - 1 {
         let b = t.basis[r];
         if b < n {
-            values[b] = normalize(t.at(r, rhs));
+            values[b] = normalize(t.at(r, t.rhs_col()));
         }
     }
     let obj = t.obj_row();
-    let duals = layout
+    let duals = units
         .iter()
-        .map(|lay| {
-            let sign = if lay.flipped { -1.0 } else { 1.0 };
-            normalize(-sign * t.at(obj, lay.unit))
+        .map(|&(unit, flipped)| {
+            let sign = if flipped { -1.0 } else { 1.0 };
+            normalize(-sign * t.at(obj, unit))
         })
         .collect();
-    let stats = std::mem::take(&mut t.stats);
-    FullSolution { values, duals, stats }
+    Ok(FullSolution { values, duals, stats: t.stats })
 }
 
 fn effective_sense(sense: ConstraintSense, flipped: bool) -> ConstraintSense {
@@ -641,17 +349,6 @@ fn effective_sense(sense: ConstraintSense, flipped: bool) -> ConstraintSense {
         ConstraintSense::Ge => ConstraintSense::Le,
         ConstraintSense::Eq => ConstraintSense::Eq,
     }
-}
-
-/// Removes constraint row `r` from the tableau (redundant after phase 1,
-/// or not kept by a recorded basis).
-pub(crate) fn remove_row(t: &mut Tableau, r: usize) {
-    let cols = t.cols;
-    let start = r * cols;
-    t.data.drain(start..start + cols);
-    t.basis.remove(r);
-    t.origin.remove(r);
-    t.rows -= 1;
 }
 
 #[cfg(test)]
@@ -786,8 +483,9 @@ mod tests {
                 vars.iter().map(|&v| (v, if v.index() == i { 2.0 } else { 1.0 })).collect();
             lp.add_le(&terms, 100.0);
         }
-        lp.set_options(SimplexOptions { max_iterations: 1, ..Default::default() });
-        assert_eq!(lp.solve().unwrap_err(), SolveError::IterationLimit);
+        assert!(lp.solve().is_ok(), "solves within the default budget");
+        let err = solve_standard_form(lp.costs(), lp.constraints(), 1).err();
+        assert_eq!(err, Some(SolveError::IterationLimit));
     }
 
     #[test]
@@ -854,64 +552,10 @@ mod tests {
     }
 
     #[test]
-    fn sparse_and_dense_modes_agree_bit_for_bit() {
-        let mut sparse = mixed_example();
-        sparse.set_options(SimplexOptions {
-            pivot_mode: PivotMode::Sparse,
-            record_trace: true,
-            ..Default::default()
-        });
-        let mut dense = mixed_example();
-        dense.set_options(SimplexOptions {
-            pivot_mode: PivotMode::Dense,
-            record_trace: true,
-            ..Default::default()
-        });
-        let (s_sol, s_stats) = sparse.solve_with_stats().unwrap();
-        let (d_sol, d_stats) = dense.solve_with_stats().unwrap();
-        assert_eq!(s_stats.trace, d_stats.trace, "pivot sequences differ");
-        assert_eq!(s_sol.objective.to_bits(), d_sol.objective.to_bits());
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(bits(&s_sol.values), bits(&d_sol.values));
-        assert_eq!(bits(&s_sol.duals), bits(&d_sol.duals));
-    }
-
-    #[test]
-    fn invalid_tolerance_is_rejected() {
-        let mut lp = LinearProgram::new(Sense::Minimize);
-        let x = lp.add_variable("x", 1.0);
-        lp.add_ge(&[(x, 1.0)], 1.0);
-        for bad in [0.0, -1e-9, f64::NAN, f64::INFINITY] {
-            lp.set_options(SimplexOptions { tolerance: bad, ..Default::default() });
-            assert_eq!(lp.solve().unwrap_err(), SolveError::InvalidOptions("tolerance"));
-        }
-    }
-
-    #[test]
-    fn zero_iteration_budgets_are_rejected() {
-        let mut lp = LinearProgram::new(Sense::Minimize);
-        let x = lp.add_variable("x", 1.0);
-        lp.add_ge(&[(x, 1.0)], 1.0);
-        lp.set_options(SimplexOptions { max_iterations: 0, ..Default::default() });
-        assert_eq!(lp.solve().unwrap_err(), SolveError::InvalidOptions("max_iterations"));
-        lp.set_options(SimplexOptions { stall_threshold: 0, ..Default::default() });
-        assert_eq!(lp.solve().unwrap_err(), SolveError::InvalidOptions("stall_threshold"));
-    }
-
-    #[test]
-    fn invalid_options_error_names_the_field() {
-        let message = SolveError::InvalidOptions("tolerance").to_string();
-        assert!(message.contains("tolerance"), "{message}");
-    }
-
-    #[test]
     fn stats_count_pivots_and_phases() {
-        let mut lp = mixed_example();
-        lp.set_options(SimplexOptions::default());
-        let (_, stats) = lp.solve_with_stats().unwrap();
+        let (_, stats) = mixed_example().solve_with_stats().unwrap();
         assert!(stats.pivots > 0);
         assert!(stats.phase1_pivots <= stats.pivots);
-        assert!(stats.trace.is_empty(), "trace off by default");
     }
 
     /// Checks complementary slackness and dual feasibility of `sol`
@@ -956,11 +600,8 @@ mod tests {
             assert!((got - want).abs() < EPS, "duals {:?}", sol.duals);
         }
         assert_dual_certificate(&lp, &sol);
-        for mut lp in [mixed_example(), lp] {
-            assert_dual_certificate(&lp, &lp.solve().unwrap());
-            lp.set_options(SimplexOptions { pivot_mode: PivotMode::Dense, ..Default::default() });
-            assert_dual_certificate(&lp, &lp.solve().unwrap());
-        }
+        let mixed = mixed_example();
+        assert_dual_certificate(&mixed, &mixed.solve().unwrap());
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Property-based tests for the simplex solver: solutions of randomly
 //! generated programs must be feasible and at least as good as a known
-//! feasible point, their row duals must certify optimality, and the
-//! sparse pivot must be bit-identical to its dense oracle.
+//! feasible point, and their row duals must certify optimality.
 
-use noc_lp::{LinearProgram, PivotMode, Sense, SimplexOptions, SolveError, VarId};
+use noc_lp::{LinearProgram, Sense, SolveError, VarId};
 use proptest::prelude::*;
 
 const TOL: f64 = 1e-6;
@@ -125,29 +124,6 @@ proptest! {
             Err(SolveError::Unbounded) => {}
             Err(e) => prop_assert!(false, "unexpected error {e:?} on a feasible program"),
         }
-    }
-
-    /// The sparse pivot is an execution strategy, not an algorithm change:
-    /// on any program it must walk the same pivot sequence as the dense
-    /// oracle and land on the *bit-identical* solution — exact `f64`
-    /// equality on every component, not an epsilon comparison.
-    #[test]
-    fn sparse_pivot_is_bit_identical_to_the_dense_oracle(lp_data in random_lp(true)) {
-        let (mut sparse_lp, _) = build(&lp_data);
-        sparse_lp.set_options(SimplexOptions {
-            pivot_mode: PivotMode::Sparse,
-            ..SimplexOptions::default()
-        });
-        let (mut dense_lp, _) = build(&lp_data);
-        dense_lp.set_options(SimplexOptions {
-            pivot_mode: PivotMode::Dense,
-            ..SimplexOptions::default()
-        });
-        let sparse = sparse_lp.solve().expect("feasible bounded LP must solve");
-        let dense = dense_lp.solve().expect("feasible bounded LP must solve");
-        prop_assert_eq!(sparse.values, dense.values, "pivot modes diverged");
-        prop_assert_eq!(sparse.duals, dense.duals, "duals diverged");
-        prop_assert_eq!(sparse.objective.to_bits(), dense.objective.to_bits());
     }
 
     /// The row duals are an optimality certificate: they price every
