@@ -17,8 +17,8 @@
 //! [`nmap::Mapping`], so every mapper can be evaluated under every routing
 //! regime (XY, load-balanced min-path, split-traffic MCF). Each also has
 //! a [`nmap::search::Mapper`] wrapper ([`PmapMapper`], [`GmapMapper`],
-//! [`PbbMapper`]), and [`standard_registry`] assembles the workspace-wide
-//! name-keyed mapper registry.
+//! [`PbbMapper`]); the `.dse` keywords that name them live in the mapper
+//! catalogue of `noc_dse::spec`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,4 +31,4 @@ mod search;
 pub use gmap::gmap;
 pub use pbb::{pbb, PbbOptions, PbbOutcome};
 pub use pmap::pmap;
-pub use search::{standard_registry, GmapMapper, PbbMapper, PmapMapper};
+pub use search::{GmapMapper, PbbMapper, PmapMapper};

@@ -1,23 +1,17 @@
 //! The baseline mappers behind the [`nmap::search`] layer: [`Mapper`]
-//! wrappers for PMAP, GMAP and PBB, plus [`standard_registry`] — the
-//! full name-keyed registry of every mapper in the workspace (this
-//! crate's three baselines on top of [`nmap::search::core_registry`]).
+//! wrappers for PMAP, GMAP and PBB.
 
-use nmap::search::{constructive_outcome_of, core_registry, MapOutcome, Mapper, Registry};
+use nmap::search::{constructive_outcome_of, MapOutcome, Mapper};
 use nmap::{EvalContext, Result};
 
 use crate::pbb::MAX_NODES;
 use crate::{gmap, pbb, pmap, PbbOptions};
 
-/// The PMAP two-phase baseline (registry name `pmap`).
+/// The PMAP two-phase baseline (`.dse` keyword `pmap`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PmapMapper;
 
 impl Mapper for PmapMapper {
-    fn name(&self) -> String {
-        "pmap".to_string()
-    }
-
     fn map(&self, ctx: &mut EvalContext<'_>) -> Result<MapOutcome> {
         let mapping = pmap(ctx.problem());
         constructive_outcome_of(ctx, mapping, 0)
@@ -28,15 +22,11 @@ impl Mapper for PmapMapper {
     }
 }
 
-/// The GMAP greedy baseline (registry name `gmap`).
+/// The GMAP greedy baseline (`.dse` keyword `gmap`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GmapMapper;
 
 impl Mapper for GmapMapper {
-    fn name(&self) -> String {
-        "gmap".to_string()
-    }
-
     fn map(&self, ctx: &mut EvalContext<'_>) -> Result<MapOutcome> {
         let mapping = gmap(ctx.problem());
         constructive_outcome_of(ctx, mapping, 0)
@@ -47,7 +37,7 @@ impl Mapper for GmapMapper {
     }
 }
 
-/// Truncated branch-and-bound (registry name `pbb`); `evaluations`
+/// Truncated branch-and-bound (`.dse` keyword `pbb`); `evaluations`
 /// counts search-tree expansions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PbbMapper {
@@ -61,21 +51,7 @@ impl PbbMapper {
     }
 }
 
-impl Default for PbbMapper {
-    fn default() -> Self {
-        Self::new(PbbOptions::default())
-    }
-}
-
 impl Mapper for PbbMapper {
-    fn name(&self) -> String {
-        if self.options == PbbOptions::default() {
-            "pbb".to_string()
-        } else {
-            format!("pbb[q{}e{}]", self.options.max_queue, self.options.max_expansions)
-        }
-    }
-
     fn map(&self, ctx: &mut EvalContext<'_>) -> Result<MapOutcome> {
         self.options.check().map_err(nmap::MapError::InvalidOptions)?;
         let nodes = ctx.problem().topology().node_count();
@@ -95,18 +71,6 @@ impl Mapper for PbbMapper {
     }
 }
 
-/// Every mapper in the workspace under its canonical `.dse` name: the
-/// NMAP family and the `sa`/`tabu` searches from
-/// [`nmap::search::core_registry`], plus `pmap`, `gmap` and `pbb` from
-/// this crate.
-pub fn standard_registry() -> Registry {
-    let mut registry = core_registry();
-    registry.register("pmap", |_| Box::new(PmapMapper));
-    registry.register("gmap", |_| Box::new(GmapMapper));
-    registry.register("pbb", |_| Box::new(PbbMapper::default()));
-    registry
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,34 +80,6 @@ mod tests {
     fn problem(seed: u64) -> MappingProblem {
         let g = RandomGraphConfig { cores: 8, ..Default::default() }.generate(seed);
         MappingProblem::new(g, Topology::mesh(3, 3, 2_000.0)).unwrap()
-    }
-
-    #[test]
-    fn standard_registry_builds_all_ten_mappers() {
-        let registry = standard_registry();
-        let names: Vec<_> = registry.names().collect();
-        assert_eq!(
-            names,
-            [
-                "nmap-init",
-                "nmap",
-                "nmap-paper",
-                "nmap-split-quadrant",
-                "nmap-split-all",
-                "sa",
-                "tabu",
-                "pmap",
-                "gmap",
-                "pbb"
-            ]
-        );
-        let p = problem(1);
-        for name in names {
-            let mapper = registry.build(name, 3).expect("registered");
-            assert_eq!(mapper.name(), name);
-            let out = mapper.map(&mut EvalContext::new(&p)).expect("small mesh maps");
-            assert!(out.mapping.is_complete(p.cores()), "{name}");
-        }
     }
 
     #[test]
@@ -164,14 +100,5 @@ mod tests {
         assert_eq!(out.comm_cost, legacy.comm_cost);
         assert_eq!(out.feasible, legacy.feasible);
         assert_eq!(out.evaluations, legacy.expansions);
-    }
-
-    #[test]
-    fn pbb_name_covers_parameterized_form() {
-        assert_eq!(PbbMapper::default().name(), "pbb");
-        assert_eq!(
-            PbbMapper::new(PbbOptions { max_queue: 10, max_expansions: 20 }).name(),
-            "pbb[q10e20]"
-        );
     }
 }

@@ -28,8 +28,8 @@
 //! baseline mappers and experiment harnesses can recombine them.
 //!
 //! The [`search`] module unifies every placement algorithm behind the
-//! [`Mapper`] trait and a name-keyed registry ([`search::core_registry`]),
-//! and adds two strategies built on the O(deg)
+//! [`Mapper`] trait (the `.dse` keywords that name them live in
+//! `noc_dse::spec`), and adds two strategies built on the O(deg)
 //! [`EvalContext::swap_delta`] kernel: seeded simulated annealing
 //! ([`search::SaMapper`]) and deterministic tabu search
 //! ([`search::TabuMapper`]).
@@ -80,8 +80,7 @@ pub use problem::{Commodity, MappingProblem};
 pub use routing::{CommodityPath, LinkLoads, RoutingTables, SplitRoute};
 pub use search::{MapOutcome, Mapper};
 pub use single_path::{
-    map_single_path, map_single_path_kernel, map_single_path_with, SinglePathOptions,
-    SinglePathOutcome, SwapKernel,
+    map_single_path, map_single_path_with, SinglePathOptions, SinglePathOutcome,
 };
 pub use split::{map_with_splitting, SplitOptions, SplitOutcome};
 

@@ -1,27 +1,20 @@
 //! The search layer: every placement algorithm in the workspace behind
-//! one [`Mapper`] trait, plus a name-keyed [`Registry`] so harnesses can
-//! treat mappers as data instead of enum arms.
+//! one [`Mapper`] trait.
 //!
 //! Before this layer, NMAP single-path, NMAP-split, and the baseline
 //! mappers each had their own call shape (`map_single_path(problem,
 //! opts) -> SinglePathOutcome`, `pmap(problem) -> Mapping`, ...) glued
 //! together by a hand-written `match` in the DSE engine. The trait
-//! unifies them:
+//! unifies them: [`Mapper::map`] drives a shared [`EvalContext`] (cached
+//! quadrant DAGs, scratch buffers, the O(deg) [`EvalContext::swap_delta`]
+//! kernel) and returns a single [`MapOutcome`] — mapping, Equation-7
+//! cost, feasibility, and a work measure.
 //!
-//! * [`Mapper::map`] drives a shared [`EvalContext`] (cached quadrant
-//!   DAGs, scratch buffers, the O(deg) [`EvalContext::swap_delta`]
-//!   kernel) and returns a single [`MapOutcome`] — mapping, Equation-7
-//!   cost, feasibility, and a work measure.
-//! * [`Mapper::name`] is the mapper's canonical `.dse` spelling (the
-//!   bare keyword for named configurations, `keyword[..]` otherwise);
-//!   the DSE spec format parses every emitted name back to an equal
-//!   configuration (round-trip property, tested).
-//! * [`Registry`] maps names to mapper factories. Factories take a seed
-//!   so stochastic mappers ([`SaMapper`]) derive their random stream
-//!   from the scenario that runs them — never from worker identity —
-//!   keeping parallel sweeps byte-identical. [`core_registry`] registers
-//!   the mappers of this crate; `noc_baselines::standard_registry()`
-//!   adds PMAP/GMAP/PBB on top.
+//! Mappers carry no names. The `.dse` keyword of every configuration
+//! lives in one catalogue in `noc_dse::spec`, which both parses and
+//! prints them; stochastic mappers ([`SaMapper`]) take their seed from
+//! the scenario that runs them — never from worker identity — keeping
+//! parallel sweeps byte-identical.
 //!
 //! Two search strategies beyond the paper ride on the cheap swap-delta
 //! kernel, following the strategy axis explored by Marcon et al.
@@ -37,7 +30,7 @@ pub use tabu::{TabuMapper, TabuOptions};
 use noc_units::{HopMbps, Score};
 
 use crate::{
-    initialize, map_single_path_with, map_with_splitting, EvalContext, Mapping, PathScope, Result,
+    initialize, map_single_path_with, map_with_splitting, EvalContext, Mapping, Result,
     SinglePathOptions, SplitOptions,
 };
 
@@ -62,11 +55,6 @@ pub struct MapOutcome {
 /// A placement algorithm: consumes an evaluation context (problem +
 /// caches) and produces a complete [`MapOutcome`].
 pub trait Mapper {
-    /// Canonical `.dse` spelling of this configuration (`nmap`,
-    /// `sa[m1000t0.1c0.99]`, ...). Stable: used as the mapper column of
-    /// sweep records and round-trips through the spec parser.
-    fn name(&self) -> String;
-
     /// Runs the algorithm.
     ///
     /// # Errors
@@ -92,97 +80,9 @@ pub trait Mapper {
     }
 }
 
-/// A boxed, thread-safe [`Mapper`] — the currency of the [`Registry`].
+/// A boxed, thread-safe [`Mapper`], as `noc_dse::MapperSpec::mapper`
+/// builds it.
 pub type BoxedMapper = Box<dyn Mapper + Send + Sync>;
-
-/// One registry entry: a canonical name plus a seed-taking factory.
-struct RegistryEntry {
-    name: String,
-    build: Box<dyn Fn(u64) -> BoxedMapper + Send + Sync>,
-}
-
-/// Name-keyed mapper registry.
-///
-/// Entries are kept in registration order (the order tables and docs list
-/// them in). Factories receive a seed so stochastic mappers stay a pure
-/// function of `(name, seed)`; deterministic mappers ignore it.
-#[derive(Default)]
-pub struct Registry {
-    entries: Vec<RegistryEntry>,
-}
-
-impl std::fmt::Debug for Registry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Registry").field("names", &self.names().collect::<Vec<_>>()).finish()
-    }
-}
-
-impl Registry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers `build` under `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a duplicate name — two algorithms under one spelling is
-    /// always a bug.
-    pub fn register<F>(&mut self, name: impl Into<String>, build: F)
-    where
-        F: Fn(u64) -> BoxedMapper + Send + Sync + 'static,
-    {
-        let name = name.into();
-        assert!(
-            self.entries.iter().all(|e| e.name != name),
-            "mapper `{name}` is already registered"
-        );
-        self.entries.push(RegistryEntry { name, build: Box::new(build) });
-    }
-
-    /// Builds the mapper registered under `name`, threading `seed` into
-    /// its factory. `None` for unknown names.
-    pub fn build(&self, name: &str, seed: u64) -> Option<BoxedMapper> {
-        self.entries.iter().find(|e| e.name == name).map(|e| (e.build)(seed))
-    }
-
-    /// The registered names, in registration order.
-    pub fn names(&self) -> impl ExactSizeIterator<Item = &str> {
-        self.entries.iter().map(|e| e.name.as_str())
-    }
-
-    /// Number of registered mappers.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-/// The registry of this crate's mappers: the NMAP family (`nmap-init`,
-/// `nmap`, `nmap-paper`, `nmap-split-quadrant`, `nmap-split-all`) plus
-/// the two kernel-powered search strategies (`sa`, `tabu`).
-pub fn core_registry() -> Registry {
-    let mut registry = Registry::new();
-    registry.register("nmap-init", |_| Box::new(InitMapper));
-    registry.register("nmap", |_| Box::new(SinglePathMapper::new(SinglePathOptions::default())));
-    registry.register("nmap-paper", |_| {
-        Box::new(SinglePathMapper::new(SinglePathOptions::paper_exact()))
-    });
-    registry.register("nmap-split-quadrant", |_| {
-        Box::new(SplitMapper::new(SplitOptions { scope: PathScope::Quadrant, passes: 1 }))
-    });
-    registry.register("nmap-split-all", |_| {
-        Box::new(SplitMapper::new(SplitOptions { scope: PathScope::AllPaths, passes: 1 }))
-    });
-    registry.register("sa", |seed| Box::new(SaMapper::new(SaOptions::default(), seed)));
-    registry.register("tabu", |_| Box::new(TabuMapper::new(TabuOptions::default())));
-    registry
-}
 
 /// Scores a complete placement the way the constructive mappers report
 /// it — Equation-7 cost plus min-path bandwidth feasibility — so
@@ -210,10 +110,6 @@ pub fn constructive_outcome_of(
 pub struct InitMapper;
 
 impl Mapper for InitMapper {
-    fn name(&self) -> String {
-        "nmap-init".to_string()
-    }
-
     fn map(&self, ctx: &mut EvalContext<'_>) -> Result<MapOutcome> {
         let mapping = initialize(ctx.problem());
         constructive_outcome_of(ctx, mapping, 0)
@@ -238,16 +134,6 @@ impl SinglePathMapper {
 }
 
 impl Mapper for SinglePathMapper {
-    fn name(&self) -> String {
-        if self.options == SinglePathOptions::paper_exact() {
-            "nmap-paper".to_string()
-        } else if self.options == SinglePathOptions::default() {
-            "nmap".to_string()
-        } else {
-            format!("nmap[p{}r{}]", self.options.passes, self.options.restarts)
-        }
-    }
-
     fn map(&self, ctx: &mut EvalContext<'_>) -> Result<MapOutcome> {
         let out = map_single_path_with(ctx, &self.options)?;
         Ok(MapOutcome {
@@ -274,18 +160,6 @@ impl SplitMapper {
 }
 
 impl Mapper for SplitMapper {
-    fn name(&self) -> String {
-        let base = match self.options.scope {
-            PathScope::Quadrant => "nmap-split-quadrant",
-            PathScope::AllPaths => "nmap-split-all",
-        };
-        if self.options.passes == 1 {
-            base.to_string()
-        } else {
-            format!("{base}[p{}]", self.options.passes)
-        }
-    }
-
     fn map(&self, ctx: &mut EvalContext<'_>) -> Result<MapOutcome> {
         let out = map_with_splitting(ctx.problem(), &self.options)?;
         Ok(MapOutcome {
@@ -319,48 +193,12 @@ fn search_outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MappingProblem;
+    use crate::{MappingProblem, PathScope};
     use noc_graph::{RandomGraphConfig, Topology};
 
     fn problem(seed: u64) -> MappingProblem {
         let g = RandomGraphConfig { cores: 8, ..Default::default() }.generate(seed);
         MappingProblem::new(g, Topology::mesh(3, 3, 2_000.0)).unwrap()
-    }
-
-    #[test]
-    fn registry_rejects_duplicates() {
-        let mut r = Registry::new();
-        r.register("x", |_| Box::new(InitMapper));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            r.register("x", |_| Box::new(InitMapper))
-        }));
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn core_registry_builds_every_entry_and_names_round_trip() {
-        let registry = core_registry();
-        assert_eq!(
-            registry.names().collect::<Vec<_>>(),
-            [
-                "nmap-init",
-                "nmap",
-                "nmap-paper",
-                "nmap-split-quadrant",
-                "nmap-split-all",
-                "sa",
-                "tabu"
-            ]
-        );
-        let p = problem(4);
-        for name in registry.names().collect::<Vec<_>>() {
-            let mapper = registry.build(name, 7).expect("registered");
-            assert_eq!(mapper.name(), name, "factory must build its own name");
-            let out = mapper.map(&mut EvalContext::new(&p)).expect("small mesh maps");
-            assert!(out.mapping.is_complete(p.cores()), "{name} left cores unplaced");
-            assert_eq!(out.comm_cost, p.comm_cost(&out.mapping), "{name} cost mismatch");
-        }
-        assert!(registry.build("nosuch", 0).is_none());
     }
 
     #[test]
@@ -386,23 +224,5 @@ mod tests {
         assert_eq!(out.mapping, legacy.mapping);
         assert_eq!(out.evaluations, legacy.lp_solves);
         assert_eq!(out.feasible, legacy.feasible);
-    }
-
-    #[test]
-    fn names_cover_parameterized_forms() {
-        assert_eq!(SinglePathMapper::new(SinglePathOptions::default()).name(), "nmap");
-        assert_eq!(SinglePathMapper::new(SinglePathOptions::paper_exact()).name(), "nmap-paper");
-        assert_eq!(
-            SinglePathMapper::new(SinglePathOptions { passes: 4, restarts: 2 }).name(),
-            "nmap[p4r2]"
-        );
-        assert_eq!(
-            SplitMapper::new(SplitOptions { scope: PathScope::AllPaths, passes: 1 }).name(),
-            "nmap-split-all"
-        );
-        assert_eq!(
-            SplitMapper::new(SplitOptions { scope: PathScope::Quadrant, passes: 3 }).name(),
-            "nmap-split-quadrant[p3]"
-        );
     }
 }

@@ -73,7 +73,7 @@ impl SaOptions {
     }
 }
 
-/// Simulated-annealing mapper (registry name `sa`).
+/// Simulated-annealing mapper (`.dse` keyword `sa`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SaMapper {
     options: SaOptions,
@@ -94,17 +94,6 @@ fn unit(rng: &mut ChaCha8Rng) -> f64 {
 }
 
 impl Mapper for SaMapper {
-    fn name(&self) -> String {
-        if self.options == SaOptions::default() {
-            "sa".to_string()
-        } else {
-            format!(
-                "sa[m{}t{}c{}]",
-                self.options.moves, self.options.initial_temp, self.options.cooling
-            )
-        }
-    }
-
     fn map(&self, ctx: &mut EvalContext<'_>) -> Result<MapOutcome> {
         self.options.check().map_err(MapError::InvalidOptions)?;
         let problem = ctx.problem();
@@ -255,12 +244,5 @@ mod tests {
         let out = SaMapper::new(SaOptions::default(), 0).map(&mut EvalContext::new(&p)).unwrap();
         assert_eq!(out.comm_cost, noc_units::HopMbps::ZERO);
         assert!(out.feasible);
-    }
-
-    #[test]
-    fn names_round_trip_defaults_and_parameters() {
-        assert_eq!(SaMapper::new(SaOptions::default(), 5).name(), "sa");
-        let custom = SaOptions { moves: 1_000, initial_temp: 0.1, cooling: 0.99 };
-        assert_eq!(SaMapper::new(custom, 5).name(), "sa[m1000t0.1c0.99]");
     }
 }

@@ -63,7 +63,7 @@ impl TabuOptions {
     }
 }
 
-/// Tabu-tenure pairwise-swap mapper (registry name `tabu`).
+/// Tabu-tenure pairwise-swap mapper (`.dse` keyword `tabu`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TabuMapper {
     options: TabuOptions,
@@ -77,14 +77,6 @@ impl TabuMapper {
 }
 
 impl Mapper for TabuMapper {
-    fn name(&self) -> String {
-        if self.options == TabuOptions::default() {
-            "tabu".to_string()
-        } else {
-            format!("tabu[i{}t{}]", self.options.iterations, self.options.tenure)
-        }
-    }
-
     fn map(&self, ctx: &mut EvalContext<'_>) -> Result<MapOutcome> {
         self.options.check().map_err(MapError::InvalidOptions)?;
         let problem = ctx.problem();
@@ -227,14 +219,5 @@ mod tests {
             let got = TabuMapper::new(bad).map(&mut EvalContext::new(&p));
             assert!(matches!(got, Err(MapError::InvalidOptions(_))), "{got:?}");
         }
-    }
-
-    #[test]
-    fn names_round_trip_defaults_and_parameters() {
-        assert_eq!(TabuMapper::new(TabuOptions::default()).name(), "tabu");
-        assert_eq!(
-            TabuMapper::new(TabuOptions { iterations: 200, tenure: 5 }).name(),
-            "tabu[i200t5]"
-        );
     }
 }

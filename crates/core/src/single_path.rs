@@ -67,25 +67,6 @@ impl SinglePathOptions {
     }
 }
 
-/// Inner evaluation strategy of the pairwise-swap descent. Both kernels
-/// produce **bit-identical** outcomes — same mappings, costs, tie-breaks
-/// and evaluation counts (pinned by the `swap_delta_identity` integration
-/// suite); they differ only in how much work a *rejected* candidate
-/// costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SwapKernel {
-    /// Score every candidate with the full O(E) Equation-7 scan of
-    /// [`EvalContext::evaluate`] — the paper-literal reference path.
-    FullRecompute,
-    /// Prefilter each candidate with the O(deg) incremental
-    /// [`EvalContext::swap_delta`]; the full evaluation runs only when
-    /// the delta (minus a conservative floating-point margin) says the
-    /// candidate could beat the incumbent. Since rejected candidates
-    /// dominate a descent pass, this skips almost every O(E) scan.
-    #[default]
-    DeltaGated,
-}
-
 /// Relative width of the delta-gate safety margin: a candidate is skipped
 /// only when its estimated cost clears the incumbent by more than this
 /// fraction of the magnitudes involved. Summing a few hundred `bw × hops`
@@ -135,27 +116,12 @@ pub fn map_single_path(
 ///
 /// # Errors
 ///
-/// Same conditions as [`map_single_path`].
-pub fn map_single_path_with(
-    ctx: &mut EvalContext<'_>,
-    options: &SinglePathOptions,
-) -> Result<SinglePathOutcome> {
-    map_single_path_kernel(ctx, options, SwapKernel::default())
-}
-
-/// [`map_single_path_with`] with an explicit descent [`SwapKernel`].
-/// Outcomes are bit-identical across kernels; this entry point exists for
-/// the equivalence tests that pin exactly that.
-///
-/// # Errors
-///
 /// [`MapError::InvalidOptions`] when `options` fail
 /// [`SinglePathOptions::check`]; otherwise the same conditions as
 /// [`map_single_path`].
-pub fn map_single_path_kernel(
+pub fn map_single_path_with(
     ctx: &mut EvalContext<'_>,
     options: &SinglePathOptions,
-    kernel: SwapKernel,
 ) -> Result<SinglePathOutcome> {
     options.check().map_err(MapError::InvalidOptions)?;
     let problem = ctx.problem();
@@ -177,7 +143,7 @@ pub fn map_single_path_kernel(
             let origin = seed.assignments().next().map(|(_, node)| node).unwrap_or(anchor);
             placed.swap_nodes(origin, anchor);
         }
-        let (cost, mapping) = swap_descent(ctx, placed, options.passes, kernel, &mut evaluations)?;
+        let (cost, mapping) = swap_descent(ctx, placed, options.passes, &mut evaluations)?;
         if cost < best_cost || best.is_none() {
             best_cost = cost;
             best = Some(mapping);
@@ -209,19 +175,20 @@ pub fn map_single_path_kernel(
 /// placement-only Equation-7 cost cannot beat the incumbent skip the
 /// expensive routing-based capacity check.
 ///
-/// Under [`SwapKernel::DeltaGated`] a second, cheaper gate runs first:
-/// the O(deg) [`EvalContext::swap_delta`] estimates the candidate cost as
+/// A second, cheaper gate runs first: the O(deg)
+/// [`EvalContext::swap_delta`] estimates the candidate cost as
 /// `cost(placed) + delta`, and candidates that cannot beat the incumbent
 /// even after a conservative rounding margin skip the candidate clone and
 /// the O(E) scan entirely. Every candidate still counts one evaluation —
 /// the gate changes what an evaluation *costs*, not which candidates are
 /// considered — and a gated-out candidate is exactly one `evaluate` would
-/// have scored `INFINITY` without routing, so outcomes are bit-identical.
+/// have scored `INFINITY` without routing, so outcomes are bit-identical
+/// to the ungated descent (the reference in the `swap_delta_identity`
+/// integration suite).
 fn swap_descent(
     ctx: &mut EvalContext<'_>,
     mut placed: Mapping,
     passes: usize,
-    kernel: SwapKernel,
     evaluations: &mut usize,
 ) -> Result<(Score, Mapping)> {
     let node_count = ctx.problem().topology().node_count();
@@ -243,19 +210,17 @@ fn swap_descent(
                     continue;
                 }
                 *evaluations += 1;
-                if kernel == SwapKernel::DeltaGated {
-                    let delta = ctx.swap_delta(&placed, a, b).to_f64();
-                    let margin = DELTA_GATE_MARGIN * (1.0 + placed_cost.abs() + delta.abs());
-                    if placed_cost + delta - margin >= best_cost.to_f64() {
-                        // Even optimistically the candidate cannot beat the
-                        // incumbent: evaluate() would return INFINITY from
-                        // its threshold gate without routing. Skip the O(E)
-                        // confirmation scan.
-                        ctx.counters.gate_rejects.inc();
-                        continue;
-                    }
-                    ctx.counters.gate_accepts.inc();
+                let delta = ctx.swap_delta(&placed, a, b).to_f64();
+                let margin = DELTA_GATE_MARGIN * (1.0 + placed_cost.abs() + delta.abs());
+                if placed_cost + delta - margin >= best_cost.to_f64() {
+                    // Even optimistically the candidate cannot beat the
+                    // incumbent: evaluate() would return INFINITY from its
+                    // threshold gate without routing. Skip the O(E)
+                    // confirmation scan.
+                    ctx.counters.gate_rejects.inc();
+                    continue;
                 }
+                ctx.counters.gate_accepts.inc();
                 let mut candidate = placed.clone();
                 candidate.swap_nodes(a, b);
                 let cost = ctx.evaluate(&candidate, best_cost)?;
@@ -410,37 +375,6 @@ mod tests {
         }
         assert!(SinglePathOptions::default().check().is_ok());
         assert!(SinglePathOptions::paper_exact().check().is_ok());
-    }
-
-    #[test]
-    fn delta_gated_kernel_matches_full_recompute_bit_for_bit() {
-        // The whole point of the gate: identical outcomes — mapping, cost
-        // bits, paths, loads AND evaluation counts — on feasible and
-        // capacity-constrained problems alike.
-        let problems = [
-            MappingProblem::new(pipeline(6, 50.0), Topology::mesh(3, 3, 1e9)).unwrap(),
-            MappingProblem::new(pipeline(6, 100.0), Topology::mesh(3, 2, 120.0)).unwrap(),
-            MappingProblem::new(pipeline(6, 100.0), Topology::torus(3, 3, 1e9)).unwrap(),
-        ];
-        for p in &problems {
-            for opts in [SinglePathOptions::paper_exact(), SinglePathOptions::default()] {
-                let full = map_single_path_kernel(
-                    &mut EvalContext::new(p),
-                    &opts,
-                    SwapKernel::FullRecompute,
-                )
-                .unwrap();
-                let gated =
-                    map_single_path_kernel(&mut EvalContext::new(p), &opts, SwapKernel::DeltaGated)
-                        .unwrap();
-                assert_eq!(full, gated);
-            }
-        }
-    }
-
-    #[test]
-    fn default_kernel_is_delta_gated() {
-        assert_eq!(SwapKernel::default(), SwapKernel::DeltaGated);
     }
 
     #[test]

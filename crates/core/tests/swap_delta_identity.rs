@@ -1,27 +1,112 @@
 //! The delta-gated swap descent's central guarantee: **bit-identical**
-//! outcomes to the retained full-recompute kernel — same mappings, same
-//! cost bits, same routed paths/loads, same evaluation counts and the
-//! same winners — on every bundled application and on seeded random
-//! graphs, under generous and tight link capacities alike.
+//! outcomes to the ungated descent — same mappings, same cost bits, same
+//! routed paths/loads, same evaluation counts and the same winners — on
+//! every bundled application, on seeded random graphs and on small
+//! pipelines, under generous and tight link capacities alike.
 //!
-//! The gate may only skip candidates the full `evaluate()` would reject
-//! from its threshold comparison without routing; any divergence here
-//! means the floating-point safety margin is wrong.
+//! `oracle::map_single_path` is that ungated descent: every candidate is
+//! scored with the full O(E) [`EvalContext::evaluate`], built from public
+//! API only. The production gate may only skip candidates the full
+//! `evaluate()` would reject from its threshold comparison without
+//! routing; any divergence here means the floating-point safety margin is
+//! wrong.
 
-use nmap::{map_single_path_kernel, EvalContext, MappingProblem, SinglePathOptions, SwapKernel};
+use nmap::{map_single_path, EvalContext, MappingProblem, SinglePathOptions};
 use noc_apps::App;
-use noc_graph::{RandomGraphConfig, Topology};
+use noc_graph::{CoreGraph, CoreId, RandomGraphConfig, Topology};
 
-/// Runs both kernels on one problem/options pair and demands equality of
-/// the entire outcome struct (mapping, cost, feasibility, paths, loads,
-/// tables, evaluations).
+mod oracle {
+    use nmap::{
+        initialize, routing, EvalContext, Mapping, RoutingTables, SinglePathOptions,
+        SinglePathOutcome,
+    };
+    use noc_graph::NodeId;
+    use noc_units::Score;
+
+    /// The paper's `mappingwithsinglepath()` with every candidate scored
+    /// by the full Equation-7 scan: the same restarts, sweeps, tie-breaks
+    /// and evaluation count as the production descent, minus its gate.
+    pub fn map_single_path(
+        ctx: &mut EvalContext<'_>,
+        options: &SinglePathOptions,
+    ) -> nmap::Result<SinglePathOutcome> {
+        let problem = ctx.problem();
+        let node_count = problem.topology().node_count();
+        let restarts = options.restarts;
+        let mut evaluations = 0usize;
+        let seed = initialize(problem);
+        let mut best_cost = Score::INFEASIBLE;
+        let mut best: Option<Mapping> = None;
+        for restart in 0..restarts {
+            let mut placed = seed.clone();
+            if restart > 0 {
+                let anchor = NodeId::new((restart * node_count) / restarts);
+                let origin = seed.assignments().next().map(|(_, node)| node).unwrap_or(anchor);
+                placed.swap_nodes(origin, anchor);
+            }
+            let (cost, mapping) = descent(ctx, placed, options.passes, &mut evaluations)?;
+            if cost < best_cost || best.is_none() {
+                best_cost = cost;
+                best = Some(mapping);
+            }
+        }
+        let best = best.expect("at least one restart ran");
+        let (paths, link_loads) = routing::route_min_paths(problem, &best)?;
+        let feasible = link_loads.within_capacity(problem.topology());
+        let comm_cost = ctx.comm_cost(&best);
+        let tables = RoutingTables::from_single_paths(&paths);
+        Ok(SinglePathOutcome {
+            mapping: best,
+            comm_cost,
+            feasible,
+            paths,
+            link_loads,
+            tables,
+            evaluations,
+        })
+    }
+
+    fn descent(
+        ctx: &mut EvalContext<'_>,
+        mut placed: Mapping,
+        passes: usize,
+        evaluations: &mut usize,
+    ) -> nmap::Result<(Score, Mapping)> {
+        let node_count = ctx.problem().topology().node_count();
+        *evaluations += 1;
+        let mut best_cost = ctx.evaluate(&placed, Score::INFEASIBLE)?;
+        let mut best = placed.clone();
+        for _ in 0..passes {
+            for i in 0..node_count {
+                for j in (i + 1)..node_count {
+                    let (a, b) = (NodeId::new(i), NodeId::new(j));
+                    if placed.core_at(a).is_none() && placed.core_at(b).is_none() {
+                        continue;
+                    }
+                    *evaluations += 1;
+                    let mut candidate = placed.clone();
+                    candidate.swap_nodes(a, b);
+                    let cost = ctx.evaluate(&candidate, best_cost)?;
+                    if cost < best_cost {
+                        best_cost = cost;
+                        best = candidate;
+                    }
+                }
+                placed = best.clone();
+            }
+        }
+        Ok((best_cost, best))
+    }
+}
+
+/// Runs the production descent and the ungated oracle on one
+/// problem/options pair and demands equality of the entire outcome struct
+/// (mapping, cost, feasibility, paths, loads, tables, evaluations).
 fn assert_kernels_identical(problem: &MappingProblem, options: &SinglePathOptions, label: &str) {
-    let full =
-        map_single_path_kernel(&mut EvalContext::new(problem), options, SwapKernel::FullRecompute)
-            .unwrap_or_else(|e| panic!("{label}: full kernel failed: {e}"));
-    let gated =
-        map_single_path_kernel(&mut EvalContext::new(problem), options, SwapKernel::DeltaGated)
-            .unwrap_or_else(|e| panic!("{label}: gated kernel failed: {e}"));
+    let full = oracle::map_single_path(&mut EvalContext::new(problem), options)
+        .unwrap_or_else(|e| panic!("{label}: ungated oracle failed: {e}"));
+    let gated = map_single_path(problem, options)
+        .unwrap_or_else(|e| panic!("{label}: gated descent failed: {e}"));
     assert_eq!(full, gated, "{label}: kernels diverged");
 }
 
@@ -80,17 +165,27 @@ fn kernels_agree_on_seeded_random_graphs() {
     }
 }
 
+/// A chain of `n` cores with one `bw` MB/s edge between neighbours.
+fn pipeline(n: usize, bw: f64) -> CoreGraph {
+    let mut g = CoreGraph::new();
+    let ids: Vec<CoreId> = (0..n).map(|i| g.add_core(format!("s{i}"))).collect();
+    for w in ids.windows(2) {
+        g.add_comm(w[0], w[1], bw).unwrap();
+    }
+    g
+}
+
 #[test]
-fn gated_kernel_is_the_default_everywhere() {
-    // map_single_path / map_single_path_with must route through the gated
-    // kernel (the perf win is the default), staying equal to the explicit
-    // kernel calls.
-    let graph = RandomGraphConfig { cores: 12, ..Default::default() }.generate(9);
-    let problem = MappingProblem::new(graph, Topology::mesh(4, 3, 800.0)).unwrap();
-    let options = SinglePathOptions::default();
-    let implicit = nmap::map_single_path(&problem, &options).unwrap();
-    let explicit =
-        map_single_path_kernel(&mut EvalContext::new(&problem), &options, SwapKernel::DeltaGated)
-            .unwrap();
-    assert_eq!(implicit, explicit);
+fn kernels_agree_on_small_pipelines() {
+    // Feasible with spare nodes, capacity-constrained, and a torus.
+    let problems = [
+        ("mesh3x3", MappingProblem::new(pipeline(6, 50.0), Topology::mesh(3, 3, 1e9)).unwrap()),
+        ("tight3x2", MappingProblem::new(pipeline(6, 100.0), Topology::mesh(3, 2, 120.0)).unwrap()),
+        ("torus3x3", MappingProblem::new(pipeline(6, 100.0), Topology::torus(3, 3, 1e9)).unwrap()),
+    ];
+    for (label, problem) in &problems {
+        for options in [SinglePathOptions::paper_exact(), SinglePathOptions::default()] {
+            assert_kernels_identical(problem, &options, &format!("pipeline {label} {options:?}"));
+        }
+    }
 }

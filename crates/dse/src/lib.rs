@@ -10,12 +10,13 @@
 //!   [`parse_spec`] (see [`spec`] for the grammar). Applications cover the
 //!   six bundled video apps, the DSP filter and seeded random graphs;
 //!   fabrics cover fitted/fixed meshes and tori; mappers cover every
-//!   entry of the workspace mapper registry — NMAP
+//!   row of the mapper catalogue ([`spec::mapper_catalogue`]) — NMAP
 //!   (init/single-path/split), PMAP, GMAP, PBB, and the `sa`/`tabu`
 //!   searches built on the swap-delta kernel (the engine dispatches all
 //!   of them through the [`nmap::search::Mapper`] trait); routing
 //!   regimes cover load-balanced min-path, dimension-ordered XY and the
-//!   MCF splits.
+//!   MCF splits. [`spec`] holds the one keyword table of every axis,
+//!   which both the parser and the `name()` methods read.
 //! * [`run_scenarios`] / [`pool_map`] / [`run_sweep`] — the three entry
 //!   points. A deterministic `std::thread` worker pool runs scenarios (or,
 //!   through [`pool_map`], any per-index task): scenarios carry their own

@@ -6,7 +6,7 @@ use nmap::search::{
     BoxedMapper, InitMapper, SaMapper, SaOptions, SinglePathMapper, SplitMapper, TabuMapper,
     TabuOptions,
 };
-use nmap::{MappingProblem, PathScope, SinglePathOptions, SplitOptions};
+use nmap::{MappingProblem, SinglePathOptions, SplitOptions};
 use noc_apps::App;
 use noc_baselines::{GmapMapper, PbbMapper, PbbOptions, PmapMapper};
 use noc_graph::{
@@ -16,6 +16,8 @@ use noc_sim::{LoopKind, SimConfig};
 use noc_units::Mbps;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+use crate::spec;
 
 /// Which application core graph a scenario maps.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,16 +108,16 @@ impl TopologySpec {
         built.unwrap_or_else(|e| panic!("invalid topology spec: {e}"))
     }
 
-    /// Stable display name, aligned with the spec-format keywords:
-    /// `fit`, `fit-torus`, `fit3d`, `fit3d-torus`, `mesh 4x4x2`, ...
+    /// Stable display name, the `.dse` spelling: a fitted topology's
+    /// keyword from [`spec::FITTED_TOPOLOGIES`], or `mesh 4x4x2`,
+    /// `torus 3x3`, ... for a fixed grid.
     pub fn name(&self) -> String {
         match self {
-            TopologySpec::FitMesh => "fit".to_string(),
-            TopologySpec::FitTorus => "fit-torus".to_string(),
-            TopologySpec::FitMesh3d => "fit3d".to_string(),
-            TopologySpec::FitTorus3d => "fit3d-torus".to_string(),
             TopologySpec::Mesh { dims } => format!("mesh {}", dims_label(dims)),
             TopologySpec::Torus { dims } => format!("torus {}", dims_label(dims)),
+            fitted => spec::keyword_of(&spec::FITTED_TOPOLOGIES, fitted)
+                .expect("every fitted topology has a keyword")
+                .to_string(),
         }
     }
 }
@@ -132,10 +134,9 @@ pub fn topology_label(topology: &Topology) -> String {
 /// Which mapping algorithm places the cores.
 ///
 /// Every variant resolves to a [`nmap::search::Mapper`] via
-/// [`MapperSpec::mapper`]; the engine and the display name both dispatch
-/// through that trait object, so adding a mapper means adding a variant
-/// here plus a registry entry — no display/dispatch `match` to keep in
-/// sync (the registry round-trip test pins this).
+/// [`MapperSpec::mapper`], which the engine runs. Its `.dse` spelling
+/// comes from the mapper catalogue ([`spec::mapper_catalogue`]), so adding
+/// a mapper means one algorithm, one variant here and one catalogue row.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MapperSpec {
     /// NMAP's greedy constructive placement only (`initialize()`), no
@@ -143,13 +144,9 @@ pub enum MapperSpec {
     NmapInit,
     /// NMAP single-minimum-path mapping (Section 5).
     Nmap(SinglePathOptions),
-    /// NMAP with split-traffic routing (Section 6): MCF-driven placement.
-    NmapSplit {
-        /// Link scope: quadrant (NMAPTM) or all paths (NMAPTA).
-        scope: PathScope,
-        /// Pairwise-swap sweeps.
-        passes: usize,
-    },
+    /// NMAP with split-traffic routing (Section 6): MCF-driven placement
+    /// over quadrant (NMAPTM) or all (NMAPTA) paths.
+    NmapSplit(SplitOptions),
     /// The PMAP two-phase baseline.
     Pmap,
     /// The GMAP greedy baseline.
@@ -172,9 +169,7 @@ impl MapperSpec {
         match self {
             MapperSpec::NmapInit => Box::new(InitMapper),
             MapperSpec::Nmap(opts) => Box::new(SinglePathMapper::new(opts.clone())),
-            MapperSpec::NmapSplit { scope, passes } => {
-                Box::new(SplitMapper::new(SplitOptions { scope: *scope, passes: *passes }))
-            }
+            MapperSpec::NmapSplit(opts) => Box::new(SplitMapper::new(opts.clone())),
             MapperSpec::Pmap => Box::new(PmapMapper),
             MapperSpec::Gmap => Box::new(GmapMapper),
             MapperSpec::Pbb(opts) => Box::new(PbbMapper::new(*opts)),
@@ -183,15 +178,13 @@ impl MapperSpec {
         }
     }
 
-    /// Stable display name, aligned with the spec-format keywords: the
-    /// bare keyword for the named configurations, the keyword plus a
-    /// `[..]` parameter suffix otherwise. Delegates to
-    /// [`nmap::search::Mapper::name`], so spec strings cannot drift from
-    /// the mapper implementations. Every form parses back to an equal spec
-    /// ([`crate::spec`] round-trip property, tested).
+    /// Stable display name, the `.dse` spelling: the catalogue keyword
+    /// for the named configurations, the family's keyword plus a `[..]`
+    /// parameter suffix otherwise ([`spec::mapper_catalogue`]). Every form
+    /// parses back to an equal spec ([`crate::spec`] round-trip property,
+    /// tested).
     pub fn name(&self) -> String {
-        // The seed never appears in the name, so 0 is as good as any.
-        self.mapper(0).name()
+        spec::mapper_name(self)
     }
 
     /// True when the mapper's `place()` never reads link capacities, so
@@ -329,14 +322,9 @@ pub enum RoutingSpec {
 }
 
 impl RoutingSpec {
-    /// Stable display name, aligned with the spec-format keywords.
+    /// Stable display name, the `.dse` keyword from [`spec::ROUTINGS`].
     pub fn name(&self) -> &'static str {
-        match self {
-            RoutingSpec::MinPath => "min-path",
-            RoutingSpec::Xy => "xy",
-            RoutingSpec::McfQuadrant => "mcf-quadrant",
-            RoutingSpec::McfAllPaths => "mcf-all",
-        }
+        spec::keyword_of(&spec::ROUTINGS, self).expect("every routing has a keyword")
     }
 }
 
@@ -863,7 +851,8 @@ mod tests {
         );
         assert_eq!(MapperSpec::NmapInit.name(), "nmap-init");
         assert_eq!(
-            MapperSpec::NmapSplit { scope: PathScope::Quadrant, passes: 1 }.name(),
+            MapperSpec::NmapSplit(SplitOptions { scope: nmap::PathScope::Quadrant, passes: 1 })
+                .name(),
             "nmap-split-quadrant"
         );
         assert_eq!(MapperSpec::Pbb(PbbOptions::default()).name(), "pbb");

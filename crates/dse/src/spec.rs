@@ -27,9 +27,14 @@
 //! }
 //! ```
 //!
+//! This module is the one place that knows the `.dse` vocabulary: each
+//! axis has one keyword table ([`APPS`], [`FITTED_TOPOLOGIES`],
+//! [`mapper_catalogue`], [`ROUTINGS`], [`LOOP_KINDS`]), and both the
+//! parser and the `name()` methods of the scenario types read it.
+//!
 //! `app`, `mapper` and `routing` accept several names per line and may
 //! repeat; `all` expands to the six bundled apps, the four mapper families
-//! (`nmap pmap gmap pbb` — deliberately *not* the whole registry: the
+//! (`nmap pmap gmap pbb` — deliberately *not* the whole catalogue: the
 //! paper's Figure 3 comparison set, cheap enough for wide cross
 //! products; name `sa`, `tabu` or the `nmap-split-*` mappers explicitly
 //! to sweep them), or all four routing regimes. Axes left out
@@ -46,7 +51,9 @@
 //! block (at most one; every field optional, defaulting to
 //! [`SimulateSpec::default`]) attaches a simulation stage to every
 //! scenario; named `bandwidths` become the innermost sweep axis, one
-//! scenario per point with `capacity` = the point. [`SweepSpec`]'s
+//! scenario per point with `capacity` = the point. A spec may expand to
+//! at most [`MAX_SCENARIOS`] scenarios, and a `random` graph's `max_bw`
+//! may not exceed [`noc_graph::parse::MAX_BANDWIDTH`]. [`SweepSpec`]'s
 //! `Display` writes the canonical form; parsing it back yields an equal
 //! spec for *every* representable configuration (round-trip property,
 //! tested).
@@ -55,9 +62,10 @@ use std::error::Error;
 use std::fmt;
 
 use nmap::search::{SaOptions, TabuOptions};
-use nmap::{PathScope, SinglePathOptions};
+use nmap::{PathScope, SinglePathOptions, SplitOptions};
 use noc_apps::App;
 use noc_baselines::PbbOptions;
+use noc_graph::parse::MAX_BANDWIDTH;
 use noc_graph::RandomGraphConfig;
 use noc_sim::{LoopKind, MAX_BURST_PACKETS};
 
@@ -153,7 +161,9 @@ impl fmt::Display for SweepSpec {
         writeln!(f, "seed {}", self.root_seed)?;
         for app in &self.apps {
             match app {
-                AppDirective::Bundled(a) => writeln!(f, "app {}", app_keyword(*a))?,
+                AppDirective::Bundled(a) => {
+                    writeln!(f, "app {}", keyword_of(&APPS, a).expect("every app has a keyword"))?
+                }
                 AppDirective::Dsp => writeln!(f, "app dsp")?,
                 AppDirective::Random { config, instances } => writeln!(
                     f,
@@ -189,7 +199,8 @@ impl fmt::Display for SweepSpec {
             writeln!(f, "  drain {}", sim.drain_cycles)?;
             writeln!(f, "  burst {} {}", sim.burst_packets, sim.burst_intensity)?;
             writeln!(f, "  seed {}", sim.seed)?;
-            writeln!(f, "  loop {}", loop_kind_keyword(sim.loop_kind))?;
+            let kind = keyword_of(&LOOP_KINDS, &sim.loop_kind).expect("every loop has a keyword");
+            writeln!(f, "  loop {kind}")?;
             writeln!(f, "}}")?;
         }
         Ok(())
@@ -231,6 +242,9 @@ pub fn parse_spec(text: &str) -> Result<SweepSpec, SpecError> {
     let mut spec = SweepSpec::default();
     // `Some` while inside an open `simulate { ... }` block.
     let mut sim_block: Option<SimulateSpec> = None;
+    // Entries of the app axis so far (a `random` directive adds one per
+    // instance), saturating: past `MAX_SCENARIOS` the exact count is moot.
+    let mut app_entries: u64 = 0;
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
         let line = match raw.find('#') {
@@ -243,7 +257,7 @@ pub fn parse_spec(text: &str) -> Result<SweepSpec, SpecError> {
         }
         let mut parts = line.split_whitespace();
         let keyword = parts.next().expect("non-empty line");
-        let rest: Vec<&str> = parts.collect();
+        let rest: &[&str] = &parts.collect::<Vec<_>>();
         if let Some(block) = sim_block.as_mut() {
             if keyword == "}" {
                 if !rest.is_empty() {
@@ -252,34 +266,35 @@ pub fn parse_spec(text: &str) -> Result<SweepSpec, SpecError> {
                 block.validate().map_err(|message| syntax(line_no, message))?;
                 spec.simulate = sim_block.take();
             } else {
-                parse_simulate_field(block, keyword, &rest, line_no)?;
+                parse_simulate_field(block, keyword, rest, line_no)?;
             }
+            check_scenario_count(&spec, sim_block.as_ref(), app_entries, line_no)?;
             continue;
         }
         match keyword {
             "capacity" => {
-                let v: f64 = parse_one(&rest, line_no, "capacity")?;
+                let v: f64 = parse_one(rest, line_no, "capacity")?;
                 spec.capacity = Mbps::positive(v)
                     .map_err(|_| syntax(line_no, format!("capacity must be positive, got {v}")))?;
             }
-            "seed" => spec.root_seed = parse_one(&rest, line_no, "seed")?,
+            "seed" => spec.root_seed = parse_one(rest, line_no, "seed")?,
             "app" => {
                 if rest.is_empty() {
                     return Err(syntax(line_no, "`app` needs at least one name".into()));
                 }
-                for name in rest {
+                let before = spec.apps.len();
+                for &name in rest {
                     match name {
-                        "all" => {
-                            spec.apps.extend(App::all().into_iter().map(AppDirective::Bundled))
-                        }
+                        "all" => spec.apps.extend(APPS.map(|(_, app)| AppDirective::Bundled(app))),
                         "dsp" => spec.apps.push(AppDirective::Dsp),
                         _ => spec
                             .apps
-                            .push(AppDirective::Bundled(parse_app(name).ok_or_else(|| {
+                            .push(AppDirective::Bundled(lookup(&APPS, name).ok_or_else(|| {
                                 syntax(line_no, format!("unknown app `{name}`"))
                             })?)),
                     }
                 }
+                app_entries = app_entries.saturating_add((spec.apps.len() - before) as u64);
             }
             "random" => {
                 if rest.len() < 2 || rest.len() == 4 || rest.len() > 5 {
@@ -302,6 +317,13 @@ pub fn parse_spec(text: &str) -> Result<SweepSpec, SpecError> {
                     let invalid = |_| syntax(line_no, "invalid `random` parameters".into());
                     config.min_bandwidth = Mbps::new(min_bw).map_err(invalid)?;
                     config.max_bandwidth = Mbps::new(max_bw).map_err(invalid)?;
+                    if max_bw > MAX_BANDWIDTH {
+                        let max_bw = rest[4];
+                        let message = format!(
+                            "`random` max_bw {max_bw} exceeds the maximum {MAX_BANDWIDTH:e}"
+                        );
+                        return Err(syntax(line_no, message));
+                    }
                 }
                 if cores == 0
                     || instances == 0
@@ -311,37 +333,35 @@ pub fn parse_spec(text: &str) -> Result<SweepSpec, SpecError> {
                     return Err(syntax(line_no, "invalid `random` parameters".into()));
                 }
                 spec.apps.push(AppDirective::Random { config, instances });
+                app_entries = app_entries.saturating_add(instances);
             }
             "topology" => {
-                let t = match rest.as_slice() {
-                    ["fit"] => TopologySpec::FitMesh,
-                    ["fit-torus"] => TopologySpec::FitTorus,
-                    ["fit3d"] => TopologySpec::FitMesh3d,
-                    ["fit3d-torus"] => TopologySpec::FitTorus3d,
+                let t = match rest {
                     [kind @ ("mesh" | "torus"), dims] => {
                         let dims = parse_dims(dims, line_no)?;
-                        if *kind == "mesh" {
+                        Some(if *kind == "mesh" {
                             TopologySpec::Mesh { dims }
                         } else {
                             TopologySpec::Torus { dims }
-                        }
+                        })
                     }
-                    _ => {
-                        return Err(syntax(
-                            line_no,
-                            "`topology` takes: fit | fit-torus | fit3d | fit3d-torus | \
-mesh WxH[xD] | torus WxH[xD]"
-                                .into(),
-                        ))
-                    }
+                    [name] => lookup(&FITTED_TOPOLOGIES, name),
+                    _ => None,
                 };
+                let t = t.ok_or_else(|| {
+                    let fitted = keywords(&FITTED_TOPOLOGIES).join(" | ");
+                    syntax(
+                        line_no,
+                        format!("`topology` takes: {fitted} | mesh WxH[xD] | torus WxH[xD]"),
+                    )
+                })?;
                 spec.topologies.push(t);
             }
             "mapper" => {
                 if rest.is_empty() {
                     return Err(syntax(line_no, "`mapper` needs at least one name".into()));
                 }
-                for name in rest {
+                for &name in rest {
                     if name == "all" {
                         spec.mappers.extend([
                             MapperSpec::Nmap(SinglePathOptions::default()),
@@ -359,17 +379,12 @@ mesh WxH[xD] | torus WxH[xD]"
                 if rest.is_empty() {
                     return Err(syntax(line_no, "`routing` needs at least one name".into()));
                 }
-                for name in rest {
+                for &name in rest {
                     if name == "all" {
-                        spec.routings.extend([
-                            RoutingSpec::MinPath,
-                            RoutingSpec::Xy,
-                            RoutingSpec::McfQuadrant,
-                            RoutingSpec::McfAllPaths,
-                        ]);
+                        spec.routings.extend(ROUTINGS.map(|(_, routing)| routing));
                     } else {
                         spec.routings.push(
-                            parse_routing(name).ok_or_else(|| {
+                            lookup(&ROUTINGS, name).ok_or_else(|| {
                                 syntax(line_no, format!("unknown routing `{name}`"))
                             })?,
                         );
@@ -395,6 +410,7 @@ topology/mapper/routing/simulate)"
                 ));
             }
         }
+        check_scenario_count(&spec, sim_block.as_ref(), app_entries, line_no)?;
     }
     if sim_block.is_some() {
         return Err(SpecError::Syntax {
@@ -406,6 +422,33 @@ topology/mapper/routing/simulate)"
         return Err(SpecError::Empty);
     }
     Ok(spec)
+}
+
+/// Most scenarios one spec may expand to. [`SweepSpec::scenarios`]
+/// materializes every scenario, so a larger sweep belongs in several
+/// specs; the cap keeps a typo'd instance count a line-numbered error
+/// instead of an aborted allocation.
+pub const MAX_SCENARIOS: usize = 1 << 20;
+
+/// Fails on the line that pushes the spec's cross product
+/// (app entries × topologies × mappers × routings × bandwidth points, an
+/// empty axis counting as 1) past [`MAX_SCENARIOS`].
+fn check_scenario_count(
+    spec: &SweepSpec,
+    sim_block: Option<&SimulateSpec>,
+    app_entries: u64,
+    line: usize,
+) -> Result<(), SpecError> {
+    let points = sim_block.or(spec.simulate.as_ref()).map_or(0, |sim| sim.bandwidths_mbps.len());
+    let axes = [spec.topologies.len(), spec.mappers.len(), spec.routings.len(), points];
+    let count = axes.iter().try_fold(app_entries, |n, &len| n.checked_mul(len.max(1) as u64));
+    match count {
+        Some(n) if n <= MAX_SCENARIOS as u64 => Ok(()),
+        _ => Err(syntax(
+            line,
+            format!("the sweep's scenario count exceeds the maximum {MAX_SCENARIOS}"),
+        )),
+    }
 }
 
 /// Parses one line inside a `simulate { ... }` block.
@@ -533,122 +576,78 @@ fn parse_dims(text: &str, line: usize) -> Result<Vec<usize>, SpecError> {
     Ok(dims)
 }
 
-fn parse_app(name: &str) -> Option<App> {
-    Some(match name {
-        "mpeg4" => App::Mpeg4,
-        "vopd" => App::Vopd,
-        "pip" => App::Pip,
-        "mwa" => App::Mwa,
-        "mwag" => App::Mwag,
-        "dsd" => App::Dsd,
-        _ => return None,
-    })
-}
+/// Keyword of every bundled app, in paper order (the order `app all`
+/// adds them in). The DSP filter is the separate keyword `dsp`.
+pub const APPS: [(&str, App); 6] = [
+    ("mpeg4", App::Mpeg4),
+    ("vopd", App::Vopd),
+    ("pip", App::Pip),
+    ("mwa", App::Mwa),
+    ("mwag", App::Mwag),
+    ("dsd", App::Dsd),
+];
 
-/// Spec keyword of a bundled app (inverse of [`parse_app`]).
-fn app_keyword(app: App) -> &'static str {
-    match app {
-        App::Mpeg4 => "mpeg4",
-        App::Vopd => "vopd",
-        App::Pip => "pip",
-        App::Mwa => "mwa",
-        App::Mwag => "mwag",
-        App::Dsd => "dsd",
-    }
-}
+/// Keyword of every fitted topology. Fixed grids are spelled
+/// `mesh WxH[xD...]` and `torus WxH[xD...]`.
+pub const FITTED_TOPOLOGIES: [(&str, TopologySpec); 4] = [
+    ("fit", TopologySpec::FitMesh),
+    ("fit-torus", TopologySpec::FitTorus),
+    ("fit3d", TopologySpec::FitMesh3d),
+    ("fit3d-torus", TopologySpec::FitTorus3d),
+];
 
-/// Parses one mapper spelling, validating its options with the mapper's
-/// own `check()` predicate — the single source of the constraints, so
-/// `.dse` parsing can never accept a configuration the mapper would
-/// reject (or, worse than that, silently clamp) at run time.
-fn parse_mapper(name: &str) -> Result<MapperSpec, String> {
-    let spec = match name {
-        "nmap" => MapperSpec::Nmap(SinglePathOptions::default()),
-        "nmap-paper" => MapperSpec::Nmap(SinglePathOptions::paper_exact()),
-        "nmap-init" => MapperSpec::NmapInit,
-        "nmap-split-quadrant" => MapperSpec::NmapSplit { scope: PathScope::Quadrant, passes: 1 },
-        "nmap-split-all" => MapperSpec::NmapSplit { scope: PathScope::AllPaths, passes: 1 },
-        "pmap" => MapperSpec::Pmap,
-        "gmap" => MapperSpec::Gmap,
-        "pbb" => MapperSpec::Pbb(PbbOptions::default()),
-        "sa" => MapperSpec::Sa(SaOptions::default()),
-        "tabu" => MapperSpec::Tabu(TabuOptions::default()),
-        _ => parse_parameterized_mapper(name).ok_or_else(|| format!("unknown mapper `{name}`"))?,
-    };
-    check_mapper(&spec).map_err(|message| format!("mapper `{name}`: {message}"))?;
-    Ok(spec)
-}
-
-/// Option constraints of a parsed mapper, delegated to the option types'
-/// `check()` methods.
-fn check_mapper(spec: &MapperSpec) -> Result<(), String> {
-    match spec {
-        MapperSpec::Nmap(opts) => opts.check(),
-        MapperSpec::NmapSplit { scope, passes } => {
-            nmap::SplitOptions { scope: *scope, passes: *passes }.check()
-        }
-        MapperSpec::Pbb(opts) => opts.check(),
-        MapperSpec::Sa(opts) => opts.check(),
-        MapperSpec::Tabu(opts) => opts.check(),
-        MapperSpec::NmapInit | MapperSpec::Pmap | MapperSpec::Gmap => Ok(()),
-    }
-}
-
-/// The `keyword[..]` spellings [`MapperSpec::name`] emits for
-/// configurations beyond the named defaults: `nmap[p2r8]`,
-/// `nmap-split-quadrant[p3]`, `nmap-split-all[p2]`, `pbb[q5000e50000]`,
-/// `sa[m20000t0.05c0.9995]`, `tabu[i64t8]`.
-fn parse_parameterized_mapper(name: &str) -> Option<MapperSpec> {
-    let (base, rest) = name.split_once('[')?;
-    let params = rest.strip_suffix(']')?;
-    match base {
-        "nmap" => {
-            let (passes, restarts) = params
-                .strip_prefix('p')?
-                .split_once('r')
-                .and_then(|(p, r)| Some((p.parse().ok()?, r.parse().ok()?)))?;
-            Some(MapperSpec::Nmap(SinglePathOptions { passes, restarts }))
-        }
-        "nmap-split-quadrant" | "nmap-split-all" => {
-            let passes = params.strip_prefix('p')?.parse().ok()?;
-            let scope = if base == "nmap-split-quadrant" {
-                PathScope::Quadrant
-            } else {
-                PathScope::AllPaths
-            };
-            Some(MapperSpec::NmapSplit { scope, passes })
-        }
-        "pbb" => {
-            let (max_queue, max_expansions) = params
-                .strip_prefix('q')?
-                .split_once('e')
-                .and_then(|(q, e)| Some((q.parse().ok()?, e.parse().ok()?)))?;
-            Some(MapperSpec::Pbb(PbbOptions { max_queue, max_expansions }))
-        }
-        "sa" => {
-            let (moves, rest) = params.strip_prefix('m')?.split_once('t')?;
-            let (initial_temp, cooling) = rest.split_once('c')?;
-            Some(MapperSpec::Sa(SaOptions {
-                moves: moves.parse().ok()?,
-                initial_temp: initial_temp.parse().ok()?,
-                cooling: cooling.parse().ok()?,
-            }))
-        }
-        "tabu" => {
-            let (iterations, tenure) = params.strip_prefix('i')?.split_once('t')?;
-            Some(MapperSpec::Tabu(TabuOptions {
-                iterations: iterations.parse().ok()?,
-                tenure: tenure.parse().ok()?,
-            }))
-        }
-        _ => None,
-    }
-}
+/// Keyword of every routing regime, in the order `routing all` adds them.
+pub const ROUTINGS: [(&str, RoutingSpec); 4] = [
+    ("min-path", RoutingSpec::MinPath),
+    ("xy", RoutingSpec::Xy),
+    ("mcf-quadrant", RoutingSpec::McfQuadrant),
+    ("mcf-all", RoutingSpec::McfAllPaths),
+];
 
 /// Keyword of every simulator loop kind, the default first: the one
 /// spelling table behind the `.dse` `loop` field and `nmap_dse --loop`.
 pub const LOOP_KINDS: [(&str, LoopKind); 2] =
     [("active-set", LoopKind::ActiveSet), ("full-scan", LoopKind::FullScan)];
+
+/// The mapper catalogue: every named configuration as a
+/// `(keyword, configuration)` row, in listing order — the one table
+/// behind the `.dse` `mapper` directive and [`MapperSpec::name`]. Any
+/// other configuration of a mapper family is spelled with the keyword of
+/// the family's first row plus a `[..]` parameter suffix (see the
+/// [module docs](self)), so `nmap[p4r2]`, never `nmap-paper[p4r2]`.
+pub fn mapper_catalogue() -> [(&'static str, MapperSpec); 10] {
+    let split = |scope| MapperSpec::NmapSplit(SplitOptions { scope, passes: 1 });
+    [
+        ("nmap-init", MapperSpec::NmapInit),
+        ("nmap", MapperSpec::Nmap(SinglePathOptions::default())),
+        ("nmap-paper", MapperSpec::Nmap(SinglePathOptions::paper_exact())),
+        ("nmap-split-quadrant", split(PathScope::Quadrant)),
+        ("nmap-split-all", split(PathScope::AllPaths)),
+        ("sa", MapperSpec::Sa(SaOptions::default())),
+        ("tabu", MapperSpec::Tabu(TabuOptions::default())),
+        ("pmap", MapperSpec::Pmap),
+        ("gmap", MapperSpec::Gmap),
+        ("pbb", MapperSpec::Pbb(PbbOptions::default())),
+    ]
+}
+
+/// The value `table` lists under `keyword`.
+fn lookup<T: Clone>(table: &[(&str, T)], keyword: &str) -> Option<T> {
+    table.iter().find(|(k, _)| *k == keyword).map(|(_, value)| value.clone())
+}
+
+/// The keyword `table` lists for `value`.
+pub(crate) fn keyword_of<T: PartialEq>(
+    table: &[(&'static str, T)],
+    value: &T,
+) -> Option<&'static str> {
+    table.iter().find(|(_, v)| v == value).map(|&(keyword, _)| keyword)
+}
+
+/// Every keyword of `table`, in table order.
+fn keywords<T>(table: &[(&'static str, T)]) -> Vec<&'static str> {
+    table.iter().map(|&(keyword, _)| keyword).collect()
+}
 
 /// Parses a simulator loop-kind keyword (see [`LOOP_KINDS`]).
 ///
@@ -656,31 +655,116 @@ pub const LOOP_KINDS: [(&str, LoopKind); 2] =
 ///
 /// An unknown keyword, with the accepted ones listed.
 pub fn parse_loop_kind(name: &str) -> Result<LoopKind, String> {
-    match LOOP_KINDS.iter().find(|(keyword, _)| *keyword == name) {
-        Some(&(_, kind)) => Ok(kind),
-        None => {
-            let expected: Vec<&str> = LOOP_KINDS.iter().map(|&(keyword, _)| keyword).collect();
-            Err(format!("unknown loop kind `{name}` (expected {})", expected.join("/")))
-        }
+    lookup(&LOOP_KINDS, name).ok_or_else(|| {
+        format!("unknown loop kind `{name}` (expected {})", keywords(&LOOP_KINDS).join("/"))
+    })
+}
+
+/// Parses one mapper spelling: a catalogue keyword, or a family keyword
+/// with a `[..]` parameter suffix. The options are validated with the
+/// mapper's own `check()` predicate — the single source of the
+/// constraints, so `.dse` parsing can never accept a configuration the
+/// mapper would reject (or, worse than that, silently clamp) at run time.
+fn parse_mapper(name: &str) -> Result<MapperSpec, String> {
+    let catalogue = mapper_catalogue();
+    let spec = lookup(&catalogue, name)
+        .or_else(|| {
+            let (base, rest) = name.split_once('[')?;
+            let spec = read_params(&lookup(&catalogue, base)?, rest.strip_suffix(']')?)?;
+            (family_keyword(&spec) == base).then_some(spec)
+        })
+        .ok_or_else(|| format!("unknown mapper `{name}`"))?;
+    let checked = match &spec {
+        MapperSpec::Nmap(opts) => opts.check(),
+        MapperSpec::NmapSplit(opts) => opts.check(),
+        MapperSpec::Pbb(opts) => opts.check(),
+        MapperSpec::Sa(opts) => opts.check(),
+        MapperSpec::Tabu(opts) => opts.check(),
+        MapperSpec::NmapInit | MapperSpec::Pmap | MapperSpec::Gmap => Ok(()),
+    };
+    checked.map_err(|message| format!("mapper `{name}`: {message}"))?;
+    Ok(spec)
+}
+
+/// The canonical spelling of a mapper configuration, which
+/// [`MapperSpec::name`] returns: its catalogue keyword, or its family's
+/// keyword plus the `[..]` parameter suffix.
+pub(crate) fn mapper_name(spec: &MapperSpec) -> String {
+    if let Some(keyword) = keyword_of(&mapper_catalogue(), spec) {
+        return keyword.to_string();
     }
+    let params = write_params(spec).expect("parameterless mappers are all in the catalogue");
+    format!("{}[{params}]", family_keyword(spec))
 }
 
-/// Spec keyword of a simulator loop kind (inverse of [`parse_loop_kind`]).
-fn loop_kind_keyword(kind: LoopKind) -> &'static str {
-    LOOP_KINDS
-        .iter()
-        .find(|&&(_, k)| k == kind)
-        .map(|&(keyword, _)| keyword)
-        .expect("every loop kind has a keyword")
+/// Keyword of the first catalogue row of `spec`'s family: the same
+/// mapper (and, for the split mapper, the same path scope).
+fn family_keyword(spec: &MapperSpec) -> &'static str {
+    let same_family = |row: &MapperSpec| match (row, spec) {
+        (MapperSpec::NmapSplit(a), MapperSpec::NmapSplit(b)) => a.scope == b.scope,
+        _ => std::mem::discriminant(row) == std::mem::discriminant(spec),
+    };
+    mapper_catalogue()
+        .into_iter()
+        .find(|(_, row)| same_family(row))
+        .map(|(keyword, _)| keyword)
+        .expect("every mapper family has a catalogue row")
 }
 
-fn parse_routing(name: &str) -> Option<RoutingSpec> {
-    Some(match name {
-        "min-path" => RoutingSpec::MinPath,
-        "xy" => RoutingSpec::Xy,
-        "mcf-quadrant" => RoutingSpec::McfQuadrant,
-        "mcf-all" => RoutingSpec::McfAllPaths,
-        _ => return None,
+/// The `[..]` parameter suffix of a configuration, without its brackets:
+/// `p4r2` (passes, restarts), `p3` (split passes), `q5000e50000` (queue,
+/// expansion budget), `m20000t0.05c0.9995` (moves, initial-temperature
+/// fraction, cooling) or `i64t8` (iterations, tenure). `None` for the
+/// mappers without options.
+fn write_params(spec: &MapperSpec) -> Option<String> {
+    Some(match spec {
+        MapperSpec::Nmap(o) => format!("p{}r{}", o.passes, o.restarts),
+        MapperSpec::NmapSplit(o) => format!("p{}", o.passes),
+        MapperSpec::Pbb(o) => format!("q{}e{}", o.max_queue, o.max_expansions),
+        MapperSpec::Sa(o) => format!("m{}t{}c{}", o.moves, o.initial_temp, o.cooling),
+        MapperSpec::Tabu(o) => format!("i{}t{}", o.iterations, o.tenure),
+        MapperSpec::NmapInit | MapperSpec::Pmap | MapperSpec::Gmap => return None,
+    })
+}
+
+/// Reads a [`write_params`] suffix into a configuration of `family`'s
+/// mapper (the split mapper keeps `family`'s path scope).
+fn read_params(family: &MapperSpec, params: &str) -> Option<MapperSpec> {
+    fn pair<A: std::str::FromStr, B: std::str::FromStr>(
+        text: &str,
+        first: char,
+        second: char,
+    ) -> Option<(A, B)> {
+        let (a, b) = text.strip_prefix(first)?.split_once(second)?;
+        Some((a.parse().ok()?, b.parse().ok()?))
+    }
+    Some(match family {
+        MapperSpec::Nmap(_) => {
+            let (passes, restarts) = pair(params, 'p', 'r')?;
+            MapperSpec::Nmap(SinglePathOptions { passes, restarts })
+        }
+        MapperSpec::NmapSplit(o) => MapperSpec::NmapSplit(SplitOptions {
+            scope: o.scope,
+            passes: params.strip_prefix('p')?.parse().ok()?,
+        }),
+        MapperSpec::Pbb(_) => {
+            let (max_queue, max_expansions) = pair(params, 'q', 'e')?;
+            MapperSpec::Pbb(PbbOptions { max_queue, max_expansions })
+        }
+        MapperSpec::Sa(_) => {
+            let (moves, rest) = params.strip_prefix('m')?.split_once('t')?;
+            let (initial_temp, cooling) = rest.split_once('c')?;
+            MapperSpec::Sa(SaOptions {
+                moves: moves.parse().ok()?,
+                initial_temp: initial_temp.parse().ok()?,
+                cooling: cooling.parse().ok()?,
+            })
+        }
+        MapperSpec::Tabu(_) => {
+            let (iterations, tenure) = pair(params, 'i', 't')?;
+            MapperSpec::Tabu(TabuOptions { iterations, tenure })
+        }
+        MapperSpec::NmapInit | MapperSpec::Pmap | MapperSpec::Gmap => return None,
     })
 }
 
@@ -771,8 +855,8 @@ simulate {
             apps: vec![AppDirective::Bundled(App::Pip)],
             mappers: vec![
                 MapperSpec::Nmap(SinglePathOptions { passes: 4, restarts: 2 }),
-                MapperSpec::NmapSplit { scope: PathScope::Quadrant, passes: 3 },
-                MapperSpec::NmapSplit { scope: PathScope::AllPaths, passes: 2 },
+                MapperSpec::NmapSplit(SplitOptions { scope: PathScope::Quadrant, passes: 3 }),
+                MapperSpec::NmapSplit(SplitOptions { scope: PathScope::AllPaths, passes: 2 }),
                 MapperSpec::Pbb(PbbOptions { max_queue: 123, max_expansions: 456 }),
                 MapperSpec::Sa(SaOptions { moves: 5_000, initial_temp: 0.125, cooling: 0.999 }),
                 MapperSpec::Tabu(TabuOptions { iterations: 96, tenure: 5 }),
@@ -793,9 +877,17 @@ simulate {
                 MapperSpec::Tabu(TabuOptions { iterations: 10, tenure: 2 }),
             ]
         );
-        // Malformed parameter suffixes are rejected, not defaulted.
-        for bad in ["nmap[p4]", "pbb[q10]", "nmap-split-all[x2]", "gmap[p1]", "sa[m10]", "tabu[i5]"]
-        {
+        // Malformed parameter suffixes are rejected, not defaulted, and
+        // only a family's first keyword takes one.
+        for bad in [
+            "nmap[p4]",
+            "pbb[q10]",
+            "nmap-split-all[x2]",
+            "gmap[p1]",
+            "sa[m10]",
+            "tabu[i5]",
+            "nmap-paper[p4r2]",
+        ] {
             assert!(
                 parse_spec(&format!("app pip\nmapper {bad}\n")).is_err(),
                 "`{bad}` should not parse"
@@ -922,7 +1014,7 @@ simulate {
         let spec = parse_spec("app all\nmapper all\nrouting all\n").unwrap();
         assert_eq!(spec.apps.len(), 6);
         // `mapper all` is pinned to the Figure-3 comparison families, not
-        // the whole registry: the split mappers would make a casual
+        // the whole catalogue: the split mappers would make a casual
         // `all` cross product explode in LP solves, and sa/tabu are
         // opt-in search strategies. Documented in the module docs.
         let names: Vec<_> = spec.mappers.iter().map(|m| m.name()).collect();
@@ -987,18 +1079,24 @@ simulate {
             SpecError::Syntax { line: 1, .. }
         ));
         // Node cap (shared with the `.noc` parser): extents within their
-        // cap whose product is not, and oversized `random` graphs.
-        for (text, message) in [
-            ("topology mesh 512x512x512\napp pip\n", "grid node count 134217728"),
-            ("app pip\ntopology torus 512x512\n", "grid node count 262144"),
-            ("random 18446744073709551615 1\n", "`random` core count 18446744073709551615"),
-            ("random 65537 1\n", "`random` core count 65537"),
+        // cap whose product is not, and oversized `random` graphs. Then the
+        // scenario cap: an instance count of `u64::MAX` (which once aborted
+        // while `scenarios()` allocated it) and a cross product.
+        let nodes = "the maximum 65536";
+        let scenarios = "the maximum 1048576";
+        for (text, message, maximum) in [
+            ("topology mesh 512x512x512\napp pip\n", "grid node count 134217728", nodes),
+            ("app pip\ntopology torus 512x512\n", "grid node count 262144", nodes),
+            ("random 18446744073709551615 1\n", "`random` core count 18446744073709551615", nodes),
+            ("random 65537 1\n", "`random` core count 65537", nodes),
+            ("random 3 18446744073709551615\n", "the sweep's scenario count", scenarios),
+            ("random 25 1048576\nmapper nmap pmap\n", "the sweep's scenario count", scenarios),
         ] {
-            let line = if text.starts_with("app") { 2 } else { 1 };
+            let line = if text.starts_with("app") || text.contains("mapper") { 2 } else { 1 };
             match parse_spec(text) {
                 Err(SpecError::Syntax { line: l, message: m }) => {
                     assert_eq!(l, line, "{text:?}");
-                    assert!(m.starts_with(message) && m.ends_with("the maximum 65536"), "{m}");
+                    assert!(m.starts_with(message) && m.ends_with(maximum), "{m}");
                 }
                 other => panic!("{text:?} should be a syntax error, got {other:?}"),
             }
@@ -1015,8 +1113,60 @@ simulate {
             parse_spec("random 5 2 0.0\napp pip\n").unwrap_err(),
             SpecError::Syntax { line: 1, .. }
         ));
+        // Bandwidth cap (shared with the core-graph parser): a larger
+        // `max_bw` overflowed the placement cost and panicked the mappers.
+        match parse_spec("random 25 1 3 0 1e308\n") {
+            Err(SpecError::Syntax { line: 1, message }) => {
+                assert!(message.ends_with("max_bw 1e308 exceeds the maximum 1e12"), "{message}")
+            }
+            other => panic!("an oversized `max_bw` should be a syntax error, got {other:?}"),
+        }
+        assert!(parse_spec(&format!("random 25 1 3 0 {MAX_BANDWIDTH}\n")).is_ok());
         assert_eq!(parse_spec("capacity 500\n").unwrap_err(), SpecError::Empty);
         assert_eq!(parse_spec("").unwrap_err(), SpecError::Empty);
+    }
+
+    #[test]
+    fn scenario_count_is_capped_at_the_line_that_exceeds_it() {
+        // Every axis counts, including the simulate bandwidth points.
+        for (text, line) in [
+            ("app all\nrandom 25 1048571\n", 2),
+            ("app pip\nsimulate {\n  bandwidths 1 2\n}\nrandom 3 524288\n", 5),
+            ("random 3 524288\nsimulate {\n  bandwidths 1 2 3\n}\n", 3),
+            ("routing all\ntopology fit\nrandom 3 262145\n", 3),
+        ] {
+            match parse_spec(text) {
+                Err(SpecError::Syntax { line: l, message }) => {
+                    assert_eq!(l, line, "{text:?}");
+                    assert_eq!(message, "the sweep's scenario count exceeds the maximum 1048576");
+                }
+                other => panic!("{text:?} should be a syntax error, got {other:?}"),
+            }
+        }
+        // Exactly at the cap is fine, and an empty axis counts as 1.
+        let spec = parse_spec("random 3 524288\nmapper nmap pmap\n").unwrap();
+        assert_eq!(spec.mappers.len(), 2);
+        assert!(parse_spec("random 3 1048576\ntopology fit\n").is_ok());
+    }
+
+    #[test]
+    fn every_table_keyword_parses_and_names_itself() {
+        for (keyword, app) in APPS {
+            let spec = parse_spec(&format!("app {keyword}\n")).unwrap();
+            assert_eq!(spec.apps, [AppDirective::Bundled(app)]);
+            assert!(spec.to_string().contains(&format!("\napp {keyword}\n")));
+        }
+        for (keyword, topology) in FITTED_TOPOLOGIES {
+            let spec = parse_spec(&format!("app pip\ntopology {keyword}\n")).unwrap();
+            assert_eq!(spec.topologies, std::slice::from_ref(&topology));
+            assert_eq!(topology.name(), keyword);
+        }
+        for (keyword, routing) in ROUTINGS {
+            let spec = parse_spec(&format!("app pip\nrouting {keyword}\n")).unwrap();
+            assert_eq!(spec.routings, [routing]);
+            assert_eq!(routing.name(), keyword);
+        }
+        // The mapper catalogue has its own suite: `tests/registry.rs`.
     }
 
     #[test]

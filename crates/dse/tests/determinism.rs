@@ -113,31 +113,62 @@ fn sim_enabled_sweep_is_byte_identical_across_thread_counts() {
     assert_eq!(again.write_jsonl(false), jsonl);
 }
 
-/// The default active-set loop through the whole engine pipeline:
-/// sim-backed sweeps stay byte-identical across thread counts and produce
-/// the *same bytes* as the full-scan oracle — the sim crate's
-/// bit-identity guarantee surviving map → route → simulate → serialize
-/// end to end.
+/// The default active-set loop through the whole engine pipeline, on the
+/// [`sim_set`] sweep and on the idle-heavy [`IDLE_HEAVY_SPEC`]: sim-backed
+/// sweeps stay byte-identical across thread counts and produce the *same
+/// bytes* as the full-scan oracle — the sim crate's bit-identity
+/// guarantee surviving map → route → simulate → serialize end to end.
 #[test]
 fn sim_sweep_is_loop_kind_invariant_at_every_thread_count() {
-    let oracle = SweepReport::new(run_scenarios(sim_set_with(LoopKind::FullScan).scenarios(), 1));
-    let jsonl = oracle.write_jsonl(false);
-    let csv = oracle.write_csv(false);
+    for (name, set_with) in
+        [("sim", sim_set_with as fn(LoopKind) -> ScenarioSet), ("idle-heavy", idle_heavy_set_with)]
+    {
+        let oracle = SweepReport::new(run_scenarios(set_with(LoopKind::FullScan).scenarios(), 1));
+        for record in &oracle.records {
+            assert!(record.is_ok() && record.sim.is_some(), "{name}: {}", record.scenario);
+        }
+        let jsonl = oracle.write_jsonl(false);
+        let csv = oracle.write_csv(false);
 
-    let set = sim_set_with(LoopKind::ActiveSet);
-    for threads in [1usize, 2, 8] {
-        let report = SweepReport::new(run_scenarios(set.scenarios(), threads));
-        assert_eq!(
-            report.write_jsonl(false),
-            jsonl,
-            "active-set JSONL diverged from the full-scan oracle at threads={threads}"
-        );
-        assert_eq!(
-            report.write_csv(false),
-            csv,
-            "active-set CSV diverged from the full-scan oracle at threads={threads}"
-        );
+        let set = set_with(LoopKind::ActiveSet);
+        for threads in [1usize, 2, 8] {
+            let report = SweepReport::new(run_scenarios(set.scenarios(), threads));
+            assert_eq!(
+                report.write_jsonl(false),
+                jsonl,
+                "{name}: active-set JSONL diverged from the full-scan oracle at threads={threads}"
+            );
+            assert_eq!(
+                report.write_csv(false),
+                csv,
+                "{name}: active-set CSV diverged from the full-scan oracle at threads={threads}"
+            );
+        }
     }
+}
+
+/// Light random traffic and a long drain: the network sits empty for
+/// most of the run, across many watchdog deadlines, which is where the
+/// active-set loop fast-forwards.
+const IDLE_HEAVY_SPEC: &str = "\
+seed 5
+capacity 1000
+random 16 2 2 5 20
+topology fit
+mapper nmap-init
+routing min-path
+simulate {
+  warmup 500
+  measure 5000
+  drain 50000
+}
+";
+
+/// The [`IDLE_HEAVY_SPEC`] sweep under an explicit simulator loop kind.
+fn idle_heavy_set_with(loop_kind: LoopKind) -> ScenarioSet {
+    let mut spec = parse_spec(IDLE_HEAVY_SPEC).expect("the idle-heavy spec parses");
+    spec.simulate.as_mut().expect("the spec simulates").loop_kind = loop_kind;
+    spec.scenarios()
 }
 
 /// The acceptance bar for the stochastic search mappers: `sa` and `tabu`

@@ -1,42 +1,62 @@
-//! Registry completeness: every mapper registered in the workspace-wide
-//! registry must (1) parse from its canonical name back to an equal
-//! `MapperSpec` through the `.dse` spec format, (2) display back to the
-//! same name, and (3) run through the engine — so no algorithm can fall
-//! out of sync with the spec format or the engine dispatch again.
+//! Catalogue completeness: every named mapper configuration in
+//! [`noc_dse::spec::mapper_catalogue`] must (1) parse from its keyword
+//! back to the catalogued `MapperSpec` through the `.dse` spec format,
+//! (2) display back to the same keyword, (3) build a mapper that places
+//! every core at the Equation-7 cost it reports, and (4) run through the
+//! engine — so no algorithm can fall out of sync with the spec format or
+//! the engine dispatch again.
 
-use noc_baselines::standard_registry;
-use noc_dse::{
-    parse_spec, run_scenarios, AppSpec, MapperSpec, RoutingSpec, Scenario, TopologySpec,
-};
+use nmap::{EvalContext, MappingProblem};
+use noc_dse::spec::mapper_catalogue;
+use noc_dse::{parse_spec, run_scenarios, AppSpec, RoutingSpec, Scenario, TopologySpec};
+use noc_graph::{RandomGraphConfig, Topology};
 
-/// `mapper <name>` must parse for every registered name, and the parsed
-/// spec's Display name must be the registered name — the full
-/// name → spec → name round trip.
+/// `mapper <keyword>` must parse to the catalogued configuration for
+/// every row, and that configuration's Display name must be the keyword —
+/// the full keyword → spec → keyword round trip. Each built mapper places
+/// every core and reports the placement's own Equation-7 cost.
 #[test]
 fn every_registered_name_round_trips_through_the_spec_format() {
-    let registry = standard_registry();
-    assert!(registry.len() >= 10, "expected the full mapper family, got {registry:?}");
-    for name in registry.names() {
-        let text = format!("app pip\nmapper {name}\n");
+    let catalogue = mapper_catalogue();
+    let keywords: Vec<&str> = catalogue.iter().map(|&(keyword, _)| keyword).collect();
+    assert_eq!(
+        keywords,
+        [
+            "nmap-init",
+            "nmap",
+            "nmap-paper",
+            "nmap-split-quadrant",
+            "nmap-split-all",
+            "sa",
+            "tabu",
+            "pmap",
+            "gmap",
+            "pbb"
+        ],
+        "the catalogue lists every mapper, in listing order"
+    );
+    let graph = RandomGraphConfig { cores: 8, ..Default::default() }.generate(4);
+    let problem = MappingProblem::new(graph, Topology::mesh(3, 3, 2_000.0)).unwrap();
+    for (keyword, mapper) in catalogue {
+        let text = format!("app pip\nmapper {keyword}\n");
         let spec = parse_spec(&text)
-            .unwrap_or_else(|e| panic!("registered mapper `{name}` does not parse: {e}"));
-        assert_eq!(spec.mappers.len(), 1, "`{name}`");
-        assert_eq!(spec.mappers[0].name(), name, "Display diverged from the registry name");
-        // The registry's own instance agrees on the spelling.
-        let built = registry.build(name, 0).expect("name came from the registry");
-        assert_eq!(built.name(), name);
+            .unwrap_or_else(|e| panic!("catalogued mapper `{keyword}` does not parse: {e}"));
+        assert_eq!(spec.mappers, std::slice::from_ref(&mapper), "`{keyword}`");
+        assert_eq!(mapper.name(), keyword, "Display diverged from the catalogue keyword");
+        let out = mapper.mapper(7).map(&mut EvalContext::new(&problem)).expect("small mesh maps");
+        assert!(out.mapping.is_complete(problem.cores()), "{keyword} left cores unplaced");
+        assert_eq!(out.comm_cost, problem.comm_cost(&out.mapping), "{keyword} cost mismatch");
     }
 }
 
-/// The engine accepts every registry entry: each parsed mapper runs a
+/// The engine accepts every catalogue row: each parsed mapper runs a
 /// real scenario end to end and produces an ok record with a complete
 /// placement.
 #[test]
 fn the_engine_runs_every_registered_mapper() {
-    let registry = standard_registry();
-    for name in registry.names() {
+    for (name, _) in mapper_catalogue() {
         let text = format!("app dsp\nmapper {name}\n");
-        let spec = parse_spec(&text).expect("registered names parse");
+        let spec = parse_spec(&text).expect("catalogued names parse");
         let scenario = Scenario {
             label: "DSP".into(),
             app: AppSpec::DspFilter,
@@ -56,7 +76,7 @@ fn the_engine_runs_every_registered_mapper() {
 }
 
 /// Parameterized spellings round-trip too (spot checks beyond the
-/// registry's named defaults), and `MapperSpec` equality survives the
+/// catalogue's named defaults), and `MapperSpec` equality survives the
 /// text form.
 #[test]
 fn parameterized_spellings_round_trip() {
@@ -69,5 +89,4 @@ fn parameterized_spellings_round_trip() {
         let reparsed = parse_spec(&spec.to_string()).unwrap();
         assert_eq!(reparsed.mappers, spec.mappers, "`{name}`");
     }
-    let _ = MapperSpec::Pmap; // the enum stays public API
 }

@@ -341,7 +341,7 @@ fn run(args: &Args, probe: &Probe) -> Result<ExitCode, String> {
                 config.loop_kind = kind;
             }
             println!("Figure 5(c) via noc-dse — avg packet latency vs link bandwidth, DSP NoC");
-            println!("(values identical to the sequential fig5c_latency harness)\n");
+            println!("(values identical to the fig5c_latency harness)\n");
             let ctx =
                 RunContext { threads: args.threads, probe: probe.clone(), ..Default::default() };
             let points = fig5c_via_engine(&config, ctx);
@@ -476,9 +476,9 @@ fn sweep(set: &ScenarioSet, args: &Args, probe: &Probe) -> Result<SweepOutcome, 
 }
 
 /// The built-in CI health-check sweep: small apps, both grid families,
-/// **every registered mapper** (the full registry — NMAP family, the
-/// sa/tabu searches, and the three baselines; asserted by a test below
-/// so a new registry entry cannot be forgotten here), both cheap routing
+/// **every catalogued mapper** (the whole mapper catalogue — NMAP family,
+/// the sa/tabu searches, and the three baselines; asserted by a test
+/// below so a new catalogue row cannot be forgotten here), both cheap routing
 /// regimes and a short wormhole-simulation stage. The split mappers are
 /// the expensive rows, so they run on the DSP app only; every other
 /// mapper crosses the whole app × topology × routing product.
@@ -521,9 +521,10 @@ simulate {
 mod tests {
     use super::{SMOKE_SPEC, SMOKE_SPLIT_SPEC};
 
-    /// The CI smoke sweep must exercise every mapper in the workspace
-    /// registry: a registry entry missing from both smoke specs (or a
-    /// smoke mapper that fell out of the registry) fails here.
+    /// The CI smoke sweep must exercise every mapper in the catalogue
+    /// ([`noc_dse::spec::mapper_catalogue`]): a catalogue row missing from
+    /// both smoke specs (or a smoke mapper that fell out of the catalogue)
+    /// fails here.
     #[test]
     fn smoke_specs_cover_the_whole_mapper_registry() {
         let mut smoke_names: Vec<String> = Vec::new();
@@ -533,9 +534,9 @@ mod tests {
         }
         smoke_names.sort();
         smoke_names.dedup();
-        let mut registry_names: Vec<String> =
-            noc_baselines::standard_registry().names().map(str::to_string).collect();
-        registry_names.sort();
-        assert_eq!(smoke_names, registry_names);
+        let mut catalogue_names: Vec<String> =
+            noc_dse::spec::mapper_catalogue().map(|(keyword, _)| keyword.to_string()).into();
+        catalogue_names.sort();
+        assert_eq!(smoke_names, catalogue_names);
     }
 }

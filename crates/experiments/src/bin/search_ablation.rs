@@ -1,7 +1,7 @@
 //! Ablation: NMAP search effort (passes/restarts) vs mapping quality,
 //! across the six video applications, plus the search-strategy
 //! comparison (descent vs simulated annealing vs tabu) through the
-//! `nmap::search` registry.
+//! `nmap::search::Mapper` trait.
 //!
 //! `--profile <path>` dumps the instrumentation profile (search
 //! counters, `sa.sample`/`tabu.sample` trajectory events) as JSON lines.
@@ -35,12 +35,12 @@ fn main() -> ExitCode {
     println!("\nthe paper's single-descent configuration is the first row of each group;");
     println!("restarts recover most of the gap to PBB at negligible cost.");
 
-    println!("\nSearch strategies via the mapper registry — same swap-delta kernel\n");
+    println!("\nSearch strategies via the mapper catalogue — same swap-delta kernel\n");
     let mut table = TextTable::new(["app", "mapper", "cost", "evals", "time"]);
     for point in run_strategies(&flag.probe) {
         table.row([
             point.app.name().to_string(),
-            point.mapper.to_string(),
+            point.mapper,
             fmt(point.comm_cost, 0),
             point.evaluations.to_string(),
             format!("{:.1?}", point.elapsed),

@@ -55,6 +55,7 @@ pub fn table2_rows_from_records(config: &Table2Config, records: &[RunRecord]) ->
         config.sizes.len() * instances * 2,
         "record count does not match the Table 2 scenario shape"
     );
+    let pbb_name = MapperSpec::Pbb(config.pbb).name();
     config
         .sizes
         .iter()
@@ -68,7 +69,7 @@ pub fn table2_rows_from_records(config: &Table2Config, records: &[RunRecord]) ->
                 let base = (size_idx * instances + instance) * 2;
                 let (pbb, nmap) = (&records[base], &records[base + 1]);
                 assert!(pbb.is_ok() && nmap.is_ok(), "Table 2 scenarios cannot fail");
-                assert!(pbb.mapper.starts_with("pbb"), "unexpected order: {}", pbb.mapper);
+                assert_eq!(pbb.mapper, pbb_name, "unexpected order");
                 assert_eq!(pbb.cores, cores);
                 pbb_sum += pbb.comm_cost.to_f64();
                 nmap_sum += nmap.comm_cost.to_f64();

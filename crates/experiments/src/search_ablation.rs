@@ -4,16 +4,17 @@
 //! and what do they cost?
 //!
 //! A second axis ([`run_strategies`]) compares whole *search strategies*
-//! through the [`nmap::search`] registry — the greedy descent family
+//! through the [`nmap::search::Mapper`] trait — the greedy descent family
 //! against simulated annealing and tabu search, the direction Marcon et
 //! al. (*Exploring NoC Mapping Strategies*) explore — all driving the
 //! same O(deg) swap-delta kernel and the same Equation-7 cost.
 
 use std::time::{Duration, Instant};
 
+use nmap::search::{SaOptions, TabuOptions};
 use nmap::{map_single_path_with, EvalContext, SinglePathOptions};
 use noc_apps::App;
-use noc_baselines::standard_registry;
+use noc_dse::MapperSpec;
 use noc_probe::Probe;
 
 use crate::{app_problem, GENEROUS_CAPACITY};
@@ -74,8 +75,8 @@ pub fn run_all(probe: &Probe) -> Vec<AblationPoint> {
 /// [`nmap::search::Mapper`] trait.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StrategyPoint {
-    /// Registry name of the strategy (`nmap-paper`, `sa`, ...).
-    pub mapper: &'static str,
+    /// `.dse` name of the strategy (`nmap-paper`, `sa`, ...).
+    pub mapper: String,
     /// Application.
     pub app: App,
     /// Equation-7 cost reached.
@@ -91,10 +92,18 @@ pub struct StrategyPoint {
 /// Seed for the stochastic strategies — fixed so the table reproduces.
 const STRATEGY_SEED: u64 = 42;
 
-/// The registry names compared by [`run_strategies`]: the descent family
-/// plus the two kernel-powered searches (the constructive baselines are
-/// covered by Figure 3; the split mappers by Table 3).
-pub const STRATEGIES: [&str; 4] = ["nmap-paper", "nmap", "sa", "tabu"];
+/// The strategies compared by [`run_strategies`]: the descent family
+/// (`nmap-paper`, `nmap`) plus the two kernel-powered searches (`sa`,
+/// `tabu`). The constructive baselines are covered by Figure 3; the split
+/// mappers by Table 3.
+pub fn strategies() -> [MapperSpec; 4] {
+    [
+        MapperSpec::Nmap(SinglePathOptions::paper_exact()),
+        MapperSpec::Nmap(SinglePathOptions::default()),
+        MapperSpec::Sa(SaOptions::default()),
+        MapperSpec::Tabu(TabuOptions::default()),
+    ]
+}
 
 /// Runs every search strategy on every video application. Each strategy
 /// gets a fresh [`EvalContext`] so every timed region pays its own
@@ -104,18 +113,17 @@ pub const STRATEGIES: [&str; 4] = ["nmap-paper", "nmap", "sa", "tabu"];
 /// `sa.sample`/`tabu.sample` trajectory events land in the profile;
 /// outcomes are identical to a disabled one.
 pub fn run_strategies(probe: &Probe) -> Vec<StrategyPoint> {
-    let registry = standard_registry();
     let mut out = Vec::new();
     for app in App::all() {
         let problem = app_problem(app, GENEROUS_CAPACITY);
-        for name in STRATEGIES {
-            let mapper = registry.build(name, STRATEGY_SEED).expect("registered strategy");
+        for spec in strategies() {
+            let mapper = spec.mapper(STRATEGY_SEED);
             let mut ctx = EvalContext::new(&problem);
             ctx.set_probe(probe);
             let start = Instant::now();
             let outcome = mapper.map(&mut ctx).expect("mesh mapping succeeds");
             out.push(StrategyPoint {
-                mapper: name,
+                mapper: spec.name(),
                 app,
                 comm_cost: outcome.comm_cost.to_f64(),
                 feasible: outcome.feasible,
@@ -147,7 +155,7 @@ mod tests {
     #[test]
     fn strategy_sweep_covers_every_pair_and_stays_feasible() {
         let points = run_strategies(&Probe::disabled());
-        assert_eq!(points.len(), App::all().len() * STRATEGIES.len());
+        assert_eq!(points.len(), App::all().len() * strategies().len());
         for p in &points {
             assert!(p.feasible, "{:?}/{} infeasible at generous capacity", p.app, p.mapper);
             assert!(p.comm_cost > 0.0);

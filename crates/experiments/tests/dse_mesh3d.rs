@@ -2,8 +2,10 @@
 //! must flow through map → route → simulate, deterministically at every
 //! worker count, with real simulation statistics on the 3-D fabric.
 
-use noc_dse::{run_scenarios, SweepReport};
-use noc_experiments::mesh3d::{mesh3d_rows_from_records, mesh3d_set, MESH3D_SMOKE_SPEC};
+use noc_dse::{run_scenarios, LoopKind, SweepReport};
+use noc_experiments::mesh3d::{
+    mesh3d_rows_from_records, mesh3d_set, mesh3d_spec, MESH3D_SMOKE_SPEC,
+};
 
 #[test]
 fn mesh3d_smoke_sweep_is_deterministic_and_sim_backed() {
@@ -39,4 +41,22 @@ fn mesh3d_smoke_sweep_is_deterministic_and_sim_backed() {
     for row in rows {
         assert!(row.cost_gain.is_finite() && row.cost_gain > 0.0);
     }
+}
+
+/// The full-scan simulator loop visits every router and link every
+/// cycle, so byte-equal records under it check the default active-set
+/// loop's active index set and empty-network fast-forward end to end.
+#[test]
+fn mesh3d_smoke_sweep_is_identical_under_the_full_scan_loop() {
+    let default = mesh3d_spec(true);
+    assert_eq!(
+        default.simulate.as_ref().expect("the study simulates").loop_kind,
+        LoopKind::ActiveSet
+    );
+    let active = SweepReport::new(run_scenarios(default.scenarios().scenarios(), 2));
+    let mut full_scan = default;
+    full_scan.simulate.as_mut().expect("the study simulates").loop_kind = LoopKind::FullScan;
+    let oracle = SweepReport::new(run_scenarios(full_scan.scenarios().scenarios(), 2));
+    assert_eq!(active.write_jsonl(false), oracle.write_jsonl(false));
+    assert_eq!(active.write_csv(false), oracle.write_csv(false));
 }

@@ -54,6 +54,16 @@ fn unparsable_app_file_reports_the_line() {
     let bad = TempFile::with_content("garbage.app", "core a\nfrobnicate the widgets\n");
     let out = nmap_cli(&[bad.path()]);
     assert_clean_failure(&out, "line 2: unknown keyword `frobnicate`");
+    // Bandwidths above the cap once overflowed the placement cost to
+    // infinity and panicked NMAP's `initialize` and GMAP.
+    let huge = TempFile::with_content(
+        "huge_bandwidth.app",
+        "comm a b 1e308\ncomm a c 1e308\ncomm b c 1e308\n",
+    );
+    for algorithm in ["nmap", "nmap-split", "pmap", "gmap", "pbb"] {
+        let out = nmap_cli(&[huge.path(), "--algorithm", algorithm]);
+        assert_clean_failure(&out, "line 1: communication bandwidth");
+    }
 }
 
 #[test]

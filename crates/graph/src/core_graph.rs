@@ -11,6 +11,7 @@ use std::collections::HashMap;
 
 use noc_units::Mbps;
 
+use crate::parse::MAX_BANDWIDTH;
 use crate::{CoreId, EdgeId, GraphError, Result};
 
 /// A directed communication edge of the core graph: one commodity.
@@ -81,8 +82,8 @@ impl CoreGraph {
     ///
     /// * [`GraphError::UnknownCore`] if either endpoint was not added first.
     /// * [`GraphError::SelfLoop`] if `src == dst`.
-    /// * [`GraphError::InvalidBandwidth`] if `bandwidth` is negative, NaN or
-    ///   infinite.
+    /// * [`GraphError::InvalidBandwidth`] if `bandwidth` is negative, NaN,
+    ///   infinite or above [`crate::parse::MAX_BANDWIDTH`].
     /// * [`GraphError::DuplicateEdge`] if `(src, dst)` already exists; sum
     ///   parallel demands before inserting.
     // lint: allow(f64-api) — checked boundary intake: validated via `Mbps::new`.
@@ -95,6 +96,9 @@ impl CoreGraph {
         }
         if src == dst {
             return Err(GraphError::SelfLoop(src));
+        }
+        if bandwidth > MAX_BANDWIDTH {
+            return Err(GraphError::InvalidBandwidth(bandwidth));
         }
         let bandwidth =
             Mbps::new(bandwidth).map_err(|_| GraphError::InvalidBandwidth(bandwidth))?;
@@ -322,6 +326,8 @@ mod tests {
         assert!(matches!(g.add_comm(a, b, -1.0), Err(GraphError::InvalidBandwidth(_))));
         assert!(matches!(g.add_comm(a, b, f64::NAN), Err(GraphError::InvalidBandwidth(_))));
         assert!(matches!(g.add_comm(a, b, f64::INFINITY), Err(GraphError::InvalidBandwidth(_))));
+        assert!(matches!(g.add_comm(a, b, 1e308), Err(GraphError::InvalidBandwidth(_))));
+        assert!(g.add_comm(a, b, MAX_BANDWIDTH).is_ok(), "the cap itself is accepted");
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::parse::MAX_BANDWIDTH;
 use crate::{CoreId, NodeId};
 
 /// Errors produced by graph construction and lookups.
@@ -12,7 +13,8 @@ pub enum GraphError {
     UnknownCore(CoreId),
     /// A node id referenced a vertex that does not exist in the topology.
     UnknownNode(NodeId),
-    /// A communication edge was given a non-finite or negative bandwidth.
+    /// A communication edge was given a non-finite or negative bandwidth,
+    /// or one above [`crate::parse::MAX_BANDWIDTH`].
     InvalidBandwidth(f64),
     /// A link was given a non-finite or non-positive capacity.
     InvalidCapacity(f64),
@@ -41,7 +43,11 @@ impl fmt::Display for GraphError {
             GraphError::UnknownCore(id) => write!(f, "unknown core {id}"),
             GraphError::UnknownNode(id) => write!(f, "unknown topology node {id}"),
             GraphError::InvalidBandwidth(bw) => {
-                write!(f, "communication bandwidth {bw} is not a finite non-negative value")
+                write!(
+                    f,
+                    "communication bandwidth {bw:?} is not a finite non-negative value of at \
+most {MAX_BANDWIDTH:e} MB/s"
+                )
             }
             GraphError::InvalidCapacity(cap) => {
                 write!(f, "link capacity {cap} is not a finite positive value")

@@ -187,6 +187,15 @@ pub const MAX_GRID_EXTENT: usize = 512;
 /// enough that building the topology cannot exhaust memory.
 pub const MAX_NODES: usize = 1 << 16;
 
+/// Largest communication bandwidth a core graph accepts, in MB/s — a
+/// million times the busiest edge of the bundled apps. Summing Equation 7
+/// over a [`MAX_NODES`]-core graph overflows `f64` only above about
+/// 6e293 MB/s per edge, so every placement cost stays finite and
+/// comparable. [`crate::CoreGraph::add_comm`] enforces it, which covers
+/// app-file `comm` lines; the `.dse` `random` directive checks its
+/// `max_bw` against it too.
+pub const MAX_BANDWIDTH: f64 = 1e12;
+
 /// Checks a declared node count against [`MAX_NODES`], returning the
 /// message of the violation; `what` names the count (e.g. `custom node
 /// count`).
@@ -446,6 +455,13 @@ mod tests {
         assert!(matches!(
             err,
             ParseError::Graph { line: 2, source: GraphError::DuplicateEdge(..) }
+        ));
+        // A bandwidth beyond `MAX_BANDWIDTH` once overflowed the placement
+        // cost to infinity and panicked NMAP's `initialize` and GMAP.
+        let err = parse_core_graph("comm a b 1e308\ncomm a c 1e308\ncomm b c 1e308\n").unwrap_err();
+        assert!(matches!(
+            err,
+            ParseError::Graph { line: 1, source: GraphError::InvalidBandwidth(..) }
         ));
     }
 

@@ -15,6 +15,7 @@ use rand_chacha::ChaCha8Rng;
 
 use noc_units::Mbps;
 
+use crate::parse::MAX_BANDWIDTH;
 use crate::{CoreGraph, CoreId};
 
 /// Parameters for [`RandomGraphConfig::generate`].
@@ -53,10 +54,13 @@ impl RandomGraphConfig {
     /// # Panics
     ///
     /// Panics if `cores == 0`, if the bandwidth range is empty or negative,
-    /// or if `avg_degree` is not finite and positive.
+    /// if `max_bandwidth` exceeds [`crate::parse::MAX_BANDWIDTH`] (the cap
+    /// every core-graph edge obeys), or if `avg_degree` is not finite and
+    /// positive.
     pub fn generate(&self, seed: u64) -> CoreGraph {
         assert!(self.cores > 0, "need at least one core");
         assert!(self.max_bandwidth >= self.min_bandwidth, "invalid bandwidth range");
+        assert!(self.max_bandwidth.to_f64() <= MAX_BANDWIDTH, "bandwidth above the cap");
         assert!(self.avg_degree.is_finite() && self.avg_degree > 0.0, "invalid average degree");
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut g = CoreGraph::new();
