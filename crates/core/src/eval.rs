@@ -14,20 +14,19 @@
 //! * the **scratch vectors** (commodity list, per-link loads) — identical
 //!   shape on every evaluation.
 //!
-//! [`EvalContext`] caches the first two and reuses the third, while
-//! producing *bit-identical* results to the uncached
-//! [`routing::route_min_paths`](crate::routing::route_min_paths) +
-//! [`MappingProblem::comm_cost`] pipeline: the same Dijkstra queries run
-//! with the same weights in the same order, so every floating-point
-//! operation is unchanged (asserted by tests and the workspace determinism
-//! suite).
+//! [`EvalContext`] caches the first two and reuses the third. Its router
+//! runs the one greedy loop of the uncached
+//! [`routing::route_min_paths`](crate::routing::route_min_paths), with
+//! the same Dijkstra queries and weights in the same order, so its loads
+//! and costs are *bit-identical* to that router's (asserted by tests and
+//! the workspace determinism suite).
 
-use noc_graph::{dijkstra, NodeId, QuadrantDag};
+use noc_graph::{NodeId, QuadrantDag};
 use noc_probe::{Counter, Probe};
 use noc_units::{CostDelta, HopMbps, Score};
 
-use crate::routing::LinkLoads;
-use crate::{Commodity, MapError, Mapping, MappingProblem, Result};
+use crate::routing::{route_greedy, LinkLoads};
+use crate::{Commodity, Mapping, MappingProblem, Result};
 
 /// Telemetry handles for the search layer (see `crates/probe`): no-ops
 /// unless [`EvalContext::set_probe`] attached a live probe, and strictly
@@ -74,8 +73,6 @@ pub struct EvalContext<'p> {
     commodities: Vec<Commodity>,
     /// Scratch: per-link loads of the routing under evaluation.
     loads: LinkLoads,
-    /// Quadrant cache misses (diagnostics: DAGs actually built).
-    built_quadrants: usize,
     /// Telemetry (no-op handles unless a probe was attached).
     probe: Probe,
     pub(crate) counters: SearchCounters,
@@ -91,7 +88,6 @@ impl<'p> EvalContext<'p> {
             quadrants: vec![None; nodes * nodes],
             commodities: Vec::with_capacity(problem.cores().edge_count()),
             loads: LinkLoads::zeros(problem.topology().link_count()),
-            built_quadrants: 0,
             probe: Probe::default(),
             counters: SearchCounters::default(),
         }
@@ -118,7 +114,7 @@ impl<'p> EvalContext<'p> {
 
     /// Number of distinct quadrant DAGs built so far (cache size).
     pub fn built_quadrants(&self) -> usize {
-        self.built_quadrants
+        self.quadrants.iter().filter(|q| q.is_some()).count()
     }
 
     /// Equation-7 communication cost of `mapping` — delegates to the
@@ -206,51 +202,24 @@ impl<'p> EvalContext<'p> {
     }
 
     /// Routes every commodity over a single minimal path exactly like
-    /// [`routing::route_min_paths`](crate::routing::route_min_paths), but
-    /// returns only the aggregate link loads and reuses the cached
-    /// quadrant DAGs and scratch buffers.
+    /// [`routing::route_min_paths`](crate::routing::route_min_paths) (the
+    /// same greedy loop), but returns only the aggregate link loads and
+    /// reuses the cached quadrant DAGs and scratch buffers.
     ///
     /// # Errors
     ///
-    /// [`MapError::Unroutable`] under the same conditions as the uncached
-    /// router.
+    /// [`MapError::Unroutable`](crate::MapError::Unroutable) under the
+    /// same conditions as the uncached router.
     ///
     /// # Panics
     ///
     /// Panics if `mapping` is incomplete.
     pub fn route_min_loads(&mut self, mapping: &Mapping) -> Result<&LinkLoads> {
-        self.problem.commodities_into(mapping, &mut self.commodities);
-        self.loads.reset();
-        let topology = self.problem.topology();
-        let nodes = topology.node_count();
-
-        for &edge in &self.order {
-            let c = self.commodities[edge.index()];
-            if c.source == c.dest {
-                // Unreachable through the public API (injective mapping, no
-                // self-loops); mirror route_min_paths and stay total.
-                continue;
-            }
-            let key = c.source.index() * nodes + c.dest.index();
-            if self.quadrants[key].is_none() {
-                self.built_quadrants += 1;
-                self.quadrants[key] = Some(QuadrantDag::new(topology, c.source, c.dest));
-            }
-            let quadrant = self.quadrants[key].as_ref().expect("filled above");
-            let loads = &self.loads;
-            let outcome = dijkstra(
-                topology,
-                c.source,
-                c.dest,
-                |l| 1.0 + loads.get(l),
-                |l| quadrant.contains(l),
-            )
-            .ok_or(MapError::Unroutable { commodity: edge.index() })?;
-            for &l in &outcome.links {
-                self.loads.add(l, c.value.to_f64());
-            }
-        }
-        Ok(&self.loads)
+        let Self { problem, order, quadrants, commodities, loads, .. } = self;
+        problem.commodities_into(mapping, commodities);
+        loads.reset();
+        route_greedy(problem.topology(), commodities, order, Some(quadrants), loads, None)?;
+        Ok(loads)
     }
 
     /// The paper's `shortestpath()` score of `mapping`: its Equation-7
@@ -270,7 +239,8 @@ impl<'p> EvalContext<'p> {
     ///
     /// # Errors
     ///
-    /// Propagates [`MapError::Unroutable`] from the router.
+    /// Propagates [`MapError::Unroutable`](crate::MapError::Unroutable)
+    /// from the router.
     ///
     /// # Panics
     ///

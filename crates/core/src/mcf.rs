@@ -239,14 +239,6 @@ pub fn solve_mcf_warm(
     result.map(|solution| (solution, McfWarmState, stats))
 }
 
-/// Checks whether a mapping admits a feasible split-traffic routing:
-/// convenience wrapper returning the MCF1 slack (0 = feasible).
-// lint: allow(f64-api) — slack is signed (negative = infeasible), outside
-// the non-negative quantity range.
-pub fn mcf1_slack(problem: &MappingProblem, mapping: &Mapping, scope: PathScope) -> Result<f64> {
-    Ok(solve_mcf(problem, mapping, McfKind::SlackMin, scope)?.objective)
-}
-
 /// Converts an LP infeasibility into a clearer error for FlowMin callers.
 pub(crate) fn is_infeasible(err: &MapError) -> bool {
     matches!(err, MapError::Lp(SolveError::Infeasible))
@@ -658,6 +650,12 @@ mod tests {
         (p, m)
     }
 
+    /// MCF1's total slack: 0 when the placement admits a feasible split
+    /// routing.
+    fn slack(p: &MappingProblem, m: &Mapping, scope: PathScope) -> f64 {
+        solve_mcf(p, m, McfKind::SlackMin, scope).unwrap().objective
+    }
+
     #[test]
     fn single_commodity_min_flow_uses_shortest_path() {
         let (p, m) = one_flow_problem(1000.0, 300.0);
@@ -698,9 +696,9 @@ mod tests {
     #[test]
     fn slack_is_zero_when_feasible() {
         let (p, m) = one_flow_problem(150.0, 300.0);
-        assert!(mcf1_slack(&p, &m, PathScope::AllPaths).unwrap() < 1e-6);
+        assert!(slack(&p, &m, PathScope::AllPaths) < 1e-6);
         let (p, m) = one_flow_problem(300.0, 300.0);
-        assert!(mcf1_slack(&p, &m, PathScope::AllPaths).unwrap() < 1e-6);
+        assert!(slack(&p, &m, PathScope::AllPaths) < 1e-6);
     }
 
     #[test]
@@ -709,9 +707,9 @@ mod tests {
         // 300 MB/s flow over 150 MB/s links has slack 150 under Quadrant
         // scope (cannot use the 3-hop detour) but 0 under AllPaths.
         let (p, m) = one_flow_problem(150.0, 300.0);
-        let q = mcf1_slack(&p, &m, PathScope::Quadrant).unwrap();
+        let q = slack(&p, &m, PathScope::Quadrant);
         assert!((q - 150.0).abs() < 1e-4, "quadrant slack {q}");
-        let a = mcf1_slack(&p, &m, PathScope::AllPaths).unwrap();
+        let a = slack(&p, &m, PathScope::AllPaths);
         assert!(a < 1e-6);
     }
 
@@ -846,7 +844,7 @@ mod tests {
     fn one_threshold_decides_split_feasibility() {
         for (value, feasible) in [(300.000005, false), (300.0000005, true), (300.00000005, true)] {
             let (p, m) = one_flow_problem(150.0, value);
-            let slack = mcf1_slack(&p, &m, PathScope::AllPaths).unwrap();
+            let slack = slack(&p, &m, PathScope::AllPaths);
             assert_eq!(slack <= SLACK_EPSILON, feasible, "{value}: slack {slack}");
             let flow = solve_mcf(&p, &m, McfKind::FlowMin, PathScope::AllPaths);
             assert_eq!(flow.is_ok(), feasible, "{value}: {flow:?}");

@@ -189,11 +189,8 @@ impl LinkLoads {
 /// `1 + (traffic already committed to the link)`; after routing, the
 /// path's links gain the commodity's bandwidth. Because every quadrant
 /// path is minimal, the result is always a minimum-hop routing.
-///
-/// Any change to this loop (order, weights, tie-breaking) must be
-/// mirrored in [`crate::EvalContext::route_min_loads`], the cached
-/// loads-only replay of the same algorithm; their bit-identity is
-/// asserted by the `eval` module's tests.
+/// [`crate::EvalContext::route_min_loads`] runs the same loop with cached
+/// quadrant DAGs and keeps only the loads.
 ///
 /// # Errors
 ///
@@ -209,32 +206,59 @@ pub fn route_min_paths(
 ) -> Result<(Vec<CommodityPath>, LinkLoads)> {
     let topology = problem.topology();
     let commodities = problem.commodities(mapping);
-    let order = problem.commodity_order();
-
     let mut loads = LinkLoads::zeros(topology.link_count());
     let mut paths: Vec<Option<CommodityPath>> = vec![None; commodities.len()];
+    let order = problem.commodity_order();
+    route_greedy(topology, &commodities, &order, None, &mut loads, Some(&mut paths))?;
+    Ok((paths.into_iter().map(|p| p.expect("all commodities routed")).collect(), loads))
+}
 
-    for edge in order {
+/// The greedy loop of `shortestpath()`: each commodity of `order` in turn
+/// takes the Dijkstra path of its quadrant DAG under link weight
+/// `1 + load`, and that path's links then gain its bandwidth.
+/// `quadrants`, keyed by `source * node_count + dest`, keeps the DAGs
+/// across calls; without it each one is built on the fly. `paths`, when
+/// given, receives every commodity's path at its edge index.
+pub(crate) fn route_greedy(
+    topology: &Topology,
+    commodities: &[Commodity],
+    order: &[EdgeId],
+    mut quadrants: Option<&mut [Option<QuadrantDag>]>,
+    loads: &mut LinkLoads,
+    mut paths: Option<&mut [Option<CommodityPath>]>,
+) -> Result<()> {
+    for &edge in order {
         let c = commodities[edge.index()];
         if c.source == c.dest {
             // Cannot happen through the public API (mapping is injective and
             // the core graph has no self-loops) but keep the router total.
-            paths[edge.index()] =
-                Some(CommodityPath { edge, links: Vec::new(), nodes: vec![c.source] });
+            if let Some(paths) = paths.as_deref_mut() {
+                paths[edge.index()] =
+                    Some(CommodityPath { edge, links: Vec::new(), nodes: vec![c.source] });
+            }
             continue;
         }
-        let quadrant = QuadrantDag::new(topology, c.source, c.dest);
+        let fresh;
+        let quadrant = match quadrants.as_deref_mut() {
+            Some(cache) => cache[c.source.index() * topology.node_count() + c.dest.index()]
+                .get_or_insert_with(|| QuadrantDag::new(topology, c.source, c.dest)),
+            None => {
+                fresh = QuadrantDag::new(topology, c.source, c.dest);
+                &fresh
+            }
+        };
         let outcome =
             dijkstra(topology, c.source, c.dest, |l| 1.0 + loads.get(l), |l| quadrant.contains(l))
                 .ok_or(MapError::Unroutable { commodity: edge.index() })?;
         for &l in &outcome.links {
             loads.add(l, c.value.to_f64());
         }
-        paths[edge.index()] =
-            Some(CommodityPath { edge, links: outcome.links, nodes: outcome.nodes });
+        if let Some(paths) = paths.as_deref_mut() {
+            paths[edge.index()] =
+                Some(CommodityPath { edge, links: outcome.links, nodes: outcome.nodes });
+        }
     }
-
-    Ok((paths.into_iter().map(|p| p.expect("all commodities routed")).collect(), loads))
+    Ok(())
 }
 
 /// Routes every commodity with deterministic **dimension-ordered routing**

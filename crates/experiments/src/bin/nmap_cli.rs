@@ -57,8 +57,9 @@ enum Algorithm {
 const USAGE: &str = "usage: nmap_cli <app-file> [--mesh WxH | --torus WxH | --noc <file>] \
 [--capacity MB/s] [--algorithm nmap|nmap-split|pmap|gmap|pbb] [--scope quadrant|all] [--dot]";
 
-fn parse_args() -> Result<Args, String> {
-    let mut raw = std::env::args().skip(1);
+/// Parses the arguments after the program name.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut raw = argv.into_iter();
     let mut app_path = None;
     let mut topology = TopologyChoice::Fit;
     let mut capacity = 1_000.0;
@@ -133,7 +134,7 @@ fn parse_dims(text: &str) -> Result<(usize, usize), String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
@@ -216,4 +217,47 @@ fn run(args: &Args) -> Result<bool, String> {
         println!("\n{}", mapping_dot(problem.cores(), problem.topology(), &mapping.to_pairs()));
     }
     Ok(loads.within_capacity(problem.topology()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every argv of up to three tokens, drawn from every flag plus
+    /// awkward operands, parses or fails with a message; none panics.
+    /// Every accepted argv names an app file and keeps grid extents
+    /// from 1 to `MAX_GRID_EXTENT`.
+    #[test]
+    fn every_short_argv_parses_or_fails_cleanly() {
+        let tokens: Vec<&str> = "--mesh --torus --noc --capacity --algorithm --scope --dot \
+                                 --help -h 0 1 -1 18446744073709551616 nan 2x2 0x3 x app.txt"
+            .split_whitespace()
+            .collect();
+        let n = tokens.len();
+        let mut accepted = 0;
+        for len in 0..=3u32 {
+            for code in 0..n.pow(len) {
+                let argv: Vec<&str> = (0..len).map(|k| tokens[code / n.pow(k) % n]).collect();
+                let owned = argv.iter().map(|t| t.to_string());
+                let parsed = std::panic::catch_unwind(|| parse_args(owned))
+                    .unwrap_or_else(|_| panic!("parse_args panicked on {argv:?}"));
+                let args = match parsed {
+                    Ok(args) => args,
+                    Err(msg) => {
+                        assert!(!msg.is_empty(), "{argv:?}: empty error");
+                        continue;
+                    }
+                };
+                accepted += 1;
+                let app = args.app_path.as_str();
+                assert!(argv.contains(&app) && !app.starts_with('-'), "{argv:?}: app {app}");
+                if let TopologyChoice::Mesh(w, h) | TopologyChoice::Torus(w, h) = args.topology {
+                    for extent in [w, h] {
+                        assert!((1..=MAX_GRID_EXTENT).contains(&extent), "{argv:?}: {extent}");
+                    }
+                }
+            }
+        }
+        assert!(accepted > 100, "only {accepted} argvs accepted");
+    }
 }

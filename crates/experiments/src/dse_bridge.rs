@@ -1,21 +1,20 @@
 //! The paper's engine-backed experiments: each study expressed once, as
 //! a `noc-dse` scenario set (or pool fan-out) plus a fold of its records.
-//! The study binaries (`table2_scaling`, `fig5c_latency`) and `nmap_dse`
-//! all run through these functions.
+//! `nmap_dse` runs every study through these functions.
 //!
-//! [`table2_via_engine`] runs Table 2 as a [`table2_scenario_set`] sweep
-//! folded by [`table2_rows_from_records`]; the `dse_table2` integration
-//! test pins its values. [`fig5c_via_engine`] runs the Figure 5(c)
-//! simulation sweep: the per-point wormhole runs fan out over the
-//! engine's deterministic [`noc_dse::pool_map`], and the `dse_fig5c`
-//! integration test pins the points bit for bit at 1 and 4 threads.
-//! [`torus_vs_mesh`] is an engine-only study: how much of each
-//! application's communication cost the wrap-around links of a torus
-//! recover over a mesh of the same radix.
+//! Table 2 is a [`table2_scenario_set`] sweep folded by
+//! [`table2_rows_from_records`]; the `dse_table2` integration test pins
+//! its values. [`fig5c_via_engine`] runs the Figure 5(c) simulation
+//! sweep: the per-point wormhole runs fan out over the engine's
+//! deterministic [`noc_dse::pool_map`], and the `dse_fig5c` integration
+//! test pins the points bit for bit at 1 and 4 threads. The torus-vs-mesh
+//! study ([`torus_vs_mesh_set`]) is an engine-only study: how much of
+//! each application's communication cost the wrap-around links of a
+//! torus recover over a mesh of the same radix.
 
 use noc_dse::{
-    flows_from_tables, pool_map, run_scenarios, MapperSpec, RoutingSpec, RunContext, RunRecord,
-    ScenarioSet, TopologySpec,
+    flows_from_tables, pool_map, MapperSpec, RoutingSpec, RunContext, RunRecord, ScenarioSet,
+    TopologySpec,
 };
 use noc_graph::{RandomGraphConfig, Topology};
 use noc_sim::Simulator;
@@ -79,18 +78,6 @@ pub fn table2_rows_from_records(config: &Table2Config, records: &[RunRecord]) ->
             Table2Row { cores, pbb: pbb_avg, nmap: nmap_avg, ratio: pbb_avg / nmap_avg }
         })
         .collect()
-}
-
-/// Runs the Table 2 scaling study through the engine under `ctx` (a
-/// [`RunContext`] or a bare thread count, `0` = available parallelism).
-/// The rows are identical at every thread count.
-pub fn table2_via_engine<'a>(
-    config: &Table2Config,
-    ctx: impl Into<RunContext<'a>>,
-) -> Vec<Table2Row> {
-    let set = table2_scenario_set(config);
-    let records = run_scenarios(set.scenarios(), ctx);
-    table2_rows_from_records(config, &records)
 }
 
 /// Runs the Figure 5(c) simulation sweep through the engine's
@@ -172,7 +159,7 @@ pub struct TorusVsMeshRow {
     pub gain: f64,
 }
 
-/// The scenario set behind [`torus_vs_mesh`]: all six video applications
+/// The torus-vs-mesh study's scenario set: all six video applications
 /// on their fitted mesh and the torus of the same radix, mapped by NMAP
 /// under min-path routing with the experiments' generous capacity.
 pub fn torus_vs_mesh_set() -> ScenarioSet {
@@ -184,18 +171,6 @@ pub fn torus_vs_mesh_set() -> ScenarioSet {
         .mapper(MapperSpec::Nmap(SinglePathOptions::default()))
         .routing(RoutingSpec::MinPath)
         .build()
-}
-
-/// Runs the torus-vs-mesh sweep through the engine.
-///
-/// # Panics
-///
-/// Panics if any scenario fails (the bundled applications always fit
-/// their fabrics).
-pub fn torus_vs_mesh(threads: usize) -> Vec<TorusVsMeshRow> {
-    let set = torus_vs_mesh_set();
-    let records = run_scenarios(set.scenarios(), threads);
-    torus_vs_mesh_rows_from_records(&records)
 }
 
 /// Folds the engine records of [`torus_vs_mesh_set`] into study rows
@@ -246,7 +221,8 @@ mod tests {
         // The mesh embedding is always available on the torus, so with
         // NMAP's multi-restart search the torus cost should not exceed
         // the mesh cost by more than search noise; the gain stays >= ~1.
-        let rows = torus_vs_mesh(0);
+        let records = noc_dse::run_scenarios(torus_vs_mesh_set().scenarios(), 0);
+        let rows = torus_vs_mesh_rows_from_records(&records);
         assert_eq!(rows.len(), 6);
         for row in &rows {
             assert!(row.torus_cost > 0.0);

@@ -1,36 +1,35 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
-//! Each module reproduces one artifact of Section 7 and returns plain data
-//! structs; the `src/bin/` binaries print them as text tables. Table 2
-//! and Figure 5(c) run through the `noc-dse` engine ([`dse_bridge`]),
-//! which is also what the `perfbench` pipeline benchmark times. See
-//! `EXPERIMENTS.md` at the workspace root for paper-vs-measured records.
+//! Each module reproduces one study of Section 7 (or a design-space
+//! study beyond it) and returns plain data structs; the `nmap_dse`
+//! binary runs and prints every study from one table (`nmap_dse --all`
+//! runs them all). The studies whose numbers a `noc-dse` record carries
+//! are engine sweeps plus folds of their records; the rest keep hand
+//! pipelines. See `EXPERIMENTS.md` at the workspace root for
+//! paper-vs-measured records.
 //!
 //! | module | paper artifact |
 //! |--------|----------------|
-//! | [`fig3`] | Figure 3 — communication cost of PMAP/GMAP/PBB/NMAP on six video apps |
-//! | [`fig4`] | Figure 4 — minimum bandwidth needed by 7 algorithm/routing combinations |
-//! | [`table1`] | Table 1 — cost and bandwidth ratios vs. NMAP |
+//! | [`mapper_comparison`] | Figure 3, Figure 4 and Table 1 — PMAP/GMAP/PBB/NMAP cost, bandwidth and ratios on six video apps, one sweep |
 //! | [`table2`] | Table 2 — PBB vs NMAP on random graphs (25–65 cores): configuration and rows |
 //! | [`fig5c`] | Figure 5(c) — packet latency vs link bandwidth, DSP NoC: the design and points |
 //! | [`table3`] | Table 3 — DSP NoC design parameters |
 //! | [`routing_ablation`] | §5 claim — heuristic routing vs LP bound |
+//! | [`search_ablation`] | NMAP's search knobs and search strategies, one sweep |
 //! | [`topology_selection`] | §8 future work — fabric design-space exploration |
+//! | [`mesh3d`] | 2-D vs 3-D meshes, one `.dse` sweep |
 //! | [`dse_bridge`] | Table 2, Figure 5(c) and a torus-vs-mesh study through the `noc-dse` engine |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dse_bridge;
-pub mod fig3;
-pub mod fig4;
 pub mod fig5c;
+pub mod mapper_comparison;
 pub mod mesh3d;
-pub mod profile_cli;
 pub mod report;
 pub mod routing_ablation;
 pub mod search_ablation;
-pub mod table1;
 pub mod table2;
 pub mod table3;
 pub mod topology_selection;

@@ -16,7 +16,7 @@
 //! purpose: it doubles as an end-to-end test that a 3-D scenario flows
 //! from the `.dse` grammar through map → route → simulate.
 
-use noc_dse::{parse_spec, RunRecord, ScenarioSet, SweepSpec};
+use noc_dse::{parse_spec, RunRecord, SweepSpec};
 
 /// The full study: six bundled applications × {fitted 2-D mesh, 4x4x2
 /// 3-D mesh}, NMAP + min-path, simulation at the spec's capacity.
@@ -65,11 +65,6 @@ pub fn mesh3d_spec(smoke: bool) -> SweepSpec {
     parse_spec(text).expect("embedded mesh3d spec parses")
 }
 
-/// The expanded scenario set of [`mesh3d_spec`].
-pub fn mesh3d_set(smoke: bool) -> ScenarioSet {
-    mesh3d_spec(smoke).scenarios()
-}
-
 /// One application's 2-D vs 3-D comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mesh3dRow {
@@ -91,12 +86,12 @@ pub struct Mesh3dRow {
     pub saturated: bool,
 }
 
-/// Folds the engine records of [`mesh3d_set`] into study rows (2-D/3-D
+/// Folds the engine records of [`mesh3d_spec`] into study rows (2-D/3-D
 /// record pairs in scenario order).
 ///
 /// # Panics
 ///
-/// Panics if `records` does not match the shape of [`mesh3d_set`] or
+/// Panics if `records` does not match the shape of [`mesh3d_spec`] or
 /// contains failed or simulation-less scenarios.
 pub fn mesh3d_rows_from_records(records: &[RunRecord]) -> Vec<Mesh3dRow> {
     assert_eq!(records.len() % 2, 0, "records must be 2-D/3-D pairs");
@@ -152,7 +147,7 @@ mod tests {
     fn smoke_study_runs_end_to_end() {
         // The full map -> route -> simulate pipeline on a 3-D fabric from
         // `.dse` text, through the engine pool.
-        let records = noc_dse::run_scenarios(mesh3d_set(true).scenarios(), 0);
+        let records = noc_dse::run_scenarios(mesh3d_spec(true).scenarios().scenarios(), 0);
         let rows = mesh3d_rows_from_records(&records);
         assert_eq!(rows.len(), 6);
         for row in &rows {

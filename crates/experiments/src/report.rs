@@ -1,4 +1,4 @@
-//! Minimal text-table rendering for the experiment binaries.
+//! Minimal text-table rendering for the study tables `nmap_dse` prints.
 
 use std::fmt::Write as _;
 
@@ -34,12 +34,6 @@ impl TextTable {
     pub fn row<const N: usize>(&mut self, cells: [String; N]) {
         assert_eq!(N, self.header.len(), "row width mismatch");
         self.rows.push(cells.to_vec());
-    }
-
-    /// Appends a data row from a vector (width-checked).
-    pub fn row_vec(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.header.len(), "row width mismatch");
-        self.rows.push(cells);
     }
 
     /// Renders the table with aligned columns.
@@ -103,7 +97,7 @@ mod tests {
     #[should_panic(expected = "row width mismatch")]
     fn wrong_width_panics() {
         let mut t = TextTable::new(["a", "b"]);
-        t.row_vec(vec!["only-one".into()]);
+        t.row(["only-one".into()]);
     }
 
     #[test]

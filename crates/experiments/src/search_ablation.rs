@@ -1,169 +1,158 @@
-//! Ablation of NMAP's search knobs (the design choices DESIGN.md §6
-//! items 9 calls out): how much do extra sweeps and deterministic
-//! restarts improve on the paper's literal single-descent configuration,
-//! and what do they cost?
+//! Ablation of NMAP's search, one engine sweep folded into two tables.
 //!
-//! A second axis ([`run_strategies`]) compares whole *search strategies*
-//! through the [`nmap::search::Mapper`] trait — the greedy descent family
-//! against simulated annealing and tabu search, the direction Marcon et
-//! al. (*Exploring NoC Mapping Strategies*) explore — all driving the
-//! same O(deg) swap-delta kernel and the same Equation-7 cost.
+//! The first table asks what NMAP's search knobs (DESIGN.md §6 item 9)
+//! buy: how much do extra sweeps and deterministic restarts improve on
+//! the paper's literal single-descent configuration, and what do they
+//! cost? The second compares whole search strategies, the greedy descent
+//! family against simulated annealing and tabu search (the direction
+//! Marcon et al., *Exploring NoC Mapping Strategies*, explore), all
+//! driving the same O(deg) swap-delta kernel and the same Equation-7
+//! cost.
+//!
+//! [`search_ablation_set`] runs the six mappers both tables need on the
+//! six video applications; [`SearchAblation::from_records`] folds both
+//! tables from those 36 records, so the `nmap-paper` and `nmap` rows the
+//! tables share are computed once. Each row's time is its record's
+//! map-stage time.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use nmap::search::{SaOptions, TabuOptions};
-use nmap::{map_single_path_with, EvalContext, SinglePathOptions};
+use nmap::SinglePathOptions;
 use noc_apps::App;
-use noc_dse::MapperSpec;
-use noc_probe::Probe;
+use noc_dse::{MapperSpec, RoutingSpec, RunRecord, Scenario, ScenarioSet};
 
-use crate::{app_problem, GENEROUS_CAPACITY};
+use crate::GENEROUS_CAPACITY;
 
-/// One (configuration × application) measurement.
+/// Seed of every scenario, so the seeded `sa` rows reproduce.
+const SEED: u64 = 42;
+
+/// The NMAP configurations of the first table: label, passes, restarts.
+/// The paper's literal setting, passes-only scaling, restarts-only
+/// scaling and the crate default.
+const KNOBS: [(&str, usize, usize); 4] = [
+    ("paper (1 pass, 1 start)", 1, 1),
+    ("3 passes, 1 start", 3, 1),
+    ("1 pass, 8 starts", 1, 8),
+    ("default (2 passes, 8 starts)", 2, 8),
+];
+
+/// The second table's strategies, as positions in each application's
+/// mapper list: `nmap-paper`, `nmap`, `sa` and `tabu`.
+const STRATEGIES: [usize; 4] = [0, 3, 4, 5];
+
+/// Mappers per application: the [`KNOBS`] configurations, then `sa` and
+/// `tabu`.
+const PER_APP: usize = KNOBS.len() + 2;
+
+/// The sweep behind both tables: the six video applications × the
+/// fitted mesh × {`nmap-paper`, `nmap[p3r1]`, `nmap[p1r8]`, `nmap`, `sa`,
+/// `tabu`} × min-path at [`GENEROUS_CAPACITY`], 36 scenarios, each
+/// seeded 42.
+pub fn search_ablation_set() -> ScenarioSet {
+    let builder = KNOBS
+        .iter()
+        .map(|&(_, passes, restarts)| MapperSpec::Nmap(SinglePathOptions { passes, restarts }))
+        .chain([MapperSpec::Sa(SaOptions::default()), MapperSpec::Tabu(TabuOptions::default())])
+        .fold(ScenarioSet::builder().capacity(GENEROUS_CAPACITY).all_apps(), |b, m| b.mapper(m));
+    let scenarios = builder.routing(RoutingSpec::MinPath).build().scenarios().to_vec();
+    ScenarioSet::from_scenarios(
+        scenarios.into_iter().map(|s| Scenario { seed: SEED, ..s }).collect(),
+    )
+}
+
+/// One row of either table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AblationPoint {
-    /// Configuration label.
-    pub config: &'static str,
     /// Application.
     pub app: App,
+    /// The configuration label (first table) or the mapper's `.dse`
+    /// name (second table).
+    pub label: String,
     /// Equation-7 cost reached.
     pub comm_cost: f64,
     /// Candidate placements evaluated.
     pub evaluations: usize,
-    /// Wall-clock time.
+    /// Map-stage wall-clock time.
     pub elapsed: Duration,
 }
 
-/// The configurations compared: the paper's literal setting, passes-only
-/// scaling, restarts-only scaling, and the crate default.
-pub fn configurations() -> Vec<(&'static str, SinglePathOptions)> {
-    vec![
-        ("paper (1 pass, 1 start)", SinglePathOptions::paper_exact()),
-        ("3 passes, 1 start", SinglePathOptions { passes: 3, restarts: 1 }),
-        ("1 pass, 8 starts", SinglePathOptions { passes: 1, restarts: 8 }),
-        ("default (2 passes, 8 starts)", SinglePathOptions::default()),
-    ]
-}
-
-/// Runs every configuration on every video application. Each
-/// configuration runs through a fresh [`EvalContext`], exactly like
-/// [`nmap::map_single_path`], with `probe` attached (evaluation and
-/// delta-gate counters); a live probe observes only, so outcomes are
-/// identical to a disabled one.
-pub fn run_all(probe: &Probe) -> Vec<AblationPoint> {
-    let mut out = Vec::new();
-    for app in App::all() {
-        let problem = app_problem(app, GENEROUS_CAPACITY);
-        for (config, options) in configurations() {
-            let mut ctx = EvalContext::new(&problem);
-            ctx.set_probe(probe);
-            let start = Instant::now();
-            let result = map_single_path_with(&mut ctx, &options).expect("mesh routing succeeds");
-            out.push(AblationPoint {
-                config,
-                app,
-                comm_cost: result.comm_cost.to_f64(),
-                evaluations: result.evaluations,
-                elapsed: start.elapsed(),
-            });
-        }
-    }
-    out
-}
-
-/// One (search strategy × application) measurement through the
-/// [`nmap::search::Mapper`] trait.
+/// Both tables of the ablation, application-major.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StrategyPoint {
-    /// `.dse` name of the strategy (`nmap-paper`, `sa`, ...).
-    pub mapper: String,
-    /// Application.
-    pub app: App,
-    /// Equation-7 cost reached.
-    pub comm_cost: f64,
-    /// Whether the strategy's own regime found the placement feasible.
-    pub feasible: bool,
-    /// Candidate placements examined.
-    pub evaluations: usize,
-    /// Wall-clock time.
-    pub elapsed: Duration,
+pub struct SearchAblation {
+    /// The NMAP search-knob table.
+    pub configurations: Vec<AblationPoint>,
+    /// The search-strategy table.
+    pub strategies: Vec<AblationPoint>,
 }
 
-/// Seed for the stochastic strategies — fixed so the table reproduces.
-const STRATEGY_SEED: u64 = 42;
-
-/// The strategies compared by [`run_strategies`]: the descent family
-/// (`nmap-paper`, `nmap`) plus the two kernel-powered searches (`sa`,
-/// `tabu`). The constructive baselines are covered by Figure 3; the split
-/// mappers by Table 3.
-pub fn strategies() -> [MapperSpec; 4] {
-    [
-        MapperSpec::Nmap(SinglePathOptions::paper_exact()),
-        MapperSpec::Nmap(SinglePathOptions::default()),
-        MapperSpec::Sa(SaOptions::default()),
-        MapperSpec::Tabu(TabuOptions::default()),
-    ]
-}
-
-/// Runs every search strategy on every video application. Each strategy
-/// gets a fresh [`EvalContext`] so every timed region pays its own
-/// quadrant-DAG cache builds — the time column compares strategies, not
-/// cache-warming order (outcomes are context-independent either way).
-/// With a live `probe` the search counters and the
-/// `sa.sample`/`tabu.sample` trajectory events land in the profile;
-/// outcomes are identical to a disabled one.
-pub fn run_strategies(probe: &Probe) -> Vec<StrategyPoint> {
-    let mut out = Vec::new();
-    for app in App::all() {
-        let problem = app_problem(app, GENEROUS_CAPACITY);
-        for spec in strategies() {
-            let mapper = spec.mapper(STRATEGY_SEED);
-            let mut ctx = EvalContext::new(&problem);
-            ctx.set_probe(probe);
-            let start = Instant::now();
-            let outcome = mapper.map(&mut ctx).expect("mesh mapping succeeds");
-            out.push(StrategyPoint {
-                mapper: spec.name(),
-                app,
-                comm_cost: outcome.comm_cost.to_f64(),
-                feasible: outcome.feasible,
-                evaluations: outcome.evaluations,
-                elapsed: start.elapsed(),
-            });
+impl SearchAblation {
+    /// Folds the engine records of [`search_ablation_set`] into both
+    /// tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `records` does not match the shape of
+    /// [`search_ablation_set`] or contains failed scenarios.
+    pub fn from_records(records: &[RunRecord]) -> Self {
+        assert_eq!(records.len(), App::all().len() * PER_APP, "not the search-ablation set");
+        let mut out = Self { configurations: Vec::new(), strategies: Vec::new() };
+        for (app, group) in App::all().into_iter().zip(records.chunks_exact(PER_APP)) {
+            let point = |r: &RunRecord, label: &str| {
+                assert!(r.is_ok(), "{}/{}: {}", r.scenario, r.mapper, r.error);
+                assert_eq!(r.scenario, app.name(), "unexpected order");
+                AblationPoint {
+                    app,
+                    label: label.to_string(),
+                    comm_cost: r.comm_cost.to_f64(),
+                    evaluations: r.evaluations,
+                    elapsed: Duration::from_micros(r.times.map_us),
+                }
+            };
+            for ((label, ..), r) in KNOBS.iter().zip(group) {
+                out.configurations.push(point(r, label));
+            }
+            for i in STRATEGIES {
+                out.strategies.push(point(&group[i], &group[i].mapper));
+            }
         }
+        out
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app_problem;
     use nmap::map_single_path;
 
     #[test]
     fn richer_configurations_never_lose_on_pip() {
         let problem = app_problem(App::Pip, GENEROUS_CAPACITY);
-        let mut last = f64::INFINITY;
         // Configurations are ordered weakest-to-strongest in terms of the
         // search they subsume pairwise with the paper baseline.
         let paper = map_single_path(&problem, &SinglePathOptions::paper_exact()).unwrap().comm_cost;
         let default = map_single_path(&problem, &SinglePathOptions::default()).unwrap().comm_cost;
         assert!(default.to_f64() <= paper.to_f64() + 1e-9);
-        let _ = &mut last;
     }
 
     #[test]
     fn strategy_sweep_covers_every_pair_and_stays_feasible() {
-        let points = run_strategies(&Probe::disabled());
-        assert_eq!(points.len(), App::all().len() * strategies().len());
-        for p in &points {
-            assert!(p.feasible, "{:?}/{} infeasible at generous capacity", p.app, p.mapper);
+        let set = search_ablation_set();
+        let records = noc_dse::run_scenarios(set.scenarios(), 0);
+        for r in &records {
+            assert!(r.feasible, "{}/{} infeasible at generous capacity", r.scenario, r.mapper);
+        }
+        let ablation = SearchAblation::from_records(&records);
+        assert_eq!(ablation.configurations.len(), App::all().len() * KNOBS.len());
+        assert_eq!(ablation.strategies.len(), App::all().len() * STRATEGIES.len());
+        for p in &ablation.strategies {
             assert!(p.comm_cost > 0.0);
         }
         // Deterministic: the stochastic strategies are pinned by seed.
-        let again = run_strategies(&Probe::disabled());
-        for (a, b) in points.iter().zip(&again) {
-            assert_eq!(a.comm_cost, b.comm_cost, "{}/{:?}", a.mapper, a.app);
+        let again = SearchAblation::from_records(&noc_dse::run_scenarios(set.scenarios(), 1));
+        for (a, b) in ablation.strategies.iter().zip(&again.strategies) {
+            assert_eq!(a.comm_cost, b.comm_cost, "{}/{:?}", a.label, a.app);
         }
     }
 

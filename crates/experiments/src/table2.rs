@@ -6,8 +6,9 @@
 //! several instances are generated and the costs averaged, which smooths
 //! instance-to-instance noise without changing the trend the table shows:
 //! PBB's bounded search degrades as the tree widens, NMAP keeps winning
-//! by larger factors. The study runs through the engine in
-//! [`crate::dse_bridge::table2_via_engine`]; this module holds its
+//! by larger factors. The study runs through the engine as
+//! [`crate::dse_bridge::table2_scenario_set`] folded by
+//! [`crate::dse_bridge::table2_rows_from_records`]; this module holds its
 //! configuration and row types.
 
 use noc_baselines::PbbOptions;
@@ -64,7 +65,9 @@ mod tests {
             instances: 1,
             pbb: PbbOptions { max_queue: 2_000, max_expansions: 20_000 },
         };
-        let rows = crate::dse_bridge::table2_via_engine(&config, 1);
+        let set = crate::dse_bridge::table2_scenario_set(&config);
+        let records = noc_dse::run_scenarios(set.scenarios(), 1);
+        let rows = crate::dse_bridge::table2_rows_from_records(&config, &records);
         assert_eq!(rows.len(), 1);
         assert!(rows[0].ratio >= 1.0, "ratio {} — NMAP should win at scale", rows[0].ratio);
         assert!(rows[0].nmap > 0.0);

@@ -37,9 +37,9 @@ pub struct CandidateResult {
     pub elapsed: Duration,
 }
 
-/// Candidate fabrics for `cores` cores: all meshes and tori with
-/// `width ≥ height ≥ 2` (or a 1-row mesh when unavoidable) and
-/// `cores ≤ nodes ≤ 2·cores`.
+/// Candidate fabrics for `cores` cores, each with
+/// `cores ≤ nodes ≤ 2·cores`: the one-row `cores × 1` mesh, every mesh
+/// with `width ≥ height ≥ 2` and every torus with `width ≥ height ≥ 3`.
 pub fn candidate_fabrics(cores: usize) -> Vec<Topology> {
     let mut out = Vec::new();
     for h in 1..=cores {
@@ -63,7 +63,7 @@ pub fn explore(app: App) -> Vec<CandidateResult> {
     candidate_fabrics(graph.core_count())
         .into_iter()
         .map(|topology| {
-            let fabric = describe(&topology);
+            let fabric = topology.kind().describe();
             let nodes = topology.node_count();
             let links = topology.link_count();
             let problem = MappingProblem::new(graph.clone(), topology).expect("candidate fits");
@@ -87,10 +87,6 @@ pub fn explore(app: App) -> Vec<CandidateResult> {
         .collect()
 }
 
-fn describe(topology: &Topology) -> String {
-    topology.kind().describe()
-}
-
 /// The candidate minimizing communication cost (ties: fewer links, then
 /// name) — the "selected" fabric.
 pub fn best_by_cost(results: &[CandidateResult]) -> Option<&CandidateResult> {
@@ -111,7 +107,7 @@ mod tests {
     fn candidates_cover_meshes_and_tori() {
         let fabrics = candidate_fabrics(8);
         assert!(fabrics.len() >= 3);
-        let names: Vec<String> = fabrics.iter().map(describe).collect();
+        let names: Vec<String> = fabrics.iter().map(|f| f.kind().describe()).collect();
         assert!(names.iter().any(|n| n.starts_with("mesh")));
         assert!(names.iter().any(|n| n.starts_with("torus")));
         for f in &fabrics {

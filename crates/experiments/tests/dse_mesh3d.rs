@@ -3,9 +3,7 @@
 //! worker count, with real simulation statistics on the 3-D fabric.
 
 use noc_dse::{run_scenarios, LoopKind, SweepReport};
-use noc_experiments::mesh3d::{
-    mesh3d_rows_from_records, mesh3d_set, mesh3d_spec, MESH3D_SMOKE_SPEC,
-};
+use noc_experiments::mesh3d::{mesh3d_rows_from_records, mesh3d_spec, MESH3D_SMOKE_SPEC};
 
 #[test]
 fn mesh3d_smoke_sweep_is_deterministic_and_sim_backed() {
@@ -13,7 +11,7 @@ fn mesh3d_smoke_sweep_is_deterministic_and_sim_backed() {
         MESH3D_SMOKE_SPEC.contains("topology mesh 4x4x2"),
         "the study must exercise the 3-D grammar spelling"
     );
-    let set = mesh3d_set(true);
+    let set = mesh3d_spec(true).scenarios();
     let reference = SweepReport::new(run_scenarios(set.scenarios(), 1));
     // Byte-identical records at higher worker counts (the engine merges
     // in scenario order; nothing may depend on worker identity).

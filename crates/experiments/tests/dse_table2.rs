@@ -4,11 +4,12 @@
 //! floating-point accumulation order.
 
 use noc_baselines::PbbOptions;
-use noc_experiments::dse_bridge::{table2_scenario_set, table2_via_engine};
+use noc_dse::run_scenarios;
+use noc_experiments::dse_bridge::{table2_rows_from_records, table2_scenario_set};
 use noc_experiments::table2::Table2Config;
 
 /// A reduced configuration so the test stays fast; the full-size study
-/// runs in `table2_scaling` and `nmap_dse --table2`.
+/// runs in `nmap_dse --table2`.
 fn small_config() -> Table2Config {
     Table2Config {
         sizes: vec![12, 16],
@@ -28,8 +29,10 @@ const GOLDEN: [(usize, u64, u64, u64); 2] = [
 #[test]
 fn engine_reproduces_table2_exactly() {
     let config = small_config();
+    let set = table2_scenario_set(&config);
     for threads in [1usize, 4] {
-        let rows: Vec<_> = table2_via_engine(&config, threads)
+        let records = run_scenarios(set.scenarios(), threads);
+        let rows: Vec<_> = table2_rows_from_records(&config, &records)
             .iter()
             .map(|r| (r.cores, r.pbb.to_bits(), r.nmap.to_bits(), r.ratio.to_bits()))
             .collect();

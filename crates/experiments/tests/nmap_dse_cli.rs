@@ -1,9 +1,10 @@
 //! End-to-end tests for the `nmap_dse` binary: kill-and-resume of a
 //! sharded sweep (PR 9) must leave byte-identical outputs, the flag
-//! validity rules must reject misuse cleanly, and `--profile` must write
+//! validity rules must reject misuse cleanly, `--profile` must write
 //! real data, also when the failure gate stops the run, with one
 //! `dse.sweep` event that reports the workers the pool really used and
-//! the LP work of every MCF route solve.
+//! the LP work of every MCF route solve, and the paper studies must
+//! print their rows.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -266,4 +267,23 @@ fn active_set_loop_is_accepted_and_retired_loops_are_not() {
             "--loop {bad} should list the accepted kinds: {stderr}"
         );
     }
+}
+
+/// True when some line of `stdout` is exactly these cells.
+fn has_row(stdout: &str, cells: &[&str]) -> bool {
+    stdout.lines().any(|line| line.split_whitespace().eq(cells.iter().copied()))
+}
+
+#[test]
+fn fig4_and_table1_print_their_rows() {
+    let out = nmap_dse(&["--fig4", "--threads", "2"]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let vopd = ["VOPD", "500", "857", "500", "719", "500", "500", "257"];
+    assert!(has_row(&stdout, &vopd), "no VOPD row in:\n{stdout}");
+
+    let out = nmap_dse(&["--table1", "--threads", "2"]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(has_row(&stdout, &["Avg", "1.13", "1.92"]), "no Avg row in:\n{stdout}");
 }

@@ -45,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod export;
 mod problem;
 mod simplex;
 

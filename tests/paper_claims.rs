@@ -2,7 +2,7 @@
 //!
 //! These tests run the real experiment pipelines on the smaller
 //! configurations so the suite stays fast; the full-scale numbers live in
-//! EXPERIMENTS.md and are regenerated by the `noc-experiments` binaries.
+//! EXPERIMENTS.md and are regenerated by `nmap_dse --all`.
 
 use nmap_suite::baselines::{pbb, PbbOptions};
 use nmap_suite::graph::{RandomGraphConfig, Topology};
@@ -10,14 +10,16 @@ use nmap_suite::nmap::{
     map_single_path, map_with_splitting, MappingProblem, PathScope, SinglePathOptions, SplitOptions,
 };
 use noc_experiments::fig5c::design_dsp;
-use noc_experiments::{fig4, table3};
+use noc_experiments::mapper_comparison::{mapper_comparison_set, MapperComparison};
+use noc_experiments::table3;
 
 /// §7.1 / Figure 4: "significant reduction in bandwidth needs with
 /// traffic splitting" — split-traffic routing must need at most as much
 /// bandwidth as single-path on every app, and strictly less on average.
 #[test]
 fn splitting_reduces_bandwidth_needs_across_apps() {
-    let rows: Vec<_> = fig4::run_all();
+    let records = nmap_suite::dse::run_scenarios(mapper_comparison_set().scenarios(), 0);
+    let rows = MapperComparison::from_records(&records).fig4;
     let mut single_sum = 0.0;
     let mut split_sum = 0.0;
     for row in &rows {

@@ -436,12 +436,8 @@ mod tests {
         // markers. Every pinned file must exist, so a deletion cannot
         // leave a stale pin behind.
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
-        for path in [
-            "crates/lp/src/lib.rs",
-            "crates/lp/src/export.rs",
-            "crates/lp/src/problem.rs",
-            "crates/lp/src/simplex.rs",
-        ] {
+        for path in ["crates/lp/src/lib.rs", "crates/lp/src/problem.rs", "crates/lp/src/simplex.rs"]
+        {
             assert!(root.join(path).is_file(), "{path} is pinned but does not exist");
             let src = "use std::collections::HashMap;\nlet t = Instant::now();\npub fn x() -> \
                        f64;\n";
