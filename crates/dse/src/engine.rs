@@ -60,11 +60,11 @@ pub struct RunContext<'a> {
     /// stay byte-identical (see `DESIGN.md` §16).
     pub probe: Probe,
     /// A caller-owned [`StageCache`], the seam for cross-call reuse (a
-    /// warm cache spanning several calls, or one with an on-disk tier).
-    /// `None` gives each call a fresh in-memory cache, so scenarios of
-    /// one call sharing a map or route stage (the routing × bandwidth
-    /// axes) still compute it exactly once. Cache keys capture every
-    /// input a stage reads, so a cached result equals the computed one.
+    /// warm cache spanning several calls). `None` gives each call a fresh
+    /// cache, so scenarios of one call sharing a map or route stage (the
+    /// routing × bandwidth axes) still compute it exactly once. Cache keys
+    /// capture every input a stage reads, so a cached result equals the
+    /// computed one.
     pub cache: Option<&'a StageCache>,
 }
 
@@ -78,7 +78,7 @@ impl From<usize> for RunContext<'_> {
 /// count), returning records in scenario order. Scenario-level failures
 /// (app does not fit, unroutable, LP breakdown) become records with a
 /// non-empty `error` field; they never abort the call. Cache lookups land
-/// in the `dse.cache.{hit,miss,disk_hit}` probe counters (plus per-stage
+/// in the `dse.cache.{hit,miss}` probe counters (plus per-stage
 /// `dse.cache.{map,route}_*` variants), and every MCF route solve's work
 /// in `lp.solves`, `lp.pivots`, `lp.phase1_pivots`, `lp.cg.rounds` and
 /// `lp.cg.columns`.
@@ -94,8 +94,8 @@ pub fn run_scenarios<'a>(scenarios: &[Scenario], ctx: impl Into<RunContext<'a>>)
 /// and checkpoint overhead stays negligible.
 pub const DEFAULT_SHARD_SIZE: usize = 64;
 
-/// Configuration of a [`run_sweep`]: worker count, sharding, checkpoint
-/// and stage-cache tiers.
+/// Configuration of a [`run_sweep`]: worker count, sharding and
+/// checkpoint.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SweepConfig {
     /// Worker threads per shard; `0` uses available parallelism.
@@ -107,17 +107,10 @@ pub struct SweepConfig {
     /// skipped on re-run (see [`crate::shard::Checkpoint`]). `None`
     /// disables checkpointing.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Stage-cache directory: attaches the on-disk map tier
-    /// ([`StageCache::with_disk`]) for cross-run reuse. `None` keeps the
-    /// cache in-memory (still spanning the whole sweep).
-    pub cache_dir: Option<PathBuf>,
     /// Stop after executing this many shards (restored shards do not
     /// count) and return with `completed = false` — the seam kill-and-
     /// resume tests and bounded-work runs use. `None` runs to the end.
     pub shard_budget: Option<usize>,
-    /// Byte budget for the stage cache's in-memory tiers (see
-    /// [`StageCache::with_mem_cap`]); `None` is unbounded.
-    pub cache_mem_cap: Option<usize>,
 }
 
 /// What a [`run_sweep`] produced.
@@ -139,24 +132,25 @@ pub struct SweepOutcome {
     pub cache: CacheStats,
 }
 
-/// Runs `set` as ordered shards with stage memoization, optional
-/// checkpointed resume and an optional on-disk cache tier (see
-/// [`SweepConfig`]). `sink(shard, records)` is called once per shard in
+/// Runs `set` as ordered shards with optional checkpointed resume (see
+/// [`SweepConfig`]), through one in-memory [`StageCache`] that spans
+/// every shard. `sink(shard, records)` is called once per shard in
 /// shard order — with restored records for checkpoint hits — so callers
 /// can emit JSONL incrementally instead of buffering the whole sweep (the
 /// full report is still returned). Records merge in shard order =
 /// scenario order, so the deterministic output of a completed sweep is
-/// byte-identical to [`run_scenarios`]'s at any thread count, cold or
-/// warm cache, straight through or killed-and-resumed.
+/// byte-identical to [`run_scenarios`]'s at any thread count and any
+/// shard size, straight through or killed-and-resumed.
 ///
-/// A live `probe` also receives the `dse.shard.{run,restored}` and
-/// `dse.cache.evictions` counters and one `dse.sweep` summary event.
+/// A live `probe` also receives the `dse.shard.{run,restored}` counters
+/// and one `dse.sweep` summary event.
 ///
 /// # Errors
 ///
-/// Checkpoint/cache I/O failures and sweep-mismatch rejections (a
-/// checkpoint directory recorded for a different sweep). Scenario-level
-/// failures still become error records, never call-level errors.
+/// Checkpoint I/O failures, corrupt shard files and sweep-mismatch
+/// rejections (a checkpoint directory recorded for a different sweep).
+/// Scenario-level failures still become error records, never call-level
+/// errors.
 pub fn run_sweep(
     set: &ScenarioSet,
     config: &SweepConfig,
@@ -170,11 +164,7 @@ pub fn run_sweep(
         (size, _) => size,
     };
     let plan = ShardPlan::new(scenarios.len(), shard_size);
-    let cache = match &config.cache_dir {
-        Some(dir) => StageCache::with_disk(dir)?,
-        None => StageCache::in_memory(),
-    }
-    .with_mem_cap(config.cache_mem_cap);
+    let cache = StageCache::in_memory();
     let checkpoint = match &config.checkpoint_dir {
         Some(dir) => Some(Checkpoint::open(dir, scenarios, shard_size)?),
         None => None,
@@ -213,7 +203,6 @@ pub fn run_sweep(
     if probe.is_enabled() {
         probe.counter("dse.shard.run").add(shards_run as u64);
         probe.counter("dse.shard.restored").add(shards_restored as u64);
-        probe.counter("dse.cache.evictions").add(cache.stats().evictions);
         let failed = records.iter().filter(|r| !r.is_ok()).count();
         let feasible = records.iter().filter(|r| r.feasible).count();
         probe.emit(
@@ -389,14 +378,13 @@ fn run_scenario(scenario: &Scenario, probe: &Probe, cache: &StageCache) -> RunRe
 }
 
 /// Counts one cache lookup in the probe: the aggregate
-/// `dse.cache.{hit,miss,disk_hit}` counters plus the per-stage variant.
+/// `dse.cache.{hit,miss}` counters plus the per-stage variant.
 fn count_lookup(probe: &Probe, stage: &str, lookup: Lookup) {
     if !probe.is_enabled() {
         return;
     }
     let kind = match lookup {
         Lookup::Hit => "hit",
-        Lookup::DiskHit => "disk_hit",
         Lookup::Miss => "miss",
     };
     probe.counter(&format!("dse.cache.{kind}")).add(1);
@@ -434,8 +422,8 @@ fn run_scenario_inner(scenario: &Scenario, probe: &Probe, cache: &StageCache) ->
     let build_us = StageTimes::us(build_start.elapsed());
 
     // Map stage, memoized: `map_us` is the compute time (0 on a hit) and
-    // the lookup's remainder — key derivation, tier locks, disk restore,
-    // result clone — is accounted to `cache_us`, so worker-utilization
+    // the lookup's remainder — key derivation, the slot lock, the result
+    // clone — is accounted to `cache_us`, so worker-utilization
     // profiles attribute cache overhead honestly.
     let map_lookup_start = Instant::now();
     let mut map_us = 0u64;
@@ -895,7 +883,7 @@ mod tests {
     fn run_sweep_aggregates_in_order() {
         let set = small_set();
         let outcome = run_sweep(&set, &SweepConfig::default(), &Probe::default(), &mut |_, _| {})
-            .expect("no checkpoint or disk tier to fail");
+            .expect("no checkpoint to fail");
         assert!(outcome.completed);
         assert_eq!(outcome.shards_total, 1, "no checkpoint: one shard over every scenario");
         let report = outcome.report;

@@ -34,13 +34,12 @@
 //!   and CSV writers plus summary statistics (feasibility rate, cost
 //!   quantiles, per-stage wall time).
 //! * [`StageCache`] / [`shard`] — stage memoization and sharded,
-//!   checkpointed, resumable sweeps: a content-addressed cache computes
-//!   each shared map/route stage exactly once (optionally persisted
-//!   across runs), shards checkpoint to disk as they complete, and an
-//!   interrupted sweep resumes by replaying finished shards — all without
-//!   breaking the byte-identical-output contract (see `DESIGN.md` §18).
-//!   The in-memory tier takes an optional byte budget (`--cache-mem-cap`)
-//!   with LRU eviction.
+//!   checkpointed, resumable sweeps: an in-memory, content-addressed
+//!   cache computes each shared map/route stage exactly once, shards
+//!   checkpoint to disk as they complete, and an interrupted sweep
+//!   resumes by replaying finished shards — all without breaking the
+//!   byte-identical-output contract (see `DESIGN.md` §18). The
+//!   checkpoint is the engine's only on-disk state.
 //!
 //! # Example
 //!
@@ -57,7 +56,7 @@
 //!     .routing(RoutingSpec::Xy)
 //!     .build();
 //! let outcome = run_sweep(&set, &SweepConfig::default(), &Probe::disabled(), &mut |_, _| {})
-//!     .expect("no checkpoint or disk tier to fail");
+//!     .expect("no checkpoint to fail");
 //! let report = outcome.report;
 //! assert_eq!(report.records.len(), 4);
 //! assert!(report.records.iter().all(|r| r.is_ok()));

@@ -11,7 +11,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use noc_units::{HopMbps, Latency, Mbps};
+use noc_units::{HopMbps, Latency, Mbps, UnitError};
 
 use crate::Scenario;
 
@@ -524,8 +524,8 @@ impl JsonValue {
 
 /// Parses one line holding a flat JSON object (string / number / bool /
 /// null values only — exactly the shape this module's writers emit) into
-/// its key/value pairs in source order. Shared by the checkpoint-shard
-/// reader and the on-disk stage-cache tier.
+/// its key/value pairs in source order. Shared by the checkpoint's shard
+/// and manifest readers.
 pub(crate) fn parse_flat_json(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
     let mut p = JsonParser { bytes: line.as_bytes(), pos: 0 };
     let pairs = p.object()?;
@@ -731,6 +731,12 @@ impl Fields {
     fn is_null(&self, key: &str) -> Result<bool, String> {
         Ok(matches!(self.get(key)?, JsonValue::Null))
     }
+
+    /// A number field through its quantity's checked constructor, so a
+    /// negative or non-finite value is an error naming the field.
+    fn quantity<Q>(&self, key: &str, new: fn(f64) -> Result<Q, UnitError>) -> Result<Q, String> {
+        new(self.f64(key)?).map_err(|e| format!("field '{key}': {e}"))
+    }
 }
 
 /// Parses one JSON line written by [`RunRecord::to_json`] back into a
@@ -738,17 +744,21 @@ impl Fields {
 /// `f64` formatting is invertible), so re-serializing the result
 /// reproduces the input line byte-for-byte — the property checkpointed
 /// resume relies on. Timing fields are optional and default to zero.
+///
+/// A shard line is input from outside the process, so every quantity
+/// goes through its checked constructor: a negative or non-finite value
+/// is an error naming the field, never a record.
 pub fn parse_record_json(line: &str) -> Result<RunRecord, String> {
     let f = Fields { pairs: parse_flat_json(line)? };
     let sim = if f.is_null("sim_avg_latency")? {
         None
     } else {
         Some(SimStats {
-            avg_latency_cycles: Latency::raw(f.f64("sim_avg_latency")?),
-            avg_network_latency_cycles: Latency::raw(f.f64("sim_network_latency")?),
+            avg_latency_cycles: f.quantity("sim_avg_latency", Latency::new)?,
+            avg_network_latency_cycles: f.quantity("sim_network_latency", Latency::new)?,
             p95_latency_cycles: f.u64("sim_p95_latency")?,
-            delivered_mbps: Mbps::raw(f.f64("sim_delivered_mbps")?),
-            max_link_mbps: Mbps::raw(f.f64("sim_max_link_mbps")?),
+            delivered_mbps: f.quantity("sim_delivered_mbps", Mbps::new)?,
+            max_link_mbps: f.quantity("sim_max_link_mbps", Mbps::new)?,
             saturated: f.bool("sim_saturated")?,
         })
     };
@@ -756,15 +766,15 @@ pub fn parse_record_json(line: &str) -> Result<RunRecord, String> {
         scenario: f.str("scenario")?,
         cores: usize::try_from(f.u64("cores")?).map_err(|_| "cores out of range".to_string())?,
         topology: f.str("topology")?,
-        capacity: Mbps::raw(f.f64("capacity")?),
+        capacity: f.quantity("capacity", Mbps::new)?,
         mapper: f.str("mapper")?,
         routing: f.str("routing")?,
         seed: f.u64("seed")?,
         error: f.str("error")?,
         feasible: f.bool("feasible")?,
-        comm_cost: HopMbps::raw(f.f64("comm_cost")?),
-        max_link_load: Mbps::raw(f.f64("max_link_load")?),
-        total_load: Mbps::raw(f.f64("total_load")?),
+        comm_cost: f.quantity("comm_cost", HopMbps::new)?,
+        max_link_load: f.quantity("max_link_load", Mbps::new)?,
+        total_load: f.quantity("total_load", Mbps::new)?,
         evaluations: usize::try_from(f.u64("evaluations")?)
             .map_err(|_| "evaluations out of range".to_string())?,
         sim,
@@ -1018,6 +1028,23 @@ mod tests {
         assert!(parse_record_json(&format!("{good}garbage")).is_err(), "trailing input");
         let wrong_type = good.replace("\"cores\":16", "\"cores\":\"16\"");
         assert!(parse_record_json(&wrong_type).is_err(), "string where integer expected");
+    }
+
+    #[test]
+    fn parse_record_json_rejects_negative_and_non_finite_quantities() {
+        let mut r = record(1.0, true);
+        r.sim = Some(sim_stats(123.5, false));
+        let good = r.to_json(false);
+        for (from, to, field) in [
+            ("\"capacity\":1000", "\"capacity\":-800", "capacity"),
+            ("\"comm_cost\":1", "\"comm_cost\":1e999", "comm_cost"),
+            ("\"sim_avg_latency\":123.5", "\"sim_avg_latency\":-1", "sim_avg_latency"),
+        ] {
+            let bad = good.replacen(from, to, 1);
+            assert_ne!(bad, good, "{from} not in {good}");
+            let err = parse_record_json(&bad).expect_err(to);
+            assert!(err.starts_with(&format!("field '{field}': ")), "{to}: {err}");
+        }
     }
 
     #[test]

@@ -3,10 +3,8 @@
 //! the root seed at set-build time — never from worker identity — and
 //! records merge in scenario order, so the default-form (timing-free)
 //! writers must produce the same bytes for `threads = 1, 2, 8`. The same
-//! holds for MCF-routed capacity sweeps, and for any cache byte budget or
-//! shard size.
+//! holds for MCF-routed capacity sweeps, and for any shard size.
 
-use noc_apps::App;
 use noc_dse::{
     parse_spec, run_scenarios, run_sweep, AppSpec, LoopKind, MapperSpec, RoutingSpec, RunContext,
     RunRecord, Scenario, ScenarioSet, SimulateSpec, StageCache, StageTimes, SweepConfig,
@@ -358,45 +356,14 @@ fn mcf_sweep_records_are_identical_at_every_thread_count() {
 }
 
 #[test]
-fn cache_byte_budget_never_changes_records() {
-    let set = ScenarioSet::builder()
-        .root_seed(11)
-        .app(App::Pip)
-        .dsp()
-        .mapper(MapperSpec::NmapInit)
-        .mapper(MapperSpec::Gmap)
-        .routing(RoutingSpec::MinPath)
-        .routing(RoutingSpec::McfQuadrant)
-        .build();
-    let baseline = run_sweep(&set, &SweepConfig::default(), &Probe::default(), &mut |_, _| {})
-        .expect("unbounded sweep");
-    let reference = baseline.report.write_jsonl(false);
-    assert_eq!(baseline.cache.evictions, 0, "unbounded cache must not evict");
-    for (cap, threads) in [(Some(0), 1), (Some(0), 2), (Some(600), 1), (Some(600), 8)] {
-        let config = SweepConfig { threads, cache_mem_cap: cap, ..Default::default() };
-        let outcome =
-            run_sweep(&set, &config, &Probe::default(), &mut |_, _| {}).expect("capped sweep");
-        assert_eq!(outcome.report.write_jsonl(false), reference, "cap={cap:?} threads={threads}");
-        if cap == Some(0) {
-            assert!(outcome.cache.evictions > 0, "cap 0 must evict every entry");
-        }
-    }
-}
-
-#[test]
-fn capped_sharded_sweep_matches_unbounded_output() {
-    // A byte budget plus sharding on an MCF sweep must still reproduce
-    // the plain engine byte-for-byte.
+fn sharded_mcf_sweep_matches_the_plain_engine() {
+    // Sharding an MCF sweep, with one stage cache spanning the shards,
+    // must still reproduce the plain engine byte-for-byte.
     let scenarios = mcf_capacity_sweep();
     let set = ScenarioSet::from_scenarios(scenarios.clone());
     let reference = run_scenarios(&scenarios, 1);
     for threads in [1usize, 2, 8] {
-        let config = SweepConfig {
-            threads,
-            shard_size: 5,
-            cache_mem_cap: Some(4_096),
-            ..Default::default()
-        };
+        let config = SweepConfig { threads, shard_size: 5, ..Default::default() };
         let outcome = run_sweep(&set, &config, &Probe::default(), &mut |_, _| {}).expect("sweep");
         assert_eq!(
             strip_times(&outcome.report.records),

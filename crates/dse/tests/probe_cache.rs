@@ -1,5 +1,5 @@
 //! Probe-side acceptance for the stage cache (PR 9): the
-//! `dse.cache.{hit,miss,disk_hit}` counters must agree with the cache's
+//! `dse.cache.{hit,miss}` counters must agree with the cache's
 //! own [`CacheStats`], prove the ≥2× map-stage sharing bar on a
 //! routing × bandwidth sweep, and stay deterministic across thread
 //! counts (misses = distinct computed keys, never racing workers). Every
@@ -58,7 +58,6 @@ fn cache_counters_prove_map_stage_sharing_at_every_thread_count() {
         let misses = counter(&profile, "dse.cache.miss");
         assert_eq!(hits, stats.map_hits + stats.route_hits, "threads={threads}");
         assert_eq!(misses, stats.map_misses + stats.route_misses, "threads={threads}");
-        assert_eq!(counter(&profile, "dse.cache.disk_hit"), 0, "no disk tier attached");
 
         // The acceptance bar: ≥2× fewer map-stage executions than
         // scenarios, deterministically — 4 cells serve 24 scenarios no

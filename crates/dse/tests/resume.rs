@@ -1,8 +1,8 @@
 //! Kill-and-resume determinism for sharded sweeps: a sweep interrupted
 //! after N shards and resumed from its checkpoint must produce JSONL and
 //! CSV **byte-identical** to the uninterrupted sweep — at every thread
-//! count, with and without the on-disk cache tier — and the resumed run
-//! must actually skip the completed shards rather than redo them.
+//! count — and the resumed run must actually skip the completed shards
+//! rather than redo them.
 
 use noc_dse::{
     run_scenarios, run_sweep, MapperSpec, RoutingSpec, ScenarioSet, SimulateSpec, SweepConfig,
@@ -72,9 +72,7 @@ fn interrupted_sweep_resumes_byte_identically() {
             threads,
             shard_size: 5, // 7 shards: 6 full + 1 ragged tail
             checkpoint_dir: Some(scratch.path()),
-            cache_dir: None,
             shard_budget: Some(3),
-            ..Default::default()
         };
 
         // "Kill" the sweep after 3 of 7 shards.
@@ -118,9 +116,7 @@ fn straight_through_sharded_sweep_matches_plain_engine() {
         threads: 2,
         shard_size: 6,
         checkpoint_dir: Some(scratch.path()),
-        cache_dir: Some(scratch.path().join("cache")),
         shard_budget: None,
-        ..Default::default()
     };
     let outcome = run_sweep(&set, &config, &Probe::disabled(), &mut |_, _| {}).unwrap();
     assert!(outcome.completed);
@@ -142,32 +138,6 @@ fn straight_through_sharded_sweep_matches_plain_engine() {
 }
 
 #[test]
-fn warm_disk_cache_reruns_are_byte_identical_and_skip_map_work() {
-    let set = sweep_set();
-    let oracle = SweepReport::new(run_scenarios(set.scenarios(), 1)).write_jsonl(false);
-    let scratch = ScratchDir::new("warm-disk");
-    let base = SweepConfig {
-        threads: 2,
-        shard_size: 8,
-        checkpoint_dir: None, // no checkpoint: the cache alone must carry the reuse
-        cache_dir: Some(scratch.path()),
-        shard_budget: None,
-        ..Default::default()
-    };
-    let cold = run_sweep(&set, &base, &Probe::disabled(), &mut |_, _| {}).unwrap();
-    assert_eq!(cold.report.write_jsonl(false), oracle);
-    assert_eq!(cold.cache.map_misses, 8);
-    assert_eq!(cold.cache.map_disk_hits, 0);
-
-    // Fresh engine call, same cache dir: every distinct map stage comes
-    // off disk, none recompute, bytes unchanged.
-    let warm = run_sweep(&set, &base, &Probe::disabled(), &mut |_, _| {}).unwrap();
-    assert_eq!(warm.report.write_jsonl(false), oracle, "warm-cache JSONL diverged");
-    assert_eq!(warm.cache.map_misses, 0, "warm run recomputed a map stage");
-    assert_eq!(warm.cache.map_disk_hits, 8);
-}
-
-#[test]
 fn streaming_sink_sees_every_shard_in_order() {
     let set = sweep_set();
     let oracle = SweepReport::new(run_scenarios(set.scenarios(), 1)).write_jsonl(false);
@@ -176,9 +146,7 @@ fn streaming_sink_sees_every_shard_in_order() {
         threads: 2,
         shard_size: 5,
         checkpoint_dir: Some(scratch.path()),
-        cache_dir: None,
         shard_budget: Some(4),
-        ..Default::default()
     };
     // Interrupt at 4 shards, then resume while streaming: the sink must
     // see all 7 shards (4 restored + 3 executed) in order, and the

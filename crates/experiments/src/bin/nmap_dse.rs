@@ -107,8 +107,6 @@ with --smoke, --spec and {records})\n  \
 --allow-failures        (--spec only) exit 0 even when scenarios fail\n\n\
 sharded sweeps (--spec only; any of these also prints shard and cache statistics):\n  \
 --resume <dir>          checkpoint shards under <dir>; skip shards completed there\n  \
---cache-dir <dir>       persist the map-stage cache under <dir> for cross-run reuse\n  \
---cache-mem-cap N       in-memory stage-cache byte budget (LRU; default unbounded)\n  \
 --shard-size N          scenarios per shard (default: 64 with --resume, else one)\n  \
 --shard-budget N        (with --resume) stop after executing N shards (exit 3)\n",
         sim = SIMULATING.join("/"),
@@ -147,26 +145,18 @@ struct Args {
     allow_failures: bool,
     /// `--resume`: checkpoint directory for sharded sweeps.
     resume: Option<String>,
-    /// `--cache-dir`: on-disk stage-cache directory.
-    cache_dir: Option<String>,
     /// `--shard-size`: scenarios per shard (`0` = engine default).
     shard_size: usize,
     /// `--shard-budget`: stop after executing this many shards.
     shard_budget: Option<usize>,
-    /// `--cache-mem-cap`: in-memory stage-cache byte budget.
-    cache_mem_cap: Option<usize>,
 }
 
 impl Args {
-    /// Any sharding, checkpoint or cache option present? They are valid
-    /// with `--spec` only, and [`Harness::sweep`] reports shard and cache
+    /// Any sharding or checkpoint option present? They are valid with
+    /// `--spec` only, and [`Harness::sweep`] reports shard and cache
     /// statistics when one is given.
     fn sharded(&self) -> bool {
-        self.resume.is_some()
-            || self.cache_dir.is_some()
-            || self.cache_mem_cap.is_some()
-            || self.shard_size != 0
-            || self.shard_budget.is_some()
+        self.resume.is_some() || self.shard_size != 0 || self.shard_budget.is_some()
     }
 
     /// The selected study's flag, if the mode is one.
@@ -206,9 +196,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, St
             "--profile" => args.profile = Some(raw.next().ok_or("--profile needs a path")?),
             "--allow-failures" => args.allow_failures = true,
             "--resume" => args.resume = Some(raw.next().ok_or("--resume needs a directory")?),
-            "--cache-dir" => {
-                args.cache_dir = Some(raw.next().ok_or("--cache-dir needs a directory")?);
-            }
             "--shard-size" => {
                 let text = raw.next().ok_or("--shard-size needs a count")?;
                 args.shard_size = text.parse().map_err(|_| format!("bad shard size `{text}`"))?;
@@ -220,12 +207,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, St
                 let text = raw.next().ok_or("--shard-budget needs a count")?;
                 let n: usize = text.parse().map_err(|_| format!("bad shard budget `{text}`"))?;
                 args.shard_budget = Some(n);
-            }
-            "--cache-mem-cap" => {
-                let text = raw.next().ok_or("--cache-mem-cap needs a byte count")?;
-                let n: usize =
-                    text.parse().map_err(|_| format!("bad cache byte budget `{text}`"))?;
-                args.cache_mem_cap = Some(n);
             }
             "--help" | "-h" => return Ok(None),
             other => match STUDIES.iter().position(|(flag, ..)| *flag == other) {
@@ -271,9 +252,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, St
     if args.sharded() && args.mode != Mode::Spec {
         // Sharding/checkpointing keys on the scenario set of one spec;
         // the built-in studies post-process full record sets in order.
-        return Err("--resume/--cache-dir/--cache-mem-cap/--shard-size/--shard-budget \
-                    are only valid with --spec"
-            .into());
+        return Err("--resume/--shard-size/--shard-budget are only valid with --spec".into());
     }
     if args.shard_budget.is_some() && args.resume.is_none() {
         // A budget stop is only worth making when a rerun can pick up
@@ -365,8 +344,8 @@ impl Harness<'_> {
 
     /// Runs `set` through the engine (see DESIGN.md §18), writes the
     /// requested outputs and prints the summary, plus a line of shard and
-    /// cache statistics when a sharding, checkpoint or cache option is
-    /// given. `--jsonl` streams shard by shard, so a run stopped by
+    /// cache statistics when a sharding or checkpoint option is given.
+    /// `--jsonl` streams shard by shard, so a run stopped by
     /// `--shard-budget` leaves a valid prefix on disk.
     fn sweep(&self, set: &ScenarioSet) -> Result<SweepOutcome, String> {
         use std::io::Write;
@@ -376,9 +355,7 @@ impl Harness<'_> {
             threads: args.threads,
             shard_size: args.shard_size,
             checkpoint_dir: args.resume.as_ref().map(PathBuf::from),
-            cache_dir: args.cache_dir.as_ref().map(PathBuf::from),
             shard_budget: args.shard_budget,
-            cache_mem_cap: args.cache_mem_cap,
         };
         let sharded = args.sharded();
         println!("running {} scenarios{}...", set.len(), if sharded { " (sharded)" } else { "" });
@@ -415,15 +392,12 @@ impl Harness<'_> {
         if sharded {
             let stats = &outcome.cache;
             println!(
-                "shards: {} run, {} restored, {} total; map stages: {} computed, {} shared, \
-{} from disk; {} cache evictions",
+                "shards: {} run, {} restored, {} total; map stages: {} computed, {} shared",
                 outcome.shards_run,
                 outcome.shards_restored,
                 outcome.shards_total,
                 stats.map_misses,
                 stats.map_hits,
-                stats.map_disk_hits,
-                stats.evictions,
             );
         }
         println!("{}", outcome.report.summary());
@@ -779,8 +753,8 @@ mod tests {
     }
 
     /// The flags that take an operand.
-    const TAKES_OPERAND: &str = "--spec --loop --threads --jsonl --csv --profile --resume \
-                                 --cache-dir --cache-mem-cap --shard-size --shard-budget";
+    const TAKES_OPERAND: &str =
+        "--spec --loop --threads --jsonl --csv --profile --resume --shard-size --shard-budget";
 
     /// The mode flags of `argv`, operands skipped, sorted.
     fn mode_flags(argv: &[&str]) -> Vec<&'static str> {

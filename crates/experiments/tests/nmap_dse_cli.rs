@@ -75,8 +75,6 @@ fn killed_and_resumed_sweep_is_byte_identical_to_straight_through() {
         &part,
         "--resume",
         &ckpt,
-        "--cache-dir",
-        &scratch.path("cache"),
         "--shard-size",
         "5",
         "--shard-budget",
@@ -98,8 +96,6 @@ fn killed_and_resumed_sweep_is_byte_identical_to_straight_through() {
         &resumed,
         "--resume",
         &ckpt,
-        "--cache-dir",
-        &scratch.path("cache"),
         "--shard-size",
         "5",
         "--threads",
@@ -111,6 +107,49 @@ fn killed_and_resumed_sweep_is_byte_identical_to_straight_through() {
     let full_bytes = std::fs::read(&full).unwrap();
     assert_eq!(std::fs::read(&resumed).unwrap(), full_bytes, "resumed JSONL diverged");
     assert!(full_bytes.starts_with(partial.as_bytes()), "interrupted run not a prefix");
+}
+
+#[test]
+fn corrupt_checkpoint_record_is_rejected_with_its_line() {
+    let scratch = ScratchDir::new("corrupt");
+    let spec = scratch.path("four.dse");
+    std::fs::write(&spec, "capacity 800\napp pip dsp\nmapper nmap-init\nrouting min-path xy\n")
+        .unwrap();
+    let ckpt = scratch.path("ckpt");
+    let args = ["--spec", &spec, "--resume", &ckpt, "--shard-size", "2"];
+    assert_eq!(nmap_dse(&[&args[..], &["--shard-budget", "1"]].concat()).status.code(), Some(3));
+    // A shard file is input from outside: a negative capacity or an
+    // infinite cost must fail the resume, not panic or be written out.
+    let shard = std::path::Path::new(&ckpt).join("shard-00000.jsonl");
+    let written = std::fs::read_to_string(&shard).unwrap();
+    // The shard with the first line's `key` set to `value`.
+    let corrupt = |key: &str, value: &str| {
+        let start = written.find(&format!("\"{key}\":")).expect("key written") + key.len() + 3;
+        let end = start + written[start..].find(',').expect("not the last field");
+        format!("{}{value}{}", &written[..start], &written[end..])
+    };
+    for (key, value) in [("capacity", "-800"), ("comm_cost", "1e999")] {
+        std::fs::write(&shard, corrupt(key, value)).unwrap();
+        let out = nmap_dse(&[&args[..], &["--jsonl", &scratch.path("resumed.jsonl")]].concat());
+        assert_eq!(out.status.code(), Some(1), "{key} {value}: a corrupt shard must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let place = format!("shard file {} line 1: field '{key}'", shard.display());
+        assert!(stderr.contains(&place), "{key} {value}: stderr: {stderr}");
+    }
+}
+
+#[test]
+fn retired_cache_flags_are_rejected() {
+    let usage = nmap_dse(&["--help"]);
+    assert!(usage.status.success());
+    let usage = String::from_utf8_lossy(&usage.stdout);
+    for flag in ["--cache-dir", "--cache-mem-cap"] {
+        assert!(!usage.contains(flag), "{flag} still in the usage:\n{usage}");
+        let out = nmap_dse(&["--spec", "sweep.dse", flag, "1"]);
+        assert_eq!(out.status.code(), Some(1), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unexpected argument `{flag}`")), "{flag}: {stderr}");
+    }
 }
 
 #[test]

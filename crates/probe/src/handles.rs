@@ -1,11 +1,10 @@
-//! The handles: shared-nothing counters and gauges over atomics, a
-//! mutex-guarded histogram/event store, and name-sorted snapshots.
+//! The handles: shared-nothing counters over atomics, a mutex-guarded
+//! histogram/event store, and name-sorted snapshots.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
-use crate::profile::{CounterSnapshot, Event, GaugeSnapshot, HistogramSnapshot, Profile, Value};
+use crate::profile::{CounterSnapshot, Event, HistogramSnapshot, Profile, Value};
 
 /// Raw histogram samples retained per metric for exact quantiles. Past
 /// this the stream keeps updating count/sum/min/max but stops storing
@@ -69,7 +68,6 @@ fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
 #[derive(Default)]
 struct Inner {
     counters: Mutex<Vec<(String, Arc<AtomicU64>)>>,
-    gauges: Mutex<Vec<(String, Arc<AtomicU64>)>>,
     histograms: Mutex<Vec<(String, Arc<Mutex<HistState>>)>>,
     events: Mutex<Vec<Event>>,
     events_dropped: AtomicU64,
@@ -122,24 +120,9 @@ impl Probe {
         Counter(self.inner.as_ref().map(|inner| intern(&inner.counters, name)))
     }
 
-    /// Gauge handle for `name`; same name → same underlying cell.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        Gauge(self.inner.as_ref().map(|inner| intern(&inner.gauges, name)))
-    }
-
     /// Histogram handle for `name`; same name → same underlying store.
     pub fn histogram(&self, name: &str) -> Histogram {
         Histogram(self.inner.as_ref().map(|inner| intern(&inner.histograms, name)))
-    }
-
-    /// Scoped timer: records elapsed microseconds into the named
-    /// histogram when dropped.
-    pub fn timer(&self, name: &str) -> StageTimer {
-        StageTimer(if self.is_enabled() {
-            Some((self.histogram(name), Instant::now()))
-        } else {
-            None
-        })
     }
 
     /// Appends a structured event. Field construction can be costly, so
@@ -178,17 +161,6 @@ impl Probe {
                 .push(CounterSnapshot { name: "probe.events_dropped".to_string(), value: dropped });
         }
         counters.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut gauges: Vec<GaugeSnapshot> = inner
-            .gauges
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(name, cell)| GaugeSnapshot {
-                name: name.clone(),
-                value: f64::from_bits(cell.load(Ordering::Relaxed)),
-            })
-            .collect();
-        gauges.sort_by(|a, b| a.name.cmp(&b.name));
         let mut histograms: Vec<HistogramSnapshot> = inner
             .histograms
             .lock()
@@ -198,7 +170,7 @@ impl Probe {
             .collect();
         histograms.sort_by(|a, b| a.name.cmp(&b.name));
         let events = inner.events.lock().unwrap().clone();
-        Profile { counters, gauges, histograms, events }
+        Profile { counters, histograms, events }
     }
 
     /// Shorthand for `snapshot().to_jsonl()`.
@@ -233,26 +205,6 @@ impl Counter {
     }
 }
 
-/// Last-write-wins gauge handle (stores the f64 bit pattern atomically).
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Option<Arc<AtomicU64>>);
-
-impl Gauge {
-    /// Sets the value.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        if let Some(cell) = &self.0 {
-            cell.store(v.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Current value (0.0 for a disabled handle).
-    #[inline]
-    pub fn get(&self) -> f64 {
-        self.0.as_ref().map_or(0.0, |cell| f64::from_bits(cell.load(Ordering::Relaxed)))
-    }
-}
-
 /// Histogram handle; see [`HistogramSnapshot`] for what a recording
 /// yields.
 #[derive(Debug, Clone, Default)]
@@ -264,19 +216,6 @@ impl Histogram {
     pub fn record(&self, v: u64) {
         if let Some(state) = &self.0 {
             state.lock().unwrap().record(v);
-        }
-    }
-}
-
-/// Scoped timer from [`Probe::timer`]: on drop, records the elapsed
-/// microseconds (saturated to `u64`) into its histogram.
-#[derive(Debug, Default)]
-pub struct StageTimer(Option<(Histogram, Instant)>);
-
-impl Drop for StageTimer {
-    fn drop(&mut self) {
-        if let Some((hist, start)) = self.0.take() {
-            hist.record(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
         }
     }
 }
@@ -299,13 +238,11 @@ mod tests {
     #[test]
     fn gauges_and_histograms_record() {
         let probe = Probe::new();
-        probe.gauge("g").set(0.75);
         let h = probe.histogram("h");
         for v in [10u64, 20, 30, 40] {
             h.record(v);
         }
         let snap = probe.snapshot();
-        assert_eq!(snap.gauge("g"), Some(0.75));
         let hist = snap.histogram("h").unwrap();
         assert_eq!(hist.count, 4);
         assert_eq!(hist.sum, 100);
@@ -332,14 +269,6 @@ mod tests {
         h.record(u64::MAX);
         let snap = probe.snapshot();
         assert_eq!(snap.histogram("h").unwrap().sum, u64::MAX);
-    }
-
-    #[test]
-    fn timer_records_on_drop() {
-        let probe = Probe::new();
-        drop(probe.timer("t_us"));
-        let snap = probe.snapshot();
-        assert_eq!(snap.histogram("t_us").unwrap().count, 1);
     }
 
     #[test]

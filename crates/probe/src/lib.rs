@@ -1,5 +1,5 @@
-//! Instrumentation for the NMAP suite: counters, gauges, histograms,
-//! scoped stage timers and a JSONL event sink.
+//! Instrumentation for the NMAP suite: counters, histograms and a JSONL
+//! event sink.
 //!
 //! # One run-time switch
 //!
@@ -25,9 +25,7 @@
 //! let probe = Probe::new(); // live; `Probe::disabled()` records nothing
 //! let evals = probe.counter("search.evaluations");
 //! evals.inc();
-//! {
-//!     let _t = probe.timer("stage.route_us"); // records µs on drop
-//! }
+//! probe.histogram("dse.stage.route_us").record(42);
 //! if probe.is_enabled() {
 //!     probe.emit("sa.sample", &[("iter", Value::from(10u64))]);
 //! }
@@ -41,8 +39,8 @@
 mod handles;
 mod profile;
 
-pub use handles::{Counter, Gauge, Histogram, Probe, StageTimer};
-pub use profile::{CounterSnapshot, Event, GaugeSnapshot, HistogramSnapshot, Profile, Value};
+pub use handles::{Counter, Histogram, Probe};
+pub use profile::{CounterSnapshot, Event, HistogramSnapshot, Profile, Value};
 
 #[cfg(test)]
 mod api_tests {
@@ -56,11 +54,7 @@ mod api_tests {
         c.inc();
         c.add(41);
         assert_eq!(c.get(), 0);
-        let g = probe.gauge("y");
-        g.set(1.5);
-        assert_eq!(g.get(), 0.0);
         probe.histogram("z").record(7);
-        let _timer_scope = probe.timer("t");
         probe.emit("e", &[("k", Value::from(1u64))]);
         assert!(probe.snapshot().is_empty());
         assert_eq!(probe.to_jsonl(), "");
@@ -71,7 +65,6 @@ mod api_tests {
         // Instrumented structs hold `Counter::default()` etc. until a
         // probe is attached; those must be no-ops, not panics.
         Counter::default().inc();
-        Gauge::default().set(2.0);
         Histogram::default().record(3);
         assert!(!Probe::default().is_enabled());
     }

@@ -78,15 +78,6 @@ pub struct CounterSnapshot {
     pub value: u64,
 }
 
-/// Snapshot of one gauge.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GaugeSnapshot {
-    /// Metric name.
-    pub name: String,
-    /// Last value set.
-    pub value: f64,
-}
-
 /// Snapshot of one histogram. Quantiles are nearest-rank over the
 /// retained samples (exact while the recording stayed under the sample
 /// cap; see [`crate::Histogram`]); `sum` saturates at `u64::MAX`.
@@ -114,8 +105,6 @@ pub struct HistogramSnapshot {
 pub struct Profile {
     /// Counter snapshots, sorted by name.
     pub counters: Vec<CounterSnapshot>,
-    /// Gauge snapshots, sorted by name.
-    pub gauges: Vec<GaugeSnapshot>,
     /// Histogram snapshots, sorted by name.
     pub histograms: Vec<HistogramSnapshot>,
     /// Events in emission order.
@@ -125,20 +114,12 @@ pub struct Profile {
 impl Profile {
     /// True when nothing was collected.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.events.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty() && self.events.is_empty()
     }
 
     /// Value of the named counter, if it was registered.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.iter().find(|c| c.name == name).map(|c| c.value)
-    }
-
-    /// Value of the named gauge, if it was registered.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|g| g.name == name).map(|g| g.value)
     }
 
     /// Snapshot of the named histogram, if it was registered.
@@ -152,8 +133,8 @@ impl Profile {
     }
 
     /// Encodes the profile as JSON lines: one object per metric and per
-    /// event, each with a `"type"` discriminator (`counter`, `gauge`,
-    /// `histogram`, `event`). Metrics come first (sorted by name), then
+    /// event, each with a `"type"` discriminator (`counter`, `histogram`,
+    /// `event`). Metrics come first (sorted by name), then
     /// events in emission order. Returns the empty string for an empty
     /// profile.
     pub fn to_jsonl(&self) -> String {
@@ -163,13 +144,6 @@ impl Profile {
             push_json_string(&mut out, &c.name);
             let _ = write!(out, ",\"value\":{}}}", c.value);
             out.push('\n');
-        }
-        for g in &self.gauges {
-            out.push_str("{\"type\":\"gauge\",\"name\":");
-            push_json_string(&mut out, &g.name);
-            out.push_str(",\"value\":");
-            push_json_f64(&mut out, g.value);
-            out.push_str("}\n");
         }
         for h in &self.histograms {
             out.push_str("{\"type\":\"histogram\",\"name\":");
@@ -247,7 +221,6 @@ mod tests {
     fn jsonl_lines_are_json_objects_with_type_tags() {
         let profile = Profile {
             counters: vec![CounterSnapshot { name: "a.b".into(), value: 7 }],
-            gauges: vec![GaugeSnapshot { name: "g".into(), value: 0.25 }],
             histograms: vec![HistogramSnapshot {
                 name: "h_us".into(),
                 count: 2,
@@ -270,29 +243,30 @@ mod tests {
         };
         let jsonl = profile.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 3);
         for line in &lines {
             assert!(line.starts_with('{') && line.ends_with('}'), "not an object: {line}");
         }
         assert_eq!(lines[0], "{\"type\":\"counter\",\"name\":\"a.b\",\"value\":7}");
-        assert_eq!(lines[1], "{\"type\":\"gauge\",\"name\":\"g\",\"value\":0.25}");
-        assert!(lines[2].contains("\"p95\":20"), "histogram line: {}", lines[2]);
-        assert!(lines[3].contains("\"label\":\"a \\\"b\\\"\\n\""), "event line: {}", lines[3]);
-        assert!(lines[3].contains("\"delta\":-2"));
+        assert!(lines[1].contains("\"p95\":20"), "histogram line: {}", lines[1]);
+        assert!(lines[2].contains("\"label\":\"a \\\"b\\\"\\n\""), "event line: {}", lines[2]);
+        assert!(lines[2].contains("\"delta\":-2"));
     }
 
     #[test]
     fn non_finite_floats_encode_as_null() {
         let profile = Profile {
-            gauges: vec![GaugeSnapshot { name: "g".into(), value: f64::NAN }],
             events: vec![Event {
                 name: "e".into(),
-                fields: vec![("v".into(), Value::F64(f64::INFINITY))],
+                fields: vec![
+                    ("n".into(), Value::F64(f64::NAN)),
+                    ("v".into(), Value::F64(f64::INFINITY)),
+                ],
             }],
             ..Default::default()
         };
         let jsonl = profile.to_jsonl();
-        assert!(jsonl.contains("\"value\":null"));
+        assert!(jsonl.contains("\"n\":null"));
         assert!(jsonl.contains("\"v\":null"));
         assert!(!jsonl.contains("inf") && !jsonl.contains("NaN"));
     }
@@ -301,12 +275,10 @@ mod tests {
     fn lookups_find_metrics_by_name() {
         let profile = Profile {
             counters: vec![CounterSnapshot { name: "c".into(), value: 3 }],
-            gauges: vec![GaugeSnapshot { name: "g".into(), value: 2.0 }],
             ..Default::default()
         };
         assert_eq!(profile.counter("c"), Some(3));
         assert_eq!(profile.counter("missing"), None);
-        assert_eq!(profile.gauge("g"), Some(2.0));
         assert!(profile.histogram("h").is_none());
         assert!(!profile.is_empty());
         assert!(Profile::default().is_empty());
