@@ -15,10 +15,11 @@
 //!
 //! All three consume the same [`nmap::MappingProblem`] and produce an
 //! [`nmap::Mapping`], so every mapper can be evaluated under every routing
-//! regime (XY, load-balanced min-path, split-traffic MCF). Each also has
-//! a [`nmap::search::Mapper`] wrapper ([`PmapMapper`], [`GmapMapper`],
-//! [`PbbMapper`]); the `.dse` keywords that name them live in the mapper
-//! catalogue of `noc_dse::spec`.
+//! regime (XY, load-balanced min-path, split-traffic MCF).
+//! `noc_dse::MapperSpec` calls them directly, PBB through
+//! [`pbb_checked`], which turns its panicking inputs into errors; the
+//! `.dse` keywords that name them live in the mapper catalogue of
+//! `noc_dse::spec`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,9 +27,7 @@
 mod gmap;
 mod pbb;
 mod pmap;
-mod search;
 
 pub use gmap::gmap;
-pub use pbb::{pbb, PbbOptions, PbbOutcome};
+pub use pbb::{pbb, pbb_checked, PbbOptions, PbbOutcome};
 pub use pmap::pmap;
-pub use search::{GmapMapper, PbbMapper, PmapMapper};

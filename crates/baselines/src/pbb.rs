@@ -27,7 +27,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use nmap::{routing, Mapping, MappingProblem};
+use nmap::{routing, EvalContext, MapError, Mapping, MappingProblem};
 use noc_graph::{CoreId, NodeId, TopologyKind};
 
 /// Tuning knobs for [`pbb`].
@@ -49,8 +49,8 @@ impl Default for PbbOptions {
 
 impl PbbOptions {
     /// Checks the options, returning the first violation as a message —
-    /// the single source of the budget constraints, shared by the
-    /// [`crate::PbbMapper`] trait wrapper and the `.dse` spec parser.
+    /// the single source of the budget constraints, shared by
+    /// [`pbb_checked`] and the `.dse` spec parser.
     /// (The bare [`pbb`] stays total: a zero budget there degenerates to
     /// the `initialize()` fallback.)
     ///
@@ -86,7 +86,7 @@ pub struct PbbOutcome {
 
 /// Widest topology [`pbb`] accepts: occupancy is a `u128` bitmask and
 /// placements store node indices as `u8`.
-pub(crate) const MAX_NODES: usize = 128;
+const MAX_NODES: usize = 128;
 
 #[derive(Debug)]
 struct SearchNode {
@@ -131,6 +131,27 @@ impl PartialOrd for HeapNode {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
+}
+
+/// [`pbb`] as the mapper dispatch runs it: its placement and expansion
+/// count, which also feeds the probe's `search.pbb_expansions` counter.
+///
+/// # Errors
+///
+/// [`MapError::InvalidOptions`] when `options` fail
+/// [`PbbOptions::check`] or the topology has more than 128 nodes, the
+/// inputs on which [`pbb`] panics.
+pub fn pbb_checked(ctx: &EvalContext<'_>, options: &PbbOptions) -> nmap::Result<(Mapping, usize)> {
+    options.check().map_err(MapError::InvalidOptions)?;
+    let nodes = ctx.problem().topology().node_count();
+    if nodes > MAX_NODES {
+        return Err(MapError::InvalidOptions(format!(
+            "pbb supports at most {MAX_NODES} nodes, topology has {nodes}"
+        )));
+    }
+    let out = pbb(ctx.problem(), options);
+    ctx.probe().counter("search.pbb_expansions").add(out.expansions as u64);
+    Ok((out.mapping, out.expansions))
 }
 
 /// Runs the partial branch-and-bound mapper.

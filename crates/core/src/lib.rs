@@ -27,12 +27,13 @@
 //! routers, link-load accounting, and the MCF model builder) are public so
 //! baseline mappers and experiment harnesses can recombine them.
 //!
-//! The [`search`] module unifies every placement algorithm behind the
-//! [`Mapper`] trait (the `.dse` keywords that name them live in
-//! `noc_dse::spec`), and adds two strategies built on the O(deg)
+//! The [`search`] module adds two strategies built on the O(deg)
 //! [`EvalContext::swap_delta`] kernel: seeded simulated annealing
-//! ([`search::SaMapper`]) and deterministic tabu search
-//! ([`search::TabuMapper`]).
+//! ([`search::anneal`]) and deterministic tabu search
+//! ([`search::tabu_search`]). `noc_dse::MapperSpec` runs every
+//! placement algorithm, these and the baselines included, from one
+//! `match`, and the `.dse` keywords that name them live in
+//! `noc_dse::spec`.
 //!
 //! # Quickstart
 //!
@@ -78,7 +79,6 @@ pub use mapping::Mapping;
 pub use mcf::{McfKind, McfSolution, McfSolveStats, McfWarmState, PathScope};
 pub use problem::{Commodity, MappingProblem};
 pub use routing::{CommodityPath, LinkLoads, RoutingTables, SplitRoute};
-pub use search::{MapOutcome, Mapper};
 pub use single_path::{
     map_single_path, map_single_path_with, SinglePathOptions, SinglePathOutcome,
 };

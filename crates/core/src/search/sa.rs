@@ -10,7 +10,7 @@
 //! only confirmed-feasible placements become the incumbent.
 //!
 //! Determinism: the random stream is `ChaCha8` seeded from the
-//! constructor's seed — in DSE sweeps that is the *scenario* seed, never
+//! caller's seed — in DSE sweeps that is the *scenario* seed, never
 //! worker identity, so parallel sweep output stays byte-identical.
 
 use noc_probe::Value;
@@ -18,14 +18,14 @@ use noc_units::Score;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use super::{search_outcome, MapOutcome, Mapper};
-use crate::{initialize, EvalContext, MapError, Result};
+use super::search_outcome;
+use crate::{initialize, EvalContext, MapError, Mapping, Result};
 
 /// Proposed-move interval between `sa.sample` trajectory events when a
 /// live probe is attached (~20 samples over the default budget).
 const SA_SAMPLE_EVERY: usize = 1_000;
 
-/// Tuning knobs for [`SaMapper`].
+/// Tuning knobs for [`anneal`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SaOptions {
     /// Number of proposed moves (the annealing budget).
@@ -51,7 +51,7 @@ impl Default for SaOptions {
 impl SaOptions {
     /// Checks the options, returning the first violation as a message
     /// (the single source of the constraints; the `.dse` parser and
-    /// [`SaMapper::map`] both use it).
+    /// [`anneal`] both use it).
     ///
     /// # Errors
     ///
@@ -73,107 +73,103 @@ impl SaOptions {
     }
 }
 
-/// Simulated-annealing mapper (`.dse` keyword `sa`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SaMapper {
-    options: SaOptions,
-    seed: u64,
-}
-
-impl SaMapper {
-    /// Creates the mapper. `seed` drives the ChaCha proposal/acceptance
-    /// stream; in DSE sweeps pass the scenario seed.
-    pub fn new(options: SaOptions, seed: u64) -> Self {
-        Self { options, seed }
-    }
-}
-
 /// Uniform `[0, 1)` draw from the top 53 bits of one `next_u64`.
 fn unit(rng: &mut ChaCha8Rng) -> f64 {
     (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-impl Mapper for SaMapper {
-    fn map(&self, ctx: &mut EvalContext<'_>) -> Result<MapOutcome> {
-        self.options.check().map_err(MapError::InvalidOptions)?;
-        let problem = ctx.problem();
-        let n = problem.topology().node_count();
-        let mut current = initialize(problem);
-        let mut evaluations = 1usize;
-        let mut best_score = ctx.evaluate(&current, Score::INFEASIBLE)?;
-        let mut best = current.clone();
-        // The walk tracks its cost in raw f64 (incremental `+= delta`
-        // drifts by rounding, re-anchored below) — same arithmetic as the
-        // pre-typed kernel; the typed seams are evaluate()/swap_delta().
-        let mut current_cost = ctx.comm_cost(&current).to_f64();
-        let mut best_any_cost = current_cost;
-        let mut best_any = current.clone();
-        if n < 2 {
-            return Ok(search_outcome(ctx, best_score, best, best_any, evaluations));
-        }
-
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        let mut temp = (self.options.initial_temp * current_cost).max(f64::MIN_POSITIVE);
-        let mut accepted = 0usize;
-        for proposed in 0..self.options.moves {
-            if proposed % SA_SAMPLE_EVERY == 0 && ctx.probe().is_enabled() {
-                ctx.probe().emit(
-                    "sa.sample",
-                    &[
-                        ("move", Value::from(proposed)),
-                        ("temp", Value::from(temp)),
-                        ("current_cost", Value::from(current_cost)),
-                        ("best_cost", Value::from(best_any_cost)),
-                        ("accepted", Value::from(accepted)),
-                    ],
-                );
-            }
-            let a = (rng.next_u64() % n as u64) as usize;
-            let mut b = (rng.next_u64() % (n as u64 - 1)) as usize;
-            if b >= a {
-                b += 1;
-            }
-            let (a, b) = (noc_graph::NodeId::new(a), noc_graph::NodeId::new(b));
-            temp = (temp * self.options.cooling).max(f64::MIN_POSITIVE);
-            if current.core_at(a).is_none() && current.core_at(b).is_none() {
-                continue;
-            }
-            evaluations += 1;
-            let delta = ctx.swap_delta(&current, a, b).to_f64();
-            let accept = delta <= 0.0 || unit(&mut rng) < (-delta / temp).exp();
-            if !accept {
-                continue;
-            }
-            current.swap_nodes(a, b);
-            current_cost += delta;
-            accepted += 1;
-            if accepted % 1024 == 0 {
-                // The incrementally tracked cost drifts by one rounding
-                // error per accepted move; periodically re-anchor it.
-                current_cost = ctx.comm_cost(&current).to_f64();
-            }
-            if current_cost < best_any_cost {
-                best_any_cost = current_cost;
-                best_any = current.clone();
-            }
-            if current_cost < best_score.to_f64() {
-                // Candidate incumbent: confirm with the exact cost and
-                // the bandwidth-feasibility check.
-                let score = ctx.evaluate(&current, best_score)?;
-                if score < best_score {
-                    best_score = score;
-                    best = current.clone();
-                }
-            }
-        }
-        Ok(search_outcome(ctx, best_score, best, best_any, evaluations))
+/// Simulated annealing (`.dse` keyword `sa`) from NMAP's constructive
+/// placement. `seed` drives the ChaCha proposal/acceptance stream; in DSE
+/// sweeps it is the scenario seed. Returns the placement and the number
+/// of candidate placements examined.
+///
+/// # Errors
+///
+/// [`MapError::InvalidOptions`] when `options` fail [`SaOptions::check`];
+/// otherwise only the router's [`MapError::Unroutable`].
+pub fn anneal(
+    ctx: &mut EvalContext<'_>,
+    options: &SaOptions,
+    seed: u64,
+) -> Result<(Mapping, usize)> {
+    options.check().map_err(MapError::InvalidOptions)?;
+    let problem = ctx.problem();
+    let n = problem.topology().node_count();
+    let mut current = initialize(problem);
+    let mut evaluations = 1usize;
+    let mut best_score = ctx.evaluate(&current, Score::INFEASIBLE)?;
+    let mut best = current.clone();
+    // The walk tracks its cost in raw f64 (incremental `+= delta`
+    // drifts by rounding, re-anchored below) — same arithmetic as the
+    // pre-typed kernel; the typed seams are evaluate()/swap_delta().
+    let mut current_cost = ctx.comm_cost(&current).to_f64();
+    let mut best_any_cost = current_cost;
+    let mut best_any = current.clone();
+    if n < 2 {
+        return Ok((search_outcome(best_score, best, best_any), evaluations));
     }
+
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut temp = (options.initial_temp * current_cost).max(f64::MIN_POSITIVE);
+    let mut accepted = 0usize;
+    for proposed in 0..options.moves {
+        if proposed % SA_SAMPLE_EVERY == 0 && ctx.probe().is_enabled() {
+            ctx.probe().emit(
+                "sa.sample",
+                &[
+                    ("move", Value::from(proposed)),
+                    ("temp", Value::from(temp)),
+                    ("current_cost", Value::from(current_cost)),
+                    ("best_cost", Value::from(best_any_cost)),
+                    ("accepted", Value::from(accepted)),
+                ],
+            );
+        }
+        let a = (rng.next_u64() % n as u64) as usize;
+        let mut b = (rng.next_u64() % (n as u64 - 1)) as usize;
+        if b >= a {
+            b += 1;
+        }
+        let (a, b) = (noc_graph::NodeId::new(a), noc_graph::NodeId::new(b));
+        temp = (temp * options.cooling).max(f64::MIN_POSITIVE);
+        if current.core_at(a).is_none() && current.core_at(b).is_none() {
+            continue;
+        }
+        evaluations += 1;
+        let delta = ctx.swap_delta(&current, a, b).to_f64();
+        let accept = delta <= 0.0 || unit(&mut rng) < (-delta / temp).exp();
+        if !accept {
+            continue;
+        }
+        current.swap_nodes(a, b);
+        current_cost += delta;
+        accepted += 1;
+        if accepted % 1024 == 0 {
+            // The incrementally tracked cost drifts by one rounding
+            // error per accepted move; periodically re-anchor it.
+            current_cost = ctx.comm_cost(&current).to_f64();
+        }
+        if current_cost < best_any_cost {
+            best_any_cost = current_cost;
+            best_any = current.clone();
+        }
+        if current_cost < best_score.to_f64() {
+            // Candidate incumbent: confirm with the exact cost and
+            // the bandwidth-feasibility check.
+            let score = ctx.evaluate(&current, best_score)?;
+            if score < best_score {
+                best_score = score;
+                best = current.clone();
+            }
+        }
+    }
+    Ok((search_outcome(best_score, best, best_any), evaluations))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MappingProblem;
+    use crate::{routing, MappingProblem};
     use noc_graph::{CoreGraph, CoreId, RandomGraphConfig, Topology};
 
     fn problem(seed: u64) -> MappingProblem {
@@ -181,15 +177,22 @@ mod tests {
         MappingProblem::new(g, Topology::mesh(3, 3, 2_000.0)).unwrap()
     }
 
+    fn run(p: &MappingProblem, options: &SaOptions, seed: u64) -> Result<(Mapping, usize)> {
+        anneal(&mut EvalContext::new(p), options, seed)
+    }
+
+    /// Whether min-path routing of `mapping` meets every link capacity.
+    fn feasible(p: &MappingProblem, mapping: &Mapping) -> bool {
+        routing::route_min_paths(p, mapping).unwrap().1.within_capacity(p.topology())
+    }
+
     #[test]
     fn same_seed_same_outcome_different_seed_may_differ() {
         let p = problem(3);
-        let run = |seed| SaMapper::new(SaOptions::default(), seed).map(&mut EvalContext::new(&p));
-        let a = run(1).unwrap();
-        let b = run(1).unwrap();
+        let a = run(&p, &SaOptions::default(), 1).unwrap();
+        let b = run(&p, &SaOptions::default(), 1).unwrap();
         assert_eq!(a, b, "SA must be a pure function of (problem, seed)");
-        assert!(a.feasible);
-        assert_eq!(a.comm_cost, p.comm_cost(&a.mapping));
+        assert!(feasible(&p, &a.0));
     }
 
     #[test]
@@ -197,12 +200,11 @@ mod tests {
         for seed in 0..3 {
             let p = problem(seed);
             let init_cost = p.comm_cost(&crate::initialize(&p));
-            let out =
-                SaMapper::new(SaOptions::default(), seed).map(&mut EvalContext::new(&p)).unwrap();
+            let (mapping, _) = run(&p, &SaOptions::default(), seed).unwrap();
+            let cost = p.comm_cost(&mapping);
             assert!(
-                out.comm_cost.to_f64() <= init_cost.to_f64() + 1e-9,
-                "seed {seed}: SA {} worse than init {init_cost}",
-                out.comm_cost
+                cost.to_f64() <= init_cost.to_f64() + 1e-9,
+                "seed {seed}: SA {cost} worse than init {init_cost}"
             );
         }
     }
@@ -215,10 +217,9 @@ mod tests {
         let b = g.add_core("b");
         g.add_comm(a, b, 500.0).unwrap();
         let p = MappingProblem::new(g, Topology::mesh(2, 2, 100.0)).unwrap();
-        let out = SaMapper::new(SaOptions::default(), 7).map(&mut EvalContext::new(&p)).unwrap();
-        assert!(!out.feasible);
-        assert!(out.mapping.node_of(CoreId::new(0)).is_some());
-        assert_eq!(out.comm_cost, p.comm_cost(&out.mapping));
+        let (mapping, _) = run(&p, &SaOptions::default(), 7).unwrap();
+        assert!(!feasible(&p, &mapping));
+        assert!(mapping.node_of(CoreId::new(0)).is_some());
     }
 
     #[test]
@@ -231,7 +232,7 @@ mod tests {
             SaOptions { cooling: 0.0, ..Default::default() },
         ] {
             assert!(bad.check().is_err());
-            let got = SaMapper::new(bad, 0).map(&mut EvalContext::new(&p));
+            let got = run(&p, &bad, 0);
             assert!(matches!(got, Err(MapError::InvalidOptions(_))), "{got:?}");
         }
     }
@@ -241,8 +242,8 @@ mod tests {
         let mut g = CoreGraph::new();
         g.add_core("only");
         let p = MappingProblem::new(g, Topology::mesh(1, 1, 100.0)).unwrap();
-        let out = SaMapper::new(SaOptions::default(), 0).map(&mut EvalContext::new(&p)).unwrap();
-        assert_eq!(out.comm_cost, noc_units::HopMbps::ZERO);
-        assert!(out.feasible);
+        let (mapping, _) = run(&p, &SaOptions::default(), 0).unwrap();
+        assert_eq!(p.comm_cost(&mapping), noc_units::HopMbps::ZERO);
+        assert!(feasible(&p, &mapping));
     }
 }

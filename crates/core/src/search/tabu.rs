@@ -18,14 +18,14 @@ use noc_graph::NodeId;
 use noc_probe::Value;
 use noc_units::Score;
 
-use super::{search_outcome, MapOutcome, Mapper};
-use crate::{initialize, EvalContext, MapError, Result};
+use super::search_outcome;
+use crate::{initialize, EvalContext, MapError, Mapping, Result};
 
 /// Iteration interval between `tabu.sample` trajectory events when a
 /// live probe is attached (~16 samples over the default budget).
 const TABU_SAMPLE_EVERY: usize = 4;
 
-/// Tuning knobs for [`TabuMapper`].
+/// Tuning knobs for [`tabu_search`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TabuOptions {
     /// Number of tabu iterations (one applied move each).
@@ -45,7 +45,7 @@ impl Default for TabuOptions {
 impl TabuOptions {
     /// Checks the options, returning the first violation as a message
     /// (single source of the constraints; used by the `.dse` parser and
-    /// [`TabuMapper::map`]).
+    /// [`tabu_search`]).
     ///
     /// # Errors
     ///
@@ -63,95 +63,89 @@ impl TabuOptions {
     }
 }
 
-/// Tabu-tenure pairwise-swap mapper (`.dse` keyword `tabu`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TabuMapper {
-    options: TabuOptions,
-}
+/// Tabu-tenure pairwise-swap search (`.dse` keyword `tabu`) from NMAP's
+/// constructive placement. Returns the placement and the number of
+/// candidate placements examined.
+///
+/// # Errors
+///
+/// [`MapError::InvalidOptions`] when `options` fail
+/// [`TabuOptions::check`]; otherwise only the router's
+/// [`MapError::Unroutable`].
+pub fn tabu_search(ctx: &mut EvalContext<'_>, options: &TabuOptions) -> Result<(Mapping, usize)> {
+    options.check().map_err(MapError::InvalidOptions)?;
+    let problem = ctx.problem();
+    let n = problem.topology().node_count();
+    let mut current = initialize(problem);
+    let mut evaluations = 1usize;
+    let mut best_score = ctx.evaluate(&current, Score::INFEASIBLE)?;
+    let mut best = current.clone();
+    // Raw f64 cost tracking, exactly refreshed each iteration — the
+    // typed seams are evaluate()/swap_delta().
+    let mut current_cost = ctx.comm_cost(&current).to_f64();
+    let mut best_any_cost = current_cost;
+    let mut best_any = current.clone();
+    // `tabu_until[i * n + j]`: the move (i, j) is forbidden while
+    // `iter <= tabu_until`.
+    let mut tabu_until = vec![0usize; n * n];
 
-impl TabuMapper {
-    /// Creates the mapper.
-    pub fn new(options: TabuOptions) -> Self {
-        Self { options }
-    }
-}
-
-impl Mapper for TabuMapper {
-    fn map(&self, ctx: &mut EvalContext<'_>) -> Result<MapOutcome> {
-        self.options.check().map_err(MapError::InvalidOptions)?;
-        let problem = ctx.problem();
-        let n = problem.topology().node_count();
-        let mut current = initialize(problem);
-        let mut evaluations = 1usize;
-        let mut best_score = ctx.evaluate(&current, Score::INFEASIBLE)?;
-        let mut best = current.clone();
-        // Raw f64 cost tracking, exactly refreshed each iteration — the
-        // typed seams are evaluate()/swap_delta().
-        let mut current_cost = ctx.comm_cost(&current).to_f64();
-        let mut best_any_cost = current_cost;
-        let mut best_any = current.clone();
-        // `tabu_until[i * n + j]`: the move (i, j) is forbidden while
-        // `iter <= tabu_until`.
-        let mut tabu_until = vec![0usize; n * n];
-
-        for iter in 1..=self.options.iterations {
-            if (iter - 1) % TABU_SAMPLE_EVERY == 0 && ctx.probe().is_enabled() {
-                ctx.probe().emit(
-                    "tabu.sample",
-                    &[
-                        ("iter", Value::from(iter)),
-                        ("current_cost", Value::from(current_cost)),
-                        ("best_cost", Value::from(best_any_cost)),
-                    ],
-                );
-            }
-            let mut chosen: Option<(NodeId, NodeId, f64)> = None;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let a = NodeId::new(i);
-                    let b = NodeId::new(j);
-                    if current.core_at(a).is_none() && current.core_at(b).is_none() {
-                        continue;
-                    }
-                    evaluations += 1;
-                    let delta = ctx.swap_delta(&current, a, b).to_f64();
-                    let tabu = tabu_until[i * n + j] >= iter;
-                    let aspires = current_cost + delta < best_any_cost;
-                    if tabu && !aspires {
-                        continue;
-                    }
-                    if chosen.is_none_or(|(_, _, d)| delta < d) {
-                        chosen = Some((a, b, delta));
-                    }
+    for iter in 1..=options.iterations {
+        if (iter - 1) % TABU_SAMPLE_EVERY == 0 && ctx.probe().is_enabled() {
+            ctx.probe().emit(
+                "tabu.sample",
+                &[
+                    ("iter", Value::from(iter)),
+                    ("current_cost", Value::from(current_cost)),
+                    ("best_cost", Value::from(best_any_cost)),
+                ],
+            );
+        }
+        let mut chosen: Option<(NodeId, NodeId, f64)> = None;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let a = NodeId::new(i);
+                let b = NodeId::new(j);
+                if current.core_at(a).is_none() && current.core_at(b).is_none() {
+                    continue;
                 }
-            }
-            // Every admissible pair was empty↔empty or tabu: stuck.
-            let Some((a, b, _)) = chosen else { break };
-            current.swap_nodes(a, b);
-            // Exact refresh (one O(E) scan per iteration) keeps the
-            // aspiration comparisons drift-free.
-            current_cost = ctx.comm_cost(&current).to_f64();
-            tabu_until[a.index() * n + b.index()] = iter + self.options.tenure;
-            if current_cost < best_any_cost {
-                best_any_cost = current_cost;
-                best_any = current.clone();
-            }
-            if current_cost < best_score.to_f64() {
-                let score = ctx.evaluate(&current, best_score)?;
-                if score < best_score {
-                    best_score = score;
-                    best = current.clone();
+                evaluations += 1;
+                let delta = ctx.swap_delta(&current, a, b).to_f64();
+                let tabu = tabu_until[i * n + j] >= iter;
+                let aspires = current_cost + delta < best_any_cost;
+                if tabu && !aspires {
+                    continue;
+                }
+                if chosen.is_none_or(|(_, _, d)| delta < d) {
+                    chosen = Some((a, b, delta));
                 }
             }
         }
-        Ok(search_outcome(ctx, best_score, best, best_any, evaluations))
+        // Every admissible pair was empty↔empty or tabu: stuck.
+        let Some((a, b, _)) = chosen else { break };
+        current.swap_nodes(a, b);
+        // Exact refresh (one O(E) scan per iteration) keeps the
+        // aspiration comparisons drift-free.
+        current_cost = ctx.comm_cost(&current).to_f64();
+        tabu_until[a.index() * n + b.index()] = iter + options.tenure;
+        if current_cost < best_any_cost {
+            best_any_cost = current_cost;
+            best_any = current.clone();
+        }
+        if current_cost < best_score.to_f64() {
+            let score = ctx.evaluate(&current, best_score)?;
+            if score < best_score {
+                best_score = score;
+                best = current.clone();
+            }
+        }
     }
+    Ok((search_outcome(best_score, best, best_any), evaluations))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MappingProblem;
+    use crate::{routing, MappingProblem};
     use noc_graph::{CoreGraph, CoreId, RandomGraphConfig, Topology};
 
     fn problem(seed: u64) -> MappingProblem {
@@ -159,14 +153,21 @@ mod tests {
         MappingProblem::new(g, Topology::mesh(3, 3, 2_000.0)).unwrap()
     }
 
+    fn run(p: &MappingProblem, options: &TabuOptions) -> Result<(Mapping, usize)> {
+        tabu_search(&mut EvalContext::new(p), options)
+    }
+
+    /// Whether min-path routing of `mapping` meets every link capacity.
+    fn feasible(p: &MappingProblem, mapping: &Mapping) -> bool {
+        routing::route_min_paths(p, mapping).unwrap().1.within_capacity(p.topology())
+    }
+
     #[test]
     fn tabu_is_deterministic_and_scores_consistently() {
         let p = problem(2);
-        let run = || TabuMapper::new(TabuOptions::default()).map(&mut EvalContext::new(&p));
-        let a = run().unwrap();
-        assert_eq!(a, run().unwrap(), "tabu has no random state");
-        assert!(a.feasible);
-        assert_eq!(a.comm_cost, p.comm_cost(&a.mapping));
+        let a = run(&p, &TabuOptions::default()).unwrap();
+        assert_eq!(a, run(&p, &TabuOptions::default()).unwrap(), "tabu has no random state");
+        assert!(feasible(&p, &a.0));
     }
 
     #[test]
@@ -174,9 +175,8 @@ mod tests {
         for seed in 0..3 {
             let p = problem(seed);
             let init_cost = p.comm_cost(&crate::initialize(&p));
-            let out =
-                TabuMapper::new(TabuOptions::default()).map(&mut EvalContext::new(&p)).unwrap();
-            assert!(out.comm_cost.to_f64() <= init_cost.to_f64() + 1e-9, "seed {seed}");
+            let (mapping, _) = run(&p, &TabuOptions::default()).unwrap();
+            assert!(p.comm_cost(&mapping).to_f64() <= init_cost.to_f64() + 1e-9, "seed {seed}");
         }
     }
 
@@ -190,11 +190,13 @@ mod tests {
         let b = g.add_core("b");
         g.add_comm(a, b, 10.0).unwrap();
         let p = MappingProblem::new(g, Topology::mesh(2, 1, 1_000.0)).unwrap();
-        let out = TabuMapper::new(TabuOptions { iterations: 50, tenure: 10 })
-            .map(&mut EvalContext::new(&p))
-            .unwrap();
-        assert!(out.feasible);
-        assert_eq!(out.comm_cost, noc_units::hop_mbps(10.0), "both placements cost one hop");
+        let (mapping, _) = run(&p, &TabuOptions { iterations: 50, tenure: 10 }).unwrap();
+        assert!(feasible(&p, &mapping));
+        assert_eq!(
+            p.comm_cost(&mapping),
+            noc_units::hop_mbps(10.0),
+            "both placements cost one hop"
+        );
     }
 
     #[test]
@@ -204,9 +206,9 @@ mod tests {
         let b = g.add_core("b");
         g.add_comm(a, b, 500.0).unwrap();
         let p = MappingProblem::new(g, Topology::mesh(2, 2, 100.0)).unwrap();
-        let out = TabuMapper::new(TabuOptions::default()).map(&mut EvalContext::new(&p)).unwrap();
-        assert!(!out.feasible);
-        assert!(out.mapping.node_of(CoreId::new(0)).is_some());
+        let (mapping, _) = run(&p, &TabuOptions::default()).unwrap();
+        assert!(!feasible(&p, &mapping));
+        assert!(mapping.node_of(CoreId::new(0)).is_some());
     }
 
     #[test]
@@ -216,7 +218,7 @@ mod tests {
             [TabuOptions { iterations: 0, tenure: 1 }, TabuOptions { iterations: 5, tenure: 0 }]
         {
             assert!(bad.check().is_err());
-            let got = TabuMapper::new(bad).map(&mut EvalContext::new(&p));
+            let got = run(&p, &bad);
             assert!(matches!(got, Err(MapError::InvalidOptions(_))), "{got:?}");
         }
     }

@@ -36,9 +36,7 @@ use noc_units::Mbps;
 
 use crate::cache::{self, CacheStats, Lookup, StageCache};
 use crate::report::{RunRecord, SimStats, StageTimes, SweepReport};
-use crate::scenario::{
-    topology_label, MapperSpec, RoutingSpec, Scenario, ScenarioSet, SimulateSpec,
-};
+use crate::scenario::{topology_label, RoutingSpec, Scenario, ScenarioSet, SimulateSpec};
 use crate::shard::{Checkpoint, ShardPlan};
 
 /// What an engine call runs with besides its work list: the worker
@@ -178,7 +176,7 @@ pub fn run_sweep(
     let mut completed = true;
     for shard in 0..plan.shard_count() {
         if let Some(cp) = &checkpoint {
-            if let Some(restored) = cp.load_shard(shard)? {
+            if let Some(restored) = cp.load_shard(shard, scenarios)? {
                 shards_restored += 1;
                 sink(shard, &restored);
                 records.extend(restored);
@@ -429,8 +427,11 @@ fn run_scenario_inner(scenario: &Scenario, probe: &Probe, cache: &StageCache) ->
     let mut map_us = 0u64;
     let (map_result, map_lookup) = cache.map_stage(&cache::map_key(scenario), &problem, || {
         let compute_start = Instant::now();
+        let mut ctx = EvalContext::new(&problem);
+        ctx.set_probe(probe);
+        // The placement and its work measure; the route stage scores it.
         let result =
-            run_mapper(&problem, &scenario.mapper, scenario.seed, probe).map_err(|e| e.to_string());
+            scenario.mapper.mapper(scenario.seed).place(&mut ctx).map_err(|e| e.to_string());
         map_us = StageTimes::us(compute_start.elapsed());
         result
     });
@@ -574,26 +575,6 @@ fn sim_stats(report: &SimReport, link_count: usize, packet_bytes: usize) -> SimS
     }
 }
 
-/// Dispatches the mapper through the [`nmap::search::Mapper`] trait,
-/// returning the placement and the mapper's work measure (swap
-/// evaluations, LP solves or search expansions). No per-algorithm arms
-/// here: [`MapperSpec::mapper`] materializes the trait object (threading
-/// the scenario seed into stochastic mappers) and every algorithm runs
-/// through the same call shape. The engine scores and routes the
-/// placement itself in the route stage, so it uses `place()` — the
-/// constructive mappers skip the feasibility routing `map()` would
-/// compute only to have this caller discard it.
-fn run_mapper(
-    problem: &MappingProblem,
-    mapper: &MapperSpec,
-    seed: u64,
-    probe: &Probe,
-) -> nmap::Result<(Mapping, usize)> {
-    let mut ctx = EvalContext::new(problem);
-    ctx.set_probe(probe);
-    mapper.mapper(seed).place(&mut ctx)
-}
-
 /// Routes `mapping` under the scenario's regime and returns the link
 /// loads the feasibility check and load metrics are taken from, plus —
 /// when `need_tables` is set (the scenario simulates) — the routing
@@ -652,7 +633,7 @@ fn mcf_routing(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{AppSpec, TopologySpec};
+    use crate::scenario::{AppSpec, MapperSpec, TopologySpec};
     use nmap::SinglePathOptions;
     use noc_apps::App;
     use noc_graph::RandomGraphConfig;

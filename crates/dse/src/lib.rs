@@ -12,8 +12,8 @@
 //!   fabrics cover fitted/fixed meshes and tori; mappers cover every
 //!   row of the mapper catalogue ([`spec::mapper_catalogue`]) — NMAP
 //!   (init/single-path/split), PMAP, GMAP, PBB, and the `sa`/`tabu`
-//!   searches built on the swap-delta kernel (the engine dispatches all
-//!   of them through the [`nmap::search::Mapper`] trait); routing
+//!   searches built on the swap-delta kernel ([`MapperSpec::mapper`]
+//!   runs each of them from one `match`); routing
 //!   regimes cover load-balanced min-path, dimension-ordered XY and the
 //!   MCF splits. [`spec`] holds the one keyword table of every axis,
 //!   which both the parser and the `name()` methods read.
@@ -86,7 +86,7 @@ pub use noc_sim::LoopKind;
 pub use report::{parse_record_json, RunRecord, SimStats, StageTimes, SweepReport, SweepSummary};
 pub use scenario::{
     topology_label, AppSpec, MapperSpec, RoutingSpec, Scenario, ScenarioSet, ScenarioSetBuilder,
-    SimulateSpec, TopologySpec,
+    SeededMapper, SimulateSpec, TopologySpec,
 };
 pub use shard::{set_fingerprint, Checkpoint, ShardPlan};
 pub use spec::{parse_spec, AppDirective, SpecError, SweepSpec};

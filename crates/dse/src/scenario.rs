@@ -2,13 +2,13 @@
 //! as first-class data, plus the builder that expands cross products into a
 //! concrete, ordered [`ScenarioSet`].
 
-use nmap::search::{
-    BoxedMapper, InitMapper, SaMapper, SaOptions, SinglePathMapper, SplitMapper, TabuMapper,
-    TabuOptions,
+use nmap::search::{anneal, tabu_search, SaOptions, TabuOptions};
+use nmap::{
+    initialize, map_single_path_with, map_with_splitting, EvalContext, Mapping, MappingProblem,
+    SinglePathOptions, SplitOptions,
 };
-use nmap::{MappingProblem, SinglePathOptions, SplitOptions};
 use noc_apps::App;
-use noc_baselines::{GmapMapper, PbbMapper, PbbOptions, PmapMapper};
+use noc_baselines::{gmap, pbb_checked, pmap, PbbOptions};
 use noc_graph::{
     dims_label, CoreGraph, Grid, RandomGraphConfig, RandomGraphFamily, Topology, TopologyKind,
 };
@@ -133,10 +133,12 @@ pub fn topology_label(topology: &Topology) -> String {
 
 /// Which mapping algorithm places the cores.
 ///
-/// Every variant resolves to a [`nmap::search::Mapper`] via
-/// [`MapperSpec::mapper`], which the engine runs. Its `.dse` spelling
-/// comes from the mapper catalogue ([`spec::mapper_catalogue`]), so adding
-/// a mapper means one algorithm, one variant here and one catalogue row.
+/// [`MapperSpec::mapper`] binds a spec to a seed, and its
+/// [`SeededMapper::place`] runs the algorithm: one `match` over the
+/// variants, which the engine and `nmap_cli` both call. The `.dse`
+/// spelling comes from the mapper catalogue ([`spec::mapper_catalogue`]),
+/// so adding a mapper means one algorithm, one variant here, one arm in
+/// that `match` and one catalogue row.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MapperSpec {
     /// NMAP's greedy constructive placement only (`initialize()`), no
@@ -161,21 +163,11 @@ pub enum MapperSpec {
 }
 
 impl MapperSpec {
-    /// Materializes the [`nmap::search::Mapper`] this spec describes. `seed` feeds the
-    /// stochastic mappers (the engine passes the scenario seed, keeping
-    /// sweep records a pure function of the scenario); deterministic
-    /// mappers ignore it.
-    pub fn mapper(&self, seed: u64) -> BoxedMapper {
-        match self {
-            MapperSpec::NmapInit => Box::new(InitMapper),
-            MapperSpec::Nmap(opts) => Box::new(SinglePathMapper::new(opts.clone())),
-            MapperSpec::NmapSplit(opts) => Box::new(SplitMapper::new(opts.clone())),
-            MapperSpec::Pmap => Box::new(PmapMapper),
-            MapperSpec::Gmap => Box::new(GmapMapper),
-            MapperSpec::Pbb(opts) => Box::new(PbbMapper::new(*opts)),
-            MapperSpec::Sa(opts) => Box::new(SaMapper::new(opts.clone(), seed)),
-            MapperSpec::Tabu(opts) => Box::new(TabuMapper::new(opts.clone())),
-        }
+    /// Binds this spec to `seed`, which feeds the stochastic mappers (the
+    /// engine passes the scenario seed, keeping sweep records a pure
+    /// function of the scenario); deterministic mappers ignore it.
+    pub fn mapper(&self, seed: u64) -> SeededMapper<'_> {
+        SeededMapper { spec: self, seed }
     }
 
     /// Stable display name, the `.dse` spelling: the catalogue keyword
@@ -200,6 +192,44 @@ impl MapperSpec {
     /// bandwidth sweep.
     pub fn capacity_invariant(&self) -> bool {
         matches!(self, MapperSpec::NmapInit | MapperSpec::Pmap | MapperSpec::Gmap)
+    }
+}
+
+/// A [`MapperSpec`] bound to the seed its stochastic mappers draw from
+/// ([`MapperSpec::mapper`]).
+#[derive(Debug, Clone, Copy)]
+pub struct SeededMapper<'a> {
+    spec: &'a MapperSpec,
+    seed: u64,
+}
+
+impl SeededMapper<'_> {
+    /// Runs the algorithm on `ctx`'s problem: the placement and the
+    /// mapper's work measure (candidates examined by the swap searches,
+    /// LP solves of NMAP-split, PBB expansions, 0 for the constructive
+    /// mappers). The one place that runs a mapper by its spec.
+    ///
+    /// # Errors
+    ///
+    /// [`nmap::MapError::InvalidOptions`] when the options fail their
+    /// `check()` (or PBB's topology is too large); otherwise unroutable
+    /// commodities or an LP breakdown.
+    pub fn place(self, ctx: &mut EvalContext<'_>) -> nmap::Result<(Mapping, usize)> {
+        let problem = ctx.problem();
+        match self.spec {
+            MapperSpec::NmapInit => Ok((initialize(problem), 0)),
+            MapperSpec::Nmap(opts) => {
+                map_single_path_with(ctx, opts).map(|o| (o.mapping, o.evaluations))
+            }
+            MapperSpec::NmapSplit(opts) => {
+                map_with_splitting(problem, opts).map(|o| (o.mapping, o.lp_solves))
+            }
+            MapperSpec::Pmap => Ok((pmap(problem), 0)),
+            MapperSpec::Gmap => Ok((gmap(problem), 0)),
+            MapperSpec::Pbb(opts) => pbb_checked(ctx, opts),
+            MapperSpec::Sa(opts) => anneal(ctx, opts, self.seed),
+            MapperSpec::Tabu(opts) => tabu_search(ctx, opts),
+        }
     }
 }
 
@@ -872,7 +902,7 @@ mod tests {
 
     #[test]
     fn mapper_materialization_threads_the_seed_into_sa_only() {
-        // SA is the one stochastic mapper: its trait object must differ
+        // SA is the one stochastic mapper: its placement must differ
         // by seed (different anneal streams), while the deterministic
         // mappers ignore the seed entirely. 12 cores on a 4x4 mesh leave
         // empty nodes, so different proposal streams visit different
@@ -891,7 +921,7 @@ mod tests {
         .problem()
         .unwrap();
         let spec = MapperSpec::Sa(SaOptions::default());
-        let run = |seed: u64| spec.mapper(seed).map(&mut nmap::EvalContext::new(&p)).unwrap();
+        let run = |seed: u64| spec.mapper(seed).place(&mut EvalContext::new(&p)).unwrap();
         assert_eq!(run(3), run(3), "same seed, same outcome");
         let baseline = run(0);
         assert!(
@@ -900,8 +930,8 @@ mod tests {
 mapper's random stream"
         );
         let deterministic = MapperSpec::Tabu(TabuOptions::default());
-        let a = deterministic.mapper(1).map(&mut nmap::EvalContext::new(&p)).unwrap();
-        let b = deterministic.mapper(2).map(&mut nmap::EvalContext::new(&p)).unwrap();
+        let a = deterministic.mapper(1).place(&mut EvalContext::new(&p)).unwrap();
+        let b = deterministic.mapper(2).place(&mut EvalContext::new(&p)).unwrap();
         assert_eq!(a, b, "tabu ignores the seed");
     }
 }

@@ -14,8 +14,9 @@
 //!    and atomically renamed — a file's existence *is* its completeness
 //!    marker, so a kill mid-write leaves no half-shard behind.
 //! 3. On resume, present shard files are parsed back into records
-//!    ([`crate::report::parse_record_json`] round-trips byte-exactly)
-//!    and the engine runs only the missing shards. Records merge in
+//!    ([`crate::report::parse_record_json`] round-trips byte-exactly),
+//!    each checked against the scenario at its index, and the engine
+//!    runs only the missing shards. Records merge in
 //!    shard order = scenario order, so the resumed report is
 //!    byte-identical to an uninterrupted run.
 
@@ -175,14 +176,20 @@ impl Checkpoint {
     }
 
     /// Loads shard `shard` if it completed in a previous run: `Ok(None)`
-    /// when absent (not yet run), the parsed records when present.
+    /// when absent (not yet run), the parsed records when present, each
+    /// checked against its scenario in `scenarios` (the opened sweep).
     ///
     /// # Errors
     ///
-    /// A present-but-corrupt shard file (unparsable line or wrong record
-    /// count) — completed files are atomically renamed into place, so
-    /// corruption means external interference, not an interrupted run.
-    pub fn load_shard(&self, shard: usize) -> Result<Option<Vec<RunRecord>>, String> {
+    /// A present-but-corrupt shard file (unparsable line, wrong record
+    /// count, or a record of another scenario) — completed files are
+    /// atomically renamed into place, so corruption means external
+    /// interference, not an interrupted run.
+    pub fn load_shard(
+        &self,
+        shard: usize,
+        scenarios: &[Scenario],
+    ) -> Result<Option<Vec<RunRecord>>, String> {
         let path = self.shard_path(shard);
         let text = match fs::read_to_string(&path) {
             Ok(text) => text,
@@ -196,14 +203,18 @@ impl Checkpoint {
                     .map_err(|e| format!("shard file {} line {}: {e}", path.display(), i + 1))?,
             );
         }
-        let expected = self.plan.range(shard).len();
-        if records.len() != expected {
+        let expected = scenarios.get(self.plan.range(shard)).unwrap_or_default();
+        if records.len() != expected.len() {
             return Err(format!(
                 "shard file {} holds {} records, expected {}",
                 path.display(),
                 records.len(),
-                expected
+                expected.len()
             ));
+        }
+        for (i, (record, scenario)) in records.iter().zip(expected).enumerate() {
+            check_identity(record, scenario)
+                .map_err(|e| format!("shard file {} line {}: {e}", path.display(), i + 1))?;
         }
         Ok(Some(records))
     }
@@ -228,6 +239,23 @@ impl Checkpoint {
     fn shard_path(&self, shard: usize) -> PathBuf {
         self.dir.join(format!("shard-{shard:05}.jsonl"))
     }
+}
+
+/// Checks that a restored record belongs to `scenario`: the same label,
+/// mapper, routing, seed and capacity, compared in their record spelling.
+fn check_identity(record: &RunRecord, scenario: &Scenario) -> Result<(), String> {
+    for (key, found, expected) in [
+        ("scenario", record.scenario.clone(), scenario.label.clone()),
+        ("mapper", record.mapper.clone(), scenario.mapper.name()),
+        ("routing", record.routing.clone(), scenario.routing.name().to_string()),
+        ("seed", record.seed.to_string(), scenario.seed.to_string()),
+        ("capacity", record.capacity.to_f64().to_string(), scenario.capacity.to_f64().to_string()),
+    ] {
+        if found != expected {
+            return Err(format!("field '{key}' is `{found}`, but its scenario has `{expected}`"));
+        }
+    }
+    Ok(())
 }
 
 /// Writes `text` to `path` via a sibling `.tmp` plus rename, so `path`
@@ -403,7 +431,7 @@ mod tests {
         let cp = Checkpoint::open(&scratch.0, set.scenarios(), 3).unwrap();
         assert_eq!(cp.plan().shard_count(), 3); // 8 scenarios / 3
 
-        assert_eq!(cp.load_shard(0).unwrap(), None, "nothing stored yet");
+        assert_eq!(cp.load_shard(0, set.scenarios()).unwrap(), None, "nothing stored yet");
         for shard in 0..cp.plan().shard_count() {
             let range = cp.plan().range(shard);
             cp.store_shard(shard, &records[range]).unwrap();
@@ -413,7 +441,7 @@ mod tests {
         let reopened = Checkpoint::open(&scratch.0, set.scenarios(), 3).unwrap();
         let mut restored = Vec::new();
         for shard in 0..reopened.plan().shard_count() {
-            restored.extend(reopened.load_shard(shard).unwrap().expect("stored"));
+            restored.extend(reopened.load_shard(shard, set.scenarios()).unwrap().expect("stored"));
         }
         assert_eq!(restored, records, "timing included: store_shard writes timing=true");
     }
@@ -445,19 +473,45 @@ mod tests {
 
         // Wrong record count.
         cp.store_shard(0, &records[0..2]).unwrap();
-        let err = cp.load_shard(0).unwrap_err();
+        let err = cp.load_shard(0, set.scenarios()).unwrap_err();
         assert!(err.contains("expected 4"), "err: {err}");
 
         // Unparsable line.
         fs::write(scratch.0.join("shard-00001.jsonl"), "not json\n").unwrap();
-        let err = cp.load_shard(1).unwrap_err();
+        let err = cp.load_shard(1, set.scenarios()).unwrap_err();
         assert!(err.contains("line 1"), "err: {err}");
 
         // A stray .tmp (killed mid-write) is invisible: the shard reads
         // as absent, not corrupt.
         fs::write(scratch.0.join("shard-00001.tmp"), "partial").unwrap();
         fs::remove_file(scratch.0.join("shard-00001.jsonl")).unwrap();
-        assert_eq!(cp.load_shard(1).unwrap(), None);
+        assert_eq!(cp.load_shard(1, set.scenarios()).unwrap(), None);
+    }
+
+    #[test]
+    fn restored_records_must_belong_to_their_scenarios() {
+        let scratch = ScratchDir::new("identity");
+        let set = tiny_set(3);
+        let records = crate::run_scenarios(set.scenarios(), 1);
+        let cp = Checkpoint::open(&scratch.0, set.scenarios(), 4).unwrap();
+        type Edit = fn(&mut RunRecord);
+        let edits: [(&str, Edit); 5] = [
+            ("scenario", |r| r.scenario.push('x')),
+            ("mapper", |r| r.mapper = "pbb".into()),
+            ("routing", |r| r.routing = "mcf-all".into()),
+            ("seed", |r| r.seed += 1),
+            ("capacity", |r| r.capacity = r.capacity + r.capacity),
+        ];
+        for (key, edit) in edits {
+            // Every edited line still parses; it names another scenario.
+            let mut shard = records[0..4].to_vec();
+            edit(&mut shard[1]);
+            cp.store_shard(0, &shard).unwrap();
+            let err = cp.load_shard(0, set.scenarios()).unwrap_err();
+            assert!(err.contains(&format!("line 2: field '{key}' is `")), "{key}: {err}");
+        }
+        cp.store_shard(0, &records[0..4]).unwrap();
+        assert_eq!(cp.load_shard(0, set.scenarios()).unwrap().as_deref(), Some(&records[0..4]));
     }
 
     #[test]

@@ -665,7 +665,12 @@ pub fn parse_loop_kind(name: &str) -> Result<LoopKind, String> {
 /// mapper's own `check()` predicate — the single source of the
 /// constraints, so `.dse` parsing can never accept a configuration the
 /// mapper would reject (or, worse than that, silently clamp) at run time.
-fn parse_mapper(name: &str) -> Result<MapperSpec, String> {
+/// The `.dse` `mapper` directive and `nmap_cli --algorithm` both read it.
+///
+/// # Errors
+///
+/// An unknown spelling, or options that fail their `check()`.
+pub fn parse_mapper(name: &str) -> Result<MapperSpec, String> {
     let catalogue = mapper_catalogue();
     let spec = lookup(&catalogue, name)
         .or_else(|| {

@@ -2,11 +2,14 @@
 //!
 //! ```text
 //! nmap_cli <app-file> [--mesh WxH | --torus WxH | --noc <file>]
-//!          [--capacity MB/s] [--algorithm nmap|nmap-split|pmap|gmap|pbb]
-//!          [--scope quadrant|all] [--dot]
+//!          [--capacity MB/s] [--algorithm MAPPER] [--dot]
 //! ```
 //!
-//! The application file uses the `noc-graph` text format:
+//! `MAPPER` is any `.dse` mapper spelling (default `nmap`): a keyword of
+//! the mapper catalogue in `noc_dse::spec`, or a family keyword with a
+//! `[..]` parameter suffix such as `nmap[p4r2]`. The mapper runs through
+//! the same dispatch as a sweep scenario, `sa` with seed 0. The
+//! application file uses the `noc-graph` text format:
 //!
 //! ```text
 //! core vld
@@ -14,16 +17,21 @@
 //! ```
 //!
 //! Without `--mesh`/`--torus`/`--noc`, the smallest square-ish mesh that
-//! fits the application is used. Exit code 1 on bad input, 2 when the
-//! chosen algorithm cannot satisfy the bandwidth constraints.
+//! fits the application is used. The placement is routed as its mapper
+//! scored it: split MCF routing at the mapper's path scope for the
+//! `nmap-split-*` mappers, load-balanced minimum-path routing otherwise.
+//! Exit code 1 on bad input, 2 when the routed loads exceed the link
+//! capacities.
 
 use std::process::ExitCode;
 
+use nmap::mcf::solve_mcf_or_slack;
 use nmap::{
-    map_single_path, map_with_splitting, render_mapping_grid, routing, summarize, Mapping,
-    MappingProblem, PathScope, SinglePathOptions, SplitOptions,
+    render_mapping_grid, routing, summarize, EvalContext, MappingProblem, McfKind,
+    SinglePathOptions,
 };
-use noc_baselines::{gmap, pbb, pmap, PbbOptions};
+use noc_dse::spec::{mapper_catalogue, parse_mapper};
+use noc_dse::MapperSpec;
 use noc_graph::parse::{check_node_count, MAX_GRID_EXTENT};
 use noc_graph::{mapping_dot, parse_core_graph, parse_topology, Topology};
 
@@ -32,8 +40,7 @@ struct Args {
     app_path: String,
     topology: TopologyChoice,
     capacity: f64,
-    algorithm: Algorithm,
-    scope: PathScope,
+    mapper: MapperSpec,
     dot: bool,
 }
 
@@ -45,17 +52,14 @@ enum TopologyChoice {
     File(String),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Algorithm {
-    Nmap,
-    NmapSplit,
-    Pmap,
-    Gmap,
-    Pbb,
+fn usage() -> String {
+    let keywords: Vec<&str> = mapper_catalogue().iter().map(|&(keyword, _)| keyword).collect();
+    format!(
+        "usage: nmap_cli <app-file> [--mesh WxH | --torus WxH | --noc <file>] \
+[--capacity MB/s] [--algorithm {}] [--dot]",
+        keywords.join("|")
+    )
 }
-
-const USAGE: &str = "usage: nmap_cli <app-file> [--mesh WxH | --torus WxH | --noc <file>] \
-[--capacity MB/s] [--algorithm nmap|nmap-split|pmap|gmap|pbb] [--scope quadrant|all] [--dot]";
 
 /// Parses the arguments after the program name.
 fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
@@ -63,8 +67,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut app_path = None;
     let mut topology = TopologyChoice::Fit;
     let mut capacity = 1_000.0;
-    let mut algorithm = Algorithm::Nmap;
-    let mut scope = PathScope::AllPaths;
+    let mut mapper = MapperSpec::Nmap(SinglePathOptions::default());
     let mut dot = false;
 
     while let Some(arg) = raw.next() {
@@ -86,40 +89,17 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 capacity = text.parse().map_err(|_| format!("bad capacity `{text}`"))?;
             }
             "--algorithm" => {
-                let name = raw.next().ok_or("--algorithm needs a name")?;
-                algorithm = match name.as_str() {
-                    "nmap" => Algorithm::Nmap,
-                    "nmap-split" => Algorithm::NmapSplit,
-                    "pmap" => Algorithm::Pmap,
-                    "gmap" => Algorithm::Gmap,
-                    "pbb" => Algorithm::Pbb,
-                    other => return Err(format!("unknown algorithm `{other}`")),
-                };
-            }
-            "--scope" => {
-                let name = raw.next().ok_or("--scope needs quadrant|all")?;
-                scope = match name.as_str() {
-                    "quadrant" => PathScope::Quadrant,
-                    "all" => PathScope::AllPaths,
-                    other => return Err(format!("unknown scope `{other}`")),
-                };
+                mapper = parse_mapper(&raw.next().ok_or("--algorithm needs a mapper name")?)?;
             }
             "--dot" => dot = true,
-            "--help" | "-h" => return Err(USAGE.to_string()),
+            "--help" | "-h" => return Err(usage()),
             other if app_path.is_none() && !other.starts_with('-') => {
                 app_path = Some(other.to_string());
             }
-            other => return Err(format!("unexpected argument `{other}`\n{USAGE}")),
+            other => return Err(format!("unexpected argument `{other}`\n{}", usage())),
         }
     }
-    Ok(Args {
-        app_path: app_path.ok_or(USAGE.to_string())?,
-        topology,
-        capacity,
-        algorithm,
-        scope,
-        dot,
-    })
+    Ok(Args { app_path: app_path.ok_or_else(usage)?, topology, capacity, mapper, dot })
 }
 
 fn parse_dims(text: &str) -> Result<(usize, usize), String> {
@@ -182,33 +162,23 @@ fn run(args: &Args) -> Result<bool, String> {
 
     let problem = MappingProblem::new(graph, topology).map_err(|e| e.to_string())?;
 
-    let (mapping, loads): (Mapping, nmap::LinkLoads) = match args.algorithm {
-        Algorithm::Nmap => {
-            let out = map_single_path(&problem, &SinglePathOptions::default())
-                .map_err(|e| e.to_string())?;
-            (out.mapping, out.link_loads)
-        }
-        Algorithm::NmapSplit => {
-            let out = map_with_splitting(&problem, &SplitOptions { scope: args.scope, passes: 1 })
-                .map_err(|e| e.to_string())?;
-            println!(
-                "split routing: total flow {:.0}, slack {:.0}, up to {} paths per flow",
-                out.total_flow,
-                out.slack,
-                out.tables.max_paths_per_commodity()
-            );
-            (out.mapping, out.link_loads)
-        }
-        Algorithm::Pmap | Algorithm::Gmap | Algorithm::Pbb => {
-            let mapping = match args.algorithm {
-                Algorithm::Pmap => pmap(&problem),
-                Algorithm::Gmap => gmap(&problem),
-                _ => pbb(&problem, &PbbOptions::default()).mapping,
-            };
-            let (_, loads) =
-                routing::route_min_paths(&problem, &mapping).map_err(|e| e.to_string())?;
-            (mapping, loads)
-        }
+    let (mapping, _) =
+        args.mapper.mapper(0).place(&mut EvalContext::new(&problem)).map_err(|e| e.to_string())?;
+    let loads = if let MapperSpec::NmapSplit(options) = &args.mapper {
+        let (solution, _) =
+            solve_mcf_or_slack(problem.topology(), &problem.commodities(&mapping), options.scope);
+        let solution = solution.map_err(|e| e.to_string())?;
+        let (total_flow, slack) = match solution.kind {
+            McfKind::FlowMin => (solution.objective, 0.0),
+            _ => (f64::INFINITY, solution.objective),
+        };
+        println!(
+            "split routing: total flow {total_flow:.0}, slack {slack:.0}, up to {} paths per flow",
+            solution.tables.max_paths_per_commodity()
+        );
+        solution.link_loads
+    } else {
+        routing::route_min_paths(&problem, &mapping).map_err(|e| e.to_string())?.1
     };
 
     println!("{}", render_mapping_grid(&problem, &mapping));
@@ -229,8 +199,9 @@ mod tests {
     /// from 1 to `MAX_GRID_EXTENT`.
     #[test]
     fn every_short_argv_parses_or_fails_cleanly() {
-        let tokens: Vec<&str> = "--mesh --torus --noc --capacity --algorithm --scope --dot \
-                                 --help -h 0 1 -1 18446744073709551616 nan 2x2 0x3 x app.txt"
+        let tokens: Vec<&str> = "--mesh --torus --noc --capacity --algorithm --dot --help -h \
+                                 0 1 -1 18446744073709551616 nan 2x2 0x3 x app.txt pbb \
+                                 nmap[p0r1]"
             .split_whitespace()
             .collect();
         let n = tokens.len();

@@ -405,18 +405,18 @@ impl Harness<'_> {
     }
 }
 
+/// Runs both smoke specs as one sweep, so `--jsonl`/`--csv` hold every
+/// record.
 fn smoke(harness: &Harness) -> Result<ExitCode, String> {
+    let mut scenarios = Vec::new();
     for (label, text) in [("smoke", SMOKE_SPEC), ("smoke-split", SMOKE_SPLIT_SPEC)] {
         let spec = parse_spec(text).map_err(|e| format!("{label} spec: {e}"))?;
-        let report = harness.sweep(&spec.scenarios())?.report;
-        let failed: Vec<_> = report.records.iter().filter(|r| !r.is_ok()).collect();
-        if !failed.is_empty() {
-            return Err(format!(
-                "{} {label} scenarios failed, first: {}",
-                failed.len(),
-                failed[0].error
-            ));
-        }
+        scenarios.extend_from_slice(spec.scenarios().scenarios());
+    }
+    let report = harness.sweep(&ScenarioSet::from_scenarios(scenarios))?.report;
+    let failed: Vec<_> = report.records.iter().filter(|r| !r.is_ok()).collect();
+    if !failed.is_empty() {
+        return Err(format!("{} smoke scenarios failed, first: {}", failed.len(), failed[0].error));
     }
     println!("smoke sweep OK (all registered mappers)");
     Ok(ExitCode::SUCCESS)

@@ -1,9 +1,17 @@
-//! Error-path tests for the `nmap_cli` binary: bad inputs must exit
-//! nonzero with a clear message on stderr — never a panic, never a
-//! success code.
+//! Tests for the `nmap_cli` binary: every mapper of the `.dse`
+//! catalogue maps a small app, and bad inputs must exit nonzero with a
+//! clear message on stderr — never a panic, never a success code — for
+//! every mapper.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+
+use noc_dse::spec::mapper_catalogue;
+
+/// Every `--algorithm` keyword: the mapper catalogue's.
+fn keywords() -> Vec<&'static str> {
+    mapper_catalogue().iter().map(|&(keyword, _)| keyword).collect()
+}
 
 fn nmap_cli(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_nmap_cli")).args(args).output().expect("binary launches")
@@ -60,7 +68,7 @@ fn unparsable_app_file_reports_the_line() {
         "huge_bandwidth.app",
         "comm a b 1e308\ncomm a c 1e308\ncomm b c 1e308\n",
     );
-    for algorithm in ["nmap", "nmap-split", "pmap", "gmap", "pbb"] {
+    for algorithm in keywords() {
         let out = nmap_cli(&[huge.path(), "--algorithm", algorithm]);
         assert_clean_failure(&out, "line 1: communication bandwidth");
     }
@@ -74,9 +82,40 @@ fn app_larger_than_topology_fails_cleanly() {
         "five_cores.app",
         "comm a b 10\ncomm b c 10\ncomm c d 10\ncomm d e 10\n",
     );
-    for algorithm in ["nmap", "nmap-split", "pmap", "gmap", "pbb"] {
+    for algorithm in keywords() {
         let out = nmap_cli(&[app.path(), "--mesh", "2x2", "--algorithm", algorithm]);
         assert_clean_failure(&out, "5 cores but the topology only has 4 nodes");
+    }
+}
+
+#[test]
+fn pbb_beyond_its_node_limit_fails_cleanly() {
+    let app = TempFile::with_content("pair.app", "comm a b 10\n");
+    let out = nmap_cli(&[app.path(), "--mesh", "12x12", "--algorithm", "pbb"]);
+    assert_clean_failure(&out, "pbb supports at most 128 nodes, topology has 144");
+}
+
+#[test]
+fn disconnected_custom_topology_fails_cleanly() {
+    // Node 0 reaches 1 and 1 reaches 2, but nothing leads back: routing
+    // any placement of this chain would need a path that does not exist.
+    let app = TempFile::with_content("chain.app", "comm a b 100\ncomm b c 50\n");
+    let noc = TempFile::with_content("oneway.noc", "custom 3\nlink 0 1 500\nlink 1 2 500\n");
+    for algorithm in keywords() {
+        let out = nmap_cli(&[app.path(), "--noc", noc.path(), "--algorithm", algorithm]);
+        assert_clean_failure(&out, "line 1: custom topology of 3 nodes is not strongly connected");
+    }
+}
+
+#[test]
+fn every_catalogue_mapper_places_and_routes_as_it_scored() {
+    let app = TempFile::with_content("dsp.app", "comm a b 100\ncomm b c 100\ncomm c d 50\n");
+    for algorithm in keywords() {
+        let out = nmap_cli(&[app.path(), "--algorithm", algorithm]);
+        assert_eq!(out.status.code(), Some(0), "{algorithm}: {}", stderr_of(&out));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let split = stdout.starts_with("split routing: total flow 250, slack 0, up to ");
+        assert_eq!(split, algorithm.starts_with("nmap-split"), "{algorithm}: {stdout}");
     }
 }
 
@@ -111,7 +150,15 @@ fn bad_flags_print_usage() {
     let out = nmap_cli(&[]);
     assert_clean_failure(&out, "usage:");
     let out = nmap_cli(&["app.app", "--algorithm", "quantum"]);
-    assert_clean_failure(&out, "unknown algorithm `quantum`");
+    assert_clean_failure(&out, "unknown mapper `quantum`");
+    // `--algorithm` takes the `.dse` spelling, validated as in a spec.
+    let out = nmap_cli(&["app.app", "--algorithm", "nmap[p0r1]"]);
+    assert_clean_failure(&out, "mapper `nmap[p0r1]`: ");
+    // The split mapper's scope is part of its name.
+    let out = nmap_cli(&["app.app", "--algorithm", "nmap-split", "--scope", "quadrant"]);
+    assert_clean_failure(&out, "unknown mapper `nmap-split`");
+    let out = nmap_cli(&["app.app", "--scope", "quadrant"]);
+    assert_clean_failure(&out, "unexpected argument `--scope`");
     let out = nmap_cli(&["app.app", "--mesh", "0x3"]);
     assert_clean_failure(&out, "want extents from 1 to 512");
     let out = nmap_cli(&["app.app", "--torus", "512x512"]);

@@ -1,5 +1,7 @@
 //! End-to-end tests for the `nmap_dse` binary: kill-and-resume of a
-//! sharded sweep (PR 9) must leave byte-identical outputs, the flag
+//! sharded sweep must leave byte-identical outputs and refuse corrupt
+//! or foreign checkpoint records, `--smoke` must write every record of
+//! its one sweep, the flag
 //! validity rules must reject misuse cleanly, `--profile` must write
 //! real data, also when the failure gate stops the run, with one
 //! `dse.sweep` event that reports the workers the pool really used and
@@ -8,6 +10,8 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+
+use noc_dse::spec::mapper_catalogue;
 
 fn nmap_dse(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_nmap_dse")).args(args).output().expect("binary launches")
@@ -118,8 +122,9 @@ fn corrupt_checkpoint_record_is_rejected_with_its_line() {
     let ckpt = scratch.path("ckpt");
     let args = ["--spec", &spec, "--resume", &ckpt, "--shard-size", "2"];
     assert_eq!(nmap_dse(&[&args[..], &["--shard-budget", "1"]].concat()).status.code(), Some(3));
-    // A shard file is input from outside: a negative capacity or an
-    // infinite cost must fail the resume, not panic or be written out.
+    // A shard file is input from outside: a negative capacity, an
+    // infinite cost or a well-formed record of another scenario (here
+    // another mapper) must fail the resume, not panic or be written out.
     let shard = std::path::Path::new(&ckpt).join("shard-00000.jsonl");
     let written = std::fs::read_to_string(&shard).unwrap();
     // The shard with the first line's `key` set to `value`.
@@ -128,7 +133,7 @@ fn corrupt_checkpoint_record_is_rejected_with_its_line() {
         let end = start + written[start..].find(',').expect("not the last field");
         format!("{}{value}{}", &written[..start], &written[end..])
     };
-    for (key, value) in [("capacity", "-800"), ("comm_cost", "1e999")] {
+    for (key, value) in [("capacity", "-800"), ("comm_cost", "1e999"), ("mapper", "\"gmap\"")] {
         std::fs::write(&shard, corrupt(key, value)).unwrap();
         let out = nmap_dse(&[&args[..], &["--jsonl", &scratch.path("resumed.jsonl")]].concat());
         assert_eq!(out.status.code(), Some(1), "{key} {value}: a corrupt shard must exit 1");
@@ -136,6 +141,28 @@ fn corrupt_checkpoint_record_is_rejected_with_its_line() {
         let place = format!("shard file {} line 1: field '{key}'", shard.display());
         assert!(stderr.contains(&place), "{key} {value}: stderr: {stderr}");
     }
+}
+
+#[test]
+fn smoke_outputs_hold_every_record_of_one_sweep() {
+    let scratch = ScratchDir::new("smoke");
+    let (jsonl, csv) = (scratch.path("smoke.jsonl"), scratch.path("smoke.csv"));
+    let out = nmap_dse(&["--smoke", "--threads", "2", "--jsonl", &jsonl, "--csv", &csv]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.matches("running ").count(), 1, "one sweep: {stdout}");
+    assert!(stdout.contains("running 98 scenarios..."), "stdout: {stdout}");
+    assert_eq!(std::fs::read_to_string(&jsonl).unwrap().lines().count(), 98);
+    let csv = std::fs::read_to_string(&csv).unwrap();
+    assert_eq!(csv.lines().count(), 99, "header plus one row per scenario");
+    let mut rows = csv.lines().map(|line| line.split(',').collect::<Vec<_>>());
+    let column = rows.next().unwrap().iter().position(|&h| h == "mapper").expect("mapper column");
+    let mut mappers: Vec<&str> = rows.map(|row| row[column]).collect();
+    mappers.sort_unstable();
+    mappers.dedup();
+    let mut catalogue: Vec<&str> = mapper_catalogue().iter().map(|&(k, _)| k).collect();
+    catalogue.sort_unstable();
+    assert_eq!(mappers, catalogue, "every catalogued mapper has a row");
 }
 
 #[test]

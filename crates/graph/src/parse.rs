@@ -31,7 +31,9 @@
 //! link bandwidth); the rank cap keeps a stray trailing number on a
 //! legacy 2-D line from silently declaring a huge higher-rank grid. No
 //! declaration may exceed [`MAX_NODES`] nodes, and no `link` endpoint may
-//! reach it, so a typo cannot ask for an allocation that aborts.
+//! reach it, so a typo cannot ask for an allocation that aborts. A
+//! `custom` topology must be strongly connected: every mapper routes
+//! traffic between arbitrary pairs of nodes.
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -340,12 +342,19 @@ pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
                 .map_err(|source| ParseError::Graph { line: decl_line, source })
         }
         Decl::Custom(n) => {
-            Topology::custom(n, links.iter().map(|&(_, s, d, c)| (s, d, c))).map_err(|source| {
-                // Attribute the failure to the first link line (or the
-                // declaration when there are no links).
-                let line = links.first().map_or(decl_line, |&(l, ..)| l);
-                ParseError::Graph { line, source }
-            })
+            let topology = Topology::custom(n, links.iter().map(|&(_, s, d, c)| (s, d, c)))
+                .map_err(|source| {
+                    // Attribute the failure to the first link line (or the
+                    // declaration when there are no links).
+                    let line = links.first().map_or(decl_line, |&(l, ..)| l);
+                    ParseError::Graph { line, source }
+                })?;
+            // Every mapper routes between arbitrary node pairs.
+            if !topology.is_strongly_connected() {
+                let message = format!("custom topology of {n} nodes is not strongly connected");
+                return Err(ParseError::Syntax { line: decl_line, message });
+            }
+            Ok(topology)
         }
     }
 }
@@ -575,6 +584,7 @@ mod tests {
             ("custom 65537\n", 1, "custom node count 65537 exceeds the maximum 65536"),
             ("custom 3\nlink 0 4294967296 3\n", 2, "destination node 4294967296 is out of range"),
             ("link 65536 0 3\ncustom 3\n", 1, "source node 65536 is out of range"),
+            ("custom 3\nlink 0 1 500\nlink 1 2 500\n", 1, "not strongly connected"),
         ] {
             match parse_topology(text) {
                 Err(ParseError::Syntax { line: l, message }) => {

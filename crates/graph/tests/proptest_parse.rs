@@ -58,12 +58,15 @@ proptest! {
         let parsed = catch_unwind(|| parse_topology(&text));
         prop_assert!(parsed.is_ok(), "parse_topology panicked on {:?}", text);
         match parsed.unwrap() {
-            Ok(t) => prop_assert!(
-                (1..=MAX_NODES).contains(&t.node_count()),
-                "{} nodes from {:?}",
-                t.node_count(),
-                text
-            ),
+            Ok(t) => {
+                prop_assert!(
+                    (1..=MAX_NODES).contains(&t.node_count()),
+                    "{} nodes from {:?}",
+                    t.node_count(),
+                    text
+                );
+                prop_assert!(t.is_strongly_connected(), "disconnected from {:?}", text);
+            }
             Err(err) => prop_assert!(line_is_in_range(&err, &text), "{:?} on {:?}", err, text),
         }
     }
