@@ -7,10 +7,17 @@
 //! how many engine threads produced it (asserted by the crate's
 //! determinism integration test). Pass `timing = true` to include the
 //! per-stage microsecond timings for profiling.
+//!
+//! Each record column is listed once, in `RunRecord::columns`: a name and
+//! a [`noc_probe::Value`], in output order. The JSON line (through
+//! [`noc_probe::json_object`]), the CSV header and every CSV row derive
+//! from that list, and [`parse_record_json`] is its inverse, so a new
+//! column is one list entry plus one field read there.
 
 use std::fmt;
 use std::time::Duration;
 
+use noc_probe::{json_object, push_json_value, Value};
 use noc_units::{HopMbps, Latency, Mbps, UnitError};
 
 use crate::Scenario;
@@ -92,7 +99,7 @@ pub struct SimStats {
 }
 
 /// Outcome of one scenario run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunRecord {
     /// Application label (e.g. `VOPD`, `rand25#2`).
     pub scenario: String,
@@ -140,13 +147,7 @@ impl RunRecord {
             routing: scenario.routing.name().to_string(),
             seed: scenario.seed,
             error,
-            feasible: false,
-            comm_cost: HopMbps::ZERO,
-            max_link_load: Mbps::ZERO,
-            total_load: Mbps::ZERO,
-            evaluations: 0,
-            sim: None,
-            times: StageTimes::default(),
+            ..RunRecord::default()
         }
     }
 
@@ -157,138 +158,47 @@ impl RunRecord {
 
     /// One JSON object (single line, no trailing newline).
     pub fn to_json(&self, timing: bool) -> String {
-        let mut out = String::with_capacity(192);
-        out.push('{');
-        push_json_str(&mut out, "scenario", &self.scenario);
-        out.push(',');
-        push_json_raw(&mut out, "cores", &self.cores.to_string());
-        out.push(',');
-        push_json_str(&mut out, "topology", &self.topology);
-        out.push(',');
-        push_json_raw(&mut out, "capacity", &fmt_f64(self.capacity.to_f64()));
-        out.push(',');
-        push_json_str(&mut out, "mapper", &self.mapper);
-        out.push(',');
-        push_json_str(&mut out, "routing", &self.routing);
-        out.push(',');
-        push_json_raw(&mut out, "seed", &self.seed.to_string());
-        out.push(',');
-        push_json_str(&mut out, "error", &self.error);
-        out.push(',');
-        push_json_raw(&mut out, "feasible", if self.feasible { "true" } else { "false" });
-        out.push(',');
-        push_json_raw(&mut out, "comm_cost", &fmt_f64(self.comm_cost.to_f64()));
-        out.push(',');
-        push_json_raw(&mut out, "max_link_load", &fmt_f64(self.max_link_load.to_f64()));
-        out.push(',');
-        push_json_raw(&mut out, "total_load", &fmt_f64(self.total_load.to_f64()));
-        out.push(',');
-        push_json_raw(&mut out, "evaluations", &self.evaluations.to_string());
-        out.push(',');
-        push_json_raw(
-            &mut out,
-            "sim_avg_latency",
-            &fmt_opt_f64(self.sim_f64(|s| s.avg_latency_cycles.to_f64())),
-        );
-        out.push(',');
-        push_json_raw(
-            &mut out,
-            "sim_network_latency",
-            &fmt_opt_f64(self.sim_f64(|s| s.avg_network_latency_cycles.to_f64())),
-        );
-        out.push(',');
-        push_json_raw(
-            &mut out,
-            "sim_p95_latency",
-            &self.sim.as_ref().map_or("null".to_string(), |s| s.p95_latency_cycles.to_string()),
-        );
-        out.push(',');
-        push_json_raw(
-            &mut out,
-            "sim_delivered_mbps",
-            &fmt_opt_f64(self.sim_f64(|s| s.delivered_mbps.to_f64())),
-        );
-        out.push(',');
-        push_json_raw(
-            &mut out,
-            "sim_max_link_mbps",
-            &fmt_opt_f64(self.sim_f64(|s| s.max_link_mbps.to_f64())),
-        );
-        out.push(',');
-        push_json_raw(
-            &mut out,
-            "sim_saturated",
-            self.sim.as_ref().map_or("null", |s| if s.saturated { "true" } else { "false" }),
-        );
-        if timing {
-            out.push(',');
-            push_json_raw(&mut out, "build_us", &self.times.build_us.to_string());
-            out.push(',');
-            push_json_raw(&mut out, "map_us", &self.times.map_us.to_string());
-            out.push(',');
-            push_json_raw(&mut out, "route_us", &self.times.route_us.to_string());
-            out.push(',');
-            push_json_raw(&mut out, "sim_us", &self.times.sim_us.to_string());
-            out.push(',');
-            push_json_raw(&mut out, "cache_us", &self.times.cache_us.to_string());
-        }
-        out.push('}');
-        out
+        json_object(self.columns(timing))
     }
 
-    /// Projects one `f64` sim column (`None` when the scenario did not
-    /// simulate).
-    fn sim_f64(&self, f: impl Fn(&SimStats) -> f64) -> Option<f64> {
-        self.sim.as_ref().map(f)
-    }
-
-    /// The CSV header matching [`RunRecord::to_csv`].
-    pub fn csv_header(timing: bool) -> String {
-        let mut h = "scenario,cores,topology,capacity,mapper,routing,seed,error,feasible,\
-comm_cost,max_link_load,total_load,evaluations,sim_avg_latency,sim_network_latency,\
-sim_p95_latency,sim_delivered_mbps,sim_max_link_mbps,sim_saturated"
-            .to_string();
-        if timing {
-            h.push_str(",build_us,map_us,route_us,sim_us,cache_us");
-        }
-        h
-    }
-
-    /// One CSV data line (no trailing newline). Text fields are quoted
-    /// only when they contain a separator, quote or newline.
-    pub fn to_csv(&self, timing: bool) -> String {
-        let mut cells = vec![
-            csv_cell(&self.scenario),
-            self.cores.to_string(),
-            csv_cell(&self.topology),
-            fmt_f64(self.capacity.to_f64()),
-            csv_cell(&self.mapper),
-            csv_cell(&self.routing),
-            self.seed.to_string(),
-            csv_cell(&self.error),
-            (if self.feasible { "true" } else { "false" }).to_string(),
-            fmt_f64(self.comm_cost.to_f64()),
-            fmt_f64(self.max_link_load.to_f64()),
-            fmt_f64(self.total_load.to_f64()),
-            self.evaluations.to_string(),
-            fmt_opt_f64(self.sim_f64(|s| s.avg_latency_cycles.to_f64())),
-            fmt_opt_f64(self.sim_f64(|s| s.avg_network_latency_cycles.to_f64())),
-            self.sim.as_ref().map_or("null".to_string(), |s| s.p95_latency_cycles.to_string()),
-            fmt_opt_f64(self.sim_f64(|s| s.delivered_mbps.to_f64())),
-            fmt_opt_f64(self.sim_f64(|s| s.max_link_mbps.to_f64())),
-            self.sim
-                .as_ref()
-                .map_or("null", |s| if s.saturated { "true" } else { "false" })
-                .to_string(),
+    /// The record's columns in output order, the timing columns last when
+    /// `timing` is set: the one list behind the JSON line, the CSV header
+    /// and every CSV row ([`parse_record_json`] is its inverse). The sim
+    /// columns are `null` when the scenario did not simulate.
+    fn columns(&self, timing: bool) -> Vec<(&'static str, Value)> {
+        let sim = |column: fn(&SimStats) -> Value| self.sim.as_ref().map_or(Value::Null, column);
+        let mut columns = vec![
+            ("scenario", Value::from(self.scenario.as_str())),
+            ("cores", Value::from(self.cores)),
+            ("topology", Value::from(self.topology.as_str())),
+            ("capacity", Value::from(self.capacity.to_f64())),
+            ("mapper", Value::from(self.mapper.as_str())),
+            ("routing", Value::from(self.routing.as_str())),
+            ("seed", Value::from(self.seed)),
+            ("error", Value::from(self.error.as_str())),
+            ("feasible", Value::from(self.feasible)),
+            ("comm_cost", Value::from(self.comm_cost.to_f64())),
+            ("max_link_load", Value::from(self.max_link_load.to_f64())),
+            ("total_load", Value::from(self.total_load.to_f64())),
+            ("evaluations", Value::from(self.evaluations)),
+            ("sim_avg_latency", sim(|s| s.avg_latency_cycles.to_f64().into())),
+            ("sim_network_latency", sim(|s| s.avg_network_latency_cycles.to_f64().into())),
+            ("sim_p95_latency", sim(|s| s.p95_latency_cycles.into())),
+            ("sim_delivered_mbps", sim(|s| s.delivered_mbps.to_f64().into())),
+            ("sim_max_link_mbps", sim(|s| s.max_link_mbps.to_f64().into())),
+            ("sim_saturated", sim(|s| s.saturated.into())),
         ];
         if timing {
-            cells.push(self.times.build_us.to_string());
-            cells.push(self.times.map_us.to_string());
-            cells.push(self.times.route_us.to_string());
-            cells.push(self.times.sim_us.to_string());
-            cells.push(self.times.cache_us.to_string());
+            let t = &self.times;
+            columns.extend([
+                ("build_us", Value::from(t.build_us)),
+                ("map_us", Value::from(t.map_us)),
+                ("route_us", Value::from(t.route_us)),
+                ("sim_us", Value::from(t.sim_us)),
+                ("cache_us", Value::from(t.cache_us)),
+            ]);
         }
-        cells.join(",")
+        columns
     }
 }
 
@@ -315,12 +225,24 @@ impl SweepReport {
         out
     }
 
-    /// All records as CSV with a header row (trailing newline).
+    /// All records as CSV with a header row (trailing newline). Text
+    /// cells are quoted only when they hold a separator, quote or
+    /// newline; every other cell is spelled as in the JSON line.
     pub fn write_csv(&self, timing: bool) -> String {
-        let mut out = RunRecord::csv_header(timing);
+        let header: Vec<&str> =
+            RunRecord::default().columns(timing).into_iter().map(|(name, _)| name).collect();
+        let mut out = header.join(",");
         out.push('\n');
         for r in &self.records {
-            out.push_str(&r.to_csv(timing));
+            for (i, (_, value)) in r.columns(timing).iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                match value {
+                    Value::Str(text) => out.push_str(&csv_cell(text)),
+                    other => push_json_value(&mut out, other),
+                }
+            }
             out.push('\n');
         }
         out
@@ -442,51 +364,6 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank.min(sorted.len()) - 1]
 }
 
-/// Shortest-round-trip decimal form of an `f64` (Rust's `{}`). Engine
-/// records only hold finite numbers, but hand-built records might not:
-/// JSON has no spelling for `inf`/`NaN`, so non-finite values become
-/// `null` rather than emitting unparsable output.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// [`fmt_f64`] for optional columns: absent values (no sim stage) become
-/// `null`, in both JSON and CSV.
-fn fmt_opt_f64(v: Option<f64>) -> String {
-    v.map_or("null".to_string(), fmt_f64)
-}
-
-pub(crate) fn push_json_str(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_json_raw(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(value);
-}
-
 fn csv_cell(value: &str) -> String {
     if value.contains([',', '"', '\n', '\r']) {
         format!("\"{}\"", value.replace('"', "\"\""))
@@ -500,7 +377,7 @@ fn csv_cell(value: &str) -> String {
 /// formatting exactly, so a record parsed from a checkpoint shard and
 /// re-serialized stays byte-identical to the original line.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum JsonValue {
+enum JsonValue {
     /// JSON `null`.
     Null,
     /// JSON `true`/`false`.
@@ -523,10 +400,9 @@ impl JsonValue {
 }
 
 /// Parses one line holding a flat JSON object (string / number / bool /
-/// null values only — exactly the shape this module's writers emit) into
-/// its key/value pairs in source order. Shared by the checkpoint's shard
-/// and manifest readers.
-pub(crate) fn parse_flat_json(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
+/// null values only — exactly the shape [`json_object`] writes) into its
+/// key/value pairs in source order.
+fn parse_flat_json(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
     let mut p = JsonParser { bytes: line.as_bytes(), pos: 0 };
     let pairs = p.object()?;
     p.skip_ws();
@@ -674,12 +550,19 @@ impl JsonParser<'_> {
     }
 }
 
-/// Key/value view of one parsed record line with typed accessors.
-struct Fields {
+/// Key/value view of one parsed flat-JSON line with typed accessors: the
+/// reader of the checkpoint's shard records and its manifest. When a key
+/// repeats, its first occurrence wins.
+pub(crate) struct Fields {
     pairs: Vec<(String, JsonValue)>,
 }
 
 impl Fields {
+    /// Parses one flat JSON object line.
+    pub(crate) fn parse(line: &str) -> Result<Self, String> {
+        Ok(Fields { pairs: parse_flat_json(line)? })
+    }
+
     fn get(&self, key: &str) -> Result<&JsonValue, String> {
         self.pairs
             .iter()
@@ -688,7 +571,7 @@ impl Fields {
             .ok_or_else(|| format!("missing field '{key}'"))
     }
 
-    fn str(&self, key: &str) -> Result<String, String> {
+    pub(crate) fn str(&self, key: &str) -> Result<String, String> {
         match self.get(key)? {
             JsonValue::Str(s) => Ok(s.clone()),
             other => Err(format!("field '{key}': expected string, got {}", other.kind())),
@@ -704,13 +587,17 @@ impl Fields {
         }
     }
 
-    fn u64(&self, key: &str) -> Result<u64, String> {
+    pub(crate) fn u64(&self, key: &str) -> Result<u64, String> {
         match self.get(key)? {
             JsonValue::Num(raw) => {
                 raw.parse().map_err(|_| format!("field '{key}': bad integer '{raw}'"))
             }
             other => Err(format!("field '{key}': expected integer, got {}", other.kind())),
         }
+    }
+
+    pub(crate) fn usize(&self, key: &str) -> Result<usize, String> {
+        usize::try_from(self.u64(key)?).map_err(|_| format!("field '{key}': out of range"))
     }
 
     fn u64_or(&self, key: &str, default: u64) -> Result<u64, String> {
@@ -749,7 +636,7 @@ impl Fields {
 /// goes through its checked constructor: a negative or non-finite value
 /// is an error naming the field, never a record.
 pub fn parse_record_json(line: &str) -> Result<RunRecord, String> {
-    let f = Fields { pairs: parse_flat_json(line)? };
+    let f = Fields::parse(line)?;
     let sim = if f.is_null("sim_avg_latency")? {
         None
     } else {
@@ -764,7 +651,7 @@ pub fn parse_record_json(line: &str) -> Result<RunRecord, String> {
     };
     Ok(RunRecord {
         scenario: f.str("scenario")?,
-        cores: usize::try_from(f.u64("cores")?).map_err(|_| "cores out of range".to_string())?,
+        cores: f.usize("cores")?,
         topology: f.str("topology")?,
         capacity: f.quantity("capacity", Mbps::new)?,
         mapper: f.str("mapper")?,
@@ -775,8 +662,7 @@ pub fn parse_record_json(line: &str) -> Result<RunRecord, String> {
         comm_cost: f.quantity("comm_cost", HopMbps::new)?,
         max_link_load: f.quantity("max_link_load", Mbps::new)?,
         total_load: f.quantity("total_load", Mbps::new)?,
-        evaluations: usize::try_from(f.u64("evaluations")?)
-            .map_err(|_| "evaluations out of range".to_string())?,
+        evaluations: f.usize("evaluations")?,
         sim,
         times: StageTimes {
             build_us: f.u64_or("build_us", 0)?,
@@ -813,6 +699,20 @@ mod tests {
         }
     }
 
+    /// The CSV header and the one data row of `r` (without newlines).
+    fn csv(r: &RunRecord, timing: bool) -> (String, String) {
+        let text = SweepReport::new(vec![r.clone()]).write_csv(timing);
+        let (header, row) = text.split_once('\n').expect("a header line");
+        (header.to_string(), row.strip_suffix('\n').expect("a trailing newline").to_string())
+    }
+
+    /// The JSON spelling of one value through the shared writer.
+    fn json(value: Value) -> String {
+        let mut out = String::new();
+        push_json_value(&mut out, &value);
+        out
+    }
+
     fn sim_stats(cycles: f64, saturated: bool) -> SimStats {
         SimStats {
             avg_latency_cycles: latency(cycles),
@@ -837,13 +737,59 @@ mod tests {
         assert!(r.to_json(true).contains("\"map_us\":200"));
     }
 
+    /// The whole record format, byte for byte: column order, number,
+    /// boolean, `null` and escape spellings, the timing tail and the CSV
+    /// quoting.
+    #[test]
+    fn record_format_is_pinned_byte_for_byte() {
+        let mut r = record(4119.5, true);
+        r.comm_cost = hop_mbps(0.1 + 0.2);
+        r.error = "bad \"quote\"\nline\t\u{0001}end".into();
+        r.sim = Some(sim_stats(123.5, true));
+        r.times = StageTimes { build_us: 10, map_us: 200, route_us: 30, sim_us: 77, cache_us: 9 };
+        let plain = "{\"scenario\":\"VOPD\",\"cores\":16,\"topology\":\"mesh4x4\",\
+                     \"capacity\":1000,\"mapper\":\"nmap\",\"routing\":\"min-path\",\"seed\":42,\
+                     \"error\":\"bad \\\"quote\\\"\\nline\\t\\u0001end\",\"feasible\":true,\
+                     \"comm_cost\":0.30000000000000004,\"max_link_load\":1029.875,\
+                     \"total_load\":4119.5,\"evaluations\":7,\"sim_avg_latency\":123.5,\
+                     \"sim_network_latency\":113.5,\"sim_p95_latency\":256,\
+                     \"sim_delivered_mbps\":400,\"sim_max_link_mbps\":425.5,\
+                     \"sim_saturated\":true";
+        assert_eq!(r.to_json(false), format!("{plain}}}"));
+        assert_eq!(
+            r.to_json(true),
+            format!("{plain},\"build_us\":10,\"map_us\":200,\"route_us\":30,\"sim_us\":77,\"cache_us\":9}}")
+        );
+        let unsimulated = record(2.0, false);
+        assert_eq!(
+            unsimulated.to_json(false),
+            "{\"scenario\":\"VOPD\",\"cores\":16,\"topology\":\"mesh4x4\",\"capacity\":1000,\
+             \"mapper\":\"nmap\",\"routing\":\"min-path\",\"seed\":42,\"error\":\"\",\
+             \"feasible\":false,\"comm_cost\":2,\"max_link_load\":0.5,\"total_load\":2,\
+             \"evaluations\":7,\"sim_avg_latency\":null,\"sim_network_latency\":null,\
+             \"sim_p95_latency\":null,\"sim_delivered_mbps\":null,\"sim_max_link_mbps\":null,\
+             \"sim_saturated\":null}"
+        );
+        assert_eq!(
+            SweepReport::new(vec![r, unsimulated]).write_csv(true),
+            "scenario,cores,topology,capacity,mapper,routing,seed,error,feasible,comm_cost,\
+             max_link_load,total_load,evaluations,sim_avg_latency,sim_network_latency,\
+             sim_p95_latency,sim_delivered_mbps,sim_max_link_mbps,sim_saturated,build_us,map_us,\
+             route_us,sim_us,cache_us\n\
+             VOPD,16,mesh4x4,1000,nmap,min-path,42,\"bad \"\"quote\"\"\nline\t\u{0001}end\",true,\
+             0.30000000000000004,1029.875,4119.5,7,123.5,113.5,256,400,425.5,true,10,200,30,77,9\n\
+             VOPD,16,mesh4x4,1000,nmap,min-path,42,,false,2,0.5,2,7,\
+             null,null,null,null,null,null,10,200,30,0,0\n"
+        );
+    }
+
     #[test]
     fn sim_columns_serialize_and_null_out() {
         let mut r = record(5.0, true);
         let json = r.to_json(false);
         assert!(json.contains("\"sim_avg_latency\":null"));
         assert!(json.contains("\"sim_saturated\":null"));
-        assert!(r.to_csv(false).ends_with(",null,null,null,null,null,null"));
+        assert!(csv(&r, false).1.ends_with(",null,null,null,null,null,null"));
 
         r.sim = Some(sim_stats(123.5, true));
         let json = r.to_json(false);
@@ -852,21 +798,20 @@ mod tests {
         assert!(json.contains("\"sim_p95_latency\":256"));
         assert!(json.contains("\"sim_max_link_mbps\":425.5"));
         assert!(json.contains("\"sim_saturated\":true"));
-        assert!(r.to_csv(false).contains("123.5,113.5,256,400,425.5,true"));
+        assert!(csv(&r, false).1.contains("123.5,113.5,256,400,425.5,true"));
 
         r.times.sim_us = 77;
         r.times.cache_us = 9;
         assert!(r.to_json(true).contains("\"sim_us\":77"));
         assert!(r.to_json(true).contains("\"cache_us\":9"));
-        assert!(r.to_csv(true).ends_with(",77,9"));
+        assert!(csv(&r, true).1.ends_with(",77,9"));
     }
 
     #[test]
     fn csv_row_matches_header_width() {
         let r = record(100.0, false);
         for timing in [false, true] {
-            let header = RunRecord::csv_header(timing);
-            let row = r.to_csv(timing);
+            let (header, row) = csv(&r, timing);
             assert_eq!(header.split(',').count(), row.split(',').count(), "timing={timing}");
         }
     }
@@ -875,7 +820,7 @@ mod tests {
     fn csv_quotes_only_when_needed() {
         let mut r = record(1.0, true);
         r.scenario = "a,b".into();
-        assert!(r.to_csv(false).starts_with("\"a,b\","));
+        assert!(csv(&r, false).1.starts_with("\"a,b\","));
         assert_eq!(csv_cell("plain"), "plain");
         assert_eq!(csv_cell("say \"hi\""), "\"say \"\"hi\"\"\"");
     }
@@ -941,12 +886,11 @@ mod tests {
         // more — the serialization seam still guards, so a future f64
         // column (or a quantity grown through unchecked paths) can never
         // emit unparsable JSON.
-        assert_eq!(fmt_f64(f64::INFINITY), "null");
-        assert_eq!(fmt_f64(f64::NEG_INFINITY), "null");
-        assert_eq!(fmt_f64(f64::NAN), "null");
-        assert_eq!(fmt_opt_f64(Some(f64::NAN)), "null");
-        assert_eq!(fmt_opt_f64(None), "null");
-        assert_eq!(fmt_f64(4119.5), "4119.5");
+        assert_eq!(json(Value::F64(f64::INFINITY)), "null");
+        assert_eq!(json(Value::F64(f64::NEG_INFINITY)), "null");
+        assert_eq!(json(Value::F64(f64::NAN)), "null");
+        assert_eq!(json(Value::Null), "null");
+        assert_eq!(json(Value::F64(4119.5)), "4119.5");
     }
 
     #[test]

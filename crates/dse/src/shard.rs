@@ -20,13 +20,14 @@
 //!    shard order = scenario order, so the resumed report is
 //!    byte-identical to an uninterrupted run.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
+use noc_probe::{json_object, Value};
+
 use crate::cache::route_key;
-use crate::report::{parse_flat_json, parse_record_json, push_json_str, JsonValue, RunRecord};
+use crate::report::{parse_record_json, Fields, RunRecord};
 use crate::Scenario;
 
 /// Manifest format version; bumped when the descriptor or file layout
@@ -133,19 +134,18 @@ impl Checkpoint {
     /// different sweep.
     pub fn open(dir: &Path, scenarios: &[Scenario], shard_size: usize) -> Result<Self, String> {
         let plan = ShardPlan::new(scenarios.len(), shard_size);
-        let fingerprint = set_fingerprint(scenarios);
+        let expected = Manifest {
+            version: MANIFEST_VERSION,
+            scenarios: plan.scenarios(),
+            shard_size: plan.shard_size(),
+            fingerprint: set_fingerprint(scenarios),
+        };
         fs::create_dir_all(dir).map_err(|e| format!("checkpoint dir {}: {e}", dir.display()))?;
         let manifest_path = dir.join("manifest.json");
         match fs::read_to_string(&manifest_path) {
             Ok(text) => {
                 let found = Manifest::parse(text.trim())
                     .map_err(|e| format!("manifest {}: {e}", manifest_path.display()))?;
-                let expected = Manifest {
-                    version: MANIFEST_VERSION,
-                    scenarios: plan.scenarios(),
-                    shard_size: plan.shard_size(),
-                    fingerprint,
-                };
                 if found != expected {
                     return Err(format!(
                         "checkpoint dir {} belongs to a different sweep (manifest {}, this sweep \
@@ -157,13 +157,7 @@ impl Checkpoint {
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                let manifest = Manifest {
-                    version: MANIFEST_VERSION,
-                    scenarios: plan.scenarios(),
-                    shard_size: plan.shard_size(),
-                    fingerprint,
-                };
-                write_atomic(&manifest_path, &format!("{}\n", manifest.to_json()))?;
+                write_atomic(&manifest_path, &format!("{}\n", expected.to_json()))?;
             }
             Err(e) => return Err(format!("manifest {}: {e}", manifest_path.display())),
         }
@@ -278,39 +272,23 @@ struct Manifest {
 
 impl Manifest {
     fn to_json(&self) -> String {
-        let mut out = String::with_capacity(96);
-        out.push_str(&format!(
-            "{{\"version\":{},\"scenarios\":{},\"shard_size\":{},",
-            self.version, self.scenarios, self.shard_size
-        ));
-        push_json_str(&mut out, "fingerprint", &format!("{:016x}", self.fingerprint));
-        out.push('}');
-        out
+        json_object([
+            ("version", Value::from(self.version)),
+            ("scenarios", Value::from(self.scenarios)),
+            ("shard_size", Value::from(self.shard_size)),
+            ("fingerprint", Value::from(format!("{:016x}", self.fingerprint))),
+        ])
     }
 
     fn parse(text: &str) -> Result<Self, String> {
-        let pairs: BTreeMap<String, JsonValue> = parse_flat_json(text)?.into_iter().collect();
-        let num = |key: &str| -> Result<u64, String> {
-            match pairs.get(key) {
-                Some(JsonValue::Num(raw)) => {
-                    raw.parse().map_err(|_| format!("field '{key}': bad integer '{raw}'"))
-                }
-                _ => Err(format!("missing integer field '{key}'")),
-            }
-        };
-        let fingerprint = match pairs.get("fingerprint") {
-            Some(JsonValue::Str(hex)) => {
-                u64::from_str_radix(hex, 16).map_err(|_| format!("bad fingerprint '{hex}'"))?
-            }
-            _ => return Err("missing string field 'fingerprint'".to_string()),
-        };
+        let f = Fields::parse(text)?;
+        let hex = f.str("fingerprint")?;
         Ok(Self {
-            version: num("version")?,
-            scenarios: usize::try_from(num("scenarios")?)
-                .map_err(|_| "scenarios out of range".to_string())?,
-            shard_size: usize::try_from(num("shard_size")?)
-                .map_err(|_| "shard_size out of range".to_string())?,
-            fingerprint,
+            version: f.u64("version")?,
+            scenarios: f.usize("scenarios")?,
+            shard_size: f.usize("shard_size")?,
+            fingerprint: u64::from_str_radix(&hex, 16)
+                .map_err(|_| format!("bad fingerprint '{hex}'"))?,
         })
     }
 
@@ -522,6 +500,11 @@ mod tests {
             shard_size: 16,
             fingerprint: 0xdead_beef_cafe_f00d,
         };
+        // The exact line every checkpoint directory holds.
+        assert_eq!(
+            m.to_json(),
+            "{\"version\":1,\"scenarios\":112,\"shard_size\":16,\"fingerprint\":\"deadbeefcafef00d\"}"
+        );
         let parsed = Manifest::parse(&m.to_json()).unwrap();
         assert_eq!(parsed, m);
         assert!(Manifest::parse("{}").is_err());

@@ -669,7 +669,8 @@ pub fn parse_loop_kind(name: &str) -> Result<LoopKind, String> {
 ///
 /// # Errors
 ///
-/// An unknown spelling, or options that fail their `check()`.
+/// An unknown spelling, with the accepted ones listed, or options that
+/// fail their `check()`.
 pub fn parse_mapper(name: &str) -> Result<MapperSpec, String> {
     let catalogue = mapper_catalogue();
     let spec = lookup(&catalogue, name)
@@ -678,7 +679,13 @@ pub fn parse_mapper(name: &str) -> Result<MapperSpec, String> {
             let spec = read_params(&lookup(&catalogue, base)?, rest.strip_suffix(']')?)?;
             (family_keyword(&spec) == base).then_some(spec)
         })
-        .ok_or_else(|| format!("unknown mapper `{name}`"))?;
+        .ok_or_else(|| {
+            format!(
+                "unknown mapper `{name}` (expected {}, or a keyword with a `[..]` parameter \
+                 suffix such as `nmap[p4r2]`)",
+                keywords(&catalogue).join("/")
+            )
+        })?;
     let checked = match &spec {
         MapperSpec::Nmap(opts) => opts.check(),
         MapperSpec::NmapSplit(opts) => opts.check(),
@@ -1054,6 +1061,16 @@ simulate {
             parse_spec("mapper warp\napp pip\n").unwrap_err(),
             SpecError::Syntax { line: 1, .. }
         ));
+        // A retired spelling is pointed at the keywords that replaced it.
+        match parse_spec("app pip\nmapper nmap-split\n") {
+            Err(SpecError::Syntax { line: 2, message }) => assert!(
+                message.starts_with("unknown mapper `nmap-split` (expected nmap-init/nmap/")
+                    && message.contains("/nmap-split-quadrant/nmap-split-all/")
+                    && message.contains("`[..]` parameter suffix"),
+                "{message}"
+            ),
+            other => panic!("`mapper nmap-split` should be a syntax error, got {other:?}"),
+        }
         assert!(matches!(
             parse_spec("routing teleport\napp pip\n").unwrap_err(),
             SpecError::Syntax { line: 1, .. }

@@ -17,11 +17,13 @@
 //! ```
 //!
 //! Without `--mesh`/`--torus`/`--noc`, the smallest square-ish mesh that
-//! fits the application is used. The placement is routed as its mapper
-//! scored it: split MCF routing at the mapper's path scope for the
-//! `nmap-split-*` mappers, load-balanced minimum-path routing otherwise.
-//! Exit code 1 on bad input, 2 when the routed loads exceed the link
-//! capacities.
+//! fits the application is used. `--capacity` (default 1000 MB/s) sets
+//! the link capacity of the grid choices; a `.noc` file declares its own,
+//! so `--noc` with `--capacity` is rejected. The placement is routed as
+//! its mapper scored it: split MCF routing at the mapper's path scope for
+//! the `nmap-split-*` mappers, load-balanced minimum-path routing
+//! otherwise. Exit code 1 on bad input, 2 when the routed loads exceed
+//! the link capacities.
 
 use std::process::ExitCode;
 
@@ -39,7 +41,8 @@ use noc_graph::{mapping_dot, parse_core_graph, parse_topology, Topology};
 struct Args {
     app_path: String,
     topology: TopologyChoice,
-    capacity: f64,
+    /// `--capacity`, when given; the grid choices default to 1000 MB/s.
+    capacity: Option<f64>,
     mapper: MapperSpec,
     dot: bool,
 }
@@ -66,7 +69,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut raw = argv.into_iter();
     let mut app_path = None;
     let mut topology = TopologyChoice::Fit;
-    let mut capacity = 1_000.0;
+    let mut capacity = None;
     let mut mapper = MapperSpec::Nmap(SinglePathOptions::default());
     let mut dot = false;
 
@@ -86,7 +89,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             }
             "--capacity" => {
                 let text = raw.next().ok_or("--capacity needs a value")?;
-                capacity = text.parse().map_err(|_| format!("bad capacity `{text}`"))?;
+                capacity = Some(text.parse().map_err(|_| format!("bad capacity `{text}`"))?);
             }
             "--algorithm" => {
                 mapper = parse_mapper(&raw.next().ok_or("--algorithm needs a mapper name")?)?;
@@ -98,6 +101,10 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             }
             other => return Err(format!("unexpected argument `{other}`\n{}", usage())),
         }
+    }
+    if matches!(topology, TopologyChoice::File(_)) && capacity.is_some() {
+        let reason = "the .noc file declares its own link capacities";
+        return Err(format!("--capacity cannot be combined with --noc: {reason}"));
     }
     Ok(Args { app_path: app_path.ok_or_else(usage)?, topology, capacity, mapper, dot })
 }
@@ -142,16 +149,17 @@ fn run(args: &Args) -> Result<bool, String> {
         .map_err(|e| format!("cannot read {}: {e}", args.app_path))?;
     let graph = parse_core_graph(&app_text).map_err(|e| format!("{}: {e}", args.app_path))?;
 
+    let capacity = args.capacity.unwrap_or(1_000.0);
     let topology = match &args.topology {
         TopologyChoice::Fit => {
             let (w, h) = Topology::fit_mesh_dims(graph.core_count());
-            Topology::mesh_nd(&[w, h], args.capacity).map_err(|e| e.to_string())?
+            Topology::mesh_nd(&[w, h], capacity).map_err(|e| e.to_string())?
         }
         TopologyChoice::Mesh(w, h) => {
-            Topology::mesh_nd(&[*w, *h], args.capacity).map_err(|e| e.to_string())?
+            Topology::mesh_nd(&[*w, *h], capacity).map_err(|e| e.to_string())?
         }
         TopologyChoice::Torus(w, h) => {
-            Topology::torus_nd(&[*w, *h], args.capacity).map_err(|e| e.to_string())?
+            Topology::torus_nd(&[*w, *h], capacity).map_err(|e| e.to_string())?
         }
         TopologyChoice::File(path) => {
             let text =
@@ -195,8 +203,9 @@ mod tests {
 
     /// Every argv of up to three tokens, drawn from every flag plus
     /// awkward operands, parses or fails with a message; none panics.
-    /// Every accepted argv names an app file and keeps grid extents
-    /// from 1 to `MAX_GRID_EXTENT`.
+    /// Every accepted argv names an app file, keeps grid extents from 1
+    /// to `MAX_GRID_EXTENT` and never holds both `--noc` and
+    /// `--capacity`: appending the pair to it makes it fail.
     #[test]
     fn every_short_argv_parses_or_fails_cleanly() {
         let tokens: Vec<&str> = "--mesh --torus --noc --capacity --algorithm --dot --help -h \
@@ -227,6 +236,10 @@ mod tests {
                         assert!((1..=MAX_GRID_EXTENT).contains(&extent), "{argv:?}: {extent}");
                     }
                 }
+                let noc_file = matches!(args.topology, TopologyChoice::File(_));
+                assert!(!(noc_file && args.capacity.is_some()), "{argv:?}: --noc with --capacity");
+                let both = argv.iter().chain(&["--noc", "t.noc", "--capacity", "5"]);
+                assert!(parse_args(both.map(|t| t.to_string())).is_err(), "{argv:?} + both");
             }
         }
         assert!(accepted > 100, "only {accepted} argvs accepted");

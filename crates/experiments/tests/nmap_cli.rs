@@ -157,12 +157,33 @@ fn bad_flags_print_usage() {
     // The split mapper's scope is part of its name.
     let out = nmap_cli(&["app.app", "--algorithm", "nmap-split", "--scope", "quadrant"]);
     assert_clean_failure(&out, "unknown mapper `nmap-split`");
+    // The error names the spellings it would have accepted.
+    assert!(stderr_of(&out).contains("nmap-split-all"), "{}", stderr_of(&out));
     let out = nmap_cli(&["app.app", "--scope", "quadrant"]);
     assert_clean_failure(&out, "unexpected argument `--scope`");
     let out = nmap_cli(&["app.app", "--mesh", "0x3"]);
     assert_clean_failure(&out, "want extents from 1 to 512");
     let out = nmap_cli(&["app.app", "--torus", "512x512"]);
     assert_clean_failure(&out, "grid node count 262144 exceeds the maximum 65536");
+}
+
+#[test]
+fn capacity_with_a_topology_file_is_rejected() {
+    // A `.noc` file declares its own link capacities, so `--capacity`
+    // would silently do nothing: 400 MB/s on 500 MB/s links passed as
+    // feasible under `--capacity 100`.
+    let app = TempFile::with_content("pair.app", "core a\ncore b\ncomm a b 400\n");
+    let noc = TempFile::with_content("pair.noc", "custom 2\nlink 0 1 500\nlink 1 0 500\n");
+    for order in [
+        [app.path(), "--noc", noc.path(), "--capacity", "100"],
+        [app.path(), "--capacity", "100", "--noc", noc.path()],
+    ] {
+        let out = nmap_cli(&order);
+        assert_clean_failure(&out, "--capacity cannot be combined with --noc");
+        assert!(out.stdout.is_empty(), "{order:?} printed a mapping");
+    }
+    let out = nmap_cli(&[app.path(), "--noc", noc.path()]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
 }
 
 #[test]

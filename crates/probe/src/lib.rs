@@ -1,5 +1,7 @@
 //! Instrumentation for the NMAP suite: counters, histograms and a JSONL
-//! event sink.
+//! event sink, plus the workspace's one flat-JSON writer
+//! ([`json_object`], [`push_json_value`]), which the sweep records and
+//! the checkpoint manifest also go through.
 //!
 //! # One run-time switch
 //!
@@ -40,7 +42,9 @@ mod handles;
 mod profile;
 
 pub use handles::{Counter, Histogram, Probe};
-pub use profile::{CounterSnapshot, Event, HistogramSnapshot, Profile, Value};
+pub use profile::{
+    json_object, push_json_value, CounterSnapshot, Event, HistogramSnapshot, Profile, Value,
+};
 
 #[cfg(test)]
 mod api_tests {

@@ -1,10 +1,13 @@
 //! The snapshot model: what a [`Probe`](crate::Probe) has collected,
 //! detached from the live atomics, plus its JSONL encoding. A disabled
-//! probe's snapshot is always empty.
+//! probe's snapshot is always empty. The encoding's flat-JSON writer,
+//! [`json_object`] with [`push_json_value`], is the workspace's one JSON
+//! writer.
 
 use std::fmt::Write as _;
 
-/// One field value of an [`Event`].
+/// One field value of an [`Event`], and one value of a line written by
+/// [`json_object`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Unsigned integer (counters, cycle numbers, iteration indices).
@@ -17,6 +20,8 @@ pub enum Value {
     Bool(bool),
     /// Free-form text (labels, mapper names).
     Str(String),
+    /// JSON `null`: an absent value.
+    Null,
 }
 
 impl From<u64> for Value {
@@ -139,38 +144,61 @@ impl Profile {
     /// profile.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for c in &self.counters {
-            out.push_str("{\"type\":\"counter\",\"name\":");
-            push_json_string(&mut out, &c.name);
-            let _ = write!(out, ",\"value\":{}}}", c.value);
+        let mut line = |fields: Vec<(&str, Value)>| {
+            out.push_str(&json_object(fields));
             out.push('\n');
+        };
+        for c in &self.counters {
+            line(vec![
+                ("type", "counter".into()),
+                ("name", c.name.as_str().into()),
+                ("value", c.value.into()),
+            ]);
         }
         for h in &self.histograms {
-            out.push_str("{\"type\":\"histogram\",\"name\":");
-            push_json_string(&mut out, &h.name);
-            let _ = write!(
-                out,
-                ",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{}}}",
-                h.count, h.sum, h.min, h.max, h.p50, h.p95
-            );
-            out.push('\n');
+            line(vec![
+                ("type", "histogram".into()),
+                ("name", h.name.as_str().into()),
+                ("count", h.count.into()),
+                ("sum", h.sum.into()),
+                ("min", h.min.into()),
+                ("max", h.max.into()),
+                ("p50", h.p50.into()),
+                ("p95", h.p95.into()),
+            ]);
         }
         for e in &self.events {
-            out.push_str("{\"type\":\"event\",\"name\":");
-            push_json_string(&mut out, &e.name);
-            for (key, value) in &e.fields {
-                out.push(',');
-                push_json_string(&mut out, key);
-                out.push(':');
-                push_json_value(&mut out, value);
-            }
-            out.push_str("}\n");
+            let mut fields = vec![("type", "event".into()), ("name", e.name.as_str().into())];
+            fields.extend(e.fields.iter().map(|(key, value)| (key.as_str(), value.clone())));
+            line(fields);
         }
         out
     }
 }
 
-fn push_json_value(out: &mut String, value: &Value) {
+/// One flat JSON object holding `fields` in order, on one line:
+/// `{"key":value,...}`. The workspace's one JSON writer: profile lines,
+/// sweep records and the checkpoint manifest all go through it.
+pub fn json_object<'a>(fields: impl IntoIterator<Item = (&'a str, Value)>) -> String {
+    let mut out = String::from("{");
+    for (i, (key, value)) in fields.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_json_string(&mut out, key);
+        out.push(':');
+        push_json_value(&mut out, &value);
+    }
+    out.push('}');
+    out
+}
+
+/// Appends the JSON spelling of `value`. Numbers use Rust's shortest
+/// round-trip `{}` form, so a reader that keeps their spelling can
+/// reproduce a line byte for byte. JSON has no spelling for `inf`/`NaN`,
+/// so a non-finite float becomes `null`, as [`Value::Null`] does, rather
+/// than unparsable output.
+pub fn push_json_value(out: &mut String, value: &Value) {
     match value {
         Value::U64(v) => {
             let _ = write!(out, "{v}");
@@ -178,20 +206,12 @@ fn push_json_value(out: &mut String, value: &Value) {
         Value::I64(v) => {
             let _ = write!(out, "{v}");
         }
-        Value::F64(v) => push_json_f64(out, *v),
+        Value::F64(v) if v.is_finite() => {
+            let _ = write!(out, "{v}");
+        }
+        Value::F64(_) | Value::Null => out.push_str("null"),
         Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
         Value::Str(v) => push_json_string(out, v),
-    }
-}
-
-/// JSON has no spelling for `inf`/`NaN`; non-finite values become `null`
-/// rather than emitting unparsable output (same policy as the dse report
-/// writers).
-fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
     }
 }
 
@@ -261,6 +281,7 @@ mod tests {
                 fields: vec![
                     ("n".into(), Value::F64(f64::NAN)),
                     ("v".into(), Value::F64(f64::INFINITY)),
+                    ("z".into(), Value::Null),
                 ],
             }],
             ..Default::default()
@@ -268,6 +289,7 @@ mod tests {
         let jsonl = profile.to_jsonl();
         assert!(jsonl.contains("\"n\":null"));
         assert!(jsonl.contains("\"v\":null"));
+        assert!(jsonl.contains("\"z\":null"));
         assert!(!jsonl.contains("inf") && !jsonl.contains("NaN"));
     }
 

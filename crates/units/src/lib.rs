@@ -2,7 +2,7 @@
 //!
 //! The paper mixes units everywhere: bandwidth constraints in MB/s
 //! (Inequality 3), communication cost in hops·MB/s (Equation 7), and
-//! simulator time in cycles. This crate gives each its own newtype so the
+//! simulator latency in cycles. This crate gives each its own newtype so the
 //! compiler rejects cross-unit arithmetic — `Mbps + HopMbps` is a type
 //! error, `Mbps × Hops` is the one sanctioned product (and it yields
 //! [`HopMbps`]).
@@ -257,7 +257,7 @@ nonneg_quantity!(
 );
 nonneg_quantity!(
     /// A latency measured in cycles, as a mean or other statistic (hence
-    /// fractional; exact per-packet latencies are [`Cycles`]).
+    /// fractional).
     Latency,
     "cycles"
 );
@@ -397,60 +397,6 @@ impl Sub for HopMbps {
     #[inline]
     fn sub(self, rhs: Self) -> CostDelta {
         CostDelta::raw(self.0 - rhs.0)
-    }
-}
-
-/// An exact simulator time or per-packet latency in whole cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Cycles(u64);
-
-impl Cycles {
-    /// The zero duration.
-    pub const ZERO: Self = Self(0);
-
-    /// Wraps a cycle count (every `u64` is valid).
-    #[inline]
-    pub fn new(cycles: u64) -> Self {
-        Self(cycles)
-    }
-
-    /// The raw count — the only numeric exit seam.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-
-    /// The count as `f64` (exact below 2⁵³), for ratio/mean arithmetic.
-    #[inline]
-    pub fn as_f64(self) -> f64 {
-        self.0 as f64
-    }
-
-    /// Saturating difference `self − earlier` (0 when `earlier` is
-    /// later), the overflow-safe spelling of an elapsed interval.
-    #[inline]
-    pub fn since(self, earlier: Self) -> Self {
-        Self(self.0.saturating_sub(earlier.0))
-    }
-}
-
-impl fmt::Display for Cycles {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(&self.0, f)
-    }
-}
-
-impl Add for Cycles {
-    type Output = Self;
-    #[inline]
-    fn add(self, rhs: Self) -> Self {
-        Self(self.0 + rhs.0)
-    }
-}
-
-impl Sum for Cycles {
-    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
-        Self(iter.map(|c| c.0).sum())
     }
 }
 
@@ -604,7 +550,6 @@ mod tests {
             assert_eq!(format!("{:>10}", Latency::raw(v)), format!("{v:>10}"));
         }
         assert_eq!(format!("{}", Score::INFEASIBLE), format!("{}", f64::INFINITY));
-        assert_eq!(format!("{}", Cycles::new(1024)), "1024");
     }
 
     #[test]
@@ -643,15 +588,6 @@ mod tests {
         assert_eq!(v, vec![Mbps::ZERO, Mbps::raw(1.5), Mbps::raw(3.0)]);
         assert_eq!(Mbps::raw(1.0).max(Mbps::raw(2.0)), Mbps::raw(2.0));
         assert_eq!(Mbps::raw(6.0).ratio(Mbps::raw(3.0)), 2.0);
-    }
-
-    #[test]
-    fn cycles_arithmetic() {
-        assert_eq!(Cycles::new(5) + Cycles::new(7), Cycles::new(12));
-        assert_eq!(Cycles::new(10).since(Cycles::new(4)), Cycles::new(6));
-        assert_eq!(Cycles::new(4).since(Cycles::new(10)), Cycles::ZERO, "saturates");
-        assert_eq!([Cycles::new(1), Cycles::new(2)].into_iter().sum::<Cycles>(), Cycles::new(3));
-        assert_eq!(Cycles::new(3).as_f64(), 3.0);
     }
 
     #[test]
