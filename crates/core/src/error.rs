@@ -3,6 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
+use noc_graph::GraphError;
 use noc_lp::SolveError;
 
 /// Errors produced by problem construction and the mapping algorithms.
@@ -39,6 +40,9 @@ pub enum MapError {
     InvalidOptions(String),
     /// An MCF linear program failed to solve.
     Lp(SolveError),
+    /// The topology could not be built (a zero grid extent, an invalid
+    /// link capacity, ...).
+    Topology(GraphError),
 }
 
 impl fmt::Display for MapError {
@@ -58,6 +62,7 @@ impl fmt::Display for MapError {
                 write!(f, "invalid mapper options: {message}")
             }
             MapError::Lp(e) => write!(f, "multi-commodity flow LP failed: {e}"),
+            MapError::Topology(e) => write!(f, "invalid topology: {e}"),
         }
     }
 }
@@ -66,6 +71,7 @@ impl Error for MapError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             MapError::Lp(e) => Some(e),
+            MapError::Topology(e) => Some(e),
             _ => None,
         }
     }
@@ -74,6 +80,12 @@ impl Error for MapError {
 impl From<SolveError> for MapError {
     fn from(e: SolveError) -> Self {
         MapError::Lp(e)
+    }
+}
+
+impl From<GraphError> for MapError {
+    fn from(e: GraphError) -> Self {
+        MapError::Topology(e)
     }
 }
 
@@ -96,5 +108,8 @@ mod tests {
         assert_eq!(e, MapError::Lp(SolveError::Unbounded));
         assert!(Error::source(&e).is_some());
         assert!(Error::source(&MapError::EmptyProblem).is_none());
+        let e: MapError = GraphError::ZeroExtent { axis: 0 }.into();
+        assert_eq!(e.to_string(), "invalid topology: grid axis 0 has zero extent");
+        assert!(Error::source(&e).is_some());
     }
 }

@@ -14,14 +14,15 @@
 //! * the **scratch vectors** (commodity list, per-link loads) — identical
 //!   shape on every evaluation.
 //!
-//! [`EvalContext`] caches the first two and reuses the third. Its router
+//! [`EvalContext`] caches the first two and reuses the third, and it owns
+//! one [`PathSearch`] whose buffers every evaluation reuses. Its router
 //! runs the one greedy loop of the uncached
 //! [`routing::route_min_paths`](crate::routing::route_min_paths), with
-//! the same Dijkstra queries and weights in the same order, so its loads
-//! and costs are *bit-identical* to that router's (asserted by tests and
-//! the workspace determinism suite).
+//! the same shortest-path queries and weights in the same order, so its
+//! loads and costs are *bit-identical* to that router's (asserted by
+//! tests and the workspace determinism suite).
 
-use noc_graph::{NodeId, QuadrantDag};
+use noc_graph::{NodeId, PathSearch, QuadrantDag};
 use noc_probe::{Counter, Probe};
 use noc_units::{CostDelta, HopMbps, Score};
 
@@ -73,6 +74,8 @@ pub struct EvalContext<'p> {
     commodities: Vec<Commodity>,
     /// Scratch: per-link loads of the routing under evaluation.
     loads: LinkLoads,
+    /// The router's shortest-path searcher, its buffers reused.
+    search: PathSearch<'p>,
     /// Telemetry (no-op handles unless a probe was attached).
     probe: Probe,
     pub(crate) counters: SearchCounters,
@@ -88,6 +91,7 @@ impl<'p> EvalContext<'p> {
             quadrants: vec![None; nodes * nodes],
             commodities: Vec::with_capacity(problem.cores().edge_count()),
             loads: LinkLoads::zeros(problem.topology().link_count()),
+            search: PathSearch::new(problem.topology()),
             probe: Probe::default(),
             counters: SearchCounters::default(),
         }
@@ -215,10 +219,10 @@ impl<'p> EvalContext<'p> {
     ///
     /// Panics if `mapping` is incomplete.
     pub fn route_min_loads(&mut self, mapping: &Mapping) -> Result<&LinkLoads> {
-        let Self { problem, order, quadrants, commodities, loads, .. } = self;
+        let Self { problem, order, quadrants, commodities, loads, search, .. } = self;
         problem.commodities_into(mapping, commodities);
         loads.reset();
-        route_greedy(problem.topology(), commodities, order, Some(quadrants), loads, None)?;
+        route_greedy(search, commodities, order, Some(quadrants), loads, None)?;
         Ok(loads)
     }
 

@@ -32,10 +32,9 @@
 //! enter every master in a canonical order, so permuting the commodity
 //! slice returns an identical [`McfSolution`].
 
-use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BTreeSet;
 
-use noc_graph::{LinkId, NodeId, QuadrantDag, Topology};
+use noc_graph::{LinkId, PathSearch, QuadrantDag, Topology};
 use noc_lp::{Constraint, ConstraintSense, LinearProgram, Sense, SolveError, VarId};
 
 use crate::routing::{LinkLoads, RoutingTables, SplitRoute};
@@ -256,6 +255,29 @@ struct Demand {
     quadrant: Option<QuadrantDag>,
 }
 
+impl Demand {
+    /// Shortest-path pricing: the cheapest path in this demand's scope
+    /// when each link costs `unit + weights[link]`, with its cost; `None`
+    /// when the destination is unreachable. The search breaks cost ties
+    /// on hop count, so among equally priced paths the shortest enters.
+    fn cheapest(
+        &self,
+        search: &mut PathSearch<'_>,
+        unit: f64,
+        weights: &[f64],
+    ) -> Option<(f64, Path)> {
+        let Commodity { source, dest, .. } = self.commodity;
+        search
+            .cheapest(
+                source,
+                dest,
+                |l| self.quadrant.as_ref().is_none_or(|q| q.contains(l)),
+                |cost, l| cost + unit + weights[l.index()],
+            )
+            .map(|(cost, links)| (cost, (links.len(), links.to_vec())))
+    }
+}
+
 /// FlowMin's outcome: the MCF2 optimum, or — when the capacities cannot
 /// carry the traffic — the MCF1 optimum that proves it.
 enum FlowMin {
@@ -319,14 +341,14 @@ impl<'a> Instance<'a> {
     /// begins here, so this is where it counts as a solve.
     fn start(&self, stats: &mut McfSolveStats) -> Result<Vec<BTreeSet<Path>>> {
         stats.solves += 1;
-        let mut pricer = Pricer::new(self.topology);
+        let mut search = PathSearch::new(self.topology);
         let free = vec![0.0; self.topology.link_count()];
         let pool: Vec<BTreeSet<Path>> = self
             .demands
             .iter()
             .map(|d| {
-                let (_, path) = pricer
-                    .cheapest(self.topology, d, 0.0, &free)
+                let (_, path) = d
+                    .cheapest(&mut search, 0.0, &free)
                     .ok_or(MapError::Lp(SolveError::Infeasible))?;
                 Ok(BTreeSet::from([path]))
             })
@@ -393,7 +415,7 @@ impl<'a> Instance<'a> {
         stats: &mut McfSolveStats,
     ) -> Result<Optimum> {
         let topology = self.topology;
-        let mut pricer = Pricer::new(topology);
+        let mut search = PathSearch::new(topology);
         let mut weights = vec![0.0; topology.link_count()];
         let unit = if master == Master::Flow { 1.0 } else { 0.0 };
         loop {
@@ -409,7 +431,7 @@ impl<'a> Instance<'a> {
             let demand_duals = &solution.duals[built.rows.len()..];
             let mut added = 0;
             for ((d, paths), &dual) in self.demands.iter().zip(&mut pool).zip(demand_duals) {
-                if let Some((cost, path)) = pricer.cheapest(topology, d, unit, &weights) {
+                if let Some((cost, path)) = d.cheapest(&mut search, unit, &weights) {
                     if cost - dual < -PRICING_TOLERANCE && paths.insert(path) {
                         added += 1;
                     }
@@ -522,113 +544,10 @@ struct Built {
     columns: usize,
 }
 
-/// Shortest-path pricing: Dijkstra over a demand's scope, lexicographic
-/// in `(cost, hops)` so that among equally priced paths the shortest
-/// enters. Ties beyond that resolve deterministically (lowest node id
-/// settled first, links relaxed in adjacency order). The buffers are
-/// reused across demands and rounds.
-struct Pricer {
-    best: Vec<(f64, usize)>,
-    prev: Vec<Option<LinkId>>,
-    done: Vec<bool>,
-    heap: BinaryHeap<Entry>,
-}
-
-impl Pricer {
-    fn new(topology: &Topology) -> Self {
-        let n = topology.node_count();
-        Self {
-            best: vec![(0.0, 0); n],
-            prev: vec![None; n],
-            done: vec![false; n],
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// The cheapest `source → dest` path of `demand` when each link costs
-    /// `unit + weights[link]`, with its cost; `None` when the destination
-    /// is unreachable.
-    fn cheapest(
-        &mut self,
-        topology: &Topology,
-        demand: &Demand,
-        unit: f64,
-        weights: &[f64],
-    ) -> Option<(f64, Path)> {
-        let (source, dest) = (demand.commodity.source, demand.commodity.dest);
-        self.best.fill((f64::INFINITY, usize::MAX));
-        self.prev.fill(None);
-        self.done.fill(false);
-        self.heap.clear();
-        self.best[source.index()] = (0.0, 0);
-        self.heap.push(Entry { cost: 0.0, hops: 0, node: source });
-        while let Some(Entry { cost, hops, node }) = self.heap.pop() {
-            if std::mem::replace(&mut self.done[node.index()], true) {
-                continue;
-            }
-            if node == dest {
-                break;
-            }
-            for (id, link) in topology.out_links(node) {
-                if demand.quadrant.as_ref().is_some_and(|q| !q.contains(id)) {
-                    continue;
-                }
-                let candidate = (cost + unit + weights[id.index()], hops + 1);
-                if lexicographic(candidate, self.best[link.dst.index()]) == Ordering::Less {
-                    self.best[link.dst.index()] = candidate;
-                    self.prev[link.dst.index()] = Some(id);
-                    self.heap.push(Entry { cost: candidate.0, hops: candidate.1, node: link.dst });
-                }
-            }
-        }
-        let (cost, hops) = self.best[dest.index()];
-        if !cost.is_finite() {
-            return None;
-        }
-        let mut links = Vec::with_capacity(hops);
-        let mut at = dest;
-        while at != source {
-            let link = self.prev[at.index()].expect("settled nodes have a predecessor");
-            links.push(link);
-            at = topology.link(link).src;
-        }
-        links.reverse();
-        Some((cost, (hops, links)))
-    }
-}
-
-fn lexicographic(a: (f64, usize), b: (f64, usize)) -> Ordering {
-    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
-}
-
-/// Min-heap entry on `(cost, hops, node)`.
-#[derive(Debug, PartialEq)]
-struct Entry {
-    cost: f64,
-    hops: usize,
-    node: NodeId,
-}
-
-impl Eq for Entry {}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: `BinaryHeap` pops the greatest entry.
-        lexicographic((other.cost, other.hops), (self.cost, self.hops))
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_graph::{CoreGraph, EdgeId, Topology};
+    use noc_graph::{CoreGraph, EdgeId, NodeId, Topology};
     use noc_units::Mbps;
 
     /// One `value` MB/s flow between adjacent corners of a 2x2 mesh whose

@@ -3,8 +3,8 @@
 //! * [`route_min_paths`] — the routing half of the paper's
 //!   `shortestpath()` routine: commodities are processed in decreasing
 //!   bandwidth order and each is routed over the least-loaded minimal path
-//!   inside its quadrant graph (Dijkstra with load-dependent weights,
-//!   weights grow by `vl(d_k)` after each commodity is committed).
+//!   inside its quadrant graph (a [`PathSearch`] under load-dependent
+//!   weights, which grow by `vl(d_k)` after each commodity is committed).
 //! * [`route_dor`] — deterministic dimension-ordered routing over the
 //!   grid's axes in stride order (X, then Y, then Z, ...), used for the
 //!   DPMAP/DGMAP rows of the paper's Figure 4; [`route_xy`] is its
@@ -14,13 +14,13 @@
 //! * [`RoutingTables`] — per-commodity path sets with flow fractions; the
 //!   single-path and split-traffic flows share this representation.
 
-use noc_graph::{dijkstra, Axis, EdgeId, LinkId, NodeId, QuadrantDag, Topology};
+use noc_graph::{Axis, EdgeId, LinkId, NodeId, PathSearch, QuadrantDag, Topology};
 
 use crate::{Commodity, MapError, Mapping, MappingProblem, Result};
 
 // lint: allow-file(f64-api) — this module is the routing hot path: link
-// loads are a dense per-link `Vec<f64>` accumulator driven inside the
-// Dijkstra weight closure, and `SplitRoute::fraction` is dimensionless.
+// loads are a dense per-link `Vec<f64>` accumulator read inside the
+// shortest-path step closure, and `SplitRoute::fraction` is dimensionless.
 // Values are MB/s by construction (they enter from typed `Mbps`
 // commodity values via `to_f64()`), and they re-enter the typed world at
 // the report/record seams.
@@ -41,6 +41,14 @@ pub struct CommodityPath {
 }
 
 impl CommodityPath {
+    /// The path of `edge` from `source` over `links`; its nodes follow
+    /// from the links.
+    fn new(topology: &Topology, edge: EdgeId, source: NodeId, links: Vec<LinkId>) -> Self {
+        let nodes =
+            std::iter::once(source).chain(links.iter().map(|&l| topology.link(l).dst)).collect();
+        Self { edge, links, nodes }
+    }
+
     /// Number of hops.
     pub fn hops(&self) -> usize {
         self.links.len()
@@ -184,8 +192,8 @@ impl LinkLoads {
 /// Routes every commodity over a single minimal path, balancing load
 /// greedily (the routing phase of the paper's `shortestpath()` routine).
 ///
-/// Commodities are processed in decreasing bandwidth order. Each is routed
-/// by Dijkstra over its quadrant DAG with link weight
+/// Commodities are processed in decreasing bandwidth order. Each takes the
+/// cheapest path of its quadrant DAG ([`PathSearch`]) under link weight
 /// `1 + (traffic already committed to the link)`; after routing, the
 /// path's links gain the commodity's bandwidth. Because every quadrant
 /// path is minimal, the result is always a minimum-hop routing.
@@ -209,24 +217,26 @@ pub fn route_min_paths(
     let mut loads = LinkLoads::zeros(topology.link_count());
     let mut paths: Vec<Option<CommodityPath>> = vec![None; commodities.len()];
     let order = problem.commodity_order();
-    route_greedy(topology, &commodities, &order, None, &mut loads, Some(&mut paths))?;
+    let mut search = PathSearch::new(topology);
+    route_greedy(&mut search, &commodities, &order, None, &mut loads, Some(&mut paths))?;
     Ok((paths.into_iter().map(|p| p.expect("all commodities routed")).collect(), loads))
 }
 
 /// The greedy loop of `shortestpath()`: each commodity of `order` in turn
-/// takes the Dijkstra path of its quadrant DAG under link weight
+/// takes `search`'s cheapest path of its quadrant DAG under link weight
 /// `1 + load`, and that path's links then gain its bandwidth.
 /// `quadrants`, keyed by `source * node_count + dest`, keeps the DAGs
 /// across calls; without it each one is built on the fly. `paths`, when
 /// given, receives every commodity's path at its edge index.
 pub(crate) fn route_greedy(
-    topology: &Topology,
+    search: &mut PathSearch<'_>,
     commodities: &[Commodity],
     order: &[EdgeId],
     mut quadrants: Option<&mut [Option<QuadrantDag>]>,
     loads: &mut LinkLoads,
     mut paths: Option<&mut [Option<CommodityPath>]>,
 ) -> Result<()> {
+    let topology = search.topology();
     for &edge in order {
         let c = commodities[edge.index()];
         if c.source == c.dest {
@@ -234,7 +244,7 @@ pub(crate) fn route_greedy(
             // the core graph has no self-loops) but keep the router total.
             if let Some(paths) = paths.as_deref_mut() {
                 paths[edge.index()] =
-                    Some(CommodityPath { edge, links: Vec::new(), nodes: vec![c.source] });
+                    Some(CommodityPath::new(topology, edge, c.source, Vec::new()));
             }
             continue;
         }
@@ -247,15 +257,20 @@ pub(crate) fn route_greedy(
                 &fresh
             }
         };
-        let outcome =
-            dijkstra(topology, c.source, c.dest, |l| 1.0 + loads.get(l), |l| quadrant.contains(l))
-                .ok_or(MapError::Unroutable { commodity: edge.index() })?;
-        for &l in &outcome.links {
+        let (_, links) = search
+            .cheapest(
+                c.source,
+                c.dest,
+                |l| quadrant.contains(l),
+                |cost, l| cost + (1.0 + loads.get(l)),
+            )
+            .ok_or(MapError::Unroutable { commodity: edge.index() })?;
+        for &l in links {
             loads.add(l, c.value.to_f64());
         }
         if let Some(paths) = paths.as_deref_mut() {
             paths[edge.index()] =
-                Some(CommodityPath { edge, links: outcome.links, nodes: outcome.nodes });
+                Some(CommodityPath::new(topology, edge, c.source, links.to_vec()));
         }
     }
     Ok(())

@@ -74,17 +74,38 @@ impl From<usize> for RunContext<'_> {
 
 /// Runs `scenarios` under `ctx` (a [`RunContext`] or a bare thread
 /// count), returning records in scenario order. Scenario-level failures
-/// (app does not fit, unroutable, LP breakdown) become records with a
-/// non-empty `error` field; they never abort the call. Cache lookups land
-/// in the `dse.cache.{hit,miss}` probe counters (plus per-stage
-/// `dse.cache.{map,route}_*` variants), and every MCF route solve's work
-/// in `lp.solves`, `lp.pivots`, `lp.phase1_pivots`, `lp.cg.rounds` and
-/// `lp.cg.columns`.
+/// (invalid topology, app does not fit, unroutable, LP breakdown) become
+/// records with a non-empty `error` field; they never abort the call.
+/// Cache lookups land in the `dse.cache.{hit,miss}` probe counters (plus
+/// per-stage `dse.cache.{map,route}_*` variants), and every MCF route
+/// solve's work in `lp.solves`, `lp.pivots`, `lp.phase1_pivots`,
+/// `lp.cg.rounds` and `lp.cg.columns`. A live probe also receives one
+/// `dse.scenario` event per record, in scenario order whatever the
+/// thread count, so two profiles of one sweep list them alike.
 pub fn run_scenarios<'a>(scenarios: &[Scenario], ctx: impl Into<RunContext<'a>>) -> Vec<RunRecord> {
     let ctx = ctx.into();
     let fresh = StageCache::in_memory();
     let cache = ctx.cache.unwrap_or(&fresh);
-    pool_map(scenarios.len(), ctx.clone(), |i| run_scenario(&scenarios[i], &ctx.probe, cache))
+    let records =
+        pool_map(scenarios.len(), ctx.clone(), |i| run_scenario(&scenarios[i], &ctx.probe, cache));
+    if ctx.probe.is_enabled() {
+        for record in &records {
+            ctx.probe.emit(
+                "dse.scenario",
+                &[
+                    ("scenario", Value::from(record.scenario.as_str())),
+                    ("mapper", Value::from(record.mapper.as_str())),
+                    ("routing", Value::from(record.routing.as_str())),
+                    ("seed", Value::from(record.seed)),
+                    ("ok", Value::from(record.is_ok())),
+                    ("feasible", Value::from(record.feasible)),
+                    ("evaluations", Value::from(record.evaluations)),
+                    ("total_us", Value::from(record.times.total_us())),
+                ],
+            );
+        }
+    }
+    records
 }
 
 /// Default scenarios per shard for a checkpointed [`run_sweep`]: small
@@ -344,10 +365,9 @@ fn effective_threads(threads: usize, scenarios: usize) -> usize {
 /// loaded into the simulator as source routes). The probe is threaded
 /// into the mapper's [`EvalContext`] (evaluation/delta-gate counters,
 /// search trajectory events) and the simulator (executed/skipped-cycle
-/// counters), the per-stage wall times land in the `dse.stage.*_us`
-/// histograms (cache-lookup overhead in `dse.stage.cache_us`), and one
-/// `dse.scenario` event records the run. The record itself is
-/// byte-identical to an unprobed run.
+/// counters), and the per-stage wall times land in the `dse.stage.*_us`
+/// histograms (cache-lookup overhead in `dse.stage.cache_us`). The record
+/// itself is byte-identical to an unprobed run.
 fn run_scenario(scenario: &Scenario, probe: &Probe, cache: &StageCache) -> RunRecord {
     let record = run_scenario_inner(scenario, probe, cache);
     probe.histogram("dse.stage.build_us").record(record.times.build_us);
@@ -356,21 +376,6 @@ fn run_scenario(scenario: &Scenario, probe: &Probe, cache: &StageCache) -> RunRe
     probe.histogram("dse.stage.cache_us").record(record.times.cache_us);
     if record.sim.is_some() {
         probe.histogram("dse.stage.sim_us").record(record.times.sim_us);
-    }
-    if probe.is_enabled() {
-        probe.emit(
-            "dse.scenario",
-            &[
-                ("scenario", Value::from(record.scenario.as_str())),
-                ("mapper", Value::from(record.mapper.as_str())),
-                ("routing", Value::from(record.routing.as_str())),
-                ("seed", Value::from(record.seed)),
-                ("ok", Value::from(record.is_ok())),
-                ("feasible", Value::from(record.feasible)),
-                ("evaluations", Value::from(record.evaluations)),
-                ("total_us", Value::from(record.times.total_us())),
-            ],
-        );
     }
     record
 }
@@ -391,8 +396,17 @@ fn count_lookup(probe: &Probe, stage: &str, lookup: Lookup) {
 
 fn run_scenario_inner(scenario: &Scenario, probe: &Probe, cache: &StageCache) -> RunRecord {
     let build_start = Instant::now();
-    let (graph, topology) = scenario.parts();
+    let (graph, topology) = scenario.try_parts();
     let cores = graph.core_count();
+    // A hand-built scenario can carry a topology spec the parser and the
+    // builder would reject: it fails as a record labelled with the spec.
+    let topology = match topology {
+        Ok(topology) => topology,
+        Err(e) => {
+            let error = format!("invalid topology spec: {e}");
+            return RunRecord::failed(scenario, cores, scenario.topology.name(), error);
+        }
+    };
     let topo_label = topology_label(&topology);
     // Scenario fields are public, so a hand-built scenario can bypass the
     // builder's validation; an invalid simulate spec must become an error
@@ -839,6 +853,82 @@ mod tests {
         let record = run_one(&unresolved);
         assert!(!record.is_ok());
         assert!(record.error.contains("unresolved bandwidth"), "error: {}", record.error);
+    }
+
+    #[test]
+    fn invalid_hand_built_topology_becomes_an_error_record() {
+        // Zero capacity and a zero grid extent: `TopologySpec::build`
+        // rejects both, and a pool worker must not panic on them.
+        let zero_capacity = Scenario {
+            label: "PIP".into(),
+            app: AppSpec::Bundled(App::Pip),
+            seed: 0,
+            topology: TopologySpec::FitMesh,
+            capacity: Mbps::ZERO,
+            mapper: MapperSpec::NmapInit,
+            routing: RoutingSpec::MinPath,
+            simulate: None,
+        };
+        let zero_extent = Scenario {
+            topology: TopologySpec::Mesh { dims: vec![0, 4] },
+            capacity: mbps(1_000.0),
+            ..zero_capacity.clone()
+        };
+        let scenarios = [zero_capacity, zero_extent];
+        for threads in [1, 2] {
+            let records = run_scenarios(&scenarios, threads);
+            assert_eq!(records.len(), 2, "threads={threads}");
+            let [capacity, extent] = [&records[0], &records[1]];
+            assert_eq!(capacity.topology, "fit");
+            assert_eq!(
+                capacity.error,
+                "invalid topology spec: link capacity 0 is not a finite positive value"
+            );
+            assert_eq!(extent.topology, "mesh 0x4");
+            assert_eq!(extent.error, "invalid topology spec: grid axis 0 has zero extent");
+            assert!(records.iter().all(|r| !r.feasible && r.cores == 8), "threads={threads}");
+        }
+        assert!(matches!(scenarios[1].problem(), Err(nmap::MapError::Topology(_))));
+    }
+
+    #[test]
+    fn scenario_events_come_in_scenario_order() {
+        // A slow 25-core NMAP scenario first: with several workers every
+        // other scenario finishes before it.
+        let slow = Scenario {
+            label: "rand25".into(),
+            app: AppSpec::Random(RandomGraphConfig { cores: 25, ..Default::default() }),
+            seed: 1,
+            topology: TopologySpec::FitMesh,
+            capacity: mbps(1_000.0),
+            mapper: MapperSpec::Nmap(SinglePathOptions::default()),
+            routing: RoutingSpec::MinPath,
+            simulate: None,
+        };
+        let scenarios: Vec<Scenario> =
+            std::iter::once(slow).chain(small_set().scenarios().iter().cloned()).collect();
+        let mut lists = Vec::new();
+        for threads in [1, 4] {
+            let probe = Probe::new();
+            let ctx = RunContext { threads, probe: probe.clone(), cache: None };
+            let records = run_scenarios(&scenarios, ctx);
+            let events: Vec<Vec<(String, Value)>> = probe
+                .snapshot()
+                .events_named("dse.scenario")
+                .map(|e| e.fields.iter().filter(|(k, _)| k != "total_us").cloned().collect())
+                .collect();
+            // The first three fields are the record's scenario, mapper
+            // and routing labels.
+            let labels: Vec<[Value; 3]> =
+                events.iter().map(|fields| [0, 1, 2].map(|i| fields[i].1.clone())).collect();
+            let want: Vec<[Value; 3]> = records
+                .iter()
+                .map(|r| [&r.scenario, &r.mapper, &r.routing].map(|s| Value::from(s.as_str())))
+                .collect();
+            assert_eq!(labels, want, "threads={threads}: events out of record order");
+            lists.push(events);
+        }
+        assert_eq!(lists[0], lists[1], "the event lists differ between thread counts");
     }
 
     #[test]

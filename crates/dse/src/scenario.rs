@@ -10,7 +10,8 @@ use nmap::{
 use noc_apps::App;
 use noc_baselines::{gmap, pbb_checked, pmap, PbbOptions};
 use noc_graph::{
-    dims_label, CoreGraph, Grid, RandomGraphConfig, RandomGraphFamily, Topology, TopologyKind,
+    dims_label, CoreGraph, GraphError, Grid, RandomGraphConfig, RandomGraphFamily, Topology,
+    TopologyKind,
 };
 use noc_sim::{LoopKind, SimConfig};
 use noc_units::Mbps;
@@ -84,14 +85,14 @@ impl TopologySpec {
     /// Builds the topology for an application with `cores` cores and
     /// uniform link `capacity` (MB/s).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on invalid dimensions or capacities (the spec parser and the
-    /// builder validate both up front; hand-built specs inherit the
-    /// constructor panics, as the 2-D-only spec did).
-    pub fn build(&self, cores: usize, capacity: Mbps) -> Topology {
+    /// The grid constructor's [`GraphError`] on a zero extent, an invalid
+    /// capacity or an oversized grid. The spec parser and the builder
+    /// reject those up front; a hand-built scenario can still carry them.
+    pub fn build(&self, cores: usize, capacity: Mbps) -> Result<Topology, GraphError> {
         let capacity = capacity.to_f64();
-        let built = match self {
+        match self {
             TopologySpec::FitMesh => {
                 let (w, h) = Topology::fit_mesh_dims(cores);
                 Topology::mesh_nd(&[w, h], capacity)
@@ -104,8 +105,7 @@ impl TopologySpec {
             TopologySpec::FitTorus3d => Topology::torus_nd(&Grid::fit_dims(cores, 3), capacity),
             TopologySpec::Mesh { dims } => Topology::mesh_nd(dims, capacity),
             TopologySpec::Torus { dims } => Topology::torus_nd(dims, capacity),
-        };
-        built.unwrap_or_else(|e| panic!("invalid topology spec: {e}"))
+        }
     }
 
     /// Stable display name, the `.dse` spelling: a fitted topology's
@@ -265,8 +265,9 @@ pub struct SimulateSpec {
     pub seed: u64,
     /// Which simulator main loop the engine runs. Both loop kinds produce
     /// bit-identical reports (pinned by the sim crate's identity suites);
-    /// selecting the full-scan oracle here lets sweeps cross-check the
-    /// default active-set loop end to end.
+    /// the oracle suites set the full-scan loop here from Rust to
+    /// cross-check the default active-set loop end to end. It is no
+    /// `.dse` field, so a spec's text never carries it.
     pub loop_kind: LoopKind,
 }
 
@@ -387,7 +388,19 @@ impl Scenario {
     /// the parts of [`Scenario::problem`], available even when the pair
     /// fails validation (the engine reports core/fabric labels for
     /// failed scenarios too).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the topology spec is invalid; [`Scenario::problem`]
+    /// and the engine report that as an error instead.
     pub fn parts(&self) -> (CoreGraph, Topology) {
+        let (graph, topology) = self.try_parts();
+        (graph, topology.unwrap_or_else(|e| panic!("invalid topology spec: {e}")))
+    }
+
+    /// The application graph, and the fabric it targets or the error
+    /// [`TopologySpec::build`] reports.
+    pub(crate) fn try_parts(&self) -> (CoreGraph, Result<Topology, GraphError>) {
         let graph = self.app.core_graph(self.seed);
         let topology = self.topology.build(graph.core_count(), self.capacity);
         (graph, topology)
@@ -397,10 +410,12 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// [`nmap::MapError`] when the application does not fit the fabric.
+    /// [`nmap::MapError::Topology`] when the topology spec is invalid,
+    /// and [`nmap::MapError`]'s fit errors when the application does not
+    /// fit the fabric.
     pub fn problem(&self) -> nmap::Result<MappingProblem> {
-        let (graph, topology) = self.parts();
-        MappingProblem::new(graph, topology)
+        let (graph, topology) = self.try_parts();
+        MappingProblem::new(graph, topology?)
     }
 }
 

@@ -23,13 +23,12 @@
 //!   drain 30000              # drain window after measurement
 //!   burst 8 3                # mean burst packets, peak-to-mean ratio
 //!   seed 0                   # traffic-seed component
-//!   loop active-set          # active-set|full-scan
 //! }
 //! ```
 //!
 //! This module is the one place that knows the `.dse` vocabulary: each
 //! axis has one keyword table ([`APPS`], [`FITTED_TOPOLOGIES`],
-//! [`mapper_catalogue`], [`ROUTINGS`], [`LOOP_KINDS`]), and both the
+//! [`mapper_catalogue`], [`ROUTINGS`]), and both the
 //! parser and the `name()` methods of the scenario types read it.
 //!
 //! `app`, `mapper` and `routing` accept several names per line and may
@@ -67,7 +66,7 @@ use noc_apps::App;
 use noc_baselines::PbbOptions;
 use noc_graph::parse::MAX_BANDWIDTH;
 use noc_graph::RandomGraphConfig;
-use noc_sim::{LoopKind, MAX_BURST_PACKETS};
+use noc_sim::MAX_BURST_PACKETS;
 
 use noc_units::Mbps;
 
@@ -199,8 +198,6 @@ impl fmt::Display for SweepSpec {
             writeln!(f, "  drain {}", sim.drain_cycles)?;
             writeln!(f, "  burst {} {}", sim.burst_packets, sim.burst_intensity)?;
             writeln!(f, "  seed {}", sim.seed)?;
-            let kind = keyword_of(&LOOP_KINDS, &sim.loop_kind).expect("every loop has a keyword");
-            writeln!(f, "  loop {kind}")?;
             writeln!(f, "}}")?;
         }
         Ok(())
@@ -508,19 +505,12 @@ fn parse_simulate_field(
             block.burst_intensity = intensity;
         }
         "seed" => block.seed = parse_one(rest, line_no, "seed")?,
-        "loop" => {
-            let name = match rest {
-                [one] => *one,
-                _ => return Err(syntax(line_no, "`loop` takes exactly one value".into())),
-            };
-            block.loop_kind = parse_loop_kind(name).map_err(|message| syntax(line_no, message))?;
-        }
         other => {
             return Err(syntax(
                 line_no,
                 format!(
                     "unknown simulate field `{other}` (expected bandwidths/warmup/measure/\
-drain/burst/seed/loop or `}}`)"
+drain/burst/seed or `}}`)"
                 ),
             ));
         }
@@ -604,11 +594,6 @@ pub const ROUTINGS: [(&str, RoutingSpec); 4] = [
     ("mcf-all", RoutingSpec::McfAllPaths),
 ];
 
-/// Keyword of every simulator loop kind, the default first: the one
-/// spelling table behind the `.dse` `loop` field and `nmap_dse --loop`.
-pub const LOOP_KINDS: [(&str, LoopKind); 2] =
-    [("active-set", LoopKind::ActiveSet), ("full-scan", LoopKind::FullScan)];
-
 /// The mapper catalogue: every named configuration as a
 /// `(keyword, configuration)` row, in listing order — the one table
 /// behind the `.dse` `mapper` directive and [`MapperSpec::name`]. Any
@@ -647,17 +632,6 @@ pub(crate) fn keyword_of<T: PartialEq>(
 /// Every keyword of `table`, in table order.
 fn keywords<T>(table: &[(&'static str, T)]) -> Vec<&'static str> {
     table.iter().map(|&(keyword, _)| keyword).collect()
-}
-
-/// Parses a simulator loop-kind keyword (see [`LOOP_KINDS`]).
-///
-/// # Errors
-///
-/// An unknown keyword, with the accepted ones listed.
-pub fn parse_loop_kind(name: &str) -> Result<LoopKind, String> {
-    lookup(&LOOP_KINDS, name).ok_or_else(|| {
-        format!("unknown loop kind `{name}` (expected {})", keywords(&LOOP_KINDS).join("/"))
-    })
 }
 
 /// Parses one mapper spelling: a catalogue keyword, or a family keyword
@@ -808,7 +782,6 @@ simulate {
   drain 2000
   burst 4 2.5
   seed 3
-  loop full-scan
 }
 ";
 
@@ -845,7 +818,7 @@ simulate {
                 burst_packets: 4,
                 burst_intensity: 2.5,
                 seed: 3,
-                loop_kind: LoopKind::FullScan,
+                ..SimulateSpec::default()
             })
         );
         // 4 app entries + 1 extra random instance = 5 app axis entries;
@@ -974,6 +947,9 @@ simulate {
             ("app pip\nsimulate {\nburst 4 0.5\n}\n", 3),
             ("app pip\nsimulate {\nloop warp-drive\n}\n", 3),
             ("app pip\nsimulate {\nloop\n}\n", 3),
+            // The simulator loop is no `.dse` choice: both loops give the
+            // same bytes, and the oracle one is set from Rust.
+            ("app pip\nsimulate {\nloop full-scan\n}\n", 3),
             ("app pip\nsimulate {\nfrobnicate 1\n}\n", 3),
             ("app pip\nsimulate {\n} trailing\n", 3),
             ("app pip\nsimulate {\n}\nsimulate {\n}\n", 4), // duplicate
@@ -986,30 +962,6 @@ simulate {
                     assert_eq!(l, line, "wrong line for {bad:?}")
                 }
                 other => panic!("{bad:?} should fail with a syntax error, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn loop_kinds_parse_and_default_to_active_set() {
-        let default = parse_spec("app pip\nsimulate {\n}\n").unwrap();
-        assert_eq!(default.simulate.unwrap().loop_kind, LoopKind::ActiveSet);
-        assert_eq!(LOOP_KINDS[0].1, LoopKind::default(), "the default is listed first");
-        for (name, kind) in LOOP_KINDS {
-            let spec = parse_spec(&format!("app pip\nsimulate {{\nloop {name}\n}}\n")).unwrap();
-            assert_eq!(spec.simulate.as_ref().unwrap().loop_kind, kind, "{name}");
-            // Every kind survives the canonical Display -> parse round trip.
-            assert_eq!(parse_spec(&spec.to_string()).unwrap(), spec);
-        }
-        // The retired event-driven loops are unknown kinds now.
-        for retired in ["event-queue", "hybrid"] {
-            let text = format!("app pip\nsimulate {{\nloop {retired}\n}}\n");
-            match parse_spec(&text) {
-                Err(SpecError::Syntax { line: 3, message }) => assert_eq!(
-                    message,
-                    format!("unknown loop kind `{retired}` (expected active-set/full-scan)")
-                ),
-                other => panic!("`loop {retired}` should be a syntax error, got {other:?}"),
             }
         }
     }

@@ -12,9 +12,7 @@
 
 use std::panic::catch_unwind;
 
-use noc_dse::spec::{
-    mapper_catalogue, APPS, FITTED_TOPOLOGIES, LOOP_KINDS, MAX_SCENARIOS, ROUTINGS,
-};
+use noc_dse::spec::{mapper_catalogue, APPS, FITTED_TOPOLOGIES, MAX_SCENARIOS, ROUTINGS};
 use noc_dse::{parse_spec, SpecError};
 use noc_graph::parse::{MAX_BANDWIDTH, MAX_GRID_EXTENT, MAX_NODES};
 use noc_sim::MAX_BURST_PACKETS;
@@ -29,8 +27,7 @@ const DIRECTIVES: [&str; 8] =
     ["app", "random", "topology", "mapper", "routing", "capacity", "seed", "#"];
 
 /// Fields of a `simulate { ... }` block and a comment marker.
-const FIELDS: [&str; 8] =
-    ["bandwidths", "warmup", "measure", "drain", "burst", "seed", "loop", "#"];
+const FIELDS: [&str; 7] = ["bandwidths", "warmup", "measure", "drain", "burst", "seed", "#"];
 
 /// Heads out of place everywhere: the block braces, `all` and junk.
 const JUNK: [&str; 5] = ["simulate", "{", "}", "all", "frob"];
@@ -58,7 +55,6 @@ fn keywords(head: &str) -> Vec<&'static str> {
         "topology" => FITTED_TOPOLOGIES.iter().map(|&(k, _)| k).collect(),
         "mapper" => mapper_catalogue().iter().map(|&(k, _)| k).chain(["all"]).collect(),
         "routing" => ROUTINGS.iter().map(|&(k, _)| k).chain(["all"]).collect(),
-        "loop" => LOOP_KINDS.iter().map(|&(k, _)| k).collect(),
         _ => vec!["{"],
     }
 }
@@ -98,13 +94,13 @@ fn mapper_token(rng: &mut ChaCha8Rng, numbers: &[String]) -> String {
 /// soup, now and then one from any source.
 fn token(rng: &mut ChaCha8Rng, head: &str, numbers: &[String], wild: bool) -> String {
     let head = if wild && rng.gen_bool(0.1) {
-        pick(rng, &["app", "topology", "mapper", "routing", "loop", "simulate", "seed"])
+        pick(rng, &["app", "topology", "mapper", "routing", "simulate", "seed"])
     } else {
         head
     };
     match head {
         "mapper" if rng.gen_bool(0.75) => mapper_token(rng, numbers),
-        "app" | "topology" | "mapper" | "routing" | "loop" | "simulate" => {
+        "app" | "topology" | "mapper" | "routing" | "simulate" => {
             pick(rng, &keywords(head)).to_string()
         }
         _ => numbers[rng.gen_range(0..numbers.len())].clone(),
@@ -122,7 +118,7 @@ fn line(rng: &mut ChaCha8Rng, heads: &[&'static str], numbers: &[String], wild: 
     };
     let arity = match head {
         _ if wild && rng.gen_bool(0.15) => rng.gen_range(0..=4usize),
-        "capacity" | "seed" | "warmup" | "measure" | "drain" | "loop" | "simulate" => 1,
+        "capacity" | "seed" | "warmup" | "measure" | "drain" | "simulate" => 1,
         "burst" => 2,
         "random" => pick(rng, &["2", "3", "5"]).parse().unwrap(),
         "}" => 0,

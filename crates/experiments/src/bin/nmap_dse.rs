@@ -27,10 +27,7 @@ use std::process::ExitCode;
 
 use nmap::{map_single_path, render_mapping_grid, MappingProblem, SinglePathOptions};
 use noc_apps::{vopd, App};
-use noc_dse::spec::parse_loop_kind;
-use noc_dse::{
-    parse_spec, run_sweep, LoopKind, RunContext, ScenarioSet, SweepConfig, SweepOutcome,
-};
+use noc_dse::{parse_spec, run_sweep, RunContext, ScenarioSet, SweepConfig, SweepOutcome};
 use noc_experiments::dse_bridge::{
     fig5c_smoke_config, fig5c_via_engine, table2_rows_from_records, table2_scenario_set,
     torus_vs_mesh_rows_from_records, torus_vs_mesh_set,
@@ -78,8 +75,7 @@ const RECORD_SWEEPS: [&str; 7] = [
     "--mesh3d",
 ];
 
-/// The studies that simulate: `--smoke` (reduced windows) and `--loop`
-/// apply.
+/// The studies that simulate: `--smoke` (reduced windows) applies.
 const SIMULATING: [&str; 2] = ["--fig5c", "--mesh3d"];
 
 /// The usage text, one line per study from `STUDIES`.
@@ -96,7 +92,6 @@ fn usage() -> String {
     text.push_str(&format!(
         "\noptions:\n  \
 --smoke                 with {sim}: reduced simulation windows\n  \
---loop <kind>           simulator loop for {sim}: active-set (default) | full-scan\n  \
 --threads N             worker threads (default: all cores)\n  \
 --profile <path>        write the instrumentation profile as JSON lines, also when \
 the run fails\n  \
@@ -132,9 +127,6 @@ struct Args {
     mode: Mode,
     /// `--fig5c --smoke` / `--mesh3d --smoke`: reduced cycle counts.
     reduced: bool,
-    /// `--loop`: simulator main loop for the simulation-backed studies
-    /// (`None` keeps each study's default, the active-set loop).
-    loop_kind: Option<LoopKind>,
     spec_path: Option<String>,
     threads: usize,
     jsonl: Option<String>,
@@ -182,10 +174,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, St
                 modes.push(Mode::Spec);
                 args.spec_path = Some(raw.next().ok_or("--spec needs a file path")?);
             }
-            "--loop" => {
-                let text = raw.next().ok_or("--loop needs a kind")?;
-                args.loop_kind = Some(parse_loop_kind(&text)?);
-            }
             "--threads" => {
                 let text = raw.next().ok_or("--threads needs a count")?;
                 args.threads = text.parse().map_err(|_| format!("bad thread count `{text}`"))?;
@@ -228,10 +216,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, St
         _ => return Err("choose exactly one of --smoke, --spec, --all or one study flag".into()),
     };
     let study = args.study();
-    if args.loop_kind.is_some() && !study.is_some_and(|f| SIMULATING.contains(&f)) {
-        // Only the simulation-backed studies run a wormhole loop to pick.
-        return Err(format!("--loop is only valid with {}", SIMULATING.join("/")));
-    }
     if args.allow_failures && args.mode != Mode::Spec {
         // The built-in sweeps treat failed scenarios as bugs; only
         // user-authored specs can legitimately contain infeasible points.
@@ -527,10 +511,7 @@ fn table2(harness: &Harness) -> Result<(), String> {
 
 fn fig5c(harness: &Harness) -> Result<(), String> {
     let args = harness.args;
-    let mut config = if args.reduced { fig5c_smoke_config() } else { Fig5cConfig::default() };
-    if let Some(kind) = args.loop_kind {
-        config.loop_kind = kind;
-    }
+    let config = if args.reduced { fig5c_smoke_config() } else { Fig5cConfig::default() };
     println!("(wormhole simulator, 64 B packets, 7-cycle switch delay, bursty sources)");
     if args.reduced {
         println!("(reduced simulation windows)");
@@ -663,10 +644,7 @@ fn mesh3d(harness: &Harness) -> Result<(), String> {
         println!("(reduced simulation windows)");
     }
     println!();
-    let mut spec = mesh3d_spec(args.reduced);
-    if let Some(kind) = args.loop_kind {
-        spec.simulate.as_mut().expect("mesh3d spec simulates").loop_kind = kind;
-    }
+    let spec = mesh3d_spec(args.reduced);
     let report = harness.sweep(&spec.scenarios())?.report;
     let mut table = TextTable::new([
         "app", "cores", "cost 2D", "cost 3D", "2D/3D", "lat 2D", "lat 3D", "notes",
@@ -754,7 +732,7 @@ mod tests {
 
     /// The flags that take an operand.
     const TAKES_OPERAND: &str =
-        "--spec --loop --threads --jsonl --csv --profile --resume --shard-size --shard-budget";
+        "--spec --threads --jsonl --csv --profile --resume --shard-size --shard-budget";
 
     /// The mode flags of `argv`, operands skipped, sorted.
     fn mode_flags(argv: &[&str]) -> Vec<&'static str> {
@@ -813,8 +791,6 @@ mod tests {
                 let study = args.study();
                 assert!(!args.sharded() || args.mode == Mode::Spec, "{argv:?}");
                 assert!(args.shard_budget.is_none() || args.resume.is_some(), "{argv:?}");
-                let simulating = study.is_some_and(|f| SIMULATING.contains(&f));
-                assert!(args.loop_kind.is_none() || simulating, "{argv:?}");
                 assert!(!args.allow_failures || args.mode == Mode::Spec, "{argv:?}");
                 if args.jsonl.is_some() || args.csv.is_some() || args.timing {
                     assert!(args.mode != Mode::All && study != Some("--fig5c"), "{argv:?}");

@@ -17,9 +17,10 @@
 //! cases), hop-distance metrics, the *quadrant graph* of a commodity (the
 //! DAG of minimal-path links — an orthant DAG on higher-rank grids — used
 //! by both the single-path router and the jitter-constrained split
-//! router), Dijkstra shortest paths with caller-supplied link weights, and
-//! a seeded random core-graph generator standing in for the LEDA graphs of
-//! the paper's Table 2.
+//! router), BFS hop counts (one loop, run over out-links or in-links), one
+//! reusable Dijkstra searcher ([`PathSearch`]) with caller-supplied link
+//! filters and step costs, and a seeded random core-graph generator
+//! standing in for the LEDA graphs of the paper's Table 2.
 //!
 //! # Example
 //!
@@ -50,7 +51,7 @@ mod quadrant;
 pub mod random;
 mod topology;
 
-pub use algo::{bfs_hops, dijkstra, DijkstraOutcome, PathCost};
+pub use algo::{bfs_hops, PathSearch};
 pub use core_graph::{CoreEdge, CoreGraph};
 pub use dot::{core_graph_dot, mapping_dot, topology_dot};
 pub use error::GraphError;

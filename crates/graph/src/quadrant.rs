@@ -16,6 +16,7 @@
 //! with distances summed axis by axis), and on custom topologies it
 //! degenerates to the union of all BFS-minimal paths.
 
+use crate::algo::bfs_hops_to;
 use crate::{bfs_hops, LinkId, NodeId, Topology, TopologyKind};
 
 /// The set of productive links for one source/destination pair, plus the
@@ -82,30 +83,15 @@ pub fn quadrant_links(topology: &Topology, source: NodeId, dest: NodeId) -> Vec<
             topology.nodes().map(|n| topology.hop_distance(source, n)).collect(),
         ),
         TopologyKind::Custom => {
-            // dist(n, dest) needs reverse BFS; compute via BFS from dest on
-            // the reversed graph: approximate by running BFS from every node
-            // is wasteful, so do a reverse traversal here.
-            let mut rev = vec![None; topology.node_count()];
-            rev[dest.index()] = Some(0usize);
-            let mut queue = std::collections::VecDeque::from([dest]);
-            while let Some(n) = queue.pop_front() {
-                let d = rev[n.index()].expect("queued");
-                for (_, l) in topology.in_links(n) {
-                    if rev[l.src.index()].is_none() {
-                        rev[l.src.index()] = Some(d + 1);
-                        queue.push_back(l.src);
-                    }
-                }
+            let to_dest = bfs_hops_to(topology, dest);
+            let from_source = bfs_hops(topology, source);
+            if from_source[dest.index()].is_none() {
+                panic!("{}", crate::GraphError::Disconnected(source, dest));
             }
-            let fwd = bfs_hops(topology, source);
-            let total = fwd[dest.index()]
-                .and_then(|a| rev[source.index()].map(|_| a))
-                .unwrap_or_else(|| panic!("{}", crate::GraphError::Disconnected(source, dest)));
-            let _ = total;
             let big = usize::MAX / 2;
             (
-                rev.iter().map(|d| d.unwrap_or(big)).collect(),
-                fwd.iter().map(|d| d.unwrap_or(big)).collect(),
+                to_dest.iter().map(|d| d.unwrap_or(big)).collect(),
+                from_source.iter().map(|d| d.unwrap_or(big)).collect(),
             )
         }
     };

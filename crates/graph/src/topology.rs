@@ -437,25 +437,10 @@ impl Topology {
         if self.node_count == 0 {
             return true;
         }
-        let forward = crate::algo::bfs_hops(self, NodeId::new(0));
-        if forward.iter().any(Option::is_none) {
-            return false;
-        }
-        // Reverse reachability: BFS on reversed adjacency.
-        let mut seen = vec![false; self.node_count];
-        let mut stack = vec![NodeId::new(0)];
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(n) = stack.pop() {
-            for (_, l) in self.in_links(n) {
-                if !seen[l.src.index()] {
-                    seen[l.src.index()] = true;
-                    count += 1;
-                    stack.push(l.src);
-                }
-            }
-        }
-        count == self.node_count
+        let root = NodeId::new(0);
+        let reaches_all = |hops: Vec<Option<usize>>| hops.iter().all(Option::is_some);
+        reaches_all(crate::algo::bfs_hops(self, root))
+            && reaches_all(crate::algo::bfs_hops_to(self, root))
     }
 
     /// Smallest square-ish mesh `(w, h)` with at least `cores` nodes,

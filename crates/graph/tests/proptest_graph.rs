@@ -1,8 +1,56 @@
-//! Property-based tests for topologies, quadrant DAGs, Dijkstra and the
-//! random graph generator.
+//! Property-based tests for topologies, quadrant DAGs, the shortest-path
+//! searcher and the random graph generator.
 
-use noc_graph::{bfs_hops, dijkstra, NodeId, QuadrantDag, RandomGraphConfig, Topology};
+use noc_graph::{bfs_hops, LinkId, NodeId, PathSearch, QuadrantDag, RandomGraphConfig, Topology};
 use proptest::prelude::*;
+
+/// The cheapest `a → b` path under per-link `weight`, as owned
+/// `(cost, links)`.
+fn cheapest(
+    t: &Topology,
+    a: NodeId,
+    b: NodeId,
+    weight: impl Fn(LinkId) -> f64,
+    allowed: impl Fn(LinkId) -> bool,
+) -> Option<(f64, Vec<LinkId>)> {
+    PathSearch::new(t)
+        .cheapest(a, b, allowed, |cost, l| cost + weight(l))
+        .map(|(cost, links)| (cost, links.to_vec()))
+}
+
+/// Every simple `source → dest` path, as `(cost, hops)`, by exhaustive
+/// depth-first enumeration; `step(link)` is the link's weight, or `None`
+/// when the link is not allowed.
+fn simple_paths(
+    t: &Topology,
+    source: NodeId,
+    dest: NodeId,
+    step: &dyn Fn(LinkId) -> Option<f64>,
+) -> Vec<(f64, usize)> {
+    fn walk(
+        t: &Topology,
+        at: NodeId,
+        dest: NodeId,
+        step: &dyn Fn(LinkId) -> Option<f64>,
+        visited: u64,
+        (cost, hops): (f64, usize),
+        out: &mut Vec<(f64, usize)>,
+    ) {
+        if at == dest {
+            out.push((cost, hops));
+            return;
+        }
+        let visited = visited | 1 << at.index();
+        for (id, link) in t.out_links(at) {
+            if let Some(w) = step(id).filter(|_| visited & 1 << link.dst.index() == 0) {
+                walk(t, link.dst, dest, step, visited, (cost + w, hops + 1), out);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(t, source, dest, step, 0, (0.0, 0), &mut out);
+    out
+}
 
 fn mesh_dims() -> impl Strategy<Value = (usize, usize)> {
     (1usize..=6, 1usize..=6)
@@ -72,23 +120,26 @@ proptest! {
         prop_assert_eq!(steps, t.hop_distance(s, d));
     }
 
-    /// Dijkstra with unit weights matches hop distance on meshes and tori.
+    /// The searcher with unit weights matches hop distance on meshes and
+    /// tori.
     #[test]
     fn dijkstra_matches_distance((w, h) in mesh_dims(), torus in any::<bool>(), seed in 0u64..1000) {
         let t = if torus { Topology::torus(w, h, 1.0) } else { Topology::mesh(w, h, 1.0) };
         let n = t.node_count();
         let a = NodeId::new((seed as usize) % n);
         let b = NodeId::new((seed as usize * 5 + 1) % n);
-        let out = dijkstra(&t, a, b, |_| 1.0, |_| true).expect("meshes are connected");
-        prop_assert_eq!(out.hops(), t.hop_distance(a, b));
-        // Path is contiguous.
-        for (i, &l) in out.links.iter().enumerate() {
-            prop_assert_eq!(t.link(l).src, out.nodes[i]);
-            prop_assert_eq!(t.link(l).dst, out.nodes[i + 1]);
+        let (_, links) = cheapest(&t, a, b, |_| 1.0, |_| true).expect("meshes are connected");
+        prop_assert_eq!(links.len(), t.hop_distance(a, b));
+        // Path is contiguous from a to b.
+        let mut at = a;
+        for &l in &links {
+            prop_assert_eq!(t.link(l).src, at);
+            at = t.link(l).dst;
         }
+        prop_assert_eq!(at, b);
     }
 
-    /// Dijkstra's cost with arbitrary non-negative weights is a lower
+    /// The searcher's cost with arbitrary non-negative weights is a lower
     /// bound on any explicitly constructed path's weight (here: an XY
     /// staircase walk).
     #[test]
@@ -102,12 +153,12 @@ proptest! {
         let a = NodeId::new((seed as usize) % n);
         let b = NodeId::new((seed as usize * 3 + 2) % n);
         prop_assume!(a != b);
-        let weight = |l: noc_graph::LinkId| {
+        let weight = |l: LinkId| {
             // Deterministic pseudo-random positive weights.
             let x = l.index() as u64 * 2654435761 + weights_seed * 97;
             1.0 + (x % 100) as f64 / 10.0
         };
-        let best = dijkstra(&t, a, b, weight, |_| true).expect("connected");
+        let (best, _) = cheapest(&t, a, b, weight, |_| true).expect("connected");
 
         // Manual XY walk.
         let (ax, ay) = t.coords(a);
@@ -126,7 +177,7 @@ proptest! {
             cost += weight(l);
             y = ny;
         }
-        prop_assert!(best.cost <= cost + 1e-9, "dijkstra {} > xy walk {}", best.cost, cost);
+        prop_assert!(best <= cost + 1e-9, "searcher {} > xy walk {}", best, cost);
     }
 
     /// Generated random graphs are connected, respect their bandwidth
@@ -190,6 +241,57 @@ proptest! {
                 .count();
             prop_assert_eq!(t.degree(node), expected);
             prop_assert_eq!(t.in_links(node).count(), t.out_links(node).count());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// On random custom digraphs of up to 7 nodes (parallel links,
+    /// self-loops and unreachable pairs included) with small integer
+    /// weights, half of them 0 so that cost ties are common: the searcher's
+    /// cost is the minimum over all simple allowed paths, its hop count
+    /// is the fewest among the cost-minimal ones, its links form such a
+    /// path, and it returns `None` exactly when no allowed path exists.
+    #[test]
+    fn path_search_is_exact_on_small_digraphs(
+        nodes in 1usize..=7,
+        arcs in prop::collection::vec((0usize..7, 0usize..7, 0u32..6), 0..18),
+        mask in any::<u64>(),
+        (source, dest) in (0usize..7, 0usize..7),
+    ) {
+        let arcs: Vec<(usize, usize, u32)> =
+            arcs.into_iter().map(|(u, v, w)| (u % nodes, v % nodes, w.saturating_sub(2))).collect();
+        let t = Topology::custom(
+            nodes,
+            arcs.iter().map(|&(u, v, _)| (NodeId::new(u), NodeId::new(v), 1.0)),
+        )
+        .unwrap();
+        let weight = |l: LinkId| f64::from(arcs[l.index()].2);
+        // About one link in four is filtered out.
+        let allowed = |l: LinkId| (mask >> (2 * (l.index() % 32))) & 3 != 0;
+        let (a, b) = (NodeId::new(source % nodes), NodeId::new(dest % nodes));
+
+        let all = simple_paths(&t, a, b, &|l| allowed(l).then(|| weight(l)));
+        let found = cheapest(&t, a, b, weight, allowed);
+        prop_assert_eq!(found.is_none(), all.is_empty(), "{:?} from {} to {}", arcs, a, b);
+        if let Some((cost, links)) = found {
+            let min_cost = all.iter().map(|&(c, _)| c).fold(f64::INFINITY, f64::min);
+            let min_hops =
+                all.iter().filter(|&&(c, _)| c == min_cost).map(|&(_, h)| h).min().unwrap();
+            prop_assert_eq!(cost, min_cost, "{:?} from {} to {}", arcs, a, b);
+            prop_assert_eq!(links.len(), min_hops, "{:?} from {} to {}", arcs, a, b);
+            let mut at = a;
+            let mut walked = 0.0;
+            for &l in &links {
+                prop_assert!(allowed(l));
+                prop_assert_eq!(t.link(l).src, at);
+                walked += weight(l);
+                at = t.link(l).dst;
+            }
+            prop_assert_eq!(at, b);
+            prop_assert_eq!(walked, cost);
         }
     }
 }
