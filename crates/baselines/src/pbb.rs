@@ -25,7 +25,6 @@
 //! constraint side of the original formulation.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use nmap::{routing, EvalContext, MapError, Mapping, MappingProblem};
 use noc_graph::{CoreId, NodeId, TopologyKind};
@@ -82,59 +81,327 @@ pub struct PbbOutcome {
     pub expansions: usize,
     /// True if the search ran out of budget while work remained.
     pub truncated: bool,
+    /// True if the search accepted no complete placement, so `mapping` is
+    /// the `initialize()` fallback (then `truncated` is true as well).
+    pub fallback: bool,
 }
 
-/// Widest topology [`pbb`] accepts: occupancy is a `u128` bitmask and
-/// placements store node indices as `u8`.
+/// Widest topology [`pbb`] accepts: occupancy is a `u128` bitmask, and
+/// node indices and prefix lengths are stored as `u8`.
 const MAX_NODES: usize = 128;
 
-#[derive(Debug)]
-struct SearchNode {
-    /// `placement[i]` is the index of the node hosting core `order[i]`.
-    placement: Vec<u8>,
-    /// Occupied nodes as a bitmask.
-    occupied: u128,
-    /// Exact cost of placed-pair communication.
-    partial_cost: f64,
+/// The parent row of a root entry, whose parent prefix is empty.
+const NO_ROW: u32 = u32::MAX;
+
+/// One queue entry: the placement prefix of length `depth` made of the
+/// first `depth - 1` nodes of row `parent` and then `target`. A `Copy`
+/// key of 24 bytes with no buffer of its own.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
     /// `partial_cost` + admissible remainder bound.
     lower_bound: f64,
+    /// Exact cost of placed-pair communication.
+    partial_cost: f64,
+    /// The row holding the parent's placement, or [`NO_ROW`] for a root.
+    parent: u32,
+    /// Index of the node hosting core `order[depth - 1]`.
+    target: u8,
+    /// Number of cores placed.
+    depth: u8,
 }
 
-/// Min-heap adapter: BinaryHeap is a max-heap, so reverse the ordering.
-///
-/// The order is strict over live entries: ties on the bound fall to the
-/// prefix length, then to the placement itself, and the search tree
-/// generates each placement prefix exactly once. Queue truncation relies
-/// on this — the set of best entries it keeps, and so every later pop,
-/// does not depend on how the heap happens to be laid out.
+const _: () = assert!(std::mem::size_of::<Entry>() == 24);
+
+/// The placements of expanded entries: row `r` is `width` node bytes
+/// beside an occupancy mask. A row counts its references (the children
+/// that name it, the queue's threshold, and the expansion writing it);
+/// the last release puts it on the free list, so memory follows the live
+/// queue, not the expansion count.
 #[derive(Debug)]
-struct HeapNode(SearchNode);
+struct Rows {
+    width: usize,
+    nodes: Vec<u8>,
+    occupied: Vec<u128>,
+    refs: Vec<u32>,
+    free: Vec<u32>,
+}
 
-impl PartialEq for HeapNode {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+impl Rows {
+    fn new(width: usize) -> Self {
+        Self { width, nodes: Vec::new(), occupied: Vec::new(), refs: Vec::new(), free: Vec::new() }
+    }
+
+    /// The first `len` nodes of `row`; a root's empty prefix for [`NO_ROW`].
+    fn prefix(&self, row: u32, len: usize) -> &[u8] {
+        if row == NO_ROW {
+            return &[];
+        }
+        let start = row as usize * self.width;
+        &self.nodes[start..start + len]
+    }
+
+    fn occupied(&self, row: u32) -> u128 {
+        if row == NO_ROW {
+            0
+        } else {
+            self.occupied[row as usize]
+        }
+    }
+
+    /// Writes `entry`'s placement into a free row, which the caller holds
+    /// one reference to.
+    fn write(&mut self, entry: &Entry) -> u32 {
+        let row = self.free.pop().unwrap_or_else(|| {
+            let row = u32::try_from(self.refs.len())
+                .ok()
+                .filter(|&row| row != NO_ROW)
+                .expect("PBB prefix rows outgrew u32 indices");
+            self.nodes.resize(self.nodes.len() + self.width, 0);
+            self.occupied.push(0);
+            self.refs.push(0);
+            row
+        });
+        let start = row as usize * self.width;
+        let parent_len = usize::from(entry.depth) - 1;
+        if entry.parent != NO_ROW {
+            let from = entry.parent as usize * self.width;
+            self.nodes.copy_within(from..from + parent_len, start);
+        }
+        self.nodes[start + parent_len] = entry.target;
+        self.occupied[row as usize] = self.occupied(entry.parent) | 1u128 << entry.target;
+        self.refs[row as usize] = 1;
+        row
+    }
+
+    fn retain(&mut self, row: u32) {
+        if row != NO_ROW {
+            self.refs[row as usize] += 1;
+        }
+    }
+
+    fn release(&mut self, row: u32) {
+        if row != NO_ROW {
+            let refs = &mut self.refs[row as usize];
+            *refs -= 1;
+            if *refs == 0 {
+                self.free.push(row);
+            }
+        }
     }
 }
-impl Eq for HeapNode {}
-impl Ord for HeapNode {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .0
-            .lower_bound
-            .partial_cmp(&self.0.lower_bound)
-            .expect("bounds are finite")
-            .then_with(|| other.0.placement.len().cmp(&self.0.placement.len()))
-            .then_with(|| other.0.placement.cmp(&self.0.placement))
+
+/// The search order: lower bound first, then the shorter prefix, then
+/// the placement lexicographically (byte order is `NodeId` order). Two
+/// prefixes of one depth compare their parents' rows, then their last
+/// nodes; siblings share a row and compare last nodes alone. The order
+/// is strict over live entries, because the search tree generates each
+/// prefix once.
+#[inline]
+fn search_order(a: &Entry, b: &Entry, rows: &Rows) -> Ordering {
+    if a.lower_bound < b.lower_bound {
+        return Ordering::Less;
+    }
+    if a.lower_bound > b.lower_bound {
+        return Ordering::Greater;
+    }
+    assert!(a.lower_bound == b.lower_bound, "bounds are finite");
+    a.depth.cmp(&b.depth).then_with(|| {
+        let parents = if a.parent == b.parent {
+            Ordering::Equal
+        } else {
+            let len = usize::from(a.depth) - 1;
+            rows.prefix(a.parent, len).cmp(rows.prefix(b.parent, len))
+        };
+        parents.then(a.target.cmp(&b.target))
+    })
+}
+
+#[inline]
+fn precedes(a: &Entry, b: &Entry, rows: &Rows) -> bool {
+    search_order(a, b, rows) == Ordering::Less
+}
+
+/// Binary-heap primitives over a slice whose root is the entry that
+/// comes `before` every other.
+fn sift_up(heap: &mut [Entry], mut at: usize, before: impl Fn(&Entry, &Entry) -> bool) {
+    let entry = heap[at];
+    while at > 0 {
+        let parent = (at - 1) / 2;
+        if !before(&entry, &heap[parent]) {
+            break;
+        }
+        heap[at] = heap[parent];
+        at = parent;
+    }
+    heap[at] = entry;
+}
+
+fn sift_down(heap: &mut [Entry], mut at: usize, before: impl Fn(&Entry, &Entry) -> bool) {
+    let Some(&entry) = heap.get(at) else { return };
+    loop {
+        let mut child = 2 * at + 1;
+        if child >= heap.len() {
+            break;
+        }
+        if child + 1 < heap.len() && before(&heap[child + 1], &heap[child]) {
+            child += 1;
+        }
+        if !before(&heap[child], &entry) {
+            break;
+        }
+        heap[at] = heap[child];
+        at = child;
+    }
+    heap[at] = entry;
+}
+
+fn heapify(heap: &mut [Entry], before: impl Fn(&Entry, &Entry) -> bool) {
+    for at in (0..heap.len() / 2).rev() {
+        sift_down(heap, at, &before);
     }
 }
-impl PartialOrd for HeapNode {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+/// Moves the best `k` of `entries` to its front (`1 ≤ k ≤ len`) through
+/// a bounded heap rooted at the worst candidate: most entries lose to it
+/// in one comparison.
+fn select_best(entries: &mut [Entry], k: usize, rows: &Rows) {
+    let worse = |a: &Entry, b: &Entry| precedes(b, a, rows);
+    let (candidates, rest) = entries.split_at_mut(k);
+    heapify(candidates, worse);
+    for entry in rest {
+        if precedes(entry, &candidates[0], rows) {
+            std::mem::swap(entry, &mut candidates[0]);
+            sift_down(candidates, 0, worse);
+        }
+    }
+}
+
+/// The live entries in two tiers. The ordered tier is `sorted`, what the
+/// last overflow kept (worst first, so its best is last), and `heap`, a
+/// binary min-heap of the children since then that precede `threshold`,
+/// the worst kept entry. The unsorted tier holds the children that come
+/// after it, which the next overflow drops unless too few others remain.
+/// Invariant: every ordered entry precedes every unsorted entry, so the
+/// better of the two ordered bests is the best live entry.
+#[derive(Debug)]
+struct Queue {
+    sorted: Vec<Entry>,
+    heap: Vec<Entry>,
+    unsorted: Vec<Entry>,
+    /// Holds a reference to its parent row, which it is compared through.
+    threshold: Option<Entry>,
+    rows: Rows,
+}
+
+impl Queue {
+    fn new(levels: usize) -> Self {
+        Self {
+            sorted: Vec::new(),
+            heap: Vec::new(),
+            unsorted: Vec::new(),
+            threshold: None,
+            rows: Rows::new(levels),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.sorted.len() + self.heap.len() + self.unsorted.len()
+    }
+
+    fn push(&mut self, entry: Entry) {
+        self.rows.retain(entry.parent);
+        let rows = &self.rows;
+        match &self.threshold {
+            Some(threshold) if !precedes(&entry, threshold, rows) => self.unsorted.push(entry),
+            _ => {
+                let at = self.heap.len();
+                self.heap.push(entry);
+                sift_up(&mut self.heap, at, |a, b| precedes(a, b, rows));
+            }
+        }
+    }
+
+    /// Takes the best live entry. It still holds its reference to its
+    /// parent row: the caller releases it once done with the prefix.
+    fn pop(&mut self) -> Option<Entry> {
+        if self.sorted.is_empty() && self.heap.is_empty() {
+            if self.unsorted.is_empty() {
+                return None;
+            }
+            std::mem::swap(&mut self.heap, &mut self.unsorted);
+            let rows = &self.rows;
+            heapify(&mut self.heap, |a, b| precedes(a, b, rows));
+            self.set_threshold(None);
+        }
+        let rows = &self.rows;
+        let from_heap = match (self.sorted.last(), self.heap.first()) {
+            (Some(kept), Some(child)) => precedes(child, kept, rows),
+            (None, _) => true,
+            (Some(_), None) => false,
+        };
+        if !from_heap {
+            return self.sorted.pop();
+        }
+        let best = self.heap.swap_remove(0);
+        sift_down(&mut self.heap, 0, |a, b| precedes(a, b, rows));
+        Some(best)
+    }
+
+    /// Overflow: keeps the best `keep` live entries and drops the rest —
+    /// from the ordered tier alone when it holds that many (the unsorted
+    /// tier is then dropped whole), otherwise the whole ordered tier plus
+    /// the best of the unsorted tier. The kept entries become the sorted
+    /// run, and the worst of them the threshold.
+    fn truncate(&mut self, keep: usize) {
+        let ordered = self.sorted.len() + self.heap.len();
+        let from_unsorted = keep.saturating_sub(ordered);
+        let rows = &self.rows;
+        let worst_first = |a: &Entry, b: &Entry| search_order(b, a, rows);
+        // Sort the heap worst first and merge it into the run from the back.
+        self.heap.sort_unstable_by(worst_first);
+        let (mut i, mut j) = (self.sorted.len(), self.heap.len());
+        self.sorted.extend_from_slice(&self.heap); // room for the merge
+        while j > 0 {
+            let into = i + j - 1;
+            if i > 0 && precedes(&self.sorted[i - 1], &self.heap[j - 1], rows) {
+                self.sorted[into] = self.sorted[i - 1];
+                i -= 1;
+            } else {
+                self.sorted[into] = self.heap[j - 1];
+                j -= 1;
+            }
+        }
+        self.heap.clear();
+        // The kept unsorted entries come after every ordered one.
+        if from_unsorted > 0 {
+            select_best(&mut self.unsorted, from_unsorted, rows);
+            self.unsorted[..from_unsorted].sort_unstable_by(worst_first);
+            self.sorted.splice(..0, self.unsorted[..from_unsorted].iter().copied());
+        }
+        let dropped_ordered = ordered.saturating_sub(keep);
+        for dropped in
+            self.sorted.drain(..dropped_ordered).chain(self.unsorted.drain(from_unsorted..))
+        {
+            self.rows.release(dropped.parent);
+        }
+        self.unsorted.clear();
+        self.set_threshold(self.sorted.first().copied());
+    }
+
+    fn set_threshold(&mut self, threshold: Option<Entry>) {
+        if let Some(new) = &threshold {
+            self.rows.retain(new.parent);
+        }
+        if let Some(old) = std::mem::replace(&mut self.threshold, threshold) {
+            self.rows.release(old.parent);
+        }
     }
 }
 
 /// [`pbb`] as the mapper dispatch runs it: its placement and expansion
-/// count, which also feeds the probe's `search.pbb_expansions` counter.
+/// count. The probe counts `search.pbb_expansions`, and the runs whose
+/// budget bound (`search.pbb_truncated`) or that fell back to
+/// `initialize()` (`search.pbb_fallbacks`).
 ///
 /// # Errors
 ///
@@ -150,15 +417,24 @@ pub fn pbb_checked(ctx: &EvalContext<'_>, options: &PbbOptions) -> nmap::Result<
         )));
     }
     let out = pbb(ctx.problem(), options);
-    ctx.probe().counter("search.pbb_expansions").add(out.expansions as u64);
+    let probe = ctx.probe();
+    probe.counter("search.pbb_expansions").add(out.expansions as u64);
+    probe.counter("search.pbb_truncated").add(u64::from(out.truncated));
+    probe.counter("search.pbb_fallbacks").add(u64::from(out.fallback));
     Ok((out.mapping, out.expansions))
 }
 
 /// Runs the partial branch-and-bound mapper.
 ///
-/// The search allocates nothing per expansion: placement buffers cycle
-/// through a free list, bound terms read a hop table built once per call,
-/// and queue overflow keeps the best half by selection, not by sorting.
+/// Queue entries are 24-byte `Copy` keys (bounds, parent row, last node,
+/// depth). Expanding an entry writes its placement once, into a row that
+/// its children name; rows are reference-counted and reused, so memory
+/// follows the live queue. Children that come after the last overflow's
+/// threshold, which the next overflow would mostly drop, wait in an
+/// unsorted tier instead of being ordered. Bound terms read a hop table
+/// built once per call. The search order is strict over live entries, so
+/// the entries an overflow keeps, and every pop, are those of one fully
+/// ordered queue: the outcome does not depend on the queue's layout.
 ///
 /// # Panics
 ///
@@ -213,49 +489,49 @@ pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
         .flat_map(|t| topology.nodes().map(move |p| topology.hop_distance(t, p) as f64))
         .collect();
 
-    // Free list of placement buffers: every entry that leaves the queue
-    // hands its buffer back, so steady-state children allocate nothing.
-    let mut pool: Vec<Vec<u8>> = Vec::new();
-    let mut heap: BinaryHeap<HeapNode> = BinaryHeap::new();
+    let mut queue = Queue::new(levels);
     // Root expansions with symmetry breaking.
     for node in first_core_candidates(problem) {
-        let mut placement = Vec::with_capacity(levels);
-        placement.push(node.index() as u8);
-        heap.push(HeapNode(SearchNode {
-            placement,
-            occupied: 1u128 << node.index(),
-            partial_cost: 0.0,
+        queue.push(Entry {
             lower_bound: remaining_weight[1],
-        }));
+            partial_cost: 0.0,
+            parent: NO_ROW,
+            target: node.index() as u8,
+            depth: 1,
+        });
     }
 
     let mut best: Option<(f64, Mapping)> = None;
     let mut expansions = 0usize;
     let mut truncated = false;
+    // (placed node, comm weight) of each earlier neighbour of the core
+    // being placed, in `earlier[level]` order.
+    let mut neighbours: Vec<(usize, f64)> = Vec::with_capacity(levels);
 
-    while let Some(HeapNode(node)) = heap.pop() {
+    while let Some(entry) = queue.pop() {
         if expansions >= options.max_expansions {
             truncated = true;
             break;
         }
         if let Some((best_cost, _)) = &best {
-            if node.lower_bound >= *best_cost {
-                pool.push(node.placement);
+            if entry.lower_bound >= *best_cost {
+                queue.rows.release(entry.parent);
                 continue; // prune: cannot beat the incumbent
             }
         }
         expansions += 1;
-        let level = node.placement.len();
+        let level = usize::from(entry.depth);
 
         if level == levels {
             // Complete placement: accept if bandwidth-feasible.
-            let mapping = to_mapping(&order, &node.placement, n);
-            pool.push(node.placement);
+            let prefix = queue.rows.prefix(entry.parent, level - 1);
+            let mapping = to_mapping(&order, prefix, entry.target, n);
+            queue.rows.release(entry.parent);
             let feasible = routing::route_min_paths(problem, &mapping)
                 .map(|(_, loads)| loads.within_capacity(topology))
                 .unwrap_or(false);
             if feasible {
-                let cost = node.partial_cost;
+                let cost = entry.partial_cost;
                 if best.as_ref().is_none_or(|(c, _)| cost < *c) {
                     best = Some((cost, mapping));
                 }
@@ -264,53 +540,51 @@ pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
         }
 
         // Expand: place core `order[level]` on every free node.
-        for (target, row) in hops.chunks_exact(n).enumerate() {
-            if node.occupied & (1u128 << target) != 0 {
+        let row = queue.rows.write(&entry);
+        queue.rows.release(entry.parent);
+        let occupied = queue.rows.occupied(row);
+        let placement = queue.rows.prefix(row, level);
+        neighbours.clear();
+        neighbours
+            .extend(earlier[level].iter().map(|&(lj, comm)| (usize::from(placement[lj]), comm)));
+        for (target, hop_row) in hops.chunks_exact(n).enumerate() {
+            if occupied & (1u128 << target) != 0 {
                 continue;
             }
             let mut delta = 0.0;
-            for &(lj, comm) in &earlier[level] {
-                delta += comm * row[usize::from(node.placement[lj])];
+            for &(placed, comm) in &neighbours {
+                delta += comm * hop_row[placed];
             }
-            let partial_cost = node.partial_cost + delta;
+            let partial_cost = entry.partial_cost + delta;
             let lower_bound = partial_cost + remaining_weight[level + 1];
             if let Some((best_cost, _)) = &best {
                 if lower_bound >= *best_cost {
                     continue;
                 }
             }
-            let mut placement = pool.pop().unwrap_or_else(|| Vec::with_capacity(levels));
-            placement.clear();
-            placement.extend_from_slice(&node.placement);
-            placement.push(target as u8);
-            heap.push(HeapNode(SearchNode {
-                placement,
-                occupied: node.occupied | (1u128 << target),
-                partial_cost,
+            queue.push(Entry {
                 lower_bound,
-            }));
+                partial_cost,
+                parent: row,
+                target: target as u8,
+                depth: entry.depth + 1,
+            });
         }
-        pool.push(node.placement);
+        queue.rows.release(row);
 
         // Partial search: keep the best half when the queue overflows.
-        if heap.len() > options.max_queue {
+        if queue.len() > options.max_queue {
             truncated = true;
-            let keep = options.max_queue / 2;
-            let mut entries = std::mem::take(&mut heap).into_vec();
-            if keep > 0 {
-                entries.select_nth_unstable_by(keep - 1, |a, b| b.cmp(a)); // best first
-            }
-            pool.extend(entries.drain(keep..).map(|HeapNode(dropped)| dropped.placement));
-            heap = BinaryHeap::from(entries);
+            queue.truncate(options.max_queue / 2);
         }
     }
 
-    let (mapping, feasible) = match best {
+    let (mapping, feasible, fallback) = match best {
         Some((_, mapping)) => {
             let feasible = routing::route_min_paths(problem, &mapping)
                 .map(|(_, loads)| loads.within_capacity(topology))
                 .unwrap_or(false);
-            (mapping, feasible)
+            (mapping, feasible, false)
         }
         None => {
             // Budget expired with no completion: fall back to the greedy
@@ -320,11 +594,18 @@ pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
                 .map(|(_, loads)| loads.within_capacity(topology))
                 .unwrap_or(false);
             truncated = true;
-            (mapping, feasible)
+            (mapping, feasible, true)
         }
     };
 
-    PbbOutcome { comm_cost: problem.comm_cost(&mapping), mapping, feasible, expansions, truncated }
+    PbbOutcome {
+        comm_cost: problem.comm_cost(&mapping),
+        mapping,
+        feasible,
+        expansions,
+        truncated,
+        fallback,
+    }
 }
 
 /// Candidate nodes for the first core: one orthant of the mesh — per axis
@@ -352,9 +633,10 @@ fn first_core_candidates(problem: &MappingProblem) -> Vec<NodeId> {
     }
 }
 
-fn to_mapping(order: &[CoreId], placement: &[u8], node_count: usize) -> Mapping {
+/// The placement `prefix ++ [last]` of the cores in `order`.
+fn to_mapping(order: &[CoreId], prefix: &[u8], last: u8, node_count: usize) -> Mapping {
     let mut mapping = Mapping::new(node_count);
-    for (&core, &node) in order.iter().zip(placement) {
+    for (&core, &node) in order.iter().zip(prefix.iter().chain([&last])) {
         mapping.place(core, NodeId::new(usize::from(node)));
     }
     mapping
@@ -447,6 +729,42 @@ mod tests {
         // The cost is finite by type (`HopMbps` excludes NaN/infinity);
         // nothing left to assert beyond completeness above.
         let _ = out.comm_cost;
+    }
+
+    /// The probe's PBB counters after one [`pbb_checked`] run:
+    /// `(expansions, truncated, fallbacks)`.
+    fn probe_counts(problem: &MappingProblem, options: PbbOptions) -> (u64, u64, u64) {
+        let probe = noc_probe::Probe::new();
+        let mut ctx = EvalContext::new(problem);
+        ctx.set_probe(&probe);
+        pbb_checked(&ctx, &options).unwrap();
+        let count = |name: &str| probe.counter(name).get();
+        (
+            count("search.pbb_expansions"),
+            count("search.pbb_truncated"),
+            count("search.pbb_fallbacks"),
+        )
+    }
+
+    #[test]
+    fn probe_counts_truncated_runs_and_fallbacks() {
+        // Ten expansions cannot complete a 12-core placement, which takes
+        // at least twelve: the run is truncated and falls back.
+        let graph = noc_graph::RandomGraphConfig { cores: 12, ..Default::default() }.generate(1);
+        let p = MappingProblem::new(graph, Topology::mesh(4, 3, 1e9)).unwrap();
+        let budget = PbbOptions { max_queue: 4, max_expansions: 10 };
+        assert_eq!(probe_counts(&p, budget), (10, 1, 1));
+        let out = pbb(&p, &budget);
+        assert!(out.truncated && out.fallback);
+        assert_eq!(out.mapping, nmap::initialize(&p));
+        // An unbudgeted PIP run proves its optimum: it counts neither.
+        let pip = noc_apps::App::Pip;
+        let (w, h) = pip.mesh_dims();
+        let p = MappingProblem::new(pip.core_graph(), Topology::mesh(w, h, 2000.0)).unwrap();
+        let unbudgeted = PbbOptions { max_queue: 30_000_000, max_expansions: 100_000_000 };
+        let (expansions, truncated, fallbacks) = probe_counts(&p, unbudgeted);
+        assert!(expansions > 0);
+        assert_eq!((truncated, fallbacks), (0, 0));
     }
 
     #[test]

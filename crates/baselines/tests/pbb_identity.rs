@@ -8,7 +8,9 @@
 //! feasibility, expansion count and truncation flag — on paper apps,
 //! random graphs, every topology family, queue bounds that overflow on
 //! nearly every expansion, exhausted expansion budgets and
-//! capacity-tight problems.
+//! capacity-tight problems. Inputs with whole-number bandwidths make many
+//! prefixes tie on the bound, so the placement tie-break decides the
+//! order there.
 
 use nmap::MappingProblem;
 use noc_apps::App;
@@ -187,12 +189,12 @@ mod oracle {
             }
         }
 
-        let (mapping, feasible) = match best {
+        let (mapping, feasible, fallback) = match best {
             Some((_, mapping)) => {
                 let feasible = routing::route_min_paths(problem, &mapping)
                     .map(|(_, loads)| loads.within_capacity(topology))
                     .unwrap_or(false);
-                (mapping, feasible)
+                (mapping, feasible, false)
             }
             None => {
                 // Budget expired with no completion: fall back to the greedy
@@ -202,7 +204,7 @@ mod oracle {
                     .map(|(_, loads)| loads.within_capacity(topology))
                     .unwrap_or(false);
                 truncated = true;
-                (mapping, feasible)
+                (mapping, feasible, true)
             }
         };
 
@@ -212,6 +214,7 @@ mod oracle {
             feasible,
             expansions,
             truncated,
+            fallback,
         }
     }
 
@@ -274,6 +277,7 @@ fn assert_identical(problem: &MappingProblem, options: &PbbOptions, what: &str) 
     assert_eq!(got.feasible, expected.feasible, "feasible diverged: {at}");
     assert_eq!(got.expansions, expected.expansions, "expansions diverged: {at}");
     assert_eq!(got.truncated, expected.truncated, "truncated diverged: {at}");
+    assert_eq!(got.fallback, expected.fallback, "fallback diverged: {at}");
     got
 }
 
@@ -375,6 +379,56 @@ fn capacity_tight_problems_match_the_oracle() {
         }
     }
     assert!(rejected_some, "no capacity-tight case rejected a completion");
+}
+
+/// A random graph whose bandwidths are whole numbers from 1 to `max`
+/// MB/s, so that many prefixes share a bound.
+fn integer_graph(cores: usize, seed: u64, max: f64) -> CoreGraph {
+    let random = RandomGraphConfig {
+        cores,
+        min_bandwidth: noc_units::Mbps::raw(1.0),
+        max_bandwidth: noc_units::Mbps::raw(max),
+        ..Default::default()
+    }
+    .generate(seed);
+    let mut graph = CoreGraph::new();
+    let ids: Vec<_> = random.cores().map(|core| graph.add_core(random.name(core))).collect();
+    for (_, e) in random.edges() {
+        graph
+            .add_comm(ids[e.src.index()], ids[e.dst.index()], e.bandwidth.to_f64().round())
+            .unwrap();
+    }
+    graph
+}
+
+/// Budgets that reach every branch of the queue on the tied inputs
+/// below: overflows that keep only ordered entries and drop the unsorted
+/// tier whole, overflows that keep part of the unsorted tier, and an
+/// ordered tier popped empty and refilled from the unsorted tier.
+const TIE_BUDGETS: [PbbOptions; 4] = [
+    PbbOptions { max_queue: 4, max_expansions: 2_000 },
+    PbbOptions { max_queue: 8, max_expansions: 2_000 },
+    PbbOptions { max_queue: 30, max_expansions: 2_000 },
+    PbbOptions { max_queue: 1_000, max_expansions: 5_000 },
+];
+
+#[test]
+fn tied_bounds_match_the_oracle() {
+    for (cores, seed, max) in [(9, 51, 3.0), (12, 52, 4.0), (16, 53, 2.0), (20, 54, 5.0)] {
+        let graph = integer_graph(cores, seed, max);
+        assert!(graph.edges().all(|(_, e)| e.bandwidth.to_f64().fract() == 0.0));
+        let problem = MappingProblem::new(graph, fitted_mesh(cores, 1e9)).unwrap();
+        for options in TIE_BUDGETS {
+            assert_identical(&problem, &options, &format!("integer {cores} cores seed {seed}"));
+        }
+    }
+    for app in App::all() {
+        let (w, h) = app.mesh_dims();
+        let problem = MappingProblem::new(app.core_graph(), Topology::mesh(w, h, 1e9)).unwrap();
+        for options in TIE_BUDGETS {
+            assert_identical(&problem, &options, app.name());
+        }
+    }
 }
 
 #[test]

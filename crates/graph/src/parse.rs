@@ -86,9 +86,9 @@ impl Error for ParseError {
 ///
 /// # Errors
 ///
-/// [`ParseError`] with the offending line on malformed input; duplicate
-/// edges, self-loops and invalid bandwidths are rejected via
-/// [`ParseError::Graph`].
+/// [`ParseError`] with the offending line on malformed input. Duplicate
+/// edges and self-loops are syntax errors that name the cores as the file
+/// writes them; invalid bandwidths are rejected via [`ParseError::Graph`].
 pub fn parse_core_graph(text: &str) -> Result<CoreGraph, ParseError> {
     let mut graph = CoreGraph::new();
     let mut ids: BTreeMap<String, CoreId> = BTreeMap::new();
@@ -140,9 +140,17 @@ pub fn parse_core_graph(text: &str) -> Result<CoreGraph, ParseError> {
                 })?;
                 let src_id = intern(&mut graph, &mut ids, src);
                 let dst_id = intern(&mut graph, &mut ids, dst);
-                graph
-                    .add_comm(src_id, dst_id, bandwidth)
-                    .map_err(|source| ParseError::Graph { line: line_no, source })?;
+                // The graph names cores by internal id; the file by name.
+                let syntax = |message| ParseError::Syntax { line: line_no, message };
+                graph.add_comm(src_id, dst_id, bandwidth).map_err(|source| match source {
+                    GraphError::SelfLoop(_) => {
+                        syntax(format!("self-loop on core `{src}` is not allowed"))
+                    }
+                    GraphError::DuplicateEdge(..) => {
+                        syntax(format!("duplicate communication edge (`{src}`, `{dst}`)"))
+                    }
+                    source => ParseError::Graph { line: line_no, source },
+                })?;
             }
             other => {
                 return Err(ParseError::Syntax {
@@ -459,12 +467,34 @@ mod tests {
     #[test]
     fn rejects_semantic_errors_via_graph_layer() {
         let err = parse_core_graph("comm a a 5\n").unwrap_err();
-        assert!(matches!(err, ParseError::Graph { line: 1, .. }));
-        let err = parse_core_graph("comm a b 5\ncomm a b 6\n").unwrap_err();
-        assert!(matches!(
+        assert_eq!(
             err,
-            ParseError::Graph { line: 2, source: GraphError::DuplicateEdge(..) }
-        ));
+            ParseError::Syntax { line: 1, message: "self-loop on core `a` is not allowed".into() }
+        );
+        let err = parse_core_graph("comm a b 5\ncomm a b 6\n").unwrap_err();
+        assert_eq!(
+            err,
+            ParseError::Syntax {
+                line: 2,
+                message: "duplicate communication edge (`a`, `b`)".into()
+            }
+        );
+        // Both name the cores as the file declares them, not by the
+        // graph's internal ids (`v0`, `v1`).
+        for (text, line, names) in [
+            (
+                "core alpha\ncore beta\ncomm alpha beta 5\ncomm alpha beta 5\n",
+                4,
+                &["alpha", "beta"][..],
+            ),
+            ("core alpha\ncore beta\ncomm beta beta 5\n", 3, &["beta"][..]),
+        ] {
+            let err = parse_core_graph(text).unwrap_err();
+            assert!(matches!(err, ParseError::Syntax { line: l, .. } if l == line), "{err}");
+            let shown = err.to_string();
+            assert!(names.iter().all(|name| shown.contains(&format!("`{name}`"))), "{shown}");
+            assert!(!shown.contains("v0") && !shown.contains("v1"), "{shown}");
+        }
         // A bandwidth beyond `MAX_BANDWIDTH` once overflowed the placement
         // cost to infinity and panicked NMAP's `initialize` and GMAP.
         let err = parse_core_graph("comm a b 1e308\ncomm a c 1e308\ncomm b c 1e308\n").unwrap_err();
