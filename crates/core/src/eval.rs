@@ -22,11 +22,11 @@
 //! loads and costs are *bit-identical* to that router's (asserted by
 //! tests and the workspace determinism suite).
 
-use noc_graph::{NodeId, PathSearch, QuadrantDag};
+use noc_graph::{NodeId, PathSearch};
 use noc_probe::{Counter, Probe};
 use noc_units::{CostDelta, HopMbps, Score};
 
-use crate::routing::{route_greedy, LinkLoads};
+use crate::routing::{route_greedy, LinkLoads, QuadrantCache};
 use crate::{Commodity, Mapping, MappingProblem, Result};
 
 /// Telemetry handles for the search layer (see `crates/probe`): no-ops
@@ -68,8 +68,8 @@ pub struct EvalContext<'p> {
     problem: &'p MappingProblem,
     /// Commodity processing order (decreasing bandwidth) — graph-only.
     order: Vec<noc_graph::EdgeId>,
-    /// Quadrant DAG cache, keyed by `source * node_count + dest`.
-    quadrants: Vec<Option<QuadrantDag>>,
+    /// Quadrant DAGs of the node pairs routed so far.
+    quadrants: QuadrantCache,
     /// Scratch: commodity list of the mapping under evaluation.
     commodities: Vec<Commodity>,
     /// Scratch: per-link loads of the routing under evaluation.
@@ -84,11 +84,10 @@ pub struct EvalContext<'p> {
 impl<'p> EvalContext<'p> {
     /// Creates an empty context for `problem`. Caches fill lazily.
     pub fn new(problem: &'p MappingProblem) -> Self {
-        let nodes = problem.topology().node_count();
         Self {
             problem,
             order: problem.commodity_order(),
-            quadrants: vec![None; nodes * nodes],
+            quadrants: QuadrantCache::default(),
             commodities: Vec::with_capacity(problem.cores().edge_count()),
             loads: LinkLoads::zeros(problem.topology().link_count()),
             search: PathSearch::new(problem.topology()),
@@ -118,7 +117,7 @@ impl<'p> EvalContext<'p> {
 
     /// Number of distinct quadrant DAGs built so far (cache size).
     pub fn built_quadrants(&self) -> usize {
-        self.quadrants.iter().filter(|q| q.is_some()).count()
+        self.quadrants.built()
     }
 
     /// Equation-7 communication cost of `mapping` — delegates to the
@@ -222,7 +221,7 @@ impl<'p> EvalContext<'p> {
         let Self { problem, order, quadrants, commodities, loads, search, .. } = self;
         problem.commodities_into(mapping, commodities);
         loads.reset();
-        route_greedy(search, commodities, order, Some(quadrants), loads, None)?;
+        route_greedy(search, commodities, order, quadrants, loads, None)?;
         Ok(loads)
     }
 

@@ -36,6 +36,7 @@ use std::collections::BTreeSet;
 
 use noc_graph::{LinkId, PathSearch, QuadrantDag, Topology};
 use noc_lp::{Constraint, ConstraintSense, LinearProgram, Sense, SolveError, VarId};
+use noc_probe::Probe;
 
 use crate::routing::{LinkLoads, RoutingTables, SplitRoute};
 use crate::{Commodity, MapError, Mapping, MappingProblem, Result};
@@ -90,11 +91,10 @@ pub struct McfSolution {
 pub const FLOW_EPSILON: f64 = 1e-6;
 
 /// MCF1 slack (MB/s) at or below which a placement counts as
-/// bandwidth-feasible. It is the one feasibility threshold of the split
-/// path: [`McfKind::FlowMin`] runs MCF1 as its phase 1 and reports
-/// infeasibility exactly when the slack exceeds it, and
-/// [`crate::map_with_splitting`] classifies placements by it, so the two
-/// verdicts cannot disagree.
+/// bandwidth-feasible, read in one place: [`McfKind::FlowMin`] runs MCF1
+/// as its phase 1 and is infeasible exactly when the slack exceeds it.
+/// [`solve_mcf_or_slack`] then returns MCF1's routing, and
+/// [`crate::map_with_splitting`] reads feasibility off its kind.
 pub const SLACK_EPSILON: f64 = 1e-6;
 
 /// Reduced cost below which a priced path enters the master: the simplex
@@ -128,6 +128,27 @@ impl McfSolveStats {
         self.rounds += 1;
         self.pivots += stats.pivots;
         self.phase1_pivots += stats.phase1_pivots;
+    }
+
+    /// Adds this work to `probe`'s `lp.solves`, `lp.pivots`,
+    /// `lp.phase1_pivots`, `lp.cg.rounds` and `lp.cg.columns` counters.
+    pub fn record(&self, probe: &Probe) {
+        probe.counter("lp.solves").add(self.solves as u64);
+        probe.counter("lp.pivots").add(self.pivots as u64);
+        probe.counter("lp.phase1_pivots").add(self.phase1_pivots as u64);
+        probe.counter("lp.cg.rounds").add(self.rounds as u64);
+        probe.counter("lp.cg.columns").add(self.columns as u64);
+    }
+}
+
+impl std::ops::AddAssign for McfSolveStats {
+    fn add_assign(&mut self, other: Self) {
+        self.solves += other.solves;
+        self.rounds += other.rounds;
+        self.columns += other.columns;
+        self.pivots += other.pivots;
+        self.phase1_pivots += other.phase1_pivots;
+        self.warm_hit |= other.warm_hit;
     }
 }
 
@@ -182,7 +203,7 @@ pub fn solve_mcf_for(
 
 /// [`solve_mcf_for`] plus its work counters, which are returned whether or
 /// not the solve succeeded.
-pub fn solve_mcf_with_stats(
+fn solve_mcf_with_stats(
     topology: &Topology,
     commodities: &[Commodity],
     kind: McfKind,
@@ -191,10 +212,12 @@ pub fn solve_mcf_with_stats(
     let mut stats = McfSolveStats::default();
     let instance = Instance::new(topology, commodities, scope);
     let result = match kind {
-        McfKind::FlowMin => instance.flow_min(&mut stats).and_then(|outcome| match outcome {
-            FlowMin::Routed(optimum) => Ok(instance.solution(kind, &optimum)),
-            FlowMin::Overloaded(_) => Err(MapError::Lp(SolveError::Infeasible)),
-        }),
+        McfKind::FlowMin => {
+            instance.flow_min(&mut stats).and_then(|(routed, optimum)| match routed {
+                McfKind::FlowMin => Ok(instance.solution(kind, &optimum)),
+                _ => Err(MapError::Lp(SolveError::Infeasible)),
+            })
+        }
         McfKind::SlackMin => instance.slack_min(&mut stats),
         McfKind::MinMaxLoad => instance.min_max_load(&mut stats),
     };
@@ -214,15 +237,13 @@ pub fn solve_mcf_or_slack(
 ) -> (Result<McfSolution>, McfSolveStats) {
     let mut stats = McfSolveStats::default();
     let instance = Instance::new(topology, commodities, scope);
-    let result = instance.flow_min(&mut stats).map(|outcome| match outcome {
-        FlowMin::Routed(optimum) => instance.solution(McfKind::FlowMin, &optimum),
-        FlowMin::Overloaded(mcf1) => instance.solution(McfKind::SlackMin, &mcf1),
-    });
+    let result =
+        instance.flow_min(&mut stats).map(|(kind, optimum)| instance.solution(kind, &optimum));
     (result, stats)
 }
 
-/// The retired warm-start entry point, now a cold [`solve_mcf_with_stats`]:
-/// `previous` is ignored and [`McfSolveStats::warm_hit`] is always false.
+/// The retired warm-start entry point: a cold [`solve_mcf_for`] plus its
+/// work counters; `previous` is ignored, [`McfSolveStats::warm_hit`] false.
 ///
 /// # Errors
 ///
@@ -236,11 +257,6 @@ pub fn solve_mcf_warm(
 ) -> Result<(McfSolution, McfWarmState, McfSolveStats)> {
     let (result, stats) = solve_mcf_with_stats(topology, commodities, kind, scope);
     result.map(|solution| (solution, McfWarmState, stats))
-}
-
-/// Converts an LP infeasibility into a clearer error for FlowMin callers.
-pub(crate) fn is_infeasible(err: &MapError) -> bool {
-    matches!(err, MapError::Lp(SolveError::Infeasible))
 }
 
 /// A path column: its links in travel order, keyed by `(hops, links)` so
@@ -276,13 +292,6 @@ impl Demand {
             )
             .map(|(cost, links)| (cost, (links.len(), links.to_vec())))
     }
-}
-
-/// FlowMin's outcome: the MCF2 optimum, or — when the capacities cannot
-/// carry the traffic — the MCF1 optimum that proves it.
-enum FlowMin {
-    Routed(Optimum),
-    Overloaded(Optimum),
 }
 
 /// The capacity-row twist of each master (Inequality 3 per kind).
@@ -375,20 +384,21 @@ impl<'a> Instance<'a> {
     /// link, MCF1 runs first and decides feasibility against
     /// [`SLACK_EPSILON`]; MCF2 then starts from MCF1's columns with each
     /// capacity relaxed by its residual MCF1 slack, so a placement MCF1
-    /// calls feasible always routes.
-    fn flow_min(&self, stats: &mut McfSolveStats) -> Result<FlowMin> {
+    /// calls feasible always routes. Returns MCF2's optimum, or MCF1's when
+    /// that proves the capacities cannot carry the traffic, with its kind.
+    fn flow_min(&self, stats: &mut McfSolveStats) -> Result<(McfKind, Optimum)> {
         let start = self.start(stats)?;
         let (pool, relax) = if self.fits(&start) {
             (start, Vec::new())
         } else {
             let mcf1 = self.generate(Master::Slack, start, &[], stats)?;
             if mcf1.objective > SLACK_EPSILON {
-                return Ok(FlowMin::Overloaded(mcf1));
+                return Ok((McfKind::SlackMin, mcf1));
             }
             stats.solves += 1;
             (mcf1.pool, mcf1.slacks)
         };
-        Ok(FlowMin::Routed(self.generate(Master::Flow, pool, &relax, stats)?))
+        Ok((McfKind::FlowMin, self.generate(Master::Flow, pool, &relax, stats)?))
     }
 
     fn slack_min(&self, stats: &mut McfSolveStats) -> Result<McfSolution> {
@@ -599,7 +609,7 @@ mod tests {
     fn flow_min_detects_infeasible_capacities() {
         let (p, m) = one_flow_problem(100.0, 300.0);
         let err = solve_mcf(&p, &m, McfKind::FlowMin, PathScope::AllPaths).unwrap_err();
-        assert!(is_infeasible(&err), "expected infeasible, got {err:?}");
+        assert!(matches!(err, MapError::Lp(SolveError::Infeasible)), "got {err:?}");
     }
 
     #[test]
@@ -769,8 +779,7 @@ mod tests {
             assert_eq!(flow.is_ok(), feasible, "{value}: {flow:?}");
             let out = crate::map_with_splitting(&p, &crate::SplitOptions::default())
                 .unwrap_or_else(|e| panic!("{value}: {e}"));
-            assert_eq!(out.feasible, feasible, "{value}");
-            assert_eq!(out.total_flow.is_finite(), feasible, "{value}");
+            assert_eq!(out.solution.kind == McfKind::FlowMin, feasible, "{value}");
         }
     }
 
@@ -861,11 +870,7 @@ mod warm_start_tests {
                             warm = Some(next);
                         }
                         (Err(ce), Err(we)) => {
-                            assert_eq!(
-                                is_infeasible(&ce),
-                                is_infeasible(&we),
-                                "seed {seed} {kind:?} cap {cap}"
-                            );
+                            assert_eq!(ce, we, "seed {seed} {kind:?} cap {cap}");
                             warm = None;
                         }
                         (c, w) => {
@@ -944,15 +949,15 @@ mod failure_injection_tests {
     use super::*;
     use noc_lp::SolveError;
 
-    /// LP failures other than infeasibility must propagate as
-    /// `MapError::Lp`, not be silently converted to `maxvalue` by the
-    /// split mapper's scoring.
+    /// LP failures propagate as `MapError::Lp` carrying the solver's own
+    /// variant: the split mapper scores a placement by its solution's kind
+    /// and turns no error into a score.
     #[test]
     fn iteration_limit_propagates_from_split_mapper() {
         // `noc-lp`'s own tests reach the limit; this pins the conversion
         // path the mappers use.
         let err: MapError = SolveError::IterationLimit.into();
-        assert!(!is_infeasible(&err));
+        assert_eq!(err, MapError::Lp(SolveError::IterationLimit));
         assert!(err.to_string().contains("iteration limit"));
     }
 }

@@ -14,6 +14,8 @@
 //! * [`RoutingTables`] — per-commodity path sets with flow fractions; the
 //!   single-path and split-traffic flows share this representation.
 
+use std::collections::BTreeMap;
+
 use noc_graph::{Axis, EdgeId, LinkId, NodeId, PathSearch, QuadrantDag, Topology};
 
 use crate::{Commodity, MapError, Mapping, MappingProblem, Result};
@@ -218,25 +220,26 @@ pub fn route_min_paths(
     let mut paths: Vec<Option<CommodityPath>> = vec![None; commodities.len()];
     let order = problem.commodity_order();
     let mut search = PathSearch::new(topology);
-    route_greedy(&mut search, &commodities, &order, None, &mut loads, Some(&mut paths))?;
+    let mut quadrants = QuadrantCache::default();
+    route_greedy(&mut search, &commodities, &order, &mut quadrants, &mut loads, Some(&mut paths))?;
     Ok((paths.into_iter().map(|p| p.expect("all commodities routed")).collect(), loads))
 }
 
 /// The greedy loop of `shortestpath()`: each commodity of `order` in turn
 /// takes `search`'s cheapest path of its quadrant DAG under link weight
 /// `1 + load`, and that path's links then gain its bandwidth.
-/// `quadrants`, keyed by `source * node_count + dest`, keeps the DAGs
-/// across calls; without it each one is built on the fly. `paths`, when
-/// given, receives every commodity's path at its edge index.
+/// `quadrants` keeps the DAGs, across calls when the caller keeps it.
+/// `paths`, when given, receives every commodity's path at its edge index.
 pub(crate) fn route_greedy(
     search: &mut PathSearch<'_>,
     commodities: &[Commodity],
     order: &[EdgeId],
-    mut quadrants: Option<&mut [Option<QuadrantDag>]>,
+    quadrants: &mut QuadrantCache,
     loads: &mut LinkLoads,
     mut paths: Option<&mut [Option<CommodityPath>]>,
 ) -> Result<()> {
     let topology = search.topology();
+    quadrants.last.resize(commodities.len(), usize::MAX);
     for &edge in order {
         let c = commodities[edge.index()];
         if c.source == c.dest {
@@ -248,15 +251,7 @@ pub(crate) fn route_greedy(
             }
             continue;
         }
-        let fresh;
-        let quadrant = match quadrants.as_deref_mut() {
-            Some(cache) => cache[c.source.index() * topology.node_count() + c.dest.index()]
-                .get_or_insert_with(|| QuadrantDag::new(topology, c.source, c.dest)),
-            None => {
-                fresh = QuadrantDag::new(topology, c.source, c.dest);
-                &fresh
-            }
-        };
+        let quadrant = quadrants.get(topology, &c);
         let (_, links) = search
             .cheapest(
                 c.source,
@@ -274,6 +269,36 @@ pub(crate) fn route_greedy(
         }
     }
     Ok(())
+}
+
+/// The quadrant DAGs of the node pairs routed so far (a search visits few
+/// of the node-count² pairs), and per commodity edge the position of its
+/// last DAG, which serves it again until one of its two cores moves.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct QuadrantCache {
+    dags: Vec<QuadrantDag>,
+    index: BTreeMap<(NodeId, NodeId), usize>,
+    last: Vec<usize>,
+}
+
+impl QuadrantCache {
+    /// Number of DAGs built.
+    pub(crate) fn built(&self) -> usize {
+        self.dags.len()
+    }
+
+    fn get(&mut self, topology: &Topology, c: &Commodity) -> &QuadrantDag {
+        let pair = (c.source, c.dest);
+        let last = &mut self.last[c.edge.index()];
+        if self.dags.get(*last).is_none_or(|q| (q.source(), q.dest()) != pair) {
+            let dags = &mut self.dags;
+            *last = *self.index.entry(pair).or_insert_with(|| {
+                dags.push(QuadrantDag::new(topology, c.source, c.dest));
+                dags.len() - 1
+            });
+        }
+        &self.dags[*last]
+    }
 }
 
 /// Routes every commodity with deterministic **dimension-ordered routing**

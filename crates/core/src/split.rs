@@ -10,18 +10,20 @@
 //! * Once a feasible placement is found, swaps are scored by **MCF2**
 //!   total flow (Equation 9) and the search minimizes communication cost.
 //!
+//! One [`solve_mcf_or_slack`] call scores each placement and decides
+//! which program applies; the incumbent keeps its solution, so the winner
+//! is never solved twice.
+//!
 //! One deviation from the printed pseudocode, recorded in DESIGN.md §6:
-//! when the search first reaches feasibility we immediately score that
-//! mapping with MCF2 and seed `Bestmapping` from it (the paper's listing
-//! leaves `bestcommcost` at `maxvalue` until the *next* improving swap,
-//! which would discard the discovered feasible mapping if no later swap
-//! also evaluates below it).
+//! when the search first reaches feasibility, that mapping's MCF2 score
+//! seeds `Bestmapping` (the paper's listing leaves `bestcommcost` at
+//! `maxvalue` until the *next* improving swap, which would discard the
+//! discovered feasible mapping if no later swap also evaluates below it).
 
 use noc_graph::NodeId;
 use noc_units::HopMbps;
 
-use crate::mcf::{solve_mcf, McfKind, McfSolution, PathScope, SLACK_EPSILON};
-use crate::routing::{LinkLoads, RoutingTables};
+use crate::mcf::{solve_mcf_or_slack, McfKind, McfSolution, McfSolveStats, PathScope};
 use crate::{initialize, Mapping, MappingProblem, Result};
 
 /// Tuning knobs for [`map_with_splitting`].
@@ -64,25 +66,15 @@ pub struct SplitOutcome {
     /// Equation-7 communication cost of `mapping` (hops × bandwidth,
     /// independent of routing; for cross-algorithm comparison).
     pub comm_cost: HopMbps,
-    /// MCF2 objective of the final flow (total flow over all links), when
-    /// feasible.
-    // lint: allow(f64-api) — `f64::INFINITY` is the documented
-    // not-feasible sentinel, which no non-negative quantity type admits.
-    pub total_flow: f64,
-    /// Final MCF1 slack: 0 when `feasible`, otherwise the smallest total
-    /// capacity violation the search could reach.
-    // lint: allow(f64-api) — LP objective; simplex round-off can dip a
-    // mathematically-zero slack below 0, outside `Mbps`'s invariant.
-    pub slack: f64,
-    /// Whether the bandwidth constraints are satisfiable by split routing
-    /// under this placement.
-    pub feasible: bool,
-    /// Split routing tables of the final flow.
-    pub tables: RoutingTables,
-    /// Aggregate link loads of the final flow.
-    pub link_loads: LinkLoads,
-    /// Number of LP solves performed (diagnostics).
-    pub lp_solves: usize,
+    /// The split routing of `mapping`, as the search scored it: MCF2's
+    /// optimum (kind [`McfKind::FlowMin`], objective the total flow) if
+    /// split routing satisfies every bandwidth constraint, else MCF1's
+    /// (kind [`McfKind::SlackMin`], objective the least slack found).
+    pub solution: McfSolution,
+    /// Placements scored, the start included, one solve call each.
+    pub evaluations: usize,
+    /// The LP work of every scoring solve, summed.
+    pub stats: McfSolveStats,
 }
 
 /// Runs NMAP with split-traffic routing (the paper's
@@ -91,29 +83,28 @@ pub struct SplitOutcome {
 /// # Errors
 ///
 /// [`crate::MapError::InvalidOptions`] when `options` fail
-/// [`SplitOptions::check`]; otherwise propagates LP failures as
-/// [`crate::MapError::Lp`] (iteration limits; MCF1 and the final
-/// extraction never report infeasibility).
+/// [`SplitOptions::check`]; otherwise the first error of a scoring solve:
+/// [`crate::MapError::Lp`] on an iteration limit, or when a commodity's
+/// endpoints are disconnected.
 pub fn map_with_splitting(
     problem: &MappingProblem,
     options: &SplitOptions,
 ) -> Result<SplitOutcome> {
     options.check().map_err(crate::MapError::InvalidOptions)?;
     let node_count = problem.topology().node_count();
-    let mut lp_solves = 0usize;
+    let mut evaluations = 0usize;
+    let mut stats = McfSolveStats::default();
+    let mut score = |mapping: &Mapping| {
+        evaluations += 1;
+        let commodities = problem.commodities(mapping);
+        let (solution, work) = solve_mcf_or_slack(problem.topology(), &commodities, options.scope);
+        stats += work;
+        solution
+    };
 
     let mut placed = initialize(problem);
     let mut best = placed.clone();
-
-    let mut feasible = false;
-    let mut best_slack = mcf1(problem, &placed, options.scope, &mut lp_solves)?;
-    let mut best_flow = f64::INFINITY;
-
-    if best_slack <= SLACK_EPSILON {
-        feasible = true;
-        best_flow = mcf2(problem, &placed, options.scope, &mut lp_solves)?;
-        best = placed.clone();
-    }
+    let mut incumbent = score(&placed)?;
 
     for _ in 0..options.passes {
         for i in 0..node_count {
@@ -125,75 +116,32 @@ pub fn map_with_splitting(
                 }
                 let mut candidate = placed.clone();
                 candidate.swap_nodes(a, b);
-
-                if !feasible {
-                    let slack = mcf1(problem, &candidate, options.scope, &mut lp_solves)?;
-                    if slack <= SLACK_EPSILON {
-                        feasible = true;
-                        best_flow = mcf2(problem, &candidate, options.scope, &mut lp_solves)?;
-                        best = candidate.clone();
-                        placed = candidate;
-                    } else if slack < best_slack {
-                        best_slack = slack;
-                        best = candidate;
-                    }
-                } else {
-                    let flow = mcf2(problem, &candidate, options.scope, &mut lp_solves)?;
-                    if flow < best_flow {
-                        best_flow = flow;
-                        best = candidate;
-                    }
+                let solution = score(&candidate)?;
+                // Slack competes with slack and flow with flow: once a
+                // placement is feasible, infeasible ones score `maxvalue`.
+                let first_feasible =
+                    incumbent.kind == McfKind::SlackMin && solution.kind == McfKind::FlowMin;
+                let better =
+                    solution.kind == incumbent.kind && solution.objective < incumbent.objective;
+                if first_feasible {
+                    placed = candidate.clone(); // the sweep continues from it
+                }
+                if first_feasible || better {
+                    incumbent = solution;
+                    best = candidate;
                 }
             }
             placed = best.clone();
         }
     }
 
-    // Final flow extraction on the winning mapping.
-    let final_solution: McfSolution = if feasible {
-        solve_mcf(problem, &best, McfKind::FlowMin, options.scope)?
-    } else {
-        solve_mcf(problem, &best, McfKind::SlackMin, options.scope)?
-    };
-    let slack = if feasible { 0.0 } else { final_solution.objective };
-    let total_flow = if feasible { final_solution.objective } else { f64::INFINITY };
-
     Ok(SplitOutcome {
         comm_cost: problem.comm_cost(&best),
         mapping: best,
-        total_flow,
-        slack,
-        feasible,
-        tables: final_solution.tables,
-        link_loads: final_solution.link_loads,
-        lp_solves,
+        solution: incumbent,
+        evaluations,
+        stats,
     })
-}
-
-fn mcf1(
-    problem: &MappingProblem,
-    mapping: &Mapping,
-    scope: PathScope,
-    lp_solves: &mut usize,
-) -> Result<f64> {
-    *lp_solves += 1;
-    Ok(solve_mcf(problem, mapping, McfKind::SlackMin, scope)?.objective)
-}
-
-fn mcf2(
-    problem: &MappingProblem,
-    mapping: &Mapping,
-    scope: PathScope,
-    lp_solves: &mut usize,
-) -> Result<f64> {
-    *lp_solves += 1;
-    match solve_mcf(problem, mapping, McfKind::FlowMin, scope) {
-        Ok(sol) => Ok(sol.objective),
-        // A capacity-infeasible candidate scores `maxvalue`, mirroring the
-        // single-path algorithm's treatment.
-        Err(e) if crate::mcf::is_infeasible(&e) => Ok(f64::INFINITY),
-        Err(e) => Err(e),
-    }
 }
 
 #[cfg(test)]
@@ -214,10 +162,10 @@ mod tests {
     fn feasible_problem_minimizes_flow() {
         let p = MappingProblem::new(pipeline(4, 100.0), Topology::mesh(2, 2, 1e9)).unwrap();
         let out = map_with_splitting(&p, &SplitOptions::default()).unwrap();
-        assert!(out.feasible);
-        assert_eq!(out.slack, 0.0);
+        assert_eq!(out.solution.kind, McfKind::FlowMin);
         // Ample capacity: optimal flow puts every edge on 1 hop.
-        assert!((out.total_flow - 300.0).abs() < 1e-4, "flow {}", out.total_flow);
+        let flow = out.solution.objective;
+        assert!((flow - 300.0).abs() < 1e-4, "flow {flow}");
         assert!((out.comm_cost.to_f64() - 300.0).abs() < 1e-9);
     }
 
@@ -231,9 +179,13 @@ mod tests {
         g.add_comm(a, b, 300.0).unwrap();
         let p = MappingProblem::new(g, Topology::mesh(2, 2, 160.0)).unwrap();
         let out = map_with_splitting(&p, &SplitOptions::default()).unwrap();
-        assert!(out.feasible, "split routing must satisfy 300 over 2x160 paths");
-        assert!(out.link_loads.within_capacity(p.topology()));
-        assert!(out.tables.routes_of(EdgeId::new(0)).len() >= 2, "traffic must split");
+        assert_eq!(
+            out.solution.kind,
+            McfKind::FlowMin,
+            "split routing must satisfy 300 over 2x160 paths"
+        );
+        assert!(out.solution.link_loads.within_capacity(p.topology()));
+        assert!(out.solution.tables.routes_of(EdgeId::new(0)).len() >= 2, "traffic must split");
     }
 
     #[test]
@@ -246,9 +198,9 @@ mod tests {
         g.add_comm(a, b, 300.0).unwrap();
         let p = MappingProblem::new(g, Topology::mesh(2, 2, 100.0)).unwrap();
         let out = map_with_splitting(&p, &SplitOptions::default()).unwrap();
-        assert!(!out.feasible);
-        assert!((out.slack - 100.0).abs() < 1e-4, "slack {}", out.slack);
-        assert!(out.total_flow.is_infinite());
+        assert_eq!(out.solution.kind, McfKind::SlackMin);
+        let slack = out.solution.objective;
+        assert!((slack - 100.0).abs() < 1e-4, "slack {slack}");
     }
 
     #[test]
@@ -256,11 +208,11 @@ mod tests {
         let p = MappingProblem::new(pipeline(4, 120.0), Topology::mesh(2, 2, 1e9)).unwrap();
         let out = map_with_splitting(&p, &SplitOptions { scope: PathScope::Quadrant, passes: 1 })
             .unwrap();
-        assert!(out.feasible);
+        assert_eq!(out.solution.kind, McfKind::FlowMin);
         let commodities = p.commodities(&out.mapping);
         for c in &commodities {
             let min_hops = p.topology().hop_distance(c.source, c.dest);
-            for r in out.tables.routes_of(c.edge) {
+            for r in out.solution.tables.routes_of(c.edge) {
                 assert_eq!(r.links.len(), min_hops, "NMAPTM route not minimal");
             }
         }
@@ -274,14 +226,20 @@ mod tests {
         let split = map_with_splitting(&p, &SplitOptions::default()).unwrap();
         // With ample capacity both should find minimal embeddings; the MCF
         // total flow equals the Eq-7 cost at the optimum.
-        assert!(split.total_flow <= single.comm_cost.to_f64() + 1e-6);
+        assert_eq!(split.solution.kind, McfKind::FlowMin);
+        assert!(split.solution.objective <= single.comm_cost.to_f64() + 1e-6);
     }
 
     #[test]
     fn lp_solve_count_is_tracked() {
         let p = MappingProblem::new(pipeline(3, 10.0), Topology::mesh(2, 2, 1e9)).unwrap();
         let out = map_with_splitting(&p, &SplitOptions::default()).unwrap();
-        assert!(out.lp_solves >= 2, "at least MCF1 + MCF2 on the initial mapping");
+        // The start plus all C(4,2) = 6 swaps (one node is empty, so no
+        // pair is skipped); every minimum-hop start fits, so each
+        // evaluation solves exactly one program, MCF2.
+        assert_eq!(out.evaluations, 7);
+        assert_eq!(out.stats.solves, 7, "{:?}", out.stats);
+        assert!(out.stats.rounds >= 7 && out.stats.columns >= 7, "{:?}", out.stats);
     }
 
     #[test]
@@ -289,10 +247,10 @@ mod tests {
         let p = MappingProblem::new(pipeline(4, 150.0), Topology::mesh(2, 2, 200.0)).unwrap();
         let out = map_with_splitting(&p, &SplitOptions::default()).unwrap();
         let commodities = p.commodities(&out.mapping);
-        let recomputed = out.tables.link_loads(p.topology(), &commodities);
+        let recomputed = out.solution.tables.link_loads(p.topology(), &commodities);
         for (id, _) in p.topology().links() {
             assert!(
-                (out.link_loads.get(id) - recomputed.get(id)).abs() < 1e-3,
+                (out.solution.link_loads.get(id) - recomputed.get(id)).abs() < 1e-3,
                 "link {id} mismatch"
             );
         }

@@ -36,8 +36,11 @@ use noc_units::Mbps;
 
 use crate::cache::{self, CacheStats, Lookup, StageCache};
 use crate::report::{RunRecord, SimStats, StageTimes, SweepReport};
-use crate::scenario::{topology_label, RoutingSpec, Scenario, ScenarioSet, SimulateSpec};
+use crate::scenario::{
+    topology_label, MapperSpec, RoutingSpec, Scenario, ScenarioSet, SimulateSpec,
+};
 use crate::shard::{Checkpoint, ShardPlan};
+use crate::spec;
 
 /// What an engine call runs with besides its work list: the worker
 /// count, the instrumentation probe and the stage cache a caller can
@@ -77,15 +80,20 @@ impl From<usize> for RunContext<'_> {
 /// (invalid topology, app does not fit, unroutable, LP breakdown) become
 /// records with a non-empty `error` field; they never abort the call.
 /// Cache lookups land in the `dse.cache.{hit,miss}` probe counters (plus
-/// per-stage `dse.cache.{map,route}_*` variants), and every MCF route
-/// solve's work in `lp.solves`, `lp.pivots`, `lp.phase1_pivots`,
-/// `lp.cg.rounds` and `lp.cg.columns`. A live probe also receives one
-/// `dse.scenario` event per record, in scenario order whatever the
-/// thread count, so two profiles of one sweep list them alike.
+/// per-stage `dse.cache.{map,route}_*` variants), every MCF solve's work
+/// (the split mapper's too) in the `lp.*` counters, and each map or route
+/// miss's compute time in its family's `dse.stage.{map,route}.*_us`
+/// histogram (all five listed, count 0 without a miss). A live probe also
+/// receives one `dse.scenario` event per record, in scenario order
+/// whatever the thread count, so two profiles of one sweep list them alike.
 pub fn run_scenarios<'a>(scenarios: &[Scenario], ctx: impl Into<RunContext<'a>>) -> Vec<RunRecord> {
     let ctx = ctx.into();
     let fresh = StageCache::in_memory();
     let cache = ctx.cache.unwrap_or(&fresh);
+    let families = spec::mapper_catalogue().map(|(_, mapper)| map_histogram(&mapper));
+    for name in families.into_iter().chain(spec::ROUTINGS.map(|(_, r)| route_histogram(r))) {
+        ctx.probe.histogram(name);
+    }
     let records =
         pool_map(scenarios.len(), ctx.clone(), |i| run_scenario(&scenarios[i], &ctx.probe, cache));
     if ctx.probe.is_enabled() {
@@ -380,6 +388,28 @@ fn run_scenario(scenario: &Scenario, probe: &Probe, cache: &StageCache) -> RunRe
     record
 }
 
+/// The histogram of a map miss's compute time: the NMAP family, PBB or
+/// the rest — the split `perfbench` makes of its map spans by name prefix
+/// (`nmap*`, `pbb*`), read off the variant so no name is built.
+fn map_histogram(mapper: &MapperSpec) -> &'static str {
+    match mapper {
+        MapperSpec::NmapInit | MapperSpec::Nmap(_) | MapperSpec::NmapSplit(_) => {
+            "dse.stage.map.nmap_us"
+        }
+        MapperSpec::Pbb(_) => "dse.stage.map.pbb_us",
+        _ => "dse.stage.map.other_us",
+    }
+}
+
+/// The histogram of a route miss's compute time: single-path routers or
+/// MCF split routing.
+fn route_histogram(routing: RoutingSpec) -> &'static str {
+    match routing {
+        RoutingSpec::MinPath | RoutingSpec::Xy => "dse.stage.route.single_us",
+        RoutingSpec::McfQuadrant | RoutingSpec::McfAllPaths => "dse.stage.route.mcf_us",
+    }
+}
+
 /// Counts one cache lookup in the probe: the aggregate
 /// `dse.cache.{hit,miss}` counters plus the per-stage variant.
 fn count_lookup(probe: &Probe, stage: &str, lookup: Lookup) {
@@ -447,6 +477,7 @@ fn run_scenario_inner(scenario: &Scenario, probe: &Probe, cache: &StageCache) ->
         let result =
             scenario.mapper.mapper(scenario.seed).place(&mut ctx).map_err(|e| e.to_string());
         map_us = StageTimes::us(compute_start.elapsed());
+        probe.histogram(map_histogram(&scenario.mapper)).record(map_us);
         result
     });
     let mut cache_us = StageTimes::us(map_lookup_start.elapsed()).saturating_sub(map_us);
@@ -471,6 +502,7 @@ fn run_scenario_inner(scenario: &Scenario, probe: &Probe, cache: &StageCache) ->
             let result = route(&problem, &mapping, scenario.routing, need_tables, probe)
                 .map_err(|e| e.to_string());
             route_us = StageTimes::us(compute_start.elapsed());
+            probe.histogram(route_histogram(scenario.routing)).record(route_us);
             result
         });
     cache_us = cache_us
@@ -608,38 +640,21 @@ fn route(
     need_tables: bool,
     probe: &Probe,
 ) -> nmap::Result<(Option<RoutingTables>, LinkLoads)> {
-    match routing {
-        RoutingSpec::MinPath => {
-            let (paths, loads) = routing::route_min_paths(problem, mapping)?;
-            Ok((need_tables.then(|| RoutingTables::from_single_paths(&paths)), loads))
+    let scope = match routing {
+        RoutingSpec::MinPath | RoutingSpec::Xy => {
+            let (paths, loads) = if routing == RoutingSpec::MinPath {
+                routing::route_min_paths(problem, mapping)?
+            } else {
+                routing::route_xy(problem, mapping)?
+            };
+            return Ok((need_tables.then(|| RoutingTables::from_single_paths(&paths)), loads));
         }
-        RoutingSpec::Xy => {
-            let (paths, loads) = routing::route_xy(problem, mapping)?;
-            Ok((need_tables.then(|| RoutingTables::from_single_paths(&paths)), loads))
-        }
-        RoutingSpec::McfQuadrant => mcf_routing(problem, mapping, PathScope::Quadrant, probe),
-        RoutingSpec::McfAllPaths => mcf_routing(problem, mapping, PathScope::AllPaths, probe),
-    }
-}
-
-/// MCF2, or MCF1 when the capacities are infeasible (FlowMin's own MCF1
-/// phase is reused, not re-solved), recording the solve's work in the
-/// `lp.*` counters.
-fn mcf_routing(
-    problem: &MappingProblem,
-    mapping: &Mapping,
-    scope: PathScope,
-    probe: &Probe,
-) -> nmap::Result<(Option<RoutingTables>, LinkLoads)> {
-    let commodities = problem.commodities(mapping);
-    let (result, stats) = solve_mcf_or_slack(problem.topology(), &commodities, scope);
-    if probe.is_enabled() {
-        probe.counter("lp.solves").add(stats.solves as u64);
-        probe.counter("lp.pivots").add(stats.pivots as u64);
-        probe.counter("lp.phase1_pivots").add(stats.phase1_pivots as u64);
-        probe.counter("lp.cg.rounds").add(stats.rounds as u64);
-        probe.counter("lp.cg.columns").add(stats.columns as u64);
-    }
+        RoutingSpec::McfQuadrant => PathScope::Quadrant,
+        RoutingSpec::McfAllPaths => PathScope::AllPaths,
+    };
+    let (result, stats) =
+        solve_mcf_or_slack(problem.topology(), &problem.commodities(mapping), scope);
+    stats.record(probe);
     let solution = result?;
     Ok((Some(solution.tables), solution.link_loads))
 }
@@ -647,7 +662,7 @@ fn mcf_routing(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{AppSpec, MapperSpec, TopologySpec};
+    use crate::scenario::{AppSpec, TopologySpec};
     use nmap::SinglePathOptions;
     use noc_apps::App;
     use noc_graph::RandomGraphConfig;
@@ -733,6 +748,27 @@ mod tests {
             "error: {}",
             records[0].error
         );
+    }
+
+    /// The map stage keeps no per-node-pair table: PIP maps onto a 256×256
+    /// mesh (65,536 nodes), where one quadrant slot per `(source, dest)`
+    /// pair would take 2³² × 56 bytes.
+    #[test]
+    fn nmap_init_maps_pip_onto_a_256x256_mesh() {
+        let scenario = Scenario {
+            label: "PIP".into(),
+            app: AppSpec::Bundled(App::Pip),
+            seed: 0,
+            topology: TopologySpec::Mesh { dims: vec![256, 256] },
+            capacity: mbps(1_000.0),
+            mapper: MapperSpec::NmapInit,
+            routing: RoutingSpec::MinPath,
+            simulate: None,
+        };
+        let record = run_one(&scenario);
+        assert!(record.is_ok(), "error: {}", record.error);
+        assert_eq!(record.topology, "mesh256x256");
+        assert!(record.feasible);
     }
 
     #[test]

@@ -125,8 +125,8 @@ pub struct RunRecord {
     pub max_link_load: Mbps,
     /// Sum of all link loads (total flow).
     pub total_load: Mbps,
-    /// Mapper work measure (placement evaluations, LP solves or search
-    /// expansions, depending on the mapper; 0 for constructive mappers).
+    /// Mapper work measure (placements scored by the swap searches and
+    /// NMAP-split, or PBB expansions; 0 for constructive mappers).
     pub evaluations: usize,
     /// Simulation-stage measurements (`None` when the scenario has no
     /// simulate stage; the sim columns then serialize as `null`).

@@ -205,9 +205,9 @@ pub struct SeededMapper<'a> {
 
 impl SeededMapper<'_> {
     /// Runs the algorithm on `ctx`'s problem: the placement and the
-    /// mapper's work measure (candidates examined by the swap searches,
-    /// LP solves of NMAP-split, PBB expansions, 0 for the constructive
-    /// mappers). The one place that runs a mapper by its spec.
+    /// mapper's work measure (placements scored by the swap searches and
+    /// NMAP-split, whose LP work goes to `ctx`'s probe, PBB expansions, 0
+    /// for the constructive mappers). The one place that runs a mapper.
     ///
     /// # Errors
     ///
@@ -221,9 +221,9 @@ impl SeededMapper<'_> {
             MapperSpec::Nmap(opts) => {
                 map_single_path_with(ctx, opts).map(|o| (o.mapping, o.evaluations))
             }
-            MapperSpec::NmapSplit(opts) => {
-                map_with_splitting(problem, opts).map(|o| (o.mapping, o.lp_solves))
-            }
+            MapperSpec::NmapSplit(opts) => map_with_splitting(problem, opts)
+                .inspect(|o| o.stats.record(ctx.probe()))
+                .map(|o| (o.mapping, o.evaluations)),
             MapperSpec::Pmap => Ok((pmap(problem), 0)),
             MapperSpec::Gmap => Ok((gmap(problem), 0)),
             MapperSpec::Pbb(opts) => pbb_checked(ctx, opts),

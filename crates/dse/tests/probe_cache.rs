@@ -3,12 +3,17 @@
 //! own [`CacheStats`], prove the ≥2× map-stage sharing bar on a
 //! routing × bandwidth sweep, and stay deterministic across thread
 //! counts (misses = distinct computed keys, never racing workers). Every
-//! MCF route solve also reports its LP work.
+//! MCF solve, the route stage's and the split mapper's, also reports its
+//! LP work, and every map and route miss its compute time by family.
 
+use std::collections::{BTreeMap, BTreeSet};
+
+use nmap::{map_with_splitting, MappingProblem, PathScope, SplitOptions};
 use noc_dse::{
-    run_scenarios, run_sweep, AppSpec, MapperSpec, RoutingSpec, RunContext, Scenario, ScenarioSet,
-    SimulateSpec, StageCache, SweepConfig, SweepReport, TopologySpec,
+    cache, run_scenarios, run_sweep, AppSpec, MapperSpec, RoutingSpec, RunContext, Scenario,
+    ScenarioSet, SimulateSpec, StageCache, SweepConfig, SweepReport, TopologySpec,
 };
+use noc_graph::Topology;
 use noc_probe::{Probe, Profile, Value};
 
 fn counter(profile: &Profile, name: &str) -> u64 {
@@ -144,5 +149,116 @@ fn mcf_route_solves_record_lp_counters() {
             Some(expected) => assert_eq!(&values, expected, "threads={threads}"),
             None => first = Some(values),
         }
+    }
+}
+
+/// The split mapper's own MCF solves land in the `lp.*` counters: a
+/// min-path scenario routes without an LP, so every count comes from the
+/// mapper, and equals the work `map_with_splitting` reports for the same
+/// problem.
+#[test]
+fn split_mapper_records_its_lp_work() {
+    for scope in [PathScope::Quadrant, PathScope::AllPaths] {
+        let scenario = Scenario {
+            label: "DSP".into(),
+            app: AppSpec::DspFilter,
+            seed: 0,
+            topology: TopologySpec::Mesh { dims: vec![3, 2] },
+            capacity: noc_units::mbps(800.0),
+            mapper: MapperSpec::NmapSplit(SplitOptions { scope, passes: 1 }),
+            routing: RoutingSpec::MinPath,
+            simulate: None,
+        };
+        let probe = Probe::new();
+        let ctx = RunContext { threads: 1, probe: probe.clone(), ..Default::default() };
+        let record = run_scenarios(std::slice::from_ref(&scenario), ctx).remove(0);
+        assert!(record.is_ok(), "{scope:?}: {}", record.error);
+        assert_eq!(record.evaluations, 16, "{scope:?}");
+
+        let problem =
+            MappingProblem::new(noc_apps::dsp_filter(), Topology::mesh(3, 2, 800.0)).unwrap();
+        let stats = map_with_splitting(&problem, &SplitOptions { scope, passes: 1 }).unwrap().stats;
+        let profile = probe.snapshot();
+        let expected = [
+            ("lp.solves", stats.solves),
+            ("lp.pivots", stats.pivots),
+            ("lp.phase1_pivots", stats.phase1_pivots),
+            ("lp.cg.rounds", stats.rounds),
+            ("lp.cg.columns", stats.columns),
+        ];
+        for (name, value) in expected {
+            assert_eq!(counter(&profile, name), value as u64, "{scope:?}: {name}");
+        }
+        assert!(stats.solves >= 16, "{scope:?}: one program per evaluation at least");
+    }
+}
+
+/// Each map and route miss records its compute time in its family's
+/// histogram: `dse.stage.map.{nmap,pbb,other}_us`, the families split by
+/// mapper-name prefix as `perfbench` splits its map spans, and
+/// `dse.stage.route.{single,mcf}_us`. So each histogram counts its
+/// family's distinct stage keys, and a live probe lists all five.
+#[test]
+fn stage_histograms_count_each_familys_misses() {
+    let set = ScenarioSet::builder()
+        .root_seed(5)
+        .app(noc_apps::App::Pip)
+        .dsp()
+        .capacity(800.0)
+        .topology(TopologySpec::FitMesh)
+        .topology(TopologySpec::FitTorus)
+        .mapper(MapperSpec::NmapInit)
+        .mapper(MapperSpec::Nmap(nmap::SinglePathOptions::default()))
+        .mapper(MapperSpec::Pbb(noc_baselines::PbbOptions::default()))
+        .mapper(MapperSpec::Gmap)
+        .routing(RoutingSpec::MinPath)
+        .routing(RoutingSpec::Xy)
+        .routing(RoutingSpec::McfQuadrant)
+        .build();
+    let mut keys: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+    for s in set.scenarios() {
+        let name = s.mapper.name();
+        let map = match &name {
+            n if n.starts_with("nmap") => "dse.stage.map.nmap_us",
+            n if n.starts_with("pbb") => "dse.stage.map.pbb_us",
+            _ => "dse.stage.map.other_us",
+        };
+        keys.entry(map).or_default().insert(cache::map_key(s));
+        let route = match s.routing {
+            RoutingSpec::MinPath | RoutingSpec::Xy => "dse.stage.route.single_us",
+            RoutingSpec::McfQuadrant | RoutingSpec::McfAllPaths => "dse.stage.route.mcf_us",
+        };
+        keys.entry(route).or_default().insert(cache::route_key(s, s.simulate.is_some()));
+    }
+    assert_eq!(keys.len(), 5, "the set covers every family");
+
+    let probe = Probe::new();
+    let ctx = RunContext { threads: 2, probe: probe.clone(), ..Default::default() };
+    let records = run_scenarios(set.scenarios(), ctx);
+    assert!(records.iter().all(|r| r.is_ok()));
+    let profile = probe.snapshot();
+    let count = |name: &str| profile.histogram(name).map_or(0, |h| h.count);
+    for (name, family_keys) in &keys {
+        assert_eq!(count(name), family_keys.len() as u64, "{name}");
+    }
+    let map_families: u64 = keys.keys().filter(|n| n.contains(".map.")).map(|n| count(n)).sum();
+    assert_eq!(map_families, counter(&profile, "dse.cache.map_miss"));
+    let route_families: u64 = keys.keys().filter(|n| n.contains(".route.")).map(|n| count(n)).sum();
+    assert_eq!(route_families, counter(&profile, "dse.cache.route_miss"));
+
+    // A sweep with no PBB, other-mapper or MCF miss still lists those
+    // histograms, at count 0.
+    let probe = Probe::new();
+    let single: Vec<Scenario> = set
+        .scenarios()
+        .iter()
+        .filter(|s| s.mapper == MapperSpec::NmapInit && s.routing == RoutingSpec::MinPath)
+        .cloned()
+        .collect();
+    run_scenarios(&single, RunContext { threads: 1, probe: probe.clone(), ..Default::default() });
+    let profile = probe.snapshot();
+    for name in keys.keys() {
+        let histogram = profile.histogram(name).unwrap_or_else(|| panic!("{name} listed"));
+        assert_eq!(histogram.count > 0, name.ends_with("nmap_us") || name.ends_with("single_us"));
     }
 }

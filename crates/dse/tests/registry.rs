@@ -67,7 +67,7 @@ fn the_dispatch_is_the_algorithms() {
     type Bare = fn(&MappingProblem) -> (Mapping, usize);
     fn split(p: &MappingProblem, scope: PathScope) -> (Mapping, usize) {
         let out = map_with_splitting(p, &SplitOptions { scope, passes: 1 }).unwrap();
-        (out.mapping, out.lp_solves)
+        (out.mapping, out.evaluations)
     }
     let bare: [(&str, Bare); 10] = [
         ("nmap-init", |p| (initialize(p), 0)),

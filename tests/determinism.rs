@@ -36,8 +36,8 @@ fn split_mapper_is_deterministic() {
     let a = map_with_splitting(&p, &opts).unwrap();
     let b = map_with_splitting(&p, &opts).unwrap();
     assert_eq!(a.mapping, b.mapping);
-    assert_eq!(a.total_flow, b.total_flow);
-    assert_eq!(a.tables, b.tables);
+    assert_eq!(a.solution.objective, b.solution.objective);
+    assert_eq!(a.solution.tables, b.solution.tables);
 }
 
 #[test]

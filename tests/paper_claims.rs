@@ -7,7 +7,8 @@
 use nmap_suite::baselines::{pbb, PbbOptions};
 use nmap_suite::graph::{RandomGraphConfig, Topology};
 use nmap_suite::nmap::{
-    map_single_path, map_with_splitting, MappingProblem, PathScope, SinglePathOptions, SplitOptions,
+    map_single_path, map_with_splitting, MappingProblem, McfKind, PathScope, SinglePathOptions,
+    SplitOptions,
 };
 use noc_experiments::fig5c::design_dsp;
 use noc_experiments::mapper_comparison::{mapper_comparison_set, MapperComparison};
@@ -92,8 +93,8 @@ fn split_routing_eases_bandwidth_constraints() {
     let split =
         map_with_splitting(&problem, &SplitOptions { scope: PathScope::AllPaths, passes: 1 })
             .unwrap();
-    assert!(split.feasible, "split routing must satisfy the constraints");
-    assert!(split.link_loads.within_capacity(problem.topology()));
+    assert_eq!(split.solution.kind, McfKind::FlowMin, "split routing must satisfy the constraints");
+    assert!(split.solution.link_loads.within_capacity(problem.topology()));
 }
 
 /// §5's runtime claim ("completes in few seconds"): mapping a 16-core
