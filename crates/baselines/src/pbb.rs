@@ -113,10 +113,15 @@ struct Entry {
 const _: () = assert!(std::mem::size_of::<Entry>() == 24);
 
 /// The placements of expanded entries: row `r` is `width` node bytes
-/// beside an occupancy mask. A row counts its references (the children
-/// that name it, the queue's threshold, and the expansion writing it);
-/// the last release puts it on the free list, so memory follows the live
-/// queue, not the expansion count.
+/// beside an occupancy mask. A row counts its references: the ordered
+/// entries that name it, the queue's threshold, and the expansion
+/// writing it. Unsorted entries take none, since the next overflow drops
+/// most of them unseen. So while an unsorted tier can exist (`defer`), a
+/// row whose count reaches zero waits on `pending` instead of the free
+/// list, and [`Rows::flush`] frees it once the unsorted entries that are
+/// kept have taken their references. Without a threshold there is no
+/// unsorted tier, and the last release frees a row at once. Memory
+/// follows the live queue, not the expansion count.
 #[derive(Debug)]
 struct Rows {
     width: usize,
@@ -124,11 +129,21 @@ struct Rows {
     occupied: Vec<u128>,
     refs: Vec<u32>,
     free: Vec<u32>,
+    pending: Vec<u32>,
+    defer: bool,
 }
 
 impl Rows {
     fn new(width: usize) -> Self {
-        Self { width, nodes: Vec::new(), occupied: Vec::new(), refs: Vec::new(), free: Vec::new() }
+        Self {
+            width,
+            nodes: Vec::new(),
+            occupied: Vec::new(),
+            refs: Vec::new(),
+            free: Vec::new(),
+            pending: Vec::new(),
+            defer: false,
+        }
     }
 
     /// The first `len` nodes of `row`; a root's empty prefix for [`NO_ROW`].
@@ -184,9 +199,20 @@ impl Rows {
             let refs = &mut self.refs[row as usize];
             *refs -= 1;
             if *refs == 0 {
-                self.free.push(row);
+                if self.defer {
+                    self.pending.push(row);
+                } else {
+                    self.free.push(row);
+                }
             }
         }
+    }
+
+    /// Frees the pending rows that no entry has taken a reference to
+    /// since they were released.
+    fn flush(&mut self) {
+        let Self { refs, free, pending, .. } = self;
+        free.extend(pending.drain(..).filter(|&row| refs[row as usize] == 0));
     }
 }
 
@@ -291,6 +317,8 @@ struct Queue {
     /// Holds a reference to its parent row, which it is compared through.
     threshold: Option<Entry>,
     rows: Rows,
+    /// Scratch: the unsorted tier's bounds, for an overflow's prefilter.
+    bounds: Vec<f64>,
 }
 
 impl Queue {
@@ -301,6 +329,7 @@ impl Queue {
             unsorted: Vec::new(),
             threshold: None,
             rows: Rows::new(levels),
+            bounds: Vec::new(),
         }
     }
 
@@ -308,12 +337,16 @@ impl Queue {
         self.sorted.len() + self.heap.len() + self.unsorted.len()
     }
 
+    /// Adds a child. An ordered child takes a reference to its parent
+    /// row; an unsorted one takes none until an overflow keeps it.
     fn push(&mut self, entry: Entry) {
-        self.rows.retain(entry.parent);
-        let rows = &self.rows;
         match &self.threshold {
-            Some(threshold) if !precedes(&entry, threshold, rows) => self.unsorted.push(entry),
+            Some(threshold) if !precedes(&entry, threshold, &self.rows) => {
+                self.unsorted.push(entry);
+            }
             _ => {
+                self.rows.retain(entry.parent);
+                let rows = &self.rows;
                 let at = self.heap.len();
                 self.heap.push(entry);
                 sift_up(&mut self.heap, at, |a, b| precedes(a, b, rows));
@@ -328,7 +361,12 @@ impl Queue {
             if self.unsorted.is_empty() {
                 return None;
             }
+            // The unsorted tier becomes the heap, its entries taking
+            // their references, and the threshold goes.
             std::mem::swap(&mut self.heap, &mut self.unsorted);
+            for entry in &self.heap {
+                self.rows.retain(entry.parent);
+            }
             let rows = &self.rows;
             heapify(&mut self.heap, |a, b| precedes(a, b, rows));
             self.set_threshold(None);
@@ -355,39 +393,51 @@ impl Queue {
     fn truncate(&mut self, keep: usize) {
         let ordered = self.sorted.len() + self.heap.len();
         let from_unsorted = keep.saturating_sub(ordered);
-        let rows = &self.rows;
+        let Self { sorted, heap, unsorted, rows, bounds, .. } = self;
         let worst_first = |a: &Entry, b: &Entry| search_order(b, a, rows);
         // Sort the heap worst first and merge it into the run from the back.
-        self.heap.sort_unstable_by(worst_first);
-        let (mut i, mut j) = (self.sorted.len(), self.heap.len());
-        self.sorted.extend_from_slice(&self.heap); // room for the merge
+        heap.sort_unstable_by(worst_first);
+        let (mut i, mut j) = (sorted.len(), heap.len());
+        sorted.extend_from_slice(heap); // room for the merge
         while j > 0 {
             let into = i + j - 1;
-            if i > 0 && precedes(&self.sorted[i - 1], &self.heap[j - 1], rows) {
-                self.sorted[into] = self.sorted[i - 1];
+            if i > 0 && precedes(&sorted[i - 1], &heap[j - 1], rows) {
+                sorted[into] = sorted[i - 1];
                 i -= 1;
             } else {
-                self.sorted[into] = self.heap[j - 1];
+                sorted[into] = heap[j - 1];
                 j -= 1;
             }
         }
-        self.heap.clear();
-        // The kept unsorted entries come after every ordered one.
+        heap.clear();
+        // The kept unsorted entries come after every ordered one. Only
+        // those whose bound is at or below the `from_unsorted`-th
+        // smallest unsorted bound can be among them.
         if from_unsorted > 0 {
-            select_best(&mut self.unsorted, from_unsorted, rows);
-            self.unsorted[..from_unsorted].sort_unstable_by(worst_first);
-            self.sorted.splice(..0, self.unsorted[..from_unsorted].iter().copied());
+            bounds.clear();
+            bounds.extend(unsorted.iter().map(|entry| entry.lower_bound));
+            let (_, &mut cut, _) = bounds.select_nth_unstable_by(from_unsorted - 1, f64::total_cmp);
+            unsorted.retain(|entry| entry.lower_bound <= cut);
+            select_best(unsorted, from_unsorted, rows);
+            unsorted[..from_unsorted].sort_unstable_by(worst_first);
+            sorted.splice(..0, unsorted[..from_unsorted].iter().copied());
         }
         let dropped_ordered = ordered.saturating_sub(keep);
-        for dropped in
-            self.sorted.drain(..dropped_ordered).chain(self.unsorted.drain(from_unsorted..))
-        {
-            self.rows.release(dropped.parent);
+        for kept in &sorted[..from_unsorted] {
+            rows.retain(kept.parent);
         }
-        self.unsorted.clear();
+        for dropped in sorted.drain(..dropped_ordered) {
+            rows.release(dropped.parent);
+        }
+        unsorted.clear();
         self.set_threshold(self.sorted.first().copied());
     }
 
+    /// Replaces the threshold once an overflow or a refill has dealt with
+    /// the unsorted tier: the entries it keeps hold their references, so
+    /// the pending rows that are still unreferenced are freed. Released
+    /// rows wait on the pending list from now on exactly when a threshold
+    /// is set.
     fn set_threshold(&mut self, threshold: Option<Entry>) {
         if let Some(new) = &threshold {
             self.rows.retain(new.parent);
@@ -395,6 +445,8 @@ impl Queue {
         if let Some(old) = std::mem::replace(&mut self.threshold, threshold) {
             self.rows.release(old.parent);
         }
+        self.rows.defer = self.threshold.is_some();
+        self.rows.flush();
     }
 }
 
@@ -431,10 +483,13 @@ pub fn pbb_checked(ctx: &EvalContext<'_>, options: &PbbOptions) -> nmap::Result<
 /// its children name; rows are reference-counted and reused, so memory
 /// follows the live queue. Children that come after the last overflow's
 /// threshold, which the next overflow would mostly drop, wait in an
-/// unsorted tier instead of being ordered. Bound terms read a hop table
-/// built once per call. The search order is strict over live entries, so
-/// the entries an overflow keeps, and every pop, are those of one fully
-/// ordered queue: the outcome does not depend on the queue's layout.
+/// unsorted tier instead of being ordered, and hold no row reference
+/// until an overflow keeps them. Bound terms read a hop table built once
+/// per call. A complete placement is routed for its capacity check only
+/// where a link could overload. The search order is strict over live
+/// entries, so the entries an overflow keeps, and every pop, are those of
+/// one fully ordered queue: the outcome does not depend on the queue's
+/// layout.
 ///
 /// # Panics
 ///
@@ -527,10 +582,7 @@ pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
             let prefix = queue.rows.prefix(entry.parent, level - 1);
             let mapping = to_mapping(&order, prefix, entry.target, n);
             queue.rows.release(entry.parent);
-            let feasible = routing::route_min_paths(problem, &mapping)
-                .map(|(_, loads)| loads.within_capacity(topology))
-                .unwrap_or(false);
-            if feasible {
+            if fits(problem, &mapping) {
                 let cost = entry.partial_cost;
                 if best.as_ref().is_none_or(|(c, _)| cost < *c) {
                     best = Some((cost, mapping));
@@ -579,33 +631,33 @@ pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
         }
     }
 
-    let (mapping, feasible, fallback) = match best {
-        Some((_, mapping)) => {
-            let feasible = routing::route_min_paths(problem, &mapping)
-                .map(|(_, loads)| loads.within_capacity(topology))
-                .unwrap_or(false);
-            (mapping, feasible, false)
-        }
+    let (mapping, fallback) = match best {
+        Some((_, mapping)) => (mapping, false),
         None => {
             // Budget expired with no completion: fall back to the greedy
             // constructive placement so callers always get a mapping.
-            let mapping = nmap::initialize(problem);
-            let feasible = routing::route_min_paths(problem, &mapping)
-                .map(|(_, loads)| loads.within_capacity(topology))
-                .unwrap_or(false);
             truncated = true;
-            (mapping, feasible, true)
+            (nmap::initialize(problem), true)
         }
     };
 
     PbbOutcome {
+        feasible: fits(problem, &mapping),
         comm_cost: problem.comm_cost(&mapping),
         mapping,
-        feasible,
         expansions,
         truncated,
         fallback,
     }
+}
+
+/// Whether load-balanced minimum-path routing of `mapping` meets every
+/// link capacity. It routes only where a link could overload
+/// ([`MappingProblem::capacity_never_binds`]).
+fn fits(problem: &MappingProblem, mapping: &Mapping) -> bool {
+    problem.capacity_never_binds()
+        || routing::route_min_paths(problem, mapping)
+            .is_ok_and(|(_, loads)| loads.within_capacity(problem.topology()))
 }
 
 /// Candidate nodes for the first core: one orthant of the mesh — per axis
@@ -765,6 +817,27 @@ mod tests {
         let (expansions, truncated, fallbacks) = probe_counts(&p, unbudgeted);
         assert!(expansions > 0);
         assert_eq!((truncated, fallbacks), (0, 0));
+    }
+
+    #[test]
+    fn rows_are_freed_at_once_only_without_a_threshold() {
+        let mut queue = Queue::new(3);
+        let root =
+            Entry { lower_bound: 1.0, partial_cost: 0.0, parent: NO_ROW, target: 0, depth: 1 };
+        // No threshold, so no unsorted tier: a released row is freed at
+        // once, and the next write reuses it.
+        let row = queue.rows.write(&root);
+        queue.rows.release(row);
+        assert_eq!(queue.rows.write(&root), row);
+        // While a threshold is set, unsorted entries may still name a
+        // released row: it waits, and the next write takes a fresh one.
+        queue.set_threshold(Some(root));
+        queue.rows.release(row);
+        assert_ne!(queue.rows.write(&root), row);
+        // Replacing the threshold frees what waited.
+        queue.set_threshold(None);
+        assert_eq!(queue.rows.free, [row]);
+        assert!(queue.rows.pending.is_empty());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use nmap::MappingProblem;
 use noc_apps::App;
 use noc_baselines::{pbb, PbbOptions, PbbOutcome};
-use noc_graph::{CoreGraph, NodeId, RandomGraphConfig, Topology};
+use noc_graph::{CoreGraph, NodeId, RandomGraphConfig, RandomGraphFamily, Topology};
 
 mod oracle {
     use std::cmp::Ordering;
@@ -427,6 +427,38 @@ fn tied_bounds_match_the_oracle() {
         let problem = MappingProblem::new(app.core_graph(), Topology::mesh(w, h, 1e9)).unwrap();
         for options in TIE_BUDGETS {
             assert_identical(&problem, &options, app.name());
+        }
+    }
+}
+
+/// Budgets under which Table 2's own graphs overflow hundreds of times
+/// in a few thousand expansions, as the paper budget `q5000e50000` does
+/// over fifty thousand.
+const TABLE2_BUDGETS: [PbbOptions; 2] = [
+    PbbOptions { max_queue: 50, max_expansions: 2_000 },
+    PbbOptions { max_queue: 200, max_expansions: 3_000 },
+];
+
+/// Table 2's generator at its unlimited capacity, where the acceptance
+/// check never routes. These inputs reach every overflow path of the
+/// queue many times (counted on an instrumented copy of the kernel, for
+/// the 25-core instance 0 at `q50e2000` and `q200e3000`): overflows
+/// that keep every ordered entry and add the best unsorted ones (112
+/// and 125 times), among them overflows where more unsorted entries tie
+/// the cut bound than are kept (60, 88) and where the bound prefilter
+/// leaves exactly the kept ones (52, 37); an overflow that keeps every
+/// ordered entry followed by one that drops some (22, 40); and an
+/// ordered tier popped empty while released rows wait to be freed (1
+/// at `q50e2000`).
+#[test]
+fn table2_graphs_match_the_oracle() {
+    let family = RandomGraphFamily::default();
+    for (cores, instance) in [(25, 0), (25, 1), (25, 2), (35, 0)] {
+        let problem =
+            MappingProblem::new(family.graph(cores, instance), fitted_mesh(cores, 1e9)).unwrap();
+        assert!(problem.capacity_never_binds());
+        for options in TABLE2_BUDGETS {
+            assert_identical(&problem, &options, &format!("table2 {cores} cores #{instance}"));
         }
     }
 }

@@ -44,6 +44,9 @@ pub(crate) struct SearchCounters {
     pub gate_accepts: Counter,
     /// Delta-gated descent: candidates pruned by the gate.
     pub gate_rejects: Counter,
+    /// Evaluations scored feasible without routing, because no routing
+    /// can overload a link ([`MappingProblem::capacity_never_binds`]).
+    pub capacity_skips: Counter,
 }
 
 impl SearchCounters {
@@ -53,6 +56,7 @@ impl SearchCounters {
             swap_deltas: probe.counter("search.swap_deltas"),
             gate_accepts: probe.counter("search.gate_accepts"),
             gate_rejects: probe.counter("search.gate_rejects"),
+            capacity_skips: probe.counter("search.capacity_skips"),
         }
     }
 }
@@ -134,12 +138,12 @@ impl<'p> EvalContext<'p> {
     /// `b` in `mapping` (the move set of [`Mapping::swap_nodes`]), in
     /// `O(deg(a) + deg(b))` hop-distance queries instead of the full
     /// O(E) scan: only commodities incident to the two swapped cores
-    /// change their hop distance, so only those are re-measured. On
-    /// mesh/torus topologies each query is a closed form, so the whole
-    /// call is O(deg); custom topologies answer each query with a BFS
-    /// (see [`noc_graph::Topology::hop_distance`]), which the full scan
-    /// pays per edge too. Either node may be empty (a core→free-slot
-    /// move); `a == b` or two empty nodes give [`CostDelta::ZERO`].
+    /// change their hop distance, so only those are re-measured. Each
+    /// query is a closed form on grids and a memoized BFS-row lookup on
+    /// custom topologies (see [`noc_graph::Topology::hop_distance`]), so
+    /// the whole call is O(deg). Either node may be empty (a
+    /// core→free-slot move); `a == b` or two empty nodes give
+    /// [`CostDelta::ZERO`].
     ///
     /// The returned delta equals `comm_cost(swapped) - comm_cost(mapping)`
     /// up to floating-point rounding of the different summation orders —
@@ -240,6 +244,11 @@ impl<'p> EvalContext<'p> {
     /// candidate can never win, so routing it would be wasted work. Pass
     /// [`Score::INFEASIBLE`] as the threshold to force a full evaluation.
     ///
+    /// A candidate that passes the threshold is routed only when routing
+    /// can change the answer: where
+    /// [`MappingProblem::capacity_never_binds`] holds, every routing fits,
+    /// so the score is the cost.
+    ///
     /// # Errors
     ///
     /// Propagates [`MapError::Unroutable`](crate::MapError::Unroutable)
@@ -247,12 +256,18 @@ impl<'p> EvalContext<'p> {
     ///
     /// # Panics
     ///
-    /// Panics if `mapping` is incomplete.
+    /// Panics if `mapping` is incomplete, or if a commodity's endpoints
+    /// are disconnected in a custom topology (its Equation-7 distance,
+    /// [`noc_graph::Topology::hop_distance`], is computed first).
     pub fn evaluate(&mut self, mapping: &Mapping, threshold: Score) -> Result<Score> {
         self.counters.evaluations.inc();
         let cost = self.comm_cost(mapping);
         if cost.to_f64() >= threshold.to_f64() {
             return Ok(Score::INFEASIBLE);
+        }
+        if self.problem.capacity_never_binds() {
+            self.counters.capacity_skips.inc();
+            return Ok(Score::feasible(cost));
         }
         let topology = self.problem.topology();
         let feasible = self.route_min_loads(mapping)?.within_capacity(topology);
@@ -265,6 +280,7 @@ mod tests {
     use super::*;
     use crate::routing;
     use noc_graph::{NodeId, RandomGraphConfig, Topology};
+    use noc_probe::Probe;
 
     fn random_problem(seed: u64) -> MappingProblem {
         let g = RandomGraphConfig { cores: 12, ..Default::default() }.generate(seed);
@@ -430,6 +446,54 @@ mod tests {
         let ctx = EvalContext::new(&p);
         let m = crate::initialize(&p);
         assert_eq!(ctx.swap_delta(&m, NodeId::new(2), NodeId::new(2)), CostDelta::ZERO);
+    }
+
+    /// Two cores on a fabric where nodes 0 and 1 link both ways and node 2
+    /// only sends to node 0, so nothing reaches node 2. Every link is far
+    /// wider than the traffic.
+    fn one_way_fabric_problem() -> MappingProblem {
+        use noc_graph::CoreGraph;
+        let mut g = CoreGraph::new();
+        let a = g.add_core("a");
+        let b = g.add_core("b");
+        g.add_comm(a, b, 10.0).unwrap();
+        let links = [(0, 1), (1, 0), (2, 0)].map(|(u, v)| (NodeId::new(u), NodeId::new(v), 1e9));
+        MappingProblem::new(g, Topology::custom(3, links).unwrap()).unwrap()
+    }
+
+    fn placed_on(p: &MappingProblem, nodes: [usize; 2]) -> Mapping {
+        let mut m = Mapping::new(p.topology().node_count());
+        for (core, node) in p.cores().cores().zip(nodes) {
+            m.place(core, NodeId::new(node));
+        }
+        m
+    }
+
+    #[test]
+    fn evaluate_routes_on_a_fabric_that_is_not_strongly_connected() {
+        // Wide links alone do not make routing skippable: a commodity
+        // might have no path at all.
+        let p = one_way_fabric_problem();
+        assert!(!p.capacity_never_binds());
+        let probe = Probe::new();
+        let mut ctx = EvalContext::new(&p);
+        ctx.set_probe(&probe);
+        let m = placed_on(&p, [0, 1]);
+        let score = ctx.evaluate(&m, Score::INFEASIBLE).unwrap();
+        assert_eq!(score.cost(), Some(ctx.comm_cost(&m)));
+        assert_eq!(ctx.built_quadrants(), 1, "the candidate was routed");
+        assert_eq!(probe.counter("search.capacity_skips").get(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "no path between")]
+    fn evaluate_of_an_unreachable_commodity_panics_instead_of_scoring() {
+        // The Equation-7 cost of a commodity without a path is undefined:
+        // `hop_distance` panics before routing is reached, so no score,
+        // and no skipped routing, can hide it.
+        let p = one_way_fabric_problem();
+        let m = placed_on(&p, [0, 2]);
+        let _ = EvalContext::new(&p).evaluate(&m, Score::INFEASIBLE);
     }
 
     #[test]

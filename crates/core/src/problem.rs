@@ -1,6 +1,8 @@
 //! The mapping problem instance and its commodity view.
 
-use noc_graph::{CoreGraph, EdgeId, NodeId, Topology};
+use std::sync::OnceLock;
+
+use noc_graph::{CoreGraph, EdgeId, NodeId, Topology, TopologyKind};
 use noc_units::{HopMbps, Hops, Mbps};
 
 use crate::{MapError, Mapping, Result};
@@ -28,7 +30,15 @@ pub struct Commodity {
 pub struct MappingProblem {
     cores: CoreGraph,
     topology: Topology,
+    /// [`MappingProblem::capacity_never_binds`], computed on first use.
+    capacity_never_binds: OnceLock<bool>,
 }
+
+/// Relative margin by which the total traffic must undercut the smallest
+/// link capacity before [`MappingProblem::capacity_never_binds`] holds:
+/// it covers the different summation orders of the total and of a
+/// routed link load.
+const TOTAL_TRAFFIC_MARGIN: f64 = 1e-9;
 
 impl MappingProblem {
     /// Creates a problem instance.
@@ -47,7 +57,7 @@ impl MappingProblem {
                 nodes: topology.node_count(),
             });
         }
-        Ok(Self { cores, topology })
+        Ok(Self { cores, topology, capacity_never_binds: OnceLock::new() })
     }
 
     /// The application core graph.
@@ -58,6 +68,28 @@ impl MappingProblem {
     /// The NoC topology graph.
     pub fn topology(&self) -> &Topology {
         &self.topology
+    }
+
+    /// True when no single-path routing of any placement can overload a
+    /// link, so the capacity check of Inequality 3 always passes: the
+    /// topology is strongly connected (every commodity routes) and the
+    /// total traffic, times `1 + 1e-9`, fits on the smallest link.
+    ///
+    /// Exact: a single-path route is a minimal path, which crosses a link
+    /// at most once, so a link's load is the sum of a subset of the
+    /// commodities and never exceeds their total. The margin covers the
+    /// floating-point summation orders, and the capacity check adds its
+    /// own absolute tolerance. Grids are strongly connected by
+    /// construction; a custom topology pays one pair of BFS runs. Computed
+    /// on the first call and kept, so a mapper that never checks
+    /// capacities never pays for it.
+    pub fn capacity_never_binds(&self) -> bool {
+        *self.capacity_never_binds.get_or_init(|| {
+            let total = self.cores.total_bandwidth() * (1.0 + TOTAL_TRAFFIC_MARGIN);
+            let fits = self.topology.links().all(|(_, link)| total <= link.capacity);
+            fits && (matches!(self.topology.kind(), TopologyKind::Grid(_))
+                || self.topology.is_strongly_connected())
+        })
     }
 
     /// Consumes the problem, returning its parts.
@@ -189,6 +221,21 @@ mod tests {
         let problem = MappingProblem::new(g, Topology::mesh(2, 2, 1.0)).unwrap();
         let m = Mapping::new(4);
         let _ = problem.commodities(&m);
+    }
+
+    #[test]
+    fn capacity_never_binds_needs_every_link_above_the_total() {
+        // two_core_app carries 100 MB/s in total.
+        let on =
+            |t: Topology| MappingProblem::new(two_core_app(), t).unwrap().capacity_never_binds();
+        assert!(on(Topology::mesh(2, 2, 1e9)));
+        assert!(on(Topology::torus(3, 3, 101.0)));
+        assert!(!on(Topology::mesh(2, 2, 100.0)), "equality is within the margin");
+        assert!(!on(Topology::mesh(2, 2, 50.0)));
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        assert!(on(Topology::custom(2, [(a, b, 1e9), (b, a, 1e9)]).unwrap()));
+        assert!(!on(Topology::custom(2, [(a, b, 1e9), (b, a, 99.0)]).unwrap()));
+        assert!(!on(Topology::custom(2, [(a, b, 1e9)]).unwrap()), "b cannot reach a");
     }
 
     #[test]

@@ -4,16 +4,20 @@
 //! every bundled application, on seeded random graphs and on small
 //! pipelines, under generous and tight link capacities alike.
 //!
-//! `oracle::map_single_path` is that ungated descent: every candidate is
-//! scored with the full O(E) [`EvalContext::evaluate`], built from public
-//! API only. The production gate may only skip candidates the full
-//! `evaluate()` would reject from its threshold comparison without
-//! routing; any divergence here means the floating-point safety margin is
-//! wrong.
+//! `oracle::map_single_path` is that ungated descent, and it routes
+//! every candidate that beats the incumbent: its score is the full O(E)
+//! Equation-7 cost, then `route_min_loads` and the capacity check, built
+//! from public API only. So the suite checks both shortcuts of the
+//! production descent at once. The delta gate may only skip candidates
+//! that the threshold comparison would reject without routing, and
+//! [`EvalContext::evaluate`] may skip routing only where
+//! `MappingProblem::capacity_never_binds` says no routing can overload a
+//! link. Any divergence here means a floating-point margin is wrong.
 
-use nmap::{map_single_path, EvalContext, MappingProblem, SinglePathOptions};
+use nmap::{map_single_path_with, EvalContext, MappingProblem, SinglePathOptions};
 use noc_apps::App;
-use noc_graph::{CoreGraph, CoreId, RandomGraphConfig, Topology};
+use noc_graph::{CoreGraph, CoreId, RandomGraphConfig, RandomGraphFamily, Topology};
+use noc_probe::Probe;
 
 mod oracle {
     use nmap::{
@@ -24,8 +28,9 @@ mod oracle {
     use noc_units::Score;
 
     /// The paper's `mappingwithsinglepath()` with every candidate scored
-    /// by the full Equation-7 scan: the same restarts, sweeps, tie-breaks
-    /// and evaluation count as the production descent, minus its gate.
+    /// by [`score`]: the same restarts, sweeps, tie-breaks and evaluation
+    /// count as the production descent, minus its gate and its routing
+    /// skip.
     pub fn map_single_path(
         ctx: &mut EvalContext<'_>,
         options: &SinglePathOptions,
@@ -66,6 +71,24 @@ mod oracle {
         })
     }
 
+    /// The paper's `shortestpath()` score: infinity when the Equation-7
+    /// cost does not beat `threshold`, otherwise the cost if the routed
+    /// min-path loads meet every capacity and infinity if not. Always
+    /// routes past the threshold test.
+    fn score(
+        ctx: &mut EvalContext<'_>,
+        mapping: &Mapping,
+        threshold: Score,
+    ) -> nmap::Result<Score> {
+        let cost = ctx.comm_cost(mapping);
+        if cost.to_f64() >= threshold.to_f64() {
+            return Ok(Score::INFEASIBLE);
+        }
+        let topology = ctx.problem().topology();
+        let fits = ctx.route_min_loads(mapping)?.within_capacity(topology);
+        Ok(if fits { Score::feasible(cost) } else { Score::INFEASIBLE })
+    }
+
     fn descent(
         ctx: &mut EvalContext<'_>,
         mut placed: Mapping,
@@ -74,7 +97,7 @@ mod oracle {
     ) -> nmap::Result<(Score, Mapping)> {
         let node_count = ctx.problem().topology().node_count();
         *evaluations += 1;
-        let mut best_cost = ctx.evaluate(&placed, Score::INFEASIBLE)?;
+        let mut best_cost = score(ctx, &placed, Score::INFEASIBLE)?;
         let mut best = placed.clone();
         for _ in 0..passes {
             for i in 0..node_count {
@@ -86,7 +109,7 @@ mod oracle {
                     *evaluations += 1;
                     let mut candidate = placed.clone();
                     candidate.swap_nodes(a, b);
-                    let cost = ctx.evaluate(&candidate, best_cost)?;
+                    let cost = score(ctx, &candidate, best_cost)?;
                     if cost < best_cost {
                         best_cost = cost;
                         best = candidate;
@@ -99,15 +122,25 @@ mod oracle {
     }
 }
 
-/// Runs the production descent and the ungated oracle on one
-/// problem/options pair and demands equality of the entire outcome struct
-/// (mapping, cost, feasibility, paths, loads, tables, evaluations).
-fn assert_kernels_identical(problem: &MappingProblem, options: &SinglePathOptions, label: &str) {
+/// Runs the production descent and the always-routing oracle on one
+/// problem/options pair and demands equality of the entire outcome
+/// struct (mapping, cost, feasibility, paths, loads, tables,
+/// evaluations). Returns how many of the production descent's
+/// evaluations skipped routing (`search.capacity_skips`).
+fn assert_kernels_identical(
+    problem: &MappingProblem,
+    options: &SinglePathOptions,
+    label: &str,
+) -> u64 {
     let full = oracle::map_single_path(&mut EvalContext::new(problem), options)
         .unwrap_or_else(|e| panic!("{label}: ungated oracle failed: {e}"));
-    let gated = map_single_path(problem, options)
+    let probe = Probe::new();
+    let mut ctx = EvalContext::new(problem);
+    ctx.set_probe(&probe);
+    let gated = map_single_path_with(&mut ctx, options)
         .unwrap_or_else(|e| panic!("{label}: gated descent failed: {e}"));
     assert_eq!(full, gated, "{label}: kernels diverged");
+    probe.counter("search.capacity_skips").get()
 }
 
 #[test]
@@ -188,4 +221,75 @@ fn kernels_agree_on_small_pipelines() {
             assert_kernels_identical(problem, &options, &format!("pipeline {label} {options:?}"));
         }
     }
+}
+
+/// Table 2's generator at its 1e9 MB/s links, which no routing can
+/// overload: the production descent scores candidates without routing,
+/// on the fitted mesh, a torus and a 3-D mesh.
+#[test]
+fn kernels_agree_where_routing_is_skipped() {
+    let family = RandomGraphFamily::default();
+    for cores in [25, 35] {
+        let graph = family.graph(cores, 0);
+        let (w, h) = Topology::fit_mesh_dims(cores);
+        let mut fabrics =
+            vec![("mesh", Topology::mesh(w, h, 1e9)), ("torus", Topology::torus(w, h, 1e9))];
+        if cores <= 32 {
+            fabrics.push(("mesh 4x4x2", Topology::mesh_nd(&[4, 4, 2], 1e9).unwrap()));
+        }
+        for (fabric, topology) in fabrics {
+            let problem = MappingProblem::new(graph.clone(), topology).unwrap();
+            assert!(problem.capacity_never_binds());
+            let label = format!("table2 {cores} cores, {fabric}");
+            let skips =
+                assert_kernels_identical(&problem, &SinglePathOptions::paper_exact(), &label);
+            assert!(skips > 0, "{label}: no evaluation skipped routing");
+        }
+    }
+}
+
+/// Links exactly as wide as the total traffic: every routing still fits,
+/// but the predicate's margin keeps the skip off, so every evaluation
+/// routes.
+#[test]
+fn kernels_agree_when_capacity_equals_the_total_traffic() {
+    let graph = RandomGraphFamily::default().graph(25, 1);
+    let total = graph.total_bandwidth().to_f64();
+    let (w, h) = Topology::fit_mesh_dims(25);
+    let problem = MappingProblem::new(graph, Topology::mesh(w, h, total)).unwrap();
+    assert!(!problem.capacity_never_binds());
+    let skips =
+        assert_kernels_identical(&problem, &SinglePathOptions::paper_exact(), "capacity = total");
+    assert_eq!(skips, 0);
+}
+
+/// The fitted mesh as a custom fabric whose links are all wide except
+/// one central link, at half the heaviest flow: routing decides
+/// feasibility there, so the skip must not apply, and the narrow link
+/// moves the outcome.
+#[test]
+fn kernels_agree_on_a_fabric_with_one_narrow_link() {
+    let graph = RandomGraphFamily::default().graph(25, 2);
+    let heaviest = graph.edges().map(|(_, e)| e.bandwidth.to_f64()).fold(0.0, f64::max);
+    let (w, h) = Topology::fit_mesh_dims(25);
+    let mesh = Topology::mesh(w, h, 1e9);
+    let center = mesh.node_at(w / 2, h / 2).unwrap();
+    let (narrow, _) = mesh.out_links(center).next().unwrap();
+    let fabric = |capacity: f64| {
+        let links = mesh
+            .links()
+            .map(|(id, link)| (link.src, link.dst, if id == narrow { capacity } else { 1e9 }));
+        let topology = Topology::custom(mesh.node_count(), links).unwrap();
+        MappingProblem::new(graph.clone(), topology).unwrap()
+    };
+    let problem = fabric(0.5 * heaviest);
+    assert!(!problem.capacity_never_binds());
+    for options in [SinglePathOptions::paper_exact(), SinglePathOptions::default()] {
+        let skips =
+            assert_kernels_identical(&problem, &options, &format!("one narrow link {options:?}"));
+        assert_eq!(skips, 0);
+    }
+    let paper = SinglePathOptions::paper_exact();
+    let wide = nmap::map_single_path(&fabric(1e9), &paper).unwrap();
+    assert_ne!(nmap::map_single_path(&problem, &paper).unwrap().mapping, wide.mapping);
 }

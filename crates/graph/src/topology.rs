@@ -12,6 +12,8 @@
 // `link_lookup`, a get/insert-only index that is never iterated, so its
 // order cannot leak into results.
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::OnceLock;
 
 use noc_units::Mbps;
 
@@ -86,6 +88,47 @@ pub struct Topology {
     /// Flattened node coordinates, `rank` entries per node; synthesized
     /// `(i, 0)` for custom topologies.
     coords: Vec<usize>,
+    /// Custom topologies' hop rows, filled on first query.
+    hop_rows: HopRows,
+}
+
+/// Marks a node that a hop row's source cannot reach.
+const UNREACHABLE: u32 = u32::MAX;
+
+/// The BFS hop counts from each source of a custom topology, each row
+/// computed by [`crate::algo::bfs_hops`] on its first query and kept.
+/// One `OnceLock` per source: rows fill from any thread, and no
+/// node-count² table exists before it is asked for. Grids keep none.
+/// A memo, not part of the topology's value: every memo compares equal
+/// and prints alike, filled or not.
+#[derive(Clone, Default)]
+struct HopRows(Vec<OnceLock<Box<[u32]>>>);
+
+impl PartialEq for HopRows {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for HopRows {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("HopRows")
+    }
+}
+
+impl HopRows {
+    /// The hop counts from `source` to every node ([`UNREACHABLE`] where
+    /// there is no path).
+    fn row(&self, topology: &Topology, source: NodeId) -> &[u32] {
+        self.0[source.index()].get_or_init(|| {
+            crate::algo::bfs_hops(topology, source)
+                .into_iter()
+                .map(|hops| {
+                    hops.map_or(UNREACHABLE, |h| u32::try_from(h).expect("hop count fits u32"))
+                })
+                .collect()
+        })
+    }
 }
 
 impl Topology {
@@ -227,6 +270,7 @@ impl Topology {
         for i in 0..node_count {
             t.coords[i * 2] = i;
         }
+        t.hop_rows = HopRows((0..node_count).map(|_| OnceLock::new()).collect());
         for (src, dst, cap) in links {
             if src.index() >= node_count {
                 return Err(GraphError::UnknownNode(src));
@@ -250,6 +294,7 @@ impl Topology {
             link_lookup: HashMap::new(),
             rank,
             coords: vec![0; node_count * rank],
+            hop_rows: HopRows::default(),
         }
     }
 
@@ -372,8 +417,9 @@ impl Topology {
 
     /// Minimum hop count `dist(a, b)` between two nodes (Equation 7's
     /// distance). Closed-form per-axis wrap-aware distance for grids
-    /// (Manhattan on meshes, torus shortcuts where wraps exist); BFS for
-    /// custom topologies.
+    /// (Manhattan on meshes, torus shortcuts where wraps exist); on
+    /// custom topologies a lookup in `a`'s BFS row, which the first query
+    /// from `a` computes and every later one reuses.
     ///
     /// # Panics
     ///
@@ -392,8 +438,10 @@ impl Topology {
                     .map(|(axis, (&x, &y))| axis.distance(x, y))
                     .sum()
             }
-            TopologyKind::Custom => crate::algo::bfs_hops(self, a)[b.index()]
-                .unwrap_or_else(|| panic!("{}", GraphError::Disconnected(a, b))),
+            TopologyKind::Custom => match self.hop_rows.row(self, a)[b.index()] {
+                UNREACHABLE => panic!("{}", GraphError::Disconnected(a, b)),
+                hops => hops as usize,
+            },
         }
     }
 

@@ -295,3 +295,39 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// On random strongly connected digraphs of up to 12 nodes (a one-way
+    /// ring plus random arcs, parallel links and self-loops included),
+    /// every memoized hop row of a custom topology equals a fresh BFS,
+    /// whatever order the rows are first asked for in, and a topology
+    /// with filled rows still compares equal to, and prints like, one
+    /// that was never queried.
+    #[test]
+    fn custom_hop_rows_equal_a_fresh_bfs(
+        nodes in 1usize..=12,
+        arcs in prop::collection::vec((0usize..12, 0usize..12), 0..30),
+        first in 0usize..12,
+    ) {
+        let ring = (0..nodes).map(|u| (u, (u + 1) % nodes));
+        let arcs: Vec<(usize, usize)> =
+            ring.chain(arcs.into_iter().map(|(u, v)| (u % nodes, v % nodes))).collect();
+        let build = || {
+            Topology::custom(nodes, arcs.iter().map(|&(u, v)| (NodeId::new(u), NodeId::new(v), 1.0)))
+                .unwrap()
+        };
+        let t = build();
+        let unqueried = t.clone();
+        prop_assert!(t.is_strongly_connected());
+        for a in (0..nodes).map(|i| NodeId::new((i + first) % nodes)) {
+            let fresh = bfs_hops(&t, a);
+            for b in t.nodes() {
+                prop_assert_eq!(Some(t.hop_distance(a, b)), fresh[b.index()], "{:?}: {} to {}", arcs, a, b);
+            }
+        }
+        prop_assert_eq!(&t, &build());
+        prop_assert_eq!(format!("{t:?}"), format!("{unqueried:?}"));
+    }
+}
