@@ -112,6 +112,181 @@ struct Entry {
 
 const _: () = assert!(std::mem::size_of::<Entry>() == 24);
 
+/// Relative margin of every shell test. A shell bound and a child bound
+/// sum the same nonnegative terms in different orders, so rounding moves
+/// them apart by a few ulps at most, far less than this.
+const SHELL_MARGIN: f64 = 1e-9;
+
+/// The children of an expanded entry from shell position `next` on. The
+/// shells are the free targets grouped by their hop distance `d` from
+/// the node of the level's anchor, the earlier neighbour that sends the
+/// core being placed the most traffic. Every other earlier neighbour is at
+/// least one hop away, so every child in shell `d` has a bound of at least
+/// `partial_cost + floor + comm · (d − 1)` ([`Tree::next_bound`]). 16
+/// bytes, and no reference on `row`: see [`Queue::deferred`].
+#[derive(Debug, Clone, Copy)]
+struct Deferred {
+    /// The expanded entry's exact cost of placed-pair communication.
+    partial_cost: f64,
+    /// The row holding the expanded entry's placement.
+    row: u32,
+    /// Number of cores the expanded entry placed.
+    level: u8,
+    /// Position in the row's shell order of the first target not yet
+    /// generated.
+    next: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Deferred>() == 16);
+
+/// The search tree's tables, built once per call: the core order and
+/// what every child bound reads.
+#[derive(Debug)]
+struct Tree {
+    /// The cores by decreasing total communication demand: level `l`
+    /// places core `order[l]`.
+    order: Vec<CoreId>,
+    /// Node count of the topology.
+    n: usize,
+    /// `hops[t * n + p] = hop_distance(t, p)`: target first, placed node
+    /// second, since custom topologies need not be symmetric.
+    hops: Vec<f64>,
+    /// The shell orders, `n` `(node, hops)` pairs a row. Row `p < n` lists
+    /// every node `t` with `hop_distance(t, p)`, nearest first (ties by
+    /// index), so it starts with `p` itself. Row `n` lists every node at a
+    /// nominal distance 1: the one shell of a level without an anchor.
+    shells: Vec<(u8, u8)>,
+    /// `earlier[l]`: (level index < l, undirected comm weight) of each
+    /// earlier neighbour of the core placed at level `l`.
+    earlier: Vec<Vec<(usize, f64)>>,
+    /// `remaining[l]`: total weight of the edges not fully placed once the
+    /// first `l` cores are down.
+    remaining: Vec<f64>,
+    /// `anchor[l]`: the entry of `earlier[l]` with the largest weight (the
+    /// first on ties); `None` when the core has no earlier neighbour.
+    anchor: Vec<Option<(usize, f64)>>,
+    /// `floor[l]`: the sum of `earlier[l]`'s weights plus
+    /// `remaining[l + 1]`, what a child's bound adds to its parent's
+    /// partial cost when every earlier neighbour is one hop away.
+    floor: Vec<f64>,
+}
+
+impl Tree {
+    fn new(problem: &MappingProblem) -> Self {
+        let cores = problem.cores();
+        let topology = problem.topology();
+        let n = topology.node_count();
+        let mut order: Vec<CoreId> = cores.cores().collect();
+        order.sort_by(|&a, &b| cores.total_comm(b).cmp(&cores.total_comm(a)).then(a.cmp(&b)));
+        let mut position = vec![0usize; order.len()];
+        for (i, &c) in order.iter().enumerate() {
+            position[c.index()] = i;
+        }
+
+        // Edge (a, b) completes at level max(pos[a], pos[b]) + 1.
+        let levels = order.len();
+        let mut remaining = vec![0.0f64; levels + 1];
+        for (_, e) in cores.edges() {
+            let done_at = position[e.src.index()].max(position[e.dst.index()]) + 1;
+            for level_weight in remaining.iter_mut().take(done_at) {
+                *level_weight += e.bandwidth.to_f64();
+            }
+        }
+
+        let mut earlier: Vec<Vec<(usize, f64)>> = vec![Vec::new(); levels];
+        for (li, &c) in order.iter().enumerate() {
+            for (lj, &w) in order.iter().enumerate().take(li) {
+                let comm = cores.comm_between(c, w);
+                if comm > noc_units::Mbps::ZERO {
+                    earlier[li].push((lj, comm.to_f64()));
+                }
+            }
+        }
+        let anchor = earlier
+            .iter()
+            .map(|list| list.iter().copied().reduce(|a, b| if b.1 > a.1 { b } else { a }))
+            .collect();
+        let floor = earlier
+            .iter()
+            .zip(&remaining[1..])
+            .map(|(list, rest)| list.iter().map(|&(_, comm)| comm).sum::<f64>() + rest)
+            .collect();
+
+        let hops: Vec<f64> = topology
+            .nodes()
+            .flat_map(|t| topology.nodes().map(move |p| topology.hop_distance(t, p) as f64))
+            .collect();
+        let mut shells = Vec::with_capacity((n + 1) * n);
+        for p in 0..n {
+            let mut row: Vec<(u8, u8)> = (0..n).map(|t| (t as u8, hops[t * n + p] as u8)).collect();
+            row.sort_unstable_by_key(|&(t, hops)| (hops, t));
+            shells.extend(row);
+        }
+        shells.extend((0..n).map(|t| (t as u8, 1)));
+
+        Self { order, n, hops, shells, earlier, remaining, anchor, floor }
+    }
+
+    /// `parent`'s targets in shell order, each with its shell's hop
+    /// distance, and the anchor's weight (0 without an anchor).
+    fn shell_order(&self, rows: &Rows, parent: &Deferred) -> (&[(u8, u8)], f64) {
+        let level = usize::from(parent.level);
+        let (node, comm) = match self.anchor[level] {
+            Some((lj, comm)) => (usize::from(rows.prefix(parent.row, level)[lj]), comm),
+            None => (self.n, 0.0),
+        };
+        (&self.shells[node * self.n..][..self.n], comm)
+    }
+
+    /// A bound that no child in `parent`'s next shell is below (less the
+    /// rounding [`SHELL_MARGIN`] covers), or `None` once every shell is
+    /// generated.
+    fn next_bound(&self, rows: &Rows, parent: &Deferred) -> Option<f64> {
+        let (order, comm) = self.shell_order(rows, parent);
+        let &(_, hops) = order.get(usize::from(parent.next))?;
+        let floor = self.floor[usize::from(parent.level)];
+        Some(parent.partial_cost + floor + comm * (f64::from(hops) - 1.0))
+    }
+
+    /// Generates `parent`'s next shell: hands each child to `emit`, moves
+    /// `parent.next` past the shell and returns how many children, one per
+    /// free target, it computed. Each bound sums its `comm × hops` terms in
+    /// `earlier[level]` order.
+    fn generate(&self, rows: &Rows, parent: &mut Deferred, mut emit: impl FnMut(Entry)) -> usize {
+        let level = usize::from(parent.level);
+        let placement = rows.prefix(parent.row, level);
+        let occupied = rows.occupied(parent.row);
+        let (order, _) = self.shell_order(rows, parent);
+        let start = usize::from(parent.next);
+        let distance = order[start].1;
+        let shell = order[start..].iter().take_while(|&&(_, hops)| hops == distance);
+        let mut end = start;
+        let mut computed = 0;
+        for &(target, _) in shell {
+            end += 1;
+            if occupied & (1u128 << target) != 0 {
+                continue;
+            }
+            computed += 1;
+            let hop_row = &self.hops[usize::from(target) * self.n..][..self.n];
+            let mut delta = 0.0;
+            for &(lj, comm) in &self.earlier[level] {
+                delta += comm * hop_row[usize::from(placement[lj])];
+            }
+            let partial_cost = parent.partial_cost + delta;
+            emit(Entry {
+                lower_bound: partial_cost + self.remaining[level + 1],
+                partial_cost,
+                parent: parent.row,
+                target,
+                depth: parent.level + 1,
+            });
+        }
+        parent.next = end as u8;
+        computed
+    }
+}
+
 /// The placements of expanded entries: row `r` is `width` node bytes
 /// beside an occupancy mask. A row counts its references: the ordered
 /// entries that name it, the queue's threshold, and the expansion
@@ -306,63 +481,118 @@ fn select_best(entries: &mut [Entry], k: usize, rows: &Rows) {
 /// last overflow kept (worst first, so its best is last), and `heap`, a
 /// binary min-heap of the children since then that precede `threshold`,
 /// the worst kept entry. The unsorted tier holds the children that come
-/// after it, which the next overflow drops unless too few others remain.
-/// Invariant: every ordered entry precedes every unsorted entry, so the
-/// better of the two ordered bests is the best live entry.
+/// after it, which the next overflow drops unless too few others remain:
+/// those in `unsorted`, and those of the shells in `deferred`, counted
+/// but not generated yet. Invariant: every ordered entry precedes every
+/// unsorted entry, so the better of the two ordered bests is the best
+/// live entry.
 #[derive(Debug)]
 struct Queue {
     sorted: Vec<Entry>,
     heap: Vec<Entry>,
     unsorted: Vec<Entry>,
+    /// Expansions whose later shells all come after the threshold. They
+    /// hold no row reference: a row released while a threshold is set
+    /// stays pending until [`Queue::set_threshold`], and every overflow
+    /// and refill generates or drops the deferred shells before calling
+    /// it.
+    deferred: Vec<Deferred>,
+    /// The number of children `deferred` stands for.
+    deferred_len: usize,
     /// Holds a reference to its parent row, which it is compared through.
     threshold: Option<Entry>,
     rows: Rows,
+    tree: Tree,
+    /// Child bounds computed so far.
+    computed: usize,
     /// Scratch: the unsorted tier's bounds, for an overflow's prefilter.
     bounds: Vec<f64>,
 }
 
 impl Queue {
-    fn new(levels: usize) -> Self {
+    /// A queue holding `roots`, which name no row.
+    fn new(tree: Tree, mut roots: Vec<Entry>) -> Self {
+        let rows = Rows::new(tree.order.len());
+        heapify(&mut roots, |a, b| precedes(a, b, &rows));
         Self {
             sorted: Vec::new(),
-            heap: Vec::new(),
+            heap: roots,
             unsorted: Vec::new(),
+            deferred: Vec::new(),
+            deferred_len: 0,
             threshold: None,
-            rows: Rows::new(levels),
+            rows,
+            tree,
+            computed: 0,
             bounds: Vec::new(),
         }
     }
 
     fn len(&self) -> usize {
-        self.sorted.len() + self.heap.len() + self.unsorted.len()
+        self.sorted.len() + self.heap.len() + self.unsorted.len() + self.deferred_len
     }
 
-    /// Adds a child. An ordered child takes a reference to its parent
-    /// row; an unsorted one takes none until an overflow keeps it.
-    fn push(&mut self, entry: Entry) {
-        match &self.threshold {
-            Some(threshold) if !precedes(&entry, threshold, &self.rows) => {
-                self.unsorted.push(entry);
-            }
-            _ => {
-                self.rows.retain(entry.parent);
-                let rows = &self.rows;
-                let at = self.heap.len();
-                self.heap.push(entry);
-                sift_up(&mut self.heap, at, |a, b| precedes(a, b, rows));
+    /// Adds the children of the entry whose placement `parent.row` holds.
+    /// Its shells are generated in order while their bound is at most the
+    /// threshold's (with [`SHELL_MARGIN`]); every child of a later shell
+    /// comes after the threshold, so those shells are deferred. A child
+    /// that precedes the threshold joins the heap and takes a reference
+    /// to the row; an unsorted one takes none until an overflow keeps it.
+    fn expand(&mut self, mut parent: Deferred) {
+        let limit = self.threshold.map_or(f64::INFINITY, |entry| entry.lower_bound);
+        let limit = limit * (1.0 + SHELL_MARGIN);
+        let Self { heap, unsorted, threshold, rows, tree, .. } = self;
+        let (mut computed, mut ordered) = (0, 0);
+        while tree.next_bound(rows, &parent).is_some_and(|bound| bound <= limit) {
+            computed += tree.generate(rows, &mut parent, |child| match threshold {
+                Some(threshold) if !precedes(&child, threshold, rows) => unsorted.push(child),
+                _ => {
+                    ordered += 1;
+                    let at = heap.len();
+                    heap.push(child);
+                    sift_up(heap, at, |a, b| precedes(a, b, rows));
+                }
+            });
+        }
+        for _ in 0..ordered {
+            rows.retain(parent.row);
+        }
+        self.computed += computed;
+        let left = self.tree.n - usize::from(parent.level) - computed;
+        if left > 0 {
+            self.deferred.push(parent);
+            self.deferred_len += left;
+        }
+    }
+
+    /// Generates into the unsorted tier the next shell of every deferred
+    /// expansion whose next bound is at most `limit`; false if none is.
+    fn undefer(&mut self, limit: f64) -> bool {
+        let Self { unsorted, deferred, deferred_len, rows, tree, computed, .. } = self;
+        let mut any = false;
+        for parent in deferred.iter_mut() {
+            if tree.next_bound(rows, parent).is_some_and(|bound| bound <= limit) {
+                let count = tree.generate(rows, parent, |child| unsorted.push(child));
+                *computed += count;
+                *deferred_len -= count;
+                any = true;
             }
         }
+        any
     }
 
     /// Takes the best live entry. It still holds its reference to its
     /// parent row: the caller releases it once done with the prefix.
     fn pop(&mut self) -> Option<Entry> {
         if self.sorted.is_empty() && self.heap.is_empty() {
+            // The unsorted tier, its deferred shells generated, becomes
+            // the heap, its entries taking their references, and the
+            // threshold goes.
+            while self.undefer(f64::INFINITY) {}
+            self.deferred.clear();
             if self.unsorted.is_empty() {
                 return None;
             }
-            // The unsorted tier becomes the heap, its entries taking
-            // their references, and the threshold goes.
             std::mem::swap(&mut self.heap, &mut self.unsorted);
             for entry in &self.heap {
                 self.rows.retain(entry.parent);
@@ -385,38 +615,60 @@ impl Queue {
         Some(best)
     }
 
+    /// The `k`-th smallest bound of the unsorted tier once every deferred
+    /// shell that could hold one of its best `k` entries is generated:
+    /// each pass generates the next shell of every deferred expansion at
+    /// or below the cut of the entries generated so far (all of them
+    /// while fewer than `k` are), until no shell is left at or below it.
+    /// Requires more than `k` unsorted entries, generated or not.
+    fn unsorted_cut(&mut self, k: usize) -> f64 {
+        loop {
+            let cut = if self.unsorted.len() < k {
+                f64::INFINITY
+            } else {
+                let bounds = &mut self.bounds;
+                bounds.clear();
+                bounds.extend(self.unsorted.iter().map(|entry| entry.lower_bound));
+                *bounds.select_nth_unstable_by(k - 1, f64::total_cmp).1
+            };
+            if !self.undefer(cut * (1.0 + SHELL_MARGIN)) {
+                return cut;
+            }
+        }
+    }
+
     /// Overflow: keeps the best `keep` live entries and drops the rest —
     /// from the ordered tier alone when it holds that many (the unsorted
-    /// tier is then dropped whole), otherwise the whole ordered tier plus
-    /// the best of the unsorted tier. The kept entries become the sorted
-    /// run, and the worst of them the threshold.
+    /// tier is then dropped whole, its deferred shells ungenerated),
+    /// otherwise the whole ordered tier plus the best of the unsorted
+    /// tier. The kept entries become the sorted run, and the worst of them
+    /// the threshold.
     fn truncate(&mut self, keep: usize) {
         let ordered = self.sorted.len() + self.heap.len();
         let from_unsorted = keep.saturating_sub(ordered);
-        let Self { sorted, heap, unsorted, rows, bounds, .. } = self;
+        // The kept unsorted entries come after every ordered one. Only
+        // those whose bound is at or below the `from_unsorted`-th
+        // smallest unsorted bound can be among them.
+        let cut = (from_unsorted > 0).then(|| self.unsorted_cut(from_unsorted));
+        self.deferred.clear();
+        self.deferred_len = 0;
+        let Self { sorted, heap, unsorted, rows, .. } = self;
         let worst_first = |a: &Entry, b: &Entry| search_order(b, a, rows);
-        // Sort the heap worst first and merge it into the run from the back.
+        // Sort the heap worst first and merge it into the run from the
+        // back: each heap entry, best first, finds its place by binary
+        // search, and the run entries it precedes move up as one block.
         heap.sort_unstable_by(worst_first);
         let (mut i, mut j) = (sorted.len(), heap.len());
         sorted.extend_from_slice(heap); // room for the merge
         while j > 0 {
-            let into = i + j - 1;
-            if i > 0 && precedes(&sorted[i - 1], &heap[j - 1], rows) {
-                sorted[into] = sorted[i - 1];
-                i -= 1;
-            } else {
-                sorted[into] = heap[j - 1];
-                j -= 1;
-            }
+            let child = heap[j - 1];
+            let at = sorted[..i].partition_point(|kept| !precedes(kept, &child, rows));
+            sorted.copy_within(at..i, at + j);
+            sorted[at + j - 1] = child;
+            (i, j) = (at, j - 1);
         }
         heap.clear();
-        // The kept unsorted entries come after every ordered one. Only
-        // those whose bound is at or below the `from_unsorted`-th
-        // smallest unsorted bound can be among them.
-        if from_unsorted > 0 {
-            bounds.clear();
-            bounds.extend(unsorted.iter().map(|entry| entry.lower_bound));
-            let (_, &mut cut, _) = bounds.select_nth_unstable_by(from_unsorted - 1, f64::total_cmp);
+        if let Some(cut) = cut {
             unsorted.retain(|entry| entry.lower_bound <= cut);
             select_best(unsorted, from_unsorted, rows);
             unsorted[..from_unsorted].sort_unstable_by(worst_first);
@@ -451,9 +703,10 @@ impl Queue {
 }
 
 /// [`pbb`] as the mapper dispatch runs it: its placement and expansion
-/// count. The probe counts `search.pbb_expansions`, and the runs whose
-/// budget bound (`search.pbb_truncated`) or that fell back to
-/// `initialize()` (`search.pbb_fallbacks`).
+/// count. The probe counts `search.pbb_expansions`, the child bounds the
+/// search computed (`search.pbb_children`), and the runs whose budget
+/// bound (`search.pbb_truncated`) or that fell back to `initialize()`
+/// (`search.pbb_fallbacks`).
 ///
 /// # Errors
 ///
@@ -468,9 +721,10 @@ pub fn pbb_checked(ctx: &EvalContext<'_>, options: &PbbOptions) -> nmap::Result<
             "pbb supports at most {MAX_NODES} nodes, topology has {nodes}"
         )));
     }
-    let out = pbb(ctx.problem(), options);
+    let (out, children) = search(ctx.problem(), options);
     let probe = ctx.probe();
     probe.counter("search.pbb_expansions").add(out.expansions as u64);
+    probe.counter("search.pbb_children").add(children as u64);
     probe.counter("search.pbb_truncated").add(u64::from(out.truncated));
     probe.counter("search.pbb_fallbacks").add(u64::from(out.fallback));
     Ok((out.mapping, out.expansions))
@@ -484,9 +738,14 @@ pub fn pbb_checked(ctx: &EvalContext<'_>, options: &PbbOptions) -> nmap::Result<
 /// follows the live queue. Children that come after the last overflow's
 /// threshold, which the next overflow would mostly drop, wait in an
 /// unsorted tier instead of being ordered, and hold no row reference
-/// until an overflow keeps them. Bound terms read a hop table built once
-/// per call. A complete placement is routed for its capacity check only
-/// where a link could overload. The search order is strict over live
+/// until an overflow keeps them. An expansion generates its children in
+/// shells of rising hop distance from its heaviest earlier neighbour, and
+/// the shells whose bound puts every child after the threshold wait as
+/// one 16-byte record until an overflow or a refill needs them. Bound
+/// terms read a hop table built once per call. A complete placement is
+/// routed for its capacity check only where a link could overload, and
+/// the first one accepted ends the search: every live entry comes after
+/// it, so none has a lower bound. The search order is strict over live
 /// entries, so the entries an overflow keeps, and every pop, are those of
 /// one fully ordered queue: the outcome does not depend on the queue's
 /// layout.
@@ -497,82 +756,35 @@ pub fn pbb_checked(ctx: &EvalContext<'_>, options: &PbbOptions) -> nmap::Result<
 /// width; all paper-scale experiments are ≤ 81 nodes), or if it is a
 /// disconnected custom topology.
 pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
-    let cores = problem.cores();
-    let topology = problem.topology();
-    let n = topology.node_count();
+    search(problem, options).0
+}
+
+/// [`pbb`] and the number of child bounds it computed.
+fn search(problem: &MappingProblem, options: &PbbOptions) -> (PbbOutcome, usize) {
+    let n = problem.topology().node_count();
     assert!(n <= MAX_NODES, "PBB occupancy mask supports up to {MAX_NODES} nodes");
+    let tree = Tree::new(problem);
+    let levels = tree.order.len();
+    let root_bound = tree.remaining[1];
 
-    // Core order: decreasing total communication demand.
-    let mut order: Vec<CoreId> = cores.cores().collect();
-    order.sort_by(|&a, &b| cores.total_comm(b).cmp(&cores.total_comm(a)).then(a.cmp(&b)));
-    let position: Vec<usize> = {
-        let mut pos = vec![0usize; order.len()];
-        for (i, &c) in order.iter().enumerate() {
-            pos[c.index()] = i;
-        }
-        pos
-    };
-
-    // remaining_weight[l] = total weight of edges NOT fully placed once the
-    // first `l` cores of `order` are down: edge (a, b) completes at level
-    // max(pos[a], pos[b]) + 1.
-    let levels = order.len();
-    let mut remaining_weight = vec![0.0f64; levels + 1];
-    for (_, e) in cores.edges() {
-        let done_at = position[e.src.index()].max(position[e.dst.index()]) + 1;
-        for level_weight in remaining_weight.iter_mut().take(done_at) {
-            *level_weight += e.bandwidth.to_f64();
-        }
-    }
-
-    // Adjacency of each core to earlier-ordered cores, with weights.
-    // earlier[l] = list of (level index < l, undirected comm weight).
-    let mut earlier: Vec<Vec<(usize, f64)>> = vec![Vec::new(); levels];
-    for (li, &c) in order.iter().enumerate() {
-        for (lj, &w) in order.iter().enumerate().take(li) {
-            let comm = cores.comm_between(c, w);
-            if comm > noc_units::Mbps::ZERO {
-                earlier[li].push((lj, comm.to_f64()));
-            }
-        }
-    }
-
-    // hops[t * n + p] = hop_distance(t, p): target first, placed node
-    // second, since custom topologies need not be symmetric.
-    let hops: Vec<f64> = topology
-        .nodes()
-        .flat_map(|t| topology.nodes().map(move |p| topology.hop_distance(t, p) as f64))
-        .collect();
-
-    let mut queue = Queue::new(levels);
     // Root expansions with symmetry breaking.
-    for node in first_core_candidates(problem) {
-        queue.push(Entry {
-            lower_bound: remaining_weight[1],
-            partial_cost: 0.0,
-            parent: NO_ROW,
-            target: node.index() as u8,
-            depth: 1,
-        });
-    }
+    let roots = first_core_candidates(problem).into_iter().map(|node| Entry {
+        lower_bound: root_bound,
+        partial_cost: 0.0,
+        parent: NO_ROW,
+        target: node.index() as u8,
+        depth: 1,
+    });
+    let mut queue = Queue::new(tree, roots.collect());
 
-    let mut best: Option<(f64, Mapping)> = None;
+    let mut best: Option<Mapping> = None;
     let mut expansions = 0usize;
     let mut truncated = false;
-    // (placed node, comm weight) of each earlier neighbour of the core
-    // being placed, in `earlier[level]` order.
-    let mut neighbours: Vec<(usize, f64)> = Vec::with_capacity(levels);
 
     while let Some(entry) = queue.pop() {
         if expansions >= options.max_expansions {
             truncated = true;
             break;
-        }
-        if let Some((best_cost, _)) = &best {
-            if entry.lower_bound >= *best_cost {
-                queue.rows.release(entry.parent);
-                continue; // prune: cannot beat the incumbent
-            }
         }
         expansions += 1;
         let level = usize::from(entry.depth);
@@ -580,13 +792,16 @@ pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
         if level == levels {
             // Complete placement: accept if bandwidth-feasible.
             let prefix = queue.rows.prefix(entry.parent, level - 1);
-            let mapping = to_mapping(&order, prefix, entry.target, n);
+            let mapping = to_mapping(&queue.tree.order, prefix, entry.target, n);
             queue.rows.release(entry.parent);
             if fits(problem, &mapping) {
-                let cost = entry.partial_cost;
-                if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-                    best = Some((cost, mapping));
-                }
+                // Its bound is its cost, and every live entry comes after
+                // it, so none has a bound below that cost: the search
+                // would prune every one, unless the expansion budget
+                // stopped it at the next pop.
+                truncated |= expansions >= options.max_expansions && queue.len() > 0;
+                best = Some(mapping);
+                break;
             }
             continue;
         }
@@ -594,34 +809,12 @@ pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
         // Expand: place core `order[level]` on every free node.
         let row = queue.rows.write(&entry);
         queue.rows.release(entry.parent);
-        let occupied = queue.rows.occupied(row);
-        let placement = queue.rows.prefix(row, level);
-        neighbours.clear();
-        neighbours
-            .extend(earlier[level].iter().map(|&(lj, comm)| (usize::from(placement[lj]), comm)));
-        for (target, hop_row) in hops.chunks_exact(n).enumerate() {
-            if occupied & (1u128 << target) != 0 {
-                continue;
-            }
-            let mut delta = 0.0;
-            for &(placed, comm) in &neighbours {
-                delta += comm * hop_row[placed];
-            }
-            let partial_cost = entry.partial_cost + delta;
-            let lower_bound = partial_cost + remaining_weight[level + 1];
-            if let Some((best_cost, _)) = &best {
-                if lower_bound >= *best_cost {
-                    continue;
-                }
-            }
-            queue.push(Entry {
-                lower_bound,
-                partial_cost,
-                parent: row,
-                target: target as u8,
-                depth: entry.depth + 1,
-            });
-        }
+        queue.expand(Deferred {
+            partial_cost: entry.partial_cost,
+            row,
+            level: entry.depth,
+            next: 0,
+        });
         queue.rows.release(row);
 
         // Partial search: keep the best half when the queue overflows.
@@ -632,7 +825,7 @@ pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
     }
 
     let (mapping, fallback) = match best {
-        Some((_, mapping)) => (mapping, false),
+        Some(mapping) => (mapping, false),
         None => {
             // Budget expired with no completion: fall back to the greedy
             // constructive placement so callers always get a mapping.
@@ -641,14 +834,15 @@ pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
         }
     };
 
-    PbbOutcome {
+    let outcome = PbbOutcome {
         feasible: fits(problem, &mapping),
         comm_cost: problem.comm_cost(&mapping),
         mapping,
         expansions,
         truncated,
         fallback,
-    }
+    };
+    (outcome, queue.computed)
 }
 
 /// Whether load-balanced minimum-path routing of `mapping` meets every
@@ -821,7 +1015,8 @@ mod tests {
 
     #[test]
     fn rows_are_freed_at_once_only_without_a_threshold() {
-        let mut queue = Queue::new(3);
+        let p = problem(&[(0, 1, 1.0)], 3, 3, 1);
+        let mut queue = Queue::new(Tree::new(&p), Vec::new());
         let root =
             Entry { lower_bound: 1.0, partial_cost: 0.0, parent: NO_ROW, target: 0, depth: 1 };
         // No threshold, so no unsorted tier: a released row is freed at
@@ -838,6 +1033,115 @@ mod tests {
         queue.set_threshold(None);
         assert_eq!(queue.rows.free, [row]);
         assert!(queue.rows.pending.is_empty());
+    }
+
+    /// Two random graphs side by side, so that some levels place a core
+    /// with no earlier neighbour.
+    fn two_components(cores: usize, seed: u64) -> CoreGraph {
+        let mut graph = CoreGraph::new();
+        for part in 0..2 {
+            let random =
+                noc_graph::RandomGraphConfig { cores, ..Default::default() }.generate(seed + part);
+            let ids: Vec<CoreId> =
+                random.cores().map(|c| graph.add_core(format!("p{part}c{}", c.index()))).collect();
+            for (_, e) in random.edges() {
+                graph
+                    .add_comm(ids[e.src.index()], ids[e.dst.index()], e.bandwidth.to_f64())
+                    .unwrap();
+            }
+        }
+        graph
+    }
+
+    /// Every shell's bound is at most every bound computed in it or in a
+    /// later shell (less the rounding [`SHELL_MARGIN`] covers), and
+    /// generating every shell computes the children of the plain loop over
+    /// all free targets, bit for bit, on random prefixes over a mesh, a
+    /// torus, a 3-D mesh and a one-way ring with chords.
+    #[test]
+    fn shells_bound_their_children_and_partition_the_eager_children() {
+        let ring = {
+            let node = NodeId::new;
+            let mut links: Vec<_> = (0..18).map(|i| (node(i), node((i + 1) % 18), 1e9)).collect();
+            links.extend([(0, 9), (9, 0), (4, 13), (13, 4)].map(|(a, b)| (node(a), node(b), 1e9)));
+            Topology::custom(18, links).unwrap()
+        };
+        let topologies = [
+            Topology::mesh(4, 4, 1e9),
+            Topology::torus(4, 4, 1e9),
+            Topology::mesh_nd(&[3, 3, 2], 1e9).unwrap(),
+            ring,
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: usize| {
+            // xorshift64*
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % bound
+        };
+        let mut anchorless = 0;
+        for topology in topologies {
+            let p = MappingProblem::new(two_components(7, 5), topology).unwrap();
+            let tree = Tree::new(&p);
+            let (n, levels) = (tree.n, tree.order.len());
+            let mut rows = Rows::new(levels);
+            for _ in 0..200 {
+                let level = 1 + next(levels - 1);
+                let mut nodes: Vec<u8> = (0..n as u8).collect();
+                let mut row = NO_ROW;
+                for depth in 1..=level {
+                    let pick = depth - 1 + next(n - depth + 1);
+                    nodes.swap(depth - 1, pick);
+                    let target = nodes[depth - 1];
+                    let depth = depth as u8;
+                    row = rows.write(&Entry {
+                        lower_bound: 0.0,
+                        partial_cost: 0.0,
+                        parent: row,
+                        target,
+                        depth,
+                    });
+                }
+                anchorless += usize::from(tree.anchor[level].is_none());
+                let partial_cost = next(10_000) as f64 / 7.0;
+                let mut parent = Deferred { partial_cost, row, level: level as u8, next: 0 };
+                let (mut lazy, mut computed, mut floor) = (Vec::new(), 0, 0.0f64);
+                while let Some(bound) = tree.next_bound(&rows, &parent) {
+                    floor = floor.max(bound);
+                    let from = lazy.len();
+                    computed += tree.generate(&rows, &mut parent, |child| lazy.push(child));
+                    for child in &lazy[from..] {
+                        assert!(
+                            floor <= child.lower_bound * (1.0 + SHELL_MARGIN),
+                            "{floor} above {child:?}"
+                        );
+                    }
+                }
+                assert_eq!(computed, n - level);
+                let placement = rows.prefix(row, level);
+                let eager: Vec<(u8, u64, u64)> = (0..n)
+                    .filter(|&t| !placement.contains(&(t as u8)))
+                    .map(|t| {
+                        let mut delta = 0.0;
+                        for &(lj, comm) in &tree.earlier[level] {
+                            let placed = NodeId::new(usize::from(placement[lj]));
+                            delta +=
+                                comm * p.topology().hop_distance(NodeId::new(t), placed) as f64;
+                        }
+                        let child = partial_cost + delta;
+                        (t as u8, child.to_bits(), (child + tree.remaining[level + 1]).to_bits())
+                    })
+                    .collect();
+                let mut lazy: Vec<(u8, u64, u64)> = lazy
+                    .iter()
+                    .map(|c| (c.target, c.partial_cost.to_bits(), c.lower_bound.to_bits()))
+                    .collect();
+                lazy.sort_unstable();
+                assert_eq!(lazy, eager);
+            }
+        }
+        assert!(anchorless > 0, "no prefix reached a level without an anchor");
     }
 
     #[test]

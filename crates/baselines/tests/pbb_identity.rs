@@ -7,8 +7,9 @@
 //! field-by-field identical [`PbbOutcome`] — mapping, cost bits,
 //! feasibility, expansion count and truncation flag — on paper apps,
 //! random graphs, every topology family, queue bounds that overflow on
-//! nearly every expansion, exhausted expansion budgets and
-//! capacity-tight problems. Inputs with whole-number bandwidths make many
+//! nearly every expansion, exhausted expansion budgets,
+//! capacity-tight problems and inputs that reach every path of the lazy
+//! generation of children. Inputs with whole-number bandwidths make many
 //! prefixes tie on the bound, so the placement tie-break decides the
 //! order there.
 
@@ -459,6 +460,61 @@ fn table2_graphs_match_the_oracle() {
         assert!(problem.capacity_never_binds());
         for options in TABLE2_BUDGETS {
             assert_identical(&problem, &options, &format!("table2 {cores} cores #{instance}"));
+        }
+    }
+}
+
+/// Two of the generator's graphs side by side. The first core of the
+/// second one to be ordered has no earlier neighbour, so its level is one
+/// shell at one bound.
+fn two_components(cores: usize, seed: u64) -> CoreGraph {
+    let mut graph = CoreGraph::new();
+    for part in 0..2 {
+        let random = random_graph(cores, seed + part);
+        let ids: Vec<_> = random
+            .cores()
+            .map(|core| graph.add_core(format!("{part}{}", random.name(core))))
+            .collect();
+        for (_, e) in random.edges() {
+            graph.add_comm(ids[e.src.index()], ids[e.dst.index()], e.bandwidth.to_f64()).unwrap();
+        }
+    }
+    graph
+}
+
+/// Budgets for the lazy generation of children: queues that overflow
+/// every few expansions. At `q3` the ordered tier often runs dry.
+const LAZY_BUDGETS: [PbbOptions; 3] = [
+    PbbOptions { max_queue: 3, max_expansions: 2_000 },
+    PbbOptions { max_queue: 12, max_expansions: 2_000 },
+    PbbOptions { max_queue: 40, max_expansions: 3_000 },
+];
+
+/// Inputs that reach every path of the lazy child generation, on a mesh,
+/// a torus, a 3-D mesh and a one-way ring where `hop(t, p) ≠ hop(p, t)`.
+/// Counted on an instrumented copy of the kernel, summed over both seeds
+/// and all three budgets, in that topology order: expansions that defer
+/// shells (371, 593, 337, 361 times); overflows whose cut takes two or
+/// more generation passes (4, 9, 1, 19); refills while deferred shells
+/// remain (2 on each); a completion accepted while deferred records
+/// exist, which ends the search (2, 4, 3, 2); and expansions at a level
+/// without an earlier neighbour while a threshold is set (33, 103, 26,
+/// 30).
+#[test]
+fn lazy_shells_match_the_oracle() {
+    let topologies = [
+        ("mesh 4x3", Topology::mesh(4, 3, 1e9)),
+        ("torus 4x4", Topology::torus(4, 4, 1e9)),
+        ("mesh 3x2x2", Topology::mesh_nd(&[3, 2, 2], 1e9).unwrap()),
+        ("asymmetric ring", asymmetric_ring(12)),
+    ];
+    for (name, topology) in topologies {
+        for seed in [61, 63] {
+            let graph = two_components((topology.node_count() - 2) / 2, seed);
+            let problem = MappingProblem::new(graph, topology.clone()).unwrap();
+            for options in LAZY_BUDGETS {
+                assert_identical(&problem, &options, &format!("{name} two parts seed {seed}"));
+            }
         }
     }
 }

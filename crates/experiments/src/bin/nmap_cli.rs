@@ -8,8 +8,10 @@
 //! `MAPPER` is any `.dse` mapper spelling (default `nmap`): a keyword of
 //! the mapper catalogue in `noc_dse::spec`, or a family keyword with a
 //! `[..]` parameter suffix such as `nmap[p4r2]`. The mapper runs through
-//! the same dispatch as a sweep scenario, `sa` with seed 0. The
-//! application file uses the `noc-graph` text format:
+//! the same dispatch as a sweep scenario, `sa` with seed 0, except the
+//! `nmap-split-*` mappers, which run `map_with_splitting` directly so that
+//! the split routing they scored their placement with is printed as it
+//! is. The application file uses the `noc-graph` text format:
 //!
 //! ```text
 //! core vld
@@ -21,16 +23,15 @@
 //! the link capacity of the grid choices; a `.noc` file declares its own,
 //! so `--noc` with `--capacity` is rejected. The placement is routed as
 //! its mapper scored it: split MCF routing at the mapper's path scope for
-//! the `nmap-split-*` mappers, load-balanced minimum-path routing
-//! otherwise. Exit code 1 on bad input, 2 when the routed loads exceed
+//! the `nmap-split-*` mappers (their own solution, not solved again),
+//! load-balanced minimum-path routing otherwise. Exit code 1 on bad input, 2 when the routed loads exceed
 //! the link capacities.
 
 use std::process::ExitCode;
 
-use nmap::mcf::solve_mcf_or_slack;
 use nmap::{
-    render_mapping_grid, routing, summarize, EvalContext, MappingProblem, McfKind,
-    SinglePathOptions,
+    map_with_splitting, render_mapping_grid, routing, summarize, EvalContext, MappingProblem,
+    McfKind, SinglePathOptions, SplitOutcome,
 };
 use noc_dse::spec::{mapper_catalogue, parse_mapper};
 use noc_dse::MapperSpec;
@@ -170,12 +171,9 @@ fn run(args: &Args) -> Result<bool, String> {
 
     let problem = MappingProblem::new(graph, topology).map_err(|e| e.to_string())?;
 
-    let (mapping, _) =
-        args.mapper.mapper(0).place(&mut EvalContext::new(&problem)).map_err(|e| e.to_string())?;
-    let loads = if let MapperSpec::NmapSplit(options) = &args.mapper {
-        let (solution, _) =
-            solve_mcf_or_slack(problem.topology(), &problem.commodities(&mapping), options.scope);
-        let solution = solution.map_err(|e| e.to_string())?;
+    let (mapping, loads) = if let MapperSpec::NmapSplit(options) = &args.mapper {
+        let SplitOutcome { mapping, solution, .. } =
+            map_with_splitting(&problem, options).map_err(|e| e.to_string())?;
         let (total_flow, slack) = match solution.kind {
             McfKind::FlowMin => (solution.objective, 0.0),
             _ => (f64::INFINITY, solution.objective),
@@ -184,9 +182,15 @@ fn run(args: &Args) -> Result<bool, String> {
             "split routing: total flow {total_flow:.0}, slack {slack:.0}, up to {} paths per flow",
             solution.tables.max_paths_per_commodity()
         );
-        solution.link_loads
+        (mapping, solution.link_loads)
     } else {
-        routing::route_min_paths(&problem, &mapping).map_err(|e| e.to_string())?.1
+        let (mapping, _) = args
+            .mapper
+            .mapper(0)
+            .place(&mut EvalContext::new(&problem))
+            .map_err(|e| e.to_string())?;
+        let loads = routing::route_min_paths(&problem, &mapping).map_err(|e| e.to_string())?.1;
+        (mapping, loads)
     };
 
     println!("{}", render_mapping_grid(&problem, &mapping));
