@@ -24,7 +24,7 @@
 //! minimum-path routing satisfies the link capacities — the bandwidth
 //! constraint side of the original formulation.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 
 use nmap::{routing, EvalContext, MapError, Mapping, MappingProblem};
 use noc_graph::{CoreId, NodeId, TopologyKind};
@@ -95,13 +95,17 @@ const NO_ROW: u32 = u32::MAX;
 
 /// One queue entry: the placement prefix of length `depth` made of the
 /// first `depth - 1` nodes of row `parent` and then `target`. A `Copy`
-/// key of 24 bytes with no buffer of its own.
+/// key of 24 bytes with no buffer of its own. Its exact cost of
+/// placed-pair communication is not stored: [`Tree::partial_cost`]
+/// recomputes it when the entry is expanded.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
-    /// `partial_cost` + admissible remainder bound.
+    /// Exact cost of placed-pair communication + admissible remainder
+    /// bound.
     lower_bound: f64,
-    /// Exact cost of placed-pair communication.
-    partial_cost: f64,
+    /// The entry's place in generation order, unique over the run: roots
+    /// first, then every child in the order it was computed.
+    seq: u64,
     /// The row holding the parent's placement, or [`NO_ROW`] for a root.
     parent: u32,
     /// Index of the node hosting core `order[depth - 1]`.
@@ -111,6 +115,16 @@ struct Entry {
 }
 
 const _: () = assert!(std::mem::size_of::<Entry>() == 24);
+
+impl Entry {
+    /// The integer sort key of an overflow: the bound, then the
+    /// generation order. Bounds are nonnegative, so their bits order as
+    /// they do, and within one bound generation order is mostly the
+    /// search order; [`sort_worst_first`] and [`keep_best`] check both.
+    fn key(&self) -> (u64, u64) {
+        (self.lower_bound.to_bits(), self.seq)
+    }
+}
 
 /// Relative margin of every shell test. A shell bound and a child bound
 /// sum the same nonnegative terms in different orders, so rounding moves
@@ -122,13 +136,11 @@ const SHELL_MARGIN: f64 = 1e-9;
 /// the node of the level's anchor, the earlier neighbour that sends the
 /// core being placed the most traffic. Every other earlier neighbour is at
 /// least one hop away, so every child in shell `d` has a bound of at least
-/// `partial_cost + floor + comm · (d − 1)` ([`Tree::next_bound`]). 16
+/// `partial_cost + floor + comm · (d − 1)` ([`Tree::next_bound`]). 8
 /// bytes, and no reference on `row`: see [`Queue::deferred`].
 #[derive(Debug, Clone, Copy)]
 struct Deferred {
-    /// The expanded entry's exact cost of placed-pair communication.
-    partial_cost: f64,
-    /// The row holding the expanded entry's placement.
+    /// The row holding the expanded entry's placement and cost.
     row: u32,
     /// Number of cores the expanded entry placed.
     level: u8,
@@ -137,7 +149,7 @@ struct Deferred {
     next: u8,
 }
 
-const _: () = assert!(std::mem::size_of::<Deferred>() == 16);
+const _: () = assert!(std::mem::size_of::<Deferred>() == 8);
 
 /// The search tree's tables, built once per call: the core order and
 /// what every child bound reads.
@@ -245,17 +257,44 @@ impl Tree {
         let (order, comm) = self.shell_order(rows, parent);
         let &(_, hops) = order.get(usize::from(parent.next))?;
         let floor = self.floor[usize::from(parent.level)];
-        Some(parent.partial_cost + floor + comm * (f64::from(hops) - 1.0))
+        Some(rows.partial_cost(parent.row) + floor + comm * (f64::from(hops) - 1.0))
     }
 
-    /// Generates `parent`'s next shell: hands each child to `emit`, moves
-    /// `parent.next` past the shell and returns how many children, one per
-    /// free target, it computed. Each bound sums its `comm × hops` terms in
-    /// `earlier[level]` order.
-    fn generate(&self, rows: &Rows, parent: &mut Deferred, mut emit: impl FnMut(Entry)) -> usize {
+    /// What placing core `order[level]` on `target` adds to the cost of
+    /// the `placement` of the cores before it: its `comm × hops` terms,
+    /// summed in `earlier[level]` order.
+    #[inline]
+    fn delta(&self, level: usize, placement: &[u8], target: u8) -> f64 {
+        let hop_row = &self.hops[usize::from(target) * self.n..][..self.n];
+        let mut delta = 0.0;
+        for &(lj, comm) in &self.earlier[level] {
+            delta += comm * hop_row[usize::from(placement[lj])];
+        }
+        delta
+    }
+
+    /// `entry`'s exact cost of placed-pair communication, bit for bit
+    /// the value [`Tree::generate`] computed its bound from.
+    fn partial_cost(&self, rows: &Rows, entry: &Entry) -> f64 {
+        let level = usize::from(entry.depth) - 1;
+        let placement = rows.prefix(entry.parent, level);
+        rows.partial_cost(entry.parent) + self.delta(level, placement, entry.target)
+    }
+
+    /// Generates `parent`'s next shell: hands each child to `emit`,
+    /// numbered from `seq` on, moves `parent.next` past the shell and
+    /// returns how many children, one per free target, it computed.
+    fn generate(
+        &self,
+        rows: &Rows,
+        parent: &mut Deferred,
+        seq: &mut u64,
+        mut emit: impl FnMut(Entry),
+    ) -> usize {
         let level = usize::from(parent.level);
         let placement = rows.prefix(parent.row, level);
         let occupied = rows.occupied(parent.row);
+        let parent_cost = rows.partial_cost(parent.row);
         let (order, _) = self.shell_order(rows, parent);
         let start = usize::from(parent.next);
         let distance = order[start].1;
@@ -268,19 +307,15 @@ impl Tree {
                 continue;
             }
             computed += 1;
-            let hop_row = &self.hops[usize::from(target) * self.n..][..self.n];
-            let mut delta = 0.0;
-            for &(lj, comm) in &self.earlier[level] {
-                delta += comm * hop_row[usize::from(placement[lj])];
-            }
-            let partial_cost = parent.partial_cost + delta;
+            let partial_cost = parent_cost + self.delta(level, placement, target);
             emit(Entry {
                 lower_bound: partial_cost + self.remaining[level + 1],
-                partial_cost,
+                seq: *seq,
                 parent: parent.row,
                 target,
                 depth: parent.level + 1,
             });
+            *seq += 1;
         }
         parent.next = end as u8;
         computed
@@ -288,9 +323,10 @@ impl Tree {
 }
 
 /// The placements of expanded entries: row `r` is `width` node bytes
-/// beside an occupancy mask. A row counts its references: the ordered
-/// entries that name it, the queue's threshold, and the expansion
-/// writing it. Unsorted entries take none, since the next overflow drops
+/// beside an occupancy mask and the entry's exact cost of placed-pair
+/// communication, which every child's bound starts from. A row counts
+/// its references: the ordered entries that name it, the queue's
+/// threshold, and the expansion writing it. Unsorted entries take none, since the next overflow drops
 /// most of them unseen. So while an unsorted tier can exist (`defer`), a
 /// row whose count reaches zero waits on `pending` instead of the free
 /// list, and [`Rows::flush`] frees it once the unsorted entries that are
@@ -302,6 +338,7 @@ struct Rows {
     width: usize,
     nodes: Vec<u8>,
     occupied: Vec<u128>,
+    partial: Vec<f64>,
     refs: Vec<u32>,
     free: Vec<u32>,
     pending: Vec<u32>,
@@ -314,6 +351,7 @@ impl Rows {
             width,
             nodes: Vec::new(),
             occupied: Vec::new(),
+            partial: Vec::new(),
             refs: Vec::new(),
             free: Vec::new(),
             pending: Vec::new(),
@@ -338,9 +376,18 @@ impl Rows {
         }
     }
 
-    /// Writes `entry`'s placement into a free row, which the caller holds
-    /// one reference to.
-    fn write(&mut self, entry: &Entry) -> u32 {
+    /// The exact cost of `row`'s placement; 0 for [`NO_ROW`].
+    fn partial_cost(&self, row: u32) -> f64 {
+        if row == NO_ROW {
+            0.0
+        } else {
+            self.partial[row as usize]
+        }
+    }
+
+    /// Writes `entry`'s placement and its `partial_cost` into a free row,
+    /// which the caller holds one reference to.
+    fn write(&mut self, entry: &Entry, partial_cost: f64) -> u32 {
         let row = self.free.pop().unwrap_or_else(|| {
             let row = u32::try_from(self.refs.len())
                 .ok()
@@ -348,6 +395,7 @@ impl Rows {
                 .expect("PBB prefix rows outgrew u32 indices");
             self.nodes.resize(self.nodes.len() + self.width, 0);
             self.occupied.push(0);
+            self.partial.push(0.0);
             self.refs.push(0);
             row
         });
@@ -359,6 +407,7 @@ impl Rows {
         }
         self.nodes[start + parent_len] = entry.target;
         self.occupied[row as usize] = self.occupied(entry.parent) | 1u128 << entry.target;
+        self.partial[row as usize] = partial_cost;
         self.refs[row as usize] = 1;
         row
     }
@@ -406,14 +455,21 @@ fn search_order(a: &Entry, b: &Entry, rows: &Rows) -> Ordering {
         return Ordering::Greater;
     }
     assert!(a.lower_bound == b.lower_bound, "bounds are finite");
+    family_order(a, b, rows).then(a.target.cmp(&b.target))
+}
+
+/// The search order of two entries of one bound but for their last
+/// nodes: the shorter prefix first, then the parents' placements.
+/// Siblings share it.
+#[inline]
+fn family_order(a: &Entry, b: &Entry, rows: &Rows) -> Ordering {
     a.depth.cmp(&b.depth).then_with(|| {
-        let parents = if a.parent == b.parent {
+        if a.parent == b.parent {
             Ordering::Equal
         } else {
             let len = usize::from(a.depth) - 1;
             rows.prefix(a.parent, len).cmp(rows.prefix(b.parent, len))
-        };
-        parents.then(a.target.cmp(&b.target))
+        }
     })
 }
 
@@ -477,6 +533,40 @@ fn select_best(entries: &mut [Entry], k: usize, rows: &Rows) {
     }
 }
 
+/// Whether `entries` are in the search order, worst first.
+fn is_worst_first(entries: &[Entry], rows: &Rows) -> bool {
+    entries.windows(2).all(|pair| precedes(&pair[1], &pair[0], rows))
+}
+
+/// Sorts `entries` worst first: by [`Entry::key`], checked pair by pair
+/// against the search order, and by the search order itself where the
+/// check fails. False if it fell back.
+fn sort_worst_first(entries: &mut [Entry], rows: &Rows) -> bool {
+    entries.sort_unstable_by_key(|entry| Reverse(entry.key()));
+    if is_worst_first(entries, rows) {
+        return true;
+    }
+    entries.sort_unstable_by(|a, b| search_order(b, a, rows));
+    false
+}
+
+/// Moves the best `k` of `entries` to its front, sorted worst first
+/// (`1 ≤ k ≤ len`): selected and sorted by [`Entry::key`], then checked
+/// against the search order, the kept entries pair by pair and the worst
+/// of them against every other entry. Where the check fails,
+/// [`select_best`] and the search order redo both. False if it fell back.
+fn keep_best(entries: &mut [Entry], k: usize, rows: &Rows) -> bool {
+    entries.select_nth_unstable_by_key(k - 1, Entry::key);
+    let (kept, dropped) = entries.split_at_mut(k);
+    kept.sort_unstable_by_key(|entry| Reverse(entry.key()));
+    if is_worst_first(kept, rows) && dropped.iter().all(|entry| precedes(&kept[0], entry, rows)) {
+        return true;
+    }
+    select_best(entries, k, rows);
+    entries[..k].sort_unstable_by(|a, b| search_order(b, a, rows));
+    false
+}
+
 /// The live entries in two tiers. The ordered tier is `sorted`, what the
 /// last overflow kept (worst first, so its best is last), and `heap`, a
 /// binary min-heap of the children since then that precede `threshold`,
@@ -503,16 +593,19 @@ struct Queue {
     threshold: Option<Entry>,
     rows: Rows,
     tree: Tree,
-    /// Child bounds computed so far.
-    computed: usize,
+    /// The sequence number of the next entry generated: the number of
+    /// roots plus the child bounds computed so far.
+    seq: u64,
     /// Scratch: the unsorted tier's bounds, for an overflow's prefilter.
     bounds: Vec<f64>,
 }
 
 impl Queue {
-    /// A queue holding `roots`, which name no row.
+    /// A queue holding `roots`, which name no row and are numbered
+    /// `0..roots.len()`.
     fn new(tree: Tree, mut roots: Vec<Entry>) -> Self {
         let rows = Rows::new(tree.order.len());
+        let seq = roots.len() as u64;
         heapify(&mut roots, |a, b| precedes(a, b, &rows));
         Self {
             sorted: Vec::new(),
@@ -523,7 +616,7 @@ impl Queue {
             threshold: None,
             rows,
             tree,
-            computed: 0,
+            seq,
             bounds: Vec::new(),
         }
     }
@@ -541,12 +634,24 @@ impl Queue {
     fn expand(&mut self, mut parent: Deferred) {
         let limit = self.threshold.map_or(f64::INFINITY, |entry| entry.lower_bound);
         let limit = limit * (1.0 + SHELL_MARGIN);
-        let Self { heap, unsorted, threshold, rows, tree, .. } = self;
+        let Self { heap, unsorted, threshold, rows, tree, seq, .. } = self;
+        // `!precedes(child, threshold)`, with the family order that every
+        // child shares computed once.
+        let mut family = None;
+        let mut after_threshold = |child: &Entry| {
+            let Some(threshold) = threshold else { return false };
+            if child.lower_bound != threshold.lower_bound {
+                return child.lower_bound > threshold.lower_bound;
+            }
+            let family = *family.get_or_insert_with(|| family_order(child, threshold, rows));
+            family.then(child.target.cmp(&threshold.target)) != Ordering::Less
+        };
         let (mut computed, mut ordered) = (0, 0);
         while tree.next_bound(rows, &parent).is_some_and(|bound| bound <= limit) {
-            computed += tree.generate(rows, &mut parent, |child| match threshold {
-                Some(threshold) if !precedes(&child, threshold, rows) => unsorted.push(child),
-                _ => {
+            computed += tree.generate(rows, &mut parent, seq, |child| {
+                if after_threshold(&child) {
+                    unsorted.push(child);
+                } else {
                     ordered += 1;
                     let at = heap.len();
                     heap.push(child);
@@ -557,7 +662,6 @@ impl Queue {
         for _ in 0..ordered {
             rows.retain(parent.row);
         }
-        self.computed += computed;
         let left = self.tree.n - usize::from(parent.level) - computed;
         if left > 0 {
             self.deferred.push(parent);
@@ -568,13 +672,11 @@ impl Queue {
     /// Generates into the unsorted tier the next shell of every deferred
     /// expansion whose next bound is at most `limit`; false if none is.
     fn undefer(&mut self, limit: f64) -> bool {
-        let Self { unsorted, deferred, deferred_len, rows, tree, computed, .. } = self;
+        let Self { unsorted, deferred, deferred_len, rows, tree, seq, .. } = self;
         let mut any = false;
         for parent in deferred.iter_mut() {
             if tree.next_bound(rows, parent).is_some_and(|bound| bound <= limit) {
-                let count = tree.generate(rows, parent, |child| unsorted.push(child));
-                *computed += count;
-                *deferred_len -= count;
+                *deferred_len -= tree.generate(rows, parent, seq, |child| unsorted.push(child));
                 any = true;
             }
         }
@@ -653,16 +755,25 @@ impl Queue {
         self.deferred.clear();
         self.deferred_len = 0;
         let Self { sorted, heap, unsorted, rows, .. } = self;
-        let worst_first = |a: &Entry, b: &Entry| search_order(b, a, rows);
         // Sort the heap worst first and merge it into the run from the
-        // back: each heap entry, best first, finds its place by binary
-        // search, and the run entries it precedes move up as one block.
-        heap.sort_unstable_by(worst_first);
+        // back: each heap entry, best first, finds its place by galloping
+        // down from the last one's and then by binary search, and the run
+        // entries it precedes move up as one block. Most heap entries
+        // land next to the one before, at the cost of one comparison.
+        sort_worst_first(heap, rows);
         let (mut i, mut j) = (sorted.len(), heap.len());
         sorted.extend_from_slice(heap); // room for the merge
         while j > 0 {
             let child = heap[j - 1];
-            let at = sorted[..i].partition_point(|kept| !precedes(kept, &child, rows));
+            let mut step = 1;
+            while step <= i && precedes(&sorted[i - step], &child, rows) {
+                step *= 2;
+            }
+            // `sorted[i - step / 2..i]` precede the child, and so does no
+            // entry at or below `i - step`.
+            let low = (i + 1).saturating_sub(step);
+            let high = i - step / 2;
+            let at = low + sorted[low..high].partition_point(|kept| !precedes(kept, &child, rows));
             sorted.copy_within(at..i, at + j);
             sorted[at + j - 1] = child;
             (i, j) = (at, j - 1);
@@ -670,8 +781,7 @@ impl Queue {
         heap.clear();
         if let Some(cut) = cut {
             unsorted.retain(|entry| entry.lower_bound <= cut);
-            select_best(unsorted, from_unsorted, rows);
-            unsorted[..from_unsorted].sort_unstable_by(worst_first);
+            keep_best(unsorted, from_unsorted, rows);
             sorted.splice(..0, unsorted[..from_unsorted].iter().copied());
         }
         let dropped_ordered = ordered.saturating_sub(keep);
@@ -706,7 +816,14 @@ impl Queue {
 /// count. The probe counts `search.pbb_expansions`, the child bounds the
 /// search computed (`search.pbb_children`), and the runs whose budget
 /// bound (`search.pbb_truncated`) or that fell back to `initialize()`
-/// (`search.pbb_fallbacks`).
+/// (`search.pbb_fallbacks`). Two more say why a run falls back: the
+/// histogram `search.pbb_depth` records each run's deepest expanded
+/// prefix (a completion counts), and `search.pbb_plateau_pops` counts
+/// the expansions whose bound equals the previous expansion's. A prefix
+/// whose placed edges all span one hop keeps the root bound, and the
+/// search order takes shorter prefixes first on a tie, so such plateaus
+/// are walked breadth first and a budget can run out far from any
+/// complete placement.
 ///
 /// # Errors
 ///
@@ -721,10 +838,12 @@ pub fn pbb_checked(ctx: &EvalContext<'_>, options: &PbbOptions) -> nmap::Result<
             "pbb supports at most {MAX_NODES} nodes, topology has {nodes}"
         )));
     }
-    let (out, children) = search(ctx.problem(), options);
+    let (out, stats) = search(ctx.problem(), options);
     let probe = ctx.probe();
     probe.counter("search.pbb_expansions").add(out.expansions as u64);
-    probe.counter("search.pbb_children").add(children as u64);
+    probe.counter("search.pbb_children").add(stats.children as u64);
+    probe.counter("search.pbb_plateau_pops").add(stats.plateau_pops as u64);
+    probe.histogram("search.pbb_depth").record(u64::from(stats.deepest));
     probe.counter("search.pbb_truncated").add(u64::from(out.truncated));
     probe.counter("search.pbb_fallbacks").add(u64::from(out.fallback));
     Ok((out.mapping, out.expansions))
@@ -732,23 +851,26 @@ pub fn pbb_checked(ctx: &EvalContext<'_>, options: &PbbOptions) -> nmap::Result<
 
 /// Runs the partial branch-and-bound mapper.
 ///
-/// Queue entries are 24-byte `Copy` keys (bounds, parent row, last node,
-/// depth). Expanding an entry writes its placement once, into a row that
-/// its children name; rows are reference-counted and reused, so memory
-/// follows the live queue. Children that come after the last overflow's
-/// threshold, which the next overflow would mostly drop, wait in an
-/// unsorted tier instead of being ordered, and hold no row reference
-/// until an overflow keeps them. An expansion generates its children in
+/// Queue entries are 24-byte `Copy` keys (bound, generation sequence
+/// number, parent row, last node, depth). Expanding an entry writes its
+/// placement and cost once, into a row that its children name; rows are
+/// reference-counted and reused, so memory follows the live queue.
+/// Children that come after the last overflow's threshold, which the
+/// next overflow would mostly drop, wait in an unsorted tier instead of
+/// being ordered, and hold no row reference until an overflow keeps
+/// them. An expansion generates its children in
 /// shells of rising hop distance from its heaviest earlier neighbour, and
 /// the shells whose bound puts every child after the threshold wait as
-/// one 16-byte record until an overflow or a refill needs them. Bound
-/// terms read a hop table built once per call. A complete placement is
-/// routed for its capacity check only where a link could overload, and
-/// the first one accepted ends the search: every live entry comes after
-/// it, so none has a lower bound. The search order is strict over live
-/// entries, so the entries an overflow keeps, and every pop, are those of
-/// one fully ordered queue: the outcome does not depend on the queue's
-/// layout.
+/// one 8-byte record until an overflow or a refill needs them. Bound
+/// terms read a hop table built once per call. An overflow sorts and
+/// selects by bound and generation order, checks the result against the
+/// search order and falls back to it where they disagree. A complete
+/// placement is routed for its capacity check only where a link could
+/// overload, and the first one accepted ends the search: every live
+/// entry comes after it, so none has a lower bound. The search order is
+/// strict over live entries, so the entries an overflow keeps, and every
+/// pop, are those of one fully ordered queue: the outcome does not
+/// depend on the queue's layout.
 ///
 /// # Panics
 ///
@@ -759,8 +881,19 @@ pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
     search(problem, options).0
 }
 
-/// [`pbb`] and the number of child bounds it computed.
-fn search(problem: &MappingProblem, options: &PbbOptions) -> (PbbOutcome, usize) {
+/// What a [`search`] counts beside its outcome.
+#[derive(Debug, Default)]
+struct Stats {
+    /// Child bounds computed.
+    children: usize,
+    /// The depth of the deepest entry expanded.
+    deepest: u8,
+    /// Expansions whose bound equals the previous expansion's.
+    plateau_pops: usize,
+}
+
+/// [`pbb`] and what it counted.
+fn search(problem: &MappingProblem, options: &PbbOptions) -> (PbbOutcome, Stats) {
     let n = problem.topology().node_count();
     assert!(n <= MAX_NODES, "PBB occupancy mask supports up to {MAX_NODES} nodes");
     let tree = Tree::new(problem);
@@ -768,18 +901,25 @@ fn search(problem: &MappingProblem, options: &PbbOptions) -> (PbbOutcome, usize)
     let root_bound = tree.remaining[1];
 
     // Root expansions with symmetry breaking.
-    let roots = first_core_candidates(problem).into_iter().map(|node| Entry {
-        lower_bound: root_bound,
-        partial_cost: 0.0,
-        parent: NO_ROW,
-        target: node.index() as u8,
-        depth: 1,
-    });
-    let mut queue = Queue::new(tree, roots.collect());
+    let roots: Vec<Entry> = first_core_candidates(problem)
+        .into_iter()
+        .enumerate()
+        .map(|(seq, node)| Entry {
+            lower_bound: root_bound,
+            seq: seq as u64,
+            parent: NO_ROW,
+            target: node.index() as u8,
+            depth: 1,
+        })
+        .collect();
+    let root_count = roots.len();
+    let mut queue = Queue::new(tree, roots);
 
     let mut best: Option<Mapping> = None;
     let mut expansions = 0usize;
     let mut truncated = false;
+    let mut stats = Stats::default();
+    let mut previous_bound = None;
 
     while let Some(entry) = queue.pop() {
         if expansions >= options.max_expansions {
@@ -787,6 +927,9 @@ fn search(problem: &MappingProblem, options: &PbbOptions) -> (PbbOutcome, usize)
             break;
         }
         expansions += 1;
+        stats.deepest = stats.deepest.max(entry.depth);
+        stats.plateau_pops += usize::from(previous_bound == Some(entry.lower_bound));
+        previous_bound = Some(entry.lower_bound);
         let level = usize::from(entry.depth);
 
         if level == levels {
@@ -807,14 +950,10 @@ fn search(problem: &MappingProblem, options: &PbbOptions) -> (PbbOutcome, usize)
         }
 
         // Expand: place core `order[level]` on every free node.
-        let row = queue.rows.write(&entry);
+        let partial_cost = queue.tree.partial_cost(&queue.rows, &entry);
+        let row = queue.rows.write(&entry, partial_cost);
         queue.rows.release(entry.parent);
-        queue.expand(Deferred {
-            partial_cost: entry.partial_cost,
-            row,
-            level: entry.depth,
-            next: 0,
-        });
+        queue.expand(Deferred { row, level: entry.depth, next: 0 });
         queue.rows.release(row);
 
         // Partial search: keep the best half when the queue overflows.
@@ -842,7 +981,8 @@ fn search(problem: &MappingProblem, options: &PbbOptions) -> (PbbOutcome, usize)
         truncated,
         fallback,
     };
-    (outcome, queue.computed)
+    stats.children = queue.seq as usize - root_count;
+    (outcome, stats)
 }
 
 /// Whether load-balanced minimum-path routing of `mapping` meets every
@@ -1017,22 +1157,89 @@ mod tests {
     fn rows_are_freed_at_once_only_without_a_threshold() {
         let p = problem(&[(0, 1, 1.0)], 3, 3, 1);
         let mut queue = Queue::new(Tree::new(&p), Vec::new());
-        let root =
-            Entry { lower_bound: 1.0, partial_cost: 0.0, parent: NO_ROW, target: 0, depth: 1 };
+        let root = Entry { lower_bound: 1.0, seq: 0, parent: NO_ROW, target: 0, depth: 1 };
         // No threshold, so no unsorted tier: a released row is freed at
-        // once, and the next write reuses it.
-        let row = queue.rows.write(&root);
+        // once, and the next write reuses it, cost and all.
+        let row = queue.rows.write(&root, 2.5);
+        assert_eq!(queue.rows.partial_cost(row), 2.5);
         queue.rows.release(row);
-        assert_eq!(queue.rows.write(&root), row);
+        assert_eq!(queue.rows.write(&root, 0.5), row);
+        assert_eq!(queue.rows.partial_cost(row), 0.5);
         // While a threshold is set, unsorted entries may still name a
-        // released row: it waits, and the next write takes a fresh one.
+        // released row: it waits, keeping its cost, and the next write
+        // takes a fresh one.
         queue.set_threshold(Some(root));
         queue.rows.release(row);
-        assert_ne!(queue.rows.write(&root), row);
+        let fresh = queue.rows.write(&root, 4.0);
+        assert_ne!(fresh, row);
+        assert_eq!((queue.rows.partial_cost(row), queue.rows.partial_cost(fresh)), (0.5, 4.0));
         // Replacing the threshold frees what waited.
         queue.set_threshold(None);
         assert_eq!(queue.rows.free, [row]);
         assert!(queue.rows.pending.is_empty());
+    }
+
+    /// One bound class of an overflow, four prefixes at one bound, in
+    /// the search order: two roots, then two children of row `[0]`; and
+    /// an entry at a higher bound. Generation orders that put a child or
+    /// a larger last node before an entry it comes after in the search
+    /// order make the key sort and the key selection fall back, and
+    /// every result is the search order's.
+    #[test]
+    fn key_order_falls_back_where_generation_order_is_not_the_search_order() {
+        let mut rows = Rows::new(3);
+        let entry =
+            |parent, target, depth| Entry { lower_bound: 2.0, seq: 0, parent, target, depth };
+        let row = rows.write(&entry(NO_ROW, 0, 1), 0.0);
+        let best_first = [
+            entry(NO_ROW, 1, 1),
+            entry(NO_ROW, 2, 1),
+            entry(row, 1, 2),
+            entry(row, 2, 2),
+            Entry { lower_bound: 3.0, ..entry(row, 0, 2) },
+        ];
+        let numbered = |seqs: [u64; 5]| {
+            let mut entries = best_first;
+            for (entry, seq) in entries.iter_mut().zip(seqs) {
+                entry.seq = seq;
+            }
+            entries.reverse();
+            entries
+        };
+        let targets = |entries: &[Entry]| -> Vec<(u8, u8)> {
+            entries.iter().map(|entry| (entry.depth, entry.target)).collect()
+        };
+        let worst_first = targets(&numbered([0; 5]));
+        let in_order = [0, 1, 2, 3, 4];
+        let child_first = [1, 2, 0, 3, 4];
+        let larger_node_first = [0, 2, 1, 3, 4];
+        // The bound decides first, whatever the generation order.
+        let later_bound_first = [1, 2, 3, 4, 0];
+        for (seqs, agrees) in [
+            (in_order, true),
+            (child_first, false),
+            (larger_node_first, false),
+            (later_bound_first, true),
+        ] {
+            let mut entries = numbered(seqs);
+            entries.rotate_left(2);
+            assert_eq!(sort_worst_first(&mut entries, &rows), agrees, "{seqs:?}");
+            assert_eq!(targets(&entries), worst_first, "{seqs:?}");
+        }
+        // `wrong_order` keeps the right three in the wrong order, and
+        // `larger_node_first` the wrong two in the right order.
+        let wrong_order = [2, 0, 1, 3, 4];
+        for (seqs, k, agrees) in [
+            (in_order, 3, true),
+            (wrong_order, 3, false),
+            (child_first, 2, false),
+            (larger_node_first, 1, true),
+            (larger_node_first, 2, false),
+        ] {
+            let mut entries = numbered(seqs);
+            assert_eq!(keep_best(&mut entries, k, &rows), agrees, "{seqs:?} keeping {k}");
+            assert_eq!(targets(&entries[..k]), worst_first[5 - k..], "{seqs:?} keeping {k}");
+        }
     }
 
     /// Two random graphs side by side, so that some levels place a core
@@ -1088,6 +1295,7 @@ mod tests {
             let mut rows = Rows::new(levels);
             for _ in 0..200 {
                 let level = 1 + next(levels - 1);
+                let partial_cost = next(10_000) as f64 / 7.0;
                 let mut nodes: Vec<u8> = (0..n as u8).collect();
                 let mut row = NO_ROW;
                 for depth in 1..=level {
@@ -1095,22 +1303,18 @@ mod tests {
                     nodes.swap(depth - 1, pick);
                     let target = nodes[depth - 1];
                     let depth = depth as u8;
-                    row = rows.write(&Entry {
-                        lower_bound: 0.0,
-                        partial_cost: 0.0,
-                        parent: row,
-                        target,
-                        depth,
-                    });
+                    let cost = if usize::from(depth) == level { partial_cost } else { 0.0 };
+                    let entry = Entry { lower_bound: 0.0, seq: 0, parent: row, target, depth };
+                    row = rows.write(&entry, cost);
                 }
                 anchorless += usize::from(tree.anchor[level].is_none());
-                let partial_cost = next(10_000) as f64 / 7.0;
-                let mut parent = Deferred { partial_cost, row, level: level as u8, next: 0 };
-                let (mut lazy, mut computed, mut floor) = (Vec::new(), 0, 0.0f64);
+                let mut parent = Deferred { row, level: level as u8, next: 0 };
+                let (mut lazy, mut computed, mut floor, mut seq) = (Vec::new(), 0, 0.0f64, 0);
                 while let Some(bound) = tree.next_bound(&rows, &parent) {
                     floor = floor.max(bound);
                     let from = lazy.len();
-                    computed += tree.generate(&rows, &mut parent, |child| lazy.push(child));
+                    computed +=
+                        tree.generate(&rows, &mut parent, &mut seq, |child| lazy.push(child));
                     for child in &lazy[from..] {
                         assert!(
                             floor <= child.lower_bound * (1.0 + SHELL_MARGIN),
@@ -1119,6 +1323,8 @@ mod tests {
                     }
                 }
                 assert_eq!(computed, n - level);
+                assert_eq!(seq, computed as u64);
+                assert!(lazy.iter().enumerate().all(|(i, child)| child.seq == i as u64));
                 let placement = rows.prefix(row, level);
                 let eager: Vec<(u8, u64, u64)> = (0..n)
                     .filter(|&t| !placement.contains(&(t as u8)))
@@ -1133,9 +1339,14 @@ mod tests {
                         (t as u8, child.to_bits(), (child + tree.remaining[level + 1]).to_bits())
                     })
                     .collect();
+                // A child's cost, recomputed from its parent row as an
+                // expansion does, is the one its bound was computed from.
                 let mut lazy: Vec<(u8, u64, u64)> = lazy
                     .iter()
-                    .map(|c| (c.target, c.partial_cost.to_bits(), c.lower_bound.to_bits()))
+                    .map(|c| {
+                        let cost = tree.partial_cost(&rows, c);
+                        (c.target, cost.to_bits(), c.lower_bound.to_bits())
+                    })
                     .collect();
                 lazy.sort_unstable();
                 assert_eq!(lazy, eager);

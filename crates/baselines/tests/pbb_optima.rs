@@ -58,7 +58,7 @@ fn mwa_optimum_is_1472() {
 }
 
 #[test]
-#[ignore = "about 20 s and 0.5 GB in release; the CI step \"PBB proven optima (release)\" runs it"]
+#[ignore = "about 4-5 s and 0.6 GB in release; the CI step \"PBB proven optima (release)\" runs it"]
 fn mwag_optimum_is_1856() {
     assert_proven_optimum(App::Mwag, 1856.0);
 }
