@@ -326,13 +326,14 @@ impl Tree {
 /// beside an occupancy mask and the entry's exact cost of placed-pair
 /// communication, which every child's bound starts from. A row counts
 /// its references: the ordered entries that name it, the queue's
-/// threshold, and the expansion writing it. Unsorted entries take none, since the next overflow drops
-/// most of them unseen. So while an unsorted tier can exist (`defer`), a
-/// row whose count reaches zero waits on `pending` instead of the free
-/// list, and [`Rows::flush`] frees it once the unsorted entries that are
-/// kept have taken their references. Without a threshold there is no
-/// unsorted tier, and the last release frees a row at once. Memory
-/// follows the live queue, not the expansion count.
+/// threshold, and the expansion writing it. Unsorted entries take none,
+/// since the next overflow drops most of them unseen. So while an
+/// unsorted tier can exist (`defer`), a row whose count reaches zero
+/// waits on `pending` instead of the free list, and [`Rows::flush`] frees
+/// it once the unsorted entries that are kept have taken their
+/// references. Without a threshold there is no unsorted tier, and the
+/// last release frees a row at once. Memory follows the live queue, not
+/// the expansion count.
 #[derive(Debug)]
 struct Rows {
     width: usize,
@@ -858,19 +859,19 @@ pub fn pbb_checked(ctx: &EvalContext<'_>, options: &PbbOptions) -> nmap::Result<
 /// Children that come after the last overflow's threshold, which the
 /// next overflow would mostly drop, wait in an unsorted tier instead of
 /// being ordered, and hold no row reference until an overflow keeps
-/// them. An expansion generates its children in
-/// shells of rising hop distance from its heaviest earlier neighbour, and
-/// the shells whose bound puts every child after the threshold wait as
-/// one 8-byte record until an overflow or a refill needs them. Bound
-/// terms read a hop table built once per call. An overflow sorts and
-/// selects by bound and generation order, checks the result against the
-/// search order and falls back to it where they disagree. A complete
-/// placement is routed for its capacity check only where a link could
-/// overload, and the first one accepted ends the search: every live
-/// entry comes after it, so none has a lower bound. The search order is
-/// strict over live entries, so the entries an overflow keeps, and every
-/// pop, are those of one fully ordered queue: the outcome does not
-/// depend on the queue's layout.
+/// them. An expansion generates its children in shells of rising hop
+/// distance from its heaviest earlier neighbour, and the shells whose
+/// bound puts every child after the threshold wait as one 8-byte record
+/// until an overflow or a refill needs them. Bound terms read a hop
+/// table built once per call. An overflow sorts and selects by bound
+/// and generation order, checks the result against the search order and
+/// falls back to it where they disagree. A complete placement is routed
+/// for its capacity check only where a link could overload, and the
+/// first one accepted ends the search: every live entry comes after it,
+/// so none has a lower bound. The search order is strict over live
+/// entries, so the entries an overflow keeps, and every pop, are those
+/// of one fully ordered queue: the outcome does not depend on the
+/// queue's layout.
 ///
 /// # Panics
 ///
