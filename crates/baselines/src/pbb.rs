@@ -120,7 +120,7 @@ impl Entry {
     /// The integer sort key of an overflow: the bound, then the
     /// generation order. Bounds are nonnegative, so their bits order as
     /// they do, and within one bound generation order is mostly the
-    /// search order; [`sort_worst_first`] and [`keep_best`] check both.
+    /// search order; [`sort_worst_first`] checks it.
     fn key(&self) -> (u64, u64) {
         (self.lower_bound.to_bits(), self.seq)
     }
@@ -137,7 +137,7 @@ const SHELL_MARGIN: f64 = 1e-9;
 /// core being placed the most traffic. Every other earlier neighbour is at
 /// least one hop away, so every child in shell `d` has a bound of at least
 /// `partial_cost + floor + comm · (d − 1)` ([`Tree::next_bound`]). 8
-/// bytes, and no reference on `row`: see [`Queue::deferred`].
+/// bytes, holding one reference on `row`.
 #[derive(Debug, Clone, Copy)]
 struct Deferred {
     /// The row holding the expanded entry's placement and cost.
@@ -325,15 +325,10 @@ impl Tree {
 /// The placements of expanded entries: row `r` is `width` node bytes
 /// beside an occupancy mask and the entry's exact cost of placed-pair
 /// communication, which every child's bound starts from. A row counts
-/// its references: the ordered entries that name it, the queue's
-/// threshold, and the expansion writing it. Unsorted entries take none,
-/// since the next overflow drops most of them unseen. So while an
-/// unsorted tier can exist (`defer`), a row whose count reaches zero
-/// waits on `pending` instead of the free list, and [`Rows::flush`] frees
-/// it once the unsorted entries that are kept have taken their
-/// references. Without a threshold there is no unsorted tier, and the
-/// last release frees a row at once. Memory follows the live queue, not
-/// the expansion count.
+/// its references: the live entries that name it, ordered or unsorted,
+/// the deferred record of its ungenerated shells, the queue's threshold
+/// and the expansion writing it. Its last release frees it, so memory
+/// follows the live queue, not the expansion count.
 #[derive(Debug)]
 struct Rows {
     width: usize,
@@ -342,8 +337,6 @@ struct Rows {
     partial: Vec<f64>,
     refs: Vec<u32>,
     free: Vec<u32>,
-    pending: Vec<u32>,
-    defer: bool,
 }
 
 impl Rows {
@@ -355,8 +348,6 @@ impl Rows {
             partial: Vec::new(),
             refs: Vec::new(),
             free: Vec::new(),
-            pending: Vec::new(),
-            defer: false,
         }
     }
 
@@ -413,9 +404,9 @@ impl Rows {
         row
     }
 
-    fn retain(&mut self, row: u32) {
+    fn retain(&mut self, row: u32, count: u32) {
         if row != NO_ROW {
-            self.refs[row as usize] += 1;
+            self.refs[row as usize] += count;
         }
     }
 
@@ -424,20 +415,9 @@ impl Rows {
             let refs = &mut self.refs[row as usize];
             *refs -= 1;
             if *refs == 0 {
-                if self.defer {
-                    self.pending.push(row);
-                } else {
-                    self.free.push(row);
-                }
+                self.free.push(row);
             }
         }
-    }
-
-    /// Frees the pending rows that no entry has taken a reference to
-    /// since they were released.
-    fn flush(&mut self) {
-        let Self { refs, free, pending, .. } = self;
-        free.extend(pending.drain(..).filter(|&row| refs[row as usize] == 0));
     }
 }
 
@@ -519,52 +499,15 @@ fn heapify(heap: &mut [Entry], before: impl Fn(&Entry, &Entry) -> bool) {
     }
 }
 
-/// Moves the best `k` of `entries` to its front (`1 ≤ k ≤ len`) through
-/// a bounded heap rooted at the worst candidate: most entries lose to it
-/// in one comparison.
-fn select_best(entries: &mut [Entry], k: usize, rows: &Rows) {
-    let worse = |a: &Entry, b: &Entry| precedes(b, a, rows);
-    let (candidates, rest) = entries.split_at_mut(k);
-    heapify(candidates, worse);
-    for entry in rest {
-        if precedes(entry, &candidates[0], rows) {
-            std::mem::swap(entry, &mut candidates[0]);
-            sift_down(candidates, 0, worse);
-        }
-    }
-}
-
-/// Whether `entries` are in the search order, worst first.
-fn is_worst_first(entries: &[Entry], rows: &Rows) -> bool {
-    entries.windows(2).all(|pair| precedes(&pair[1], &pair[0], rows))
-}
-
 /// Sorts `entries` worst first: by [`Entry::key`], checked pair by pair
 /// against the search order, and by the search order itself where the
 /// check fails. False if it fell back.
 fn sort_worst_first(entries: &mut [Entry], rows: &Rows) -> bool {
     entries.sort_unstable_by_key(|entry| Reverse(entry.key()));
-    if is_worst_first(entries, rows) {
+    if entries.windows(2).all(|pair| precedes(&pair[1], &pair[0], rows)) {
         return true;
     }
     entries.sort_unstable_by(|a, b| search_order(b, a, rows));
-    false
-}
-
-/// Moves the best `k` of `entries` to its front, sorted worst first
-/// (`1 ≤ k ≤ len`): selected and sorted by [`Entry::key`], then checked
-/// against the search order, the kept entries pair by pair and the worst
-/// of them against every other entry. Where the check fails,
-/// [`select_best`] and the search order redo both. False if it fell back.
-fn keep_best(entries: &mut [Entry], k: usize, rows: &Rows) -> bool {
-    entries.select_nth_unstable_by_key(k - 1, Entry::key);
-    let (kept, dropped) = entries.split_at_mut(k);
-    kept.sort_unstable_by_key(|entry| Reverse(entry.key()));
-    if is_worst_first(kept, rows) && dropped.iter().all(|entry| precedes(&kept[0], entry, rows)) {
-        return true;
-    }
-    select_best(entries, k, rows);
-    entries[..k].sort_unstable_by(|a, b| search_order(b, a, rows));
     false
 }
 
@@ -576,21 +519,17 @@ fn keep_best(entries: &mut [Entry], k: usize, rows: &Rows) -> bool {
 /// those in `unsorted`, and those of the shells in `deferred`, counted
 /// but not generated yet. Invariant: every ordered entry precedes every
 /// unsorted entry, so the better of the two ordered bests is the best
-/// live entry.
+/// live entry. Every live entry, every deferred record and the threshold
+/// holds one reference on the row it names.
 #[derive(Debug)]
 struct Queue {
     sorted: Vec<Entry>,
     heap: Vec<Entry>,
     unsorted: Vec<Entry>,
-    /// Expansions whose later shells all come after the threshold. They
-    /// hold no row reference: a row released while a threshold is set
-    /// stays pending until [`Queue::set_threshold`], and every overflow
-    /// and refill generates or drops the deferred shells before calling
-    /// it.
+    /// Expansions whose later shells all come after the threshold.
     deferred: Vec<Deferred>,
     /// The number of children `deferred` stands for.
     deferred_len: usize,
-    /// Holds a reference to its parent row, which it is compared through.
     threshold: Option<Entry>,
     rows: Rows,
     tree: Tree,
@@ -630,8 +569,9 @@ impl Queue {
     /// Its shells are generated in order while their bound is at most the
     /// threshold's (with [`SHELL_MARGIN`]); every child of a later shell
     /// comes after the threshold, so those shells are deferred. A child
-    /// that precedes the threshold joins the heap and takes a reference
-    /// to the row; an unsorted one takes none until an overflow keeps it.
+    /// that precedes the threshold joins the heap, any other the unsorted
+    /// tier. The row gains the references of every child and of the
+    /// deferred record in one step.
     fn expand(&mut self, mut parent: Deferred) {
         let limit = self.threshold.map_or(f64::INFINITY, |entry| entry.lower_bound);
         let limit = limit * (1.0 + SHELL_MARGIN);
@@ -647,23 +587,20 @@ impl Queue {
             let family = *family.get_or_insert_with(|| family_order(child, threshold, rows));
             family.then(child.target.cmp(&threshold.target)) != Ordering::Less
         };
-        let (mut computed, mut ordered) = (0, 0);
+        let mut computed = 0;
         while tree.next_bound(rows, &parent).is_some_and(|bound| bound <= limit) {
             computed += tree.generate(rows, &mut parent, seq, |child| {
                 if after_threshold(&child) {
                     unsorted.push(child);
                 } else {
-                    ordered += 1;
                     let at = heap.len();
                     heap.push(child);
                     sift_up(heap, at, |a, b| precedes(a, b, rows));
                 }
             });
         }
-        for _ in 0..ordered {
-            rows.retain(parent.row);
-        }
         let left = self.tree.n - usize::from(parent.level) - computed;
+        self.rows.retain(parent.row, (computed + usize::from(left > 0)) as u32);
         if left > 0 {
             self.deferred.push(parent);
             self.deferred_len += left;
@@ -677,7 +614,9 @@ impl Queue {
         let mut any = false;
         for parent in deferred.iter_mut() {
             if tree.next_bound(rows, parent).is_some_and(|bound| bound <= limit) {
-                *deferred_len -= tree.generate(rows, parent, seq, |child| unsorted.push(child));
+                let computed = tree.generate(rows, parent, seq, |child| unsorted.push(child));
+                rows.retain(parent.row, computed as u32);
+                *deferred_len -= computed;
                 any = true;
             }
         }
@@ -685,24 +624,15 @@ impl Queue {
     }
 
     /// Takes the best live entry. It still holds its reference to its
-    /// parent row: the caller releases it once done with the prefix.
+    /// parent row: the caller releases it once done with the prefix. An
+    /// empty ordered tier is refilled first, by the overflow that keeps
+    /// every live entry.
     fn pop(&mut self) -> Option<Entry> {
         if self.sorted.is_empty() && self.heap.is_empty() {
-            // The unsorted tier, its deferred shells generated, becomes
-            // the heap, its entries taking their references, and the
-            // threshold goes.
-            while self.undefer(f64::INFINITY) {}
-            self.deferred.clear();
-            if self.unsorted.is_empty() {
+            if self.len() == 0 {
                 return None;
             }
-            std::mem::swap(&mut self.heap, &mut self.unsorted);
-            for entry in &self.heap {
-                self.rows.retain(entry.parent);
-            }
-            let rows = &self.rows;
-            heapify(&mut self.heap, |a, b| precedes(a, b, rows));
-            self.set_threshold(None);
+            self.truncate(self.len());
         }
         let rows = &self.rows;
         let from_heap = match (self.sorted.last(), self.heap.first()) {
@@ -723,7 +653,7 @@ impl Queue {
     /// each pass generates the next shell of every deferred expansion at
     /// or below the cut of the entries generated so far (all of them
     /// while fewer than `k` are), until no shell is left at or below it.
-    /// Requires more than `k` unsorted entries, generated or not.
+    /// Requires at least `k` unsorted entries, generated or not.
     fn unsorted_cut(&mut self, k: usize) -> f64 {
         loop {
             let cut = if self.unsorted.len() < k {
@@ -740,12 +670,12 @@ impl Queue {
         }
     }
 
-    /// Overflow: keeps the best `keep` live entries and drops the rest —
-    /// from the ordered tier alone when it holds that many (the unsorted
+    /// Overflow: keeps the best `keep` live entries and releases the rest
+    /// — from the ordered tier alone when it holds that many (the unsorted
     /// tier is then dropped whole, its deferred shells ungenerated),
     /// otherwise the whole ordered tier plus the best of the unsorted
     /// tier. The kept entries become the sorted run, and the worst of them
-    /// the threshold.
+    /// the threshold. A refill is the overflow that keeps every entry.
     fn truncate(&mut self, keep: usize) {
         let ordered = self.sorted.len() + self.heap.len();
         let from_unsorted = keep.saturating_sub(ordered);
@@ -753,9 +683,11 @@ impl Queue {
         // those whose bound is at or below the `from_unsorted`-th
         // smallest unsorted bound can be among them.
         let cut = (from_unsorted > 0).then(|| self.unsorted_cut(from_unsorted));
-        self.deferred.clear();
-        self.deferred_len = 0;
-        let Self { sorted, heap, unsorted, rows, .. } = self;
+        let Self { sorted, heap, unsorted, deferred, deferred_len, rows, .. } = self;
+        for record in deferred.drain(..) {
+            rows.release(record.row);
+        }
+        *deferred_len = 0;
         // Sort the heap worst first and merge it into the run from the
         // back: each heap entry, best first, finds its place by galloping
         // down from the last one's and then by binary search, and the run
@@ -781,35 +713,58 @@ impl Queue {
         }
         heap.clear();
         if let Some(cut) = cut {
-            unsorted.retain(|entry| entry.lower_bound <= cut);
-            keep_best(unsorted, from_unsorted, rows);
-            sorted.splice(..0, unsorted[..from_unsorted].iter().copied());
+            unsorted.retain(|entry| {
+                let prefiltered = entry.lower_bound <= cut;
+                if !prefiltered {
+                    rows.release(entry.parent);
+                }
+                prefiltered
+            });
+            sort_worst_first(unsorted, rows);
+            let dropped = unsorted.len() - from_unsorted;
+            sorted.splice(..0, unsorted.drain(dropped..));
         }
-        let dropped_ordered = ordered.saturating_sub(keep);
-        for kept in &sorted[..from_unsorted] {
-            rows.retain(kept.parent);
-        }
-        for dropped in sorted.drain(..dropped_ordered) {
+        for dropped in unsorted.drain(..) {
             rows.release(dropped.parent);
         }
-        unsorted.clear();
+        for dropped in sorted.drain(..ordered.saturating_sub(keep)) {
+            rows.release(dropped.parent);
+        }
         self.set_threshold(self.sorted.first().copied());
+        if cfg!(debug_assertions) {
+            self.audit();
+        }
     }
 
-    /// Replaces the threshold once an overflow or a refill has dealt with
-    /// the unsorted tier: the entries it keeps hold their references, so
-    /// the pending rows that are still unreferenced are freed. Released
-    /// rows wait on the pending list from now on exactly when a threshold
-    /// is set.
+    /// Replaces the threshold, moving its reference to the new one's
+    /// parent row.
     fn set_threshold(&mut self, threshold: Option<Entry>) {
         if let Some(new) = &threshold {
-            self.rows.retain(new.parent);
+            self.rows.retain(new.parent, 1);
         }
         if let Some(old) = std::mem::replace(&mut self.threshold, threshold) {
             self.rows.release(old.parent);
         }
-        self.rows.defer = self.threshold.is_some();
-        self.rows.flush();
+    }
+
+    /// Checks every row's reference count against a recount of what the
+    /// queue holds (live entries, deferred records and the threshold), and
+    /// that the free rows are exactly the unreferenced ones. A leaked
+    /// reference changes no outcome, so only this check sees it.
+    fn audit(&self) {
+        let Self { sorted, heap, unsorted, deferred, threshold, rows, .. } = self;
+        let mut refs = vec![0; rows.refs.len()];
+        let entries = sorted.iter().chain(heap).chain(unsorted).chain(threshold);
+        let named = entries.map(|entry| entry.parent).chain(deferred.iter().map(|d| d.row));
+        for row in named.filter(|&row| row != NO_ROW) {
+            refs[row as usize] += 1;
+        }
+        assert_eq!(refs, rows.refs, "row references differ from the queue's");
+        let mut free = rows.free.clone();
+        free.sort_unstable();
+        let unreferenced: Vec<u32> =
+            (0..refs.len() as u32).filter(|&row| refs[row as usize] == 0).collect();
+        assert_eq!(free, unreferenced, "the free rows are not the unreferenced ones");
     }
 }
 
@@ -858,14 +813,14 @@ pub fn pbb_checked(ctx: &EvalContext<'_>, options: &PbbOptions) -> nmap::Result<
 /// reference-counted and reused, so memory follows the live queue.
 /// Children that come after the last overflow's threshold, which the
 /// next overflow would mostly drop, wait in an unsorted tier instead of
-/// being ordered, and hold no row reference until an overflow keeps
-/// them. An expansion generates its children in shells of rising hop
-/// distance from its heaviest earlier neighbour, and the shells whose
-/// bound puts every child after the threshold wait as one 8-byte record
-/// until an overflow or a refill needs them. Bound terms read a hop
-/// table built once per call. An overflow sorts and selects by bound
-/// and generation order, checks the result against the search order and
-/// falls back to it where they disagree. A complete placement is routed
+/// being ordered. An expansion generates its children in shells of
+/// rising hop distance from its heaviest earlier neighbour, and the
+/// shells whose bound puts every child after the threshold wait as one
+/// 8-byte record until an overflow needs them; a refill is the overflow
+/// that keeps every entry. Bound terms read a hop table built once per
+/// call. An overflow sorts by bound and generation order, checks the
+/// result against the search order and falls back to it where they
+/// disagree. A complete placement is routed
 /// for its capacity check only where a link could overload, and the
 /// first one accepted ends the search: every live entry comes after it,
 /// so none has a lower bound. The search order is strict over live
@@ -876,8 +831,7 @@ pub fn pbb_checked(ctx: &EvalContext<'_>, options: &PbbOptions) -> nmap::Result<
 /// # Panics
 ///
 /// Panics if the topology has more than 128 nodes (the occupancy bitmask
-/// width; all paper-scale experiments are ≤ 81 nodes), or if it is a
-/// disconnected custom topology.
+/// width; all paper-scale experiments are ≤ 81 nodes).
 pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
     search(problem, options).0
 }
@@ -1155,37 +1109,39 @@ mod tests {
     }
 
     #[test]
-    fn rows_are_freed_at_once_only_without_a_threshold() {
+    fn rows_are_freed_at_their_last_release() {
         let p = problem(&[(0, 1, 1.0)], 3, 3, 1);
         let mut queue = Queue::new(Tree::new(&p), Vec::new());
         let root = Entry { lower_bound: 1.0, seq: 0, parent: NO_ROW, target: 0, depth: 1 };
-        // No threshold, so no unsorted tier: a released row is freed at
-        // once, and the next write reuses it, cost and all.
+        // Without a threshold: the writer's release is the last, so the
+        // row is freed at once and the next write reuses it, cost and all.
         let row = queue.rows.write(&root, 2.5);
         assert_eq!(queue.rows.partial_cost(row), 2.5);
         queue.rows.release(row);
         assert_eq!(queue.rows.write(&root, 0.5), row);
         assert_eq!(queue.rows.partial_cost(row), 0.5);
-        // While a threshold is set, unsorted entries may still name a
-        // released row: it waits, keeping its cost, and the next write
-        // takes a fresh one.
+        // A threshold that names no row changes nothing.
         queue.set_threshold(Some(root));
         queue.rows.release(row);
-        let fresh = queue.rows.write(&root, 4.0);
+        assert_eq!(queue.rows.write(&root, 4.0), row);
+        // A threshold that names the row holds a reference on it: the row
+        // outlives the writer's release, keeping its cost, and the next
+        // write takes a fresh one, until the threshold's release frees it.
+        queue.set_threshold(Some(Entry { parent: row, target: 1, depth: 2, ..root }));
+        queue.rows.release(row);
+        let fresh = queue.rows.write(&root, 0.5);
         assert_ne!(fresh, row);
-        assert_eq!((queue.rows.partial_cost(row), queue.rows.partial_cost(fresh)), (0.5, 4.0));
-        // Replacing the threshold frees what waited.
+        assert_eq!((queue.rows.partial_cost(row), queue.rows.partial_cost(fresh)), (4.0, 0.5));
         queue.set_threshold(None);
         assert_eq!(queue.rows.free, [row]);
-        assert!(queue.rows.pending.is_empty());
     }
 
     /// One bound class of an overflow, four prefixes at one bound, in
     /// the search order: two roots, then two children of row `[0]`; and
     /// an entry at a higher bound. Generation orders that put a child or
     /// a larger last node before an entry it comes after in the search
-    /// order make the key sort and the key selection fall back, and
-    /// every result is the search order's.
+    /// order make the key sort fall back, and every result is the search
+    /// order's.
     #[test]
     fn key_order_falls_back_where_generation_order_is_not_the_search_order() {
         let mut rows = Rows::new(3);
@@ -1227,20 +1183,16 @@ mod tests {
             assert_eq!(sort_worst_first(&mut entries, &rows), agrees, "{seqs:?}");
             assert_eq!(targets(&entries), worst_first, "{seqs:?}");
         }
-        // `wrong_order` keeps the right three in the wrong order, and
-        // `larger_node_first` the wrong two in the right order.
-        let wrong_order = [2, 0, 1, 3, 4];
-        for (seqs, k, agrees) in [
-            (in_order, 3, true),
-            (wrong_order, 3, false),
-            (child_first, 2, false),
-            (larger_node_first, 1, true),
-            (larger_node_first, 2, false),
-        ] {
-            let mut entries = numbered(seqs);
-            assert_eq!(keep_best(&mut entries, k, &rows), agrees, "{seqs:?} keeping {k}");
-            assert_eq!(targets(&entries[..k]), worst_first[5 - k..], "{seqs:?} keeping {k}");
-        }
+        // An overflow keeping the best two: the key order keeps the right
+        // two in the right order, but the children it drops are out of
+        // order. The sort checks every adjacent pair, so it falls back.
+        let dropped_out_of_order = [0, 1, 3, 2, 4];
+        let mut entries = numbered(dropped_out_of_order);
+        entries.sort_unstable_by_key(|entry| Reverse(entry.key()));
+        assert_eq!(targets(&entries[3..]), worst_first[3..]);
+        assert_ne!(targets(&entries), worst_first);
+        assert!(!sort_worst_first(&mut entries, &rows));
+        assert_eq!(targets(&entries), worst_first);
     }
 
     /// Two random graphs side by side, so that some levels place a core

@@ -185,10 +185,11 @@ mod tests {
     fn custom_topology_renders_as_list() {
         let mut g = CoreGraph::new();
         let a = g.add_core("x");
-        let t = Topology::custom(2, [(NodeId::new(0), NodeId::new(1), 1.0)]).unwrap();
+        let (u0, u1) = (NodeId::new(0), NodeId::new(1));
+        let t = Topology::custom(2, [(u0, u1, 1.0), (u1, u0, 1.0)]).unwrap();
         let p = MappingProblem::new(g, t).unwrap();
         let mut m = Mapping::new(2);
-        m.place(a, NodeId::new(1));
+        m.place(a, u1);
         assert_eq!(render_mapping_grid(&p, &m), "x -> u1\n");
     }
 }

@@ -256,9 +256,7 @@ impl<'p> EvalContext<'p> {
     ///
     /// # Panics
     ///
-    /// Panics if `mapping` is incomplete, or if a commodity's endpoints
-    /// are disconnected in a custom topology (its Equation-7 distance,
-    /// [`noc_graph::Topology::hop_distance`], is computed first).
+    /// Panics if `mapping` is incomplete.
     pub fn evaluate(&mut self, mapping: &Mapping, threshold: Score) -> Result<Score> {
         self.counters.evaluations.inc();
         let cost = self.comm_cost(mapping);
@@ -278,8 +276,8 @@ impl<'p> EvalContext<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing;
-    use noc_graph::{NodeId, RandomGraphConfig, Topology};
+    use crate::{routing, MapError};
+    use noc_graph::{GraphError, NodeId, RandomGraphConfig, Topology};
     use noc_probe::Probe;
 
     fn random_problem(seed: u64) -> MappingProblem {
@@ -448,71 +446,52 @@ mod tests {
         assert_eq!(ctx.swap_delta(&m, NodeId::new(2), NodeId::new(2)), CostDelta::ZERO);
     }
 
-    /// Two cores on a fabric where nodes 0 and 1 link both ways and node 2
-    /// only sends to node 0, so nothing reaches node 2. Every link is far
-    /// wider than the traffic.
-    fn one_way_fabric_problem() -> MappingProblem {
+    /// Two cores on a fabric of `nodes` nodes with the given directed
+    /// links, every one far wider than the traffic.
+    fn fabric_problem(nodes: usize, links: &[(usize, usize)]) -> Result<MappingProblem> {
         use noc_graph::CoreGraph;
         let mut g = CoreGraph::new();
         let a = g.add_core("a");
         let b = g.add_core("b");
         g.add_comm(a, b, 10.0).unwrap();
-        let links = [(0, 1), (1, 0), (2, 0)].map(|(u, v)| (NodeId::new(u), NodeId::new(v), 1e9));
-        MappingProblem::new(g, Topology::custom(3, links).unwrap()).unwrap()
-    }
-
-    fn placed_on(p: &MappingProblem, nodes: [usize; 2]) -> Mapping {
-        let mut m = Mapping::new(p.topology().node_count());
-        for (core, node) in p.cores().cores().zip(nodes) {
-            m.place(core, NodeId::new(node));
-        }
-        m
+        let links = links.iter().map(|&(u, v)| (NodeId::new(u), NodeId::new(v), 1e9));
+        MappingProblem::new(g, Topology::custom(nodes, links).unwrap())
     }
 
     #[test]
-    fn evaluate_routes_on_a_fabric_that_is_not_strongly_connected() {
-        // Wide links alone do not make routing skippable: a commodity
-        // might have no path at all.
-        let p = one_way_fabric_problem();
-        assert!(!p.capacity_never_binds());
+    fn a_fabric_with_an_unreachable_pair_is_rejected_before_evaluation() {
+        // A commodity without a path has no Equation-7 cost and no route,
+        // so construction rejects the fabric, naming one pair, before any
+        // placement can be scored or routed.
+        let disconnected = |nodes, links, a, b| {
+            let err = fabric_problem(nodes, links).unwrap_err();
+            assert_eq!(
+                err,
+                MapError::Topology(GraphError::Disconnected(NodeId::new(a), NodeId::new(b)))
+            );
+        };
+        // Node 2 only sends to node 0, so nothing reaches it.
+        disconnected(3, &[(0, 1), (1, 0), (2, 0)], 0, 2);
+        // Node 1 only receives.
+        disconnected(2, &[(0, 1)], 1, 0);
+    }
+
+    #[test]
+    fn evaluate_skips_routing_on_a_wide_one_way_ring() {
+        // Every pair routes on a one-way ring, so wide links alone make
+        // routing skippable there.
+        let p = fabric_problem(3, &[(0, 1), (1, 2), (2, 0)]).unwrap();
+        assert!(p.capacity_never_binds());
         let probe = Probe::new();
         let mut ctx = EvalContext::new(&p);
         ctx.set_probe(&probe);
-        let m = placed_on(&p, [0, 1]);
+        let mut m = Mapping::new(3);
+        for (core, node) in p.cores().cores().zip([0, 2]) {
+            m.place(core, NodeId::new(node));
+        }
         let score = ctx.evaluate(&m, Score::INFEASIBLE).unwrap();
-        assert_eq!(score.cost(), Some(ctx.comm_cost(&m)));
-        assert_eq!(ctx.built_quadrants(), 1, "the candidate was routed");
-        assert_eq!(probe.counter("search.capacity_skips").get(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "no path between")]
-    fn evaluate_of_an_unreachable_commodity_panics_instead_of_scoring() {
-        // The Equation-7 cost of a commodity without a path is undefined:
-        // `hop_distance` panics before routing is reached, so no score,
-        // and no skipped routing, can hide it.
-        let p = one_way_fabric_problem();
-        let m = placed_on(&p, [0, 2]);
-        let _ = EvalContext::new(&p).evaluate(&m, Score::INFEASIBLE);
-    }
-
-    #[test]
-    #[should_panic(expected = "no path between")]
-    fn disconnected_custom_topology_panics_like_uncached_router() {
-        use noc_graph::{CoreGraph, NodeId};
-        let mut g = CoreGraph::new();
-        let a = g.add_core("a");
-        let b = g.add_core("b");
-        g.add_comm(a, b, 10.0).unwrap();
-        g.add_comm(b, a, 10.0).unwrap();
-        // Only a one-way link: b -> a has no route, and the quadrant
-        // builder reports it the same way route_min_paths does.
-        let t = Topology::custom(2, [(NodeId::new(0), NodeId::new(1), 100.0)]).unwrap();
-        let p = MappingProblem::new(g, t).unwrap();
-        let mut m = Mapping::new(2);
-        m.place(a, NodeId::new(0));
-        m.place(b, NodeId::new(1));
-        let mut ctx = EvalContext::new(&p);
-        let _ = ctx.route_min_loads(&m);
+        assert_eq!(score.cost().map(|cost| cost.to_f64()), Some(20.0), "two hops from 0 to 2");
+        assert_eq!(ctx.built_quadrants(), 0, "the candidate was not routed");
+        assert_eq!(probe.counter("search.capacity_skips").get(), 1);
     }
 }

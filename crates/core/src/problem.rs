@@ -2,7 +2,7 @@
 
 use std::sync::OnceLock;
 
-use noc_graph::{CoreGraph, EdgeId, NodeId, Topology, TopologyKind};
+use noc_graph::{CoreGraph, EdgeId, GraphError, NodeId, Topology, TopologyKind};
 use noc_units::{HopMbps, Hops, Mbps};
 
 use crate::{MapError, Mapping, Result};
@@ -25,7 +25,9 @@ pub struct Commodity {
 /// `G(V, E)` plus the NoC topology graph `P(U, F)`.
 ///
 /// Construction validates the structural requirements of Equation 1
-/// (`|V| ≤ |U|`, non-empty application).
+/// (`|V| ≤ |U|`, non-empty application) and that every node pair of the
+/// topology has a directed path, so every commodity of every placement
+/// routes and has an Equation-7 distance.
 #[derive(Debug, Clone)]
 pub struct MappingProblem {
     cores: CoreGraph,
@@ -47,6 +49,10 @@ impl MappingProblem {
     ///
     /// * [`MapError::EmptyProblem`] if the core graph has no vertices.
     /// * [`MapError::TooManyCores`] if `|V| > |U|`.
+    /// * [`MapError::Topology`] with [`GraphError::Disconnected`] naming
+    ///   one unreachable node pair if a custom topology is not strongly
+    ///   connected. Grids are by construction and skip the check; a custom
+    ///   topology pays one pair of BFS runs.
     pub fn new(cores: CoreGraph, topology: Topology) -> Result<Self> {
         if cores.core_count() == 0 {
             return Err(MapError::EmptyProblem);
@@ -56,6 +62,11 @@ impl MappingProblem {
                 cores: cores.core_count(),
                 nodes: topology.node_count(),
             });
+        }
+        if !matches!(topology.kind(), TopologyKind::Grid(_)) {
+            if let Some((a, b)) = topology.unreachable_pair() {
+                return Err(MapError::Topology(GraphError::Disconnected(a, b)));
+            }
         }
         Ok(Self { cores, topology, capacity_never_binds: OnceLock::new() })
     }
@@ -72,23 +83,20 @@ impl MappingProblem {
 
     /// True when no single-path routing of any placement can overload a
     /// link, so the capacity check of Inequality 3 always passes: the
-    /// topology is strongly connected (every commodity routes) and the
     /// total traffic, times `1 + 1e-9`, fits on the smallest link.
     ///
-    /// Exact: a single-path route is a minimal path, which crosses a link
-    /// at most once, so a link's load is the sum of a subset of the
-    /// commodities and never exceeds their total. The margin covers the
-    /// floating-point summation orders, and the capacity check adds its
-    /// own absolute tolerance. Grids are strongly connected by
-    /// construction; a custom topology pays one pair of BFS runs. Computed
-    /// on the first call and kept, so a mapper that never checks
-    /// capacities never pays for it.
+    /// Exact: every commodity routes (construction rejects a topology
+    /// that is not strongly connected), and a single-path route is a
+    /// minimal path, which crosses a link at most once, so a link's load
+    /// is the sum of a subset of the commodities and never exceeds their
+    /// total. The margin covers the floating-point summation orders, and
+    /// the capacity check adds its own absolute tolerance. Computed on the
+    /// first call and kept, so a mapper that never checks capacities never
+    /// pays for it.
     pub fn capacity_never_binds(&self) -> bool {
         *self.capacity_never_binds.get_or_init(|| {
             let total = self.cores.total_bandwidth() * (1.0 + TOTAL_TRAFFIC_MARGIN);
-            let fits = self.topology.links().all(|(_, link)| total <= link.capacity);
-            fits && (matches!(self.topology.kind(), TopologyKind::Grid(_))
-                || self.topology.is_strongly_connected())
+            self.topology.links().all(|(_, link)| total <= link.capacity)
         })
     }
 
@@ -235,7 +243,9 @@ mod tests {
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         assert!(on(Topology::custom(2, [(a, b, 1e9), (b, a, 1e9)]).unwrap()));
         assert!(!on(Topology::custom(2, [(a, b, 1e9), (b, a, 99.0)]).unwrap()));
-        assert!(!on(Topology::custom(2, [(a, b, 1e9)]).unwrap()), "b cannot reach a");
+        let one_way = Topology::custom(2, [(a, b, 1e9)]).unwrap();
+        let err = MappingProblem::new(two_core_app(), one_way).unwrap_err();
+        assert_eq!(err, MapError::Topology(GraphError::Disconnected(b, a)), "b cannot reach a");
     }
 
     #[test]

@@ -482,13 +482,22 @@ impl Topology {
 
     /// True if every node can reach every other node over directed links.
     pub fn is_strongly_connected(&self) -> bool {
+        self.unreachable_pair().is_none()
+    }
+
+    /// A pair `(a, b)` of nodes with no directed path from `a` to `b`, or
+    /// `None` if the topology is strongly connected: the first node that
+    /// node 0 cannot reach, else the first node that cannot reach node 0.
+    pub fn unreachable_pair(&self) -> Option<(NodeId, NodeId)> {
         if self.node_count == 0 {
-            return true;
+            return None;
         }
         let root = NodeId::new(0);
-        let reaches_all = |hops: Vec<Option<usize>>| hops.iter().all(Option::is_some);
-        reaches_all(crate::algo::bfs_hops(self, root))
-            && reaches_all(crate::algo::bfs_hops_to(self, root))
+        let missing =
+            |hops: Vec<Option<usize>>| hops.iter().position(Option::is_none).map(NodeId::new);
+        missing(crate::algo::bfs_hops(self, root))
+            .map(|b| (root, b))
+            .or_else(|| missing(crate::algo::bfs_hops_to(self, root)).map(|a| (a, root)))
     }
 
     /// Smallest square-ish mesh `(w, h)` with at least `cores` nodes,
@@ -724,6 +733,14 @@ mod tests {
         assert!(Topology::mesh_nd(&[3, 2, 2], 1.0).unwrap().is_strongly_connected());
         let lonely = Topology::custom(2, []).unwrap();
         assert!(!lonely.is_strongly_connected());
+        let (a, b, c) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        assert_eq!(lonely.unreachable_pair(), Some((a, b)));
+        let into_zero = Topology::custom(3, [(a, b, 1.0), (b, a, 1.0), (c, a, 1.0)]).unwrap();
+        assert_eq!(into_zero.unreachable_pair(), Some((a, c)), "nothing reaches c");
+        let from_zero = Topology::custom(2, [(a, b, 1.0)]).unwrap();
+        assert_eq!(from_zero.unreachable_pair(), Some((b, a)), "b reaches nothing");
+        let ring = Topology::custom(3, [(a, b, 1.0), (b, c, 1.0), (c, a, 1.0)]).unwrap();
+        assert_eq!(ring.unreachable_pair(), None);
     }
 
     #[test]
