@@ -256,7 +256,10 @@ impl<'p> EvalContext<'p> {
     ///
     /// # Panics
     ///
-    /// Panics if `mapping` is incomplete.
+    /// Panics if `mapping` is incomplete, or if a commodity's endpoints
+    /// are disconnected (its Equation-7 distance,
+    /// [`noc_graph::Topology::hop_distance`], is computed first).
+    /// [`MappingProblem::new`] rejects every topology with such a pair.
     pub fn evaluate(&mut self, mapping: &Mapping, threshold: Score) -> Result<Score> {
         self.counters.evaluations.inc();
         let cost = self.comm_cost(mapping);
@@ -493,5 +496,46 @@ mod tests {
         assert_eq!(score.cost().map(|cost| cost.to_f64()), Some(20.0), "two hops from 0 to 2");
         assert_eq!(ctx.built_quadrants(), 0, "the candidate was not routed");
         assert_eq!(probe.counter("search.capacity_skips").get(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "no path between")]
+    fn evaluate_of_an_unreachable_commodity_panics_instead_of_scoring() {
+        // The Equation-7 cost of a commodity without a path is undefined:
+        // were such a problem built, `hop_distance` panics before routing
+        // is reached, so no score, and no skipped routing, can hide it.
+        use noc_graph::CoreGraph;
+        let mut g = CoreGraph::new();
+        let a = g.add_core("a");
+        let b = g.add_core("b");
+        g.add_comm(a, b, 10.0).unwrap();
+        // Node 2 only sends to node 0, so nothing reaches it.
+        let links = [(0, 1), (1, 0), (2, 0)].map(|(u, v)| (NodeId::new(u), NodeId::new(v), 1e9));
+        let t = Topology::custom(3, links).unwrap();
+        let p = MappingProblem::new_without_connectivity_check(g, t);
+        let mut m = Mapping::new(3);
+        m.place(a, NodeId::new(0));
+        m.place(b, NodeId::new(2));
+        let _ = EvalContext::new(&p).evaluate(&m, Score::INFEASIBLE);
+    }
+
+    #[test]
+    #[should_panic(expected = "no path between")]
+    fn disconnected_custom_topology_panics_like_uncached_router() {
+        use noc_graph::CoreGraph;
+        let mut g = CoreGraph::new();
+        let a = g.add_core("a");
+        let b = g.add_core("b");
+        g.add_comm(a, b, 10.0).unwrap();
+        g.add_comm(b, a, 10.0).unwrap();
+        // Only a one-way link: b -> a has no route, and the quadrant
+        // builder reports it the same way route_min_paths does.
+        let t = Topology::custom(2, [(NodeId::new(0), NodeId::new(1), 100.0)]).unwrap();
+        let p = MappingProblem::new_without_connectivity_check(g, t);
+        let mut m = Mapping::new(2);
+        m.place(a, NodeId::new(0));
+        m.place(b, NodeId::new(1));
+        let mut ctx = EvalContext::new(&p);
+        let _ = ctx.route_min_loads(&m);
     }
 }
