@@ -1,15 +1,20 @@
-//! The stage cache: content-addressed memoization of the map and route
-//! stages, so sweep axes that reuse a stage (every routing × bandwidth
-//! point shares its scenario's mapping; every simulate point shares its
-//! routing) compute it exactly once.
+//! The stage cache: content-addressed memoization of the map stage, so
+//! sweep axes that reuse a placement (every routing, and every bandwidth
+//! point of a capacity-invariant mapper) compute it exactly once.
 //!
 //! Keys are deterministic functions of the scenario spec — see
-//! [`map_key`] / [`route_key`] — built from the same stable names the
-//! report columns use, so a key never depends on memory addresses, hash
-//! iteration order or worker identity. The cache lives in memory for as
-//! long as its owner keeps it (one [`crate::run_sweep`] spans every
-//! shard with one cache); carrying work across runs is the checkpoint's
-//! job ([`crate::shard`]).
+//! [`map_key`] — built from the same stable names the report columns
+//! use, so a key never depends on memory addresses, hash iteration order
+//! or worker identity. The engine owns the cache: one [`crate::run_sweep`]
+//! spans every shard with one cache, and each
+//! [`crate::run_scenarios`] call runs with a fresh one; carrying work
+//! across runs is the checkpoint's job ([`crate::shard`]).
+//!
+//! The route stage is not memoized. Its inputs include the link
+//! capacity, and every simulate bandwidth point is a capacity of its own,
+//! so no two scenarios of a sweep share a route. [`route_key`] spells
+//! those inputs; the shard fingerprint hashes it as each scenario's
+//! descriptor.
 //!
 //! Determinism: each key's value is computed exactly once — entries are
 //! `Arc<OnceLock>` slots that are never evicted, so concurrent workers
@@ -47,7 +52,7 @@ pub enum Lookup {
 
 /// Point-in-time snapshot of a cache's counters (see [`StageCache::stats`]).
 ///
-/// Under the exactly-once contract the miss counters are deterministic:
+/// Under the exactly-once contract the miss counter is deterministic:
 /// `map_misses` equals the number of distinct map keys looked up,
 /// independent of thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -56,10 +61,6 @@ pub struct CacheStats {
     pub map_hits: u64,
     /// Map-stage lookups that computed the mapper.
     pub map_misses: u64,
-    /// Route-stage lookups served from the cache.
-    pub route_hits: u64,
-    /// Route-stage lookups that computed the routing.
-    pub route_misses: u64,
 }
 
 impl CacheStats {
@@ -69,26 +70,39 @@ impl CacheStats {
     }
 }
 
-/// One stage's memo: a once-filled slot per key, plus the stage's hit
-/// and miss counters.
-struct Tier<T> {
-    slots: Mutex<BTreeMap<String, Arc<OnceLock<T>>>>,
+/// The stage cache: a once-filled slot per map key, plus the hit and
+/// miss counters. See the module docs for the determinism contract.
+#[derive(Default)]
+pub struct StageCache {
+    slots: Mutex<BTreeMap<String, Arc<OnceLock<MapResult>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl<T> Default for Tier<T> {
-    fn default() -> Self {
-        Self { slots: Mutex::default(), hits: AtomicU64::new(0), misses: AtomicU64::new(0) }
+impl std::fmt::Debug for StageCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StageCache").field("stats", &self.stats()).finish()
     }
 }
 
-impl<T: Clone> Tier<T> {
-    /// The value for `key`, running `compute` only on a cold key. The
+impl StageCache {
+    /// An empty cache.
+    pub fn in_memory() -> Self {
+        Self::default()
+    }
+
+    /// Memoized map stage: returns the cached result for `key`, running
+    /// `compute` exactly once per key, even under concurrent lookups. The
     /// slot is taken under the map lock and filled outside it, so workers
     /// racing on one key block on that slot only, and the one that runs
-    /// `compute` is the one lookup counted as a miss.
-    fn lookup(&self, key: &str, compute: impl FnOnce() -> T) -> (T, Lookup) {
+    /// `compute` is the one lookup counted as a miss. `_problem` is not
+    /// read; `perfbench` still passes it.
+    pub fn map_stage(
+        &self,
+        key: &str,
+        _problem: &MappingProblem,
+        compute: impl FnOnce() -> MapResult,
+    ) -> (MapResult, Lookup) {
         let slot = {
             let mut slots = self.slots.lock().expect("stage slots not poisoned");
             Arc::clone(slots.entry(key.to_string()).or_default())
@@ -105,57 +119,22 @@ impl<T: Clone> Tier<T> {
         counter.fetch_add(1, Ordering::Relaxed);
         (value, lookup)
     }
-}
 
-/// The stage cache: one in-memory tier per stage. See the module docs
-/// for the determinism contract.
-#[derive(Default)]
-pub struct StageCache {
-    map: Tier<MapResult>,
-    route: Tier<RouteResult>,
-}
-
-impl std::fmt::Debug for StageCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StageCache").field("stats", &self.stats()).finish()
-    }
-}
-
-impl StageCache {
-    /// An empty cache.
-    pub fn in_memory() -> Self {
-        Self::default()
-    }
-
-    /// Memoized map stage: returns the cached result for `key`, running
-    /// `compute` exactly once per key, even under concurrent lookups.
-    /// `_problem` is not read; `perfbench` still passes it.
-    pub fn map_stage(
-        &self,
-        key: &str,
-        _problem: &MappingProblem,
-        compute: impl FnOnce() -> MapResult,
-    ) -> (MapResult, Lookup) {
-        self.map.lookup(key, compute)
-    }
-
-    /// Memoized route stage: returns the cached result for `key`, running
-    /// `compute` exactly once per key.
+    /// The route stage, unmemoized: runs `compute` and reports a miss.
+    /// The engine routes without it; `perfbench` still calls it.
     pub fn route_stage(
         &self,
-        key: &str,
+        _key: &str,
         compute: impl FnOnce() -> RouteResult,
     ) -> (RouteResult, Lookup) {
-        self.route.lookup(key, compute)
+        (compute(), Lookup::Miss)
     }
 
     /// Snapshot of the hit/miss counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            map_hits: self.map.hits.load(Ordering::Relaxed),
-            map_misses: self.map.misses.load(Ordering::Relaxed),
-            route_hits: self.route.hits.load(Ordering::Relaxed),
-            route_misses: self.route.misses.load(Ordering::Relaxed),
+            map_hits: self.hits.load(Ordering::Relaxed),
+            map_misses: self.misses.load(Ordering::Relaxed),
         }
     }
 }
@@ -182,11 +161,12 @@ pub fn map_key(scenario: &Scenario) -> String {
     )
 }
 
-/// The route stage's cache key: the map key plus everything the route
-/// stage additionally reads — the link capacity (always: the MCF programs
-/// constrain on it and the feasibility record derives from it), the
-/// routing regime, and whether tables are materialized (a tables-bearing
-/// result and a loads-only result are different values).
+/// The route stage's inputs, spelled as a key: the map key plus the
+/// link capacity (always: the MCF programs constrain on it and the
+/// feasibility record derives from it), the routing regime, and whether
+/// tables are materialized. No cache holds route results; the shard
+/// fingerprint hashes this spelling as the scenario's descriptor, so it
+/// must not change.
 pub fn route_key(scenario: &Scenario, need_tables: bool) -> String {
     format!(
         "{};rcap={};routing={};tables={}",
@@ -366,23 +346,24 @@ mod tests {
     }
 
     #[test]
-    fn route_stage_memoizes_in_memory() {
+    fn route_stage_computes_on_every_call() {
         let s = scenario(MapperSpec::NmapInit, 1_000.0, RoutingSpec::MinPath);
         let problem = s.problem().unwrap();
         let mapping = nmap::initialize(&problem);
         let cache = StageCache::in_memory();
         let key = route_key(&s, false);
-        let compute = || {
-            let (paths, loads) =
-                nmap::routing::route_min_paths(&problem, &mapping).map_err(|e| e.to_string())?;
-            let _ = paths;
-            Ok((None, loads))
-        };
-        let (a, l1) = cache.route_stage(&key, compute);
-        let (b, l2) = cache.route_stage(&key, || panic!("memoized"));
-        assert_eq!(a, b);
-        assert_eq!((l1, l2), (Lookup::Miss, Lookup::Hit));
-        let stats = cache.stats();
-        assert_eq!((stats.route_misses, stats.route_hits), (1, 1));
+        let mut runs = 0;
+        for _ in 0..2 {
+            let (result, lookup) = cache.route_stage(&key, || {
+                runs += 1;
+                let (_, loads) = nmap::routing::route_min_paths(&problem, &mapping)
+                    .map_err(|e| e.to_string())?;
+                Ok((None, loads))
+            });
+            assert!(result.is_ok());
+            assert_eq!(lookup, Lookup::Miss);
+        }
+        assert_eq!(runs, 2, "the route stage is not memoized");
+        assert_eq!(cache.stats(), CacheStats::default(), "route calls touch no counter");
     }
 }

@@ -9,8 +9,9 @@
 //! [`pool_map`] fans out work the scenario pipeline cannot express, and
 //! [`run_sweep`] runs a whole [`ScenarioSet`] as ordered, optionally
 //! checkpointed shards. The first two take a [`RunContext`] (or a bare
-//! thread count); the third builds one per shard from its
-//! [`SweepConfig`].
+//! thread count); the third builds one from its [`SweepConfig`]. The
+//! engine owns the [`StageCache`]: each [`run_scenarios`] call runs with
+//! a fresh one, and a [`run_sweep`] spans every shard with one.
 //!
 //! Determinism contract: a scenario's record depends only on the scenario
 //! itself (its seed is fixed at build time, never derived from worker
@@ -43,15 +44,13 @@ use crate::shard::{Checkpoint, ShardPlan};
 use crate::spec;
 
 /// What an engine call runs with besides its work list: the worker
-/// count, the instrumentation probe and the stage cache a caller can
-/// share across calls. The default runs on every core with a disabled
-/// probe and a fresh in-memory stage cache; a bare thread count converts
-/// into exactly that with its `threads` set, so
-/// `run_scenarios(set.scenarios(), 4)` and
+/// count and the instrumentation probe. The default runs on every core
+/// with a disabled probe; a bare thread count converts into exactly that
+/// with its `threads` set, so `run_scenarios(set.scenarios(), 4)` and
 /// `run_scenarios(set.scenarios(), RunContext { threads: 4, ..Default::default() })`
 /// are the same call.
 #[derive(Debug, Clone, Default)]
-pub struct RunContext<'a> {
+pub struct RunContext {
     /// Worker threads; `0` (the default) uses the machine's available
     /// parallelism. The pool never spawns more workers than tasks.
     pub threads: usize,
@@ -60,16 +59,9 @@ pub struct RunContext<'a> {
     /// counters and a per-scenario run log, strictly out-of-band: records
     /// stay byte-identical (see `DESIGN.md` §16).
     pub probe: Probe,
-    /// A caller-owned [`StageCache`], the seam for cross-call reuse (a
-    /// warm cache spanning several calls). `None` gives each call a fresh
-    /// cache, so scenarios of one call sharing a map or route stage (the
-    /// routing × bandwidth axes) still compute it exactly once. Cache keys
-    /// capture every input a stage reads, so a cached result equals the
-    /// computed one.
-    pub cache: Option<&'a StageCache>,
 }
 
-impl From<usize> for RunContext<'_> {
+impl From<usize> for RunContext {
     fn from(threads: usize) -> Self {
         Self { threads, ..Self::default() }
     }
@@ -79,17 +71,22 @@ impl From<usize> for RunContext<'_> {
 /// count), returning records in scenario order. Scenario-level failures
 /// (invalid topology, app does not fit, unroutable, LP breakdown) become
 /// records with a non-empty `error` field; they never abort the call.
-/// Cache lookups land in the `dse.cache.{hit,miss}` probe counters (plus
-/// per-stage `dse.cache.{map,route}_*` variants), every MCF solve's work
-/// (the split mapper's too) in the `lp.*` counters, and each map or route
-/// miss's compute time in its family's `dse.stage.{map,route}.*_us`
-/// histogram (all five listed, count 0 without a miss). A live probe also
-/// receives one `dse.scenario` event per record, in scenario order
-/// whatever the thread count, so two profiles of one sweep list them alike.
-pub fn run_scenarios<'a>(scenarios: &[Scenario], ctx: impl Into<RunContext<'a>>) -> Vec<RunRecord> {
-    let ctx = ctx.into();
-    let fresh = StageCache::in_memory();
-    let cache = ctx.cache.unwrap_or(&fresh);
+/// Scenarios of one call that share a map stage (the routing and
+/// bandwidth axes of a capacity-invariant mapper) compute it once, and
+/// each lookup lands in the `dse.cache.map_{hit,miss}` probe counters.
+/// Every MCF solve's work (the split mapper's too) lands in the `lp.*`
+/// counters, and each map miss's and each route's compute time in its
+/// family's `dse.stage.{map,route}.*_us` histogram (all five listed,
+/// count 0 without a run). A live probe also receives one `dse.scenario`
+/// event per record, in scenario order whatever the thread count, so two
+/// profiles of one sweep list them alike.
+pub fn run_scenarios(scenarios: &[Scenario], ctx: impl Into<RunContext>) -> Vec<RunRecord> {
+    run_cached(scenarios, &ctx.into(), &StageCache::in_memory())
+}
+
+/// [`run_scenarios`] through `cache`, which [`run_sweep`] spans over
+/// every shard.
+fn run_cached(scenarios: &[Scenario], ctx: &RunContext, cache: &StageCache) -> Vec<RunRecord> {
     let families = spec::mapper_catalogue().map(|(_, mapper)| map_histogram(&mapper));
     for name in families.into_iter().chain(spec::ROUTINGS.map(|(_, r)| route_histogram(r))) {
         ctx.probe.histogram(name);
@@ -161,10 +158,11 @@ pub struct SweepOutcome {
 
 /// Runs `set` as ordered shards with optional checkpointed resume (see
 /// [`SweepConfig`]), through one in-memory [`StageCache`] that spans
-/// every shard. `sink(shard, records)` is called once per shard in
-/// shard order — with restored records for checkpoint hits — so callers
-/// can emit JSONL incrementally instead of buffering the whole sweep (the
-/// full report is still returned). Records merge in shard order =
+/// every shard, so a map stage that several shards share computes once.
+/// `sink(shard, records)` is called once per shard in shard order — with
+/// restored records for checkpoint hits — so callers can emit JSONL
+/// incrementally instead of buffering the whole sweep (the full report is
+/// still returned). Records merge in shard order =
 /// scenario order, so the deterministic output of a completed sweep is
 /// byte-identical to [`run_scenarios`]'s at any thread count and any
 /// shard size, straight through or killed-and-resumed.
@@ -196,7 +194,7 @@ pub fn run_sweep(
         Some(dir) => Some(Checkpoint::open(dir, scenarios, shard_size)?),
         None => None,
     };
-    let ctx = RunContext { threads: config.threads, probe: probe.clone(), cache: Some(&cache) };
+    let ctx = RunContext { threads: config.threads, probe: probe.clone() };
 
     let mut records: Vec<RunRecord> = Vec::with_capacity(scenarios.len());
     let mut shards_run = 0usize;
@@ -218,7 +216,7 @@ pub fn run_sweep(
         }
         let range = plan.range(shard);
         workers = workers.max(effective_threads(config.threads, range.len()));
-        let shard_records = run_scenarios(&scenarios[range], ctx.clone());
+        let shard_records = run_cached(&scenarios[range], &ctx, &cache);
         if let Some(cp) = &checkpoint {
             cp.store_shard(shard, &shard_records)?;
         }
@@ -260,8 +258,7 @@ pub fn run_sweep(
 /// out work the scenario pipeline cannot express (e.g. the engine-backed
 /// Figure 5(c) sweep): runs `task(0..count)` on `ctx.threads` workers
 /// (`0` = available parallelism) and returns the results **in index
-/// order**. `ctx` is a [`RunContext`] or a bare thread count; the pool
-/// reads only its `threads` and `probe`.
+/// order**. `ctx` is a [`RunContext`] or a bare thread count.
 ///
 /// The determinism contract is the caller's half of the engine's: `task`
 /// must be a pure function of its index (no shared mutable state, no
@@ -275,7 +272,7 @@ pub fn run_sweep(
 /// tasks in the `dse.tasks` counter, and one `dse.worker` event per
 /// worker records its share of the pool. The accounting is entirely
 /// out-of-band — results are identical to an unprobed run.
-pub fn pool_map<'a, T, F>(count: usize, ctx: impl Into<RunContext<'a>>, task: F) -> Vec<T>
+pub fn pool_map<T, F>(count: usize, ctx: impl Into<RunContext>, task: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -374,8 +371,8 @@ fn effective_threads(threads: usize, scenarios: usize) -> usize {
 /// into the mapper's [`EvalContext`] (evaluation/delta-gate counters,
 /// search trajectory events) and the simulator (executed/skipped-cycle
 /// counters), and the per-stage wall times land in the `dse.stage.*_us`
-/// histograms (cache-lookup overhead in `dse.stage.cache_us`). The record
-/// itself is byte-identical to an unprobed run.
+/// histograms (the map lookup's overhead in `dse.stage.cache_us`). The
+/// record itself is byte-identical to an unprobed run.
 fn run_scenario(scenario: &Scenario, probe: &Probe, cache: &StageCache) -> RunRecord {
     let record = run_scenario_inner(scenario, probe, cache);
     probe.histogram("dse.stage.build_us").record(record.times.build_us);
@@ -401,27 +398,13 @@ fn map_histogram(mapper: &MapperSpec) -> &'static str {
     }
 }
 
-/// The histogram of a route miss's compute time: single-path routers or
-/// MCF split routing.
+/// The histogram of a route's compute time: single-path routers or MCF
+/// split routing.
 fn route_histogram(routing: RoutingSpec) -> &'static str {
     match routing {
         RoutingSpec::MinPath | RoutingSpec::Xy => "dse.stage.route.single_us",
         RoutingSpec::McfQuadrant | RoutingSpec::McfAllPaths => "dse.stage.route.mcf_us",
     }
-}
-
-/// Counts one cache lookup in the probe: the aggregate
-/// `dse.cache.{hit,miss}` counters plus the per-stage variant.
-fn count_lookup(probe: &Probe, stage: &str, lookup: Lookup) {
-    if !probe.is_enabled() {
-        return;
-    }
-    let kind = match lookup {
-        Lookup::Hit => "hit",
-        Lookup::Miss => "miss",
-    };
-    probe.counter(&format!("dse.cache.{kind}")).add(1);
-    probe.counter(&format!("dse.cache.{stage}_{kind}")).add(1);
 }
 
 fn run_scenario_inner(scenario: &Scenario, probe: &Probe, cache: &StageCache) -> RunRecord {
@@ -480,8 +463,13 @@ fn run_scenario_inner(scenario: &Scenario, probe: &Probe, cache: &StageCache) ->
         probe.histogram(map_histogram(&scenario.mapper)).record(map_us);
         result
     });
-    let mut cache_us = StageTimes::us(map_lookup_start.elapsed()).saturating_sub(map_us);
-    count_lookup(probe, "map", map_lookup);
+    let cache_us = StageTimes::us(map_lookup_start.elapsed()).saturating_sub(map_us);
+    probe
+        .counter(match map_lookup {
+            Lookup::Hit => "dse.cache.map_hit",
+            Lookup::Miss => "dse.cache.map_miss",
+        })
+        .add(1);
     let (mapping, evaluations) = match map_result {
         Ok(result) => result,
         Err(e) => {
@@ -494,24 +482,14 @@ fn run_scenario_inner(scenario: &Scenario, probe: &Probe, cache: &StageCache) ->
     };
 
     let need_tables = scenario.simulate.is_some();
-    let route_lookup_start = Instant::now();
-    let mut route_us = 0u64;
-    let (route_result, route_lookup) =
-        cache.route_stage(&cache::route_key(scenario, need_tables), || {
-            let compute_start = Instant::now();
-            let result = route(&problem, &mapping, scenario.routing, need_tables, probe)
-                .map_err(|e| e.to_string());
-            route_us = StageTimes::us(compute_start.elapsed());
-            probe.histogram(route_histogram(scenario.routing)).record(route_us);
-            result
-        });
-    cache_us = cache_us
-        .saturating_add(StageTimes::us(route_lookup_start.elapsed()).saturating_sub(route_us));
-    count_lookup(probe, "route", route_lookup);
+    let route_start = Instant::now();
+    let route_result = route(&problem, &mapping, scenario.routing, need_tables, probe);
+    let route_us = StageTimes::us(route_start.elapsed());
+    probe.histogram(route_histogram(scenario.routing)).record(route_us);
     let (tables, loads) = match route_result {
         Ok(routed) => routed,
         Err(e) => {
-            let mut r = RunRecord::failed(scenario, cores, topo_label, e);
+            let mut r = RunRecord::failed(scenario, cores, topo_label, e.to_string());
             r.times.build_us = build_us;
             r.times.map_us = map_us;
             r.times.cache_us = cache_us;
@@ -893,8 +871,9 @@ mod tests {
 
     #[test]
     fn invalid_hand_built_topology_becomes_an_error_record() {
-        // Zero capacity and a zero grid extent: `TopologySpec::build`
-        // rejects both, and a pool worker must not panic on them.
+        // Zero capacity, a zero grid extent and extents whose product
+        // overflows `usize`: `TopologySpec::build` rejects all three, and a
+        // pool worker must not panic on them.
         let zero_capacity = Scenario {
             label: "PIP".into(),
             app: AppSpec::Bundled(App::Pip),
@@ -910,11 +889,15 @@ mod tests {
             capacity: mbps(1_000.0),
             ..zero_capacity.clone()
         };
-        let scenarios = [zero_capacity, zero_extent];
+        let oversized = Scenario {
+            topology: TopologySpec::Mesh { dims: vec![1 << 32, 1 << 32] },
+            ..zero_extent.clone()
+        };
+        let scenarios = [zero_capacity, zero_extent, oversized];
         for threads in [1, 2] {
             let records = run_scenarios(&scenarios, threads);
-            assert_eq!(records.len(), 2, "threads={threads}");
-            let [capacity, extent] = [&records[0], &records[1]];
+            assert_eq!(records.len(), 3, "threads={threads}");
+            let [capacity, extent, product] = [&records[0], &records[1], &records[2]];
             assert_eq!(capacity.topology, "fit");
             assert_eq!(
                 capacity.error,
@@ -922,6 +905,8 @@ mod tests {
             );
             assert_eq!(extent.topology, "mesh 0x4");
             assert_eq!(extent.error, "invalid topology spec: grid axis 0 has zero extent");
+            assert_eq!(product.topology, "mesh 4294967296x4294967296");
+            assert_eq!(product.error, "invalid topology spec: grid has more than 65536 nodes");
             assert!(records.iter().all(|r| !r.feasible && r.cores == 8), "threads={threads}");
         }
         assert!(matches!(scenarios[1].problem(), Err(nmap::MapError::Topology(_))));
@@ -946,7 +931,7 @@ mod tests {
         let mut lists = Vec::new();
         for threads in [1, 4] {
             let probe = Probe::new();
-            let ctx = RunContext { threads, probe: probe.clone(), cache: None };
+            let ctx = RunContext { threads, probe: probe.clone() };
             let records = run_scenarios(&scenarios, ctx);
             let events: Vec<Vec<(String, Value)>> = probe
                 .snapshot()

@@ -24,22 +24,24 @@
 //!   identity) and records merge in scenario order, so output is
 //!   byte-identical for 1 or N threads. [`run_sweep`] runs a whole
 //!   [`ScenarioSet`] under a [`SweepConfig`] as ordered shards.
-//! * [`RunContext`] — what an engine call runs with: the worker count, a
-//!   [`noc_probe::Probe`] (stage-time histograms, per-worker utilization,
-//!   search/simulator counters and a structured per-scenario run log, all
-//!   strictly out-of-band — records stay byte-identical; see `DESIGN.md`
-//!   §16) and a caller-owned [`StageCache`]. A bare thread count converts
-//!   into a default context.
+//! * [`RunContext`] — what an engine call runs with: the worker count and
+//!   a [`noc_probe::Probe`] (stage-time histograms, per-worker
+//!   utilization, search/simulator counters and a structured per-scenario
+//!   run log, all strictly out-of-band — records stay byte-identical; see
+//!   `DESIGN.md` §16). A bare thread count converts into a default
+//!   context.
 //! * [`RunRecord`] / [`SweepReport`] — the aggregation layer: JSON-lines
 //!   and CSV writers plus summary statistics (feasibility rate, cost
 //!   quantiles, per-stage wall time).
-//! * [`StageCache`] / [`shard`] — stage memoization and sharded,
-//!   checkpointed, resumable sweeps: an in-memory, content-addressed
-//!   cache computes each shared map/route stage exactly once, shards
-//!   checkpoint to disk as they complete, and an interrupted sweep
-//!   resumes by replaying finished shards — all without breaking the
-//!   byte-identical-output contract (see `DESIGN.md` §18). The
-//!   checkpoint is the engine's only on-disk state.
+//! * [`StageCache`] / [`shard`] — map-stage memoization and sharded,
+//!   checkpointed, resumable sweeps: the engine's in-memory,
+//!   content-addressed cache computes each shared map stage exactly once
+//!   (the route stage is not memoized: its key pins the capacity, which
+//!   every bandwidth point changes), shards checkpoint to disk as they
+//!   complete, and an interrupted sweep resumes by replaying finished
+//!   shards — all without breaking the byte-identical-output contract
+//!   (see `DESIGN.md` §18). The checkpoint is the engine's only on-disk
+//!   state.
 //!
 //! # Example
 //!

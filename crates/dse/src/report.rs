@@ -35,10 +35,9 @@ pub struct StageTimes {
     /// simulate stage).
     pub sim_us: u64,
     /// Stage-cache bookkeeping: key derivation, lookup and store overhead
-    /// of the map/route memoization (0 when every stage computed without
-    /// consulting a cache). Kept separate so worker-utilization profiles
-    /// attribute cache time honestly instead of folding it into the
-    /// stages it displaced.
+    /// of the map-stage memo (the route stage is not memoized). Kept
+    /// separate so worker-utilization profiles attribute cache time
+    /// honestly instead of folding it into the stage it displaced.
     pub cache_us: u64,
 }
 

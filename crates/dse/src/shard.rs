@@ -352,6 +352,34 @@ mod tests {
         assert_eq!(ShardPlan::new(3, 100).shard_count(), 1);
     }
 
+    /// A golden fingerprint: the 32 scenarios of the kill-and-resume spec
+    /// in `.github/workflows/ci.yml`, copied verbatim, as the manifest of
+    /// a checkpoint of that sweep spells them. Every checkpoint on disk
+    /// stores its sweep's fingerprint, so a changed descriptor (the
+    /// `route_key` spelling included) would reject all of them.
+    #[test]
+    fn fingerprint_of_the_ci_resume_spec_is_pinned() {
+        let text = "\
+seed 11
+capacity 800
+app pip
+app dsp
+topology fit
+topology fit-torus
+mapper nmap-init gmap
+routing min-path xy
+simulate {
+  warmup 300
+  measure 1500
+  drain 800
+  bandwidths 700 1200
+}
+";
+        let set = crate::parse_spec(text).unwrap().scenarios();
+        assert_eq!(set.len(), 32);
+        assert_eq!(format!("{:016x}", set_fingerprint(set.scenarios())), "52699bfb4529291d");
+    }
+
     #[test]
     fn fingerprint_tracks_scenario_identity() {
         let a = tiny_set(1);

@@ -6,9 +6,8 @@
 //! holds for MCF-routed capacity sweeps, and for any shard size.
 
 use noc_dse::{
-    parse_spec, run_scenarios, run_sweep, AppSpec, LoopKind, MapperSpec, RoutingSpec, RunContext,
-    RunRecord, Scenario, ScenarioSet, SimulateSpec, StageCache, StageTimes, SweepConfig,
-    SweepReport, TopologySpec,
+    parse_spec, run_scenarios, run_sweep, AppSpec, LoopKind, MapperSpec, RoutingSpec, RunRecord,
+    Scenario, ScenarioSet, SimulateSpec, StageTimes, SweepConfig, SweepReport, TopologySpec,
 };
 use noc_graph::RandomGraphConfig;
 use noc_probe::Probe;
@@ -214,10 +213,10 @@ routing min-path
 }
 
 /// The stage-cache acceptance bar: a routing × bandwidth sweep whose
-/// mappers are capacity-invariant shares map stages through the
-/// [`StageCache`] — at least 2× fewer map-stage executions than lookups —
-/// while the default-form writers stay byte-identical to the uncached
-/// engine at every thread count, cold or warm.
+/// mappers are capacity-invariant shares map stages through the sweep's
+/// one [`noc_dse::StageCache`] — at least 2× fewer map-stage executions
+/// than lookups, across shards too — while the default-form writers stay
+/// byte-identical to a single-threaded run at every thread count.
 #[test]
 fn stage_cache_shares_map_stages_without_changing_bytes() {
     // NmapInit and Gmap never read link capacity, so one mapping serves
@@ -250,33 +249,18 @@ fn stage_cache_shares_map_stages_without_changing_bytes() {
     let csv = plain.write_csv(false);
 
     for threads in [1usize, 2, 8] {
-        // Cold cache: identical bytes, map stage runs once per distinct
-        // (app, topology, mapper) cell regardless of worker count.
-        let cache = StageCache::in_memory();
-        let report = SweepReport::new(run_scenarios(
-            set.scenarios(),
-            RunContext { threads, cache: Some(&cache), ..Default::default() },
-        ));
-        assert_eq!(report.write_jsonl(false), jsonl, "cold JSONL diverged at threads={threads}");
-        assert_eq!(report.write_csv(false), csv, "cold CSV diverged at threads={threads}");
-        let cold = cache.stats();
-        assert_eq!(cold.map_lookups(), 24, "threads={threads}");
-        assert_eq!(cold.map_misses, 4, "map must run once per cell (threads={threads})");
-        assert!(cold.map_lookups() >= 2 * cold.map_misses, "below the 2x sharing bar");
-
-        // Warm re-run against the same cache: same bytes, zero new map
-        // or route executions.
-        let warm = SweepReport::new(run_scenarios(
-            set.scenarios(),
-            RunContext { threads, cache: Some(&cache), ..Default::default() },
-        ));
-        assert_eq!(warm.write_jsonl(false), jsonl, "warm JSONL diverged at threads={threads}");
-        assert_eq!(warm.write_csv(false), csv, "warm CSV diverged at threads={threads}");
-        let stats = cache.stats();
-        assert_eq!(stats.map_misses, cold.map_misses, "warm run recomputed a map stage");
-        assert_eq!(stats.route_misses, cold.route_misses, "warm run recomputed a route stage");
-        assert_eq!(stats.map_hits, cold.map_hits + 24);
-        assert_eq!(stats.route_hits, cold.route_hits + 24);
+        // Five shards share one cache: the map stage runs once per
+        // distinct (app, topology, mapper) cell regardless of worker count.
+        let config = SweepConfig { threads, shard_size: 5, ..Default::default() };
+        let outcome = run_sweep(&set, &config, &Probe::disabled(), &mut |_, _| {}).unwrap();
+        assert_eq!(outcome.shards_total, 5);
+        let report = outcome.report;
+        assert_eq!(report.write_jsonl(false), jsonl, "JSONL diverged at threads={threads}");
+        assert_eq!(report.write_csv(false), csv, "CSV diverged at threads={threads}");
+        let stats = outcome.cache;
+        assert_eq!(stats.map_lookups(), 24, "threads={threads}");
+        assert_eq!(stats.map_misses, 4, "map must run once per cell (threads={threads})");
+        assert!(stats.map_lookups() >= 2 * stats.map_misses, "below the 2x sharing bar");
     }
 }
 

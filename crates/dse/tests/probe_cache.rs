@@ -1,17 +1,18 @@
-//! Probe-side acceptance for the stage cache (PR 9): the
-//! `dse.cache.{hit,miss}` counters must agree with the cache's
-//! own [`CacheStats`], prove the ≥2× map-stage sharing bar on a
+//! Probe-side acceptance for the stage cache: the
+//! `dse.cache.map_{hit,miss}` counters must agree with the cache's own
+//! [`noc_dse::CacheStats`], prove the ≥2× map-stage sharing bar on a
 //! routing × bandwidth sweep, and stay deterministic across thread
 //! counts (misses = distinct computed keys, never racing workers). Every
 //! MCF solve, the route stage's and the split mapper's, also reports its
-//! LP work, and every map and route miss its compute time by family.
+//! LP work, and every map miss and every route its compute time by
+//! family.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use nmap::{map_with_splitting, MappingProblem, PathScope, SplitOptions};
 use noc_dse::{
     cache, run_scenarios, run_sweep, AppSpec, MapperSpec, RoutingSpec, RunContext, Scenario,
-    ScenarioSet, SimulateSpec, StageCache, SweepConfig, SweepReport, TopologySpec,
+    ScenarioSet, SimulateSpec, SweepConfig, SweepReport, TopologySpec,
 };
 use noc_graph::Topology;
 use noc_probe::{Probe, Profile, Value};
@@ -52,29 +53,29 @@ fn cache_counters_prove_map_stage_sharing_at_every_thread_count() {
     let mut baseline: Option<SweepReport> = None;
     for threads in [1usize, 2, 8] {
         let probe = Probe::new();
-        let cache = StageCache::in_memory();
-        let ctx = RunContext { threads, probe: probe.clone(), cache: Some(&cache) };
-        let report = SweepReport::new(run_scenarios(set.scenarios(), ctx));
+        let config = SweepConfig { threads, ..Default::default() };
+        let outcome = run_sweep(&set, &config, &probe, &mut |_, _| {}).unwrap();
+        let report = outcome.report;
         let profile = probe.snapshot();
 
         // Probe counters and the cache's own stats must tell one story.
-        let stats = cache.stats();
-        let hits = counter(&profile, "dse.cache.hit");
-        let misses = counter(&profile, "dse.cache.miss");
-        assert_eq!(hits, stats.map_hits + stats.route_hits, "threads={threads}");
-        assert_eq!(misses, stats.map_misses + stats.route_misses, "threads={threads}");
+        let map_misses = counter(&profile, "dse.cache.map_miss");
+        let map_hits = counter(&profile, "dse.cache.map_hit");
+        let stats = outcome.cache;
+        assert_eq!((map_hits, map_misses), (stats.map_hits, stats.map_misses), "threads={threads}");
 
         // The acceptance bar: ≥2× fewer map-stage executions than
         // scenarios, deterministically — 4 cells serve 24 scenarios no
         // matter how many workers interleave.
-        let map_misses = counter(&profile, "dse.cache.map_miss");
-        let map_hits = counter(&profile, "dse.cache.map_hit");
         assert_eq!(map_misses, 4, "threads={threads}");
         assert_eq!(map_hits, 20, "threads={threads}");
         assert!(map_hits + map_misses >= 2 * map_misses, "below the 2x sharing bar");
-        // Route stages are capacity-specific here, so every scenario
-        // computes its own.
-        assert_eq!(counter(&profile, "dse.cache.route_miss"), 24, "threads={threads}");
+        // The map pair is the only cache counter: routes are not memoized.
+        for name in
+            ["dse.cache.hit", "dse.cache.miss", "dse.cache.route_hit", "dse.cache.route_miss"]
+        {
+            assert_eq!(profile.counter(name), None, "{name} listed (threads={threads})");
+        }
 
         // And the probe never perturbs the records.
         let jsonl = report.write_jsonl(false);
@@ -134,7 +135,7 @@ fn mcf_route_solves_record_lp_counters() {
     let mut first: Option<Vec<u64>> = None;
     for threads in [1usize, 4] {
         let probe = Probe::new();
-        let ctx = RunContext { threads, probe: probe.clone(), ..Default::default() };
+        let ctx = RunContext { threads, probe: probe.clone() };
         let records = run_scenarios(&scenarios, ctx);
         assert!(records.iter().all(|r| r.is_ok()));
         let profile = probe.snapshot();
@@ -170,7 +171,7 @@ fn split_mapper_records_its_lp_work() {
             simulate: None,
         };
         let probe = Probe::new();
-        let ctx = RunContext { threads: 1, probe: probe.clone(), ..Default::default() };
+        let ctx = RunContext { threads: 1, probe: probe.clone() };
         let record = run_scenarios(std::slice::from_ref(&scenario), ctx).remove(0);
         assert!(record.is_ok(), "{scope:?}: {}", record.error);
         assert_eq!(record.evaluations, 16, "{scope:?}");
@@ -193,11 +194,12 @@ fn split_mapper_records_its_lp_work() {
     }
 }
 
-/// Each map and route miss records its compute time in its family's
+/// Each map miss and each route records its compute time in its family's
 /// histogram: `dse.stage.map.{nmap,pbb,other}_us`, the families split by
 /// mapper-name prefix as `perfbench` splits its map spans, and
-/// `dse.stage.route.{single,mcf}_us`. So each histogram counts its
-/// family's distinct stage keys, and a live probe lists all five.
+/// `dse.stage.route.{single,mcf}_us`. So a map histogram counts its
+/// family's distinct map keys, a route histogram its family's scenarios,
+/// and a live probe lists all five.
 #[test]
 fn stage_histograms_count_each_familys_misses() {
     let set = ScenarioSet::builder()
@@ -215,7 +217,8 @@ fn stage_histograms_count_each_familys_misses() {
         .routing(RoutingSpec::Xy)
         .routing(RoutingSpec::McfQuadrant)
         .build();
-    let mut keys: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+    let mut map_keys: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+    let mut routes: BTreeMap<&str, u64> = BTreeMap::new();
     for s in set.scenarios() {
         let name = s.mapper.name();
         let map = match &name {
@@ -223,28 +226,31 @@ fn stage_histograms_count_each_familys_misses() {
             n if n.starts_with("pbb") => "dse.stage.map.pbb_us",
             _ => "dse.stage.map.other_us",
         };
-        keys.entry(map).or_default().insert(cache::map_key(s));
+        map_keys.entry(map).or_default().insert(cache::map_key(s));
         let route = match s.routing {
             RoutingSpec::MinPath | RoutingSpec::Xy => "dse.stage.route.single_us",
             RoutingSpec::McfQuadrant | RoutingSpec::McfAllPaths => "dse.stage.route.mcf_us",
         };
-        keys.entry(route).or_default().insert(cache::route_key(s, s.simulate.is_some()));
+        *routes.entry(route).or_default() += 1;
     }
-    assert_eq!(keys.len(), 5, "the set covers every family");
+    let expected: BTreeMap<&str, u64> =
+        map_keys.iter().map(|(name, keys)| (*name, keys.len() as u64)).chain(routes).collect();
+    assert_eq!(expected.len(), 5, "the set covers every family");
 
     let probe = Probe::new();
-    let ctx = RunContext { threads: 2, probe: probe.clone(), ..Default::default() };
+    let ctx = RunContext { threads: 2, probe: probe.clone() };
     let records = run_scenarios(set.scenarios(), ctx);
     assert!(records.iter().all(|r| r.is_ok()));
     let profile = probe.snapshot();
     let count = |name: &str| profile.histogram(name).map_or(0, |h| h.count);
-    for (name, family_keys) in &keys {
-        assert_eq!(count(name), family_keys.len() as u64, "{name}");
+    for (name, want) in &expected {
+        assert_eq!(count(name), *want, "{name}");
     }
-    let map_families: u64 = keys.keys().filter(|n| n.contains(".map.")).map(|n| count(n)).sum();
+    let map_families: u64 = map_keys.keys().map(|n| count(n)).sum();
     assert_eq!(map_families, counter(&profile, "dse.cache.map_miss"));
-    let route_families: u64 = keys.keys().filter(|n| n.contains(".route.")).map(|n| count(n)).sum();
-    assert_eq!(route_families, counter(&profile, "dse.cache.route_miss"));
+    let route_families: u64 =
+        expected.keys().filter(|n| n.contains(".route.")).map(|n| count(n)).sum();
+    assert_eq!(route_families, records.len() as u64, "every scenario routes once");
 
     // A sweep with no PBB, other-mapper or MCF miss still lists those
     // histograms, at count 0.
@@ -255,9 +261,9 @@ fn stage_histograms_count_each_familys_misses() {
         .filter(|s| s.mapper == MapperSpec::NmapInit && s.routing == RoutingSpec::MinPath)
         .cloned()
         .collect();
-    run_scenarios(&single, RunContext { threads: 1, probe: probe.clone(), ..Default::default() });
+    run_scenarios(&single, RunContext { threads: 1, probe: probe.clone() });
     let profile = probe.snapshot();
-    for name in keys.keys() {
+    for name in expected.keys() {
         let histogram = profile.histogram(name).unwrap_or_else(|| panic!("{name} listed"));
         assert_eq!(histogram.count > 0, name.ends_with("nmap_us") || name.ends_with("single_us"));
     }

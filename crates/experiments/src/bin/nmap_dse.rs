@@ -517,8 +517,7 @@ fn fig5c(harness: &Harness) -> Result<(), String> {
         println!("(reduced simulation windows)");
     }
     println!();
-    let ctx =
-        RunContext { threads: args.threads, probe: harness.probe.clone(), ..Default::default() };
+    let ctx = RunContext { threads: args.threads, probe: harness.probe.clone() };
     let mut table = TextTable::new([
         "BW (GB/s)",
         "Minp (cy)",

@@ -90,10 +90,7 @@ pub fn table2_rows_from_records(config: &Table2Config, records: &[RunRecord]) ->
 /// point's simulator (executed/skipped-cycle counters) and the pool
 /// (per-worker utilization); it observes only, so the points are
 /// byte-identical to an unprobed run.
-pub fn fig5c_via_engine<'a>(
-    config: &Fig5cConfig,
-    ctx: impl Into<RunContext<'a>>,
-) -> Vec<Fig5cPoint> {
+pub fn fig5c_via_engine(config: &Fig5cConfig, ctx: impl Into<RunContext>) -> Vec<Fig5cPoint> {
     let ctx = ctx.into();
     let design = design_dsp();
     // Task order: [minpath(bw0), split(bw0), minpath(bw1), split(bw1), …].

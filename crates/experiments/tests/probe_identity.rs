@@ -107,10 +107,7 @@ fn fig5c_points_are_identical_across_probe_states() {
     let config = fig5c_smoke_config();
     for threads in [1usize, 2, 8] {
         let disabled = fig5c_via_engine(&config, threads);
-        let live = fig5c_via_engine(
-            &config,
-            RunContext { threads, probe: Probe::new(), ..Default::default() },
-        );
+        let live = fig5c_via_engine(&config, RunContext { threads, probe: Probe::new() });
         assert_eq!(live, disabled, "fig5c diverged with a live probe ({threads} threads)");
     }
 }
@@ -127,10 +124,7 @@ fn fig5c_profile_reports_consistent_windows_across_loop_kinds() {
         let mut config = fig5c_smoke_config();
         config.loop_kind = kind;
         let probe = Probe::new();
-        let _ = fig5c_via_engine(
-            &config,
-            RunContext { threads: 2, probe: probe.clone(), ..Default::default() },
-        );
+        let _ = fig5c_via_engine(&config, RunContext { threads: 2, probe: probe.clone() });
         let profile = probe.snapshot();
         let executed = profile.counter("sim.cycles_executed").unwrap_or(0);
         let skipped = profile.counter("sim.cycles_skipped").unwrap_or(0);

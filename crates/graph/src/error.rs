@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::parse::MAX_BANDWIDTH;
+use crate::parse::{MAX_BANDWIDTH, MAX_NODES};
 use crate::{CoreId, NodeId};
 
 /// Errors produced by graph construction and lookups.
@@ -31,6 +31,9 @@ pub enum GraphError {
         /// Index of the offending axis.
         axis: usize,
     },
+    /// A grid's extents multiply to more than [`crate::parse::MAX_NODES`]
+    /// nodes (or overflow a `usize`).
+    GridTooLarge,
     /// No link connects the two nodes in the topology graph.
     NoSuchLink(NodeId, NodeId),
     /// Source and destination of a path query are disconnected.
@@ -62,6 +65,7 @@ most {MAX_BANDWIDTH:e} MB/s"
             GraphError::ZeroExtent { axis } => {
                 write!(f, "grid axis {axis} has zero extent")
             }
+            GraphError::GridTooLarge => write!(f, "grid has more than {MAX_NODES} nodes"),
             GraphError::NoSuchLink(s, d) => write!(f, "no link between {s} and {d}"),
             GraphError::Disconnected(s, d) => {
                 write!(f, "no path between {s} and {d} in the topology")

@@ -25,6 +25,7 @@
 //! constructor). The declared flag is still recorded: a `2x4` torus keeps
 //! its torus identity even though its first axis gains no extra link.
 
+use crate::parse::MAX_NODES;
 use crate::{GraphError, Result};
 
 /// One axis of a [`Grid`]: its extent (number of coordinates) and whether
@@ -60,8 +61,9 @@ impl Axis {
 
 /// A dimension-generic grid: per-axis extents and wrap flags.
 ///
-/// Invariants (enforced by the constructors): at least one axis, and every
-/// extent non-zero.
+/// Invariants (enforced by the constructors): at least one axis, every
+/// extent non-zero, and at most [`MAX_NODES`] nodes, so the node count and
+/// every stride fit in a `usize`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Grid {
     axes: Vec<Axis>,
@@ -74,6 +76,8 @@ impl Grid {
     ///
     /// * [`GraphError::EmptyTopology`] if `axes` is empty.
     /// * [`GraphError::ZeroExtent`] if any axis has extent 0.
+    /// * [`GraphError::GridTooLarge`] if the extents multiply to more than
+    ///   [`MAX_NODES`] nodes, or overflow a `usize`.
     pub fn new(axes: Vec<Axis>) -> Result<Self> {
         if axes.is_empty() {
             return Err(GraphError::EmptyTopology);
@@ -82,6 +86,10 @@ impl Grid {
             if axis.extent == 0 {
                 return Err(GraphError::ZeroExtent { axis: i });
             }
+        }
+        let nodes = axes.iter().try_fold(1usize, |nodes, axis| nodes.checked_mul(axis.extent));
+        if nodes.is_none_or(|nodes| nodes > MAX_NODES) {
+            return Err(GraphError::GridTooLarge);
         }
         Ok(Self { axes })
     }
@@ -221,9 +229,8 @@ impl Grid {
 
     /// Smallest near-cubic extents of the given rank holding at least
     /// `cores` nodes: start from the smallest cube `s^rank ≥ cores`, then
-    /// shave axes (last axis first, as many coordinates as still fit) —
-    /// the N-dimensional generalization of
-    /// [`crate::Topology::fit_mesh_dims`], and identical to it at rank 2.
+    /// shave axes (last axis first, as many coordinates as still fit). At
+    /// rank 2 this is [`crate::Topology::fit_mesh_dims`].
     ///
     /// # Panics
     ///
@@ -267,6 +274,16 @@ mod tests {
         assert_eq!(Grid::mesh(&[4, 0, 2]), Err(GraphError::ZeroExtent { axis: 1 }));
         assert_eq!(Grid::torus(&[3, 0]), Err(GraphError::ZeroExtent { axis: 1 }));
         assert!(Grid::mesh(&[1]).is_ok());
+        // At most `MAX_NODES` nodes.
+        assert_eq!(Grid::mesh(&[256, 256]).unwrap().node_count(), MAX_NODES);
+        assert_eq!(Grid::torus(&[MAX_NODES, 1]).unwrap().node_count(), MAX_NODES);
+        for dims in [&[256, 257][..], &[MAX_NODES + 1], &[64, 64, 64]] {
+            assert_eq!(Grid::mesh(dims), Err(GraphError::GridTooLarge), "{dims:?}");
+        }
+        // A product that overflows `usize` is the same error, not a panic
+        // or a wrapped count.
+        assert_eq!(Grid::torus(&[1 << 32, 1 << 32]), Err(GraphError::GridTooLarge));
+        assert_eq!(GraphError::GridTooLarge.to_string(), "grid has more than 65536 nodes");
     }
 
     #[test]
@@ -327,10 +344,25 @@ mod tests {
         assert_eq!(mixed.kind_keyword(), "grid");
     }
 
+    /// `Topology::fit_mesh_dims` is `fit_dims` at rank 2. The oracle is
+    /// the loop it had before: the smallest square, less one row if that
+    /// still fits.
     #[test]
     fn fit_dims_matches_fit_mesh_dims_at_rank_2() {
-        for cores in 1..=40 {
-            let (w, h) = crate::Topology::fit_mesh_dims(cores);
+        let oracle = |cores: usize| {
+            let mut w = 1usize;
+            while w * w < cores {
+                w += 1;
+            }
+            if w > 1 && w * (w - 1) >= cores {
+                (w, w - 1)
+            } else {
+                (w, w)
+            }
+        };
+        for cores in 1..=4_096 {
+            let (w, h) = oracle(cores);
+            assert_eq!(crate::Topology::fit_mesh_dims(cores), (w, h), "cores {cores}");
             assert_eq!(Grid::fit_dims(cores, 2), vec![w, h], "cores {cores}");
         }
     }

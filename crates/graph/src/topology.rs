@@ -502,20 +502,15 @@ impl Topology {
 
     /// Smallest square-ish mesh `(w, h)` with at least `cores` nodes,
     /// preferring squares then wider-by-one rectangles — the sizing rule the
-    /// experiments use when the paper does not state mesh dimensions.
-    /// [`Grid::fit_dims`] generalizes this rule to any rank.
+    /// experiments use when the paper does not state mesh dimensions. It
+    /// is [`Grid::fit_dims`] at rank 2, as a pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores == 0`.
     pub fn fit_mesh_dims(cores: usize) -> (usize, usize) {
-        assert!(cores > 0, "need at least one core");
-        let mut w = 1usize;
-        while w * w < cores {
-            w += 1;
-        }
-        // Try to shave a row if a w x (w-1) mesh still fits.
-        if w > 1 && w * (w - 1) >= cores {
-            (w, w - 1)
-        } else {
-            (w, w)
-        }
+        let dims = Grid::fit_dims(cores, 2);
+        (dims[0], dims[1])
     }
 }
 
