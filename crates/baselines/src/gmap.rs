@@ -7,49 +7,30 @@
 //! does not adapt to what has been placed — which is the characteristic
 //! weakness NMAP improves on.
 
-use nmap::{Mapping, MappingProblem};
+use nmap::{GreedyPlacement, Mapping, MappingProblem};
 use noc_graph::CoreId;
 
 /// Runs the GMAP greedy mapper, returning a complete placement.
 pub fn gmap(problem: &MappingProblem) -> Mapping {
     let cores = problem.cores();
     let topology = problem.topology();
-    let mut mapping = Mapping::new(topology.node_count());
 
     // Static order: decreasing total communication demand.
     let mut order: Vec<CoreId> = cores.cores().collect();
     order.sort_by(|&a, &b| cores.total_comm(b).cmp(&cores.total_comm(a)).then(a.cmp(&b)));
 
-    let mut placed: Vec<CoreId> = Vec::with_capacity(order.len());
-    for core in order {
-        let mut best_node = None;
-        let mut best_cost = f64::INFINITY;
-        for node in topology.nodes() {
-            if mapping.core_at(node).is_some() {
-                continue;
-            }
-            let mut cost = 0.0;
-            for &w in &placed {
-                let comm = cores.comm_between(core, w);
-                if comm > noc_units::Mbps::ZERO {
-                    let host = mapping.node_of(w).expect("placed");
-                    cost += comm.to_f64() * topology.hop_distance(node, host) as f64;
-                }
-            }
-            // First core: bias toward the centre like the other mappers, so
-            // differences in results come from the algorithms, not seeds.
-            if placed.is_empty() {
-                cost = topology.hop_distance(node, topology.max_degree_node()) as f64;
-            }
-            if cost < best_cost {
-                best_cost = cost;
-                best_node = Some(node);
-            }
-        }
-        mapping.place(core, best_node.expect("free node exists"));
-        placed.push(core);
+    let mut greedy = GreedyPlacement::new(problem);
+    let mut order = order.into_iter();
+    // First core: onto the centre like the other mappers, so differences
+    // in results come from the algorithms, not seeds.
+    if let Some(first) = order.next() {
+        greedy.place(first, topology.max_degree_node());
     }
-    mapping
+    for core in order {
+        let node = greedy.cheapest_node(core, topology.nodes()).expect("free node exists");
+        greedy.place(core, node);
+    }
+    greedy.into_mapping()
 }
 
 #[cfg(test)]

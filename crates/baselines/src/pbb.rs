@@ -28,6 +28,7 @@ use std::cmp::{Ordering, Reverse};
 
 use nmap::{routing, EvalContext, MapError, Mapping, MappingProblem};
 use noc_graph::{CoreId, NodeId, TopologyKind};
+use noc_units::Mbps;
 
 /// Tuning knobs for [`pbb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,14 +206,16 @@ impl Tree {
             }
         }
 
+        let neighbours = cores.undirected_neighbours();
         let mut earlier: Vec<Vec<(usize, f64)>> = vec![Vec::new(); levels];
         for (li, &c) in order.iter().enumerate() {
-            for (lj, &w) in order.iter().enumerate().take(li) {
-                let comm = cores.comm_between(c, w);
-                if comm > noc_units::Mbps::ZERO {
+            for &(w, comm) in &neighbours[c.index()] {
+                let lj = position[w.index()];
+                if lj < li && comm > Mbps::ZERO {
                     earlier[li].push((lj, comm.to_f64()));
                 }
             }
+            earlier[li].sort_unstable_by_key(|&(lj, _)| lj);
         }
         let anchor = earlier
             .iter()

@@ -12,82 +12,42 @@
 //! When the mapped region has no free neighbour (fully enclosed), the scan
 //! falls back to all free nodes, keeping the mapper total.
 
-use nmap::{Mapping, MappingProblem};
-use noc_graph::{CoreId, NodeId};
+use nmap::{GreedyPlacement, Mapping, MappingProblem};
 
 /// Runs the PMAP region-growing mapper, returning a complete placement.
 pub fn pmap(problem: &MappingProblem) -> Mapping {
-    let cores = problem.cores();
     let topology = problem.topology();
-    let mut mapping = Mapping::new(topology.node_count());
-
-    let mut unmapped: Vec<CoreId> = cores.cores().collect();
-    let mut mapped: Vec<CoreId> = Vec::with_capacity(unmapped.len());
+    let mut greedy = GreedyPlacement::new(problem);
+    // `bordering[n]`: a link leads to node `n` from a node of the region.
+    let mut bordering = vec![false; topology.node_count()];
 
     // Seed as in the paper: heaviest cluster onto the best-connected node.
-    let seed = cores.max_comm_core().expect("non-empty problem");
-    mapping.place(seed, topology.max_degree_node());
-    unmapped.retain(|&c| c != seed);
-    mapped.push(seed);
-
-    while !unmapped.is_empty() {
-        // Next cluster: max communication with the mapped set (ties: id).
-        let next = *unmapped
-            .iter()
-            .max_by(|&&a, &&b| {
-                let ca: noc_units::Mbps = mapped.iter().map(|&w| cores.comm_between(a, w)).sum();
-                let cb: noc_units::Mbps = mapped.iter().map(|&w| cores.comm_between(b, w)).sum();
-                ca.cmp(&cb).then(b.cmp(&a))
-            })
-            .expect("non-empty");
-
-        // Candidate set: free nodes adjacent to the mapped region.
-        let mut candidates: Vec<NodeId> = Vec::new();
-        for &w in &mapped {
-            let host = mapping.node_of(w).expect("placed");
-            for (_, link) in topology.out_links(host) {
-                if mapping.core_at(link.dst).is_none() && !candidates.contains(&link.dst) {
-                    candidates.push(link.dst);
-                }
-            }
+    let seed = problem.cores().max_comm_core().expect("non-empty problem");
+    let mut step = Some((seed, topology.max_degree_node()));
+    while let Some((core, node)) = step {
+        greedy.place(core, node);
+        for (_, link) in topology.out_links(node) {
+            bordering[link.dst.index()] = true;
         }
-        if candidates.is_empty() {
-            candidates = topology.nodes().filter(|&n| mapping.core_at(n).is_none()).collect();
-        }
-        candidates.sort();
-
-        let node = candidates
-            .into_iter()
-            .min_by(|&a, &b| {
-                let cost = |n: NodeId| -> f64 {
-                    mapped
-                        .iter()
-                        .map(|&w| {
-                            let comm = cores.comm_between(next, w);
-                            if comm > noc_units::Mbps::ZERO {
-                                let host = mapping.node_of(w).expect("placed");
-                                comm.to_f64() * topology.hop_distance(n, host) as f64
-                            } else {
-                                0.0
-                            }
-                        })
-                        .sum()
-                };
-                cost(a).partial_cmp(&cost(b)).expect("finite").then(a.cmp(&b))
-            })
-            .expect("candidate exists");
-
-        mapping.place(next, node);
-        unmapped.retain(|&c| c != next);
-        mapped.push(next);
+        // Next cluster: max communication with the mapped set (ties: id),
+        // onto the cheapest free node adjacent to the mapped region, or
+        // of all free nodes when the region has none.
+        step = greedy.most_attached().map(|next| {
+            let region = topology.nodes().filter(|n| bordering[n.index()]);
+            let node = greedy
+                .cheapest_node(next, region)
+                .or_else(|| greedy.cheapest_node(next, topology.nodes()))
+                .expect("a free node exists");
+            (next, node)
+        });
     }
-    mapping
+    greedy.into_mapping()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_graph::{CoreGraph, Topology};
+    use noc_graph::{CoreGraph, CoreId, Topology};
 
     fn problem(edges: &[(usize, usize, f64)], n: usize, w: usize, h: usize) -> MappingProblem {
         let mut g = CoreGraph::new();

@@ -1,4 +1,5 @@
-//! The constructive `initialize()` placement of Section 5.
+//! The constructive `initialize()` placement of Section 5, and the
+//! bookkeeping it shares with the PMAP and GMAP baselines.
 //!
 //! 1. The core with the largest total communication demand (in the
 //!    undirected view of the core graph) is placed on the topology node
@@ -8,8 +9,15 @@
 //!    `Σ_{w ∈ mapped} comm(next, w) · dist(candidate, map(w))`.
 //!
 //! All ties break toward lower ids, making the routine deterministic.
+//!
+//! [`GreedyPlacement`] keeps each core's traffic to the placed set up to
+//! date as cores are placed, so a step costs one scan of the cores and
+//! one scan of the free nodes over the next core's placed neighbours:
+//! O(|V|²) comparisons and O(|U|·|E|) hop lookups in all. Re-summing
+//! every placed core's traffic for each candidate core and node made
+//! O(|V|³ + |U|·|V|²) `comm_between` calls, two hash lookups each.
 
-use noc_graph::CoreId;
+use noc_graph::{CoreId, NodeId};
 use noc_units::Mbps;
 
 use crate::{Mapping, MappingProblem};
@@ -20,68 +28,138 @@ use crate::{Mapping, MappingProblem};
 /// Returns a complete [`Mapping`]: every core of the application is
 /// assigned to a distinct topology node.
 pub fn initialize(problem: &MappingProblem) -> Mapping {
-    let cores = problem.cores();
     let topology = problem.topology();
-    let mut mapping = Mapping::new(topology.node_count());
-
-    let mut unmapped: Vec<CoreId> = cores.cores().collect();
-    let mut mapped: Vec<CoreId> = Vec::with_capacity(unmapped.len());
+    let mut greedy = GreedyPlacement::new(problem);
 
     // Seed: max-communication core onto the max-degree (most central) node.
-    let seed = cores.max_comm_core().expect("non-empty problem");
-    let seed_node = topology.max_degree_node();
-    mapping.place(seed, seed_node);
-    unmapped.retain(|&c| c != seed);
-    mapped.push(seed);
+    let seed = problem.cores().max_comm_core().expect("non-empty problem");
+    greedy.place(seed, topology.max_degree_node());
 
-    while let Some(next) = select_next_core(problem, &unmapped, &mapped) {
-        // Evaluate every free node; pick the min-cost one (ties → lowest id).
-        let mut best_node = None;
+    while let Some(next) = greedy.most_attached() {
+        let node = greedy
+            .cheapest_node(next, topology.nodes())
+            .expect("|V| <= |U| guarantees a free node");
+        greedy.place(next, node);
+    }
+
+    debug_assert!(greedy.mapping().is_complete(problem.cores()));
+    greedy.into_mapping()
+}
+
+/// A greedy constructive placement under way: the partial [`Mapping`],
+/// the order its cores were placed in, and each core's traffic to the
+/// placed cores, read from the undirected view of the core graph
+/// ([`noc_graph::CoreGraph::undirected_neighbours`], built once).
+/// [`initialize`] and the PMAP and GMAP baselines build on it.
+///
+/// Every sum runs over the same nonzero terms, in placement order, as a
+/// scan of the placed cores through `comm_between` would add them, so
+/// the values are bit for bit that scan's: a zero term leaves a
+/// non-negative sum unchanged.
+#[derive(Debug)]
+pub struct GreedyPlacement<'a> {
+    problem: &'a MappingProblem,
+    neighbours: Vec<Vec<(CoreId, Mbps)>>,
+    mapping: Mapping,
+    /// `step[c]`: how many cores were placed before core `c`; `None`
+    /// while `c` is unplaced.
+    step: Vec<Option<usize>>,
+    /// `attach[c]`: the traffic between core `c` and the placed cores.
+    attach: Vec<Mbps>,
+    placed: usize,
+}
+
+impl<'a> GreedyPlacement<'a> {
+    /// An empty placement for `problem`.
+    pub fn new(problem: &'a MappingProblem) -> Self {
+        let cores = problem.cores().core_count();
+        Self {
+            problem,
+            neighbours: problem.cores().undirected_neighbours(),
+            mapping: Mapping::new(problem.topology().node_count()),
+            step: vec![None; cores],
+            attach: vec![Mbps::ZERO; cores],
+            placed: 0,
+        }
+    }
+
+    /// Places `core` on `node` and adds its traffic to each unplaced
+    /// neighbour's total.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is already placed or `node` is occupied.
+    pub fn place(&mut self, core: CoreId, node: NodeId) {
+        self.mapping.place(core, node);
+        self.step[core.index()] = Some(self.placed);
+        self.placed += 1;
+        for &(w, comm) in &self.neighbours[core.index()] {
+            if comm > Mbps::ZERO && self.step[w.index()].is_none() {
+                self.attach[w.index()] += comm;
+            }
+        }
+    }
+
+    /// The unplaced core with the most traffic to the placed cores,
+    /// lowest id on ties; cores with none are still eligible. `None`
+    /// once every core is placed.
+    pub fn most_attached(&self) -> Option<CoreId> {
+        let mut best: Option<CoreId> = None;
+        for (c, step) in self.step.iter().enumerate() {
+            if step.is_none() && best.is_none_or(|b| self.attach[c] > self.attach[b.index()]) {
+                best = Some(CoreId::new(c));
+            }
+        }
+        best
+    }
+
+    /// The free node among `candidates` where placing `core` adds the
+    /// least `Σ comm(core, w) · hops(node, map(w))` over the placed cores
+    /// `w`; the first such candidate on ties, `None` without a free one.
+    pub fn cheapest_node(
+        &self,
+        core: CoreId,
+        candidates: impl IntoIterator<Item = NodeId>,
+    ) -> Option<NodeId> {
+        let topology = self.problem.topology();
+        // The placed neighbours with nonzero traffic, in placement order.
+        let mut terms: Vec<(usize, f64, NodeId)> = self.neighbours[core.index()]
+            .iter()
+            .filter(|&&(_, comm)| comm > Mbps::ZERO)
+            .filter_map(|&(w, comm)| {
+                let host = self.mapping.node_of(w)?;
+                Some((self.step[w.index()]?, comm.to_f64(), host))
+            })
+            .collect();
+        terms.sort_unstable_by_key(|&(step, ..)| step);
+
+        let mut best = None;
         let mut best_cost = f64::INFINITY;
-        for node in topology.nodes() {
-            if mapping.core_at(node).is_some() {
+        for node in candidates {
+            if self.mapping.core_at(node).is_some() {
                 continue;
             }
             let mut cost = 0.0;
-            for &w in &mapped {
-                let comm = cores.comm_between(next, w);
-                if comm > Mbps::ZERO {
-                    let host = mapping.node_of(w).expect("mapped core has a node");
-                    cost += comm.to_f64() * topology.hop_distance(node, host) as f64;
-                }
+            for &(_, comm, host) in &terms {
+                cost += comm * topology.hop_distance(node, host) as f64;
             }
             if cost < best_cost {
                 best_cost = cost;
-                best_node = Some(node);
+                best = Some(node);
             }
         }
-        let node = best_node.expect("|V| <= |U| guarantees a free node");
-        mapping.place(next, node);
-        unmapped.retain(|&c| c != next);
-        mapped.push(next);
+        best
     }
 
-    debug_assert!(mapping.is_complete(cores));
-    mapping
-}
+    /// The placement so far.
+    pub fn mapping(&self) -> &Mapping {
+        &self.mapping
+    }
 
-/// The unmapped core with maximum total communication to the mapped set;
-/// ties break toward the lower core id. Cores with no communication to the
-/// mapped set are still eligible (they are placed last, by id).
-fn select_next_core(
-    problem: &MappingProblem,
-    unmapped: &[CoreId],
-    mapped: &[CoreId],
-) -> Option<CoreId> {
-    let cores = problem.cores();
-    unmapped.iter().copied().max_by(|&a, &b| {
-        let comm_a: Mbps = mapped.iter().map(|&w| cores.comm_between(a, w)).sum();
-        let comm_b: Mbps = mapped.iter().map(|&w| cores.comm_between(b, w)).sum();
-        // `Mbps` orders totally (NaN unrepresentable), and `total_cmp`
-        // agrees with `partial_cmp` on the finite values both admit.
-        comm_a.cmp(&comm_b).then(b.cmp(&a))
-        // prefer lower id on ties
-    })
+    /// The placement, consuming the builder.
+    pub fn into_mapping(self) -> Mapping {
+        self.mapping
+    }
 }
 
 #[cfg(test)]
@@ -169,6 +247,21 @@ mod tests {
             3,
         );
         assert_eq!(initialize(&p), initialize(&p));
+    }
+
+    #[test]
+    fn node_costs_sum_in_placement_order() {
+        // Core 3 trades 0.1, 0.2 and 0.3 MB/s with cores 0, 1 and 2, placed
+        // in reverse id order. Summed in placement order, node 5 costs
+        // 0.8999999999999999 and node 1 costs 0.9; summed in id order they
+        // would cost 0.9000000000000001 and 0.9, and node 1 would win.
+        let p = problem(&[(3, 0, 0.1), (3, 1, 0.2), (3, 2, 0.3)], 4, 4, 4);
+        let mut greedy = GreedyPlacement::new(&p);
+        for (core, node) in [(2, 4), (1, 2), (0, 0)] {
+            greedy.place(CoreId::new(core), NodeId::new(node));
+        }
+        let node = greedy.cheapest_node(CoreId::new(3), p.topology().nodes());
+        assert_eq!(node, Some(NodeId::new(5)));
     }
 
     #[test]

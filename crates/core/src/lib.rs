@@ -22,7 +22,8 @@
 //!   ([`PathScope::Quadrant`]) yields the low-jitter NMAPTM variant
 //!   (Equation 10); [`PathScope::AllPaths`] yields NMAPTA.
 //!
-//! The building blocks (greedy [`initialize`] placement, the
+//! The building blocks (greedy [`initialize`] placement and the
+//! [`GreedyPlacement`] bookkeeping it shares with PMAP and GMAP, the
 //! [`routing`] module's load-balanced min-path and dimension-ordered XY
 //! routers, link-load accounting, and the MCF model builder) are public so
 //! baseline mappers and experiment harnesses can recombine them.
@@ -74,7 +75,7 @@ mod split;
 pub use display::{render_mapping_grid, summarize};
 pub use error::MapError;
 pub use eval::EvalContext;
-pub use init::initialize;
+pub use init::{initialize, GreedyPlacement};
 pub use mapping::Mapping;
 pub use mcf::{McfKind, McfSolution, McfSolveStats, McfWarmState, PathScope};
 pub use problem::{Commodity, MappingProblem};

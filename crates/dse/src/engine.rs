@@ -22,6 +22,7 @@
 //! [`StageTimes`] vary between runs, and the report writers exclude them
 //! by default.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -31,7 +32,7 @@ use nmap::{
     mcf::solve_mcf_or_slack, routing, EvalContext, LinkLoads, Mapping, MappingProblem, PathScope,
     RoutingTables,
 };
-use noc_probe::{Probe, Value};
+use noc_probe::{Event, Probe, Value};
 use noc_sim::{FlowSpec, SimReport, Simulator};
 use noc_units::Mbps;
 
@@ -79,7 +80,9 @@ impl From<usize> for RunContext {
 /// family's `dse.stage.{map,route}.*_us` histogram (all five listed,
 /// count 0 without a run). A live probe also receives one `dse.scenario`
 /// event per record, in scenario order whatever the thread count, so two
-/// profiles of one sweep list them alike.
+/// profiles of one sweep list them alike. A mapper's own events (`sa.sample`,
+/// `tabu.sample`) come just before the `dse.scenario` event of the first
+/// scenario, in order, that shares its map stage.
 pub fn run_scenarios(scenarios: &[Scenario], ctx: impl Into<RunContext>) -> Vec<RunRecord> {
     run_cached(scenarios, &ctx.into(), &StageCache::in_memory())
 }
@@ -91,10 +94,23 @@ fn run_cached(scenarios: &[Scenario], ctx: &RunContext, cache: &StageCache) -> V
     for name in families.into_iter().chain(spec::ROUTINGS.map(|(_, r)| route_histogram(r))) {
         ctx.probe.histogram(name);
     }
-    let records =
+    let mut outputs =
         pool_map(scenarios.len(), ctx.clone(), |i| run_scenario(&scenarios[i], &ctx.probe, cache));
     if ctx.probe.is_enabled() {
-        for record in &records {
+        // A map stage's events belong to its key, not to whichever
+        // scenario's worker happened to compute it.
+        let mut pending: BTreeMap<String, Vec<Event>> = BTreeMap::new();
+        for (scenario, (_, map_events)) in scenarios.iter().zip(&mut outputs) {
+            if !map_events.is_empty() {
+                pending.insert(cache::map_key(scenario), std::mem::take(map_events));
+            }
+        }
+        for (scenario, (record, _)) in scenarios.iter().zip(&outputs) {
+            if !pending.is_empty() {
+                if let Some(map_events) = pending.remove(&cache::map_key(scenario)) {
+                    ctx.probe.append_events(map_events);
+                }
+            }
             ctx.probe.emit(
                 "dse.scenario",
                 &[
@@ -110,7 +126,7 @@ fn run_cached(scenarios: &[Scenario], ctx: &RunContext, cache: &StageCache) -> V
             );
         }
     }
-    records
+    outputs.into_iter().map(|(record, _)| record).collect()
 }
 
 /// Default scenarios per shard for a checkpointed [`run_sweep`]: small
@@ -372,9 +388,12 @@ fn effective_threads(threads: usize, scenarios: usize) -> usize {
 /// search trajectory events) and the simulator (executed/skipped-cycle
 /// counters), and the per-stage wall times land in the `dse.stage.*_us`
 /// histograms (the map lookup's overhead in `dse.stage.cache_us`). The
-/// record itself is byte-identical to an unprobed run.
-fn run_scenario(scenario: &Scenario, probe: &Probe, cache: &StageCache) -> RunRecord {
-    let record = run_scenario_inner(scenario, probe, cache);
+/// record itself is byte-identical to an unprobed run. Returns the record
+/// and, when this lookup computed the map stage, the events the mapper
+/// emitted, which [`run_cached`] places in scenario order.
+fn run_scenario(scenario: &Scenario, probe: &Probe, cache: &StageCache) -> (RunRecord, Vec<Event>) {
+    let mut map_events = Vec::new();
+    let record = run_scenario_inner(scenario, probe, cache, &mut map_events);
     probe.histogram("dse.stage.build_us").record(record.times.build_us);
     probe.histogram("dse.stage.map_us").record(record.times.map_us);
     probe.histogram("dse.stage.route_us").record(record.times.route_us);
@@ -382,7 +401,7 @@ fn run_scenario(scenario: &Scenario, probe: &Probe, cache: &StageCache) -> RunRe
     if record.sim.is_some() {
         probe.histogram("dse.stage.sim_us").record(record.times.sim_us);
     }
-    record
+    (record, map_events)
 }
 
 /// The histogram of a map miss's compute time: the NMAP family, PBB or
@@ -407,7 +426,12 @@ fn route_histogram(routing: RoutingSpec) -> &'static str {
     }
 }
 
-fn run_scenario_inner(scenario: &Scenario, probe: &Probe, cache: &StageCache) -> RunRecord {
+fn run_scenario_inner(
+    scenario: &Scenario,
+    probe: &Probe,
+    cache: &StageCache,
+    map_events: &mut Vec<Event>,
+) -> RunRecord {
     let build_start = Instant::now();
     let (graph, topology) = scenario.try_parts();
     let cores = graph.core_count();
@@ -454,12 +478,16 @@ fn run_scenario_inner(scenario: &Scenario, probe: &Probe, cache: &StageCache) ->
     let mut map_us = 0u64;
     let (map_result, map_lookup) = cache.map_stage(&cache::map_key(scenario), &problem, || {
         let compute_start = Instant::now();
+        // The mapper's events go to a stream of its own: workers finish
+        // in any order, and the caller places them in scenario order.
+        let map_probe = probe.with_own_events();
         let mut ctx = EvalContext::new(&problem);
-        ctx.set_probe(probe);
+        ctx.set_probe(&map_probe);
         // The placement and its work measure; the route stage scores it.
         let result =
             scenario.mapper.mapper(scenario.seed).place(&mut ctx).map_err(|e| e.to_string());
         map_us = StageTimes::us(compute_start.elapsed());
+        *map_events = map_probe.take_events();
         probe.histogram(map_histogram(&scenario.mapper)).record(map_us);
         result
     });
@@ -641,6 +669,7 @@ fn route(
 mod tests {
     use super::*;
     use crate::scenario::{AppSpec, TopologySpec};
+    use nmap::search::{SaOptions, TabuOptions};
     use nmap::SinglePathOptions;
     use noc_apps::App;
     use noc_graph::RandomGraphConfig;
@@ -733,13 +762,24 @@ mod tests {
     /// pair would take 2³² × 56 bytes.
     #[test]
     fn nmap_init_maps_pip_onto_a_256x256_mesh() {
+        assert_maps_pip_onto_a_256x256_mesh(MapperSpec::NmapInit);
+    }
+
+    #[test]
+    fn gmap_maps_pip_onto_a_256x256_mesh() {
+        // GMAP's first core once re-scanned the fabric for its centre at
+        // every candidate node: O(nodes²), minutes at this size.
+        assert_maps_pip_onto_a_256x256_mesh(MapperSpec::Gmap);
+    }
+
+    fn assert_maps_pip_onto_a_256x256_mesh(mapper: MapperSpec) {
         let scenario = Scenario {
             label: "PIP".into(),
             app: AppSpec::Bundled(App::Pip),
             seed: 0,
             topology: TopologySpec::Mesh { dims: vec![256, 256] },
             capacity: mbps(1_000.0),
-            mapper: MapperSpec::NmapInit,
+            mapper,
             routing: RoutingSpec::MinPath,
             simulate: None,
         };
@@ -950,6 +990,60 @@ mod tests {
             lists.push(events);
         }
         assert_eq!(lists[0], lists[1], "the event lists differ between thread counts");
+    }
+
+    #[test]
+    fn search_sample_events_come_in_scenario_order() {
+        // Each `sa` and `tabu` placement serves both routings: its samples
+        // belong before the first of the two in scenario order, whichever
+        // worker computed it.
+        let mappers = [
+            MapperSpec::Sa(SaOptions { moves: 3_000, ..SaOptions::default() }),
+            MapperSpec::Tabu(TabuOptions::default()),
+        ];
+        let mut scenarios = Vec::new();
+        for routing in [RoutingSpec::MinPath, RoutingSpec::Xy] {
+            for app in [App::Pip, App::Mpeg4, App::Vopd] {
+                for mapper in &mappers {
+                    scenarios.push(Scenario {
+                        label: app.name().into(),
+                        app: AppSpec::Bundled(app),
+                        seed: 5,
+                        topology: TopologySpec::FitMesh,
+                        capacity: mbps(1_000.0),
+                        mapper: mapper.clone(),
+                        routing,
+                        simulate: None,
+                    });
+                }
+            }
+        }
+        let mut lists = Vec::new();
+        for threads in [1, 4] {
+            let probe = Probe::new();
+            run_scenarios(&scenarios, RunContext { threads, probe: probe.clone() });
+            let events: Vec<Event> = probe
+                .snapshot()
+                .events
+                .into_iter()
+                .filter(|e| e.name != "dse.worker")
+                .map(|mut e| {
+                    e.fields.retain(|(k, _)| k != "total_us");
+                    e
+                })
+                .collect();
+            lists.push(events);
+        }
+        assert_eq!(lists[0], lists[1], "the event lists differ between thread counts");
+        // One run of samples per placement, all before the first routing's
+        // six `dse.scenario` events end.
+        let names: Vec<&str> = lists[0].iter().map(|e| e.name.as_str()).collect();
+        let half = names.iter().rposition(|&n| n.ends_with(".sample")).expect("samples listed");
+        let before = names[..half].iter().filter(|&&n| n == "dse.scenario").count();
+        assert_eq!(before, 5, "samples after the first routing's placements: {names:?}");
+        for kind in ["sa.sample", "tabu.sample"] {
+            assert!(names.contains(&kind), "no {kind} event: {names:?}");
+        }
     }
 
     #[test]

@@ -184,6 +184,43 @@ impl CoreGraph {
         ab + ba
     }
 
+    /// The undirected view `S(A, B) = makeundirected(G)` as adjacency
+    /// lists: entry `c` lists every core that shares an edge with `c`
+    /// once, by increasing id, with [`CoreGraph::comm_between`]'s value
+    /// bit for bit (`ab + ba`, or the one edge's bandwidth alone, which
+    /// `+ 0` leaves unchanged). A pair joined only by zero-bandwidth
+    /// edges is listed with weight 0.
+    ///
+    /// Built from the edge lists in O(|V| + |E| log deg) per call; the
+    /// greedy placements build it once, where asking `comm_between` of
+    /// every pair costs two hash lookups a pair.
+    pub fn undirected_neighbours(&self) -> Vec<Vec<(CoreId, Mbps)>> {
+        let mut view: Vec<Vec<(CoreId, Mbps)>> = vec![Vec::new(); self.names.len()];
+        // `slot[b]`: where `b` sits in the list being built, if it does.
+        let mut slot: Vec<Option<usize>> = vec![None; self.names.len()];
+        for (a, list) in view.iter_mut().enumerate() {
+            let core = CoreId::new(a);
+            let ends = self
+                .out_edges(core)
+                .map(|(_, e)| (e.dst, e.bandwidth))
+                .chain(self.in_edges(core).map(|(_, e)| (e.src, e.bandwidth)));
+            for (b, bandwidth) in ends {
+                match slot[b.index()] {
+                    Some(i) => list[i].1 += bandwidth,
+                    None => {
+                        slot[b.index()] = Some(list.len());
+                        list.push((b, bandwidth));
+                    }
+                }
+            }
+            for &(b, _) in list.iter() {
+                slot[b.index()] = None;
+            }
+            list.sort_unstable_by_key(|&(b, _)| b);
+        }
+        view
+    }
+
     /// Sum of all edge bandwidths (aggregate application demand in MB/s).
     pub fn total_bandwidth(&self) -> Mbps {
         self.edges.iter().map(|e| e.bandwidth).sum()
@@ -276,6 +313,21 @@ mod tests {
         assert_eq!(g.comm_between(b, a).to_f64(), 100.0);
         g.add_comm(b, a, 11.0).unwrap();
         assert_eq!(g.comm_between(a, b).to_f64(), 111.0);
+    }
+
+    #[test]
+    fn undirected_neighbours_merge_both_directions() {
+        let (mut g, a, b, c) = triangle();
+        g.add_comm(b, a, 11.0).unwrap();
+        let d = g.add_core("isolated");
+        let view = g.undirected_neighbours();
+        let weights = |core: CoreId| -> Vec<(CoreId, f64)> {
+            view[core.index()].iter().map(|&(n, w)| (n, w.to_f64())).collect()
+        };
+        assert_eq!(weights(a), vec![(b, 111.0), (c, 25.0)]);
+        assert_eq!(weights(b), vec![(a, 111.0), (c, 50.0)]);
+        assert_eq!(weights(c), vec![(a, 25.0), (b, 50.0)]);
+        assert!(view[d.index()].is_empty());
     }
 
     #[test]

@@ -1,7 +1,11 @@
 //! Property-based tests for topologies, quadrant DAGs, the shortest-path
-//! searcher and the random graph generator.
+//! searcher, the random graph generator and the core graph's undirected
+//! view.
 
-use noc_graph::{bfs_hops, LinkId, NodeId, PathSearch, QuadrantDag, RandomGraphConfig, Topology};
+use noc_graph::{
+    bfs_hops, CoreGraph, CoreId, LinkId, NodeId, PathSearch, QuadrantDag, RandomGraphConfig,
+    Topology,
+};
 use proptest::prelude::*;
 
 /// The cheapest `a → b` path under per-link `weight`, as owned
@@ -329,5 +333,51 @@ proptest! {
         }
         prop_assert_eq!(&t, &build());
         prop_assert_eq!(format!("{t:?}"), format!("{unqueried:?}"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The undirected view lists each undirected pair once per endpoint,
+    /// by increasing id, with `comm_between`'s value bit for bit: on
+    /// random digraphs of up to 16 cores whose arcs carry fractional,
+    /// whole-number or zero bandwidth, two-way pairs and isolated cores
+    /// included.
+    #[test]
+    fn undirected_view_matches_comm_between(
+        cores in 1usize..=16,
+        arcs in prop::collection::vec((0usize..16, 0usize..16, 0u32..4, 0.0f64..500.0), 0..60),
+    ) {
+        let mut g = CoreGraph::new();
+        let ids: Vec<CoreId> = (0..cores).map(|i| g.add_core(format!("c{i}"))).collect();
+        for (a, b, kind, bw) in arcs {
+            let (a, b) = (ids[a % cores], ids[b % cores]);
+            let bw = match kind {
+                0 => 0.0,
+                1 => bw.round(),
+                _ => bw,
+            };
+            if a != b && g.find_edge(a, b).is_none() {
+                g.add_comm(a, b, bw).unwrap();
+            }
+        }
+        let view = g.undirected_neighbours();
+        prop_assert_eq!(view.len(), cores);
+        for a in g.cores() {
+            let listed: Vec<CoreId> = view[a.index()].iter().map(|&(b, _)| b).collect();
+            let expected: Vec<CoreId> = g
+                .cores()
+                .filter(|&b| g.find_edge(a, b).is_some() || g.find_edge(b, a).is_some())
+                .collect();
+            prop_assert_eq!(listed, expected, "neighbours of {}", a);
+            for &(b, comm) in &view[a.index()] {
+                prop_assert_eq!(
+                    comm.to_f64().to_bits(),
+                    g.comm_between(a, b).to_f64().to_bits(),
+                    "{} to {}", a, b
+                );
+            }
+        }
     }
 }

@@ -65,12 +65,32 @@ fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
+/// The metric registries, which every handle of one probe shares.
 #[derive(Default)]
-struct Inner {
+struct Metrics {
     counters: Mutex<Vec<(String, Arc<AtomicU64>)>>,
     histograms: Mutex<Vec<(String, Arc<Mutex<HistState>>)>>,
-    events: Mutex<Vec<Event>>,
     events_dropped: AtomicU64,
+}
+
+/// A live probe: the shared metrics and the handle's event stream.
+#[derive(Clone, Default)]
+struct Live {
+    metrics: Arc<Metrics>,
+    events: Arc<Mutex<Vec<Event>>>,
+}
+
+impl Live {
+    fn append(&self, events: impl IntoIterator<Item = Event>) {
+        let mut stream = self.events.lock().unwrap();
+        for event in events {
+            if stream.len() >= EVENT_CAP {
+                self.metrics.events_dropped.fetch_add(1, Ordering::Relaxed);
+            } else {
+                stream.push(event);
+            }
+        }
+    }
 }
 
 fn intern<T: Default>(registry: &Mutex<Vec<(String, Arc<T>)>>, name: &str) -> Arc<T> {
@@ -85,10 +105,11 @@ fn intern<T: Default>(registry: &Mutex<Vec<(String, Arc<T>)>>, name: &str) -> Ar
 
 /// Runtime telemetry handle. [`Probe::new`] collects; [`Probe::disabled`]
 /// is inert. Cloning shares the underlying store, so handles can be
-/// spread across threads and snapshotted once at the end.
+/// spread across threads and snapshotted once at the end;
+/// [`Probe::with_own_events`] shares only the metrics.
 #[derive(Clone, Default)]
 pub struct Probe {
-    inner: Option<Arc<Inner>>,
+    inner: Option<Live>,
 }
 
 impl std::fmt::Debug for Probe {
@@ -100,7 +121,36 @@ impl std::fmt::Debug for Probe {
 impl Probe {
     /// A live collector.
     pub fn new() -> Self {
-        Probe { inner: Some(Arc::new(Inner::default())) }
+        Probe { inner: Some(Live::default()) }
+    }
+
+    /// A handle onto this probe's counters and histograms with an event
+    /// stream of its own, which [`Probe::take_events`] drains; inert when
+    /// this probe is. Concurrent work emits into such handles so that
+    /// its caller can [`append`](Probe::append_events) the events to the
+    /// shared stream in an order that does not depend on scheduling.
+    pub fn with_own_events(&self) -> Probe {
+        let inner = self
+            .inner
+            .as_ref()
+            .map(|live| Live { metrics: Arc::clone(&live.metrics), events: Arc::default() });
+        Probe { inner }
+    }
+
+    /// Removes and returns the events this handle's stream holds, in
+    /// emission order.
+    pub fn take_events(&self) -> Vec<Event> {
+        self.inner
+            .as_ref()
+            .map_or_else(Vec::new, |live| std::mem::take(&mut *live.events.lock().unwrap()))
+    }
+
+    /// Appends `events` to this handle's stream, in order; past the
+    /// event cap they are counted as dropped, as [`Probe::emit`] counts.
+    pub fn append_events(&self, events: Vec<Event>) {
+        if let Some(live) = &self.inner {
+            live.append(events);
+        }
     }
 
     /// An inert probe: every handle it hands out is a no-op.
@@ -117,34 +167,30 @@ impl Probe {
 
     /// Counter handle for `name`; same name → same underlying cell.
     pub fn counter(&self, name: &str) -> Counter {
-        Counter(self.inner.as_ref().map(|inner| intern(&inner.counters, name)))
+        Counter(self.inner.as_ref().map(|live| intern(&live.metrics.counters, name)))
     }
 
     /// Histogram handle for `name`; same name → same underlying store.
     pub fn histogram(&self, name: &str) -> Histogram {
-        Histogram(self.inner.as_ref().map(|inner| intern(&inner.histograms, name)))
+        Histogram(self.inner.as_ref().map(|live| intern(&live.metrics.histograms, name)))
     }
 
     /// Appends a structured event. Field construction can be costly, so
     /// hot paths should guard emission with [`Probe::is_enabled`].
     pub fn emit(&self, name: &str, fields: &[(&str, Value)]) {
-        let Some(inner) = &self.inner else { return };
-        let mut events = inner.events.lock().unwrap();
-        if events.len() >= EVENT_CAP {
-            inner.events_dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        events.push(Event {
+        let Some(live) = &self.inner else { return };
+        live.append([Event {
             name: name.to_string(),
             fields: fields.iter().map(|(k, v)| ((*k).to_string(), v.clone())).collect(),
-        });
+        }]);
     }
 
     /// Detached copy of everything collected so far: metrics sorted by
     /// name, events in emission order. If events were dropped at the
     /// cap, a `probe.events_dropped` counter records how many.
     pub fn snapshot(&self) -> Profile {
-        let Some(inner) = &self.inner else { return Profile::default() };
+        let Some(live) = &self.inner else { return Profile::default() };
+        let inner = &live.metrics;
         let mut counters: Vec<CounterSnapshot> = inner
             .counters
             .lock()
@@ -169,7 +215,7 @@ impl Probe {
             .map(|(name, state)| state.lock().unwrap().snapshot(name))
             .collect();
         histograms.sort_by(|a, b| a.name.cmp(&b.name));
-        let events = inner.events.lock().unwrap().clone();
+        let events = live.events.lock().unwrap().clone();
         Profile { counters, histograms, events }
     }
 
@@ -283,6 +329,23 @@ mod tests {
         assert_eq!(snap.counters[1].name, "z.last");
         let iters: Vec<&Value> = snap.events_named("step").map(|e| &e.fields[0].1).collect();
         assert_eq!(iters, [&Value::U64(0), &Value::U64(1)]);
+    }
+
+    #[test]
+    fn own_event_streams_share_the_metrics_only() {
+        let probe = Probe::new();
+        let scoped = probe.with_own_events();
+        scoped.counter("c").inc();
+        scoped.emit("step", &[("i", Value::from(1u64))]);
+        probe.emit("step", &[("i", Value::from(0u64))]);
+        assert_eq!(probe.snapshot().counter("c"), Some(1));
+        assert_eq!(probe.snapshot().events.len(), 1);
+        probe.append_events(scoped.take_events());
+        assert!(scoped.take_events().is_empty(), "taking drains the stream");
+        let snap = probe.snapshot();
+        let iters: Vec<&Value> = snap.events_named("step").map(|e| &e.fields[0].1).collect();
+        assert_eq!(iters, [&Value::U64(0), &Value::U64(1)]);
+        assert!(!Probe::disabled().with_own_events().is_enabled());
     }
 
     #[test]
