@@ -14,8 +14,8 @@
 //! date as cores are placed, so a step costs one scan of the cores and
 //! one scan of the free nodes over the next core's placed neighbours:
 //! O(|V|²) comparisons and O(|U|·|E|) hop lookups in all. Re-summing
-//! every placed core's traffic for each candidate core and node made
-//! O(|V|³ + |U|·|V|²) `comm_between` calls, two hash lookups each.
+//! every placed core's traffic for each candidate core and node would
+//! take O(|V|³ + |U|·|V|²) `comm_between` calls, two hash lookups each.
 
 use noc_graph::{CoreId, NodeId};
 use noc_units::Mbps;
@@ -42,8 +42,9 @@ pub fn initialize(problem: &MappingProblem) -> Mapping {
         greedy.place(next, node);
     }
 
-    debug_assert!(greedy.mapping().is_complete(problem.cores()));
-    greedy.into_mapping()
+    let mapping = greedy.into_mapping();
+    debug_assert!(mapping.is_complete(problem.cores()));
+    mapping
 }
 
 /// A greedy constructive placement under way: the partial [`Mapping`],
@@ -151,12 +152,7 @@ impl<'a> GreedyPlacement<'a> {
         best
     }
 
-    /// The placement so far.
-    pub fn mapping(&self) -> &Mapping {
-        &self.mapping
-    }
-
-    /// The placement, consuming the builder.
+    /// Consumes the greedy placement and returns its mapping.
     pub fn into_mapping(self) -> Mapping {
         self.mapping
     }

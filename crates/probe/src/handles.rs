@@ -2,7 +2,7 @@
 //! histogram/event store, and name-sorted snapshots.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::profile::{CounterSnapshot, Event, HistogramSnapshot, Profile, Value};
 
@@ -81,8 +81,12 @@ struct Live {
 }
 
 impl Live {
+    fn stream(&self) -> MutexGuard<'_, Vec<Event>> {
+        self.events.lock().expect("a thread panicked holding the probe's event stream")
+    }
+
     fn append(&self, events: impl IntoIterator<Item = Event>) {
-        let mut stream = self.events.lock().unwrap();
+        let mut stream = self.stream();
         for event in events {
             if stream.len() >= EVENT_CAP {
                 self.metrics.events_dropped.fetch_add(1, Ordering::Relaxed);
@@ -140,9 +144,7 @@ impl Probe {
     /// Removes and returns the events this handle's stream holds, in
     /// emission order.
     pub fn take_events(&self) -> Vec<Event> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |live| std::mem::take(&mut *live.events.lock().unwrap()))
+        self.inner.as_ref().map_or_else(Vec::new, |live| std::mem::take(&mut *live.stream()))
     }
 
     /// Appends `events` to this handle's stream, in order; past the
@@ -215,7 +217,7 @@ impl Probe {
             .map(|(name, state)| state.lock().unwrap().snapshot(name))
             .collect();
         histograms.sort_by(|a, b| a.name.cmp(&b.name));
-        let events = live.events.lock().unwrap().clone();
+        let events = live.stream().clone();
         Profile { counters, histograms, events }
     }
 
